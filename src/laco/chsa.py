@@ -25,23 +25,6 @@ class SaliencyVector:
     top_k: int
 
 
-@dataclass
-class ChsaCache:
-    """Pruned prefill segment plus the full latent segment, in that order."""
-
-    salient: KVSegment
-    latent: KVSegment
-    selected_indices: tuple
-
-    @property
-    def num_layers(self) -> int:
-        return self.salient.num_layers
-
-    @property
-    def num_positions(self) -> int:
-        return self.salient.num_positions + self.latent.num_positions
-
-
 def saliency_scores(trace: AttentionTrace, prefill_len: int, retention_ratio: float = 0.3) -> SaliencyVector:
     """Score prefill positions from the deliberation trace.
 
@@ -71,7 +54,7 @@ def select_topk(saliency: SaliencyVector):
     return sorted(int(i) for i in order[:k])
 
 
-def build_chsa_cache(prefill: KVSegment, latent: KVSegment, indices) -> ChsaCache:
+def build_chsa_cache(prefill: KVSegment, latent: KVSegment, indices) -> KVSegment:
     """Assemble [salient prefill || full latent] from selected indices."""
     idx = list(indices)
     if any(i < 0 or i >= prefill.num_positions for i in idx):
@@ -81,10 +64,9 @@ def build_chsa_cache(prefill: KVSegment, latent: KVSegment, indices) -> ChsaCach
     if prefill.num_layers != latent.num_layers:
         raise ConfigError("prefill and latent segments must span the same layers")
     sel = np.asarray(idx, dtype=np.int64)
-    salient = KVSegment(
-        keys=prefill.keys[:, :, sel, :].copy(),
-        values=prefill.values[:, :, sel, :].copy(),
-        tags=prefill.tags[sel].copy(),
-        source_ids=prefill.source_ids[sel].copy(),
+    return KVSegment(
+        keys=np.concatenate([prefill.keys[:, :, sel, :], latent.keys], axis=2),
+        values=np.concatenate([prefill.values[:, :, sel, :], latent.values], axis=2),
+        tags=np.concatenate([prefill.tags[sel], latent.tags]),
+        source_ids=np.concatenate([prefill.source_ids[sel], latent.source_ids]),
     )
-    return ChsaCache(salient=salient, latent=latent, selected_indices=tuple(idx))

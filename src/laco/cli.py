@@ -23,26 +23,15 @@ from .telemetry import (
     sparsity_curve,
     trace_entropy,
     trace_record_to_trace,
+    write_csv,
 )
 from .wire import deserialize
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".9g")
-    return str(x)
-
-
-def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def _cmd_run(args) -> int:
     spec = load_scenario(args.scenario)
     result = run_episode(spec, args.paradigm)
-    _write_csv(Path(args.out), METRIC_COLUMNS, metrics_rows(result))
+    write_csv(Path(args.out), METRIC_COLUMNS, metrics_rows(result))
     if args.telemetry:
         with TelemetryWriter(args.telemetry) as writer:
             for rec in result.telemetry:
@@ -64,7 +53,7 @@ def _cmd_sweep(args) -> int:
     specs = [load_scenario(p) for p in args.scenario]
     values = [v for v in args.values.split(",") if v]
     rows = sweep(args.param, values, specs, args.paradigm)
-    _write_csv(Path(args.out), ("param", "value") + METRIC_COLUMNS, rows)
+    write_csv(Path(args.out), ("param", "value") + METRIC_COLUMNS, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 

@@ -17,6 +17,7 @@ from .model import (
     FOREIGN_LATENT,
     FOREIGN_PREFILL,
     KVCache,
+    KVSegment,
     Model,
     forward_decode,
     project_to_logits,
@@ -25,27 +26,8 @@ from .wire import Payload
 
 
 @dataclass
-class ForeignSegment:
-    """Received keys/values for layers 1..l_comm, with provenance."""
-
-    sender_id: int
-    keys: np.ndarray    # (l_comm, H, t, d_h) float32
-    values: np.ndarray
-    tags: np.ndarray    # (t,) uint8, foreign_prefill / foreign_latent
-    source_ids: np.ndarray
-
-    @property
-    def num_layers(self) -> int:
-        return self.keys.shape[0]
-
-    @property
-    def num_positions(self) -> int:
-        return self.keys.shape[2]
-
-
-@dataclass
 class FusedContext:
-    """Ego cache plus foreign segments ordered by ascending sender id."""
+    """Ego cache plus foreign KV segments ordered by ascending sender id."""
 
     ego: KVCache
     segments: list
@@ -59,13 +41,12 @@ class FusedContext:
         return np.concatenate(parts)
 
 
-def segment_from_payload(payload: Payload) -> ForeignSegment:
+def segment_from_payload(payload: Payload) -> KVSegment:
     """Materialize a payload for attention (float16 bodies widen to float32)."""
     tags = np.empty(payload.num_positions, dtype=np.uint8)
     tags[: payload.salient_count] = FOREIGN_PREFILL
     tags[payload.salient_count :] = FOREIGN_LATENT
-    return ForeignSegment(
-        sender_id=payload.sender_id,
+    return KVSegment(
         keys=np.ascontiguousarray(payload.keys.astype(np.float32)),
         values=np.ascontiguousarray(payload.values.astype(np.float32)),
         tags=tags,
@@ -78,7 +59,6 @@ def attach_payload(ego: KVCache, payloads) -> FusedContext:
     if isinstance(payloads, Payload):
         payloads = [payloads]
     cfg = ego.config
-    segments = []
     for p in payloads:
         if p.num_heads != cfg.num_heads or p.head_dim != cfg.head_dim:
             raise ShapeMismatchError(
@@ -89,9 +69,8 @@ def attach_payload(ego: KVCache, payloads) -> FusedContext:
             raise ShapeMismatchError(
                 f"payload spans {p.l_comm} layers but the model has {cfg.num_layers}"
             )
-        segments.append(segment_from_payload(p))
-    segments.sort(key=lambda s: s.sender_id)
-    return FusedContext(ego=ego, segments=segments)
+    ordered = sorted(payloads, key=lambda p: p.sender_id)
+    return FusedContext(ego=ego, segments=[segment_from_payload(p) for p in ordered])
 
 
 @dataclass
@@ -122,16 +101,9 @@ def naive_full_fusion(model: Model, input_vec, ego: KVCache, foreign: KVCache) -
     cfg = model.config
     if fcfg.num_heads != cfg.num_heads or fcfg.head_dim != cfg.head_dim or fcfg.num_layers != cfg.num_layers:
         raise ShapeMismatchError("foreign cache shape does not match the model")
-    seg_src = foreign.slice(0, foreign.length)
-    foreign_tags = np.where(
-        seg_src.tags == EGO_LATENT, FOREIGN_LATENT, FOREIGN_PREFILL
+    segment = foreign.slice(0, foreign.length)
+    segment.tags = np.where(
+        segment.tags == EGO_LATENT, FOREIGN_LATENT, FOREIGN_PREFILL
     ).astype(np.uint8)
-    segment = ForeignSegment(
-        sender_id=int(seg_src.source_ids[0]) if seg_src.source_ids.size else 0,
-        keys=seg_src.keys,
-        values=seg_src.values,
-        tags=foreign_tags,
-        source_ids=seg_src.source_ids,
-    )
     ctx = FusedContext(ego=ego, segments=[segment])
     return collaborative_decode(model, input_vec, ctx)

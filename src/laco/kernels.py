@@ -1,45 +1,18 @@
-"""Attention kernels: numba-compiled hot loops with a pure-numpy fallback.
+"""Attention kernels in numpy.
 
-Backend selection is controlled by the ``LACO_KERNELS`` environment variable,
-read once at import time:
-
-* ``auto`` (default) - use numba when importable, numpy otherwise
-* ``numba``          - require numba, fail loudly if missing
-* ``numpy``          - force the pure-numpy path
-
-Both backends store keys/values/weights in float32 and accumulate dot
-products, softmax sums and weighted value sums in float64, so they agree to
-~1e-6 on the float32 outputs.  Softmax is computed with the usual max-shift
-for stability.  ``benchmarks/bench_kernels.py`` times the two backends side
-by side.
+Keys/values/weights are stored in float32; dot products, softmax sums and
+weighted value sums accumulate in float64.  Softmax is computed with the
+usual max-shift for stability.
 """
-
-import math
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("LACO_KERNELS", "auto").strip().lower()
-if _FLAG not in ("", "auto", "numba", "numpy"):
-    raise RuntimeError(f"LACO_KERNELS must be auto|numba|numpy, got {_FLAG!r}")
-
-_HAVE_NUMBA = False
-if _FLAG != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _FLAG == "numba":
-            raise
-USING_NUMBA = _HAVE_NUMBA and _FLAG != "numpy"
-
 
 def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+    return "numpy"
 
 
-def attend_single_numpy(keys, values, query, inv_sqrt_dh):
+def attend_single(keys, values, query, inv_sqrt_dh):
     """Single-query attention over a cached context.
 
     keys/values: (H, n, d_h) float32, query: (H, d_h) float32.
@@ -56,7 +29,7 @@ def attend_single_numpy(keys, values, query, inv_sqrt_dh):
     return out64.astype(np.float32), rows
 
 
-def attend_causal_numpy(queries, keys, values, inv_sqrt_dh):
+def attend_causal(queries, keys, values, inv_sqrt_dh):
     """Causal self-attention over a full block (prefill).
 
     queries/keys/values: (H, T, d_h) float32.
@@ -75,99 +48,3 @@ def attend_causal_numpy(queries, keys, values, inv_sqrt_dh):
     rows = p.astype(np.float32)
     out64 = np.einsum("htj,hjd->htd", rows.astype(np.float64), values.astype(np.float64))
     return out64.astype(np.float32), rows
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _attend_single_nb(keys, values, query, inv_sqrt_dh):
-        H, n, dh = keys.shape
-        out = np.zeros((H, dh), dtype=np.float32)
-        rows = np.zeros((H, n), dtype=np.float32)
-        for h in range(H):
-            logits = np.empty(n, dtype=np.float64)
-            mx = -1.0e300
-            for j in range(n):
-                s = 0.0
-                for c in range(dh):
-                    s += float(query[h, c]) * float(keys[h, j, c])
-                s *= inv_sqrt_dh
-                logits[j] = s
-                if s > mx:
-                    mx = s
-            z = 0.0
-            for j in range(n):
-                ej = math.exp(logits[j] - mx)
-                logits[j] = ej
-                z += ej
-            for j in range(n):
-                rows[h, j] = np.float32(logits[j] / z)
-            for c in range(dh):
-                acc = 0.0
-                for j in range(n):
-                    acc += float(rows[h, j]) * float(values[h, j, c])
-                out[h, c] = np.float32(acc)
-        return out, rows
-
-    @njit(cache=True)
-    def _attend_causal_nb(queries, keys, values, inv_sqrt_dh):
-        H, T, dh = queries.shape
-        out = np.zeros((H, T, dh), dtype=np.float32)
-        rows = np.zeros((H, T, T), dtype=np.float32)
-        for h in range(H):
-            for t in range(T):
-                n = t + 1
-                logits = np.empty(n, dtype=np.float64)
-                mx = -1.0e300
-                for j in range(n):
-                    s = 0.0
-                    for c in range(dh):
-                        s += float(queries[h, t, c]) * float(keys[h, j, c])
-                    s *= inv_sqrt_dh
-                    logits[j] = s
-                    if s > mx:
-                        mx = s
-                z = 0.0
-                for j in range(n):
-                    ej = math.exp(logits[j] - mx)
-                    logits[j] = ej
-                    z += ej
-                for j in range(n):
-                    rows[h, t, j] = np.float32(logits[j] / z)
-                for c in range(dh):
-                    acc = 0.0
-                    for j in range(n):
-                        acc += float(rows[h, t, j]) * float(values[h, j, c])
-                    out[h, t, c] = np.float32(acc)
-        return out, rows
-
-    def attend_single_numba(keys, values, query, inv_sqrt_dh):
-        return _attend_single_nb(
-            np.ascontiguousarray(keys),
-            np.ascontiguousarray(values),
-            np.ascontiguousarray(query),
-            inv_sqrt_dh,
-        )
-
-    def attend_causal_numba(queries, keys, values, inv_sqrt_dh):
-        return _attend_causal_nb(
-            np.ascontiguousarray(queries),
-            np.ascontiguousarray(keys),
-            np.ascontiguousarray(values),
-            inv_sqrt_dh,
-        )
-
-    attend_single = attend_single_numba
-    attend_causal = attend_causal_numba
-else:
-    attend_single = attend_single_numpy
-    attend_causal = attend_causal_numpy
-
-
-def warmup():
-    """Trigger JIT compilation on tiny inputs so later calls are hot."""
-    k = np.zeros((1, 2, 4), dtype=np.float32)
-    q = np.zeros((1, 4), dtype=np.float32)
-    attend_single(k, k, q, 0.5)
-    qq = np.zeros((1, 2, 4), dtype=np.float32)
-    attend_causal(qq, qq, qq, 0.5)

@@ -272,7 +272,12 @@ def make_hazard_model(config: ModelConfig) -> Model:
 
 @dataclass
 class KVSegment:
-    """An immutable copy of a contiguous or selected run of cache positions."""
+    """A run of cache positions with the provenance of each one.
+
+    The one in-memory form of copied, pruned, assembled or received cache
+    entries: ``tags`` say whether a position is ego or foreign, prefill or
+    latent, and ``source_ids`` which agent wrote it.
+    """
 
     keys: np.ndarray    # (L, H, t, d_h) float32
     values: np.ndarray  # (L, H, t, d_h) float32
@@ -441,9 +446,9 @@ def forward_decode(model: Model, input_vec, cache: KVCache, segments=(), tag: in
                    source_id: int = 0):
     """Append one position and attend over ego cache plus foreign segments.
 
-    ``segments`` is a sequence of objects with (L_comm, H, t, d_h) ``keys``
-    and ``values``; a segment participates at layer l only when l < its layer
-    count.  The new position's keys/values go to the ego cache only.  Returns
+    ``segments`` is a sequence of :class:`KVSegment` with (L_comm, H, t, d_h)
+    ``keys`` and ``values``; a segment participates at layer l only when
+    l < its layer count.  The new position's keys/values go to the ego cache only.  Returns
     (hidden (d,) float32, rows: list over layers of (H, n_l) float32).
 
     This is the single decode path: plain decoding is the degenerate case

@@ -21,7 +21,7 @@ import numpy as np
 
 from .chsa import build_chsa_cache, saliency_scores, select_topk
 from .errors import InvalidActionError, ScenarioError
-from .fusion import attach_payload, collaborative_decode
+from .fusion import attach_payload, collaborative_decode, segment_from_payload
 from .ild import compute_alignment, deliberate
 from .model import (
     ACTION_NAMES,
@@ -45,8 +45,6 @@ from .telemetry import DecisionRecord, TraceRecord
 from .wire import ChannelConfig, LanguageMessage, channel_send, distill, serialize
 
 log = logging.getLogger(__name__)
-
-PARADIGMS = ("NonCollab", "Language", "Visual", "NaiveLatent", "LACO")
 
 # Multiplicative infraction penalty coefficients.
 PENALTIES = {
@@ -134,7 +132,9 @@ class ScenarioSpec:
         return self.rows * self.cols + 1
 
     def model_config(self) -> ModelConfig:
-        budget = self.observation_len + max(self.m, 1) * 2 + 8
+        # A Language receiver re-prefills one relayed m-token message per peer.
+        relayed = max(2, len(self.agents) - 1)
+        budget = self.observation_len + max(self.m, 1) * relayed + 8
         return ModelConfig(
             num_layers=self.model_layers,
             num_heads=self.model_heads,
@@ -491,6 +491,7 @@ class Simulation:
         self.paradigm = paradigm or spec.paradigm
         if self.paradigm not in PARADIGMS:
             raise ScenarioError(f"unknown paradigm {self.paradigm!r}")
+        self.send, self.receive = _PARADIGM_TABLE[self.paradigm]
         self.world = World(spec)
         self.agents = {a.agent_id: AgentState(spec=a) for a in spec.agents}
         cfg = spec.model_config()
@@ -503,7 +504,7 @@ class Simulation:
         self.actions = []
         self.telemetry = []
         self.payload_bytes = []
-        self.prev_payloads = {a.agent_id: [] for a in spec.agents}
+        self.prev_inboxes = {a.agent_id: [] for a in spec.agents}
         self._warned_m0 = False
 
     def live_agents(self):
@@ -513,36 +514,49 @@ class Simulation:
         return all(a.done for a in self.agents.values())
 
 
-def _build_message(sim: Simulation, aid: int, obs, pre):
-    """Run the paradigm's sender side; returns (message, latent_cache)."""
+# Paradigms.  A sender returns the message an agent broadcasts (or None) and
+# may extend its prefill cache; a receiver turns a non-empty inbox into the
+# decision's (logits, attention rows, context tags).
+
+def _send_nothing(sim: Simulation, aid: int, pre):
+    return None
+
+
+def _send_tokens(sim: Simulation, aid: int, pre):
+    """Language: greedily decode m tokens and relay their ids."""
+    model = sim.models[aid]
+    h = pre.hidden
+    ids = []
+    for _ in range(sim.spec.m):
+        logits = project_to_logits(model, h)
+        tok = int(np.argmax(logits))
+        ids.append(tok)
+        sim.agents[aid].decoded_tokens += 1
+        h, _ = decode_step(model, model.w_in[tok], pre.cache)
+    return LanguageMessage(sender_id=aid, frame_id=sim.tick, token_ids=tuple(ids))
+
+
+def _send_cache(sim: Simulation, aid: int, pre, m: int, indices, l_comm_fraction: float):
+    """Payload of the selected prefill positions plus the first m latent ones."""
+    T = sim.spec.observation_len
+    assembled = build_chsa_cache(pre.cache.slice(0, T), pre.cache.slice(T, T + m), indices)
+    return distill(assembled, indices, l_comm_fraction, sender_id=aid, frame_id=sim.tick)
+
+
+def _send_visual(sim: Simulation, aid: int, pre):
+    """Visual: the whole prefill cache at full depth."""
+    return _send_cache(sim, aid, pre, 0, list(range(sim.spec.observation_len)), 1.0)
+
+
+def _deliberate(sim: Simulation, aid: int, pre):
+    """Run m latent steps on the prefill cache and record their trace."""
     spec = sim.spec
     model = sim.models[aid]
-    agent = sim.agents[aid]
-    T = spec.observation_len
-    cache = pre.cache
-
-    if sim.paradigm == "NonCollab":
-        return None, cache
-
-    if sim.paradigm == "Language":
-        h = pre.hidden
-        ids = []
-        for _ in range(spec.m):
-            logits = project_to_logits(model, h)
-            tok = int(np.argmax(logits))
-            ids.append(tok)
-            agent.decoded_tokens += 1
-            h, _ = decode_step(model, model.w_in[tok], cache)
-        return LanguageMessage(sender_id=aid, frame_id=sim.tick, token_ids=tuple(ids)), cache
-
-    if sim.paradigm == "Visual":
-        chsa = build_chsa_cache(cache.slice(0, T), cache.slice(T, T), list(range(T)))
-        return distill(chsa, 1.0, sender_id=aid, frame_id=sim.tick), cache
-
-    # NaiveLatent and LACO both deliberate first.
     align = compute_alignment(model)
-    fused = sim.prev_payloads[aid] if spec.attach_during_deliberation else ()
-    delib = deliberate(model, align, pre.hidden, cache, spec.m, fused_segments=fused)
+    fused = ()
+    if spec.attach_during_deliberation:
+        fused = [segment_from_payload(p) for p in sim.prev_inboxes[aid]]
+    delib = deliberate(model, align, pre.hidden, pre.cache, spec.m, fused_segments=fused)
     if delib.steps > 0:
         sim.telemetry.append(
             TraceRecord(
@@ -552,51 +566,66 @@ def _build_message(sim: Simulation, aid: int, obs, pre):
                 array=delib.trace.array[: delib.steps].copy(),
             )
         )
+    return delib
 
-    if sim.paradigm == "NaiveLatent":
-        chsa = build_chsa_cache(cache.slice(0, T), cache.slice(T, T + spec.m), list(range(T)))
-        return distill(chsa, 1.0, sender_id=aid, frame_id=sim.tick), cache
 
-    # LACO: saliency pruning + shallow-layer truncation.
+def _send_naive_latent(sim: Simulation, aid: int, pre):
+    """NaiveLatent: deliberate, then send prefill and latent caches at full depth."""
+    _deliberate(sim, aid, pre)
+    spec = sim.spec
+    return _send_cache(sim, aid, pre, spec.m, list(range(spec.observation_len)), 1.0)
+
+
+def _send_laco(sim: Simulation, aid: int, pre):
+    """LACO: deliberate, keep the salient prefill positions, truncate to shallow layers."""
+    spec = sim.spec
+    delib = _deliberate(sim, aid, pre)
     if spec.m == 0:
         if not sim._warned_m0:
             log.warning("LACO with m=0: no latent trace, transmitting nothing")
             sim._warned_m0 = True
-        return None, cache
-    sal = saliency_scores(delib.trace, T, spec.rho)
+        return None
+    sal = saliency_scores(delib.trace, spec.observation_len, spec.rho)
     indices = select_topk(sal)
-    chsa = build_chsa_cache(cache.slice(0, T), cache.slice(T, T + spec.m), indices)
-    return distill(chsa, spec.l_comm_fraction, sender_id=aid, frame_id=sim.tick), cache
+    return _send_cache(sim, aid, pre, spec.m, indices, spec.l_comm_fraction)
 
 
-def _decide(sim: Simulation, aid: int, obs, cache, inbox):
-    """Final decision decode for one agent under the active paradigm."""
+def _decide_alone(sim: Simulation, aid: int, obs, cache, inbox):
+    """Decision decode over the agent's own cache."""
     model = sim.models[aid]
-    agent = sim.agents[aid]
-    marker = model.w_in[agent.spec.marker_token].copy()
-
-    if sim.paradigm == "Language" and inbox:
-        prefix = []
-        for msg in inbox:
-            prefix.extend(msg.token_ids)
-        tokens = np.concatenate([np.asarray(prefix, dtype=np.int64), obs])
-        pre2 = prefill(model, tokens, source_id=aid)
-        hidden, rows = decode_step(model, marker, pre2.cache)
-        logits = project_to_logits(model, hidden)
-        n = pre2.cache.length
-        tags = [pre2.cache.tags[:n] for _ in range(model.config.num_layers)]
-        return logits, rows, tags
-
-    if sim.paradigm in ("Visual", "NaiveLatent", "LACO") and inbox:
-        ctx = attach_payload(cache, inbox)
-        result = collaborative_decode(model, marker, ctx)
-        return result.logits, result.attention_rows, result.context_tags
-
+    marker = model.w_in[sim.agents[aid].spec.marker_token].copy()
     hidden, rows = decode_step(model, marker, cache)
     logits = project_to_logits(model, hidden)
     n = cache.length
     tags = [cache.tags[:n] for _ in range(model.config.num_layers)]
     return logits, rows, tags
+
+
+def _decide_on_tokens(sim: Simulation, aid: int, obs, cache, inbox):
+    """Language: re-prefill [relayed tokens || observation], then decide on that."""
+    prefix = [tok for msg in inbox for tok in msg.token_ids]
+    tokens = np.concatenate([np.asarray(prefix, dtype=np.int64), obs])
+    pre = prefill(sim.models[aid], tokens, source_id=aid)
+    return _decide_alone(sim, aid, obs, pre.cache, ())
+
+
+def _decide_fused(sim: Simulation, aid: int, obs, cache, inbox):
+    """Latent paradigms: one decode over the ego cache fused with the payloads."""
+    model = sim.models[aid]
+    marker = model.w_in[sim.agents[aid].spec.marker_token].copy()
+    result = collaborative_decode(model, marker, attach_payload(cache, inbox))
+    return result.logits, result.attention_rows, result.context_tags
+
+
+# name -> (sender, receiver), in the order the paradigms are reported.
+_PARADIGM_TABLE = {
+    "NonCollab": (_send_nothing, _decide_alone),
+    "Language": (_send_tokens, _decide_on_tokens),
+    "Visual": (_send_visual, _decide_fused),
+    "NaiveLatent": (_send_naive_latent, _decide_fused),
+    "LACO": (_send_laco, _decide_fused),
+}
+PARADIGMS = tuple(_PARADIGM_TABLE)
 
 
 def run_tick(sim: Simulation):
@@ -613,9 +642,8 @@ def run_tick(sim: Simulation):
         obs = observe(sim.world, sim.agents, spec.hazards, aid, t)
         observations[aid] = obs
         pre = prefill(sim.models[aid], obs, source_id=aid)
-        msg, cache = _build_message(sim, aid, obs, pre)
-        caches[aid] = cache
-        messages[aid] = msg
+        messages[aid] = sim.send(sim, aid, pre)
+        caches[aid] = pre.cache
 
     # Deliver messages at the tick boundary, ascending sender id.
     inboxes = {aid: [] for aid in live}
@@ -645,7 +673,8 @@ def run_tick(sim: Simulation):
 
     actions = {}
     for aid in live:
-        logits, rows, tags = _decide(sim, aid, observations[aid], caches[aid], inboxes[aid])
+        decide = sim.receive if inboxes[aid] else _decide_alone
+        logits, rows, tags = decide(sim, aid, observations[aid], caches[aid], inboxes[aid])
         action = int(np.argmax(logits))
         if action not in ACTION_TOKENS:
             raise InvalidActionError(
@@ -654,10 +683,7 @@ def run_tick(sim: Simulation):
         actions[aid] = action
         sim.actions.append((t, aid, ACTION_NAMES[action]))
         sim.telemetry.append(DecisionRecord(tick=t, agent=aid, rows=rows, tags=tags))
-        if sim.paradigm in ("NaiveLatent", "LACO"):
-            sim.prev_payloads[aid] = [
-                seg for seg in map(_payload_segment, inboxes[aid]) if seg is not None
-            ]
+    sim.prev_inboxes.update(inboxes)
 
     # Apply actions.
     moved = {}
@@ -742,13 +768,6 @@ def run_episode(spec: ScenarioSpec, paradigm: str | None = None) -> EpisodeResul
         telemetry=sim.telemetry,
         payload_bytes=sim.payload_bytes,
     )
-
-
-def _payload_segment(msg):
-    from .fusion import segment_from_payload
-    from .wire import Payload
-
-    return segment_from_payload(msg) if isinstance(msg, Payload) else None
 
 
 METRIC_COLUMNS = (

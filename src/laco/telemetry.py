@@ -130,7 +130,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows):
+def write_csv(path: Path, header, rows):
+    """One header line, then one line per row; floats to 9 significant digits."""
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
@@ -146,13 +147,13 @@ def emit(out_dir, entropy_rows, sparsity_rows, confusion_rows, metrics=None):
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "entropy.csv", ("tick", "agent", "layer", "entropy"), entropy_rows)
-    _write_csv(
+    write_csv(out / "entropy.csv", ("tick", "agent", "layer", "entropy"), entropy_rows)
+    write_csv(
         out / "sparsity.csv",
         ("tick", "agent", "rank", "token_fraction", "cumulative_mass", "fraction_for_80"),
         sparsity_rows,
     )
-    _write_csv(
+    write_csv(
         out / "confusion.csv", ("tick", "agent", "layer", "foreign_fraction"), confusion_rows
     )
     if metrics is not None:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsa import ChsaCache
 from .errors import ConfigError, PayloadFormatError
+from .model import KVSegment
 
 MAGIC = b"LACO"
 VERSION = 1
@@ -91,28 +91,29 @@ def rounded_layer_count(fraction: float, num_layers: int) -> int:
     return max(1, math.floor(fraction * num_layers + 0.5))
 
 
-def distill(chsa: ChsaCache, l_comm_fraction: float, *, sender_id: int, frame_id: int,
-            dtype_flag: int = DTYPE_F32) -> Payload:
-    """Keep only the first l_comm layers of the assembled cache.
+def distill(cache: KVSegment, indices, l_comm_fraction: float, *, sender_id: int,
+            frame_id: int, dtype_flag: int = DTYPE_F32) -> Payload:
+    """Keep only the first l_comm layers of an assembled [salient || latent] cache.
 
-    The latent segment is layer-truncated along with the salient one; retained
+    ``indices`` are the original prefill positions of the salient entries, so
+    the first ``len(indices)`` positions are salient and the rest latent.  The
+    latent segment is layer-truncated along with the salient one; retained
     bytes are copied verbatim (float32) or narrowed to float16 when requested.
     """
     if dtype_flag not in _DTYPES:
         raise ConfigError(f"unknown dtype flag {dtype_flag}")
-    l_comm = rounded_layer_count(l_comm_fraction, chsa.num_layers)
-    keys = np.concatenate([chsa.salient.keys, chsa.latent.keys], axis=2)[:l_comm]
-    values = np.concatenate([chsa.salient.values, chsa.latent.values], axis=2)[:l_comm]
+    salient = len(indices)
+    l_comm = rounded_layer_count(l_comm_fraction, cache.num_layers)
     np_dtype = _DTYPES[dtype_flag]
     return Payload(
         sender_id=sender_id,
         frame_id=frame_id,
-        salient_count=chsa.salient.num_positions,
-        latent_count=chsa.latent.num_positions,
+        salient_count=salient,
+        latent_count=cache.num_positions - salient,
         dtype_flag=dtype_flag,
-        source_indices=tuple(chsa.selected_indices),
-        keys=np.ascontiguousarray(keys.astype(np_dtype)),
-        values=np.ascontiguousarray(values.astype(np_dtype)),
+        source_indices=tuple(indices),
+        keys=np.ascontiguousarray(cache.keys[:l_comm].astype(np_dtype)),
+        values=np.ascontiguousarray(cache.values[:l_comm].astype(np_dtype)),
     )
 
 

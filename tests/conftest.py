@@ -1,14 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
-from laco import kernels
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Pay any JIT compilation cost before timed tests run."""
-    kernels.warmup()

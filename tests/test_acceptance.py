@@ -181,11 +181,11 @@ def test_c06_compression_accounting(shipped):
         indices = select_topk(sal)
         assert len(indices) == 30
         cc = build_chsa_cache(res2.cache.slice(0, T), res2.cache.slice(T, T + m), indices)
-        pruned = distill(cc, 0.10, sender_id=0, frame_id=0)
+        pruned = distill(cc, indices, 0.10, sender_id=0, frame_id=0)
         assert pruned.l_comm == 2
         full_cc = build_chsa_cache(res2.cache.slice(0, T), res2.cache.slice(T, T + m),
                                    list(range(T)))
-        full = distill(full_cc, 1.0, sender_id=0, frame_id=0)
+        full = distill(full_cc, list(range(T)), 1.0, sender_id=0, frame_id=0)
         pruned_body = len(serialize(pruned)) - (37 + 4 * 30)
         full_body = len(serialize(full)) - (37 + 4 * 100)
         # pruned/full == 0.1 * (30 + 10) / (100 + 10), checked in exact integers

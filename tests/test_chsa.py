@@ -136,15 +136,17 @@ class TestBuildCache:
     def test_selected_bytes_exact(self):
         pre, lat = self._segments(seed=1)
         cc = build_chsa_cache(pre, lat, [2, 5])
-        np.testing.assert_array_equal(cc.salient.keys[:, :, 0, :], pre.keys[:, :, 2, :])
-        np.testing.assert_array_equal(cc.salient.values[:, :, 1, :], pre.values[:, :, 5, :])
-        assert cc.salient.keys.tobytes() == pre.keys[:, :, [2, 5], :].tobytes()
+        np.testing.assert_array_equal(cc.keys[:, :, 0, :], pre.keys[:, :, 2, :])
+        np.testing.assert_array_equal(cc.values[:, :, 1, :], pre.values[:, :, 5, :])
+        assert cc.keys[:, :, :2, :].tobytes() == pre.keys[:, :, [2, 5], :].tobytes()
+        np.testing.assert_array_equal(cc.tags[:2], pre.tags[[2, 5]])
 
     def test_latent_segment_copied_whole(self):
         pre, lat = self._segments(seed=2)
         cc = build_chsa_cache(pre, lat, [0])
-        assert cc.latent.num_positions == 3
-        np.testing.assert_array_equal(cc.latent.keys, lat.keys)
+        assert cc.num_positions == 1 + 3
+        np.testing.assert_array_equal(cc.keys[:, :, 1:, :], lat.keys)
+        np.testing.assert_array_equal(cc.tags[1:], lat.tags)
 
     def test_out_of_range_index(self):
         pre, lat = self._segments()

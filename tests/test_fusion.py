@@ -37,7 +37,7 @@ def build_payload(model, tokens, m=3, rho_indices=None, fraction=1.0, sender=1):
     T = len(tokens)
     idx = rho_indices if rho_indices is not None else list(range(T))
     cc = build_chsa_cache(res.cache.slice(0, T), res.cache.slice(T, T + m), idx)
-    return distill(cc, fraction, sender_id=sender, frame_id=0), res.cache
+    return distill(cc, idx, fraction, sender_id=sender, frame_id=0), res.cache
 
 
 class TestAttach:
@@ -67,7 +67,7 @@ class TestAttach:
         p3, _ = build_payload(init_model(cfg(seed=2)), [4, 5], sender=3)
         p1, _ = build_payload(init_model(cfg(seed=2)), [6, 7], sender=1)
         ctx = attach_payload(res.cache, [p3, p1])
-        assert [s.sender_id for s in ctx.segments] == [1, 3]
+        assert [s.source_ids.tolist() for s in ctx.segments] == [[1] * 5, [3] * 5]
 
     def test_shape_mismatch_rejected(self):
         mdl = init_model(cfg(seed=3))
@@ -167,7 +167,7 @@ class TestDepthIsolation:
         cache_b.v[1:] -= 3.0
         T = 3
         cc = build_chsa_cache(cache_b.slice(0, T), cache_b.slice(T, T + 2), list(range(T)))
-        pb = distill(cc, 0.25, sender_id=1, frame_id=0)
+        pb = distill(cc, list(range(T)), 0.25, sender_id=1, frame_id=0)
         assert pa.keys.tobytes() == pb.keys.tobytes()
         assert pa.values.tobytes() == pb.values.tobytes()
 

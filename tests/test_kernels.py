@@ -1,31 +1,6 @@
 import numpy as np
-import pytest
 
 from laco import kernels
-
-
-@pytest.mark.parametrize("H,n,dh", [(1, 1, 4), (2, 7, 8), (4, 33, 16)])
-def test_single_backends_agree(H, n, dh):
-    rng = np.random.default_rng(42)
-    k = rng.normal(size=(H, n, dh)).astype(np.float32)
-    v = rng.normal(size=(H, n, dh)).astype(np.float32)
-    q = rng.normal(size=(H, dh)).astype(np.float32)
-    out_np, rows_np = kernels.attend_single_numpy(k, v, q, 1.0 / np.sqrt(dh))
-    out, rows = kernels.attend_single(k, v, q, 1.0 / np.sqrt(dh))
-    np.testing.assert_allclose(out, out_np, atol=1e-6)
-    np.testing.assert_allclose(rows, rows_np, atol=1e-6)
-
-
-@pytest.mark.parametrize("H,T,dh", [(1, 1, 4), (2, 9, 8), (3, 17, 4)])
-def test_causal_backends_agree(H, T, dh):
-    rng = np.random.default_rng(7)
-    q = rng.normal(size=(H, T, dh)).astype(np.float32)
-    k = rng.normal(size=(H, T, dh)).astype(np.float32)
-    v = rng.normal(size=(H, T, dh)).astype(np.float32)
-    out_np, rows_np = kernels.attend_causal_numpy(q, k, v, 1.0 / np.sqrt(dh))
-    out, rows = kernels.attend_causal(q, k, v, 1.0 / np.sqrt(dh))
-    np.testing.assert_allclose(out, out_np, atol=1e-6)
-    np.testing.assert_allclose(rows, rows_np, atol=1e-6)
 
 
 def test_rows_are_distributions():

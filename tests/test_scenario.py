@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,6 @@ hazard = lane=A path=3,4 hide=1,4 appear=0 enter=3 clear=5
 def mini_spec(**overrides):
     spec = sc.parse_scenario(MINI)
     if overrides:
-        from dataclasses import replace
-
         spec = replace(spec, **overrides)
     return spec
 
@@ -269,3 +269,46 @@ class TestAttachDuringDeliberation:
         flagged = sc.run_episode(mini_spec(attach_during_deliberation=True), "LACO")
         assert base.agents[0].infractions == {}
         assert flagged.agents[0].infractions == {}
+
+
+# occluded_3 plus two lane-B agents: three peers relay to every receiver.
+FOUR_AGENTS = """
+name = occluded_3_four_agents
+paradigm = LACO
+seed = 13
+m = 10
+grid = ..............
+grid = ..............
+grid = ..............
+grid = ..######.####.
+grid = ..............
+agent = 0 A 4,0
+agent = 1 B 0,0
+agent = 2 B 2,0
+agent = 3 B 1,0
+route = 0 4,0 4,1 4,2 4,3 4,4 4,5 4,6 4,7 4,8 4,9 4,10 4,11 4,12 4,13
+route = 1 0,0 0,1 0,2 0,3 0,4 0,5 0,6 0,7 0,8 0,9 0,10 0,11 0,12 0,13
+route = 2 2,0 2,1 2,2 2,3 2,4 2,5 2,6 2,7 2,8 2,9 2,10 2,11 2,12 2,13
+route = 3 1,0 1,1 1,2 1,3 1,4 1,5 1,6 1,7 1,8 1,9 1,10 1,11 1,12 1,13
+hazard = lane=A path=4,8 hide=1,8 appear=0 enter=7 clear=9
+"""
+
+
+class TestFourAgents:
+    def test_context_budgets_one_message_per_peer(self):
+        spec = sc.parse_scenario(FOUR_AGENTS)
+        T = spec.observation_len
+        assert spec.model_config().max_context == T + 3 * 10 + 8
+        three = replace(spec, agents=spec.agents[:3])
+        assert three.model_config().max_context == T + 2 * 10 + 8
+
+    @pytest.mark.parametrize(
+        "paradigm,m", [(p, 10) for p in sc.PARADIGMS] + [("Language", 8)])
+    def test_every_paradigm_runs(self, paradigm, m):
+        spec = replace(sc.parse_scenario(FOUR_AGENTS), m=m)
+        result = sc.run_episode(spec, paradigm)
+        assert sorted(result.agents) == [0, 1, 2, 3]
+        shares_cache = paradigm in ("Visual", "NaiveLatent", "LACO")
+        assert result.agents[0].driving_score == (100.0 if shares_cache else 50.0)
+        if paradigm == "Language":
+            assert result.comm_bytes_total > 0

@@ -42,7 +42,8 @@ def chsa_from_model(seed=0, L=4, T=8, m=3):
     mdl = init_model(ModelConfig(L, 2, 8, 16, 64, seed=seed))
     res = prefill(mdl, list(range(T)))
     deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, m)
-    return build_chsa_cache(res.cache.slice(0, T), res.cache.slice(T, T + m), [1, 4, 6])
+    indices = [1, 4, 6]
+    return build_chsa_cache(res.cache.slice(0, T), res.cache.slice(T, T + m), indices), indices
 
 
 class TestDistill:
@@ -55,25 +56,23 @@ class TestDistill:
             rounded_layer_count(0.0, 4)
 
     def test_full_fraction_keeps_all_layers(self):
-        p = distill(chsa_from_model(), 1.0, sender_id=1, frame_id=0)
+        p = distill(*chsa_from_model(), 1.0, sender_id=1, frame_id=0)
         assert p.l_comm == 4
 
     def test_retained_layers_byte_equal(self):
-        cc = chsa_from_model(seed=3)
-        p = distill(cc, 0.5, sender_id=1, frame_id=0)
+        cc, indices = chsa_from_model(seed=3)
+        p = distill(cc, indices, 0.5, sender_id=1, frame_id=0)
         assert p.l_comm == 2
-        src_k = np.concatenate([cc.salient.keys, cc.latent.keys], axis=2)[:2]
-        src_v = np.concatenate([cc.salient.values, cc.latent.values], axis=2)[:2]
-        assert p.keys.tobytes() == src_k.tobytes()
-        assert p.values.tobytes() == src_v.tobytes()
+        assert p.keys.tobytes() == cc.keys[:2].tobytes()
+        assert p.values.tobytes() == cc.values[:2].tobytes()
 
     def test_counts_and_indices(self):
-        p = distill(chsa_from_model(), 0.25, sender_id=9, frame_id=5)
+        p = distill(*chsa_from_model(), 0.25, sender_id=9, frame_id=5)
         assert (p.salient_count, p.latent_count) == (3, 3)
         assert p.source_indices == (1, 4, 6)
 
     def test_latent_segment_also_truncated(self):
-        p = distill(chsa_from_model(), 0.25, sender_id=0, frame_id=0)
+        p = distill(*chsa_from_model(), 0.25, sender_id=0, frame_id=0)
         assert p.keys.shape[0] == 1
 
 
@@ -153,8 +152,7 @@ class TestCompressionAccounting:
         assert body / full == pytest.approx(0.1 * (30 + 10) / (100 + 10), abs=1e-12)
 
     def test_measured_ratio_within_header_slack(self):
-        cc = chsa_from_model(seed=5, L=4, T=10, m=4)
-        p = distill(cc, 0.25, sender_id=0, frame_id=0)
+        p = distill(*chsa_from_model(seed=5, L=4, T=10, m=4), 0.25, sender_id=0, frame_id=0)
         full_body = 4 * 2 * (10 + 4) * 4 * 2 * 4
         expected = (1 / 4) * (3 + 4) / (10 + 4)
         measured = p.size_bytes() / full_body
