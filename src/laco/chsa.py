@@ -37,7 +37,7 @@ def saliency_scores(trace: AttentionTrace, prefill_len: int, retention_ratio: fl
         raise ConfigError("prefill_len must be >= 1")
     if not 0.0 < retention_ratio <= 1.0:
         raise ConfigError("retention ratio must be in (0, 1]")
-    a = trace.array[: trace.num_steps, :, :, :prefill_len].astype(np.float64)
+    a = trace.array[:, :, :, :prefill_len].astype(np.float64)
     scores = a.max(axis=(1, 2)).mean(axis=0)
     k = math.ceil(retention_ratio * prefill_len)
     return SaliencyVector(scores=scores, retention_ratio=retention_ratio, top_k=k)

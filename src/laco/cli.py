@@ -22,7 +22,6 @@ from .telemetry import (
     read_telemetry,
     sparsity_curve,
     trace_entropy,
-    trace_record_to_trace,
     write_csv,
 )
 from .wire import deserialize
@@ -36,8 +35,7 @@ def _cmd_run(args) -> int:
         with TelemetryWriter(args.telemetry) as writer:
             for rec in result.telemetry:
                 if isinstance(rec, TraceRecord):
-                    tr = trace_record_to_trace(rec)
-                    writer.write_trace(rec.tick, rec.agent, tr)
+                    writer.write_trace(rec.tick, rec.agent, rec.trace)
                 else:
                     writer.write_decision(rec.tick, rec.agent, rec.rows, rec.tags)
     if args.payload_dir:
@@ -65,11 +63,10 @@ def _cmd_analyze(args) -> int:
     confusion_rows = []
     for rec in records:
         if isinstance(rec, TraceRecord):
-            trace = trace_record_to_trace(rec)
-            profile = trace_entropy(trace)
+            profile = trace_entropy(rec.trace)
             for layer, e in enumerate(profile.values):
                 entropy_rows.append((rec.tick, rec.agent, layer + 1, float(e)))
-            curve = sparsity_curve(trace)
+            curve = sparsity_curve(rec.trace)
             n = curve.cumulative.shape[0]
             for rank, mass in enumerate(curve.cumulative, start=1):
                 sparsity_rows.append(

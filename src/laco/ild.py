@@ -72,32 +72,18 @@ def deliberate(
     if m < 0:
         raise ConfigError("step count m must be >= 0")
     cfg = model.config
-    base = cache.length
-    trace = AttentionTrace(m, cfg.num_layers, cfg.num_heads, base + m + _extra(fused_segments))
+    width = cache.length + m + sum(seg.num_positions for seg in fused_segments)
+    array = np.zeros((m, cfg.num_layers, cfg.num_heads, width), dtype=np.float32)
+    lengths = np.zeros(m, dtype=np.int64)
     h = np.asarray(h0, dtype=np.float32)
     logit_calls_before = model.stats.logit_projections
-    for _ in range(m):
+    for t in range(m):
         e_hat = h @ alignment.w_a
         h, rows_per_layer = forward_decode(model, e_hat, cache, fused_segments, tag=EGO_LATENT)
-        trace.record(_stack_rows(rows_per_layer), rows_per_layer[0].shape[1])
+        # Layers attending over fused context have longer rows than ego-only
+        # layers; the shorter rows stay zero-padded.
+        for l, rows in enumerate(rows_per_layer):
+            array[t, l, :, : rows.shape[1]] = rows
+        lengths[t] = rows_per_layer[0].shape[1]
     assert model.stats.logit_projections == logit_calls_before, "deliberation must not decode"
-    return DeliberationResult(final_hidden=h, trace=trace, steps=m)
-
-
-def _extra(segments) -> int:
-    return sum(seg.keys.shape[2] for seg in segments)
-
-
-def _stack_rows(rows_per_layer) -> np.ndarray:
-    """Stack per-layer rows into (L, H, n), zero-padding shallower layers.
-
-    Layers attending over fused context have longer rows than ego-only
-    layers; with no fused segments all lengths agree and no padding happens.
-    """
-    n = max(r.shape[1] for r in rows_per_layer)
-    L = len(rows_per_layer)
-    H = rows_per_layer[0].shape[0]
-    out = np.zeros((L, H, n), dtype=np.float32)
-    for l, r in enumerate(rows_per_layer):
-        out[l, :, : r.shape[1]] = r
-    return out
+    return DeliberationResult(final_hidden=h, trace=AttentionTrace(array, lengths), steps=m)

@@ -362,33 +362,35 @@ class KVCache:
             raise AssertionError("ego prefill positions must precede ego latent positions")
 
 
+@dataclass(frozen=True)
 class AttentionTrace:
     """Recorded attention weights A[step, layer, head, j], zero-padded.
 
-    ``lengths[t]`` is the context size of step t; entries beyond it are 0.
-    Every recorded row is checked to be a probability distribution.
+    ``lengths[t]`` is the context size of step t.  Building a trace checks
+    every row once: each weight lies in [0, 1 + 1e-6], each row sums to 1
+    within 1e-6, and every weight beyond ``lengths[t]`` is exactly 0.
     """
 
-    def __init__(self, num_steps: int, num_layers: int, num_heads: int, max_context: int):
-        self.array = np.zeros((num_steps, num_layers, num_heads, max_context), dtype=np.float32)
-        self.lengths = np.zeros(num_steps, dtype=np.int64)
-        self._filled = 0
+    array: np.ndarray    # (steps, L, H, max_context) float32
+    lengths: np.ndarray  # (steps,) int64
+
+    def __post_init__(self):
+        a, lengths = self.array, self.lengths
+        if a.ndim != 4 or lengths.shape != a.shape[:1] or 0 in a.shape[1:3]:
+            raise AssertionError("trace shape must be (steps, L>0, H>0, n) with one length per step")
+        if np.any((lengths < 1) | (lengths > a.shape[3])):
+            raise AssertionError("trace context length outside [1, n]")
+        if a.size and (a.min() < 0.0 or a.max() > 1.0 + 1e-6):
+            raise AssertionError("attention weight outside [0, 1]")
+        if not np.all(np.abs(a.sum(axis=3, dtype=np.float64) - 1.0) <= 1e-6):
+            raise AssertionError("attention row does not sum to 1 within 1e-6")
+        beyond = np.arange(a.shape[3]) >= lengths[:, None]
+        if np.any(np.where(beyond[:, None, None, :], a, 0.0)):
+            raise AssertionError("attention weight beyond the step's context length")
 
     @property
     def num_steps(self) -> int:
-        return self._filled
-
-    def record(self, rows: np.ndarray, context_len: int):
-        """rows: (L, H, context_len) float32 softmax rows for one step."""
-        t = self._filled
-        sums = rows.sum(axis=2, dtype=np.float64)
-        if not np.all(np.abs(sums - 1.0) <= 1e-6):
-            raise AssertionError("attention row does not sum to 1 within 1e-6")
-        if rows.min() < 0.0 or rows.max() > 1.0 + 1e-6:
-            raise AssertionError("attention weight outside [0, 1]")
-        self.array[t, :, :, :context_len] = rows
-        self.lengths[t] = context_len
-        self._filled += 1
+        return self.array.shape[0]
 
 
 @dataclass
@@ -418,7 +420,6 @@ def prefill(model: Model, tokens, source_id: int = 0) -> PrefillResult:
 
     H, dh, d = cfg.num_heads, cfg.head_dim, cfg.model_dim
     cache = KVCache(cfg)
-    trace = AttentionTrace(T, cfg.num_layers, H, T)
 
     x = model.w_in[tokens] + model.pos[:T]
     step_rows = np.zeros((T, cfg.num_layers, H, T), dtype=np.float32)
@@ -433,12 +434,11 @@ def prefill(model: Model, tokens, source_id: int = 0) -> PrefillResult:
         x = x + out.transpose(1, 0, 2).reshape(T, d) @ lw.w_o
         x = x + _mlp(x, lw)
 
-    for t in range(T):
-        trace.record(step_rows[t, :, :, : t + 1], t + 1)
     cache.tags[:T] = EGO_PREFILL
     cache.source_ids[:T] = source_id
     cache.length = T
     model.stats.forward_passes += 1
+    trace = AttentionTrace(step_rows, np.arange(1, T + 1))
     return PrefillResult(hidden=x[-1].copy(), cache=cache, trace=trace)
 
 

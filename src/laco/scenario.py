@@ -14,7 +14,7 @@ layouts.
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -213,32 +213,37 @@ def parse_scenario(text: str) -> ScenarioSpec:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "grid":
-            grid_rows.append(value)
-        elif key == "agent":
-            parts = value.split()
-            if len(parts) != 3:
-                raise ScenarioError(f"agent line needs '<id> <lane> <r,c>': {value!r}")
-            agent_lines.append((int(parts[0]), parts[1], _parse_cell(parts[2])))
-        elif key == "route":
-            parts = value.split()
-            route_lines[int(parts[0])] = tuple(_parse_cell(p) for p in parts[1:])
-        elif key == "hazard":
-            fields = dict(p.split("=", 1) for p in value.split())
-            hazards.append(
-                HazardSpec(
-                    lane=fields["lane"],
-                    path_cell=_parse_cell(fields["path"]),
-                    hide_cell=_parse_cell(fields["hide"]) if "hide" in fields else None,
-                    appear=int(fields.get("appear", 0)),
-                    enter=int(fields["enter"]),
-                    clear=int(fields["clear"]),
+        try:
+            if key == "grid":
+                grid_rows.append(value)
+            elif key == "agent":
+                parts = value.split()
+                if len(parts) != 3:
+                    raise ScenarioError(f"agent line needs '<id> <lane> <r,c>': {value!r}")
+                agent_lines.append((int(parts[0]), parts[1], _parse_cell(parts[2])))
+            elif key == "route":
+                parts = value.split()
+                route_lines[int(parts[0])] = tuple(_parse_cell(p) for p in parts[1:])
+            elif key == "hazard":
+                fields = dict(p.split("=", 1) for p in value.split())
+                hazards.append(
+                    HazardSpec(
+                        lane=fields["lane"],
+                        path_cell=_parse_cell(fields["path"]),
+                        hide_cell=_parse_cell(fields["hide"]) if "hide" in fields else None,
+                        appear=int(fields.get("appear", 0)),
+                        enter=int(fields["enter"]),
+                        clear=int(fields["clear"]),
+                    )
                 )
-            )
-        elif key in _SCALARS:
-            values[key] = _SCALARS[key](value)
-        else:
-            raise ScenarioError(f"unknown scenario key {key!r}")
+            elif key in _SCALARS:
+                values[key] = _SCALARS[key](value)
+            else:
+                raise ScenarioError(f"unknown scenario key {key!r}")
+        except KeyError as exc:
+            raise ScenarioError(f"{key} line {value!r} lacks {exc}") from exc
+        except (ValueError, IndexError) as exc:
+            raise ScenarioError(f"malformed {key} line {value!r}: {exc}") from exc
 
     if not grid_rows:
         raise ScenarioError("scenario has no grid rows")
@@ -558,14 +563,7 @@ def _deliberate(sim: Simulation, aid: int, pre):
         fused = [segment_from_payload(p) for p in sim.prev_inboxes[aid]]
     delib = deliberate(model, align, pre.hidden, pre.cache, spec.m, fused_segments=fused)
     if delib.steps > 0:
-        sim.telemetry.append(
-            TraceRecord(
-                tick=sim.tick,
-                agent=aid,
-                lengths=delib.trace.lengths[: delib.steps].copy(),
-                array=delib.trace.array[: delib.steps].copy(),
-            )
-        )
+        sim.telemetry.append(TraceRecord(tick=sim.tick, agent=aid, trace=delib.trace))
     return delib
 
 
@@ -590,27 +588,20 @@ def _send_laco(sim: Simulation, aid: int, pre):
     return _send_cache(sim, aid, pre, spec.m, indices, spec.l_comm_fraction)
 
 
-def _decide_alone(sim: Simulation, aid: int, obs, cache, inbox):
-    """Decision decode over the agent's own cache."""
-    model = sim.models[aid]
-    marker = model.w_in[sim.agents[aid].spec.marker_token].copy()
-    hidden, rows = decode_step(model, marker, cache)
-    logits = project_to_logits(model, hidden)
-    n = cache.length
-    tags = [cache.tags[:n] for _ in range(model.config.num_layers)]
-    return logits, rows, tags
-
-
 def _decide_on_tokens(sim: Simulation, aid: int, obs, cache, inbox):
     """Language: re-prefill [relayed tokens || observation], then decide on that."""
     prefix = [tok for msg in inbox for tok in msg.token_ids]
     tokens = np.concatenate([np.asarray(prefix, dtype=np.int64), obs])
     pre = prefill(sim.models[aid], tokens, source_id=aid)
-    return _decide_alone(sim, aid, obs, pre.cache, ())
+    return _decide(sim, aid, obs, pre.cache, ())
 
 
-def _decide_fused(sim: Simulation, aid: int, obs, cache, inbox):
-    """Latent paradigms: one decode over the ego cache fused with the payloads."""
+def _decide(sim: Simulation, aid: int, obs, cache, inbox):
+    """One decode over the ego cache fused with the received payloads.
+
+    With an empty inbox this is the plain decision decode over the agent's
+    own cache.
+    """
     model = sim.models[aid]
     marker = model.w_in[sim.agents[aid].spec.marker_token].copy()
     result = collaborative_decode(model, marker, attach_payload(cache, inbox))
@@ -619,11 +610,11 @@ def _decide_fused(sim: Simulation, aid: int, obs, cache, inbox):
 
 # name -> (sender, receiver), in the order the paradigms are reported.
 _PARADIGM_TABLE = {
-    "NonCollab": (_send_nothing, _decide_alone),
+    "NonCollab": (_send_nothing, _decide),
     "Language": (_send_tokens, _decide_on_tokens),
-    "Visual": (_send_visual, _decide_fused),
-    "NaiveLatent": (_send_naive_latent, _decide_fused),
-    "LACO": (_send_laco, _decide_fused),
+    "Visual": (_send_visual, _decide),
+    "NaiveLatent": (_send_naive_latent, _decide),
+    "LACO": (_send_laco, _decide),
 }
 PARADIGMS = tuple(_PARADIGM_TABLE)
 
@@ -673,7 +664,7 @@ def run_tick(sim: Simulation):
 
     actions = {}
     for aid in live:
-        decide = sim.receive if inboxes[aid] else _decide_alone
+        decide = sim.receive if inboxes[aid] else _decide
         logits, rows, tags = decide(sim, aid, observations[aid], caches[aid], inboxes[aid])
         action = int(np.argmax(logits))
         if action not in ACTION_TOKENS:
@@ -809,18 +800,19 @@ def sweep(param: str, values, specs, paradigm: str | None = None):
         raise ScenarioError(f"sweep parameter must be one of {SWEEP_PARAMS}")
     if not values:
         raise ScenarioError("sweep needs at least one value")
+    cast = int if param == "m" else float
+    try:
+        values = [cast(v) for v in values]
+    except ValueError as exc:
+        raise ScenarioError(f"bad {param} value: {exc}") from exc
     rows = []
     for value in values:
         for spec in specs:
-            cast = int(value) if param == "m" else float(value)
-            varied = _replace_param(spec, param, cast)
-            result = run_episode(varied, paradigm)
+            result = run_episode(_replace_param(spec, param, value), paradigm)
             for row in metrics_rows(result):
-                rows.append((param, cast) + row)
+                rows.append((param, value) + row)
     return rows
 
 
 def _replace_param(spec: ScenarioSpec, param: str, value):
-    from dataclasses import replace
-
     return replace(spec, **{param: value})

@@ -98,7 +98,7 @@ def sparsity_curve(trace: AttentionTrace) -> SparsityCurve:
     if trace.num_steps == 0:
         raise ConfigError("sparsity of an empty trace is undefined")
     n = int(trace.lengths.max())
-    a = trace.array[: trace.num_steps, :, :, :n].astype(np.float64)
+    a = trace.array[:, :, :, :n].astype(np.float64)
     mass = a.mean(axis=(0, 1, 2))
     order = np.argsort(-mass, kind="stable")
     cum = np.cumsum(mass[order])
@@ -166,8 +166,7 @@ def emit(out_dir, entropy_rows, sparsity_rows, confusion_rows, metrics=None):
 class TraceRecord:
     tick: int
     agent: int
-    lengths: np.ndarray
-    array: np.ndarray  # (steps, L, H, max_context) float32
+    trace: AttentionTrace
 
 
 @dataclass
@@ -198,13 +197,11 @@ class TelemetryWriter:
         self._fh.write(body)
 
     def write_trace(self, tick: int, agent: int, trace: AttentionTrace):
-        steps = trace.num_steps
-        _, L, H, maxn = trace.array.shape
         body = [
             _REC_HEAD.pack(KIND_TRACE, tick, agent),
-            struct.pack("<HHHI", steps, L, H, maxn),
-            np.asarray(trace.lengths[:steps], dtype="<u4").tobytes(),
-            np.ascontiguousarray(trace.array[:steps], dtype="<f4").tobytes(),
+            struct.pack("<HHHI", *trace.array.shape),
+            np.asarray(trace.lengths, dtype="<u4").tobytes(),
+            np.ascontiguousarray(trace.array, dtype="<f4").tobytes(),
         ]
         self._emit(b"".join(body))
 
@@ -221,7 +218,11 @@ class TelemetryWriter:
 
 
 def read_telemetry(path):
-    """Parse a record stream into TraceRecord / DecisionRecord objects."""
+    """Parse a record stream into TraceRecord / DecisionRecord objects.
+
+    Any malformed record, a trace failing its row check included, raises
+    :class:`PayloadFormatError`.
+    """
     data = Path(path).read_bytes()
     records = []
     off = 0
@@ -232,45 +233,47 @@ def read_telemetry(path):
         off += 4
         if off + length > len(data):
             raise PayloadFormatError("record body extends past end of stream")
-        body = data[off : off + length]
+        try:
+            records.append(_parse_record(data[off : off + length]))
+        except (struct.error, ValueError, AssertionError) as exc:
+            raise PayloadFormatError(f"malformed record at byte {off - 4}: {exc}") from exc
         off += length
-        kind, tick, agent = _REC_HEAD.unpack_from(body, 0)
-        pos = _REC_HEAD.size
-        if kind == KIND_TRACE:
-            steps, L, H, maxn = struct.unpack_from("<HHHI", body, pos)
-            pos += 10
-            lengths = np.frombuffer(body, dtype="<u4", count=steps, offset=pos).astype(np.int64)
-            pos += 4 * steps
-            count = steps * L * H * maxn
-            arr = np.frombuffer(body, dtype="<f4", count=count, offset=pos).reshape(
-                steps, L, H, maxn)
-            pos += 4 * count
-            records.append(TraceRecord(tick=tick, agent=agent, lengths=lengths, array=arr.copy()))
-        elif kind == KIND_DECISION:
-            L, H = struct.unpack_from("<HH", body, pos)
-            pos += 4
-            rows, tags = [], []
-            for _ in range(L):
-                (n,) = struct.unpack_from("<I", body, pos)
-                pos += 4
-                tags.append(np.frombuffer(body, dtype="u1", count=n, offset=pos).copy())
-                pos += n
-                rows.append(
-                    np.frombuffer(body, dtype="<f4", count=H * n, offset=pos).reshape(H, n).copy()
-                )
-                pos += 4 * H * n
-            records.append(DecisionRecord(tick=tick, agent=agent, rows=rows, tags=tags))
-        else:
-            raise PayloadFormatError(f"unknown record kind {kind}")
-        if pos != len(body):
-            raise PayloadFormatError("record body has trailing bytes")
     return records
 
 
+def _parse_record(body: bytes):
+    kind, tick, agent = _REC_HEAD.unpack_from(body, 0)
+    pos = _REC_HEAD.size
+    if kind == KIND_TRACE:
+        steps, L, H, maxn = struct.unpack_from("<HHHI", body, pos)
+        pos += 10
+        lengths = np.frombuffer(body, dtype="<u4", count=steps, offset=pos).astype(np.int64)
+        pos += 4 * steps
+        count = steps * L * H * maxn
+        arr = np.frombuffer(body, dtype="<f4", count=count, offset=pos).reshape(steps, L, H, maxn)
+        pos += 4 * count
+        record = TraceRecord(tick=tick, agent=agent, trace=AttentionTrace(arr, lengths))
+    elif kind == KIND_DECISION:
+        L, H = struct.unpack_from("<HH", body, pos)
+        pos += 4
+        rows, tags = [], []
+        for _ in range(L):
+            (n,) = struct.unpack_from("<I", body, pos)
+            pos += 4
+            tags.append(np.frombuffer(body, dtype="u1", count=n, offset=pos).copy())
+            pos += n
+            rows.append(
+                np.frombuffer(body, dtype="<f4", count=H * n, offset=pos).reshape(H, n).copy()
+            )
+            pos += 4 * H * n
+        record = DecisionRecord(tick=tick, agent=agent, rows=rows, tags=tags)
+    else:
+        raise PayloadFormatError(f"unknown record kind {kind}")
+    if pos != len(body):
+        raise PayloadFormatError("record body has trailing bytes")
+    return record
+
+
 def trace_record_to_trace(rec: TraceRecord) -> AttentionTrace:
-    """Rebuild an AttentionTrace view of a parsed trace record."""
-    steps, L, H, maxn = rec.array.shape
-    trace = AttentionTrace(steps, L, H, maxn)
-    for t in range(steps):
-        trace.record(rec.array[t, :, :, : int(rec.lengths[t])], int(rec.lengths[t]))
-    return trace
+    """The trace a parsed or recorded trace record carries."""
+    return rec.trace

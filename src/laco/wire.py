@@ -167,13 +167,19 @@ def deserialize(data: bytes) -> Payload:
         raise PayloadFormatError(f"unsupported version {version}")
     if dtype_flag not in _DTYPES:
         raise PayloadFormatError(f"unknown dtype flag {dtype_flag}")
+    if index_count != salient:
+        raise PayloadFormatError(
+            f"index table has {index_count} entries, salient_count is {salient}")
     expected = payload_size_bytes(l_comm, num_heads, head_dim, salient, latent,
                                   dtype_flag, index_count=index_count)
     if len(data) != expected:
         raise PayloadFormatError(f"stream is {len(data)} bytes, expected {expected}")
 
     off = _FIXED.size
-    indices = tuple(int(i) for i in np.frombuffer(data, dtype="<u4", count=index_count, offset=off))
+    table = np.frombuffer(data, dtype="<u4", count=index_count, offset=off).astype(np.int64)
+    if np.any(np.diff(table) <= 0):
+        raise PayloadFormatError("source indices are not strictly increasing")
+    indices = tuple(int(i) for i in table)
     off += 4 * index_count
     np_dtype = _DTYPES[dtype_flag]
     positions = salient + latent

@@ -95,11 +95,9 @@ def test_c02_saliency_bruteforce_oracle():
             L = int(rng.integers(1, 5))
             H = int(rng.integers(1, 5))
             steps = int(rng.integers(1, 9))
-            trace = AttentionTrace(steps, L, H, T)
-            for _t in range(steps):
-                raw = rng.random((L, H, T)) + 1e-4
-                rows = raw / raw.sum(axis=2, keepdims=True)
-                trace.record(rows.astype(np.float32), T)
+            raw = rng.random((steps, L, H, T)) + 1e-4
+            rows = raw / raw.sum(axis=3, keepdims=True)
+            trace = AttentionTrace(rows.astype(np.float32), np.full(steps, T))
             got = saliency_scores(trace, T).scores
             want = ref_saliency(trace.array[:steps], trace.lengths[:steps], T)
             np.testing.assert_allclose(got, want, atol=1e-9)

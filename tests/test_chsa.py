@@ -15,32 +15,29 @@ from reference import ref_saliency, ref_topk
 def random_trace(rng, steps, L, H, prefill_len, extra=0):
     """Synthetic trace: each row a random distribution over a growing context."""
     maxn = prefill_len + extra + steps
-    trace = AttentionTrace(steps, L, H, maxn)
-    for t in range(steps):
-        n = prefill_len + extra + t + 1
+    array = np.zeros((steps, L, H, maxn), dtype=np.float32)
+    lengths = np.arange(1, steps + 1) + prefill_len + extra
+    for t, n in enumerate(lengths):
         raw = rng.random((L, H, n)) + 1e-3
         rows = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
         rows = rows / rows.sum(axis=2, keepdims=True, dtype=np.float64).astype(np.float32)
-        trace.record(rows, n)
-    return trace
+        array[t, :, :, :n] = rows
+    return AttentionTrace(array, lengths)
 
 
 class TestSaliency:
     def test_uniform_rows_uniform_scores(self):
         n = 10
-        trace = AttentionTrace(1, 2, 2, n)
-        trace.record(np.full((2, 2, n), 1.0 / n, dtype=np.float32), n)
+        trace = AttentionTrace(np.full((1, 2, 2, n), 1.0 / n, dtype=np.float32), np.array([n]))
         sal = saliency_scores(trace, prefill_len=n)
         np.testing.assert_allclose(sal.scores, 1.0 / n, atol=1e-7)
 
     def test_one_hot_head_dominates(self):
         n = 8
-        trace = AttentionTrace(2, 2, 2, n)
-        for _ in range(2):
-            rows = np.full((2, 2, n), 1.0 / n, dtype=np.float32)
-            rows[0, 0, :] = 0.0
-            rows[0, 0, 3] = 1.0
-            trace.record(rows, n)
+        array = np.full((2, 2, 2, n), 1.0 / n, dtype=np.float32)
+        array[:, 0, 0, :] = 0.0
+        array[:, 0, 0, 3] = 1.0
+        trace = AttentionTrace(array, np.array([n, n]))
         sal = saliency_scores(trace, prefill_len=n)
         np.testing.assert_allclose(sal.scores[3], 1.0, atol=1e-7)
         assert np.argmax(sal.scores) == 3
@@ -65,7 +62,8 @@ class TestSaliency:
         assert sal.scores.shape == (5,)
 
     def test_empty_trace_rejected(self):
-        trace = AttentionTrace(0, 2, 2, 4)
+        trace = AttentionTrace(np.zeros((0, 2, 2, 4), dtype=np.float32),
+                               np.zeros(0, dtype=np.int64))
         with pytest.raises(EmptyTraceError):
             saliency_scores(trace, prefill_len=4)
 

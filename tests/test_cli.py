@@ -3,6 +3,7 @@ import pytest
 from laco import scenario as sc
 from laco.cli import main
 from laco.wire import deserialize
+from test_telemetry import bad_streams
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +88,36 @@ def test_bad_scenario_path_errors(tmp_path, capsys):
     missing.write_text("grid = xyz\n")
     assert main(["run", "--scenario", str(missing), "--out", str(tmp_path / "m.csv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+BAD_SCENARIO_LINES = {
+    "agent_id_not_int": "agent = x A 0,0",
+    "cell_not_r_c": "agent = 0 A 3",
+    "route_id_not_int": "route = x 0,0",
+    "hazard_without_enter": "hazard = lane=A path=0,1",
+    "m_not_int": "m = ten",
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"scenario:{k}" for k in BAD_SCENARIO_LINES]
+    + ["sweep:m_not_int"]
+    + [f"telemetry:{k}" for k in ("zero_bytes", "array_cut_short", "weight_above_1")],
+)
+def test_bad_input_is_one_error_line(tmp_path, occluded_path, capsys, case):
+    kind, _, name = case.partition(":")
+    if kind == "scenario":
+        path = tmp_path / "bad.laco"
+        path.write_text(f"grid = ....\n{BAD_SCENARIO_LINES[name]}\n")
+        argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "m.csv")]
+    elif kind == "sweep":
+        argv = ["sweep", "--param", "m", "--values", "1.5", "--scenario", occluded_path,
+                "--out", str(tmp_path / "s.csv")]
+    else:
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bad_streams(tmp_path)[name])
+        argv = ["analyze", "--in", str(path), "--out", str(tmp_path / "diag")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err

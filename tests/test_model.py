@@ -5,6 +5,7 @@ from laco.errors import ConfigError, ContextOverflowError
 from laco.model import (
     EGO_LATENT,
     EGO_PREFILL,
+    AttentionTrace,
     KVCache,
     ModelConfig,
     decode_step,
@@ -223,3 +224,38 @@ class TestKVCacheOps:
         cache.length = 2
         with pytest.raises(AssertionError):
             cache.validate()
+
+
+class TestAttentionTrace:
+    """Every trace is checked once, when it is built."""
+
+    def _one_row(self, row, length):
+        return AttentionTrace(np.array(row, dtype=np.float32).reshape(1, 1, 1, -1),
+                              np.array([length]))
+
+    def test_valid_row_accepted(self):
+        trace = self._one_row([0.25, 0.75, 0.0], 2)
+        assert trace.num_steps == 1
+
+    @pytest.mark.parametrize(
+        "row, length, message",
+        [
+            ([0.5, 0.50001], 2, "sum to 1"),
+            ([-0.1, 0.6, 0.5], 3, r"outside \[0, 1\]"),
+            ([1.5], 1, r"outside \[0, 1\]"),
+            ([0.5, 0.4, 0.1], 2, "beyond"),
+            ([0.5, 0.5], 3, "context length"),
+            ([1.0, 0.0], 0, "context length"),
+        ],
+        ids=["row_sum_off_by_1e-5", "negative_weight", "weight_above_1",
+             "weight_beyond_length", "length_past_width", "zero_length"],
+    )
+    def test_bad_trace_rejected(self, row, length, message):
+        with pytest.raises(AssertionError, match=message):
+            self._one_row(row, length)
+
+    def test_one_bad_row_among_many_rejected(self):
+        array = np.full((3, 2, 2, 4), 0.25, dtype=np.float32)
+        array[2, 1, 0, 3] = 0.2501
+        with pytest.raises(AssertionError, match="sum to 1"):
+            AttentionTrace(array, np.full(3, 4))

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laco.errors import ConfigError, PayloadFormatError
 from laco.model import (
@@ -59,9 +63,10 @@ class TestEntropy:
         assert prof.values.shape == (2,)
 
     def test_trace_entropy_averages_steps(self):
-        trace = AttentionTrace(2, 1, 1, 4)
-        trace.record(np.full((1, 1, 2), 0.5, dtype=np.float32), 2)
-        trace.record(np.full((1, 1, 4), 0.25, dtype=np.float32), 4)
+        array = np.zeros((2, 1, 1, 4), dtype=np.float32)
+        array[0, :, :, :2] = 0.5
+        array[1] = 0.25
+        trace = AttentionTrace(array, np.array([2, 4]))
         prof = trace_entropy(trace)
         np.testing.assert_allclose(prof.values[0], (np.log(2) + np.log(4)) / 2, atol=1e-5)
 
@@ -69,10 +74,8 @@ class TestEntropy:
 class TestSparsity:
     def _trace_from_mass(self, mass):
         n = len(mass)
-        trace = AttentionTrace(1, 1, 1, n)
-        rows = np.asarray(mass, dtype=np.float64)[None, None, :] / np.sum(mass)
-        trace.record(rows.astype(np.float32), n)
-        return trace
+        rows = np.asarray(mass, dtype=np.float64)[None, None, None, :] / np.sum(mass)
+        return AttentionTrace(rows.astype(np.float32), np.array([n]))
 
     def test_uniform_fraction(self):
         curve = sparsity_curve(self._trace_from_mass([1.0] * 10))
@@ -92,11 +95,12 @@ class TestSparsity:
 
     def test_curve_nondecreasing_ends_at_one(self):
         rng = np.random.default_rng(4)
-        trace = AttentionTrace(3, 2, 2, 9)
+        array = np.zeros((3, 2, 2, 9), dtype=np.float32)
         for t in range(3):
             n = 7 + t
             raw = rng.random((2, 2, n)) + 1e-3
-            trace.record((raw / raw.sum(axis=2, keepdims=True)).astype(np.float32), n)
+            array[t, :, :, :n] = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
+        trace = AttentionTrace(array, np.array([7, 8, 9]))
         curve = sparsity_curve(trace)
         assert np.all(np.diff(curve.cumulative) >= -1e-12)
         assert curve.cumulative[-1] == pytest.approx(1.0, abs=1e-6)
@@ -175,11 +179,12 @@ class TestEmit:
 class TestBinaryStream:
     def test_trace_and_decision_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
-        trace = AttentionTrace(2, 2, 2, 6)
+        array = np.zeros((2, 2, 2, 6), dtype=np.float32)
         for t in range(2):
             n = 5 + t
             raw = rng.random((2, 2, n)) + 1e-3
-            trace.record((raw / raw.sum(axis=2, keepdims=True)).astype(np.float32), n)
+            array[t, :, :, :n] = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
+        trace = AttentionTrace(array, np.array([5, 6]))
         rows = [dist_rows(rng, 2, 7), dist_rows(rng, 2, 4)]
         tags = [np.array([EGO_PREFILL] * 4 + [FOREIGN_PREFILL] * 3, dtype=np.uint8),
                 np.full(4, EGO_PREFILL, dtype=np.uint8)]
@@ -190,8 +195,8 @@ class TestBinaryStream:
         records = read_telemetry(path)
         assert len(records) == 2
         rec_trace, rec_dec = records
-        np.testing.assert_array_equal(rec_trace.lengths, trace.lengths[:2])
-        np.testing.assert_array_equal(rec_trace.array, trace.array[:2])
+        np.testing.assert_array_equal(rec_trace.trace.lengths, trace.lengths[:2])
+        np.testing.assert_array_equal(rec_trace.trace.array, trace.array[:2])
         rebuilt = trace_record_to_trace(rec_trace)
         np.testing.assert_array_equal(rebuilt.array, trace.array[:2])
         for got, want in zip(rec_dec.rows, rows):
@@ -209,3 +214,67 @@ class TestBinaryStream:
         bad.write_bytes(blob[:-3])
         with pytest.raises(PayloadFormatError):
             read_telemetry(bad)
+
+
+def trace_stream(tmp_path):
+    """Bytes of a one-record stream holding a valid 2-step trace."""
+    array = np.zeros((2, 1, 2, 3), dtype=np.float32)
+    array[0, :, :, :2] = 0.5
+    array[1] = np.float32(1.0 / 3.0)
+    path = tmp_path / "trace.bin"
+    with TelemetryWriter(path) as w:
+        w.write_trace(0, 1, AttentionTrace(array, np.array([2, 3])))
+    return path.read_bytes()
+
+
+def bad_streams(tmp_path):
+    """Malformed streams, one per way a record can be malformed."""
+    blob = trace_stream(tmp_path)
+    body = blob[4:]
+    cut = body[:-4]
+    weights = np.frombuffer(blob, dtype="<f4", count=12, offset=len(blob) - 48).copy()
+    weights[0] = 5.0
+    return {
+        "zero_bytes": bytes(100),
+        "short_body": struct.pack("<I", 5) + body[:5],
+        "array_cut_short": struct.pack("<I", len(cut)) + cut,
+        "weight_above_1": blob[:-48] + weights.tobytes(),
+        "trailing_bytes": struct.pack("<I", len(body) + 2) + body + b"\0\0",
+        # one step, 0 layers, 2 heads, width 3, context length 2: no rows at all
+        "no_layers": struct.pack("<IBIIHHHII", 23, 1, 0, 1, 1, 0, 2, 3, 2),
+    }
+
+
+class TestMalformedStream:
+    @pytest.mark.parametrize(
+        "case", ["zero_bytes", "short_body", "array_cut_short", "weight_above_1", "trailing_bytes",
+                 "no_layers"])
+    def test_rejected_with_format_error(self, tmp_path, case):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bad_streams(tmp_path)[case])
+        with pytest.raises(PayloadFormatError):
+            read_telemetry(path)
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=100, deadline=1000)
+    def test_random_bytes_parse_or_raise_format_error(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        path.write_bytes(blob)
+        try:
+            read_telemetry(path)
+        except PayloadFormatError:
+            pass
+
+    @given(st.integers(0, 120), st.binary(min_size=1, max_size=8), st.integers(0, 120))
+    @settings(max_examples=100, deadline=1000)
+    def test_corrupted_stream_parses_or_raises_format_error(self, tmp_path_factory, at, patch,
+                                                            cut):
+        tmp = tmp_path_factory.getbasetemp()
+        blob = trace_stream(tmp)
+        corrupt = (blob[:at] + patch + blob[at + len(patch):])[: len(blob) - cut]
+        path = tmp / "fuzz.bin"
+        path.write_bytes(corrupt)
+        try:
+            read_telemetry(path)
+        except PayloadFormatError:
+            pass

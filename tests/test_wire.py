@@ -141,6 +141,37 @@ class TestSerialization:
         assert serialize(q) == blob
 
 
+    @pytest.mark.parametrize(
+        "indices",
+        [(5, 2), (1,), (0, 1, 2), (3, 3)],
+        ids=["out_of_order", "short_table", "long_table", "repeated_index"],
+    )
+    def test_bad_index_table_rejected(self, indices):
+        rng = np.random.default_rng(4)
+        p = random_payload(rng, 1, 2, 2, 1, 4)
+        p.source_indices = indices
+        with pytest.raises(PayloadFormatError):
+            deserialize(serialize(p))
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=100, deadline=1000)
+    def test_random_bytes_parse_or_raise_format_error(self, blob):
+        try:
+            deserialize(blob)
+        except PayloadFormatError:
+            pass
+
+    @given(st.integers(0, 200), st.binary(min_size=1, max_size=8), st.integers(0, 200))
+    @settings(max_examples=100, deadline=1000)
+    def test_corrupted_payload_parses_or_raises_format_error(self, at, patch, cut):
+        blob = serialize(random_payload(np.random.default_rng(5), 1, 2, 3, 1, 4))
+        corrupt = (blob[:at] + patch + blob[at + len(patch):])[: len(blob) - cut]
+        try:
+            deserialize(corrupt)
+        except PayloadFormatError:
+            pass
+
+
 class TestCompressionAccounting:
     def test_closed_form_ratio(self):
         # rho and depth fraction multiply through the body-size formula
