@@ -1,15 +1,25 @@
 """Attention kernels in numpy.
 
 Keys/values/weights are stored in float32; dot products, softmax sums and
-weighted value sums accumulate in float64.  Softmax is computed with the
-usual max-shift for stability.
+weighted value sums accumulate in float64, as batched float64 matmuls over
+heads.  Softmax is computed with the usual max-shift for stability.
 """
+
+import functools
 
 import numpy as np
 
 
 def backend_name() -> str:
     return "numpy"
+
+
+@functools.lru_cache(maxsize=256)
+def _future_mask(T: int) -> np.ndarray:
+    """Read-only (T, T) mask of the positions j > t a causal row must not see."""
+    mask = np.triu(np.ones((T, T), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def attend_single(keys, values, query, inv_sqrt_dh):
@@ -20,12 +30,12 @@ def attend_single(keys, values, query, inv_sqrt_dh):
     """
     k64 = keys.astype(np.float64)
     q64 = query.astype(np.float64)
-    logits = np.einsum("hd,hjd->hj", q64, k64) * inv_sqrt_dh
+    logits = (k64 @ q64[:, :, None])[:, :, 0] * inv_sqrt_dh
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
     p = e / e.sum(axis=1, keepdims=True)
     rows = p.astype(np.float32)
-    out64 = np.einsum("hj,hjd->hd", rows.astype(np.float64), values.astype(np.float64))
+    out64 = (rows.astype(np.float64)[:, None, :] @ values.astype(np.float64))[:, 0, :]
     return out64.astype(np.float32), rows
 
 
@@ -36,15 +46,13 @@ def attend_causal(queries, keys, values, inv_sqrt_dh):
     Returns (out (H, T, d_h) float32, rows (H, T, T) float32) with
     rows[h, t, j] = 0 for j > t.
     """
-    H, T, _ = queries.shape
     q64 = queries.astype(np.float64)
     k64 = keys.astype(np.float64)
-    logits = np.einsum("htd,hjd->htj", q64, k64) * inv_sqrt_dh
-    mask = np.triu(np.ones((T, T), dtype=bool), k=1)
-    logits[:, mask] = -np.inf
+    logits = (q64 @ k64.transpose(0, 2, 1)) * inv_sqrt_dh
+    np.copyto(logits, -np.inf, where=_future_mask(queries.shape[1]))
     logits -= logits.max(axis=2, keepdims=True)
     e = np.exp(logits)
     p = e / e.sum(axis=2, keepdims=True)
     rows = p.astype(np.float32)
-    out64 = np.einsum("htj,hjd->htd", rows.astype(np.float64), values.astype(np.float64))
+    out64 = rows.astype(np.float64) @ values.astype(np.float64)
     return out64.astype(np.float32), rows

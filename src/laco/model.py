@@ -107,10 +107,7 @@ class Model:
         self.layers = layers
         self.stats = ModelStats()
         self._alignment = None  # memoized by laco.ild.compute_alignment
-
-    @property
-    def inv_sqrt_head_dim(self) -> float:
-        return 1.0 / float(np.sqrt(self.config.head_dim))
+        self.inv_sqrt_head_dim = 1.0 / float(np.sqrt(config.head_dim))
 
 
 def sinusoidal_table(n: int, d: int) -> np.ndarray:
@@ -474,14 +471,12 @@ def forward_decode(model: Model, input_vec, cache: KVCache, segments=(), tag: in
         k = (x @ lw.w_k).reshape(H, dh)
         v = (x @ lw.w_v).reshape(H, dh)
         cache.put_layer(l, n, k, v)
-        ks = [cache.k[l, :, : n + 1, :]]
-        vs = [cache.v[l, :, : n + 1, :]]
-        for seg in segments:
-            if l < seg.keys.shape[0]:
-                ks.append(seg.keys[l])
-                vs.append(seg.values[l])
-        ctx_k = np.ascontiguousarray(np.concatenate(ks, axis=1))
-        ctx_v = np.ascontiguousarray(np.concatenate(vs, axis=1))
+        ctx_k = cache.k[l, :, : n + 1, :]
+        ctx_v = cache.v[l, :, : n + 1, :]
+        fused = [seg for seg in segments if l < seg.num_layers]
+        if fused:
+            ctx_k = np.concatenate([ctx_k] + [seg.keys[l] for seg in fused], axis=1)
+            ctx_v = np.concatenate([ctx_v] + [seg.values[l] for seg in fused], axis=1)
         out, rows = kernels.attend_single(ctx_k, ctx_v, q, model.inv_sqrt_head_dim)
         rows_per_layer.append(rows)
         x = x + out.reshape(d) @ lw.w_o

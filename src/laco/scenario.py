@@ -296,6 +296,13 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
 
 def _validate_spec(spec: ScenarioSpec):
+    # The bounds deliberate, saliency_scores and distill enforce at run time.
+    if spec.m < 0:
+        raise ScenarioError(f"m must be >= 0, got {spec.m}")
+    for key in ("rho", "l_comm_fraction"):
+        if not 0.0 < getattr(spec, key) <= 1.0:
+            raise ScenarioError(f"{key} must be in (0, 1], got {getattr(spec, key)}")
+
     def on_road(cell):
         r, c = cell
         return 0 <= r < spec.rows and 0 <= c < spec.cols and spec.grid[r][c] == "."
@@ -337,54 +344,52 @@ def builtin_scenario_names():
     return sorted(p.stem for p in data.glob("*.laco"))
 
 
-def _segment_hits_box(p0, p1, lo_r, lo_c):
-    """Does the segment p0->p1 touch the closed unit cell at (lo_r, lo_c)?"""
-    t0, t1 = 0.0, 1.0
-    for axis, lo in ((0, float(lo_r)), (1, float(lo_c))):
-        d = p1[axis] - p0[axis]
-        if abs(d) < 1e-12:
-            if p0[axis] < lo or p0[axis] > lo + 1.0:
-                return False
-        else:
-            a = (lo - p0[axis]) / d
-            b = (lo + 1.0 - p0[axis]) / d
-            if a > b:
-                a, b = b, a
-            t0 = max(t0, a)
-            t1 = min(t1, b)
-            if t0 > t1:
-                return False
-    return True
-
-
 class World:
     """Static geometry plus deterministic line-of-sight queries."""
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
-        self.obstacles = [
-            (r, c)
-            for r in range(spec.rows)
-            for c in range(spec.cols)
-            if spec.grid[r][c] == "#"
-        ]
+        self.obstacle_mask = np.array([[ch == "#" for ch in row] for row in spec.grid])
+        # Obstacle corners (M, 2), their raster indices (M,) and every cell
+        # center (N, 2), all in raster order.
+        self._obstacles = np.argwhere(self.obstacle_mask).astype(np.float64)
+        self._obstacle_index = np.flatnonzero(self.obstacle_mask)
+        self._centers = np.argwhere(np.ones_like(self.obstacle_mask)) + 0.5
+        self._visibility = {}
 
-    def visible(self, frm: tuple, to: tuple) -> bool:
-        """True when no obstacle cell intersects the center-to-center segment.
+    def visibility(self, frm: tuple) -> np.ndarray:
+        """(rows, cols) bool: which cells a viewer at ``frm`` sees, memoized.
 
-        Endpoint cells never block (an obstacle is visible as a surface).
-        Corner grazing counts as blocked, so walls are airtight.
+        A cell is visible when no obstacle cell intersects the center-to-center
+        segment.  Endpoint cells never block (an obstacle is visible as a
+        surface).  Corner grazing counts as blocked, so walls are airtight.
         """
-        if frm == to:
-            return True
-        p0 = (frm[0] + 0.5, frm[1] + 0.5)
-        p1 = (to[0] + 0.5, to[1] + 0.5)
-        for cell in self.obstacles:
-            if cell == frm or cell == to:
-                continue
-            if _segment_hits_box(p0, p1, cell[0], cell[1]):
-                return False
-        return True
+        row = self._visibility.get(frm)
+        if row is None:
+            row = self._visibility[frm] = self._trace(frm)
+        return row
+
+    def _trace(self, frm: tuple) -> np.ndarray:
+        """Slab test of every (target cell, obstacle) segment/box pair at once."""
+        p0 = np.array(frm, dtype=np.float64) + 0.5
+        t0 = np.zeros((self._centers.shape[0], self._obstacles.shape[0]))
+        t1 = np.ones_like(t0)
+        hit = np.ones(t0.shape, dtype=bool)
+        for axis in (0, 1):
+            d = (self._centers[:, axis] - p0[axis])[:, None]
+            lo = self._obstacles[None, :, axis]
+            flat = np.abs(d) < 1e-12
+            with np.errstate(divide="ignore", invalid="ignore"):
+                a = (lo - p0[axis]) / d
+                b = (lo + 1.0 - p0[axis]) / d
+            t0 = np.where(flat, t0, np.maximum(t0, np.minimum(a, b)))
+            t1 = np.where(flat, t1, np.minimum(t1, np.maximum(a, b)))
+            hit &= ~flat | ((p0[axis] >= lo) & (p0[axis] <= lo + 1.0))
+        hit &= t0 <= t1
+        # Obstacles at either endpoint never block.
+        hit[self._obstacle_index, np.arange(hit.shape[1])] = False
+        hit[:, self._obstacle_index == frm[0] * self.spec.cols + frm[1]] = False
+        return ~hit.any(axis=1).reshape(self.obstacle_mask.shape)
 
     def cell_to_meters(self, cell: tuple):
         s = self.spec.cell_size_m
@@ -421,35 +426,20 @@ def observe(world: World, agents, hazards, agent_id: int, tick: int):
     """
     spec = world.spec
     me = agents[agent_id]
-    my_cell = me.cell
-    hazard_cells = {}
+    tokens = np.full(spec.observation_len, TOKEN_CLEAR, dtype=np.int64)
+    # Lowest precedence first, so each later write overrides the earlier ones.
+    raster = tokens[:-1].reshape(spec.rows, spec.cols)
+    raster[me.spec.route[-1]] = TOKEN_GOAL
+    raster[world.obstacle_mask] = TOKEN_OBSTACLE
+    for aid, a in agents.items():
+        if aid != agent_id and not a.done:
+            raster[a.cell] = TOKEN_VEHICLE
     for hz in hazards:
         cell = hz.observed_cell(tick)
         if cell is not None:
-            hazard_cells[cell] = hz.token
-    other_cells = {a.cell for aid, a in agents.items() if aid != agent_id and not a.done}
-    goal = me.spec.route[-1]
-
-    tokens = np.empty(spec.observation_len, dtype=np.int64)
-    i = 0
-    for r in range(spec.rows):
-        for c in range(spec.cols):
-            cell = (r, c)
-            if not world.visible(my_cell, cell):
-                tok = TOKEN_OCCLUDED
-            elif cell in hazard_cells:
-                tok = hazard_cells[cell]
-            elif cell in other_cells:
-                tok = TOKEN_VEHICLE
-            elif spec.grid[r][c] == "#":
-                tok = TOKEN_OBSTACLE
-            elif cell == goal:
-                tok = TOKEN_GOAL
-            else:
-                tok = TOKEN_CLEAR
-            tokens[i] = tok
-            i += 1
-    tokens[i] = me.spec.marker_token
+            raster[cell] = hz.token
+    raster[~world.visibility(me.cell)] = TOKEN_OCCLUDED
+    tokens[-1] = me.spec.marker_token
     return tokens
 
 
@@ -805,12 +795,13 @@ def sweep(param: str, values, specs, paradigm: str | None = None):
         values = [cast(v) for v in values]
     except ValueError as exc:
         raise ScenarioError(f"bad {param} value: {exc}") from exc
+    runs = [(value, _replace_param(spec, param, value)) for value in values for spec in specs]
+    for _, spec in runs:
+        _validate_spec(spec)
     rows = []
-    for value in values:
-        for spec in specs:
-            result = run_episode(_replace_param(spec, param, value), paradigm)
-            for row in metrics_rows(result):
-                rows.append((param, value) + row)
+    for value, spec in runs:
+        for row in metrics_rows(run_episode(spec, paradigm)):
+            rows.append((param, value) + row)
     return rows
 
 

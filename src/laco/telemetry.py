@@ -220,8 +220,8 @@ class TelemetryWriter:
 def read_telemetry(path):
     """Parse a record stream into TraceRecord / DecisionRecord objects.
 
-    Any malformed record, a trace failing its row check included, raises
-    :class:`PayloadFormatError`.
+    Any malformed record, a trace or decision row failing the trace's row
+    check included, raises :class:`PayloadFormatError`.
     """
     data = Path(path).read_bytes()
     records = []
@@ -266,6 +266,11 @@ def _parse_record(body: bytes):
                 np.frombuffer(body, dtype="<f4", count=H * n, offset=pos).reshape(H, n).copy()
             )
             pos += 4 * H * n
+        # Pad the ragged rows into one block so they pass the trace's row check.
+        block = np.zeros((1, L, H, max((r.shape[1] for r in rows), default=0)), dtype=np.float32)
+        for l, r in enumerate(rows):
+            block[0, l, :, : r.shape[1]] = r
+        AttentionTrace(block, np.array([block.shape[3]]))
         record = DecisionRecord(tick=tick, agent=agent, rows=rows, tags=tags)
     else:
         raise PayloadFormatError(f"unknown record kind {kind}")

@@ -131,3 +131,67 @@ def ref_matmul_row(vec, mat):
             acc += float(vec[i]) * float(mat[i, j])
         out[j] = acc
     return out
+
+
+def ref_attend_single(keys, values, query, inv_sqrt_dh):
+    """Single-query attention written with einsum, float64 accumulation."""
+    k64 = keys.astype(np.float64)
+    q64 = query.astype(np.float64)
+    logits = np.einsum("hd,hjd->hj", q64, k64) * inv_sqrt_dh
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    p = e / e.sum(axis=1, keepdims=True)
+    rows = p.astype(np.float32)
+    out64 = np.einsum("hj,hjd->hd", rows.astype(np.float64), values.astype(np.float64))
+    return out64.astype(np.float32), rows
+
+
+def ref_attend_causal(queries, keys, values, inv_sqrt_dh):
+    """Causal block attention written with einsum and a freshly built mask."""
+    T = queries.shape[1]
+    q64 = queries.astype(np.float64)
+    k64 = keys.astype(np.float64)
+    logits = np.einsum("htd,hjd->htj", q64, k64) * inv_sqrt_dh
+    mask = np.triu(np.ones((T, T), dtype=bool), k=1)
+    logits[:, mask] = -np.inf
+    logits -= logits.max(axis=2, keepdims=True)
+    e = np.exp(logits)
+    p = e / e.sum(axis=2, keepdims=True)
+    rows = p.astype(np.float32)
+    out64 = np.einsum("htj,hjd->htd", rows.astype(np.float64), values.astype(np.float64))
+    return out64.astype(np.float32), rows
+
+
+def ref_segment_hits_box(p0, p1, lo_r, lo_c):
+    """Scalar slab test: does the segment p0->p1 touch the closed unit cell?"""
+    t0, t1 = 0.0, 1.0
+    for axis, lo in ((0, float(lo_r)), (1, float(lo_c))):
+        d = p1[axis] - p0[axis]
+        if abs(d) < 1e-12:
+            if p0[axis] < lo or p0[axis] > lo + 1.0:
+                return False
+        else:
+            a = (lo - p0[axis]) / d
+            b = (lo + 1.0 - p0[axis]) / d
+            if a > b:
+                a, b = b, a
+            t0 = max(t0, a)
+            t1 = min(t1, b)
+            if t0 > t1:
+                return False
+    return True
+
+
+def ref_visible(grid, frm, to):
+    """Line of sight between two cell centers; endpoint cells never block."""
+    if frm == to:
+        return True
+    p0 = (frm[0] + 0.5, frm[1] + 0.5)
+    p1 = (to[0] + 0.5, to[1] + 0.5)
+    for r, row in enumerate(grid):
+        for c, ch in enumerate(row):
+            if ch != "#" or (r, c) in (frm, to):
+                continue
+            if ref_segment_hits_box(p0, p1, r, c):
+                return False
+    return True

@@ -96,6 +96,9 @@ BAD_SCENARIO_LINES = {
     "route_id_not_int": "route = x 0,0",
     "hazard_without_enter": "hazard = lane=A path=0,1",
     "m_not_int": "m = ten",
+    "rho_zero": "rho = 0",
+    "m_negative": "m = -1",
+    "l_comm_fraction_zero": "l_comm_fraction = 0",
 }
 
 
@@ -103,7 +106,8 @@ BAD_SCENARIO_LINES = {
     "case",
     [f"scenario:{k}" for k in BAD_SCENARIO_LINES]
     + ["sweep:m_not_int"]
-    + [f"telemetry:{k}" for k in ("zero_bytes", "array_cut_short", "weight_above_1")],
+    + [f"telemetry:{k}"
+       for k in ("zero_bytes", "array_cut_short", "weight_above_1", "decision_nan")],
 )
 def test_bad_input_is_one_error_line(tmp_path, occluded_path, capsys, case):
     kind, _, name = case.partition(":")

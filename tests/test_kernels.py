@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
 from laco import kernels
+from laco import scenario as sc
+from reference import ref_attend_causal, ref_attend_single
 
 
 def test_rows_are_distributions():
@@ -35,3 +38,57 @@ def test_extreme_logits_stay_finite():
     out, rows = kernels.attend_single(k, k, q, 1.0)
     assert np.all(np.isfinite(out)) and np.all(np.isfinite(rows))
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-6)
+
+
+H, DH = 2, 8
+# Both forms accumulate in float64 and differ only in summation order, so
+# after the float32 cast they may differ by at most one float32 ulp.
+ONE_ULP = {"rtol": np.finfo(np.float32).eps, "atol": 0.0}
+
+
+def _rand(rng, *shape):
+    return rng.normal(size=shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("n", [1, 42, 412])
+def test_single_matches_einsum_oracle(n):
+    rng = np.random.default_rng(n)
+    k, v, q = _rand(rng, H, n, DH), _rand(rng, H, n, DH), _rand(rng, H, DH)
+    out, rows = kernels.attend_single(k, v, q, 0.35)
+    ref_out, ref_rows = ref_attend_single(k, v, q, 0.35)
+    np.testing.assert_allclose(rows, ref_rows, **ONE_ULP)
+    np.testing.assert_allclose(out, ref_out, **ONE_ULP)
+
+
+@pytest.mark.parametrize("T", [1, 2, 41, 97])
+def test_causal_matches_einsum_oracle(T):
+    rng = np.random.default_rng(T)
+    q, k, v = _rand(rng, H, T, DH), _rand(rng, H, T, DH), _rand(rng, H, T, DH)
+    out, rows = kernels.attend_causal(q, k, v, 0.35)
+    ref_out, ref_rows = ref_attend_causal(q, k, v, 0.35)
+    np.testing.assert_allclose(rows, ref_rows, **ONE_ULP)
+    np.testing.assert_allclose(out, ref_out, **ONE_ULP)
+    assert np.all(rows[:, ~np.tri(T, dtype=bool)] == 0.0)
+
+
+@pytest.mark.parametrize("name", sc.builtin_scenario_names())
+def test_hazard_model_calls_equal_oracle_exactly(monkeypatch, name):
+    """Every kernel call of one LACO tick on a shipped layout is bit-equal to einsum."""
+    calls = []
+
+    def spy(kernel):
+        def wrapped(*args):
+            result = kernel(*args)
+            calls.append((kernel.__name__, args, result))
+            return result
+        return wrapped
+
+    monkeypatch.setattr(kernels, "attend_causal", spy(kernels.attend_causal))
+    monkeypatch.setattr(kernels, "attend_single", spy(kernels.attend_single))
+    sc.run_tick(sc.Simulation(sc.load_scenario(sc.builtin_scenario_path(name)), "LACO"))
+    oracles = {"attend_causal": ref_attend_causal, "attend_single": ref_attend_single}
+    assert {kind for kind, _, _ in calls} == set(oracles)
+    for kind, args, (out, rows) in calls:
+        ref_out, ref_rows = oracles[kind](*args)
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(out, ref_out)

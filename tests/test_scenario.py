@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laco import scenario as sc
 from laco.errors import ScenarioError
@@ -12,6 +14,7 @@ from laco.model import (
     TOKEN_OCCLUDED,
     TOKEN_VEHICLE,
 )
+from reference import ref_visible
 
 MINI = """
 name = mini
@@ -59,6 +62,9 @@ class TestParser:
             ("agent = 0 C 3,0", "lane must be A or B"),
             ("paradigm = Telepathy", "unknown paradigm"),
             ("bogus_key = 1", "unknown scenario key"),
+            ("rho = 0", "rho must be in"),
+            ("m = -1", "m must be >= 0"),
+            ("l_comm_fraction = 0", "l_comm_fraction must be in"),
         ],
     )
     def test_rejects_malformed(self, mutation):
@@ -120,6 +126,41 @@ class TestObserve:
         sim = sc.Simulation(spec)
         obs = sc.observe(sim.world, sim.agents, spec.hazards, 1, tick=5)
         assert TOKEN_HAZARD_A not in obs
+
+
+def assert_row_matches_oracle(world, grid, frm):
+    rows, cols = len(grid), len(grid[0])
+    want = [[ref_visible(grid, frm, (r, c)) for c in range(cols)] for r in range(rows)]
+    np.testing.assert_array_equal(world.visibility(frm), want)
+
+
+@st.composite
+def grid_and_viewpoint(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 16))
+    cells = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    grid = tuple("".join("#" if cells[r * cols + c] else "." for c in range(cols))
+                 for r in range(rows))
+    return grid, (draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)))
+
+
+class TestLineOfSight:
+    @pytest.mark.parametrize("name", sc.builtin_scenario_names())
+    def test_every_cell_pair_matches_scalar_oracle(self, name):
+        spec = sc.load_scenario(sc.builtin_scenario_path(name))
+        world = sc.World(spec)
+        for r in range(spec.rows):
+            for c in range(spec.cols):
+                assert_row_matches_oracle(world, spec.grid, (r, c))
+
+    @given(grid_and_viewpoint())
+    @settings(max_examples=60, deadline=2000)
+    def test_random_grids_match_scalar_oracle(self, case):
+        grid, frm = case
+        assert_row_matches_oracle(sc.World(mini_spec(grid=grid)), grid, frm)
+
+    def test_revisited_viewpoint_is_memoized(self):
+        world = sc.World(mini_spec())
+        assert world.visibility((3, 0)) is world.visibility((3, 0))
 
 
 class TestEpisodes:
@@ -261,6 +302,12 @@ class TestSweep:
     def test_empty_values_rejected(self):
         with pytest.raises(ScenarioError):
             sc.sweep("m", [], [mini_spec()])
+
+    @pytest.mark.parametrize("param, value", [("m", -1), ("rho", 0.0), ("l_comm_fraction", 1.5)])
+    def test_out_of_range_value_rejected_before_any_episode(self, monkeypatch, param, value):
+        monkeypatch.setattr(sc, "run_episode", pytest.fail)
+        with pytest.raises(ScenarioError, match=param):
+            sc.sweep(param, [1, value], [mini_spec()])
 
 
 class TestAttachDuringDeliberation:

@@ -227,6 +227,14 @@ def trace_stream(tmp_path):
     return path.read_bytes()
 
 
+def decision_stream(tmp_path, row):
+    """Bytes of a one-record stream holding a one-layer, one-head decision."""
+    path = tmp_path / "decision.bin"
+    with TelemetryWriter(path) as w:
+        w.write_decision(0, 0, [np.array([row], dtype=np.float32)], [np.zeros(len(row), "u1")])
+    return path.read_bytes()
+
+
 def bad_streams(tmp_path):
     """Malformed streams, one per way a record can be malformed."""
     blob = trace_stream(tmp_path)
@@ -242,13 +250,15 @@ def bad_streams(tmp_path):
         "trailing_bytes": struct.pack("<I", len(body) + 2) + body + b"\0\0",
         # one step, 0 layers, 2 heads, width 3, context length 2: no rows at all
         "no_layers": struct.pack("<IBIIHHHII", 23, 1, 0, 1, 1, 0, 2, 3, 2),
+        "decision_nan": decision_stream(tmp_path, [np.nan, 5.0]),
+        "decision_row_sum_off": decision_stream(tmp_path, [0.5, 0.4]),
     }
 
 
 class TestMalformedStream:
     @pytest.mark.parametrize(
         "case", ["zero_bytes", "short_body", "array_cut_short", "weight_above_1", "trailing_bytes",
-                 "no_layers"])
+                 "no_layers", "decision_nan", "decision_row_sum_off"])
     def test_rejected_with_format_error(self, tmp_path, case):
         path = tmp_path / "bad.bin"
         path.write_bytes(bad_streams(tmp_path)[case])
