@@ -6,7 +6,7 @@ receiver, embedded in a deterministic two-agent gridworld with benchmark-style
 scoring and attention diagnostics.
 """
 
-from .chsa import SaliencyVector, build_chsa_cache, saliency_scores, select_topk
+from .chsa import SaliencyVector, saliency_scores, select_topk
 from .fusion import FusedContext, attach_payload, collaborative_decode, naive_full_fusion
 from .ild import AlignmentProjection, DeliberationResult, compute_alignment, deliberate
 from .kernels import backend_name

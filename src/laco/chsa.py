@@ -2,9 +2,8 @@
 
 Each prefill token is scored by the attention it drew during latent
 deliberation (max over layers and heads, mean over steps), the top-K scorers
-are kept in their original order, and the surviving prefill entries are
-concatenated with the complete latent segment to form the transmissible
-cache.
+are kept in their original order.  :func:`laco.wire.distill` cuts those
+entries and the complete latent run out of the ego cache for transmission.
 """
 
 import math
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyTraceError
-from .model import AttentionTrace, KVSegment
+from .model import AttentionTrace
 
 
 @dataclass
@@ -52,21 +51,3 @@ def select_topk(saliency: SaliencyVector):
     # argsort on (-score, index) keeps ties deterministic toward lower indices
     order = np.lexsort((np.arange(scores.shape[0]), -scores))
     return sorted(int(i) for i in order[:k])
-
-
-def build_chsa_cache(prefill: KVSegment, latent: KVSegment, indices) -> KVSegment:
-    """Assemble [salient prefill || full latent] from selected indices."""
-    idx = list(indices)
-    if any(i < 0 or i >= prefill.num_positions for i in idx):
-        raise IndexError("selected index outside the prefill segment")
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ConfigError("selected indices must be strictly increasing")
-    if prefill.num_layers != latent.num_layers:
-        raise ConfigError("prefill and latent segments must span the same layers")
-    sel = np.asarray(idx, dtype=np.int64)
-    return KVSegment(
-        keys=np.concatenate([prefill.keys[:, :, sel, :], latent.keys], axis=2),
-        values=np.concatenate([prefill.values[:, :, sel, :], latent.values], axis=2),
-        tags=np.concatenate([prefill.tags[sel], latent.tags]),
-        source_ids=np.concatenate([prefill.source_ids[sel], latent.source_ids]),
-    )

@@ -50,7 +50,6 @@ def segment_from_payload(payload: Payload) -> KVSegment:
         keys=np.ascontiguousarray(payload.keys.astype(np.float32)),
         values=np.ascontiguousarray(payload.values.astype(np.float32)),
         tags=tags,
-        source_ids=np.full(payload.num_positions, payload.sender_id, dtype=np.int32),
     )
 
 

@@ -14,34 +14,36 @@ import numpy as np
 from .errors import AlignmentError, ConfigError
 from .model import EGO_LATENT, AttentionTrace, KVCache, Model, forward_decode
 
+# Singular values below this fraction of the largest are truncated by pinv.
+_RCOND = 1e-6
+
 
 @dataclass
 class AlignmentProjection:
     """d x d map sending hidden states toward the input-embedding manifold."""
 
     w_a: np.ndarray
-    tolerance: float
 
 
-def compute_alignment(model: Model, tolerance: float = 1e-6) -> AlignmentProjection:
+def compute_alignment(model: Model) -> AlignmentProjection:
     """Build (once) the alignment W_a from the output head and input embedding.
 
     The hidden state is read out to a minimum-norm vocabulary weighting
     through the pseudo-inverse of the output head, then re-embedded through
     the input matrix, so every aligned vector is a mixture of real token
     embeddings.  The pseudo-inverse is SVD-based with singular values below
-    ``tolerance * sigma_max`` truncated.  The result is memoized on the model
+    ``_RCOND * sigma_max`` truncated.  The result is memoized on the model
     and returned unchanged by later calls.
     """
     if model._alignment is not None:
         return model._alignment
     try:
         # pinv of the (vocab, d)-shaped head weight; (d, vocab) @ (vocab, d) -> (d, d)
-        inv = np.linalg.pinv(model.w_out.T.astype(np.float64), rcond=tolerance)
+        inv = np.linalg.pinv(model.w_out.T.astype(np.float64), rcond=_RCOND)
     except np.linalg.LinAlgError as exc:
         raise AlignmentError(f"SVD failed while building alignment: {exc}") from exc
     w_a = (inv @ model.w_in.astype(np.float64)).astype(np.float32)
-    model._alignment = AlignmentProjection(w_a=w_a, tolerance=tolerance)
+    model._alignment = AlignmentProjection(w_a=w_a)
     return model._alignment
 
 

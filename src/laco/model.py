@@ -269,17 +269,15 @@ def make_hazard_model(config: ModelConfig) -> Model:
 
 @dataclass
 class KVSegment:
-    """A run of cache positions with the provenance of each one.
+    """A run of cache positions with the origin of each one.
 
-    The one in-memory form of copied, pruned, assembled or received cache
-    entries: ``tags`` say whether a position is ego or foreign, prefill or
-    latent, and ``source_ids`` which agent wrote it.
+    The one in-memory form of copied or received cache entries: ``tags`` say
+    whether a position is ego or foreign, prefill or latent.
     """
 
     keys: np.ndarray    # (L, H, t, d_h) float32
     values: np.ndarray  # (L, H, t, d_h) float32
     tags: np.ndarray    # (t,) uint8
-    source_ids: np.ndarray  # (t,) int32
 
     @property
     def num_layers(self) -> int:
@@ -294,8 +292,8 @@ class KVCache:
     """Per-layer, per-head key/value store with origin tags.
 
     Positions are append-only: existing entries are never mutated, only new
-    ones committed.  Pruning happens by copying selected positions into a
-    :class:`KVSegment`, never in place.
+    ones committed.  Pruning happens by copying selected positions out (see
+    :func:`laco.wire.distill`), never in place.
     """
 
     def __init__(self, config: ModelConfig):
@@ -304,7 +302,6 @@ class KVCache:
         self.k = np.zeros((L, H, cap, dh), dtype=np.float32)
         self.v = np.zeros((L, H, cap, dh), dtype=np.float32)
         self.tags = np.zeros(cap, dtype=np.uint8)
-        self.source_ids = np.zeros(cap, dtype=np.int32)
         self.length = 0
 
     @property
@@ -315,9 +312,8 @@ class KVCache:
         self.k[layer, :, pos, :] = k_heads
         self.v[layer, :, pos, :] = v_heads
 
-    def commit(self, tag: int, source_id: int):
+    def commit(self, tag: int):
         self.tags[self.length] = tag
-        self.source_ids[self.length] = source_id
         self.length += 1
 
     def slice(self, start: int, stop: int) -> KVSegment:
@@ -327,18 +323,6 @@ class KVCache:
             keys=self.k[:, :, start:stop, :].copy(),
             values=self.v[:, :, start:stop, :].copy(),
             tags=self.tags[start:stop].copy(),
-            source_ids=self.source_ids[start:stop].copy(),
-        )
-
-    def select(self, indices) -> KVSegment:
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.length):
-            raise IndexError("selection index out of range")
-        return KVSegment(
-            keys=self.k[:, :, idx, :].copy(),
-            values=self.v[:, :, idx, :].copy(),
-            tags=self.tags[idx].copy(),
-            source_ids=self.source_ids[idx].copy(),
         )
 
     def snapshot(self) -> "KVCache":
@@ -347,7 +331,6 @@ class KVCache:
         dup.k = self.k.copy()
         dup.v = self.v.copy()
         dup.tags = self.tags.copy()
-        dup.source_ids = self.source_ids.copy()
         dup.length = self.length
         return dup
 
@@ -394,7 +377,6 @@ class AttentionTrace:
 class PrefillResult:
     hidden: np.ndarray
     cache: KVCache
-    trace: AttentionTrace
 
 
 def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
@@ -403,7 +385,7 @@ def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
     return hidden @ lw.w_mlp2
 
 
-def prefill(model: Model, tokens, source_id: int = 0) -> PrefillResult:
+def prefill(model: Model, tokens) -> PrefillResult:
     """Causal forward pass over a token sequence, populating a fresh cache."""
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -419,28 +401,23 @@ def prefill(model: Model, tokens, source_id: int = 0) -> PrefillResult:
     cache = KVCache(cfg)
 
     x = model.w_in[tokens] + model.pos[:T]
-    step_rows = np.zeros((T, cfg.num_layers, H, T), dtype=np.float32)
     for l, lw in enumerate(model.layers):
         q = np.ascontiguousarray((x @ lw.w_q).reshape(T, H, dh).transpose(1, 0, 2))
         k = np.ascontiguousarray((x @ lw.w_k).reshape(T, H, dh).transpose(1, 0, 2))
         v = np.ascontiguousarray((x @ lw.w_v).reshape(T, H, dh).transpose(1, 0, 2))
         cache.k[l, :, :T, :] = k
         cache.v[l, :, :T, :] = v
-        out, rows = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
-        step_rows[:, l, :, :] = rows.transpose(1, 0, 2)
+        out, _ = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
         x = x + out.transpose(1, 0, 2).reshape(T, d) @ lw.w_o
         x = x + _mlp(x, lw)
 
     cache.tags[:T] = EGO_PREFILL
-    cache.source_ids[:T] = source_id
     cache.length = T
     model.stats.forward_passes += 1
-    trace = AttentionTrace(step_rows, np.arange(1, T + 1))
-    return PrefillResult(hidden=x[-1].copy(), cache=cache, trace=trace)
+    return PrefillResult(hidden=x[-1].copy(), cache=cache)
 
 
-def forward_decode(model: Model, input_vec, cache: KVCache, segments=(), tag: int = EGO_LATENT,
-                   source_id: int = 0):
+def forward_decode(model: Model, input_vec, cache: KVCache, segments=(), tag: int = EGO_LATENT):
     """Append one position and attend over ego cache plus foreign segments.
 
     ``segments`` is a sequence of :class:`KVSegment` with (L_comm, H, t, d_h)
@@ -482,7 +459,7 @@ def forward_decode(model: Model, input_vec, cache: KVCache, segments=(), tag: in
         x = x + out.reshape(d) @ lw.w_o
         x = x + _mlp(x, lw)
 
-    cache.commit(tag, source_id)
+    cache.commit(tag)
     model.stats.forward_passes += 1
     return x, rows_per_layer
 

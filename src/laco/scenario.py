@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chsa import build_chsa_cache, saliency_scores, select_topk
+from .chsa import saliency_scores, select_topk
 from .errors import InvalidActionError, ScenarioError
 from .fusion import attach_payload, collaborative_decode, segment_from_payload
 from .ild import compute_alignment, deliberate
@@ -402,7 +402,6 @@ class AgentState:
     route_idx: int = 0
     done: bool = False
     zero_speed_streak: int = 0
-    ticks_active: int = 0
     decoded_tokens: int = 0
     brake_ticks: int = 0
     infractions: Counter = field(default_factory=Counter)
@@ -531,16 +530,15 @@ def _send_tokens(sim: Simulation, aid: int, pre):
     return LanguageMessage(sender_id=aid, frame_id=sim.tick, token_ids=tuple(ids))
 
 
-def _send_cache(sim: Simulation, aid: int, pre, m: int, indices, l_comm_fraction: float):
-    """Payload of the selected prefill positions plus the first m latent ones."""
-    T = sim.spec.observation_len
-    assembled = build_chsa_cache(pre.cache.slice(0, T), pre.cache.slice(T, T + m), indices)
-    return distill(assembled, indices, l_comm_fraction, sender_id=aid, frame_id=sim.tick)
+def _send_cache(sim: Simulation, aid: int, pre, indices, l_comm_fraction: float):
+    """Payload of the selected prefill positions plus every latent one."""
+    return distill(pre.cache, sim.spec.observation_len, indices, l_comm_fraction,
+                   sender_id=aid, frame_id=sim.tick)
 
 
 def _send_visual(sim: Simulation, aid: int, pre):
     """Visual: the whole prefill cache at full depth."""
-    return _send_cache(sim, aid, pre, 0, list(range(sim.spec.observation_len)), 1.0)
+    return _send_cache(sim, aid, pre, list(range(sim.spec.observation_len)), 1.0)
 
 
 def _deliberate(sim: Simulation, aid: int, pre):
@@ -560,8 +558,7 @@ def _deliberate(sim: Simulation, aid: int, pre):
 def _send_naive_latent(sim: Simulation, aid: int, pre):
     """NaiveLatent: deliberate, then send prefill and latent caches at full depth."""
     _deliberate(sim, aid, pre)
-    spec = sim.spec
-    return _send_cache(sim, aid, pre, spec.m, list(range(spec.observation_len)), 1.0)
+    return _send_cache(sim, aid, pre, list(range(sim.spec.observation_len)), 1.0)
 
 
 def _send_laco(sim: Simulation, aid: int, pre):
@@ -575,14 +572,14 @@ def _send_laco(sim: Simulation, aid: int, pre):
         return None
     sal = saliency_scores(delib.trace, spec.observation_len, spec.rho)
     indices = select_topk(sal)
-    return _send_cache(sim, aid, pre, spec.m, indices, spec.l_comm_fraction)
+    return _send_cache(sim, aid, pre, indices, spec.l_comm_fraction)
 
 
 def _decide_on_tokens(sim: Simulation, aid: int, obs, cache, inbox):
     """Language: re-prefill [relayed tokens || observation], then decide on that."""
     prefix = [tok for msg in inbox for tok in msg.token_ids]
     tokens = np.concatenate([np.asarray(prefix, dtype=np.int64), obs])
-    pre = prefill(sim.models[aid], tokens, source_id=aid)
+    pre = prefill(sim.models[aid], tokens)
     return _decide(sim, aid, obs, pre.cache, ())
 
 
@@ -619,10 +616,9 @@ def run_tick(sim: Simulation):
     caches = {}
     messages = {}
     for aid in live:
-        sim.agents[aid].ticks_active += 1
         obs = observe(sim.world, sim.agents, spec.hazards, aid, t)
         observations[aid] = obs
-        pre = prefill(sim.models[aid], obs, source_id=aid)
+        pre = prefill(sim.models[aid], obs)
         messages[aid] = sim.send(sim, aid, pre)
         caches[aid] = pre.cache
 

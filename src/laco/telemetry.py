@@ -52,13 +52,6 @@ class SparsityCurve:
     cumulative: np.ndarray  # (N,) float64, nondecreasing, ends at 1
     fraction_for_80: float
 
-    def fraction_for_mass(self, q: float) -> float:
-        if not 0.0 < q <= 1.0:
-            raise ConfigError("mass quantile must be in (0, 1]")
-        n = self.cumulative.shape[0]
-        k = int(np.searchsorted(self.cumulative, q - 1e-12) + 1)
-        return min(k, n) / n
-
 
 @dataclass
 class ConfusionIndex:

@@ -1,4 +1,4 @@
-"""Layer truncation, the binary payload format, and the simulated V2V channel.
+"""Payload extraction, the binary payload format, and the simulated V2V channel.
 
 Wire layout (all little-endian), the package's normative binary interface:
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PayloadFormatError
-from .model import KVSegment
+from .model import KVCache
 
 MAGIC = b"LACO"
 VERSION = 1
@@ -73,15 +73,8 @@ class Payload:
         return self.keys.shape[3]
 
     def size_bytes(self) -> int:
-        return payload_size_bytes(
-            self.l_comm,
-            self.num_heads,
-            self.head_dim,
-            self.salient_count,
-            self.latent_count,
-            self.dtype_flag,
-            index_count=len(self.source_indices),
-        )
+        return payload_size_bytes(self.l_comm, self.num_heads, self.head_dim,
+                                  self.salient_count, self.latent_count, self.dtype_flag)
 
 
 def rounded_layer_count(fraction: float, num_layers: int) -> int:
@@ -91,41 +84,47 @@ def rounded_layer_count(fraction: float, num_layers: int) -> int:
     return max(1, math.floor(fraction * num_layers + 0.5))
 
 
-def distill(cache: KVSegment, indices, l_comm_fraction: float, *, sender_id: int,
-            frame_id: int, dtype_flag: int = DTYPE_F32) -> Payload:
-    """Keep only the first l_comm layers of an assembled [salient || latent] cache.
+def distill(cache: KVCache, prefill_len: int, indices, l_comm_fraction: float, *,
+            sender_id: int, frame_id: int, dtype_flag: int = DTYPE_F32) -> Payload:
+    """Cut the transmitted [salient prefill || latent] cache out of an ego cache.
 
-    ``indices`` are the original prefill positions of the salient entries, so
-    the first ``len(indices)`` positions are salient and the rest latent.  The
-    latent segment is layer-truncated along with the salient one; retained
-    bytes are copied verbatim (float32) or narrowed to float16 when requested.
+    The payload holds the prefill positions ``indices`` (strictly increasing,
+    each in ``[0, prefill_len)``) followed by the whole latent run
+    ``[prefill_len, cache.length)``, at the first l_comm layers only, gathered
+    in one copy.  Bytes are kept verbatim (float32) or narrowed to float16.
     """
     if dtype_flag not in _DTYPES:
         raise ConfigError(f"unknown dtype flag {dtype_flag}")
-    salient = len(indices)
-    l_comm = rounded_layer_count(l_comm_fraction, cache.num_layers)
+    idx = list(indices)
+    if not 0 <= prefill_len <= cache.length:
+        raise IndexError(f"prefill length {prefill_len} outside cache of length {cache.length}")
+    if any(i < 0 or i >= prefill_len for i in idx):
+        raise IndexError("selected index outside the prefill run")
+    if any(b <= a for a, b in zip(idx, idx[1:])):
+        raise ConfigError("selected indices must be strictly increasing")
+    l_comm = rounded_layer_count(l_comm_fraction, cache.config.num_layers)
+    positions = np.concatenate([np.asarray(idx, dtype=np.int64),
+                                np.arange(prefill_len, cache.length)])
     np_dtype = _DTYPES[dtype_flag]
     return Payload(
         sender_id=sender_id,
         frame_id=frame_id,
-        salient_count=salient,
-        latent_count=cache.num_positions - salient,
+        salient_count=len(idx),
+        latent_count=cache.length - prefill_len,
         dtype_flag=dtype_flag,
-        source_indices=tuple(indices),
-        keys=np.ascontiguousarray(cache.keys[:l_comm].astype(np_dtype)),
-        values=np.ascontiguousarray(cache.values[:l_comm].astype(np_dtype)),
+        source_indices=tuple(idx),
+        keys=np.take(cache.k[:l_comm], positions, axis=2).astype(np_dtype, copy=False),
+        values=np.take(cache.v[:l_comm], positions, axis=2).astype(np_dtype, copy=False),
     )
 
 
 def payload_size_bytes(l_comm: int, num_heads: int, head_dim: int, salient: int, latent: int,
-                       dtype_flag: int, index_count: int | None = None) -> int:
+                       dtype_flag: int) -> int:
     """Exact serialized size; must equal len(serialize(p)) for every payload."""
     if dtype_flag not in _DTYPES:
         raise ConfigError(f"unknown dtype flag {dtype_flag}")
-    if index_count is None:
-        index_count = salient
     width = _DTYPES[dtype_flag].itemsize
-    header = _FIXED.size + 4 * index_count
+    header = _FIXED.size + 4 * salient
     body = l_comm * num_heads * (salient + latent) * head_dim * 2 * width
     return header + body
 
@@ -170,8 +169,7 @@ def deserialize(data: bytes) -> Payload:
     if index_count != salient:
         raise PayloadFormatError(
             f"index table has {index_count} entries, salient_count is {salient}")
-    expected = payload_size_bytes(l_comm, num_heads, head_dim, salient, latent,
-                                  dtype_flag, index_count=index_count)
+    expected = payload_size_bytes(l_comm, num_heads, head_dim, salient, latent, dtype_flag)
     if len(data) != expected:
         raise PayloadFormatError(f"stream is {len(data)} bytes, expected {expected}")
 

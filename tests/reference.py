@@ -162,6 +162,25 @@ def ref_attend_causal(queries, keys, values, inv_sqrt_dh):
     return out64.astype(np.float32), rows
 
 
+def ref_chsa_payload(k, v, length, prefill_len, indices, l_comm, np_dtype):
+    """Slice, assemble, truncate: the payload keys/values cut in three copies.
+
+    ``k``/``v`` are a cache's (L, H, capacity, d_h) arrays holding ``length``
+    positions.  The prefill run and the latent run are copied out at full
+    depth, the selected prefill positions are concatenated with the whole
+    latent run, and the first ``l_comm`` layers of that are cast to
+    ``np_dtype``.
+    """
+    sel = np.asarray(list(indices), dtype=np.int64)
+    out = []
+    for arr in (k, v):
+        prefill_run = arr[:, :, :prefill_len, :].copy()
+        latent_run = arr[:, :, prefill_len:length, :].copy()
+        assembled = np.concatenate([prefill_run[:, :, sel, :], latent_run], axis=2)
+        out.append(np.ascontiguousarray(assembled[:l_comm].astype(np_dtype)))
+    return tuple(out)
+
+
 def ref_segment_hits_box(p0, p1, lo_r, lo_c):
     """Scalar slab test: does the segment p0->p1 touch the closed unit cell?"""
     t0, t1 = 0.0, 1.0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from laco import scenario as sc
-from laco.chsa import build_chsa_cache, saliency_scores, select_topk
+from laco.chsa import saliency_scores, select_topk
 from laco.cli import main
 from laco.fusion import attach_payload, collaborative_decode
 from laco.ild import compute_alignment, deliberate
@@ -178,12 +178,9 @@ def test_c06_compression_accounting(shipped):
         sal = saliency_scores(out2.trace, T, 0.3)
         indices = select_topk(sal)
         assert len(indices) == 30
-        cc = build_chsa_cache(res2.cache.slice(0, T), res2.cache.slice(T, T + m), indices)
-        pruned = distill(cc, indices, 0.10, sender_id=0, frame_id=0)
+        pruned = distill(res2.cache, T, indices, 0.10, sender_id=0, frame_id=0)
         assert pruned.l_comm == 2
-        full_cc = build_chsa_cache(res2.cache.slice(0, T), res2.cache.slice(T, T + m),
-                                   list(range(T)))
-        full = distill(full_cc, list(range(T)), 1.0, sender_id=0, frame_id=0)
+        full = distill(res2.cache, T, list(range(T)), 1.0, sender_id=0, frame_id=0)
         pruned_body = len(serialize(pruned)) - (37 + 4 * 30)
         full_body = len(serialize(full)) - (37 + 4 * 100)
         # pruned/full == 0.1 * (30 + 10) / (100 + 10), checked in exact integers

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laco.chsa import SaliencyVector, build_chsa_cache, saliency_scores, select_topk
+from laco.chsa import SaliencyVector, saliency_scores, select_topk
 from laco.errors import ConfigError, EmptyTraceError
 from laco.ild import compute_alignment, deliberate
-from laco.model import AttentionTrace, ModelConfig, init_model, prefill
+from laco.model import EGO_LATENT, EGO_PREFILL, AttentionTrace, ModelConfig, init_model, prefill
+from laco.wire import distill
 from reference import ref_saliency, ref_topk
 
 
@@ -120,38 +121,53 @@ class TestTopK:
 
 
 class TestBuildCache:
-    def _segments(self, seed=0, T=6, m=3):
+    """The transmitted [salient prefill || latent] cache, cut by ``distill``."""
+
+    def _cache(self, seed=0, T=6, m=3):
         mdl = init_model(ModelConfig(2, 2, 8, 16, 32, seed=seed))
         res = prefill(mdl, list(range(T)))
         deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, m)
-        return res.cache.slice(0, T), res.cache.slice(T, T + m)
+        return res.cache
+
+    def _distill(self, cache, indices, prefill_len=6):
+        return distill(cache, prefill_len, indices, 1.0, sender_id=0, frame_id=0)
 
     def test_identity_selection_keeps_everything(self):
-        pre, lat = self._segments()
-        cc = build_chsa_cache(pre, lat, list(range(6)))
-        assert cc.num_positions == 9
+        p = self._distill(self._cache(), list(range(6)))
+        assert p.num_positions == 9
 
     def test_selected_bytes_exact(self):
-        pre, lat = self._segments(seed=1)
-        cc = build_chsa_cache(pre, lat, [2, 5])
-        np.testing.assert_array_equal(cc.keys[:, :, 0, :], pre.keys[:, :, 2, :])
-        np.testing.assert_array_equal(cc.values[:, :, 1, :], pre.values[:, :, 5, :])
-        assert cc.keys[:, :, :2, :].tobytes() == pre.keys[:, :, [2, 5], :].tobytes()
-        np.testing.assert_array_equal(cc.tags[:2], pre.tags[[2, 5]])
+        cache = self._cache(seed=1)
+        p = self._distill(cache, [2, 5])
+        np.testing.assert_array_equal(p.keys[:, :, 0, :], cache.k[:, :, 2, :])
+        np.testing.assert_array_equal(p.values[:, :, 1, :], cache.v[:, :, 5, :])
+        assert p.keys[:, :, :2, :].tobytes() == cache.k[:, :, [2, 5], :].tobytes()
+        assert p.salient_count == 2 and p.source_indices == (2, 5)
+        np.testing.assert_array_equal(cache.tags[[2, 5]], EGO_PREFILL)
 
     def test_latent_segment_copied_whole(self):
-        pre, lat = self._segments(seed=2)
-        cc = build_chsa_cache(pre, lat, [0])
-        assert cc.num_positions == 1 + 3
-        np.testing.assert_array_equal(cc.keys[:, :, 1:, :], lat.keys)
-        np.testing.assert_array_equal(cc.tags[1:], lat.tags)
+        cache = self._cache(seed=2)
+        p = self._distill(cache, [0])
+        assert p.num_positions == 1 + 3
+        np.testing.assert_array_equal(p.keys[:, :, 1:, :], cache.k[:, :, 6:9, :])
+        assert p.latent_count == 3
+        np.testing.assert_array_equal(cache.tags[6:9], EGO_LATENT)
 
     def test_out_of_range_index(self):
-        pre, lat = self._segments()
+        cache = self._cache()
+        # 6 and 7 are latent positions of the cache, past the prefill run
+        for indices in ([0, 7], [0, 6], [-1, 2]):
+            with pytest.raises(IndexError):
+                self._distill(cache, indices)
+
+    def test_prefill_len_past_cache_rejected(self):
+        cache = self._cache()
         with pytest.raises(IndexError):
-            build_chsa_cache(pre, lat, [0, 7])
+            self._distill(cache, [0], prefill_len=10)
 
     def test_unsorted_indices_rejected(self):
-        pre, lat = self._segments()
+        cache = self._cache()
         with pytest.raises(ConfigError):
-            build_chsa_cache(pre, lat, [3, 1])
+            self._distill(cache, [3, 1])
+        with pytest.raises(ConfigError):
+            self._distill(cache, [1, 1])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from laco.chsa import build_chsa_cache
 from laco.errors import ShapeMismatchError
 from laco.fusion import attach_payload, collaborative_decode, naive_full_fusion
 from laco.ild import compute_alignment, deliberate
@@ -32,12 +31,11 @@ def cfg(seed=0, **kw):
 
 
 def build_payload(model, tokens, m=3, rho_indices=None, fraction=1.0, sender=1):
-    res = prefill(model, tokens, source_id=sender)
+    res = prefill(model, tokens)
     deliberate(model, compute_alignment(model), res.hidden, res.cache, m)
     T = len(tokens)
     idx = rho_indices if rho_indices is not None else list(range(T))
-    cc = build_chsa_cache(res.cache.slice(0, T), res.cache.slice(T, T + m), idx)
-    return distill(cc, idx, fraction, sender_id=sender, frame_id=0), res.cache
+    return distill(res.cache, T, idx, fraction, sender_id=sender, frame_id=0), res.cache
 
 
 class TestAttach:
@@ -67,7 +65,11 @@ class TestAttach:
         p3, _ = build_payload(init_model(cfg(seed=2)), [4, 5], sender=3)
         p1, _ = build_payload(init_model(cfg(seed=2)), [6, 7], sender=1)
         ctx = attach_payload(res.cache, [p3, p1])
-        assert [s.source_ids.tolist() for s in ctx.segments] == [[1] * 5, [3] * 5]
+        assert [s.num_positions for s in ctx.segments] == [5, 5]
+        assert p1.keys.tobytes() != p3.keys.tobytes()
+        for seg, p in zip(ctx.segments, [p1, p3]):
+            assert seg.keys.tobytes() == p.keys.tobytes()
+            assert seg.values.tobytes() == p.values.tobytes()
 
     def test_shape_mismatch_rejected(self):
         mdl = init_model(cfg(seed=3))
@@ -166,8 +168,7 @@ class TestDepthIsolation:
         cache_b.k[1:] += 17.0
         cache_b.v[1:] -= 3.0
         T = 3
-        cc = build_chsa_cache(cache_b.slice(0, T), cache_b.slice(T, T + 2), list(range(T)))
-        pb = distill(cc, list(range(T)), 0.25, sender_id=1, frame_id=0)
+        pb = distill(cache_b, T, list(range(T)), 0.25, sender_id=1, frame_id=0)
         assert pa.keys.tobytes() == pb.keys.tobytes()
         assert pa.values.tobytes() == pb.values.tobytes()
 
@@ -190,7 +191,7 @@ class TestHazardFusion:
         c = cfg(seed=0, num_layers=layers)
         mdl = make_hazard_model(c)
         tokens = [TOKEN_CLEAR] * 5 + [TOKEN_EGO_A]
-        res = prefill(mdl, tokens, source_id=0)
+        res = prefill(mdl, tokens)
         return mdl, res
 
     def test_shallow_hazard_kv_raises_brake_logit(self):

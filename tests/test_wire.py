@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laco.chsa import build_chsa_cache
+from laco import scenario as sc
 from laco.errors import ConfigError, PayloadFormatError
 from laco.ild import compute_alignment, deliberate
-from laco.model import ModelConfig, init_model, prefill
+from laco.model import EGO_LATENT, EGO_PREFILL, KVCache, ModelConfig, init_model, prefill
 from laco.wire import (
     DTYPE_F16,
     DTYPE_F32,
@@ -21,6 +21,7 @@ from laco.wire import (
     rounded_layer_count,
     serialize,
 )
+from reference import ref_chsa_payload
 
 
 def random_payload(rng, l_comm, H, t_salient, t_latent, dh, dtype_flag=DTYPE_F32):
@@ -39,11 +40,24 @@ def random_payload(rng, l_comm, H, t_salient, t_latent, dh, dtype_flag=DTYPE_F32
 
 
 def chsa_from_model(seed=0, L=4, T=8, m=3):
+    """(cache after m deliberation steps, prefill length, selected indices)."""
     mdl = init_model(ModelConfig(L, 2, 8, 16, 64, seed=seed))
     res = prefill(mdl, list(range(T)))
     deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, m)
-    indices = [1, 4, 6]
-    return build_chsa_cache(res.cache.slice(0, T), res.cache.slice(T, T + m), indices), indices
+    return res.cache, T, [1, 4, 6]
+
+
+def assert_matches_reference(p, cache, prefill_len, indices):
+    """``p`` is byte-equal to the slice -> assemble -> truncate oracle."""
+    np_dtype = np.float32 if p.dtype_flag == DTYPE_F32 else np.float16
+    keys, values = ref_chsa_payload(cache.k, cache.v, cache.length, prefill_len, indices,
+                                    p.l_comm, np_dtype)
+    assert p.keys.dtype == keys.dtype and p.keys.shape == keys.shape
+    assert p.keys.tobytes() == keys.tobytes()
+    assert p.values.tobytes() == values.tobytes()
+    assert p.salient_count == len(indices)
+    assert p.latent_count == cache.length - prefill_len
+    assert p.source_indices == tuple(indices)
 
 
 class TestDistill:
@@ -60,11 +74,49 @@ class TestDistill:
         assert p.l_comm == 4
 
     def test_retained_layers_byte_equal(self):
-        cc, indices = chsa_from_model(seed=3)
-        p = distill(cc, indices, 0.5, sender_id=1, frame_id=0)
+        cache, T, indices = chsa_from_model(seed=3)
+        p = distill(cache, T, indices, 0.5, sender_id=1, frame_id=0)
+        positions = indices + list(range(T, cache.length))
         assert p.l_comm == 2
-        assert p.keys.tobytes() == cc.keys[:2].tobytes()
-        assert p.values.tobytes() == cc.values[:2].tobytes()
+        assert p.keys.tobytes() == cache.k[:2, :, positions].tobytes()
+        assert p.values.tobytes() == cache.v[:2, :, positions].tobytes()
+
+    @pytest.mark.parametrize("dtype_flag", [DTYPE_F32, DTYPE_F16])
+    def test_matches_reference_on_random_caches(self, dtype_flag):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            L = int(rng.integers(2, 6))
+            cache = KVCache(ModelConfig(L, 2, 8, 16, 24, seed=0))
+            cache.k[:] = rng.normal(size=cache.k.shape)
+            cache.v[:] = rng.normal(size=cache.v.shape)
+            cache.length = int(rng.integers(1, 25))
+            T = int(rng.integers(1, cache.length + 1))
+            cache.tags[:T] = EGO_PREFILL
+            cache.tags[T : cache.length] = EGO_LATENT
+            keep = int(rng.integers(0, T + 1))
+            indices = sorted(rng.choice(T, size=keep, replace=False).tolist())
+            fraction = float(rng.uniform(0.05, 1.0))
+            p = distill(cache, T, indices, fraction, sender_id=2, frame_id=3,
+                        dtype_flag=dtype_flag)
+            assert p.l_comm == rounded_layer_count(fraction, L)
+            assert_matches_reference(p, cache, T, indices)
+
+    @pytest.mark.parametrize("name", sc.builtin_scenario_names())
+    def test_matches_reference_on_a_laco_tick(self, monkeypatch, name):
+        checked = []
+
+        def spy(cache, prefill_len, indices, *args, **kwargs):
+            p = distill(cache, prefill_len, indices, *args, **kwargs)
+            # checked at once: the decision decode appends to the same cache
+            assert_matches_reference(p, cache, prefill_len, indices)
+            checked.append(p)
+            return p
+
+        monkeypatch.setattr(sc, "distill", spy)
+        spec = sc.load_scenario(sc.builtin_scenario_path(name))
+        sc.run_tick(sc.Simulation(spec, "LACO"))
+        assert len(checked) == len(spec.agents)
+        assert all(p.latent_count == spec.m for p in checked)
 
     def test_counts_and_indices(self):
         p = distill(*chsa_from_model(), 0.25, sender_id=9, frame_id=5)
@@ -112,8 +164,8 @@ class TestSerialization:
         assert payload_size_bytes(3, 2, 8, 0, 0, DTYPE_F32) == 37
 
     def test_body_linear_in_l_comm(self):
-        one = payload_size_bytes(1, 2, 8, 4, 2, DTYPE_F32, index_count=4)
-        two = payload_size_bytes(2, 2, 8, 4, 2, DTYPE_F32, index_count=4)
+        one = payload_size_bytes(1, 2, 8, 4, 2, DTYPE_F32)
+        two = payload_size_bytes(2, 2, 8, 4, 2, DTYPE_F32)
         header = 37 + 16
         assert (two - header) == 2 * (one - header)
 
