@@ -7,7 +7,7 @@ scoring and attention diagnostics.
 """
 
 from .chsa import SaliencyVector, saliency_scores, select_topk
-from .fusion import FusedContext, attach_payload, collaborative_decode, naive_full_fusion
+from .fusion import FusedContext, attach_payload, collaborative_decode
 from .ild import AlignmentProjection, DeliberationResult, compute_alignment, deliberate
 from .kernels import backend_name
 from .model import (

@@ -2,9 +2,7 @@
 
 Layers covered by a payload attend over [ego KV || foreign KV]; all deeper
 layers attend over the ego cache alone.  Foreign entries are read-only: the
-new position's keys/values land in the ego cache only.  The naive full-depth
-baseline fuses at every layer and exists to reproduce the cross-agent
-decision-interference failure mode.
+new position's keys/values land in the ego cache only.
 """
 
 from dataclasses import dataclass
@@ -31,14 +29,6 @@ class FusedContext:
 
     ego: KVCache
     segments: list
-
-    def layer_tags(self, layer: int, ego_len: int) -> np.ndarray:
-        """Origin tags of the attention context at one layer, ego first."""
-        parts = [self.ego.tags[:ego_len]]
-        for seg in self.segments:
-            if layer < seg.num_layers:
-                parts.append(seg.tags)
-        return np.concatenate(parts)
 
 
 def segment_from_payload(payload: Payload) -> KVSegment:
@@ -87,22 +77,10 @@ def collaborative_decode(model: Model, input_vec, ctx: FusedContext) -> CollabRe
     appended position goes to the ego cache.  With no segments this is the
     plain decode path (same code, bit-identical outputs).
     """
-    ego_len_after = ctx.ego.length + 1
     hidden, rows = forward_decode(model, input_vec, ctx.ego, ctx.segments, tag=EGO_LATENT)
-    tags = [ctx.layer_tags(l, ego_len_after) for l in range(model.config.num_layers)]
+    # Origin tags of each layer's context, ego (with the appended position) first.
+    ego_tags = ctx.ego.tags[: ctx.ego.length]
+    tags = [np.concatenate([ego_tags] + [seg.tags for seg in ctx.segments if l < seg.num_layers])
+            for l in range(model.config.num_layers)]
     logits = project_to_logits(model, hidden)
     return CollabResult(hidden=hidden, logits=logits, attention_rows=rows, context_tags=tags)
-
-
-def naive_full_fusion(model: Model, input_vec, ego: KVCache, foreign: KVCache) -> CollabResult:
-    """Full-depth fusion baseline: every layer attends over [ego || foreign]."""
-    fcfg = foreign.config
-    cfg = model.config
-    if fcfg.num_heads != cfg.num_heads or fcfg.head_dim != cfg.head_dim or fcfg.num_layers != cfg.num_layers:
-        raise ShapeMismatchError("foreign cache shape does not match the model")
-    segment = foreign.slice(0, foreign.length)
-    segment.tags = np.where(
-        segment.tags == EGO_LATENT, FOREIGN_LATENT, FOREIGN_PREFILL
-    ).astype(np.uint8)
-    ctx = FusedContext(ego=ego, segments=[segment])
-    return collaborative_decode(model, input_vec, ctx)

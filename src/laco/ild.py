@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ConfigError
-from .model import EGO_LATENT, AttentionTrace, KVCache, Model, forward_decode
+from .model import EGO_LATENT, AttentionTrace, KVCache, Model, forward_decode, rowwise_matmul
 
 # Singular values below this fraction of the largest are truncated by pinv.
 _RCOND = 1e-6
@@ -50,7 +50,7 @@ def compute_alignment(model: Model) -> AlignmentProjection:
 @dataclass
 class DeliberationResult:
     final_hidden: np.ndarray
-    trace: AttentionTrace
+    trace: AttentionTrace  # a list of A traces for a batch of A caches
     steps: int
 
 
@@ -58,15 +58,16 @@ def deliberate(
     model: Model,
     alignment: AlignmentProjection,
     h0: np.ndarray,
-    cache: KVCache,
+    cache,
     m: int,
-    fused_segments=(),
 ) -> DeliberationResult:
     """Run m latent steps, appending ego-latent positions to the cache.
 
-    ``fused_segments`` lets received foreign context participate in the
-    latent steps themselves; the default (empty) keeps deliberation fully
-    ego-local and fuses only at the final decision decode.
+    ``cache`` is one :class:`KVCache` with a (d,) ``h0``, or a lock-step batch
+    of A caches with an (A, d) ``h0`` (see :func:`laco.model.forward_decode`);
+    every step is then one pass for all A agents, and the result holds one
+    trace per agent.  Deliberation is ego-local: received context joins only
+    the final decision decode.
 
     With m = 0 the cache and hidden state are returned untouched and the
     trace is empty.
@@ -74,18 +75,19 @@ def deliberate(
     if m < 0:
         raise ConfigError("step count m must be >= 0")
     cfg = model.config
-    width = cache.length + m + sum(seg.num_positions for seg in fused_segments)
-    array = np.zeros((m, cfg.num_layers, cfg.num_heads, width), dtype=np.float32)
-    lengths = np.zeros(m, dtype=np.int64)
+    single = isinstance(cache, KVCache)
+    A = 1 if single else len(cache)
+    L, H = cfg.num_layers, cfg.num_heads
+    n0 = (cache if single else cache[0]).length
+    array = np.zeros((A, m, L, H, n0 + m), dtype=np.float32)
+    lengths = np.arange(n0 + 1, n0 + m + 1, dtype=np.int64)
     h = np.asarray(h0, dtype=np.float32)
     logit_calls_before = model.stats.logit_projections
     for t in range(m):
-        e_hat = h @ alignment.w_a
-        h, rows_per_layer = forward_decode(model, e_hat, cache, fused_segments, tag=EGO_LATENT)
-        # Layers attending over fused context have longer rows than ego-only
-        # layers; the shorter rows stay zero-padded.
-        for l, rows in enumerate(rows_per_layer):
-            array[t, l, :, : rows.shape[1]] = rows
-        lengths[t] = rows_per_layer[0].shape[1]
+        h, rows_per_layer = forward_decode(model, rowwise_matmul(h, alignment.w_a), cache,
+                                           tag=EGO_LATENT)
+        n = rows_per_layer[0].shape[1]
+        array[:, t, :, :, :n] = np.stack(rows_per_layer).reshape(L, A, H, n).transpose(1, 0, 2, 3)
     assert model.stats.logit_projections == logit_calls_before, "deliberation must not decode"
-    return DeliberationResult(final_hidden=h, trace=AttentionTrace(array, lengths), steps=m)
+    traces = [AttentionTrace(a, lengths) for a in array]
+    return DeliberationResult(final_hidden=h, trace=traces[0] if single else traces, steps=m)

@@ -12,7 +12,8 @@ attention logits, softmax sums and weighted value sums accumulate in float64
 inside the kernels (see :mod:`laco.kernels`).
 """
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,11 +25,10 @@ EGO_PREFILL = 0
 EGO_LATENT = 1
 FOREIGN_PREFILL = 2
 FOREIGN_LATENT = 3
-TAG_NAMES = ("ego_prefill", "ego_latent", "foreign_prefill", "foreign_latent")
 
 # Reserved vocabulary for the driving harness.  Ids 0..4 are the action logit
-# slots; the rest are observation tokens.  HAZARD/EGO_MARKER alias the lane-A
-# variants (the hazard circuit is lane-indexed, see make_hazard_model).
+# slots; the rest are observation tokens.  Hazard and ego-marker tokens are
+# lane-tagged (the hazard circuit is lane-indexed, see make_hazard_model).
 TOKEN_BRAKE = 0
 TOKEN_KEEP = 1
 TOKEN_ACCEL = 2
@@ -43,8 +43,6 @@ TOKEN_HAZARD_A = 10
 TOKEN_HAZARD_B = 11
 TOKEN_EGO_A = 12
 TOKEN_EGO_B = 13
-TOKEN_HAZARD = TOKEN_HAZARD_A
-TOKEN_EGO_MARKER = TOKEN_EGO_A
 ACTION_TOKENS = (TOKEN_BRAKE, TOKEN_KEEP, TOKEN_ACCEL, TOKEN_LEFT, TOKEN_RIGHT)
 ACTION_NAMES = ("BRAKE", "KEEP", "ACCEL", "LEFT", "RIGHT")
 MIN_HAZARD_VOCAB = 14
@@ -90,9 +88,9 @@ class LayerWeights:
 
 @dataclass
 class ModelStats:
-    """Instrumentation counters (per Model instance)."""
+    """Instrumentation counters: forward passes per agent id, logit projections."""
 
-    forward_passes: int = 0
+    forward_passes: Counter = field(default_factory=Counter)
     logit_projections: int = 0
 
 
@@ -289,18 +287,28 @@ class KVSegment:
 
 
 class KVCache:
-    """Per-layer, per-head key/value store with origin tags.
+    """One agent's per-layer, per-head keys/values with origin tags.
+
+    ``k``/``v`` are (L, H, capacity, d_h) views of heads [row·H, (row+1)·H)
+    of a (2, L, A·H, capacity, d_h) store shared by a lock-step batch of A
+    agents (see :func:`prefill`).  ``length``, ``tags`` and ``agent`` (whose
+    forward-pass counter this cache's passes increment) are the agent's own.
 
     Positions are append-only: existing entries are never mutated, only new
     ones committed.  Pruning happens by copying selected positions out (see
     :func:`laco.wire.distill`), never in place.
     """
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, agent: int = 0, store=None, row: int = 0):
         L, H, cap, dh = config.num_layers, config.num_heads, config.max_context, config.head_dim
+        if store is None:
+            store = np.zeros((2, L, H, cap, dh), dtype=np.float32)
         self.config = config
-        self.k = np.zeros((L, H, cap, dh), dtype=np.float32)
-        self.v = np.zeros((L, H, cap, dh), dtype=np.float32)
+        self.agent = agent
+        self.store = store
+        self.row = row
+        self.k = store[0, :, row * H : (row + 1) * H]
+        self.v = store[1, :, row * H : (row + 1) * H]
         self.tags = np.zeros(cap, dtype=np.uint8)
         self.length = 0
 
@@ -308,38 +316,9 @@ class KVCache:
     def capacity(self) -> int:
         return self.k.shape[2]
 
-    def put_layer(self, layer: int, pos: int, k_heads: np.ndarray, v_heads: np.ndarray):
-        self.k[layer, :, pos, :] = k_heads
-        self.v[layer, :, pos, :] = v_heads
-
     def commit(self, tag: int):
         self.tags[self.length] = tag
         self.length += 1
-
-    def slice(self, start: int, stop: int) -> KVSegment:
-        if not 0 <= start <= stop <= self.length:
-            raise IndexError(f"slice [{start}, {stop}) outside cache of length {self.length}")
-        return KVSegment(
-            keys=self.k[:, :, start:stop, :].copy(),
-            values=self.v[:, :, start:stop, :].copy(),
-            tags=self.tags[start:stop].copy(),
-        )
-
-    def snapshot(self) -> "KVCache":
-        dup = KVCache.__new__(KVCache)
-        dup.config = self.config
-        dup.k = self.k.copy()
-        dup.v = self.v.copy()
-        dup.tags = self.tags.copy()
-        dup.length = self.length
-        return dup
-
-    def validate(self):
-        """Check the tag-partition invariant: ego prefill precedes ego latent."""
-        tags = self.tags[: self.length]
-        ego = tags[(tags == EGO_PREFILL) | (tags == EGO_LATENT)]
-        if ego.size and np.any(np.diff(ego.astype(np.int8)) < 0):
-            raise AssertionError("ego prefill positions must precede ego latent positions")
 
 
 @dataclass(frozen=True)
@@ -376,7 +355,7 @@ class AttentionTrace:
 @dataclass
 class PrefillResult:
     hidden: np.ndarray
-    cache: KVCache
+    cache: KVCache  # a list of A cache views for a batch of A sequences
 
 
 def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
@@ -385,94 +364,127 @@ def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
     return hidden @ lw.w_mlp2
 
 
-def prefill(model: Model, tokens) -> PrefillResult:
-    """Causal forward pass over a token sequence, populating a fresh cache."""
+def rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for (d,) or (A, d) ``x`` as one vector-matrix product per row,
+    so a row gives the same bits batched or alone (a matrix product may not)."""
+    return (x[..., None, :] @ w)[..., 0, :]
+
+
+def prefill(model: Model, tokens, agents=None) -> PrefillResult:
+    """Causal forward pass over token sequences, populating fresh caches.
+
+    ``tokens`` is one sequence (T,) or a batch (A, T), run as one pass with
+    the agents folded into the head axis of one store.  Returns the last
+    hidden state, (d,) or (A, d), and the cache, or a list of A cache views
+    counting passes for ``agents`` (default 0..A-1).
+    """
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
-    T = tokens.shape[0]
-    if T < 1:
-        raise ConfigError("prefill needs at least one token")
+    if tokens.ndim not in (1, 2) or tokens.size == 0:
+        raise ConfigError("prefill needs one or a batch of non-empty token sequences")
+    rows = tokens.reshape(-1, tokens.shape[-1])
+    A, T = rows.shape
+    agents = range(A) if agents is None else agents
     if T > cfg.max_context:
         raise ContextOverflowError(f"prefill of {T} tokens exceeds max_context {cfg.max_context}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ConfigError("token id out of vocabulary range")
 
     H, dh, d = cfg.num_heads, cfg.head_dim, cfg.model_dim
-    cache = KVCache(cfg)
+    store = np.zeros((2, cfg.num_layers, A * H, cfg.max_context, dh), dtype=np.float32)
 
-    x = model.w_in[tokens] + model.pos[:T]
+    def heads(y):  # (A, T, d) -> (A·H, T, d_h)
+        return y.reshape(A, T, H, dh).transpose(0, 2, 1, 3).reshape(A * H, T, dh)
+
+    x = model.w_in[rows] + model.pos[:T]
     for l, lw in enumerate(model.layers):
-        q = np.ascontiguousarray((x @ lw.w_q).reshape(T, H, dh).transpose(1, 0, 2))
-        k = np.ascontiguousarray((x @ lw.w_k).reshape(T, H, dh).transpose(1, 0, 2))
-        v = np.ascontiguousarray((x @ lw.w_v).reshape(T, H, dh).transpose(1, 0, 2))
-        cache.k[l, :, :T, :] = k
-        cache.v[l, :, :T, :] = v
+        q, k, v = heads(x @ lw.w_q), heads(x @ lw.w_k), heads(x @ lw.w_v)
+        store[0, l, :, :T] = k
+        store[1, l, :, :T] = v
         out, _ = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
-        x = x + out.transpose(1, 0, 2).reshape(T, d) @ lw.w_o
+        x = x + out.reshape(A, H, T, dh).transpose(0, 2, 1, 3).reshape(A, T, d) @ lw.w_o
         x = x + _mlp(x, lw)
 
-    cache.tags[:T] = EGO_PREFILL
-    cache.length = T
-    model.stats.forward_passes += 1
-    return PrefillResult(hidden=x[-1].copy(), cache=cache)
+    caches = [KVCache(cfg, agent, store, row) for row, agent in zip(range(A), agents, strict=True)]
+    for cache in caches:
+        cache.tags[:T] = EGO_PREFILL
+        cache.length = T
+        model.stats.forward_passes[cache.agent] += 1
+    if tokens.ndim == 1:
+        return PrefillResult(hidden=x[0, -1].copy(), cache=caches[0])
+    return PrefillResult(hidden=x[:, -1].copy(), cache=caches)
 
 
-def forward_decode(model: Model, input_vec, cache: KVCache, segments=(), tag: int = EGO_LATENT):
+def forward_decode(model: Model, input_vec, cache, segments=(), tag: int = EGO_LATENT):
     """Append one position and attend over ego cache plus foreign segments.
 
-    ``segments`` is a sequence of :class:`KVSegment` with (L_comm, H, t, d_h)
-    ``keys`` and ``values``; a segment participates at layer l only when
-    l < its layer count.  The new position's keys/values go to the ego cache only.  Returns
-    (hidden (d,) float32, rows: list over layers of (H, n_l) float32).
+    ``cache`` is one :class:`KVCache` with a (d,) input, or a lock-step batch
+    (a list of A caches from one :func:`prefill`, all of one length) with an
+    (A, d) input, run as one pass with the agents folded into the head axis.
+    ``segments`` (single cache only) is a sequence of :class:`KVSegment` with
+    (L_comm, H, t, d_h) ``keys`` and ``values``; a segment participates at
+    layer l only when l < its layer count.  The new position's keys/values go
+    to the ego cache only.  Returns (hidden (d,) or (A, d) float32, rows: list
+    over layers of (A·H, n_l) float32).
 
     This is the single decode path: plain decoding is the degenerate case
     with no segments, so the two are bit-identical by construction.
     """
     cfg = model.config
-    n = cache.length
+    single = isinstance(cache, KVCache)
+    caches = [cache] if single else list(cache)
+    first, A, n = caches[0], len(caches), caches[0].length
+    if any(c.store is not first.store or c.row != first.row + i or c.length != n
+           for i, c in enumerate(caches)):
+        raise ConfigError("a decode batch must be consecutive caches of one store at one length")
     if n == 0:
         raise ConfigError("decode requires a non-empty cache")
-    if n >= cache.capacity:
+    if n >= first.capacity:
         raise ContextOverflowError(f"cache full at {n} positions")
+    if segments and not single:
+        raise ConfigError("foreign segments attach to a single cache")
     x = np.asarray(input_vec, dtype=np.float32)
-    if x.shape != (cfg.model_dim,):
-        raise ConfigError(f"decode input must have shape ({cfg.model_dim},)")
+    shape = (cfg.model_dim,) if single else (A, cfg.model_dim)
+    if x.shape != shape:
+        raise ConfigError(f"decode input must have shape {shape}")
     if not np.all(np.isfinite(x)):
         raise ConfigError("decode input must be finite")
 
     H, dh, d = cfg.num_heads, cfg.head_dim, cfg.model_dim
-    x = x + model.pos[n]
+    # (A, 1, d): every product below is one vector-matrix product per agent.
+    x = x.reshape(A, 1, d) + model.pos[n]
+    kv = first.store[:, :, first.row * H : (first.row + A) * H]
     rows_per_layer = []
     for l, lw in enumerate(model.layers):
-        q = (x @ lw.w_q).reshape(H, dh)
-        k = (x @ lw.w_k).reshape(H, dh)
-        v = (x @ lw.w_v).reshape(H, dh)
-        cache.put_layer(l, n, k, v)
-        ctx_k = cache.k[l, :, : n + 1, :]
-        ctx_v = cache.v[l, :, : n + 1, :]
+        q = (x @ lw.w_q).reshape(A * H, dh)
+        kv[0, l, :, n] = (x @ lw.w_k).reshape(A * H, dh)
+        kv[1, l, :, n] = (x @ lw.w_v).reshape(A * H, dh)
+        ctx_k = kv[0, l, :, : n + 1]
+        ctx_v = kv[1, l, :, : n + 1]
         fused = [seg for seg in segments if l < seg.num_layers]
         if fused:
             ctx_k = np.concatenate([ctx_k] + [seg.keys[l] for seg in fused], axis=1)
             ctx_v = np.concatenate([ctx_v] + [seg.values[l] for seg in fused], axis=1)
         out, rows = kernels.attend_single(ctx_k, ctx_v, q, model.inv_sqrt_head_dim)
         rows_per_layer.append(rows)
-        x = x + out.reshape(d) @ lw.w_o
+        x = x + out.reshape(A, 1, d) @ lw.w_o
         x = x + _mlp(x, lw)
 
-    cache.commit(tag)
-    model.stats.forward_passes += 1
-    return x, rows_per_layer
+    for c in caches:
+        c.commit(tag)
+        model.stats.forward_passes[c.agent] += 1
+    return (x[0, 0] if single else x[:, 0]), rows_per_layer
 
 
-def decode_step(model: Model, input_vec, cache: KVCache):
-    """Single forward pass appending one position to the ego cache."""
+def decode_step(model: Model, input_vec, cache):
+    """One forward pass appending one position to each ego cache."""
     return forward_decode(model, input_vec, cache)
 
 
 def project_to_logits(model: Model, hidden) -> np.ndarray:
-    """Apply the bias-free output head: logits = hidden @ W_out."""
+    """Apply the bias-free output head: logits = hidden @ W_out, per row."""
     h = np.asarray(hidden, dtype=np.float32)
     if not np.all(np.isfinite(h)):
         raise ConfigError("hidden vector must be finite")
     model.stats.logit_projections += 1
-    return h @ model.w_out
+    return rowwise_matmul(h, model.w_out)

@@ -12,6 +12,7 @@ Scenario files are plain text ``key = value`` lines; see
 layouts.
 """
 
+import functools
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -20,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .chsa import saliency_scores, select_topk
-from .errors import InvalidActionError, ScenarioError
-from .fusion import attach_payload, collaborative_decode, segment_from_payload
+from .errors import ConfigError, InvalidActionError, ScenarioError
+from .fusion import attach_payload, collaborative_decode
 from .ild import compute_alignment, deliberate
 from .model import (
     ACTION_NAMES,
@@ -113,7 +114,6 @@ class ScenarioSpec:
     cell_size_m: float
     tick_budget: int
     blocked_after: int
-    attach_during_deliberation: bool
     model_layers: int
     model_heads: int
     model_dim: int
@@ -155,7 +155,6 @@ _SCALARS = {
     "cell_size_m": float,
     "tick_budget": int,
     "blocked_after": int,
-    "attach_during_deliberation": lambda s: s.lower() in ("1", "true", "yes"),
     "channel_range_m": float,
     "channel_bandwidth_bytes_per_s": float,
     "channel_base_latency_s": float,
@@ -175,7 +174,6 @@ _DEFAULTS = {
     "cell_size_m": 10.0,
     "tick_budget": 200,
     "blocked_after": 10,
-    "attach_during_deliberation": False,
     "channel_range_m": 200.0,
     "channel_bandwidth_bytes_per_s": 1_000_000.0,
     "channel_base_latency_s": 0.01,
@@ -267,6 +265,14 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if values["paradigm"] not in PARADIGMS:
         raise ScenarioError(f"unknown paradigm {values['paradigm']!r}")
 
+    try:
+        channel = ChannelConfig(
+            range_m=values["channel_range_m"],
+            bandwidth_bytes_per_s=values["channel_bandwidth_bytes_per_s"],
+            base_latency_s=values["channel_base_latency_s"],
+        )
+    except ConfigError as exc:
+        raise ScenarioError(f"channel: {exc}") from exc
     spec = ScenarioSpec(
         name=values["name"],
         grid=tuple(grid_rows),
@@ -277,15 +283,10 @@ def parse_scenario(text: str) -> ScenarioSpec:
         m=values["m"],
         rho=values["rho"],
         l_comm_fraction=values["l_comm_fraction"],
-        channel=ChannelConfig(
-            range_m=values["channel_range_m"],
-            bandwidth_bytes_per_s=values["channel_bandwidth_bytes_per_s"],
-            base_latency_s=values["channel_base_latency_s"],
-        ),
+        channel=channel,
         cell_size_m=values["cell_size_m"],
         tick_budget=values["tick_budget"],
         blocked_after=values["blocked_after"],
-        attach_during_deliberation=values["attach_during_deliberation"],
         model_layers=values["model_layers"],
         model_heads=values["model_heads"],
         model_dim=values["model_dim"],
@@ -347,9 +348,9 @@ def builtin_scenario_names():
 class World:
     """Static geometry plus deterministic line-of-sight queries."""
 
-    def __init__(self, spec: ScenarioSpec):
-        self.spec = spec
-        self.obstacle_mask = np.array([[ch == "#" for ch in row] for row in spec.grid])
+    def __init__(self, grid: tuple, cell_size_m: float):
+        self.cell_size_m = cell_size_m
+        self.obstacle_mask = np.array([[ch == "#" for ch in row] for row in grid])
         # Obstacle corners (M, 2), their raster indices (M,) and every cell
         # center (N, 2), all in raster order.
         self._obstacles = np.argwhere(self.obstacle_mask).astype(np.float64)
@@ -367,6 +368,7 @@ class World:
         row = self._visibility.get(frm)
         if row is None:
             row = self._visibility[frm] = self._trace(frm)
+            row.flags.writeable = False  # shared by every episode on the layout
         return row
 
     def _trace(self, frm: tuple) -> np.ndarray:
@@ -388,12 +390,18 @@ class World:
         hit &= t0 <= t1
         # Obstacles at either endpoint never block.
         hit[self._obstacle_index, np.arange(hit.shape[1])] = False
-        hit[:, self._obstacle_index == frm[0] * self.spec.cols + frm[1]] = False
+        hit[:, self._obstacle_index == frm[0] * self.obstacle_mask.shape[1] + frm[1]] = False
         return ~hit.any(axis=1).reshape(self.obstacle_mask.shape)
 
     def cell_to_meters(self, cell: tuple):
-        s = self.spec.cell_size_m
+        s = self.cell_size_m
         return (cell[0] * s, cell[1] * s)
+
+
+@functools.lru_cache(maxsize=64)
+def layout_world(grid: tuple, cell_size_m: float) -> World:
+    """The World of a layout, shared by every episode on it (bounded memo)."""
+    return World(grid, cell_size_m)
 
 
 @dataclass
@@ -423,11 +431,10 @@ def observe(world: World, agents, hazards, agent_id: int, tick: int):
     lane-tagged HAZARD token, VEHICLE, OBSTACLE, the agent's own GOAL, or
     CLEAR.  The final token is the agent's lane marker.
     """
-    spec = world.spec
     me = agents[agent_id]
-    tokens = np.full(spec.observation_len, TOKEN_CLEAR, dtype=np.int64)
+    tokens = np.full(world.obstacle_mask.size + 1, TOKEN_CLEAR, dtype=np.int64)
     # Lowest precedence first, so each later write overrides the earlier ones.
-    raster = tokens[:-1].reshape(spec.rows, spec.cols)
+    raster = tokens[:-1].reshape(world.obstacle_mask.shape)
     raster[me.spec.route[-1]] = TOKEN_GOAL
     raster[world.obstacle_mask] = TOKEN_OBSTACLE
     for aid, a in agents.items():
@@ -486,10 +493,10 @@ class Simulation:
         if self.paradigm not in PARADIGMS:
             raise ScenarioError(f"unknown paradigm {self.paradigm!r}")
         self.send, self.receive = _PARADIGM_TABLE[self.paradigm]
-        self.world = World(spec)
+        self.world = layout_world(spec.grid, spec.cell_size_m)
         self.agents = {a.agent_id: AgentState(spec=a) for a in spec.agents}
-        cfg = spec.model_config()
-        self.models = {a.agent_id: make_hazard_model(cfg) for a in spec.agents}
+        # Every agent runs the same weights; the model counts passes per agent.
+        self.model = make_hazard_model(spec.model_config())
         self.tick = 0
         self.comm_bytes = 0
         self.comm_latency = 0.0
@@ -498,7 +505,6 @@ class Simulation:
         self.actions = []
         self.telemetry = []
         self.payload_bytes = []
-        self.prev_inboxes = {a.agent_id: [] for a in spec.agents}
         self._warned_m0 = False
 
     def live_agents(self):
@@ -508,78 +514,77 @@ class Simulation:
         return all(a.done for a in self.agents.values())
 
 
-# Paradigms.  A sender returns the message an agent broadcasts (or None) and
-# may extend its prefill cache; a receiver turns a non-empty inbox into the
-# decision's (logits, attention rows, context tags).
+# Paradigms.  A sender turns the live agents' prefill batch into the message
+# each of them broadcasts (or None) and may extend their caches in lock-step;
+# a receiver turns one agent's non-empty inbox into the decision's (logits,
+# attention rows, context tags).
 
-def _send_nothing(sim: Simulation, aid: int, pre):
-    return None
+def _send_nothing(sim: Simulation, live, pre):
+    return [None] * len(live)
 
 
-def _send_tokens(sim: Simulation, aid: int, pre):
-    """Language: greedily decode m tokens and relay their ids."""
-    model = sim.models[aid]
+def _send_tokens(sim: Simulation, live, pre):
+    """Language: greedily decode m tokens per agent in lock-step and relay their ids."""
+    model = sim.model
     h = pre.hidden
-    ids = []
-    for _ in range(sim.spec.m):
-        logits = project_to_logits(model, h)
-        tok = int(np.argmax(logits))
-        ids.append(tok)
-        sim.agents[aid].decoded_tokens += 1
-        h, _ = decode_step(model, model.w_in[tok], pre.cache)
-    return LanguageMessage(sender_id=aid, frame_id=sim.tick, token_ids=tuple(ids))
+    ids = np.zeros((sim.spec.m, len(live)), dtype=np.int64)
+    for step in range(sim.spec.m):
+        ids[step] = np.argmax(project_to_logits(model, h), axis=1)
+        h, _ = decode_step(model, model.w_in[ids[step]], pre.cache)
+    for aid in live:
+        sim.agents[aid].decoded_tokens += sim.spec.m
+    return [LanguageMessage(sender_id=aid, frame_id=sim.tick, token_ids=tuple(ids[:, i].tolist()))
+            for i, aid in enumerate(live)]
 
 
-def _send_cache(sim: Simulation, aid: int, pre, indices, l_comm_fraction: float):
+def _send_cache(sim: Simulation, aid: int, cache, indices, l_comm_fraction: float):
     """Payload of the selected prefill positions plus every latent one."""
-    return distill(pre.cache, sim.spec.observation_len, indices, l_comm_fraction,
+    return distill(cache, sim.spec.observation_len, indices, l_comm_fraction,
                    sender_id=aid, frame_id=sim.tick)
 
 
-def _send_visual(sim: Simulation, aid: int, pre):
-    """Visual: the whole prefill cache at full depth."""
-    return _send_cache(sim, aid, pre, list(range(sim.spec.observation_len)), 1.0)
+def _send_visual(sim: Simulation, live, pre):
+    """Visual: each whole prefill cache at full depth."""
+    every = range(sim.spec.observation_len)
+    return [_send_cache(sim, aid, cache, every, 1.0) for aid, cache in zip(live, pre.cache)]
 
 
-def _deliberate(sim: Simulation, aid: int, pre):
-    """Run m latent steps on the prefill cache and record their trace."""
-    spec = sim.spec
-    model = sim.models[aid]
-    align = compute_alignment(model)
-    fused = ()
-    if spec.attach_during_deliberation:
-        fused = [segment_from_payload(p) for p in sim.prev_inboxes[aid]]
-    delib = deliberate(model, align, pre.hidden, pre.cache, spec.m, fused_segments=fused)
+def _deliberate(sim: Simulation, live, pre):
+    """Run m latent steps on every prefill cache in lock-step and record the traces."""
+    delib = deliberate(sim.model, compute_alignment(sim.model), pre.hidden, pre.cache, sim.spec.m)
     if delib.steps > 0:
-        sim.telemetry.append(TraceRecord(tick=sim.tick, agent=aid, trace=delib.trace))
+        for aid, trace in zip(live, delib.trace):
+            sim.telemetry.append(TraceRecord(tick=sim.tick, agent=aid, trace=trace))
     return delib
 
 
-def _send_naive_latent(sim: Simulation, aid: int, pre):
+def _send_naive_latent(sim: Simulation, live, pre):
     """NaiveLatent: deliberate, then send prefill and latent caches at full depth."""
-    _deliberate(sim, aid, pre)
-    return _send_cache(sim, aid, pre, list(range(sim.spec.observation_len)), 1.0)
+    _deliberate(sim, live, pre)
+    return _send_visual(sim, live, pre)
 
 
-def _send_laco(sim: Simulation, aid: int, pre):
+def _send_laco(sim: Simulation, live, pre):
     """LACO: deliberate, keep the salient prefill positions, truncate to shallow layers."""
     spec = sim.spec
-    delib = _deliberate(sim, aid, pre)
+    delib = _deliberate(sim, live, pre)
     if spec.m == 0:
         if not sim._warned_m0:
             log.warning("LACO with m=0: no latent trace, transmitting nothing")
             sim._warned_m0 = True
-        return None
-    sal = saliency_scores(delib.trace, spec.observation_len, spec.rho)
-    indices = select_topk(sal)
-    return _send_cache(sim, aid, pre, indices, spec.l_comm_fraction)
+        return [None] * len(live)
+    messages = []
+    for aid, cache, trace in zip(live, pre.cache, delib.trace):
+        indices = select_topk(saliency_scores(trace, spec.observation_len, spec.rho))
+        messages.append(_send_cache(sim, aid, cache, indices, spec.l_comm_fraction))
+    return messages
 
 
 def _decide_on_tokens(sim: Simulation, aid: int, obs, cache, inbox):
     """Language: re-prefill [relayed tokens || observation], then decide on that."""
     prefix = [tok for msg in inbox for tok in msg.token_ids]
     tokens = np.concatenate([np.asarray(prefix, dtype=np.int64), obs])
-    pre = prefill(sim.models[aid], tokens)
+    pre = prefill(sim.model, tokens, agents=(aid,))
     return _decide(sim, aid, obs, pre.cache, ())
 
 
@@ -589,7 +594,7 @@ def _decide(sim: Simulation, aid: int, obs, cache, inbox):
     With an empty inbox this is the plain decision decode over the agent's
     own cache.
     """
-    model = sim.models[aid]
+    model = sim.model
     marker = model.w_in[sim.agents[aid].spec.marker_token].copy()
     result = collaborative_decode(model, marker, attach_payload(cache, inbox))
     return result.logits, result.attention_rows, result.context_tags
@@ -612,15 +617,10 @@ def run_tick(sim: Simulation):
     live = sim.live_agents()
     t = sim.tick
 
-    observations = {}
-    caches = {}
-    messages = {}
-    for aid in live:
-        obs = observe(sim.world, sim.agents, spec.hazards, aid, t)
-        observations[aid] = obs
-        pre = prefill(sim.models[aid], obs)
-        messages[aid] = sim.send(sim, aid, pre)
-        caches[aid] = pre.cache
+    observations = {aid: observe(sim.world, sim.agents, spec.hazards, aid, t) for aid in live}
+    pre = prefill(sim.model, np.stack([observations[aid] for aid in live]), agents=live)
+    caches = dict(zip(live, pre.cache))
+    messages = dict(zip(live, sim.send(sim, live, pre)))
 
     # Deliver messages at the tick boundary, ascending sender id.
     inboxes = {aid: [] for aid in live}
@@ -660,7 +660,6 @@ def run_tick(sim: Simulation):
         actions[aid] = action
         sim.actions.append((t, aid, ACTION_NAMES[action]))
         sim.telemetry.append(DecisionRecord(tick=t, agent=aid, rows=rows, tags=tags))
-    sim.prev_inboxes.update(inboxes)
 
     # Apply actions.
     moved = {}
@@ -728,7 +727,7 @@ def run_episode(spec: ScenarioSpec, paradigm: str | None = None) -> EpisodeResul
             infractions=dict(sorted(agent.infractions.items())),
             infraction_score=is_,
             driving_score=rc * is_,
-            forward_passes=sim.models[aid].stats.forward_passes,
+            forward_passes=sim.model.stats.forward_passes[aid],
             decoded_tokens=agent.decoded_tokens,
             brake_ticks=agent.brake_ticks,
             comm_bytes_sent=sim.sent_bytes[aid],

@@ -68,9 +68,16 @@ def _entropy_of_rows(rows: np.ndarray, epsilon: float) -> float:
 def layer_entropy(rows_per_layer, epsilon: float = DEFAULT_EPSILON) -> EntropyProfile:
     """Per-layer attention entropy of one step's rows.
 
-    Accepts a dense (L, H, N) array or a ragged list of (H, n_l) arrays.
+    Accepts a dense (L, H, N) array, summed for every layer in one pass (each
+    layer's H·N terms in the same order as a layer alone), or a ragged list
+    of (H, n_l) arrays, summed layer by layer.
     """
-    values = np.array([_entropy_of_rows(np.asarray(r), epsilon) for r in rows_per_layer])
+    if isinstance(rows_per_layer, np.ndarray):
+        a = rows_per_layer.astype(np.float64)
+        L, H = a.shape[:2]
+        values = -(a * np.log(a + epsilon)).reshape(L, -1).sum(axis=1) / H
+    else:
+        values = np.array([_entropy_of_rows(np.asarray(r), epsilon) for r in rows_per_layer])
     return EntropyProfile(values=values, epsilon=epsilon)
 
 

@@ -130,7 +130,14 @@ def payload_size_bytes(l_comm: int, num_heads: int, head_dim: int, salient: int,
 
 
 def serialize(p: Payload) -> bytes:
-    """Bit-exact, deterministic byte encoding of a payload."""
+    """Bit-exact, deterministic byte encoding of a payload.
+
+    A payload whose index table does not hold ``salient_count`` entries is
+    rejected, so ``p.size_bytes()`` is always the length of the stream.
+    """
+    if len(p.source_indices) != p.salient_count:
+        raise PayloadFormatError(
+            f"index table has {len(p.source_indices)} entries, salient_count is {p.salient_count}")
     np_dtype = _DTYPES[p.dtype_flag]
     parts = [
         _FIXED.pack(

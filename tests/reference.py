@@ -1,11 +1,28 @@
 """Independent straight-line oracles used by the test suite.
 
-Everything here recomputes from first principles in float64 with no caching
-and no shared code with the package's hot paths, so tests can compare the two
-implementations against each other.
+Most helpers recompute from first principles in float64 with no caching and
+no shared code with the package's hot paths, so tests can compare the two
+implementations against each other.  Two groups differ:
+
+* ``ref_prefill``, ``ref_forward_decode`` and ``ref_deliberate`` are the
+  package's own float32 forward passes, run one agent at a time on the
+  package kernels: the bit-exact oracle for the lock-step batch.
+* ``ref_snapshot``, ``ref_check_tag_partition`` and ``ref_naive_full_fusion``
+  copy, check or fully fuse whole caches for tests.
 """
 
 import numpy as np
+
+from laco import kernels
+from laco.fusion import FusedContext, collaborative_decode
+from laco.model import (
+    EGO_LATENT,
+    EGO_PREFILL,
+    FOREIGN_LATENT,
+    FOREIGN_PREFILL,
+    KVCache,
+    KVSegment,
+)
 
 
 def ref_forward_block(model, xs):
@@ -77,6 +94,81 @@ def ref_deliberate_hidden(model, tokens, w_a, m):
         xs.append(e_hat + model.pos[len(xs)].astype(np.float64))
         h = ref_forward_block(model, xs)[-1]
     return h
+
+
+class RefCache:
+    """One agent's own (L, H, capacity, d_h) keys/values, tags and length."""
+
+    def __init__(self, config):
+        shape = (config.num_layers, config.num_heads, config.max_context, config.head_dim)
+        self.k = np.zeros(shape, dtype=np.float32)
+        self.v = np.zeros(shape, dtype=np.float32)
+        self.tags = np.zeros(config.max_context, dtype=np.uint8)
+        self.length = 0
+
+
+def _ref_mlp(x, lw):
+    hidden = x @ lw.w_mlp1
+    np.maximum(hidden, 0.0, out=hidden)
+    return hidden @ lw.w_mlp2
+
+
+def ref_prefill(model, tokens):
+    """Per-agent prefill of one (T,) sequence: (hidden (d,), RefCache)."""
+    cfg = model.config
+    tokens = np.asarray(tokens, dtype=np.int64)
+    T = tokens.shape[0]
+    H, dh, d = cfg.num_heads, cfg.head_dim, cfg.model_dim
+    cache = RefCache(cfg)
+    x = model.w_in[tokens] + model.pos[:T]
+    for l, lw in enumerate(model.layers):
+        q = np.ascontiguousarray((x @ lw.w_q).reshape(T, H, dh).transpose(1, 0, 2))
+        k = np.ascontiguousarray((x @ lw.w_k).reshape(T, H, dh).transpose(1, 0, 2))
+        v = np.ascontiguousarray((x @ lw.w_v).reshape(T, H, dh).transpose(1, 0, 2))
+        cache.k[l, :, :T, :] = k
+        cache.v[l, :, :T, :] = v
+        out, _ = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
+        x = x + out.transpose(1, 0, 2).reshape(T, d) @ lw.w_o
+        x = x + _ref_mlp(x, lw)
+    cache.tags[:T] = EGO_PREFILL
+    cache.length = T
+    return x[-1].copy(), cache
+
+
+def ref_forward_decode(model, input_vec, cache, tag=EGO_LATENT):
+    """Per-agent decode of one (d,) input: (hidden (d,), rows per layer (H, n))."""
+    cfg = model.config
+    H, dh, d = cfg.num_heads, cfg.head_dim, cfg.model_dim
+    n = cache.length
+    x = np.asarray(input_vec, dtype=np.float32) + model.pos[n]
+    rows_per_layer = []
+    for l, lw in enumerate(model.layers):
+        q = (x @ lw.w_q).reshape(H, dh)
+        cache.k[l, :, n, :] = (x @ lw.w_k).reshape(H, dh)
+        cache.v[l, :, n, :] = (x @ lw.w_v).reshape(H, dh)
+        out, rows = kernels.attend_single(
+            cache.k[l, :, : n + 1, :], cache.v[l, :, : n + 1, :], q, model.inv_sqrt_head_dim)
+        rows_per_layer.append(rows)
+        x = x + out.reshape(d) @ lw.w_o
+        x = x + _ref_mlp(x, lw)
+    cache.tags[n] = tag
+    cache.length = n + 1
+    return x, rows_per_layer
+
+
+def ref_deliberate(model, w_a, h0, cache, m):
+    """Per-agent latent loop: (final hidden, (m, L, H, n0 + m) trace, lengths)."""
+    cfg = model.config
+    n0 = cache.length
+    array = np.zeros((m, cfg.num_layers, cfg.num_heads, n0 + m), dtype=np.float32)
+    lengths = np.zeros(m, dtype=np.int64)
+    h = np.asarray(h0, dtype=np.float32)
+    for t in range(m):
+        h, rows_per_layer = ref_forward_decode(model, h @ w_a, cache)
+        for l, rows in enumerate(rows_per_layer):
+            array[t, l, :, : rows.shape[1]] = rows
+        lengths[t] = rows_per_layer[0].shape[1]
+    return h, array, lengths
 
 
 def ref_saliency(trace_array, lengths, prefill_len):
@@ -214,3 +306,32 @@ def ref_visible(grid, frm, to):
             if ref_segment_hits_box(p0, p1, r, c):
                 return False
     return True
+
+
+def ref_snapshot(cache):
+    """A stand-alone copy of one agent's cache, in a store of its own."""
+    dup = KVCache(cache.config, cache.agent)
+    dup.k[...] = cache.k
+    dup.v[...] = cache.v
+    dup.tags[:] = cache.tags
+    dup.length = cache.length
+    return dup
+
+
+def ref_check_tag_partition(cache):
+    """Assert the tag-partition invariant: ego prefill precedes ego latent."""
+    tags = cache.tags[: cache.length]
+    ego = tags[(tags == EGO_PREFILL) | (tags == EGO_LATENT)]
+    if ego.size and np.any(np.diff(ego.astype(np.int8)) < 0):
+        raise AssertionError("ego prefill positions must precede ego latent positions")
+
+
+def ref_naive_full_fusion(model, input_vec, ego, foreign):
+    """Full-depth fusion baseline: every layer attends over [ego || all of foreign]."""
+    n = foreign.length
+    segment = KVSegment(
+        keys=foreign.k[:, :, :n].copy(),
+        values=foreign.v[:, :, :n].copy(),
+        tags=np.where(foreign.tags[:n] == EGO_LATENT, FOREIGN_LATENT, FOREIGN_PREFILL).astype(np.uint8),
+    )
+    return collaborative_decode(model, input_vec, FusedContext(ego=ego, segments=[segment]))

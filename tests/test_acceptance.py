@@ -27,7 +27,7 @@ from laco.model import (
 )
 from laco.telemetry import DecisionRecord, confusion_index, layer_entropy
 from laco.wire import DTYPE_F16, DTYPE_F32, deserialize, distill, serialize
-from reference import ref_layer_entropy, ref_saliency
+from reference import ref_layer_entropy, ref_saliency, ref_snapshot
 from test_wire import random_payload
 
 OCCLUDED = ("occluded_1", "occluded_2", "occluded_3", "occluded_4", "occluded_5")
@@ -73,8 +73,8 @@ def test_c01_empty_payload_equivalence():
                 tokens = rng.integers(0, V, size=int(rng.integers(1, 8)))
                 base = prefill(model, tokens)
                 x = rng.normal(scale=0.7, size=d).astype(np.float32)
-                plain_cache = base.cache.snapshot()
-                fused_cache = base.cache.snapshot()
+                plain_cache = ref_snapshot(base.cache)
+                fused_cache = ref_snapshot(base.cache)
                 hidden, rows = decode_step(model, x, plain_cache)
                 logits = project_to_logits(model, hidden)
                 out = collaborative_decode(model, x, attach_payload(fused_cache, []))
@@ -196,12 +196,12 @@ def test_c07_latency_accounting():
         spec = sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
         sim = sc.Simulation(spec, "LACO")
         for _ in range(3):
-            before_fwd = {aid: sim.models[aid].stats.forward_passes for aid in sim.live_agents()}
+            before_fwd = {aid: sim.model.stats.forward_passes[aid] for aid in sim.live_agents()}
             before_dec = {aid: sim.agents[aid].decoded_tokens for aid in sim.live_agents()}
             live = sim.live_agents()
             sc.run_tick(sim)
             for aid in live:
-                assert sim.models[aid].stats.forward_passes - before_fwd[aid] == spec.m + 2
+                assert sim.model.stats.forward_passes[aid] - before_fwd[aid] == spec.m + 2
                 assert sim.agents[aid].decoded_tokens - before_dec[aid] == 0
         sim_l = sc.Simulation(spec, "Language")
         for _ in range(3):

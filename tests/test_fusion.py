@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from laco.errors import ShapeMismatchError
-from laco.fusion import attach_payload, collaborative_decode, naive_full_fusion
+from laco.fusion import attach_payload, collaborative_decode
 from laco.ild import compute_alignment, deliberate
 from laco.model import (
     FOREIGN_LATENT,
@@ -22,6 +22,7 @@ from laco.model import (
     project_to_logits,
 )
 from laco.wire import distill
+from reference import ref_naive_full_fusion, ref_snapshot
 
 
 def cfg(seed=0, **kw):
@@ -112,7 +113,7 @@ class TestEquivalences:
         res_b = prefill(mdl_b, [7, 8])
         x = np.full(8, 0.25, dtype=np.float32)
         via_payload = collaborative_decode(mdl_a, x, attach_payload(res_a.cache, payload))
-        via_naive = naive_full_fusion(mdl_b, x, res_b.cache, foreign_cache)
+        via_naive = ref_naive_full_fusion(mdl_b, x, res_b.cache, foreign_cache)
         np.testing.assert_array_equal(via_payload.hidden, via_naive.hidden)
         np.testing.assert_array_equal(via_payload.logits, via_naive.logits)
 
@@ -122,7 +123,7 @@ class TestEquivalences:
         foreign = prefill(init_model(cfg(seed=7)), [9]).cache
         foreign.length = 0  # empty view of a fresh cache
         x = np.zeros(8, dtype=np.float32)
-        out = naive_full_fusion(mdl, x, res.cache, foreign)
+        out = ref_naive_full_fusion(mdl, x, res.cache, foreign)
         mdl2 = init_model(cfg(seed=7))
         res2 = prefill(mdl2, [1, 2, 3])
         h, _ = decode_step(mdl2, x, res2.cache)
@@ -134,7 +135,7 @@ class TestEquivalences:
         res = prefill(mdl, [1, 2, 3, 4])
         twin = prefill(init_model(cfg(seed=8)), [1, 2, 3, 4]).cache
         x = np.linspace(0, 1, 8).astype(np.float32)
-        out = naive_full_fusion(mdl, x, res.cache, twin)
+        out = ref_naive_full_fusion(mdl, x, res.cache, twin)
         for rows, tags in zip(out.attention_rows, out.context_tags):
             foreign = (tags == FOREIGN_PREFILL) | (tags == FOREIGN_LATENT)
             ego_mass = rows[:, ~foreign].sum(axis=1, dtype=np.float64)
@@ -164,7 +165,7 @@ class TestDepthIsolation:
         sender_a = init_model(cfg(seed=10))
         sender_b = init_model(cfg(seed=10))
         pa, cache_a = build_payload(sender_a, [2, 4, 6], m=2, fraction=0.25)
-        cache_b = cache_a.snapshot()
+        cache_b = ref_snapshot(cache_a)
         cache_b.k[1:] += 17.0
         cache_b.v[1:] -= 3.0
         T = 3
@@ -219,7 +220,7 @@ class TestHazardFusion:
 
         mdl_naive, res_naive = self._clear_ego()
         marker = mdl_naive.w_in[TOKEN_EGO_A].copy()
-        naive = naive_full_fusion(mdl_naive, marker, res_naive.cache, foreign_cache)
+        naive = ref_naive_full_fusion(mdl_naive, marker, res_naive.cache, foreign_cache)
         assert int(np.argmax(naive.logits)) == TOKEN_BRAKE
 
         mdl_shallow, res_shallow = self._clear_ego()

@@ -13,7 +13,7 @@ from laco.model import (
     make_hazard_model,
     prefill,
 )
-from reference import ref_deliberate_hidden
+from reference import ref_check_tag_partition, ref_deliberate_hidden
 
 
 def cfg(seed=0, **kw):
@@ -80,7 +80,7 @@ class TestDeliberate:
         deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, m_steps)
         assert res.cache.length == 4 + m_steps
         assert np.all(res.cache.tags[4 : 4 + m_steps] == EGO_LATENT)
-        res.cache.validate()
+        ref_check_tag_partition(res.cache)
 
     def test_default_ten_steps_on_stable_model(self):
         mdl = make_hazard_model(cfg())
@@ -99,9 +99,9 @@ class TestDeliberate:
     def test_forward_pass_count(self):
         mdl = init_model(cfg(seed=8))
         res = prefill(mdl, [1, 2])
-        before = mdl.stats.forward_passes
+        before = mdl.stats.forward_passes[0]
         deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, 6)
-        assert mdl.stats.forward_passes == before + 6
+        assert mdl.stats.forward_passes[0] == before + 6
 
     def test_trace_context_lengths(self):
         mdl = init_model(cfg(seed=9))

@@ -33,6 +33,34 @@ hazard = lane=A path=3,4 hide=1,4 appear=0 enter=3 clear=5
 """
 
 
+_FUZZ_KEYS = ("agent", "route", "hazard", "grid") + tuple(sc._SCALARS)
+_FUZZ_WORDS = (
+    "0", "1", "-1", "A", "B", "C", "3,0", "3,4", "1,4", "0,0", "3,", ",", "x", "=",
+    "lane=A", "lane=B", "path=3,4", "hide=1,4", "appear=0", "enter=3", "clear=5", "enter=",
+    "1e9", "nan", "inf", "-0.5", "0.5", "LACO", "..#", "......", "99999999999999999999,0",
+)
+
+
+@st.composite
+def mutated_scenario(draw):
+    """MINI with lines replaced, inserted or dropped: keys from the format, values garbled."""
+    lines = MINI.strip().splitlines()
+    word = st.one_of(st.sampled_from(_FUZZ_WORDS), st.text(max_size=6))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(lines)))
+        action = draw(st.sampled_from(("replace", "insert", "drop")))
+        if action == "drop" and at < len(lines):
+            del lines[at]
+            continue
+        key = draw(st.sampled_from(_FUZZ_KEYS))
+        line = f"{key} = {' '.join(draw(st.lists(word, max_size=6)))}"
+        if action == "replace" and at < len(lines):
+            lines[at] = line
+        else:
+            lines.insert(at, line)
+    return "\n".join(lines)
+
+
 def mini_spec(**overrides):
     spec = sc.parse_scenario(MINI)
     if overrides:
@@ -65,12 +93,23 @@ class TestParser:
             ("rho = 0", "rho must be in"),
             ("m = -1", "m must be >= 0"),
             ("l_comm_fraction = 0", "l_comm_fraction must be in"),
+            ("channel_base_latency_s = -0.5", "channel"),
+            ("channel_range_m = 0", "channel"),
+            ("attach_during_deliberation = true", "unknown scenario key"),
         ],
     )
     def test_rejects_malformed(self, mutation):
         line, match = mutation
         with pytest.raises(ScenarioError, match=match):
             sc.parse_scenario(MINI + line + "\n")
+
+    @given(mutated_scenario())
+    @settings(max_examples=100, deadline=1000)
+    def test_fuzzed_text_parses_or_raises_scenario_error(self, text):
+        try:
+            sc.parse_scenario(text)
+        except ScenarioError:
+            pass
 
     def test_route_must_be_connected(self):
         text = MINI.replace("route = 0 3,0 3,1 3,2 3,3 3,4 3,5", "route = 0 3,0 3,2 3,4 3,5")
@@ -147,7 +186,7 @@ class TestLineOfSight:
     @pytest.mark.parametrize("name", sc.builtin_scenario_names())
     def test_every_cell_pair_matches_scalar_oracle(self, name):
         spec = sc.load_scenario(sc.builtin_scenario_path(name))
-        world = sc.World(spec)
+        world = sc.World(spec.grid, spec.cell_size_m)
         for r in range(spec.rows):
             for c in range(spec.cols):
                 assert_row_matches_oracle(world, spec.grid, (r, c))
@@ -156,11 +195,19 @@ class TestLineOfSight:
     @settings(max_examples=60, deadline=2000)
     def test_random_grids_match_scalar_oracle(self, case):
         grid, frm = case
-        assert_row_matches_oracle(sc.World(mini_spec(grid=grid)), grid, frm)
+        assert_row_matches_oracle(sc.World(grid, 10.0), grid, frm)
 
-    def test_revisited_viewpoint_is_memoized(self):
-        world = sc.World(mini_spec())
+    def test_revisited_viewpoint_is_memoized(self, monkeypatch):
+        spec = mini_spec()
+        world = sc.World(spec.grid, spec.cell_size_m)
         assert world.visibility((3, 0)) is world.visibility((3, 0))
+        # A second episode of the same layout reuses the first one's World
+        # and traces no viewpoint again.
+        first = sc.run_episode(spec, "LACO")
+        assert sc.Simulation(spec, "NonCollab").world is sc.Simulation(spec, "LACO").world
+        monkeypatch.setattr(sc.World, "_trace", pytest.fail)
+        second = sc.run_episode(spec, "LACO")
+        assert second.actions == first.actions
 
 
 class TestEpisodes:
@@ -308,14 +355,6 @@ class TestSweep:
         monkeypatch.setattr(sc, "run_episode", pytest.fail)
         with pytest.raises(ScenarioError, match=param):
             sc.sweep(param, [1, value], [mini_spec()])
-
-
-class TestAttachDuringDeliberation:
-    def test_flag_defaults_off_and_runs_when_on(self):
-        base = sc.run_episode(mini_spec(), "LACO")
-        flagged = sc.run_episode(mini_spec(attach_during_deliberation=True), "LACO")
-        assert base.agents[0].infractions == {}
-        assert flagged.agents[0].infractions == {}
 
 
 # occluded_3 plus two lane-B agents: three peers relay to every receiver.

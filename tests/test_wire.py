@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laco import scenario as sc
+from laco import wire
 from laco.errors import ConfigError, PayloadFormatError
 from laco.ild import compute_alignment, deliberate
 from laco.model import EGO_LATENT, EGO_PREFILL, KVCache, ModelConfig, init_model, prefill
@@ -201,9 +202,21 @@ class TestSerialization:
     def test_bad_index_table_rejected(self, indices):
         rng = np.random.default_rng(4)
         p = random_payload(rng, 1, 2, 2, 1, 4)
-        p.source_indices = indices
+        # serialize refuses a mismatched table, so pack the stream by hand.
+        header = wire._FIXED.pack(
+            wire.MAGIC, wire.VERSION, p.sender_id, p.frame_id, p.l_comm, p.num_heads,
+            p.head_dim, p.salient_count, p.latent_count, p.dtype_flag, len(indices))
+        table = np.asarray(indices, dtype="<u4").tobytes()
+        body = b"".join(arr[l].tobytes() for l in range(p.l_comm) for arr in (p.keys, p.values))
         with pytest.raises(PayloadFormatError):
-            deserialize(serialize(p))
+            deserialize(header + table + body)
+
+    @pytest.mark.parametrize("indices", [(1,), (0, 1, 2)], ids=["short_table", "long_table"])
+    def test_serialize_rejects_mismatched_index_table(self, indices):
+        p = random_payload(np.random.default_rng(4), 1, 2, 2, 1, 4)
+        p.source_indices = indices
+        with pytest.raises(PayloadFormatError, match="index table"):
+            serialize(p)
 
     @given(st.binary(max_size=200))
     @settings(max_examples=100, deadline=1000)
