@@ -74,10 +74,9 @@ def deliberate(
     """
     if m < 0:
         raise ConfigError("step count m must be >= 0")
-    cfg = model.config
     single = isinstance(cache, KVCache)
     A = 1 if single else len(cache)
-    L, H = cfg.num_layers, cfg.num_heads
+    L, H = model.config.num_layers, model.config.num_heads
     n0 = (cache if single else cache[0]).length
     array = np.zeros((A, m, L, H, n0 + m), dtype=np.float32)
     lengths = np.arange(n0 + 1, n0 + m + 1, dtype=np.int64)

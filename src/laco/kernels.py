@@ -48,11 +48,14 @@ def attend_causal(queries, keys, values, inv_sqrt_dh):
     """
     q64 = queries.astype(np.float64)
     k64 = keys.astype(np.float64)
-    logits = (q64 @ k64.transpose(0, 2, 1)) * inv_sqrt_dh
-    np.copyto(logits, -np.inf, where=_future_mask(queries.shape[1]))
-    logits -= logits.max(axis=2, keepdims=True)
-    e = np.exp(logits)
-    p = e / e.sum(axis=2, keepdims=True)
+    # One (H, T, T) float64 block, reused in place, for a batch folded into H.
+    p = q64 @ k64.transpose(0, 2, 1)
+    p *= inv_sqrt_dh
+    np.copyto(p, -np.inf, where=_future_mask(queries.shape[1]))
+    p -= p.max(axis=2, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=2, keepdims=True)
     rows = p.astype(np.float32)
-    out64 = rows.astype(np.float64) @ values.astype(np.float64)
+    np.copyto(p, rows)
+    out64 = p @ values.astype(np.float64)
     return out64.astype(np.float32), rows

@@ -68,9 +68,8 @@ def _entropy_of_rows(rows: np.ndarray, epsilon: float) -> float:
 def layer_entropy(rows_per_layer, epsilon: float = DEFAULT_EPSILON) -> EntropyProfile:
     """Per-layer attention entropy of one step's rows.
 
-    Accepts a dense (L, H, N) array, summed for every layer in one pass (each
-    layer's H·N terms in the same order as a layer alone), or a ragged list
-    of (H, n_l) arrays, summed layer by layer.
+    Accepts a dense (L, H, N) array, all layers in one pass (bit-equal to
+    summing each layer alone), or a ragged list of (H, n_l) arrays.
     """
     if isinstance(rows_per_layer, np.ndarray):
         a = rows_per_layer.astype(np.float64)
