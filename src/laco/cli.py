@@ -62,20 +62,20 @@ def _cmd_analyze(args) -> int:
     sparsity_rows = []
     confusion_rows = []
     for rec in records:
+        tick, agent = rec.tick, rec.agent
         if isinstance(rec, TraceRecord):
             profile = trace_entropy(rec.trace)
-            for layer, e in enumerate(profile.values):
-                entropy_rows.append((rec.tick, rec.agent, layer + 1, float(e)))
+            entropy_rows += [(tick, agent, layer, e)
+                             for layer, e in enumerate(profile.values.tolist(), start=1)]
             curve = sparsity_curve(rec.trace)
             n = curve.cumulative.shape[0]
-            for rank, mass in enumerate(curve.cumulative, start=1):
-                sparsity_rows.append(
-                    (rec.tick, rec.agent, rank, rank / n, float(mass), curve.fraction_for_80)
-                )
+            f80 = curve.fraction_for_80
+            sparsity_rows += [(tick, agent, rank, rank / n, mass, f80)
+                              for rank, mass in enumerate(curve.cumulative.tolist(), start=1)]
         elif isinstance(rec, DecisionRecord):
             idx = confusion_index(rec.rows, rec.tags)
-            for layer, frac in enumerate(idx.values):
-                confusion_rows.append((rec.tick, rec.agent, layer + 1, float(frac)))
+            confusion_rows += [(tick, agent, layer, frac)
+                               for layer, frac in enumerate(idx.values.tolist(), start=1)]
     emit(args.out, entropy_rows, sparsity_rows, confusion_rows)
     print(f"wrote entropy.csv, sparsity.csv, confusion.csv under {args.out}")
     return 0

@@ -344,7 +344,7 @@ class AttentionTrace:
         if not np.all(np.abs(a.sum(axis=3, dtype=np.float64) - 1.0) <= 1e-6):
             raise AssertionError("attention row does not sum to 1 within 1e-6")
         beyond = np.arange(a.shape[3]) >= lengths[:, None]
-        if np.any(np.where(beyond[:, None, None, :], a, 0.0)):
+        if np.any((a != 0) & beyond[:, None, None, :]):
             raise AssertionError("attention weight beyond the step's context length")
 
     @property

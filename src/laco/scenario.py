@@ -300,6 +300,8 @@ def _validate_spec(spec: ScenarioSpec):
     # The bounds deliberate, saliency_scores and distill enforce at run time.
     if spec.m < 0:
         raise ScenarioError(f"m must be >= 0, got {spec.m}")
+    if not 0.0 < spec.cell_size_m < np.inf:
+        raise ScenarioError(f"cell_size_m must be positive and finite, got {spec.cell_size_m}")
     for key in ("rho", "l_comm_fraction"):
         if not 0.0 < getattr(spec, key) <= 1.0:
             raise ScenarioError(f"{key} must be in (0, 1], got {getattr(spec, key)}")

@@ -6,7 +6,7 @@ Three diagnostics over recorded attention:
 * sparsity curve     sorted cumulative per-token attention mass
 * confusion index    per-layer fraction of attention mass on foreign positions
 
-plus deterministic CSV/JSON emission (9 significant digits) and a
+plus deterministic CSV emission (9 significant digits) and a
 length-prefixed binary record stream (``telemetry.bin``) connecting
 ``laco run`` to ``laco analyze``.
 
@@ -25,7 +25,6 @@ steps.  The per-token mass behind the sparsity curve is the mean over
 from the max-then-mean saliency score used for pruning.
 """
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,15 +80,25 @@ def layer_entropy(rows_per_layer, epsilon: float = DEFAULT_EPSILON) -> EntropyPr
 
 
 def trace_entropy(trace: AttentionTrace, epsilon: float = DEFAULT_EPSILON) -> EntropyProfile:
-    """Per-layer entropy averaged over the trace's steps."""
+    """Per-layer entropy averaged over the trace's steps.
+
+    ``a * log(a + eps)`` is computed once over the whole trace; each step then
+    sums its ``[:, :, :n]`` block per layer in one contiguous pass, the same
+    pairwise sums, hence the same bits, as ``layer_entropy`` of that block.
+    The steps' values are added in step order, as a per-step loop adds them.
+    """
     if trace.num_steps == 0:
         raise ConfigError("entropy of an empty trace is undefined")
-    acc = None
-    for t in range(trace.num_steps):
-        n = int(trace.lengths[t])
-        prof = layer_entropy(trace.array[t, :, :, :n], epsilon)
-        acc = prof.values if acc is None else acc + prof.values
-    return EntropyProfile(values=acc / trace.num_steps, epsilon=epsilon)
+    a = trace.array.astype(np.float64)
+    h = a + epsilon
+    np.log(h, out=h)
+    h *= a
+    steps, L, H = a.shape[:3]
+    sums = np.empty((steps, L))
+    for t, n in enumerate(trace.lengths.tolist()):
+        h[t, :, :, :n].reshape(L, -1).sum(axis=1, out=sums[t])
+    sums /= -H
+    return EntropyProfile(values=np.add.accumulate(sums)[-1] / steps, epsilon=epsilon)
 
 
 def sparsity_curve(trace: AttentionTrace) -> SparsityCurve:
@@ -136,28 +145,51 @@ def write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def emit(out_dir, entropy_rows, sparsity_rows, confusion_rows, metrics=None):
-    """Write entropy.csv / sparsity.csv / confusion.csv (+ metrics.json).
+# The types a value of each column kind may have; a bool is neither.
+_COLUMN_TYPES = {"d": (int, np.integer), "g": (float, np.floating)}
+
+
+def _write_typed_csv(path: Path, header, kinds: str, rows):
+    """``write_csv`` for fixed column types, one ``%`` format per row.
+
+    ``kinds`` has one letter per column: ``d`` for an integer column (int or
+    numpy integer, not bool), ``g`` for a float column (float or numpy
+    floating).  Such values print exactly as ``_fmt`` prints them; any other
+    value raises ``TypeError`` rather than print differently.
+    """
+    rows = list(map(tuple, rows))
+    for kind, column in zip(kinds, zip(*rows)):
+        python_type, numpy_type = _COLUMN_TYPES[kind]
+        for t in set(map(type, column)):
+            if not (t is python_type or issubclass(t, numpy_type)):
+                raise TypeError(f"{t.__name__} value in a {kind!r} column of {path.name}")
+    fmt = ",".join("%d" if kind == "d" else "%.9g" for kind in kinds)
+    lines = [",".join(header), *map(fmt.__mod__, rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def emit(out_dir, entropy_rows, sparsity_rows, confusion_rows):
+    """Write entropy.csv / sparsity.csv / confusion.csv.
 
     Row shapes: entropy (tick, agent, layer, entropy); sparsity (tick, agent,
     rank, token_fraction, cumulative_mass, fraction_for_80); confusion
-    (tick, agent, layer, foreign_fraction).  Output is byte-deterministic for
-    identical inputs.
+    (tick, agent, layer, foreign_fraction).  tick, agent, layer and rank are
+    integers, the rest floats (9 significant digits); a value of another
+    type raises ``TypeError``.  Output is byte-deterministic for identical
+    inputs.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "entropy.csv", ("tick", "agent", "layer", "entropy"), entropy_rows)
-    write_csv(
+    _write_typed_csv(out / "entropy.csv", ("tick", "agent", "layer", "entropy"), "dddg",
+                     entropy_rows)
+    _write_typed_csv(
         out / "sparsity.csv",
         ("tick", "agent", "rank", "token_fraction", "cumulative_mass", "fraction_for_80"),
+        "dddggg",
         sparsity_rows,
     )
-    write_csv(
-        out / "confusion.csv", ("tick", "agent", "layer", "foreign_fraction"), confusion_rows
-    )
-    if metrics is not None:
-        text = json.dumps(metrics, sort_keys=True, indent=2)
-        (out / "metrics.json").write_text(text + "\n", encoding="ascii")
+    _write_typed_csv(out / "confusion.csv", ("tick", "agent", "layer", "foreign_fraction"),
+                     "dddg", confusion_rows)
     return out
 
 

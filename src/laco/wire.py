@@ -232,7 +232,9 @@ class ChannelConfig:
     base_latency_s: float = 0.01
 
     def __post_init__(self):
-        if self.range_m <= 0 or self.bandwidth_bytes_per_s <= 0 or self.base_latency_s < 0:
+        # Written so that NaN fails: every comparison with NaN is false.
+        if not (self.range_m > 0 and self.bandwidth_bytes_per_s > 0
+                and 0 <= self.base_latency_s < math.inf):
             raise ConfigError("invalid channel configuration")
 
 

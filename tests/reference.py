@@ -2,14 +2,19 @@
 
 Most helpers recompute from first principles in float64 with no caching and
 no shared code with the package's hot paths, so tests can compare the two
-implementations against each other.  Two groups differ:
+implementations against each other.  Three groups differ:
 
 * ``ref_prefill``, ``ref_forward_decode`` and ``ref_deliberate`` are the
   package's own float32 forward passes, run one agent at a time on the
   package kernels: the bit-exact oracle for the lock-step batch.
 * ``ref_snapshot``, ``ref_check_tag_partition`` and ``ref_naive_full_fusion``
   copy, check or fully fuse whole caches for tests.
+* ``ref_trace_entropy`` and ``ref_emit`` are the package's one-step-at-a-time
+  entropy loop and its per-value CSV writer: the bit- and byte-exact oracles
+  for ``trace_entropy`` and ``emit``.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from laco.model import (
     KVCache,
     KVSegment,
 )
+from laco.telemetry import DEFAULT_EPSILON, layer_entropy
 
 
 def ref_forward_block(model, xs):
@@ -204,6 +210,34 @@ def ref_layer_entropy(rows, epsilon):
             a = float(a)
             total += a * np.log(a + epsilon)
     return -total / H
+
+
+def ref_trace_entropy(trace, epsilon=DEFAULT_EPSILON):
+    """``layer_entropy`` of each step's ``[:, :, :n]`` block, summed in step
+    order, divided by the step count."""
+    acc = None
+    for t in range(trace.num_steps):
+        n = int(trace.lengths[t])
+        values = layer_entropy(trace.array[t, :, :, :n], epsilon).values
+        acc = values if acc is None else acc + values
+    return acc / trace.num_steps
+
+
+def ref_emit(out_dir, entropy_rows, sparsity_rows, confusion_rows):
+    """The three diagnostics CSVs, one value at a time: a float (Python or
+    numpy) as ``format(x, '.9g')``, anything else as ``str(x)``."""
+    def fmt(x):
+        return format(float(x), ".9g") if isinstance(x, (float, np.floating)) else str(x)
+
+    files = {
+        "entropy.csv": (("tick", "agent", "layer", "entropy"), entropy_rows),
+        "sparsity.csv": (("tick", "agent", "rank", "token_fraction", "cumulative_mass",
+                          "fraction_for_80"), sparsity_rows),
+        "confusion.csv": (("tick", "agent", "layer", "foreign_fraction"), confusion_rows),
+    }
+    for name, (header, rows) in files.items():
+        lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+        (Path(out_dir) / name).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def ref_sparsity(mass):

@@ -99,6 +99,9 @@ BAD_SCENARIO_LINES = {
     "rho_zero": "rho = 0",
     "m_negative": "m = -1",
     "l_comm_fraction_zero": "l_comm_fraction = 0",
+    "bandwidth_nan": "channel_bandwidth_bytes_per_s = nan",
+    "cell_size_nan": "cell_size_m = nan",
+    "cell_size_negative": "cell_size_m = -10",
 }
 
 

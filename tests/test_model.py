@@ -262,6 +262,22 @@ class TestAttentionTrace:
         with pytest.raises(AssertionError, match=message):
             self._one_row(row, length)
 
+    def _padded(self, pad):
+        """Two steps of width 3; step 0 has length 2 and ``pad`` beyond it."""
+        array = np.full((2, 1, 2, 3), 1.0 / 3.0, dtype=np.float32)
+        array[0, :, :, :2] = 0.5
+        array[0, :, :, 2] = pad
+        return AttentionTrace(array, np.array([2, 3]))
+
+    def test_negative_zero_beyond_length_accepted(self):
+        assert np.signbit(self._padded(-0.0).array[0, 0, 0, 2])
+
+    @pytest.mark.parametrize("pad", [np.nan, np.inf, np.float32(1e-45)],
+                             ids=["nan", "inf", "float32_subnormal"])
+    def test_nonzero_beyond_length_rejected(self, pad):
+        with pytest.raises(AssertionError):
+            self._padded(pad)
+
     def test_one_bad_row_among_many_rejected(self):
         array = np.full((3, 2, 2, 4), 0.25, dtype=np.float32)
         array[2, 1, 0, 3] = 0.2501

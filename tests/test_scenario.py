@@ -96,6 +96,13 @@ class TestParser:
             ("channel_base_latency_s = -0.5", "channel"),
             ("channel_range_m = 0", "channel"),
             ("attach_during_deliberation = true", "unknown scenario key"),
+            ("channel_range_m = nan", "channel"),
+            ("channel_bandwidth_bytes_per_s = nan", "channel"),
+            ("channel_base_latency_s = nan", "channel"),
+            ("cell_size_m = nan", "cell_size_m must be positive and finite"),
+            ("cell_size_m = inf", "cell_size_m must be positive and finite"),
+            ("cell_size_m = -10", "cell_size_m must be positive and finite"),
+            ("cell_size_m = 0", "cell_size_m must be positive and finite"),
         ],
     )
     def test_rejects_malformed(self, mutation):

@@ -23,7 +23,7 @@ from laco.telemetry import (
     trace_entropy,
     trace_record_to_trace,
 )
-from reference import ref_layer_entropy, ref_sparsity
+from reference import ref_emit, ref_layer_entropy, ref_sparsity, ref_trace_entropy
 
 
 def dist_rows(rng, H, n):
@@ -69,6 +69,31 @@ class TestEntropy:
         trace = AttentionTrace(array, np.array([2, 4]))
         prof = trace_entropy(trace)
         np.testing.assert_allclose(prof.values[0], (np.log(2) + np.log(4)) / 2, atol=1e-5)
+
+
+@st.composite
+def ragged_traces(draw):
+    """Valid traces of 1-5 steps whose widest step has H*n past numpy's
+    128-element pairwise-sum block; steps have ragged lengths and exact zeros."""
+    steps, L, H = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    width = draw(st.integers(128 // H + 1, 160))
+    lengths = draw(st.lists(st.integers(1, width), min_size=steps, max_size=steps))
+    lengths[draw(st.integers(0, steps - 1))] = width
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    array = np.zeros((steps, L, H, width), dtype=np.float32)
+    for t, n in enumerate(lengths):
+        raw = rng.random((L, H, n))
+        raw[raw < 0.2] = 0.0
+        raw[..., 0] += 1e-3
+        array[t, :, :, :n] = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
+    return AttentionTrace(array, np.array(lengths))
+
+
+class TestTraceEntropyOracle:
+    @given(ragged_traces())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_per_step_loop(self, trace):
+        np.testing.assert_array_equal(trace_entropy(trace).values, ref_trace_entropy(trace))
 
 
 class TestSparsity:
@@ -159,9 +184,9 @@ class TestEmit:
         rows = [(0, 1, 1, 1.234567891234), (0, 1, 2, 0.5)]
         spars = [(0, 1, 1, 0.5, 0.75, 0.5)]
         conf = [(0, 1, 1, 0.0)]
-        emit(tmp_path / "a", rows, spars, conf, metrics={"ds": 50.0})
-        emit(tmp_path / "b", rows, spars, conf, metrics={"ds": 50.0})
-        for name in ("entropy.csv", "sparsity.csv", "confusion.csv", "metrics.json"):
+        emit(tmp_path / "a", rows, spars, conf)
+        emit(tmp_path / "b", rows, spars, conf)
+        for name in ("entropy.csv", "sparsity.csv", "confusion.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_empty_rows_header_only(self, tmp_path):
@@ -174,6 +199,47 @@ class TestEmit:
         line = (tmp_path / "entropy.csv").read_text().splitlines()[1]
         parsed = float(line.split(",")[-1])
         assert parsed == pytest.approx(value, rel=1e-8)
+
+
+SPECIAL_FLOATS = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072009e-308,
+                  1e300, -1e-300, 1.7976931348623157e308, 0.1 + 0.2)
+any_float = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)).flatmap(
+    lambda x: st.sampled_from((x, np.float64(x))))
+any_int = st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64))
+diag_row = st.tuples(any_int, any_int, any_int, any_float)
+sparsity_row = st.tuples(any_int, any_int, any_int, any_float, any_float, any_float)
+
+
+class TestEmitOracle:
+    @given(st.lists(diag_row, max_size=8), st.lists(sparsity_row, max_size=8),
+           st.lists(diag_row, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_equal_per_value_oracle(self, tmp_path_factory, ent, spars, conf):
+        base = tmp_path_factory.mktemp("emit")
+        (base / "ref").mkdir()
+        emit(base / "fast", ent, spars, conf)
+        ref_emit(base / "ref", ent, spars, conf)
+        for name in ("entropy.csv", "sparsity.csv", "confusion.csv"):
+            assert (base / "fast" / name).read_bytes() == (base / "ref" / name).read_bytes()
+
+    @given(any_float, st.integers(0, 2), st.integers(0, 2))
+    @settings(max_examples=50, deadline=None)
+    def test_float_in_integer_column_raises(self, tmp_path_factory, x, column, which):
+        row = [0, 1, 2, 0.5] if which != 1 else [0, 1, 2, 0.5, 0.5, 0.5]
+        row[column] = x
+        tables = [[], [], []]
+        tables[which] = [tuple(row)]
+        with pytest.raises(TypeError):
+            emit(tmp_path_factory.mktemp("emit"), *tables)
+
+    @pytest.mark.parametrize(
+        "row", [(True, 1, 1, 0.5), (0, np.bool_(True), 1, 0.5), (0, 1, "1", 0.5), (0, 1, 1, 2),
+                (0, 1, 1, True), (0, 1, 1, "0.5")],
+        ids=["bool_tick", "numpy_bool_agent", "str_layer", "int_entropy", "bool_entropy",
+             "str_entropy"])
+    def test_value_of_another_type_raises(self, tmp_path, row):
+        with pytest.raises(TypeError):
+            emit(tmp_path, [row], [], [])
 
 
 class TestBinaryStream:

@@ -290,6 +290,15 @@ class TestChannel:
         with pytest.raises(ConfigError):
             ChannelConfig(range_m=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("range_m", np.nan), ("bandwidth_bytes_per_s", np.nan), ("base_latency_s", np.nan),
+         ("base_latency_s", np.inf)],
+    )
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            ChannelConfig(**{field: value})
+
     def test_nonfinite_position_rejected(self):
         with pytest.raises(ConfigError):
             channel_send(ChannelConfig(), LanguageMessage(0, 0, ()), (np.nan, 0), (0, 0))
