@@ -16,7 +16,6 @@ from .model import (
     KVSegment,
     Model,
     ModelConfig,
-    decode_step,
     init_model,
     make_hazard_model,
     prefill,

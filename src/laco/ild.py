@@ -85,8 +85,9 @@ def deliberate(
     for t in range(m):
         h, rows_per_layer = forward_decode(model, rowwise_matmul(h, alignment.w_a), cache,
                                            tag=EGO_LATENT)
-        n = rows_per_layer[0].shape[1]
-        array[:, t, :, :, :n] = np.stack(rows_per_layer).reshape(L, A, H, n).transpose(1, 0, 2, 3)
+        n = n0 + t + 1
+        for l, rows in enumerate(rows_per_layer):
+            array[:, t, l, :, :n] = rows.reshape(A, H, n)
     assert model.stats.logit_projections == logit_calls_before, "deliberation must not decode"
     traces = [AttentionTrace(a, lengths) for a in array]
     return DeliberationResult(final_hidden=h, trace=traces[0] if single else traces, steps=m)

@@ -1,8 +1,9 @@
 """Attention kernels in numpy.
 
-Keys/values/weights are stored in float32; dot products, softmax sums and
-weighted value sums accumulate in float64, as batched float64 matmuls over
-heads.  Softmax is computed with the usual max-shift for stability.
+Keys/values/weights are float32 values (cached keys/values arrive widened to
+float64, which the single-query kernel reads in place); dot products, softmax
+sums and weighted value sums accumulate in float64, as batched float64 matmuls
+over heads.  Softmax is computed with the usual max-shift for stability.
 """
 
 import functools
@@ -25,17 +26,18 @@ def _future_mask(T: int) -> np.ndarray:
 def attend_single(keys, values, query, inv_sqrt_dh):
     """Single-query attention over a cached context.
 
-    keys/values: (H, n, d_h) float32, query: (H, d_h) float32.
-    Returns (out (H, d_h) float32, rows (H, n) float32).
+    keys/values: (H, n, d_h) float32 values (a float64 array is not copied),
+    query: (H, d_h) float32.  Returns (out (H, d_h) float32, rows (H, n) float32).
     """
-    k64 = keys.astype(np.float64)
-    q64 = query.astype(np.float64)
-    logits = (k64 @ q64[:, :, None])[:, :, 0] * inv_sqrt_dh
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    p = e / e.sum(axis=1, keepdims=True)
+    # One (H, n) float64 block, reused in place for logits, weights and widened rows.
+    p = (np.asarray(keys, np.float64) @ np.asarray(query, np.float64)[:, :, None])[:, :, 0]
+    p *= inv_sqrt_dh
+    p -= p.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
     rows = p.astype(np.float32)
-    out64 = (rows.astype(np.float64)[:, None, :] @ values.astype(np.float64))[:, 0, :]
+    np.copyto(p, rows)
+    out64 = (p[:, None, :] @ np.asarray(values, np.float64))[:, 0, :]
     return out64.astype(np.float32), rows
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import model as model_module
 from .chsa import saliency_scores, select_topk
 from .errors import ConfigError, InvalidActionError, ScenarioError
 from .fusion import attach_payload, collaborative_decode
@@ -37,7 +38,6 @@ from .model import (
     TOKEN_OCCLUDED,
     TOKEN_VEHICLE,
     ModelConfig,
-    decode_step,
     make_hazard_model,
     prefill,
     project_to_logits,
@@ -532,7 +532,8 @@ def _send_tokens(sim: Simulation, live, pre):
     ids = np.zeros((sim.spec.m, len(live)), dtype=np.int64)
     for step in range(sim.spec.m):
         ids[step] = np.argmax(project_to_logits(model, h), axis=1)
-        h, _ = decode_step(model, model.w_in[ids[step]], pre.cache)
+        # Looked up on the module, so a wrapper installed there (a tracer) sees it.
+        h, _ = model_module.forward_decode(model, model.w_in[ids[step]], pre.cache)
     for aid in live:
         sim.agents[aid].decoded_tokens += sim.spec.m
     return [LanguageMessage(sender_id=aid, frame_id=sim.tick, token_ids=tuple(ids[:, i].tolist()))

@@ -91,7 +91,8 @@ def distill(cache: KVCache, prefill_len: int, indices, l_comm_fraction: float, *
     The payload holds the prefill positions ``indices`` (strictly increasing,
     each in ``[0, prefill_len)``) followed by the whole latent run
     ``[prefill_len, cache.length)``, at the first l_comm layers only, gathered
-    in one copy.  Bytes are kept verbatim (float32) or narrowed to float16.
+    in one copy.  Bytes are the float32 values written (the float64 store
+    narrows exactly) or those values rounded to float16.
     """
     if dtype_flag not in _DTYPES:
         raise ConfigError(f"unknown dtype flag {dtype_flag}")

@@ -19,7 +19,7 @@ from laco.model import (
     TOKEN_EGO_A,
     AttentionTrace,
     ModelConfig,
-    decode_step,
+    forward_decode,
     init_model,
     make_hazard_model,
     prefill,
@@ -75,7 +75,7 @@ def test_c01_empty_payload_equivalence():
                 x = rng.normal(scale=0.7, size=d).astype(np.float32)
                 plain_cache = ref_snapshot(base.cache)
                 fused_cache = ref_snapshot(base.cache)
-                hidden, rows = decode_step(model, x, plain_cache)
+                hidden, rows = forward_decode(model, x, plain_cache)
                 logits = project_to_logits(model, hidden)
                 out = collaborative_decode(model, x, attach_payload(fused_cache, []))
                 assert np.array_equal(out.hidden, hidden)

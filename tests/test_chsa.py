@@ -141,7 +141,7 @@ class TestBuildCache:
         p = self._distill(cache, [2, 5])
         np.testing.assert_array_equal(p.keys[:, :, 0, :], cache.k[:, :, 2, :])
         np.testing.assert_array_equal(p.values[:, :, 1, :], cache.v[:, :, 5, :])
-        assert p.keys[:, :, :2, :].tobytes() == cache.k[:, :, [2, 5], :].tobytes()
+        assert p.keys[:, :, :2, :].tobytes() == cache.k[:, :, [2, 5], :].astype(np.float32).tobytes()
         assert p.salient_count == 2 and p.source_indices == (2, 5)
         np.testing.assert_array_equal(cache.tags[[2, 5]], EGO_PREFILL)
 

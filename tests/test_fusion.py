@@ -15,7 +15,7 @@ from laco.model import (
     TOKEN_HAZARD_B,
     TOKEN_KEEP,
     ModelConfig,
-    decode_step,
+    forward_decode,
     init_model,
     make_hazard_model,
     prefill,
@@ -57,7 +57,7 @@ class TestAttach:
         out = collaborative_decode(mdl, x, ctx)
         mdl2 = init_model(cfg(seed=1))
         res2 = prefill(mdl2, [1, 2, 3])
-        h, _ = decode_step(mdl2, x, res2.cache)
+        h, _ = forward_decode(mdl2, x, res2.cache)
         np.testing.assert_array_equal(out.hidden, h)
 
     def test_sender_order(self):
@@ -97,7 +97,7 @@ class TestEquivalences:
         res_a = prefill(mdl_a, [3, 1, 4, 1])
         res_b = prefill(mdl_b, [3, 1, 4, 1])
         x = np.linspace(-1, 1, 8).astype(np.float32)
-        h, rows = decode_step(mdl_a, x, res_a.cache)
+        h, rows = forward_decode(mdl_a, x, res_a.cache)
         logits = project_to_logits(mdl_a, h)
         out = collaborative_decode(mdl_b, x, attach_payload(res_b.cache, []))
         assert np.array_equal(out.hidden, h)
@@ -126,7 +126,7 @@ class TestEquivalences:
         out = ref_naive_full_fusion(mdl, x, res.cache, foreign)
         mdl2 = init_model(cfg(seed=7))
         res2 = prefill(mdl2, [1, 2, 3])
-        h, _ = decode_step(mdl2, x, res2.cache)
+        h, _ = forward_decode(mdl2, x, res2.cache)
         np.testing.assert_array_equal(out.hidden, h)
 
     def test_symmetric_split_with_identical_foreign(self):
@@ -204,7 +204,7 @@ class TestHazardFusion:
         mdl, res = self._clear_ego()
         marker = mdl.w_in[TOKEN_EGO_A].copy()
         base_mdl, base_res = self._clear_ego()
-        h0, _ = decode_step(base_mdl, marker, base_res.cache)
+        h0, _ = forward_decode(base_mdl, marker, base_res.cache)
         base_logits = project_to_logits(base_mdl, h0)
         out = collaborative_decode(mdl, marker, attach_payload(res.cache, payload))
         assert out.logits[TOKEN_BRAKE] > base_logits[TOKEN_BRAKE]
@@ -229,5 +229,5 @@ class TestHazardFusion:
         assert int(np.argmax(shallow.logits)) == TOKEN_KEEP
 
         mdl_plain, res_plain = self._clear_ego()
-        h, _ = decode_step(mdl_plain, marker, res_plain.cache)
+        h, _ = forward_decode(mdl_plain, marker, res_plain.cache)
         assert int(np.argmax(project_to_logits(mdl_plain, h))) == TOKEN_KEEP

@@ -14,12 +14,12 @@ from laco.model import (
     TOKEN_KEEP,
     TOKEN_OCCLUDED,
     ModelConfig,
-    decode_step,
+    forward_decode,
     make_hazard_model,
     prefill,
     project_to_logits,
 )
-from reference import ref_decode_hiddens
+from reference import ref_decode_hiddens, ref_forward_decode, ref_prefill
 
 
 def hazard_config(layers=2, seed=0, **kw):
@@ -31,7 +31,7 @@ def hazard_config(layers=2, seed=0, **kw):
 
 def decide(model, tokens, marker=TOKEN_EGO_A):
     res = prefill(model, tokens)
-    hidden, _ = decode_step(model, model.w_in[marker].copy(), res.cache)
+    hidden, _ = forward_decode(model, model.w_in[marker].copy(), res.cache)
     return project_to_logits(model, hidden)
 
 
@@ -98,8 +98,27 @@ class TestPolicy:
         tokens = [TOKEN_CLEAR, TOKEN_HAZARD_A, TOKEN_CLEAR, TOKEN_EGO_A]
         res = prefill(m, tokens)
         marker = m.w_in[TOKEN_EGO_A].copy()
-        hidden, _ = decode_step(m, marker, res.cache)
+        hidden, _ = forward_decode(m, marker, res.cache)
         ref = ref_decode_hiddens(m, tokens, [marker])[-1]
         np.testing.assert_allclose(hidden, ref, atol=1e-6)
         ref_logits = ref @ m.w_out.astype(np.float64)
         np.testing.assert_allclose(project_to_logits(m, hidden), ref_logits, atol=1e-6)
+
+    def test_fused_qkv_decode_exact_at_model_dim_56(self):
+        # A random (1, 56) @ (56, 168) product may differ from three (56, 56)
+        # products in the last bits; the hazard model's q/k/v columns each
+        # hold at most one non-zero weight, so its decode stays bit-equal.
+        m = make_hazard_model(hazard_config(model_dim=56))
+        tokens = [TOKEN_CLEAR, TOKEN_HAZARD_A, TOKEN_CLEAR, TOKEN_HAZARD_B, TOKEN_EGO_A]
+        res = prefill(m, tokens)
+        _, ref_cache = ref_prefill(m, tokens)
+        for marker in (TOKEN_EGO_A, TOKEN_EGO_B, TOKEN_CLEAR):
+            hidden, rows = forward_decode(m, m.w_in[marker], res.cache)
+            ref_hidden, ref_rows = ref_forward_decode(m, m.w_in[marker], ref_cache)
+            np.testing.assert_array_equal(hidden, ref_hidden)
+            for got, want in zip(rows, ref_rows, strict=True):
+                np.testing.assert_array_equal(got, want)
+            assert int(np.argmax(project_to_logits(m, hidden))) == TOKEN_BRAKE
+        n = ref_cache.length
+        np.testing.assert_array_equal(res.cache.k[:, :, :n], ref_cache.k[:, :, :n])
+        np.testing.assert_array_equal(res.cache.v[:, :, :n], ref_cache.v[:, :, :n])

@@ -60,6 +60,20 @@ def test_single_matches_einsum_oracle(n):
     np.testing.assert_allclose(out, ref_out, **ONE_ULP)
 
 
+@pytest.mark.parametrize("n", [1, 42, 412])
+def test_single_on_widened_cache_rows_is_bit_equal(n):
+    """Keys/values read from a float64 store (a strided view) give the float32 call's bits."""
+    rng = np.random.default_rng(100 + n)
+    k, v, q = _rand(rng, H, n, DH), _rand(rng, H, n, DH), _rand(rng, H, DH)
+    store = np.zeros((2, H, n + 5, DH))
+    store[0, :, :n], store[1, :, :n] = k, v
+    out, rows = kernels.attend_single(k, v, q, 0.35)
+    out64, rows64 = kernels.attend_single(store[0, :, :n], store[1, :, :n], q, 0.35)
+    assert out64.dtype == rows64.dtype == np.float32
+    np.testing.assert_array_equal(rows64, rows)
+    np.testing.assert_array_equal(out64, out)
+
+
 @pytest.mark.parametrize("T", [1, 2, 41, 97])
 def test_causal_matches_einsum_oracle(T):
     rng = np.random.default_rng(T)

@@ -3,18 +3,29 @@ import pytest
 
 from laco import kernels
 from laco.errors import ConfigError, ContextOverflowError
+from laco.fusion import attach_payload, collaborative_decode
+from laco.ild import compute_alignment, deliberate
 from laco.model import (
     EGO_LATENT,
     EGO_PREFILL,
+    TOKEN_KEEP,
     AttentionTrace,
     KVCache,
     ModelConfig,
-    decode_step,
+    forward_decode,
     init_model,
     prefill,
     project_to_logits,
     sinusoidal_table,
 )
+from laco.scenario import (
+    Simulation,
+    builtin_scenario_names,
+    builtin_scenario_path,
+    load_scenario,
+    observe,
+)
+from laco.wire import distill
 from reference import (
     ref_check_tag_partition,
     ref_decode_hiddens,
@@ -144,7 +155,7 @@ class TestDecode:
         m = init_model(small_config(seed=6))
         res = prefill(m, [1, 2, 3])
         x = np.zeros(8, dtype=np.float32)
-        decode_step(m, x, res.cache)
+        forward_decode(m, x, res.cache)
         assert res.cache.length == 4
         assert res.cache.tags[3] == EGO_LATENT
         ref_check_tag_partition(res.cache)
@@ -154,7 +165,7 @@ class TestDecode:
         res = prefill(m, [1, 2, 3])
         before_k = res.cache.k[:, :, :3, :].copy()
         before_v = res.cache.v[:, :, :3, :].copy()
-        decode_step(m, np.ones(8, dtype=np.float32), res.cache)
+        forward_decode(m, np.ones(8, dtype=np.float32), res.cache)
         np.testing.assert_array_equal(res.cache.k[:, :, :3, :], before_k)
         np.testing.assert_array_equal(res.cache.v[:, :, :3, :], before_v)
 
@@ -162,8 +173,8 @@ class TestDecode:
         m = init_model(small_config(seed=8))
         res = prefill(m, [5, 6])
         x = np.linspace(-1, 1, 8).astype(np.float32)
-        h1, r1 = decode_step(m, x, ref_snapshot(res.cache))
-        h2, r2 = decode_step(m, x, ref_snapshot(res.cache))
+        h1, r1 = forward_decode(m, x, ref_snapshot(res.cache))
+        h2, r2 = forward_decode(m, x, ref_snapshot(res.cache))
         np.testing.assert_array_equal(h1, h2)
         for a, b in zip(r1, r2):
             np.testing.assert_array_equal(a, b)
@@ -171,7 +182,7 @@ class TestDecode:
     def test_rows_cover_context_including_self(self):
         m = init_model(small_config(seed=9))
         res = prefill(m, [1, 2, 3])
-        _, rows = decode_step(m, np.zeros(8, dtype=np.float32), res.cache)
+        _, rows = forward_decode(m, np.zeros(8, dtype=np.float32), res.cache)
         assert all(r.shape == (2, 4) for r in rows)
         for r in rows:
             np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-6)
@@ -180,14 +191,14 @@ class TestDecode:
         m = init_model(small_config(max_context=3))
         res = prefill(m, [1, 2, 3])
         with pytest.raises(ContextOverflowError):
-            decode_step(m, np.zeros(8, dtype=np.float32), res.cache)
+            forward_decode(m, np.zeros(8, dtype=np.float32), res.cache)
 
     def test_nonfinite_input_rejected(self):
         m = init_model(small_config())
         res = prefill(m, [1])
         bad = np.full(8, np.nan, dtype=np.float32)
         with pytest.raises(ConfigError):
-            decode_step(m, bad, res.cache)
+            forward_decode(m, bad, res.cache)
 
     def test_matches_reference_forward(self):
         m = init_model(small_config(seed=13))
@@ -197,9 +208,50 @@ class TestDecode:
         extras = [rng.normal(scale=0.5, size=8).astype(np.float32) for _ in range(2)]
         h = None
         for x in extras:
-            h, _ = decode_step(m, x, res.cache)
+            h, _ = forward_decode(m, x, res.cache)
         ref = ref_decode_hiddens(m, tokens, extras)[-1]
         np.testing.assert_allclose(h, ref, rtol=1e-5, atol=1e-6)
+
+
+    def test_in_place_weight_write_reaches_next_decode(self):
+        m = init_model(small_config(seed=14))
+        res = prefill(m, [1, 2, 3])
+        lw = m.layers[0]
+        assert np.shares_memory(lw.w_k, lw.w_qkv) and np.shares_memory(lw.w_v, lw.w_qkv)
+        lw.w_k[...] *= -2.0
+        lw.w_v[:, 0] = 0.5
+        x = np.linspace(-1, 1, 8).astype(np.float32)
+        forward_decode(m, x, res.cache)
+        y = x + m.pos[3]
+        np.testing.assert_array_equal(res.cache.k[0, :, 3], (y @ lw.w_k).reshape(2, 4))
+        np.testing.assert_array_equal(res.cache.v[0, :, 3], (y @ lw.w_v).reshape(2, 4))
+
+
+class TestWidenedStore:
+    @pytest.mark.parametrize("weights", ["hazard", "random"])
+    @pytest.mark.parametrize("name", builtin_scenario_names())
+    def test_written_entries_are_float32_values(self, name, weights):
+        """Prefill, deliberation, a Language step and a fused decision decode
+        all write float32 values into the float64 store."""
+        spec = load_scenario(builtin_scenario_path(name))
+        sim = Simulation(spec, "LACO")
+        model = sim.model if weights == "hazard" else init_model(spec.model_config())
+        live = sim.live_agents()
+        obs = np.stack([observe(sim.world, sim.agents, spec.hazards, aid, 0) for aid in live])
+        pre = prefill(model, obs, agents=live)
+        deliberate(model, compute_alignment(model), pre.hidden, pre.cache, spec.m)
+        forward_decode(model, model.w_in[np.full(len(live), TOKEN_KEEP)], pre.cache)
+        sender, receiver = pre.cache[0], pre.cache[-1]
+        payload = distill(sender, spec.observation_len, range(spec.observation_len), 0.5,
+                          sender_id=live[0], frame_id=0)
+        marker = model.w_in[sim.agents[live[-1]].spec.marker_token]
+        collaborative_decode(model, marker, attach_payload(receiver, [payload]))
+        assert receiver.store.dtype == np.float64
+        assert receiver.length == sender.length + 1
+        for cache in pre.cache:
+            for kv in (cache.k, cache.v):
+                written = kv[:, :, : cache.length]
+                np.testing.assert_array_equal(written, written.astype(np.float32))
 
 
 class TestLogits:

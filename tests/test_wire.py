@@ -79,8 +79,8 @@ class TestDistill:
         p = distill(cache, T, indices, 0.5, sender_id=1, frame_id=0)
         positions = indices + list(range(T, cache.length))
         assert p.l_comm == 2
-        assert p.keys.tobytes() == cache.k[:2, :, positions].tobytes()
-        assert p.values.tobytes() == cache.v[:2, :, positions].tobytes()
+        assert p.keys.tobytes() == cache.k[:2, :, positions].astype(np.float32).tobytes()
+        assert p.values.tobytes() == cache.v[:2, :, positions].astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("dtype_flag", [DTYPE_F32, DTYPE_F16])
     def test_matches_reference_on_random_caches(self, dtype_flag):
