@@ -8,12 +8,11 @@ scoring and attention diagnostics.
 
 from .chsa import SaliencyVector, saliency_scores, select_topk
 from .fusion import FusedContext, attach_payload, collaborative_decode
-from .ild import AlignmentProjection, DeliberationResult, compute_alignment, deliberate
+from .ild import DeliberationResult, compute_alignment, deliberate
 from .kernels import backend_name
 from .model import (
     AttentionTrace,
     KVCache,
-    KVSegment,
     Model,
     ModelConfig,
     init_model,
@@ -35,12 +34,9 @@ from .scenario import (
     sweep,
 )
 from .telemetry import (
-    ConfusionIndex,
-    EntropyProfile,
     SparsityCurve,
     confusion_index,
     emit,
-    layer_entropy,
     sparsity_curve,
     trace_entropy,
 )

@@ -64,18 +64,18 @@ def _cmd_analyze(args) -> int:
     for rec in records:
         tick, agent = rec.tick, rec.agent
         if isinstance(rec, TraceRecord):
-            profile = trace_entropy(rec.trace)
+            entropies = trace_entropy(rec.trace).tolist()
             entropy_rows += [(tick, agent, layer, e)
-                             for layer, e in enumerate(profile.values.tolist(), start=1)]
+                             for layer, e in enumerate(entropies, start=1)]
             curve = sparsity_curve(rec.trace)
             n = curve.cumulative.shape[0]
             f80 = curve.fraction_for_80
             sparsity_rows += [(tick, agent, rank, rank / n, mass, f80)
                               for rank, mass in enumerate(curve.cumulative.tolist(), start=1)]
         elif isinstance(rec, DecisionRecord):
-            idx = confusion_index(rec.rows, rec.tags)
+            fractions = confusion_index(rec.rows, rec.tags).tolist()
             confusion_rows += [(tick, agent, layer, frac)
-                               for layer, frac in enumerate(idx.values.tolist(), start=1)]
+                               for layer, frac in enumerate(fractions, start=1)]
     emit(args.out, entropy_rows, sparsity_rows, confusion_rows)
     print(f"wrote entropy.csv, sparsity.csv, confusion.csv under {args.out}")
     return 0
@@ -85,13 +85,9 @@ def _cmd_dump_payload(args) -> int:
     for path in args.payload:
         p = deserialize(Path(path).read_bytes())
         print(f"{path}:")
-        print(f"  sender_id      {p.sender_id}")
-        print(f"  frame_id       {p.frame_id}")
-        print(f"  l_comm         {p.l_comm}")
-        print(f"  num_heads      {p.num_heads}")
-        print(f"  head_dim       {p.head_dim}")
-        print(f"  salient_count  {p.salient_count}")
-        print(f"  latent_count   {p.latent_count}")
+        for name in ("sender_id", "frame_id", "l_comm", "num_heads", "head_dim",
+                     "salient_count", "latent_count"):
+            print(f"  {name:<14} {getattr(p, name)}")
         print(f"  dtype          {'f32' if p.dtype_flag == 0 else 'f16'}")
         print(f"  source_indices {list(p.source_indices)}")
         print(f"  size_bytes     {p.size_bytes()}")

@@ -1,8 +1,9 @@
 """Asymmetric collaborative inference over received shallow-layer caches.
 
 Layers covered by a payload attend over [ego KV || foreign KV]; all deeper
-layers attend over the ego cache alone.  Foreign entries are read-only: the
-new position's keys/values land in the ego cache only.
+layers attend over the ego cache alone.  Received payloads are read as they
+are, with no copy; foreign entries are read-only: the new position's
+keys/values land in the ego cache only.
 """
 
 from dataclasses import dataclass
@@ -15,38 +16,22 @@ from .model import (
     FOREIGN_LATENT,
     FOREIGN_PREFILL,
     KVCache,
-    KVSegment,
     Model,
     forward_decode,
     project_to_logits,
 )
-from .wire import Payload
 
 
 @dataclass
 class FusedContext:
-    """Ego cache plus foreign KV segments ordered by ascending sender id."""
+    """Ego cache plus received payloads ordered by ascending sender id."""
 
     ego: KVCache
-    segments: list
-
-
-def segment_from_payload(payload: Payload) -> KVSegment:
-    """Materialize a payload for attention (float16 bodies widen to float32)."""
-    tags = np.empty(payload.num_positions, dtype=np.uint8)
-    tags[: payload.salient_count] = FOREIGN_PREFILL
-    tags[payload.salient_count :] = FOREIGN_LATENT
-    return KVSegment(
-        keys=np.ascontiguousarray(payload.keys.astype(np.float32)),
-        values=np.ascontiguousarray(payload.values.astype(np.float32)),
-        tags=tags,
-    )
+    segments: list  # of Payload; perfbench/tracing.py reads the field by this name
 
 
 def attach_payload(ego: KVCache, payloads) -> FusedContext:
     """Build the fused context; multiple payloads concatenate by sender id."""
-    if isinstance(payloads, Payload):
-        payloads = [payloads]
     cfg = ego.config
     for p in payloads:
         if p.num_heads != cfg.num_heads or p.head_dim != cfg.head_dim:
@@ -58,8 +43,7 @@ def attach_payload(ego: KVCache, payloads) -> FusedContext:
             raise ShapeMismatchError(
                 f"payload spans {p.l_comm} layers but the model has {cfg.num_layers}"
             )
-    ordered = sorted(payloads, key=lambda p: p.sender_id)
-    return FusedContext(ego=ego, segments=[segment_from_payload(p) for p in ordered])
+    return FusedContext(ego=ego, segments=sorted(payloads, key=lambda p: p.sender_id))
 
 
 @dataclass
@@ -74,13 +58,15 @@ def collaborative_decode(model: Model, input_vec, ctx: FusedContext) -> CollabRe
     """One decision decode over the fused context.
 
     Shallow layers see [ego || foreign]; deep layers see ego only; the
-    appended position goes to the ego cache.  With no segments this is the
+    appended position goes to the ego cache.  With no payloads this is the
     plain decode path (same code, bit-identical outputs).
     """
     hidden, rows = forward_decode(model, input_vec, ctx.ego, ctx.segments, tag=EGO_LATENT)
     # Origin tags of each layer's context, ego (with the appended position) first.
     ego_tags = ctx.ego.tags[: ctx.ego.length]
-    tags = [np.concatenate([ego_tags] + [seg.tags for seg in ctx.segments if l < seg.num_layers])
+    foreign = [np.array([FOREIGN_PREFILL, FOREIGN_LATENT], np.uint8).repeat(
+        [p.salient_count, p.num_positions - p.salient_count]) for p in ctx.segments]
+    tags = [np.concatenate([ego_tags] + [t for p, t in zip(ctx.segments, foreign) if l < p.l_comm])
             for l in range(model.config.num_layers)]
     logits = project_to_logits(model, hidden)
     return CollabResult(hidden=hidden, logits=logits, attention_rows=rows, context_tags=tags)

@@ -18,20 +18,14 @@ from .model import EGO_LATENT, AttentionTrace, KVCache, Model, forward_decode, r
 _RCOND = 1e-6
 
 
-@dataclass
-class AlignmentProjection:
-    """d x d map sending hidden states toward the input-embedding manifold."""
+def compute_alignment(model: Model) -> np.ndarray:
+    """Build (once) the (d, d) float32 alignment W_a from the output head and input embedding.
 
-    w_a: np.ndarray
-
-
-def compute_alignment(model: Model) -> AlignmentProjection:
-    """Build (once) the alignment W_a from the output head and input embedding.
-
-    The hidden state is read out to a minimum-norm vocabulary weighting
-    through the pseudo-inverse of the output head, then re-embedded through
-    the input matrix, so every aligned vector is a mixture of real token
-    embeddings.  The pseudo-inverse is SVD-based with singular values below
+    W_a sends hidden states toward the input-embedding manifold.  The hidden
+    state is read out to a minimum-norm vocabulary weighting through the
+    pseudo-inverse of the output head, then re-embedded through the input
+    matrix, so every aligned vector is a mixture of real token embeddings.
+    The pseudo-inverse is SVD-based with singular values below
     ``_RCOND * sigma_max`` truncated.  The result is memoized on the model
     and returned unchanged by later calls.
     """
@@ -42,8 +36,7 @@ def compute_alignment(model: Model) -> AlignmentProjection:
         inv = np.linalg.pinv(model.w_out.T.astype(np.float64), rcond=_RCOND)
     except np.linalg.LinAlgError as exc:
         raise AlignmentError(f"SVD failed while building alignment: {exc}") from exc
-    w_a = (inv @ model.w_in.astype(np.float64)).astype(np.float32)
-    model._alignment = AlignmentProjection(w_a=w_a)
+    model._alignment = (inv @ model.w_in.astype(np.float64)).astype(np.float32)
     return model._alignment
 
 
@@ -56,7 +49,7 @@ class DeliberationResult:
 
 def deliberate(
     model: Model,
-    alignment: AlignmentProjection,
+    w_a: np.ndarray,
     h0: np.ndarray,
     cache,
     m: int,
@@ -83,7 +76,7 @@ def deliberate(
     h = np.asarray(h0, dtype=np.float32)
     logit_calls_before = model.stats.logit_projections
     for t in range(m):
-        h, rows_per_layer = forward_decode(model, rowwise_matmul(h, alignment.w_a), cache,
+        h, rows_per_layer = forward_decode(model, rowwise_matmul(h, w_a), cache,
                                            tag=EGO_LATENT)
         n = n0 + t + 1
         for l, rows in enumerate(rows_per_layer):

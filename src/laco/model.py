@@ -271,27 +271,6 @@ def make_hazard_model(config: ModelConfig) -> Model:
     return Model(cfg, w_in, w_out, pos, layers)
 
 
-@dataclass
-class KVSegment:
-    """A run of cache positions with the origin of each one.
-
-    The one in-memory form of copied or received cache entries: ``tags`` say
-    whether a position is ego or foreign, prefill or latent.
-    """
-
-    keys: np.ndarray    # (L, H, t, d_h) float32 values
-    values: np.ndarray  # (L, H, t, d_h) float32 values
-    tags: np.ndarray    # (t,) uint8
-
-    @property
-    def num_layers(self) -> int:
-        return self.keys.shape[0]
-
-    @property
-    def num_positions(self) -> int:
-        return self.keys.shape[2]
-
-
 class KVCache:
     """One agent's per-layer, per-head keys/values with origin tags.
 
@@ -423,20 +402,20 @@ def prefill(model: Model, tokens, agents=None) -> PrefillResult:
     return PrefillResult(hidden=x[:, -1].copy(), cache=caches)
 
 
-def forward_decode(model: Model, input_vec, cache, segments=(), tag: int = EGO_LATENT):
-    """Append one position and attend over ego cache plus foreign segments.
+def forward_decode(model: Model, input_vec, cache, payloads=(), tag: int = EGO_LATENT):
+    """Append one position and attend over ego cache plus received payloads.
 
     ``cache`` is one :class:`KVCache` with a (d,) input, or a lock-step batch
     (a list of A caches from one :func:`prefill`, all of one length) with an
     (A, d) input, run as one pass with the agents folded into the head axis.
-    ``segments`` (single cache only) is a sequence of :class:`KVSegment` with
-    (L_comm, H, t, d_h) ``keys`` and ``values``; a segment participates at
-    layer l only when l < its layer count.  The new position's keys/values go
-    to the ego cache only.  Returns (hidden (d,) or (A, d) float32, rows: list
-    over layers of (A·H, n_l) float32).
+    ``payloads`` (single cache only) are :class:`laco.wire.Payload` read as
+    they are: each layer l < ``l_comm`` joins a payload's ``keys[l]`` and
+    ``values[l]`` (float32 or float16, widened exactly) to the context.  The
+    new position's keys/values go to the ego cache only.  Returns (hidden
+    (d,) or (A, d) float32, rows: list over layers of (A·H, n_l) float32).
 
     This is the single decode path: plain decoding is the degenerate case
-    with no segments, so the two are bit-identical by construction.
+    with no payloads, so the two are bit-identical by construction.
     """
     cfg = model.config
     single = isinstance(cache, KVCache)
@@ -449,8 +428,8 @@ def forward_decode(model: Model, input_vec, cache, segments=(), tag: int = EGO_L
         raise ConfigError("decode requires a non-empty cache")
     if n >= first.capacity:
         raise ContextOverflowError(f"cache full at {n} positions")
-    if segments and not single:
-        raise ConfigError("foreign segments attach to a single cache")
+    if payloads and not single:
+        raise ConfigError("foreign payloads attach to a single cache")
     x = np.asarray(input_vec, dtype=np.float32)
     shape = (cfg.model_dim,) if single else (A, cfg.model_dim)
     if x.shape != shape:
@@ -469,11 +448,11 @@ def forward_decode(model: Model, input_vec, cache, segments=(), tag: int = EGO_L
         kv_by_agent[:, l, :, :, n] = qkv[:, 1:].swapaxes(0, 1)
         ctx_k = kv[0, l, :, : n + 1]
         ctx_v = kv[1, l, :, : n + 1]
-        if segments:
-            fused = [seg for seg in segments if l < seg.num_layers]
+        if payloads:
+            fused = [p for p in payloads if l < p.l_comm]
             if fused:
-                ctx_k = np.concatenate([ctx_k] + [seg.keys[l] for seg in fused], axis=1)
-                ctx_v = np.concatenate([ctx_v] + [seg.values[l] for seg in fused], axis=1)
+                ctx_k = np.concatenate([ctx_k] + [p.keys[l] for p in fused], axis=1)
+                ctx_v = np.concatenate([ctx_v] + [p.values[l] for p in fused], axis=1)
         out, rows = kernels.attend_single(ctx_k, ctx_v, qkv[:, 0].reshape(A * H, dh),
                                           model.inv_sqrt_head_dim)
         rows_per_layer.append(rows)

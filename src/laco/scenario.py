@@ -145,25 +145,6 @@ class ScenarioSpec:
         )
 
 
-_SCALARS = {
-    "name": str,
-    "paradigm": str,
-    "seed": int,
-    "m": int,
-    "rho": float,
-    "l_comm_fraction": float,
-    "cell_size_m": float,
-    "tick_budget": int,
-    "blocked_after": int,
-    "channel_range_m": float,
-    "channel_bandwidth_bytes_per_s": float,
-    "channel_base_latency_s": float,
-    "model_layers": int,
-    "model_heads": int,
-    "model_dim": int,
-    "vocab_size": int,
-}
-
 _DEFAULTS = {
     "name": "unnamed",
     "paradigm": "LACO",
@@ -183,6 +164,8 @@ _DEFAULTS = {
     "vocab_size": 16,
 }
 
+_HAZARD_FIELDS = {"lane", "path", "hide", "appear", "enter", "clear"}
+
 
 def _parse_cell(text: str) -> tuple:
     r, c = text.split(",")
@@ -195,11 +178,13 @@ def parse_scenario(text: str) -> ScenarioSpec:
     Repeatable keys: ``grid`` (one row per line, ``.`` road / ``#`` obstacle),
     ``agent = <id> <lane> <r,c>``, ``route = <id> <r,c> ...``, and
     ``hazard = lane=<A|B> path=<r,c> [hide=<r,c>] appear=<t> enter=<t>
-    clear=<t>``.  Everything else is a scalar with a default.
+    clear=<t>``, each field at most once.  An agent or route id appears at
+    most once.  Every other key is a scalar with a default in ``_DEFAULTS``,
+    parsed as the type of that default.
     """
     values = dict(_DEFAULTS)
     grid_rows = []
-    agent_lines = []
+    agent_lines = {}
     route_lines = {}
     hazards = []
     for raw in text.splitlines():
@@ -218,12 +203,27 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 parts = value.split()
                 if len(parts) != 3:
                     raise ScenarioError(f"agent line needs '<id> <lane> <r,c>': {value!r}")
-                agent_lines.append((int(parts[0]), parts[1], _parse_cell(parts[2])))
+                if parts[1] not in ("A", "B"):
+                    raise ScenarioError(f"agent lane must be A or B, got {parts[1]!r}")
+                agent_id = int(parts[0])
+                if agent_id in agent_lines:
+                    raise ScenarioError(f"agent {agent_id} is defined twice")
+                agent_lines[agent_id] = (parts[1], _parse_cell(parts[2]))
             elif key == "route":
                 parts = value.split()
-                route_lines[int(parts[0])] = tuple(_parse_cell(p) for p in parts[1:])
+                route_id = int(parts[0])
+                if route_id in route_lines:
+                    raise ScenarioError(f"route {route_id} is defined twice")
+                route_lines[route_id] = tuple(_parse_cell(p) for p in parts[1:])
             elif key == "hazard":
-                fields = dict(p.split("=", 1) for p in value.split())
+                pairs = [p.split("=", 1) for p in value.split()]
+                fields = dict(pairs)
+                if len(fields) < len(pairs):
+                    raise ScenarioError(f"hazard line {value!r} repeats a field")
+                if fields.keys() - _HAZARD_FIELDS:
+                    raise ScenarioError(f"unknown hazard field in {value!r}")
+                if fields["lane"] not in ("A", "B"):
+                    raise ScenarioError(f"hazard lane must be A or B, got {fields['lane']!r}")
                 hazards.append(
                     HazardSpec(
                         lane=fields["lane"],
@@ -234,8 +234,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
                         clear=int(fields["clear"]),
                     )
                 )
-            elif key in _SCALARS:
-                values[key] = _SCALARS[key](value)
+            elif key in _DEFAULTS:
+                values[key] = type(_DEFAULTS[key])(value)
             else:
                 raise ScenarioError(f"unknown scenario key {key!r}")
         except KeyError as exc:
@@ -252,9 +252,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
         raise ScenarioError("grid rows may only contain '.' and '#'")
 
     agents = []
-    for agent_id, lane, start in sorted(agent_lines):
-        if lane not in ("A", "B"):
-            raise ScenarioError(f"agent lane must be A or B, got {lane!r}")
+    for agent_id, (lane, start) in sorted(agent_lines.items()):
         route = route_lines.get(agent_id)
         if not route:
             raise ScenarioError(f"agent {agent_id} has no route")
@@ -265,32 +263,19 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if values["paradigm"] not in PARADIGMS:
         raise ScenarioError(f"unknown paradigm {values['paradigm']!r}")
 
+    # ``channel_<field>`` sets ChannelConfig.<field>; every other key is a ScenarioSpec field.
+    link = {key.removeprefix("channel_"): v
+            for key, v in values.items() if key.startswith("channel_")}
     try:
-        channel = ChannelConfig(
-            range_m=values["channel_range_m"],
-            bandwidth_bytes_per_s=values["channel_bandwidth_bytes_per_s"],
-            base_latency_s=values["channel_base_latency_s"],
-        )
+        channel = ChannelConfig(**link)
     except ConfigError as exc:
         raise ScenarioError(f"channel: {exc}") from exc
     spec = ScenarioSpec(
-        name=values["name"],
         grid=tuple(grid_rows),
         agents=tuple(agents),
         hazards=tuple(hazards),
-        paradigm=values["paradigm"],
-        seed=values["seed"],
-        m=values["m"],
-        rho=values["rho"],
-        l_comm_fraction=values["l_comm_fraction"],
         channel=channel,
-        cell_size_m=values["cell_size_m"],
-        tick_budget=values["tick_budget"],
-        blocked_after=values["blocked_after"],
-        model_layers=values["model_layers"],
-        model_heads=values["model_heads"],
-        model_dim=values["model_dim"],
-        vocab_size=values["vocab_size"],
+        **{key: v for key, v in values.items() if not key.startswith("channel_")},
     )
     _validate_spec(spec)
     return spec
@@ -793,7 +778,7 @@ def sweep(param: str, values, specs, paradigm: str | None = None):
         values = [cast(v) for v in values]
     except ValueError as exc:
         raise ScenarioError(f"bad {param} value: {exc}") from exc
-    runs = [(value, _replace_param(spec, param, value)) for value in values for spec in specs]
+    runs = [(value, replace(spec, **{param: value})) for value in values for spec in specs]
     for _, spec in runs:
         _validate_spec(spec)
     rows = []
@@ -801,7 +786,3 @@ def sweep(param: str, values, specs, paradigm: str | None = None):
         for row in metrics_rows(run_episode(spec, paradigm)):
             rows.append((param, value) + row)
     return rows
-
-
-def _replace_param(spec: ScenarioSpec, param: str, value):
-    return replace(spec, **{param: value})

@@ -41,50 +41,17 @@ KIND_DECISION = 2
 
 
 @dataclass
-class EntropyProfile:
-    values: np.ndarray  # (L,) float64
-    epsilon: float
-
-
-@dataclass
 class SparsityCurve:
     cumulative: np.ndarray  # (N,) float64, nondecreasing, ends at 1
     fraction_for_80: float
 
 
-@dataclass
-class ConfusionIndex:
-    values: np.ndarray  # (L,) float64, each in [0, 1]
+def trace_entropy(trace: AttentionTrace, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+    """Per-layer entropy averaged over the trace's steps, an (L,) float64 array.
 
-
-def _entropy_of_rows(rows: np.ndarray, epsilon: float) -> float:
-    """rows: (H, n).  64-bit accumulation; exact zeros contribute nothing."""
-    a = rows.astype(np.float64)
-    h = a * np.log(a + epsilon)
-    return float(-h.sum() / rows.shape[0])
-
-
-def layer_entropy(rows_per_layer, epsilon: float = DEFAULT_EPSILON) -> EntropyProfile:
-    """Per-layer attention entropy of one step's rows.
-
-    Accepts a dense (L, H, N) array, all layers in one pass (bit-equal to
-    summing each layer alone), or a ragged list of (H, n_l) arrays.
-    """
-    if isinstance(rows_per_layer, np.ndarray):
-        a = rows_per_layer.astype(np.float64)
-        L, H = a.shape[:2]
-        values = -(a * np.log(a + epsilon)).reshape(L, -1).sum(axis=1) / H
-    else:
-        values = np.array([_entropy_of_rows(np.asarray(r), epsilon) for r in rows_per_layer])
-    return EntropyProfile(values=values, epsilon=epsilon)
-
-
-def trace_entropy(trace: AttentionTrace, epsilon: float = DEFAULT_EPSILON) -> EntropyProfile:
-    """Per-layer entropy averaged over the trace's steps.
-
-    ``a * log(a + eps)`` is computed once over the whole trace; each step then
-    sums its ``[:, :, :n]`` block per layer in one contiguous pass, the same
-    pairwise sums, hence the same bits, as ``layer_entropy`` of that block.
+    ``a * log(a + eps)`` is computed once over the whole trace in float64;
+    each step then sums its ``[:, :, :n]`` block per layer in one contiguous
+    pass, the same pairwise sums, hence the same bits, as that block alone.
     The steps' values are added in step order, as a per-step loop adds them.
     """
     if trace.num_steps == 0:
@@ -98,7 +65,7 @@ def trace_entropy(trace: AttentionTrace, epsilon: float = DEFAULT_EPSILON) -> En
     for t, n in enumerate(trace.lengths.tolist()):
         h[t, :, :, :n].reshape(L, -1).sum(axis=1, out=sums[t])
     sums /= -H
-    return EntropyProfile(values=np.add.accumulate(sums)[-1] / steps, epsilon=epsilon)
+    return np.add.accumulate(sums)[-1] / steps
 
 
 def sparsity_curve(trace: AttentionTrace) -> SparsityCurve:
@@ -118,8 +85,8 @@ def sparsity_curve(trace: AttentionTrace) -> SparsityCurve:
     return SparsityCurve(cumulative=cum, fraction_for_80=min(k80, n) / n)
 
 
-def confusion_index(rows_per_layer, tags_per_layer) -> ConfusionIndex:
-    """Fraction of attention mass on foreign-tagged positions, per layer."""
+def confusion_index(rows_per_layer, tags_per_layer) -> np.ndarray:
+    """Fraction of attention mass on foreign-tagged positions, an (L,) float64 array."""
     out = []
     for rows, tags in zip(rows_per_layer, tags_per_layer):
         r = np.asarray(rows, dtype=np.float64)
@@ -129,7 +96,7 @@ def confusion_index(rows_per_layer, tags_per_layer) -> ConfusionIndex:
         foreign = (t == FOREIGN_PREFILL) | (t == FOREIGN_LATENT)
         total = r.sum()
         out.append(float(r[:, foreign].sum() / total) if total > 0 else 0.0)
-    return ConfusionIndex(values=np.array(out))
+    return np.array(out)
 
 
 def _fmt(x) -> str:

@@ -17,9 +17,9 @@ latent_count        4      latent positions (always the full latent run)
 dtype_flag          1      0 = float32, 1 = float16
 index_count         4      entries in the source index table
 indices             4*n    original prefill index of each salient position
-body                ...    per layer 1..l_comm: K then V, row-major
-                           (heads, positions, head_dim), positions =
-                           salient_count + latent_count
+body                ...    one row-major (l_comm, 2, heads, positions,
+                           head_dim) block: per layer K then V, positions
+                           = salient_count + latent_count
 ==================  =====  ==============================================
 
 Serialization round-trips bit-exactly and a truncated or oversized stream is
@@ -139,7 +139,6 @@ def serialize(p: Payload) -> bytes:
     if len(p.source_indices) != p.salient_count:
         raise PayloadFormatError(
             f"index table has {len(p.source_indices)} entries, salient_count is {p.salient_count}")
-    np_dtype = _DTYPES[p.dtype_flag]
     parts = [
         _FIXED.pack(
             MAGIC,
@@ -155,10 +154,9 @@ def serialize(p: Payload) -> bytes:
             len(p.source_indices),
         ),
         np.asarray(p.source_indices, dtype="<u4").tobytes(),
+        np.concatenate((p.keys[:, None], p.values[:, None]), axis=1,
+                       dtype=_DTYPES[p.dtype_flag]).tobytes(),
     ]
-    for l in range(p.l_comm):
-        parts.append(np.ascontiguousarray(p.keys[l], dtype=np_dtype).tobytes())
-        parts.append(np.ascontiguousarray(p.values[l], dtype=np_dtype).tobytes())
     return b"".join(parts)
 
 
@@ -187,18 +185,8 @@ def deserialize(data: bytes) -> Payload:
         raise PayloadFormatError("source indices are not strictly increasing")
     indices = tuple(int(i) for i in table)
     off += 4 * index_count
-    np_dtype = _DTYPES[dtype_flag]
-    positions = salient + latent
-    plane = num_heads * positions * head_dim
-    keys = np.empty((l_comm, num_heads, positions, head_dim), dtype=np_dtype)
-    values = np.empty_like(keys)
-    for l in range(l_comm):
-        keys[l] = np.frombuffer(data, dtype=np_dtype, count=plane, offset=off).reshape(
-            num_heads, positions, head_dim)
-        off += plane * np_dtype.itemsize
-        values[l] = np.frombuffer(data, dtype=np_dtype, count=plane, offset=off).reshape(
-            num_heads, positions, head_dim)
-        off += plane * np_dtype.itemsize
+    shape = (l_comm, 2, num_heads, salient + latent, head_dim)
+    body = np.frombuffer(data, _DTYPES[dtype_flag], math.prod(shape), off).reshape(shape)
     return Payload(
         sender_id=sender_id,
         frame_id=frame_id,
@@ -206,8 +194,8 @@ def deserialize(data: bytes) -> Payload:
         latent_count=latent,
         dtype_flag=dtype_flag,
         source_indices=indices,
-        keys=keys,
-        values=values,
+        keys=body[:, 0].copy(),
+        values=body[:, 1].copy(),
     )
 
 

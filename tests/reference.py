@@ -9,9 +9,9 @@ implementations against each other.  Three groups differ:
   package kernels: the bit-exact oracle for the lock-step batch.
 * ``ref_snapshot``, ``ref_check_tag_partition`` and ``ref_naive_full_fusion``
   copy, check or fully fuse whole caches for tests.
-* ``ref_trace_entropy`` and ``ref_emit`` are the package's one-step-at-a-time
-  entropy loop and its per-value CSV writer: the bit- and byte-exact oracles
-  for ``trace_entropy`` and ``emit``.
+* ``ref_trace_entropy`` and ``ref_emit`` are a one-step-at-a-time entropy
+  loop and the package's per-value CSV writer: the bit- and byte-exact
+  oracles for ``trace_entropy`` and ``emit``.
 """
 
 from pathlib import Path
@@ -20,15 +20,9 @@ import numpy as np
 
 from laco import kernels
 from laco.fusion import FusedContext, collaborative_decode
-from laco.model import (
-    EGO_LATENT,
-    EGO_PREFILL,
-    FOREIGN_LATENT,
-    FOREIGN_PREFILL,
-    KVCache,
-    KVSegment,
-)
-from laco.telemetry import DEFAULT_EPSILON, layer_entropy
+from laco.model import EGO_LATENT, EGO_PREFILL, KVCache
+from laco.telemetry import DEFAULT_EPSILON
+from laco.wire import DTYPE_F32, Payload
 
 
 def ref_forward_block(model, xs):
@@ -213,12 +207,14 @@ def ref_layer_entropy(rows, epsilon):
 
 
 def ref_trace_entropy(trace, epsilon=DEFAULT_EPSILON):
-    """``layer_entropy`` of each step's ``[:, :, :n]`` block, summed in step
-    order, divided by the step count."""
+    """Per-layer entropy of each step's ``[:, :, :n]`` block alone, summed in
+    step order, divided by the step count."""
     acc = None
     for t in range(trace.num_steps):
         n = int(trace.lengths[t])
-        values = layer_entropy(trace.array[t, :, :, :n], epsilon).values
+        a = trace.array[t, :, :, :n].astype(np.float64)
+        L, H = a.shape[:2]
+        values = -(a * np.log(a + epsilon)).reshape(L, -1).sum(axis=1) / H
         acc = values if acc is None else acc + values
     return acc / trace.num_steps
 
@@ -361,11 +357,18 @@ def ref_check_tag_partition(cache):
 
 
 def ref_naive_full_fusion(model, input_vec, ego, foreign):
-    """Full-depth fusion baseline: every layer attends over [ego || all of foreign]."""
+    """Full-depth fusion baseline: every layer attends over [ego || all of foreign].
+
+    ``foreign`` holds its prefill positions before its latent ones, all sent
+    unpruned as one payload over a copy of the whole cache.
+    """
+    ref_check_tag_partition(foreign)
     n = foreign.length
-    segment = KVSegment(
-        keys=foreign.k[:, :, :n].copy(),
-        values=foreign.v[:, :, :n].copy(),
-        tags=np.where(foreign.tags[:n] == EGO_LATENT, FOREIGN_LATENT, FOREIGN_PREFILL).astype(np.uint8),
+    prefill_len = int(np.count_nonzero(foreign.tags[:n] == EGO_PREFILL))
+    payload = Payload(
+        sender_id=foreign.agent, frame_id=0, salient_count=prefill_len,
+        latent_count=n - prefill_len, dtype_flag=DTYPE_F32,
+        source_indices=tuple(range(prefill_len)),
+        keys=foreign.k[:, :, :n].copy(), values=foreign.v[:, :, :n].copy(),
     )
-    return collaborative_decode(model, input_vec, FusedContext(ego=ego, segments=[segment]))
+    return collaborative_decode(model, input_vec, FusedContext(ego=ego, segments=[payload]))

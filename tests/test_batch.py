@@ -13,7 +13,8 @@ import pytest
 from laco import scenario as sc
 from laco.errors import ConfigError
 from laco.ild import compute_alignment, deliberate
-from laco.model import KVSegment, ModelConfig, forward_decode, init_model, prefill
+from laco.model import ModelConfig, forward_decode, init_model, prefill
+from laco.wire import distill
 from reference import ref_deliberate, ref_forward_decode, ref_prefill
 
 CASES = [(seed, A) for seed in range(12) for A in (1, 2, 3)]
@@ -52,7 +53,7 @@ def test_prefill_and_deliberation_match_per_agent_path(seed, A):
     for a, aid in enumerate(agents):
         h0, ref_cache = ref_prefill(model, tokens[a])
         np.testing.assert_array_equal(pre.hidden[a], h0)
-        h, array, lengths = ref_deliberate(model, align.w_a, h0, ref_cache, m)
+        h, array, lengths = ref_deliberate(model, align, h0, ref_cache, m)
         np.testing.assert_array_equal(delib.final_hidden[a], h)
         np.testing.assert_array_equal(delib.trace[a].array, array)
         np.testing.assert_array_equal(delib.trace[a].lengths, lengths)
@@ -67,7 +68,7 @@ def test_single_sequence_is_the_one_agent_batch(seed):
     pre = prefill(model, tokens[0])
     delib = deliberate(model, compute_alignment(model), pre.hidden, pre.cache, m)
     h0, ref_cache = ref_prefill(model, tokens[0])
-    h, array, _ = ref_deliberate(model, compute_alignment(model).w_a, h0, ref_cache, m)
+    h, array, _ = ref_deliberate(model, compute_alignment(model), h0, ref_cache, m)
     np.testing.assert_array_equal(delib.final_hidden, h)
     np.testing.assert_array_equal(delib.trace.array, array)
     assert_cache_equal(pre.cache, ref_cache)
@@ -106,7 +107,7 @@ def test_decision_decode_on_a_batch_view_matches_per_agent_path():
     refs = []
     for a in range(3):
         h0, ref_cache = ref_prefill(model, tokens[a])
-        ref_deliberate(model, align.w_a, h0, ref_cache, m)
+        ref_deliberate(model, align, h0, ref_cache, m)
         refs.append(ref_cache)
     x = np.linspace(-1, 1, model.config.model_dim).astype(np.float32)
     for a in (2, 0):  # ragged: agent 1 does not decode
@@ -140,11 +141,10 @@ class TestBatchRejected:
             forward_decode(self.model, self.x, [self.pre.cache[0], other])
 
     def test_segments_need_a_single_cache(self):
-        seg = KVSegment(keys=self.pre.cache[0].k[:, :, :1].copy(),
-                        values=self.pre.cache[0].v[:, :, :1].copy(),
-                        tags=np.zeros(1, dtype=np.uint8))
+        cache = self.pre.cache[0]
+        payload = distill(cache, cache.length, [0], 1.0, sender_id=0, frame_id=0)
         with pytest.raises(ConfigError, match="single cache"):
-            forward_decode(self.model, self.x, self.pre.cache[:2], [seg])
+            forward_decode(self.model, self.x, self.pre.cache[:2], [payload])
 
     def test_input_shape_must_match_the_batch(self):
         with pytest.raises(ConfigError, match="shape"):

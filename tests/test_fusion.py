@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from laco.model import (
     prefill,
     project_to_logits,
 )
-from laco.wire import distill
+from laco.wire import DTYPE_F16, DTYPE_F32, distill
 from reference import ref_naive_full_fusion, ref_snapshot
 
 
@@ -31,12 +33,14 @@ def cfg(seed=0, **kw):
     return ModelConfig(**base)
 
 
-def build_payload(model, tokens, m=3, rho_indices=None, fraction=1.0, sender=1):
+def build_payload(model, tokens, m=3, rho_indices=None, fraction=1.0, sender=1,
+                  dtype_flag=DTYPE_F32):
     res = prefill(model, tokens)
     deliberate(model, compute_alignment(model), res.hidden, res.cache, m)
     T = len(tokens)
     idx = rho_indices if rho_indices is not None else list(range(T))
-    return distill(res.cache, T, idx, fraction, sender_id=sender, frame_id=0), res.cache
+    return distill(res.cache, T, idx, fraction, sender_id=sender, frame_id=0,
+                   dtype_flag=dtype_flag), res.cache
 
 
 class TestAttach:
@@ -51,7 +55,7 @@ class TestAttach:
         res = prefill(mdl, [1, 2, 3])
         payload, _ = build_payload(init_model(cfg(seed=1)), [4, 5], m=0, rho_indices=[])
         assert payload.num_positions == 0
-        ctx = attach_payload(res.cache, payload)
+        ctx = attach_payload(res.cache, [payload])
         assert ctx.segments[0].num_positions == 0
         x = np.full(8, 0.5, dtype=np.float32)
         out = collaborative_decode(mdl, x, ctx)
@@ -68,9 +72,8 @@ class TestAttach:
         ctx = attach_payload(res.cache, [p3, p1])
         assert [s.num_positions for s in ctx.segments] == [5, 5]
         assert p1.keys.tobytes() != p3.keys.tobytes()
-        for seg, p in zip(ctx.segments, [p1, p3]):
-            assert seg.keys.tobytes() == p.keys.tobytes()
-            assert seg.values.tobytes() == p.values.tobytes()
+        # received payloads are read as they are, with no copy
+        assert all(seg is p for seg, p in zip(ctx.segments, [p1, p3], strict=True))
 
     def test_shape_mismatch_rejected(self):
         mdl = init_model(cfg(seed=3))
@@ -78,16 +81,18 @@ class TestAttach:
         other = init_model(cfg(seed=3, model_dim=16))
         payload, _ = build_payload(other, [1, 2])
         with pytest.raises(ShapeMismatchError):
-            attach_payload(res.cache, payload)
+            attach_payload(res.cache, [payload])
 
     def test_foreign_tags(self):
-        payload, _ = build_payload(init_model(cfg(seed=4)), [1, 2, 3], m=2)
+        payload, _ = build_payload(init_model(cfg(seed=4)), [1, 2, 3], m=2, fraction=0.5)
         mdl = init_model(cfg(seed=4))
         res = prefill(mdl, [5, 6])
-        ctx = attach_payload(res.cache, payload)
-        tags = ctx.segments[0].tags
-        assert np.all(tags[:3] == FOREIGN_PREFILL)
-        assert np.all(tags[3:] == FOREIGN_LATENT)
+        out = collaborative_decode(mdl, np.zeros(8, dtype=np.float32),
+                                   attach_payload(res.cache, [payload]))
+        foreign = [FOREIGN_PREFILL] * 3 + [FOREIGN_LATENT] * 2
+        for l, tags in enumerate(out.context_tags):
+            assert tags.dtype == np.uint8
+            np.testing.assert_array_equal(tags[3:], foreign if l < payload.l_comm else [])
 
 
 class TestEquivalences:
@@ -112,7 +117,7 @@ class TestEquivalences:
         res_a = prefill(mdl_a, [7, 8])
         res_b = prefill(mdl_b, [7, 8])
         x = np.full(8, 0.25, dtype=np.float32)
-        via_payload = collaborative_decode(mdl_a, x, attach_payload(res_a.cache, payload))
+        via_payload = collaborative_decode(mdl_a, x, attach_payload(res_a.cache, [payload]))
         via_naive = ref_naive_full_fusion(mdl_b, x, res_b.cache, foreign_cache)
         np.testing.assert_array_equal(via_payload.hidden, via_naive.hidden)
         np.testing.assert_array_equal(via_payload.logits, via_naive.logits)
@@ -147,6 +152,31 @@ class TestEquivalences:
             )
 
 
+class TestWidening:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_f16_payloads_decode_as_their_float32_widening(self, seed):
+        # the decode joins float16 bodies to its float64 context exactly, so a
+        # float16 payload and its float32 cast give the same bits
+        p16 = [build_payload(init_model(cfg(seed=seed)), tokens, m=3, fraction=fraction,
+                             sender=sender, dtype_flag=DTYPE_F16)[0]
+               for sender, tokens, fraction in ((2, [2, 4, 6, 1], 0.5), (1, [3, 5], 1.0))]
+        assert all(p.keys.dtype == np.float16 for p in p16)
+        p32 = [replace(p, dtype_flag=DTYPE_F32, keys=p.keys.astype(np.float32),
+                       values=p.values.astype(np.float32)) for p in p16]
+        x = np.linspace(-1, 1, 8).astype(np.float32)
+        outs = []
+        for payloads in (p16, p32):
+            mdl = init_model(cfg(seed=seed))
+            res = prefill(mdl, [7, 8, 9])
+            outs.append(collaborative_decode(mdl, x, attach_payload(res.cache, payloads)))
+        f16, f32 = outs
+        assert f16.attention_rows[0].shape[1] == 4 + 7 + 5
+        assert np.array_equal(f16.hidden, f32.hidden)
+        assert np.array_equal(f16.logits, f32.logits)
+        for a, b in zip(f16.attention_rows, f32.attention_rows, strict=True):
+            assert np.array_equal(a, b)
+
+
 class TestDepthIsolation:
     def test_deep_layers_never_see_foreign(self):
         sender = init_model(cfg(seed=9))
@@ -155,7 +185,7 @@ class TestDepthIsolation:
         mdl = init_model(cfg(seed=9))
         res = prefill(mdl, [7, 8])
         out = collaborative_decode(mdl, np.zeros(8, dtype=np.float32),
-                                   attach_payload(res.cache, payload))
+                                   attach_payload(res.cache, [payload]))
         assert out.attention_rows[0].shape[1] == 3 + payload.num_positions
         for rows in out.attention_rows[1:]:
             assert rows.shape[1] == 3
@@ -179,7 +209,7 @@ class TestDepthIsolation:
         mdl = init_model(cfg(seed=11))
         res = prefill(mdl, [7, 8])
         collaborative_decode(mdl, np.zeros(8, dtype=np.float32),
-                             attach_payload(res.cache, payload))
+                             attach_payload(res.cache, [payload]))
         assert res.cache.length == 3
         tags = res.cache.tags[:3]
         assert not np.any((tags == FOREIGN_PREFILL) | (tags == FOREIGN_LATENT))
@@ -206,7 +236,7 @@ class TestHazardFusion:
         base_mdl, base_res = self._clear_ego()
         h0, _ = forward_decode(base_mdl, marker, base_res.cache)
         base_logits = project_to_logits(base_mdl, h0)
-        out = collaborative_decode(mdl, marker, attach_payload(res.cache, payload))
+        out = collaborative_decode(mdl, marker, attach_payload(res.cache, [payload]))
         assert out.logits[TOKEN_BRAKE] > base_logits[TOKEN_BRAKE]
         assert int(np.argmax(out.logits)) == TOKEN_BRAKE
 
@@ -225,7 +255,7 @@ class TestHazardFusion:
 
         mdl_shallow, res_shallow = self._clear_ego()
         shallow = collaborative_decode(mdl_shallow, marker,
-                                       attach_payload(res_shallow.cache, payload_shallow))
+                                       attach_payload(res_shallow.cache, [payload_shallow]))
         assert int(np.argmax(shallow.logits)) == TOKEN_KEEP
 
         mdl_plain, res_plain = self._clear_ego()

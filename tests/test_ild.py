@@ -40,7 +40,7 @@ class TestAlignment:
         m._alignment = None
         proj = compute_alignment(m)
         expected = m.w_out.T.astype(np.float64) @ m.w_in.astype(np.float64)
-        np.testing.assert_allclose(proj.w_a, expected, atol=1e-5)
+        np.testing.assert_allclose(proj, expected, atol=1e-5)
 
     def test_pinv_defining_identity(self):
         m = init_model(cfg(seed=2))
@@ -54,12 +54,12 @@ class TestAlignment:
         a = compute_alignment(m)
         b = compute_alignment(m)
         assert a is b
-        assert a.w_a.tobytes() == b.w_a.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_shape(self):
         m = init_model(cfg(seed=4, vocab_size=20))
         proj = compute_alignment(m)
-        assert proj.w_a.shape == (8, 8)
+        assert proj.shape == (8, 8) and proj.dtype == np.float32
 
 
 class TestDeliberate:
@@ -127,7 +127,7 @@ class TestDeliberate:
         res = prefill(mdl, tokens)
         proj = compute_alignment(mdl)
         out = deliberate(mdl, proj, res.hidden, res.cache, 3)
-        ref = ref_deliberate_hidden(mdl, tokens, proj.w_a, 3)
+        ref = ref_deliberate_hidden(mdl, tokens, proj, 3)
         np.testing.assert_allclose(out.final_hidden, ref, atol=1e-6)
 
     def test_matches_unrolled_reference_random(self):
@@ -136,5 +136,5 @@ class TestDeliberate:
         res = prefill(mdl, tokens)
         proj = compute_alignment(mdl)
         out = deliberate(mdl, proj, res.hidden, res.cache, 3)
-        ref = ref_deliberate_hidden(mdl, tokens, proj.w_a, 3)
+        ref = ref_deliberate_hidden(mdl, tokens, proj, 3)
         np.testing.assert_allclose(out.final_hidden, ref, rtol=1e-5, atol=1e-6)

@@ -33,7 +33,7 @@ hazard = lane=A path=3,4 hide=1,4 appear=0 enter=3 clear=5
 """
 
 
-_FUZZ_KEYS = ("agent", "route", "hazard", "grid") + tuple(sc._SCALARS)
+_FUZZ_KEYS = ("agent", "route", "hazard", "grid") + tuple(sc._DEFAULTS)
 _FUZZ_WORDS = (
     "0", "1", "-1", "A", "B", "C", "3,0", "3,4", "1,4", "0,0", "3,", ",", "x", "=",
     "lane=A", "lane=B", "path=3,4", "hide=1,4", "appear=0", "enter=3", "clear=5", "enter=",
@@ -107,6 +107,24 @@ class TestParser:
     )
     def test_rejects_malformed(self, mutation):
         line, match = mutation
+        with pytest.raises(ScenarioError, match=match):
+            sc.parse_scenario(MINI + line + "\n")
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("hazard = lane=C path=3,4 appear=0 enter=3 clear=5", "hazard lane must be A or B"),
+            ("hazard = lane=A path=3,4 apear=1 enter=3 clear=5", "unknown hazard field"),
+            ("hazard = lane=A path=3,4 enter=2 clear=5 enter=3", "repeats a field"),
+            ("agent = 0 A 3,0", "agent 0 is defined twice"),
+            ("route = 1 0,0 0,1", "route 1 is defined twice"),
+        ],
+        ids=["hazard_lane_c", "hazard_unknown_field", "hazard_repeated_field",
+             "agent_id_twice", "route_id_twice"],
+    )
+    def test_rejects_lines_that_would_be_misread(self, line, match):
+        # each would otherwise parse: as lane B, with appear=0, with the last
+        # enter, as two agents with one id, or as the second route only
         with pytest.raises(ScenarioError, match=match):
             sc.parse_scenario(MINI + line + "\n")
 
@@ -332,7 +350,7 @@ class TestSweep:
         from laco.wire import payload_size_bytes, rounded_layer_count
 
         spec = mini_spec()
-        result = sc.run_episode(sc._replace_param(spec, "rho", 1.0), "LACO")
+        result = sc.run_episode(replace(spec, rho=1.0), "LACO")
         T = spec.observation_len
         l_comm = rounded_layer_count(spec.l_comm_fraction, spec.model_layers)
         per_payload = payload_size_bytes(

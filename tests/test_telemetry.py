@@ -17,7 +17,6 @@ from laco.telemetry import (
     TelemetryWriter,
     confusion_index,
     emit,
-    layer_entropy,
     read_telemetry,
     sparsity_curve,
     trace_entropy,
@@ -31,44 +30,54 @@ def dist_rows(rng, H, n):
     return (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
 
 
+def one_step(*rows_per_layer):
+    """A one-step trace of (H, n_l) rows per layer, zero-padded to the widest."""
+    H, n = rows_per_layer[0].shape[0], max(r.shape[1] for r in rows_per_layer)
+    array = np.zeros((1, len(rows_per_layer), H, n), dtype=np.float32)
+    for l, rows in enumerate(rows_per_layer):
+        array[0, l, :, : rows.shape[1]] = rows
+    return AttentionTrace(array, np.array([n]))
+
+
 class TestEntropy:
     def test_uniform_is_log_n(self):
         rows = np.full((2, 16), 1.0 / 16, dtype=np.float32)
-        prof = layer_entropy([rows, rows])
-        np.testing.assert_allclose(prof.values, np.log(16.0), atol=1e-5)
+        entropy = trace_entropy(one_step(rows, rows))
+        assert entropy.dtype == np.float64 and entropy.shape == (2,)
+        np.testing.assert_allclose(entropy, np.log(16.0), atol=1e-5)
 
     def test_one_hot_near_zero(self):
         rows = np.zeros((3, 8), dtype=np.float32)
         rows[:, 2] = 1.0
-        prof = layer_entropy([rows])
-        assert abs(prof.values[0]) <= 1e-6
+        assert abs(trace_entropy(one_step(rows))[0]) <= 1e-6
 
     def test_matches_straight_line(self):
         rng = np.random.default_rng(0)
         rows_per_layer = [dist_rows(rng, 2, 8) for _ in range(3)]
-        prof = layer_entropy(rows_per_layer)
+        entropy = trace_entropy(one_step(*rows_per_layer))
         for l, rows in enumerate(rows_per_layer):
-            np.testing.assert_allclose(prof.values[l], ref_layer_entropy(rows, 1e-8), atol=1e-12)
+            np.testing.assert_allclose(entropy[l], ref_layer_entropy(rows, 1e-8), atol=1e-12)
 
     def test_bounds(self):
         rng = np.random.default_rng(1)
         for n in (1, 3, 64):
-            rows = dist_rows(rng, 4, n)
-            e = layer_entropy([rows]).values[0]
+            e = trace_entropy(one_step(dist_rows(rng, 4, n)))[0]
             assert -1e-6 <= e <= np.log(n) + 1e-6
 
     def test_ragged_rows_accepted(self):
+        # zero padding up to the widest layer adds nothing to a layer's entropy
         rng = np.random.default_rng(2)
-        prof = layer_entropy([dist_rows(rng, 2, 9), dist_rows(rng, 2, 4)])
-        assert prof.values.shape == (2,)
+        short = dist_rows(rng, 2, 4)
+        entropy = trace_entropy(one_step(dist_rows(rng, 2, 9), short))
+        assert entropy.shape == (2,)
+        np.testing.assert_allclose(entropy[1], ref_layer_entropy(short, 1e-8), atol=1e-12)
 
     def test_trace_entropy_averages_steps(self):
         array = np.zeros((2, 1, 1, 4), dtype=np.float32)
         array[0, :, :, :2] = 0.5
         array[1] = 0.25
         trace = AttentionTrace(array, np.array([2, 4]))
-        prof = trace_entropy(trace)
-        np.testing.assert_allclose(prof.values[0], (np.log(2) + np.log(4)) / 2, atol=1e-5)
+        np.testing.assert_allclose(trace_entropy(trace)[0], (np.log(2) + np.log(4)) / 2, atol=1e-5)
 
 
 @st.composite
@@ -93,7 +102,7 @@ class TestTraceEntropyOracle:
     @given(ragged_traces())
     @settings(max_examples=60, deadline=None)
     def test_bit_equal_to_per_step_loop(self, trace):
-        np.testing.assert_array_equal(trace_entropy(trace).values, ref_trace_entropy(trace))
+        np.testing.assert_array_equal(trace_entropy(trace), ref_trace_entropy(trace))
 
 
 class TestSparsity:
@@ -145,14 +154,14 @@ class TestConfusion:
         rows = [dist_rows(rng, 2, 5) for _ in range(3)]
         tags = [np.full(5, EGO_PREFILL, dtype=np.uint8) for _ in range(3)]
         idx = confusion_index(rows, tags)
-        np.testing.assert_array_equal(idx.values, 0.0)
+        np.testing.assert_array_equal(idx, 0.0)
 
     def test_mirror_copy_half_mass(self):
         # identical ego and foreign keys split softmax mass evenly
         rows = np.full((2, 8), 1.0 / 8, dtype=np.float32)
         tags = np.array([EGO_PREFILL] * 4 + [FOREIGN_PREFILL] * 4, dtype=np.uint8)
         idx = confusion_index([rows], [tags])
-        np.testing.assert_allclose(idx.values, 0.5, atol=1e-6)
+        np.testing.assert_allclose(idx, 0.5, atol=1e-6)
 
     def test_deep_layers_exactly_zero_when_ego_only(self):
         rng = np.random.default_rng(7)
@@ -163,15 +172,16 @@ class TestConfusion:
             np.full(5, EGO_LATENT, dtype=np.uint8),
         ]
         idx = confusion_index(rows, tags)
-        assert idx.values[0] > 0.0
-        assert idx.values[1] == 0.0 and idx.values[2] == 0.0
+        assert idx.dtype == np.float64 and idx.shape == (3,)
+        assert idx[0] > 0.0
+        assert idx[1] == 0.0 and idx[2] == 0.0
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(8)
         rows = [dist_rows(rng, 3, 6)]
         tags = [np.array([EGO_PREFILL, FOREIGN_PREFILL] * 3, dtype=np.uint8)]
         idx = confusion_index(rows, tags)
-        assert 0.0 <= idx.values[0] <= 1.0
+        assert 0.0 <= idx[0] <= 1.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigError):
