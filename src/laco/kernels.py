@@ -44,12 +44,12 @@ def attend_single(keys, values, query, inv_sqrt_dh):
 def attend_causal(queries, keys, values, inv_sqrt_dh):
     """Causal self-attention over a full block (prefill).
 
-    queries/keys/values: (H, T, d_h) float32.
-    Returns (out (H, T, d_h) float32, rows (H, T, T) float32) with
+    queries/keys/values: (H, T, d_h) float32 values (a float64 array is not
+    copied).  Returns (out (H, T, d_h) float32, rows (H, T, T) float32) with
     rows[h, t, j] = 0 for j > t.
     """
-    q64 = queries.astype(np.float64)
-    k64 = keys.astype(np.float64)
+    q64 = np.asarray(queries, np.float64)
+    k64 = np.asarray(keys, np.float64)
     # One (H, T, T) float64 block, reused in place, for a batch folded into H.
     p = q64 @ k64.transpose(0, 2, 1)
     p *= inv_sqrt_dh
@@ -59,5 +59,5 @@ def attend_causal(queries, keys, values, inv_sqrt_dh):
     p /= p.sum(axis=2, keepdims=True)
     rows = p.astype(np.float32)
     np.copyto(p, rows)
-    out64 = p @ values.astype(np.float64)
+    out64 = p @ np.asarray(values, np.float64)
     return out64.astype(np.float32), rows

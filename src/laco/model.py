@@ -364,6 +364,8 @@ def prefill(model: Model, tokens, agents=None) -> PrefillResult:
     the agents folded into the head axis of one store.  Returns the last
     hidden state, (d,) or (A, d), and the cache, or a list of A cache views
     counting passes for ``agents`` (default 0..A-1).
+    The last layer attends for position T-1 only but keeps ``w_o`` and the
+    MLP at (A, T, .): a one-row product may sum in another order.
     """
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -377,18 +379,23 @@ def prefill(model: Model, tokens, agents=None) -> PrefillResult:
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ConfigError("token id out of vocabulary range")
 
-    H, dh, d = cfg.num_heads, cfg.head_dim, cfg.model_dim
-    store = np.zeros((2, cfg.num_layers, A * H, cfg.max_context, dh), dtype=np.float64)
+    L, H, dh, d = cfg.num_layers, cfg.num_heads, cfg.head_dim, cfg.model_dim
+    store = np.zeros((2, L, A * H, cfg.max_context, dh), dtype=np.float64)
+    kv_by_agent = store.reshape(2, L, A, H, cfg.max_context, dh)  # a view, for the K/V writes
 
-    def heads(y):  # (A, T, d) -> (A·H, T, d_h)
-        return y.reshape(A, T, H, dh).transpose(0, 2, 1, 3).reshape(A * H, T, dh)
+    def split(y):  # (A, T, d) -> (A, H, T, d_h), a view
+        return y.reshape(A, T, H, dh).transpose(0, 2, 1, 3)
 
     x = model.w_in[rows] + model.pos[:T]
     for l, lw in enumerate(model.layers):
-        q, k, v = heads(x @ lw.w_q), heads(x @ lw.w_k), heads(x @ lw.w_v)
-        store[0, l, :, :T] = k
-        store[1, l, :, :T] = v
-        out, _ = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
+        kv_by_agent[0, l, :, :, :T] = split(x @ lw.w_k)
+        kv_by_agent[1, l, :, :, :T] = split(x @ lw.w_v)
+        q, k, v = split(x @ lw.w_q).reshape(A * H, T, dh), store[0, l, :, :T], store[1, l, :, :T]
+        if l < L - 1:
+            out, _ = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
+        else:  # only position T-1 leaves the last layer: its other rows stay zero
+            out = np.zeros_like(q)
+            out[:, -1], _ = kernels.attend_single(k, v, q[:, -1], model.inv_sqrt_head_dim)
         x = x + out.reshape(A, H, T, dh).transpose(0, 2, 1, 3).reshape(A, T, d) @ lw.w_o
         x = x + _mlp(x, lw)
 
@@ -408,11 +415,12 @@ def forward_decode(model: Model, input_vec, cache, payloads=(), tag: int = EGO_L
     ``cache`` is one :class:`KVCache` with a (d,) input, or a lock-step batch
     (a list of A caches from one :func:`prefill`, all of one length) with an
     (A, d) input, run as one pass with the agents folded into the head axis.
-    ``payloads`` (single cache only) are :class:`laco.wire.Payload` read as
-    they are: each layer l < ``l_comm`` joins a payload's ``keys[l]`` and
-    ``values[l]`` (float32 or float16, widened exactly) to the context.  The
-    new position's keys/values go to the ego cache only.  Returns (hidden
-    (d,) or (A, d) float32, rows: list over layers of (A·H, n_l) float32).
+    ``payloads``, read as they are, is a list for one cache or one list per
+    agent, all of one signature (each payload's ``(l_comm, num_positions)``).
+    Layer l < ``l_comm`` joins a payload's ``keys[l]``/``values[l]`` (float32
+    or float16, widened exactly) to its own agent's rows of one (A·H, n + P,
+    d_h) context; the new position goes to the ego cache only.  Returns
+    (hidden (d,) or (A, d) float32, rows: list over layers of (A·H, n_l)).
 
     This is the single decode path: plain decoding is the degenerate case
     with no payloads, so the two are bit-identical by construction.
@@ -428,8 +436,11 @@ def forward_decode(model: Model, input_vec, cache, payloads=(), tag: int = EGO_L
         raise ConfigError("decode requires a non-empty cache")
     if n >= first.capacity:
         raise ContextOverflowError(f"cache full at {n} positions")
-    if payloads and not single:
-        raise ConfigError("foreign payloads attach to a single cache")
+    inboxes = [payloads] if single else payloads or [()] * A
+    signatures = {tuple((p.l_comm, p.num_positions) for p in box) for box in inboxes}
+    if len(inboxes) != A or len(signatures) != 1:
+        raise ConfigError("a decode batch needs one payload list per agent, all of one signature")
+    depth = max((l_comm for l_comm, _ in signatures.pop()), default=0)
     x = np.asarray(input_vec, dtype=np.float32)
     shape = (cfg.model_dim,) if single else (A, cfg.model_dim)
     if x.shape != shape:
@@ -446,14 +457,12 @@ def forward_decode(model: Model, input_vec, cache, payloads=(), tag: int = EGO_L
     for l, lw in enumerate(model.layers):
         qkv = (x @ lw.w_qkv).reshape(A, 3, H, dh)
         kv_by_agent[:, l, :, :, n] = qkv[:, 1:].swapaxes(0, 1)
-        ctx_k = kv[0, l, :, : n + 1]
-        ctx_v = kv[1, l, :, : n + 1]
-        if payloads:
-            fused = [p for p in payloads if l < p.l_comm]
-            if fused:
-                ctx_k = np.concatenate([ctx_k] + [p.keys[l] for p in fused], axis=1)
-                ctx_v = np.concatenate([ctx_v] + [p.values[l] for p in fused], axis=1)
-        out, rows = kernels.attend_single(ctx_k, ctx_v, qkv[:, 0].reshape(A * H, dh),
+        ctx = kv[:, l, :, : n + 1]
+        if l < depth:  # each agent's H rows go on with its own payloads' positions
+            ctx = np.concatenate([ctx, np.concatenate([np.concatenate(
+                [np.stack((p.keys[l], p.values[l])) for p in box if l < p.l_comm], axis=2)
+                for box in inboxes], axis=1)], axis=2)
+        out, rows = kernels.attend_single(ctx[0], ctx[1], qkv[:, 0].reshape(A * H, dh),
                                           model.inv_sqrt_head_dim)
         rows_per_layer.append(rows)
         x += out.reshape(A, 1, d) @ lw.w_o

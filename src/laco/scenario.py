@@ -13,6 +13,7 @@ layouts.
 """
 
 import functools
+import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -503,8 +504,8 @@ class Simulation:
 
 # Paradigms.  A sender turns the live agents' prefill batch into the message
 # each of them broadcasts (or None) and may extend their caches in lock-step;
-# a receiver turns one agent's non-empty inbox into the decision's (logits,
-# attention rows, context tags).
+# a receiver turns the live agents' inboxes (some may be empty) into each
+# agent's decision: (logits, attention rows, context tags).
 
 def _send_nothing(sim: Simulation, live, pre):
     return [None] * len(live)
@@ -568,24 +569,34 @@ def _send_laco(sim: Simulation, live, pre):
     return messages
 
 
-def _decide_on_tokens(sim: Simulation, aid: int, obs, cache, inbox):
-    """Language: re-prefill [relayed tokens || observation], then decide on that."""
-    prefix = [tok for msg in inbox for tok in msg.token_ids]
-    tokens = np.concatenate([np.asarray(prefix, dtype=np.int64), obs])
-    pre = prefill(sim.model, tokens, agents=(aid,))
-    return _decide(sim, aid, obs, pre.cache, ())
+def _decide_on_tokens(sim: Simulation, live, observations, caches, inboxes):
+    """Language: re-prefill [relayed tokens || observation], then decide on that:
+    one prefill and decode per relayed-prefix length.  An agent with an empty
+    inbox decides on its own cache."""
+    decisions = _decide(sim, [a for a in live if not inboxes[a]], observations, caches, inboxes)
+    relayed = {a: [tok for msg in inboxes[a] for tok in msg.token_ids] for a in live if inboxes[a]}
+    for n in dict.fromkeys(map(len, relayed.values())):
+        group = [aid for aid, prefix in relayed.items() if len(prefix) == n]
+        pre = prefill(sim.model, [relayed[aid] + observations[aid].tolist() for aid in group],
+                      agents=group)
+        decisions.update(_decide(sim, group, observations, dict(zip(group, pre.cache)),
+                                 dict.fromkeys(group, ())))
+    return decisions
 
 
-def _decide(sim: Simulation, aid: int, obs, cache, inbox):
-    """One decode over the ego cache fused with the received payloads.
-
-    With an empty inbox this is the plain decision decode over the agent's
-    own cache.
-    """
-    model = sim.model
-    marker = model.w_in[sim.agents[aid].spec.marker_token].copy()
-    result = collaborative_decode(model, marker, attach_payload(cache, inbox))
-    return result.logits, result.attention_rows, result.context_tags
+def _decide(sim: Simulation, live, observations, caches, inboxes):
+    """{agent: (logits, attention rows, tags)} of one decode per run of agents
+    on consecutive store rows whose inboxes have one signature (each payload's
+    ``(l_comm, num_positions)``, by ascending sender id)."""
+    decisions = {}
+    for _, run in itertools.groupby(enumerate(live), lambda ia: (
+            caches[ia[1]].row - ia[0], [(p.l_comm, p.num_positions) for p in inboxes[ia[1]]])):
+        group = [aid for _, aid in run]
+        markers = sim.model.w_in[[sim.agents[aid].spec.marker_token for aid in group]]
+        ctx = attach_payload([caches[aid] for aid in group], [inboxes[aid] for aid in group])
+        result = collaborative_decode(sim.model, markers, ctx)
+        decisions.update(zip(group, zip(result.logits, result.attention_rows, result.context_tags)))
+    return decisions
 
 
 # name -> (sender, receiver), in the order the paradigms are reported.
@@ -636,10 +647,10 @@ def run_tick(sim: Simulation):
         if not isinstance(msg, LanguageMessage):
             sim.payload_bytes.append((t, sender, serialize(msg)))
 
+    decisions = sim.receive(sim, live, observations, caches, inboxes)
     actions = {}
     for aid in live:
-        decide = sim.receive if inboxes[aid] else _decide
-        logits, rows, tags = decide(sim, aid, observations[aid], caches[aid], inboxes[aid])
+        logits, rows, tags = decisions[aid]
         action = int(np.argmax(logits))
         if action not in ACTION_TOKENS:
             raise InvalidActionError(

@@ -133,12 +133,16 @@ def payload_size_bytes(l_comm: int, num_heads: int, head_dim: int, salient: int,
 def serialize(p: Payload) -> bytes:
     """Bit-exact, deterministic byte encoding of a payload.
 
-    A payload whose index table does not hold ``salient_count`` entries is
-    rejected, so ``p.size_bytes()`` is always the length of the stream.
+    A payload whose index table, or whose keys and values, disagree with
+    ``salient_count`` and ``latent_count`` is rejected, so ``p.size_bytes()``
+    is always the length of the stream.
     """
     if len(p.source_indices) != p.salient_count:
         raise PayloadFormatError(
             f"index table has {len(p.source_indices)} entries, salient_count is {p.salient_count}")
+    if p.keys.shape != p.values.shape or p.num_positions != p.salient_count + p.latent_count:
+        raise PayloadFormatError(f"keys {p.keys.shape} and values {p.values.shape} do not both "
+                                 f"hold {p.salient_count} + {p.latent_count} positions")
     parts = [
         _FIXED.pack(
             MAGIC,

@@ -135,8 +135,12 @@ def ref_prefill(model, tokens):
     return x[-1].copy(), cache
 
 
-def ref_forward_decode(model, input_vec, cache, tag=EGO_LATENT):
-    """Per-agent decode of one (d,) input: (hidden (d,), rows per layer (H, n))."""
+def ref_forward_decode(model, input_vec, cache, tag=EGO_LATENT, payloads=()):
+    """Per-agent decode of one (d,) input: (hidden (d,), rows per layer (H, n_l)).
+
+    Each layer l attends over the agent's cache followed by ``keys[l]`` and
+    ``values[l]`` of every payload with l < ``l_comm``, in the order given.
+    """
     cfg = model.config
     H, dh, d = cfg.num_heads, cfg.head_dim, cfg.model_dim
     n = cache.length
@@ -146,8 +150,10 @@ def ref_forward_decode(model, input_vec, cache, tag=EGO_LATENT):
         q = (x @ lw.w_q).reshape(H, dh)
         cache.k[l, :, n, :] = (x @ lw.w_k).reshape(H, dh)
         cache.v[l, :, n, :] = (x @ lw.w_v).reshape(H, dh)
-        out, rows = kernels.attend_single(
-            cache.k[l, :, : n + 1, :], cache.v[l, :, : n + 1, :], q, model.inv_sqrt_head_dim)
+        fused = [p for p in payloads if l < p.l_comm]
+        ctx_k = np.concatenate([cache.k[l, :, : n + 1, :]] + [p.keys[l] for p in fused], axis=1)
+        ctx_v = np.concatenate([cache.v[l, :, : n + 1, :]] + [p.values[l] for p in fused], axis=1)
+        out, rows = kernels.attend_single(ctx_k, ctx_v, q, model.inv_sqrt_head_dim)
         rows_per_layer.append(rows)
         x = x + out.reshape(d) @ lw.w_o
         x = x + _ref_mlp(x, lw)

@@ -2,7 +2,9 @@
 
 Random ``init_model`` weights, A in {1, 2, 3} agents, random observation
 length T and a small m (so random weights stay finite).  The per-agent
-oracle lives in ``tests/reference.py``.
+oracle lives in ``tests/reference.py``: prefill, deliberation, the Language
+decode, and the decision decode over received payloads (one batched pass per
+inbox signature) and over a Language receiver's re-prefill.
 """
 
 from dataclasses import replace
@@ -13,8 +15,18 @@ import pytest
 from laco import scenario as sc
 from laco.errors import ConfigError
 from laco.ild import compute_alignment, deliberate
-from laco.model import ModelConfig, forward_decode, init_model, prefill
-from laco.wire import distill
+from laco.fusion import attach_payload, collaborative_decode
+from laco.model import (
+    ACTION_TOKENS,
+    TOKEN_BRAKE,
+    TOKEN_KEEP,
+    ModelConfig,
+    forward_decode,
+    init_model,
+    prefill,
+    project_to_logits,
+)
+from laco.wire import DTYPE_F16, DTYPE_F32, distill
 from reference import ref_deliberate, ref_forward_decode, ref_prefill
 
 CASES = [(seed, A) for seed in range(12) for A in (1, 2, 3)]
@@ -120,6 +132,165 @@ def test_decision_decode_on_a_batch_view_matches_per_agent_path():
         assert_cache_equal(pre.cache[a], refs[a])
 
 
+def deliberated_batch(seed, A):
+    """A random model, its batch of A caches after m lock-step latent steps,
+    the per-agent reference caches at the same point, and T."""
+    model, tokens, m = random_case(seed, A)
+    align = compute_alignment(model)
+    pre = prefill(model, tokens, agents=[10 + 3 * a for a in range(A)])
+    deliberate(model, align, pre.hidden, pre.cache, m)
+    refs = []
+    for row in tokens:
+        h0, ref_cache = ref_prefill(model, row)
+        ref_deliberate(model, align, h0, ref_cache, m)
+        refs.append(ref_cache)
+    return model, pre.cache, refs, tokens.shape[1]
+
+
+def inbox(caches, receiver, T, l_comms, dtype_flag, rng, kept):
+    """One payload per entry of ``l_comms``, each cut from another agent's cache
+    with ``kept`` salient positions, in ascending sender order."""
+    senders = [a for a in range(len(caches)) if a != receiver]
+    out = []
+    for i, l_comm in enumerate(l_comms):
+        sender = senders[i % len(senders)]
+        idx = sorted(rng.choice(T, size=kept, replace=False).tolist())
+        L = caches[0].config.num_layers
+        out.append(distill(caches[sender], T, idx, l_comm / L, sender_id=i,
+                           frame_id=0, dtype_flag=dtype_flag))
+    return out
+
+
+def assert_decision_matches_reference(model, x, ref_cache, payloads, hidden, logits, rows):
+    h_ref, rows_ref = ref_forward_decode(model, x, ref_cache, payloads=payloads)
+    if hidden is not None:
+        np.testing.assert_array_equal(hidden, h_ref)
+    np.testing.assert_array_equal(logits, project_to_logits(model, h_ref))
+    assert len(rows) == len(rows_ref)
+    for got, want in zip(rows, rows_ref):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype_flag", [DTYPE_F32, DTYPE_F16])
+@pytest.mark.parametrize("seed, A", [(seed, A) for seed in range(6) for A in (2, 3)])
+def test_batched_decision_decode_matches_per_agent_path(seed, A, dtype_flag):
+    L = random_case(seed, A)[0].config.num_layers
+    rng = np.random.default_rng(100 + seed)
+    for l_comm in range(1, L + 1):
+        model, caches, refs, T = deliberated_batch(seed, A)
+        H, d, kept = model.config.num_heads, model.config.model_dim, max(1, T // 3)
+        # Two payloads per agent: one at l_comm, one at full depth.
+        inboxes = [inbox(caches, a, T, [l_comm, L], dtype_flag, rng, kept) for a in range(A)]
+        x = rng.uniform(-1, 1, size=(A, d)).astype(np.float32)
+        out = collaborative_decode(model, x, attach_payload(caches, inboxes))
+        for a in range(A):
+            rows = out.attention_rows[a]
+            assert_decision_matches_reference(model, x[a], refs[a], inboxes[a], out.hidden[a],
+                                              out.logits[a], rows)
+            assert_cache_equal(caches[a], refs[a])
+            assert [t.shape[0] for t in out.context_tags[a]] == [r.shape[1] for r in rows]
+            assert all(r.shape[0] == H for r in rows)
+
+
+def test_a_ragged_tick_decides_in_one_pass_per_signature(monkeypatch):
+    """Rows 0 and 1 share a signature, row 2 has another, and the agent ids
+    are not consecutive: two decodes, each agent equal to its reference."""
+    model, caches, refs, T = deliberated_batch(7, 3)
+    L, H = model.config.num_layers, model.config.num_heads
+    rng = np.random.default_rng(7)
+    inboxes = [inbox(caches, 0, T, [1], DTYPE_F32, rng, 2),
+               inbox(caches, 1, T, [1], DTYPE_F16, rng, 2),
+               inbox(caches, 2, T, [L], DTYPE_F32, rng, 3)]
+    spec = sc.parse_scenario(THREE_AGENTS)
+    sim = sc.Simulation(replace(spec, agents=tuple(replace(a, agent_id=c.agent)
+                                                   for a, c in zip(spec.agents, caches))))
+    sim.model = model
+    live = [c.agent for c in caches]
+    groups = []
+    monkeypatch.setattr(sc, "collaborative_decode", lambda model, x, ctx: groups.append(
+        [c.agent for c in ctx.ego]) or collaborative_decode(model, x, ctx))
+    decisions = sc._decide(sim, live, None, dict(zip(live, caches)), dict(zip(live, inboxes)))
+    assert groups == [live[:2], live[2:]]
+    for a, aid in enumerate(live):
+        logits, rows, tags = decisions[aid]
+        x = model.w_in[sim.agents[aid].spec.marker_token]
+        assert_decision_matches_reference(model, x, refs[a], inboxes[a], None, logits, rows)
+        assert [t.shape[0] for t in tags] == [r.shape[1] for r in rows]
+        assert all(r.shape[0] == H for r in rows)
+
+
+def test_same_signature_on_rows_apart_is_not_one_batch(monkeypatch):
+    model, caches, _, T = deliberated_batch(8, 3)
+    rng = np.random.default_rng(8)
+    inboxes = [inbox(caches, a, T, [k], DTYPE_F32, rng, 1) for a, k in enumerate((1, 2, 1))]
+    sim = sc.Simulation(sc.parse_scenario(THREE_AGENTS))
+    sim.model = model
+    groups = []
+    monkeypatch.setattr(sc, "collaborative_decode", lambda model, x, ctx: groups.append(
+        len(ctx.ego)) or collaborative_decode(model, x, ctx))
+    sc._decide(sim, [0, 1, 2], None, dict(enumerate(caches)), dict(enumerate(inboxes)))
+    assert groups == [1, 1, 1]
+
+
+def test_a_nan_payload_leaves_its_batch_mates_bit_identical():
+    model, caches, refs, T = deliberated_batch(9, 3)
+    d, H = model.config.model_dim, model.config.num_heads
+    rng = np.random.default_rng(9)
+    inboxes = [inbox(caches, a, T, [model.config.num_layers], DTYPE_F32, rng, 2)
+               for a in range(3)]
+    inboxes[1][0].keys[0, 0, 0, 0] = np.nan
+    x = rng.uniform(-1, 1, size=(3, d)).astype(np.float32)
+    with np.errstate(invalid="ignore"):
+        hidden, rows = forward_decode(model, x, caches, inboxes)
+    assert not np.isfinite(hidden[1]).all()
+    for a in (0, 2):
+        h_ref, rows_ref = ref_forward_decode(model, x[a], refs[a], payloads=inboxes[a])
+        np.testing.assert_array_equal(hidden[a], h_ref)
+        for got, want in zip(rows, rows_ref):
+            np.testing.assert_array_equal(got[a * H : (a + 1) * H], want)
+
+
+def test_language_receivers_re_prefill_in_one_pass_per_prefix_length(monkeypatch):
+    """Agents 0 and 2 are out of range of each other, so 0 and 2 relay m
+    tokens and 1 relays 2m: one re-prefill for {0, 2}, one for {1}."""
+    spec = sc.parse_scenario(LANGUAGE_CHAIN)
+    sim = sc.Simulation(spec)
+    sim.model = model = init_model(spec.model_config())
+    # Non-action logits are 0 and KEEP = -BRAKE, so the argmax is an action slot.
+    model.w_out[:, len(ACTION_TOKENS):] = 0.0
+    model.w_out[:, TOKEN_KEEP] = -model.w_out[:, TOKEN_BRAKE]
+    live, m, T = sim.live_agents(), spec.m, spec.observation_len
+    obs = {aid: sc.observe(sim.world, sim.agents, spec.hazards, aid, 0) for aid in live}
+    relayed = {}
+    for aid in live:  # each agent's message: m greedy tokens on its own observation
+        h, cache = ref_prefill(model, obs[aid])
+        relayed[aid] = []
+        for _ in range(m):
+            relayed[aid].append(int(np.argmax(project_to_logits(model, h))))
+            h, _ = ref_forward_decode(model, model.w_in[relayed[aid][-1]], cache)
+    heard = {0: [1], 1: [0, 2], 2: [1]}
+
+    shapes, logits = [], {}
+    monkeypatch.setattr(sc, "prefill", lambda model, tokens, agents: shapes.append(
+        np.shape(tokens)) or prefill(model, tokens, agents))
+
+    def decode(model, x, ctx):
+        out = collaborative_decode(model, x, ctx)
+        logits.update((c.agent, row) for c, row in zip(ctx.ego, out.logits))
+        return out
+
+    monkeypatch.setattr(sc, "collaborative_decode", decode)
+    sc.run_tick(sim)
+    assert shapes == [(3, T), (2, m + T), (1, 2 * m + T)]
+    records = {r.agent: r for r in sim.telemetry}
+    for aid in live:
+        tokens = [tok for sender in heard[aid] for tok in relayed[sender]] + obs[aid].tolist()
+        _, cache = ref_prefill(model, tokens)
+        x = model.w_in[sim.agents[aid].spec.marker_token]
+        assert_decision_matches_reference(model, x, cache, (), None, logits[aid],
+                                          records[aid].rows)
+
+
 class TestBatchRejected:
     def setup_method(self):
         self.model, tokens, _ = random_case(5, 3)
@@ -140,11 +311,16 @@ class TestBatchRejected:
         with pytest.raises(ConfigError, match="one store"):
             forward_decode(self.model, self.x, [self.pre.cache[0], other])
 
-    def test_segments_need_a_single_cache(self):
+    def test_payload_lists_of_two_signatures(self):
         cache = self.pre.cache[0]
-        payload = distill(cache, cache.length, [0], 1.0, sender_id=0, frame_id=0)
-        with pytest.raises(ConfigError, match="single cache"):
-            forward_decode(self.model, self.x, self.pre.cache[:2], [payload])
+        one = distill(cache, cache.length, [0], 1.0, sender_id=0, frame_id=0)
+        two = distill(cache, cache.length, [0, 1], 1.0, sender_id=0, frame_id=0)
+        shallow = distill(cache, cache.length, [0], 0.01, sender_id=0, frame_id=0)
+        for inboxes in ([[one], [two]], [[one], [shallow]], [[one], []], [[one, one], [one]]):
+            with pytest.raises(ConfigError, match="signature"):
+                forward_decode(self.model, self.x, self.pre.cache[:2], inboxes)
+        with pytest.raises(ConfigError, match="one payload list per agent"):
+            forward_decode(self.model, self.x, self.pre.cache[:2], [[one]])
 
     def test_input_shape_must_match_the_batch(self):
         with pytest.raises(ConfigError, match="shape"):
@@ -164,4 +340,20 @@ agent = 2 B 1,0
 route = 0 3,0 3,1 3,2 3,3 3,4 3,5
 route = 1 0,0 0,1 0,2 0,3 0,4 0,5
 route = 2 1,0 1,1 1,2 1,3 1,4 1,5
+"""
+
+LANGUAGE_CHAIN = """
+name = language_chain
+paradigm = Language
+m = 3
+channel_range_m = 15.0
+grid = ......
+grid = ......
+grid = ......
+agent = 0 A 0,0
+agent = 1 B 1,0
+agent = 2 B 2,0
+route = 0 0,0 0,1 0,2 0,3 0,4 0,5
+route = 1 1,0 1,1 1,2 1,3 1,4 1,5
+route = 2 2,0 2,1 2,2 2,3 2,4 2,5
 """

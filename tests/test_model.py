@@ -30,6 +30,7 @@ from reference import (
     ref_check_tag_partition,
     ref_decode_hiddens,
     ref_matmul_row,
+    ref_prefill,
     ref_prefill_hidden,
     ref_snapshot,
 )
@@ -42,18 +43,27 @@ def small_config(seed=0, **kw):
 
 
 def prefill_rows(monkeypatch, model, tokens):
-    """The (L, H, T, T) causal attention rows ``attend_causal`` returns during a prefill."""
-    rows = []
-    causal = kernels.attend_causal
+    """The attention rows a prefill computes, as one (L, H, T, T) array.
 
-    def spy(*args):
-        out = causal(*args)
-        rows.append(out[1])
-        return out
+    Layers 0..L-2 hold the causal rows ``attend_causal`` returns.  The last
+    layer attends for position T-1 alone (``attend_single``), so only its row
+    T-1 is computed; its other rows stay zero here.
+    """
+    calls = []
+    for name in ("attend_causal", "attend_single"):
+        def spy(*args, kernel=getattr(kernels, name)):
+            out = kernel(*args)
+            calls.append(out[1])
+            return out
 
-    monkeypatch.setattr(kernels, "attend_causal", spy)
+        monkeypatch.setattr(kernels, name, spy)
     prefill(model, tokens)
-    return np.stack(rows)
+    *causal, last = calls
+    H, T = last.shape
+    rows = np.zeros((len(calls), H, T, T), dtype=np.float32)
+    rows[:-1] = causal
+    rows[-1, :, -1] = last
+    return rows
 
 
 class TestConfig:
@@ -117,10 +127,10 @@ class TestPrefill:
         rows = prefill_rows(monkeypatch, m, [0, 1, 2, 3])
         assert rows.shape == (2, 2, 4, 4)
         for t in range(4):
-            n = int(np.count_nonzero(rows[:, :, t, :].any(axis=(0, 1))))
+            computed = rows[:, :, t] if t == 3 else rows[:-1, :, t]  # the last layer: row T-1
+            n = int(np.count_nonzero(computed.any(axis=(0, 1))))
             assert n == t + 1
-            sums = rows[:, :, t, :n].sum(axis=2)
-            np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+            np.testing.assert_allclose(computed[:, :, :n].sum(axis=2), 1.0, atol=1e-6)
 
     def test_deterministic(self):
         m1, m2 = init_model(small_config(seed=5)), init_model(small_config(seed=5))
@@ -141,6 +151,20 @@ class TestPrefill:
         m = init_model(small_config())
         with pytest.raises(ConfigError):
             prefill(m, [])
+
+    @pytest.mark.parametrize("d", [16, 24, 40, 48])
+    def test_hidden_and_store_equal_the_per_agent_prefill(self, d):
+        # At d >= 24 a one-row product sums in another order than the (T, k)
+        # product, so the last layer keeps w_o and the MLP at (A, T, .).
+        model = init_model(ModelConfig(3, 4, d, 16, 48, seed=d))
+        tokens = np.random.default_rng(d).integers(0, 16, size=(2, 41))
+        pre = prefill(model, tokens)
+        refs = [ref_prefill(model, row) for row in tokens]
+        for a, (h, _) in enumerate(refs):
+            np.testing.assert_array_equal(pre.hidden[a], h)
+        # Every entry of the (2, L, A·H, capacity, d_h) store, zeros included.
+        want = np.concatenate([np.stack([ref.k, ref.v]) for _, ref in refs], axis=2)
+        np.testing.assert_array_equal(pre.cache[0].store, want)
 
     def test_matches_reference_forward(self):
         m = init_model(small_config(seed=11))

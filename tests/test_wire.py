@@ -218,6 +218,23 @@ class TestSerialization:
         with pytest.raises(PayloadFormatError, match="index table"):
             serialize(p)
 
+    def test_serialize_rejects_counts_the_arrays_do_not_hold(self):
+        # A distilled payload billing one latent position more than it holds
+        # used to serialize to 1,069 bytes while size_bytes() said 1,325.
+        cache, T, _ = chsa_from_model(m=2)
+        p = distill(cache, T, [1, 4], 1.0, sender_id=0, frame_id=0)
+        assert len(serialize(p)) == p.size_bytes() == 1069
+        p.latent_count += 1
+        assert p.size_bytes() == 1325
+        with pytest.raises(PayloadFormatError, match="positions"):
+            serialize(p)
+
+    def test_serialize_rejects_keys_and_values_of_two_shapes(self):
+        p = random_payload(np.random.default_rng(5), 2, 2, 2, 1, 4)
+        p.values = p.values[:1]
+        with pytest.raises(PayloadFormatError, match="do not both hold"):
+            serialize(p)
+
     @given(st.binary(max_size=200))
     @settings(max_examples=100, deadline=1000)
     def test_random_bytes_parse_or_raise_format_error(self, blob):
