@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, ContextOverflowError
 from .model import EGO_LATENT, AttentionTrace, KVCache, Model, forward_decode, rowwise_matmul
 
 # Singular values below this fraction of the largest are truncated by pinv.
@@ -47,40 +47,32 @@ class DeliberationResult:
     steps: int
 
 
-def deliberate(
-    model: Model,
-    w_a: np.ndarray,
-    h0: np.ndarray,
-    cache,
-    m: int,
-) -> DeliberationResult:
+def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, cache, m: int) -> DeliberationResult:
     """Run m latent steps, appending ego-latent positions to the cache.
 
     ``cache`` is one :class:`KVCache` with a (d,) ``h0``, or a lock-step batch
     of A caches with an (A, d) ``h0`` (see :func:`laco.model.forward_decode`);
     every step is then one pass for all A agents, and the result holds one
     trace per agent.  Deliberation is ego-local: received context joins only
-    the final decision decode.
-
-    With m = 0 the cache and hidden state are returned untouched and the
-    trace is empty.
+    the final decision decode.  Each step's rows go straight into its (L, A·H,
+    n0 + m) slot of one buffer; agent a's trace views heads [a·H, (a+1)·H).
+    A run that would overflow the cache raises :class:`ContextOverflowError`
+    before its first step.  With m = 0 the cache and hidden state are returned
+    untouched and the trace is empty.
     """
     if m < 0:
         raise ConfigError("step count m must be >= 0")
     single = isinstance(cache, KVCache)
-    A = 1 if single else len(cache)
-    L, H = model.config.num_layers, model.config.num_heads
-    n0 = (cache if single else cache[0]).length
-    array = np.zeros((A, m, L, H, n0 + m), dtype=np.float32)
+    first, A = (cache, 1) if single else (cache[0], len(cache))
+    L, H, n0 = model.config.num_layers, model.config.num_heads, first.length
+    if n0 + m > first.capacity:
+        raise ContextOverflowError(f"{m} latent steps from {n0} positions overflow {first.capacity}")
+    array = np.zeros((m, L, A * H, n0 + m), dtype=np.float32)
     lengths = np.arange(n0 + 1, n0 + m + 1, dtype=np.int64)
     h = np.asarray(h0, dtype=np.float32)
     logit_calls_before = model.stats.logit_projections
     for t in range(m):
-        h, rows_per_layer = forward_decode(model, rowwise_matmul(h, w_a), cache,
-                                           tag=EGO_LATENT)
-        n = n0 + t + 1
-        for l, rows in enumerate(rows_per_layer):
-            array[:, t, l, :, :n] = rows.reshape(A, H, n)
+        h, _ = forward_decode(model, rowwise_matmul(h, w_a), cache, tag=EGO_LATENT, rows=array[t])
     assert model.stats.logit_projections == logit_calls_before, "deliberation must not decode"
-    traces = [AttentionTrace(a, lengths) for a in array]
+    traces = [AttentionTrace(a, lengths) for a in np.moveaxis(array.reshape(m, L, A, H, n0 + m), 2, 0)]
     return DeliberationResult(final_hidden=h, trace=traces[0] if single else traces, steps=m)

@@ -409,7 +409,7 @@ def prefill(model: Model, tokens, agents=None) -> PrefillResult:
     return PrefillResult(hidden=x[:, -1].copy(), cache=caches)
 
 
-def forward_decode(model: Model, input_vec, cache, payloads=(), tag: int = EGO_LATENT):
+def forward_decode(model: Model, input_vec, cache, payloads=(), tag: int = EGO_LATENT, rows=None):
     """Append one position and attend over ego cache plus received payloads.
 
     ``cache`` is one :class:`KVCache` with a (d,) input, or a lock-step batch
@@ -420,25 +420,26 @@ def forward_decode(model: Model, input_vec, cache, payloads=(), tag: int = EGO_L
     Layer l < ``l_comm`` joins a payload's ``keys[l]``/``values[l]`` (float32
     or float16, widened exactly) to its own agent's rows of one (A·H, n + P,
     d_h) context; the new position goes to the ego cache only.  Returns
-    (hidden (d,) or (A, d) float32, rows: list over layers of (A·H, n_l)).
+    (hidden (d,) or (A, d) float32, rows: list over layers of (A·H, n_l)),
+    views of ``rows[l]`` when the caller passes an (L, A·H, >= n_l) buffer.
 
     This is the single decode path: plain decoding is the degenerate case
     with no payloads, so the two are bit-identical by construction.
     """
     cfg = model.config
     single = isinstance(cache, KVCache)
-    caches = [cache] if single else list(cache)
+    caches = [cache] if single else cache
     first, A, n = caches[0], len(caches), caches[0].length
-    if any(c.store is not first.store or c.row != first.row + i or c.length != n
-           for i, c in enumerate(caches)):
-        raise ConfigError("a decode batch must be consecutive caches of one store at one length")
+    for row, c in enumerate(caches, first.row):
+        if c.store is not first.store or c.row != row or c.length != n:
+            raise ConfigError("a decode batch must be consecutive caches of one store at one length")
     if n == 0:
         raise ConfigError("decode requires a non-empty cache")
     if n >= first.capacity:
         raise ContextOverflowError(f"cache full at {n} positions")
-    inboxes = [payloads] if single else payloads or [()] * A
-    signatures = {tuple((p.l_comm, p.num_positions) for p in box) for box in inboxes}
-    if len(inboxes) != A or len(signatures) != 1:
+    inboxes = [payloads] if single else payloads
+    signatures = {tuple((p.l_comm, p.num_positions) for p in box) for box in inboxes} if payloads else {()}
+    if payloads and (len(inboxes) != A or len(signatures) != 1):
         raise ConfigError("a decode batch needs one payload list per agent, all of one signature")
     depth = max((l_comm for l_comm, _ in signatures.pop()), default=0)
     x = np.asarray(input_vec, dtype=np.float32)
@@ -448,23 +449,24 @@ def forward_decode(model: Model, input_vec, cache, payloads=(), tag: int = EGO_L
     if not np.isfinite(x).all():
         raise ConfigError("decode input must be finite")
 
-    H, dh, d = cfg.num_heads, cfg.head_dim, cfg.model_dim
+    L, H, dh, d = cfg.num_layers, cfg.num_heads, cfg.head_dim, cfg.model_dim
     # (A, 1, d): every product below is one vector-matrix product per agent.
     x = x.reshape(A, 1, d) + model.pos[n]
-    kv = first.store[:, :, first.row * H : (first.row + A) * H]
-    kv_by_agent = kv.reshape(kv.shape[:2] + (A, H) + kv.shape[3:])  # a view, for one K/V write
+    ctx = first.store[:, :, first.row * H : (first.row + A) * H, : n + 1]  # (2, L, A·H, n + 1, d_h)
+    new = ctx[:, :, :, n].reshape(2, L, A, H, dh).transpose(1, 2, 0, 3, 4)  # (L, A, 2, H, d_h) view
     rows_per_layer = []
     for l, lw in enumerate(model.layers):
         qkv = (x @ lw.w_qkv).reshape(A, 3, H, dh)
-        kv_by_agent[:, l, :, :, n] = qkv[:, 1:].swapaxes(0, 1)
-        ctx = kv[:, l, :, : n + 1]
+        new[l] = qkv[:, 1:]
+        keys, values = ctx[0, l], ctx[1, l]
         if l < depth:  # each agent's H rows go on with its own payloads' positions
-            ctx = np.concatenate([ctx, np.concatenate([np.concatenate(
+            keys, values = np.concatenate([ctx[:, l], np.concatenate([np.concatenate(
                 [np.stack((p.keys[l], p.values[l])) for p in box if l < p.l_comm], axis=2)
                 for box in inboxes], axis=1)], axis=2)
-        out, rows = kernels.attend_single(ctx[0], ctx[1], qkv[:, 0].reshape(A * H, dh),
-                                          model.inv_sqrt_head_dim)
-        rows_per_layer.append(rows)
+        q = np.asarray(qkv[:, 0], np.float64).reshape(A * H, dh)  # widened once, exactly
+        out, r = kernels.attend_single(keys, values, q, model.inv_sqrt_head_dim,
+                                       None if rows is None else rows[l, :, : keys.shape[1]])
+        rows_per_layer.append(r)
         x += out.reshape(A, 1, d) @ lw.w_o
         x += _mlp(x, lw)
 

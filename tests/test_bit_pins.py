@@ -58,9 +58,9 @@ def _inputs(T, *shapes):
     return [rng.normal(size=shape).astype(np.float32) for shape in shapes]
 
 
-def single_digest(T):
+def single_digest(T, rows=None):
     k, v, q = _inputs(T, (HEADS, T, HEAD_DIM), (HEADS, T, HEAD_DIM), (HEADS, HEAD_DIM))
-    return _digest(*kernels.attend_single(k, v, q, SCALE))
+    return _digest(*kernels.attend_single(k, v, q, SCALE, rows))
 
 
 def causal_digest(T):
@@ -86,6 +86,14 @@ def deliberate_digest(A, m):
 @pytest.mark.parametrize("T", sorted(ATTEND_SINGLE))
 def test_attend_single_bits(T):
     assert single_digest(T) == ATTEND_SINGLE[T]
+
+
+@pytest.mark.parametrize("T", sorted(ATTEND_SINGLE))
+def test_attend_single_bits_into_a_strided_buffer(T):
+    """Rows written into a caller's strided buffer carry the same bits."""
+    buffer = np.full((HEADS, T + 3), -1.0, dtype=np.float32)
+    assert single_digest(T, buffer[:, :T]) == ATTEND_SINGLE[T]
+    assert np.all(buffer[:, T:] == -1.0)
 
 
 @pytest.mark.parametrize("T", sorted(ATTEND_CAUSAL))

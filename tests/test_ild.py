@@ -121,6 +121,22 @@ class TestDeliberate:
         with pytest.raises(ContextOverflowError):
             deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, 4)
 
+    def test_overflow_raises_before_the_first_step(self):
+        """A run that cannot fit leaves caches, store and counters untouched."""
+        mdl = init_model(cfg(seed=11, max_context=60))
+        res = prefill(mdl, np.random.default_rng(11).integers(0, 16, size=(2, 50)))
+        store, tags = res.cache[0].store.copy(), [c.tags.copy() for c in res.cache]
+        passes = mdl.stats.forward_passes.copy()
+        with pytest.raises(ContextOverflowError):
+            deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, 20)
+        assert [c.length for c in res.cache] == [50, 50]
+        np.testing.assert_array_equal(res.cache[0].store, store)
+        for cache, before in zip(res.cache, tags):
+            np.testing.assert_array_equal(cache.tags, before)
+        assert mdl.stats.forward_passes == passes
+        out = deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, 10)
+        assert out.steps == 10 and [c.length for c in res.cache] == [60, 60]
+
     def test_matches_unrolled_reference_hazard(self):
         mdl = make_hazard_model(cfg())
         tokens = [TOKEN_CLEAR, TOKEN_HAZARD_A, TOKEN_CLEAR, TOKEN_EGO_A]

@@ -87,14 +87,23 @@ def test_causal_matches_einsum_oracle(T):
 
 @pytest.mark.parametrize("name", sc.builtin_scenario_names())
 def test_hazard_model_calls_equal_oracle_exactly(monkeypatch, name):
-    """Every kernel call of one LACO tick on a shipped layout is bit-equal to einsum."""
-    calls = []
+    """Every kernel call of one LACO tick on a shipped layout is bit-equal to einsum.
+
+    A decode hands ``attend_single`` a rows buffer (or None) as a fifth
+    argument.  The spy checks that the kernel fills and returns a given
+    buffer, copies the rows (the caller's buffer outlives the call) and gives
+    the oracle the four inputs.
+    """
+    calls, buffered = [], []
 
     def spy(kernel):
         def wrapped(*args):
-            result = kernel(*args)
-            calls.append((kernel.__name__, args, result))
-            return result
+            out, rows = kernel(*args)
+            if len(args) > 4 and args[4] is not None:
+                assert rows is args[4]
+                buffered.append(rows.shape)
+            calls.append((kernel.__name__, args[:4], (out, rows.copy())))
+            return out, rows
         return wrapped
 
     monkeypatch.setattr(kernels, "attend_causal", spy(kernels.attend_causal))
@@ -102,6 +111,7 @@ def test_hazard_model_calls_equal_oracle_exactly(monkeypatch, name):
     sc.run_tick(sc.Simulation(sc.load_scenario(sc.builtin_scenario_path(name)), "LACO"))
     oracles = {"attend_causal": ref_attend_causal, "attend_single": ref_attend_single}
     assert {kind for kind, _, _ in calls} == set(oracles)
+    assert buffered, "deliberation writes its rows into the trace buffer"
     for kind, args, (out, rows) in calls:
         ref_out, ref_rows = oracles[kind](*args)
         np.testing.assert_array_equal(rows, ref_rows)

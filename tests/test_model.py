@@ -203,6 +203,22 @@ class TestDecode:
         for a, b in zip(r1, r2):
             np.testing.assert_array_equal(a, b)
 
+    def test_rows_land_in_the_callers_buffer(self):
+        """With a rows buffer, each layer's rows are views of its slot, bit-equal
+        to a decode that allocates them; the slot's tail stays as it was."""
+        m = init_model(small_config(seed=12))
+        tokens = np.random.default_rng(12).integers(0, 16, size=(2, 5))
+        x = np.linspace(-1, 1, 16).astype(np.float32).reshape(2, 8)
+        h1, r1 = forward_decode(m, x, prefill(m, tokens).cache)
+        buffer = np.full((2, 4, 9), -1.0, dtype=np.float32)
+        h2, r2 = forward_decode(m, x, prefill(m, tokens).cache, rows=buffer)
+        np.testing.assert_array_equal(h1, h2)
+        for l, (a, b) in enumerate(zip(r1, r2)):
+            assert b.base is buffer and b.shape == (4, 6)
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(buffer[l, :, :6], a)
+        assert np.all(buffer[:, :, 6:] == -1.0)
+
     def test_rows_cover_context_including_self(self):
         m = init_model(small_config(seed=9))
         res = prefill(m, [1, 2, 3])
