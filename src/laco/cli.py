@@ -14,7 +14,6 @@ from .scenario import (
     sweep,
 )
 from .telemetry import (
-    DecisionRecord,
     TelemetryWriter,
     TraceRecord,
     confusion_index,
@@ -57,26 +56,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    records = read_telemetry(args.infile)
-    entropy_rows = []
-    sparsity_rows = []
-    confusion_rows = []
-    for rec in records:
-        tick, agent = rec.tick, rec.agent
-        if isinstance(rec, TraceRecord):
-            entropies = trace_entropy(rec.trace).tolist()
-            entropy_rows += [(tick, agent, layer, e)
-                             for layer, e in enumerate(entropies, start=1)]
-            curve = sparsity_curve(rec.trace)
-            n = curve.cumulative.shape[0]
-            f80 = curve.fraction_for_80
-            sparsity_rows += [(tick, agent, rank, rank / n, mass, f80)
-                              for rank, mass in enumerate(curve.cumulative.tolist(), start=1)]
-        elif isinstance(rec, DecisionRecord):
-            fractions = confusion_index(rec.rows, rec.tags).tolist()
-            confusion_rows += [(tick, agent, layer, frac)
-                               for layer, frac in enumerate(fractions, start=1)]
-    emit(args.out, entropy_rows, sparsity_rows, confusion_rows)
+    entropy, sparsity, confusion = [], [], []
+    for group in read_telemetry(args.infile):
+        columns = (group.offsets, group.ticks, group.agents)
+        if group.tags is None:
+            curve = sparsity_curve(group.trace)
+            entropy.append((*columns, trace_entropy(group.trace)))
+            sparsity.append((*columns, curve.cumulative, curve.fraction_for_80))
+        else:
+            confusion.append((*columns, confusion_index(group.rows, group.tags)))
+    emit(args.out, entropy, sparsity, confusion)
     print(f"wrote entropy.csv, sparsity.csv, confusion.csv under {args.out}")
     return 0
 
@@ -130,7 +119,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LacoError as exc:
+    except (LacoError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,7 +55,7 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, cache, m: int) -> 
     every step is then one pass for all A agents, and the result holds one
     trace per agent.  Deliberation is ego-local: received context joins only
     the final decision decode.  Each step's rows go straight into its (L, A·H,
-    n0 + m) slot of one buffer; agent a's trace views heads [a·H, (a+1)·H).
+    n0 + m) slot of one buffer, checked once; agent a views heads [a·H, (a+1)·H).
     A run that would overflow the cache raises :class:`ContextOverflowError`
     before its first step.  With m = 0 the cache and hidden state are returned
     untouched and the trace is empty.
@@ -74,5 +74,6 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, cache, m: int) -> 
     for t in range(m):
         h, _ = forward_decode(model, rowwise_matmul(h, w_a), cache, tag=EGO_LATENT, rows=array[t])
     assert model.stats.logit_projections == logit_calls_before, "deliberation must not decode"
-    traces = [AttentionTrace(a, lengths) for a in np.moveaxis(array.reshape(m, L, A, H, n0 + m), 2, 0)]
+    whole = AttentionTrace(array, lengths)  # one row check for every agent's heads
+    traces = [whole.part(np.s_[:, :, a * H : (a + 1) * H]) for a in range(A)]
     return DeliberationResult(final_hidden=h, trace=traces[0] if single else traces, steps=m)

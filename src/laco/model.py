@@ -310,33 +310,43 @@ class KVCache:
 
 @dataclass(frozen=True)
 class AttentionTrace:
-    """Recorded attention weights A[step, layer, head, j], zero-padded.
+    """Recorded attention weights A[..., step, layer, head, j], zero-padded.
 
-    ``lengths[t]`` is the context size of step t.  Building a trace checks
-    every row once: each weight lies in [0, 1 + 1e-6], each row sums to 1
-    within 1e-6, and every weight beyond ``lengths[t]`` is exactly 0.
+    ``lengths[t]`` is the context size of step t.  Leading axes, if any,
+    index traces of one shape that share ``lengths`` (a block).  Building a
+    trace checks every row once: each weight lies in [0, 1 + 1e-6], each row
+    sums to 1 within 1e-6, and every weight beyond ``lengths[t]`` is exactly 0.
     """
 
-    array: np.ndarray    # (steps, L, H, max_context) float32
+    array: np.ndarray    # (..., steps, L, H, max_context) float32
     lengths: np.ndarray  # (steps,) int64
 
     def __post_init__(self):
         a, lengths = self.array, self.lengths
-        if a.ndim != 4 or lengths.shape != a.shape[:1] or 0 in a.shape[1:3]:
-            raise AssertionError("trace shape must be (steps, L>0, H>0, n) with one length per step")
-        if np.any((lengths < 1) | (lengths > a.shape[3])):
+        if a.ndim < 4 or lengths.shape != a.shape[-4:-3] or 0 in a.shape[-3:-1]:
+            raise AssertionError("trace shape must be (..., steps, L>0, H>0, n) with one length per step")
+        if np.any((lengths < 1) | (lengths > a.shape[-1])):
             raise AssertionError("trace context length outside [1, n]")
         if a.size and (a.min() < 0.0 or a.max() > 1.0 + 1e-6):
             raise AssertionError("attention weight outside [0, 1]")
-        if not np.all(np.abs(a.sum(axis=3, dtype=np.float64) - 1.0) <= 1e-6):
+        if not np.all(np.abs(a.sum(axis=-1, dtype=np.float64) - 1.0) <= 1e-6):
             raise AssertionError("attention row does not sum to 1 within 1e-6")
-        beyond = np.arange(a.shape[3]) >= lengths[:, None]
-        if np.any((a != 0) & beyond[:, None, None, :]):
+        beyond = a != 0
+        beyond &= (np.arange(a.shape[-1]) >= lengths[:, None])[:, None, None, :]
+        if np.any(beyond):
             raise AssertionError("attention weight beyond the step's context length")
 
     @property
     def num_steps(self) -> int:
-        return self.array.shape[0]
+        return self.array.shape[-4]
+
+    def part(self, key) -> "AttentionTrace":
+        """``array[key]`` as a trace, not checked again: a part that keeps the
+        step and position axes whole holds only rows this trace checked."""
+        part = object.__new__(AttentionTrace)
+        object.__setattr__(part, "array", self.array[key])
+        object.__setattr__(part, "lengths", self.lengths)
+        return part
 
 
 @dataclass

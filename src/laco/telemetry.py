@@ -8,7 +8,9 @@ Three diagnostics over recorded attention:
 
 plus deterministic CSV emission (9 significant digits) and a
 length-prefixed binary record stream (``telemetry.bin``) connecting
-``laco run`` to ``laco analyze``.
+``laco run`` to ``laco analyze``.  Each diagnostic takes one trace or a
+block of traces (leading axes), and gives each trace of a block the same
+bits it gives that trace alone.
 
 Record stream format (little-endian): each record is ``u32 length`` followed
 by ``length`` bytes: ``u8 kind, u32 tick, u32 agent``, then per kind:
@@ -25,6 +27,7 @@ steps.  The per-token mass behind the sparsity curve is the mean over
 from the max-then-mean saliency score used for pruning.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,36 +39,38 @@ from .model import AttentionTrace, FOREIGN_LATENT, FOREIGN_PREFILL
 
 DEFAULT_EPSILON = 1e-8
 _REC_HEAD = struct.Struct("<BII")
+_TRACE_HEAD = struct.Struct("<BIIHHHI")  # record head, steps, L, H, max_context
+_DECISION_HEAD = struct.Struct("<BIIHH")  # record head, L, H
 KIND_TRACE = 1
 KIND_DECISION = 2
 
 
 @dataclass
 class SparsityCurve:
-    cumulative: np.ndarray  # (N,) float64, nondecreasing, ends at 1
-    fraction_for_80: float
+    cumulative: np.ndarray  # (..., N) float64, nondecreasing, ends at 1
+    fraction_for_80: np.ndarray  # (...) float64
 
 
 def trace_entropy(trace: AttentionTrace, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Per-layer entropy averaged over the trace's steps, an (L,) float64 array.
+    """Per-layer entropy averaged over the trace's steps, an (..., L) float64 array.
 
-    ``a * log(a + eps)`` is computed once over the whole trace in float64;
-    each step then sums its ``[:, :, :n]`` block per layer in one contiguous
-    pass, the same pairwise sums, hence the same bits, as that block alone.
-    The steps' values are added in step order, as a per-step loop adds them.
+    Step t widens its ``[..., t, :, :, :n]`` weights once, fused into the
+    ``+ eps``, and sums each contiguous (H·n) row of ``a * log(a + eps)``:
+    the same pairwise sums, hence the same bits, as that block alone.  The
+    steps' values are added in step order, as a per-step loop adds them.
     """
     if trace.num_steps == 0:
         raise ConfigError("entropy of an empty trace is undefined")
-    a = trace.array.astype(np.float64)
-    h = a + epsilon
-    np.log(h, out=h)
-    h *= a
-    steps, L, H = a.shape[:3]
-    sums = np.empty((steps, L))
+    a = trace.array
+    sums = np.empty((trace.num_steps, *a.shape[:-4], a.shape[-3]))
     for t, n in enumerate(trace.lengths.tolist()):
-        h[t, :, :, :n].reshape(L, -1).sum(axis=1, out=sums[t])
-    sums /= -H
-    return np.add.accumulate(sums)[-1] / steps
+        step = a[..., t, :, :, :n]
+        h = np.add(step, epsilon, dtype=np.float64)
+        np.log(h, out=h)
+        h *= step
+        h.reshape(*sums.shape[1:], -1).sum(axis=-1, out=sums[t])
+    sums /= -a.shape[-2]
+    return np.add.accumulate(sums)[-1] / trace.num_steps
 
 
 def sparsity_curve(trace: AttentionTrace) -> SparsityCurve:
@@ -73,90 +78,78 @@ def sparsity_curve(trace: AttentionTrace) -> SparsityCurve:
     if trace.num_steps == 0:
         raise ConfigError("sparsity of an empty trace is undefined")
     n = int(trace.lengths.max())
-    a = trace.array[:, :, :, :n].astype(np.float64)
-    mass = a.mean(axis=(0, 1, 2))
-    order = np.argsort(-mass, kind="stable")
-    cum = np.cumsum(mass[order])
-    total = cum[-1]
-    if total <= 0:
+    mass = trace.array[..., :n].mean(axis=(-4, -3, -2), dtype=np.float64)
+    order = np.argsort(-mass, axis=-1, kind="stable")
+    cum = np.cumsum(np.take_along_axis(mass, order, axis=-1), axis=-1)
+    total = cum[..., -1:]
+    if np.any(total <= 0):
         raise ConfigError("trace carries no attention mass")
     cum /= total
-    k80 = int(np.searchsorted(cum, 0.8 - 1e-12) + 1)
-    return SparsityCurve(cumulative=cum, fraction_for_80=min(k80, n) / n)
+    k80 = np.count_nonzero(cum < 0.8 - 1e-12, axis=-1) + 1
+    return SparsityCurve(cumulative=cum, fraction_for_80=np.minimum(k80, n) / n)
 
 
 def confusion_index(rows_per_layer, tags_per_layer) -> np.ndarray:
-    """Fraction of attention mass on foreign-tagged positions, an (L,) float64 array."""
+    """Fraction of attention mass on foreign-tagged positions, an (..., L) float64
+    array: per layer, rows (..., H, n) and one (n,) tag vector for all of them."""
     out = []
     for rows, tags in zip(rows_per_layer, tags_per_layer):
         r = np.asarray(rows, dtype=np.float64)
         t = np.asarray(tags)
-        if r.shape[1] != t.shape[0]:
+        if r.shape[-1] != t.shape[0]:
             raise ConfigError("rows and tags disagree on context length")
         foreign = (t == FOREIGN_PREFILL) | (t == FOREIGN_LATENT)
-        total = r.sum()
-        out.append(float(r[:, foreign].sum() / total) if total > 0 else 0.0)
-    return np.array(out)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".9g")
-    return str(x)
+        total = r.reshape(*r.shape[:-2], -1).sum(axis=-1)
+        mass = r[..., foreign].reshape(total.shape + (-1,)).sum(axis=-1)
+        out.append(np.divide(mass, total, out=np.zeros_like(total), where=total > 0))
+    return np.moveaxis(np.array(out), 0, -1)
 
 
 def write_csv(path: Path, header, rows):
     """One header line, then one line per row; floats to 9 significant digits."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(format(float(v), ".9g") if isinstance(v, (float, np.floating)) else str(v)
+                          for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-# The types a value of each column kind may have; a bool is neither.
-_COLUMN_TYPES = {"d": (int, np.integer), "g": (float, np.floating)}
+def _write_table(path: Path, header: str, blocks):
+    """The header line, then each block's records in ``index`` order."""
+    chunks = []
+    for index, ticks, agents, values, *f80 in blocks:
+        for column, kinds in zip((index, ticks, agents, values, *f80), ("iu", "iu", "iu", "f", "f")):
+            if column.dtype.kind not in kinds:
+                raise TypeError(f"{column.dtype} column in {path.name}")
+        K = values.shape[1]
+        ranks = [f"{k},{k / K:.9g}" if f80 else str(k) for k in range(1, K + 1)]
+        tails = [",%.9g" % x for x in f80[0].tolist()] if f80 else [""] * len(ticks)
+        strs = list(map("%.9g".__mod__, values.ravel().tolist()))
+        for r, (i, tick, agent, tail) in enumerate(
+                zip(index.tolist(), ticks.tolist(), agents.tolist(), tails)):
+            fmt = f"{tick},{agent},%s,%s{tail}".__mod__
+            chunks.append((i, "\n".join(map(fmt, zip(ranks, strs[r * K : (r + 1) * K])))))
+    chunks.sort(key=lambda chunk: chunk[0])
+    path.write_text("\n".join([header, *(text for _, text in chunks if text)]) + "\n", "ascii")
 
 
-def _write_typed_csv(path: Path, header, kinds: str, rows):
-    """``write_csv`` for fixed column types, one ``%`` format per row.
+def emit(out_dir, entropy, sparsity, confusion):
+    """Write entropy.csv / sparsity.csv / confusion.csv from column blocks.
 
-    ``kinds`` has one letter per column: ``d`` for an integer column (int or
-    numpy integer, not bool), ``g`` for a float column (float or numpy
-    floating).  Such values print exactly as ``_fmt`` prints them; any other
-    value raises ``TypeError`` rather than print differently.
-    """
-    rows = list(map(tuple, rows))
-    for kind, column in zip(kinds, zip(*rows)):
-        python_type, numpy_type = _COLUMN_TYPES[kind]
-        for t in set(map(type, column)):
-            if not (t is python_type or issubclass(t, numpy_type)):
-                raise TypeError(f"{t.__name__} value in a {kind!r} column of {path.name}")
-    fmt = ",".join("%d" if kind == "d" else "%.9g" for kind in kinds)
-    lines = [",".join(header), *map(fmt.__mod__, rows)]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def emit(out_dir, entropy_rows, sparsity_rows, confusion_rows):
-    """Write entropy.csv / sparsity.csv / confusion.csv.
-
-    Row shapes: entropy (tick, agent, layer, entropy); sparsity (tick, agent,
-    rank, token_fraction, cumulative_mass, fraction_for_80); confusion
-    (tick, agent, layer, foreign_fraction).  tick, agent, layer and rank are
-    integers, the rest floats (9 significant digits); a value of another
-    type raises ``TypeError``.  Output is byte-deterministic for identical
-    inputs.
+    A table is a list of blocks ``(index, ticks, agents, values)`` of R
+    records, a sparsity block with an (R,) ``fraction_for_80`` last: (R,)
+    integer arrays (``index`` orders the records, e.g. by stream offset) and
+    an (R, K) float array.  Record r gives K lines numbered 1..K (layer, or
+    rank with ``token_fraction = rank / K``); floats print to 9 significant
+    digits.  A column of another dtype kind raises ``TypeError``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_typed_csv(out / "entropy.csv", ("tick", "agent", "layer", "entropy"), "dddg",
-                     entropy_rows)
-    _write_typed_csv(
-        out / "sparsity.csv",
-        ("tick", "agent", "rank", "token_fraction", "cumulative_mass", "fraction_for_80"),
-        "dddggg",
-        sparsity_rows,
-    )
-    _write_typed_csv(out / "confusion.csv", ("tick", "agent", "layer", "foreign_fraction"),
-                     "dddg", confusion_rows)
+    for name, header, blocks in (
+        ("entropy", "layer,entropy", entropy),
+        ("sparsity", "rank,token_fraction,cumulative_mass,fraction_for_80", sparsity),
+        ("confusion", "layer,foreign_fraction", confusion),
+    ):
+        _write_table(out / f"{name}.csv", "tick,agent," + header, blocks)
     return out
 
 
@@ -175,6 +168,24 @@ class DecisionRecord:
     tags: list  # per layer (n_l,) uint8
 
 
+@dataclass
+class RecordGroup:
+    """The records of one kind and shape -- a trace's lengths and a decision's
+    tags included -- with their rows in one block, checked once as a trace.
+    Record r's trace is ``trace.part(r)``, a decision's rows ``rows[l][r]``."""
+
+    offsets: np.ndarray  # (R,) each record's byte offset in the stream
+    ticks: np.ndarray  # (R,) int64
+    agents: np.ndarray  # (R,) int64
+    trace: AttentionTrace  # (R, steps, L, H, n); a decision is one step, n = max n_l
+    tags: list = None  # decisions only: per layer (n_l,) uint8, shared by the group
+
+    @property
+    def rows(self) -> list:
+        """Decisions only: per layer the (R, H, n_l) rows."""
+        return [self.trace.array[:, 0, l, :, : t.size] for l, t in enumerate(self.tags)]
+
+
 class TelemetryWriter:
     """Appends length-prefixed diagnostic records to a binary stream."""
 
@@ -190,91 +201,110 @@ class TelemetryWriter:
     def __exit__(self, *exc):
         self.close()
 
-    def _emit(self, body: bytes):
-        self._fh.write(struct.pack("<I", len(body)))
-        self._fh.write(body)
-
     def write_trace(self, tick: int, agent: int, trace: AttentionTrace):
-        body = [
-            _REC_HEAD.pack(KIND_TRACE, tick, agent),
-            struct.pack("<HHHI", *trace.array.shape),
-            np.asarray(trace.lengths, dtype="<u4").tobytes(),
-            np.ascontiguousarray(trace.array, dtype="<f4").tobytes(),
-        ]
-        self._emit(b"".join(body))
+        """The header, then the weights in one contiguous copy (none if already contiguous)."""
+        array = np.ascontiguousarray(trace.array, dtype="<f4")
+        lengths = np.asarray(trace.lengths, dtype="<u4")
+        head = _TRACE_HEAD.pack(KIND_TRACE, tick, agent, *array.shape)
+        self._fh.write(struct.pack("<I", len(head) + lengths.nbytes + array.nbytes) + head)
+        self._fh.write(lengths)
+        self._fh.write(array)
 
     def write_decision(self, tick: int, agent: int, rows_per_layer, tags_per_layer):
         L = len(rows_per_layer)
         H = rows_per_layer[0].shape[0] if L else 0
-        body = [_REC_HEAD.pack(KIND_DECISION, tick, agent), struct.pack("<HH", L, H)]
+        body = [_DECISION_HEAD.pack(KIND_DECISION, tick, agent, L, H)]
         for rows, tags in zip(rows_per_layer, tags_per_layer):
             n = rows.shape[1]
             body.append(struct.pack("<I", n))
             body.append(np.asarray(tags, dtype="u1").tobytes())
             body.append(np.ascontiguousarray(rows, dtype="<f4").tobytes())
-        self._emit(b"".join(body))
+        self._fh.write(struct.pack("<I", sum(map(len, body))))
+        self._fh.write(b"".join(body))
 
 
-def read_telemetry(path):
-    """Parse a record stream into TraceRecord / DecisionRecord objects.
+def read_telemetry(path) -> list:
+    """Parse a record stream into :class:`RecordGroup` s, in order of first record.
 
-    Any malformed record, a trace or decision row failing the trace's row
-    check included, raises :class:`PayloadFormatError`.
+    A first pass reads each record's header (a decision's whole body); each
+    trace's weights are then read once, straight into the group's block.  A
+    block failing its one row check names the first record failing it alone.
+    Any malformed record raises :class:`PayloadFormatError`.
     """
-    data = Path(path).read_bytes()
-    records = []
-    off = 0
-    while off < len(data):
-        if off + 4 > len(data):
-            raise PayloadFormatError("truncated record length prefix")
-        (length,) = struct.unpack_from("<I", data, off)
-        off += 4
-        if off + length > len(data):
-            raise PayloadFormatError("record body extends past end of stream")
-        try:
-            records.append(_parse_record(data[off : off + length]))
-        except (struct.error, ValueError, AssertionError) as exc:
-            raise PayloadFormatError(f"malformed record at byte {off - 4}: {exc}") from exc
-        off += length
-    return records
+    members = {}  # group key -> [(byte offset, tick, agent, weights' offset or body)]
+    with open(path, "rb") as fh:
+        end, off = os.fstat(fh.fileno()).st_size, 0
+        while off < end:
+            if off + 4 > end:
+                raise PayloadFormatError("truncated record length prefix")
+            (length,) = struct.unpack("<I", fh.read(4))
+            if off + 4 + length > end:
+                raise PayloadFormatError("record body extends past end of stream")
+            try:
+                key, tick, agent, rest = _scan_record(fh, length)
+            except (struct.error, ValueError) as exc:
+                raise PayloadFormatError(f"malformed record at byte {off}: {exc}") from exc
+            members.setdefault(key, []).append((off, tick, agent, rest))
+            off += 4 + length
+            fh.seek(off)
+        return [_read_group(fh, key, recs) for key, recs in members.items()]
 
 
-def _parse_record(body: bytes):
-    kind, tick, agent = _REC_HEAD.unpack_from(body, 0)
-    pos = _REC_HEAD.size
+def _scan_record(fh, length):
+    """(group key, tick, agent, rest) of the record body at the file position;
+    ``rest`` is a trace's weights' file offset or a decision's whole body."""
+    body = fh.read(min(length, _TRACE_HEAD.size))
+    kind, tick, agent = _REC_HEAD.unpack_from(body)
     if kind == KIND_TRACE:
-        steps, L, H, maxn = struct.unpack_from("<HHHI", body, pos)
-        pos += 10
-        lengths = np.frombuffer(body, dtype="<u4", count=steps, offset=pos).astype(np.int64)
-        pos += 4 * steps
-        count = steps * L * H * maxn
-        arr = np.frombuffer(body, dtype="<f4", count=count, offset=pos).reshape(steps, L, H, maxn)
-        pos += 4 * count
-        record = TraceRecord(tick=tick, agent=agent, trace=AttentionTrace(arr, lengths))
-    elif kind == KIND_DECISION:
-        L, H = struct.unpack_from("<HH", body, pos)
-        pos += 4
-        rows, tags = [], []
+        steps, L, H, n = _TRACE_HEAD.unpack(body)[3:]
+        lengths = fh.read(4 * steps)
+        if length != _TRACE_HEAD.size + 4 * steps * (1 + L * H * n):
+            raise ValueError("trace body size disagrees with its header")
+        return (kind, steps, L, H, n, lengths), tick, agent, fh.tell()
+    if kind == KIND_DECISION:
+        body += fh.read(length - len(body))
+        L, H = _DECISION_HEAD.unpack_from(body)[3:]
+        pos, tags = _DECISION_HEAD.size, []
         for _ in range(L):
             (n,) = struct.unpack_from("<I", body, pos)
-            pos += 4
-            tags.append(np.frombuffer(body, dtype="u1", count=n, offset=pos).copy())
-            pos += n
-            rows.append(
-                np.frombuffer(body, dtype="<f4", count=H * n, offset=pos).reshape(H, n).copy()
-            )
-            pos += 4 * H * n
-        # Pad the ragged rows into one block so they pass the trace's row check.
-        block = np.zeros((1, L, H, max((r.shape[1] for r in rows), default=0)), dtype=np.float32)
-        for l, r in enumerate(rows):
-            block[0, l, :, : r.shape[1]] = r
-        AttentionTrace(block, np.array([block.shape[3]]))
-        record = DecisionRecord(tick=tick, agent=agent, rows=rows, tags=tags)
+            tags.append(body[pos + 4 : pos + 4 + n])
+            pos += 4 + n + 4 * H * n
+        if pos != length:
+            raise ValueError("decision body size disagrees with its layer counts")
+        return (kind, L, H, *tags), tick, agent, body
+    raise ValueError(f"unknown record kind {kind}")
+
+
+def _read_group(fh, key, recs) -> RecordGroup:
+    """Read the rows of ``recs`` into one block and check it once."""
+    offsets, ticks, agents, rests = zip(*recs)
+    if key[0] == KIND_TRACE:
+        _, steps, L, H, n, lengths = key
+        block = np.zeros((len(recs), steps, L, H, n), dtype="<f4")
+        for slot, pos in zip(block, rests):
+            fh.seek(pos)
+            fh.readinto(slot)
+        lengths, tags = np.frombuffer(lengths, dtype="<u4").astype(np.int64), None
     else:
-        raise PayloadFormatError(f"unknown record kind {kind}")
-    if pos != len(body):
-        raise PayloadFormatError("record body has trailing bytes")
-    return record
+        _, L, H, *tags = key
+        block = np.zeros((len(recs), 1, L, H, max(map(len, tags), default=0)), dtype="<f4")
+        for slot, body in zip(block[:, 0], rests):
+            pos = _DECISION_HEAD.size
+            for rows, t in zip(slot, tags):
+                pos += 4 + len(t)
+                rows[:, : len(t)] = np.frombuffer(body, "<f4", H * len(t), pos).reshape(H, len(t))
+                pos += 4 * H * len(t)
+        lengths, tags = np.array([block.shape[-1]]), [np.frombuffer(t, dtype="u1") for t in tags]
+    try:
+        trace = AttentionTrace(block, lengths)
+    except AssertionError:
+        for part, off in zip(block, offsets):
+            try:
+                AttentionTrace(part, lengths)
+            except AssertionError as exc:
+                raise PayloadFormatError(f"malformed record at byte {off}: {exc}") from None
+        raise
+    return RecordGroup(np.array(offsets), np.array(ticks), np.array(agents), trace, tags)
 
 
 def trace_record_to_trace(rec: TraceRecord) -> AttentionTrace:

@@ -11,7 +11,9 @@ implementations against each other.  Three groups differ:
   copy, check or fully fuse whole caches for tests.
 * ``ref_trace_entropy`` and ``ref_emit`` are a one-step-at-a-time entropy
   loop and the package's per-value CSV writer: the bit- and byte-exact
-  oracles for ``trace_entropy`` and ``emit``.
+  oracles for ``trace_entropy`` and ``emit``.  ``ref_analyze`` is ``laco
+  analyze`` one record at a time on them: the byte-exact oracle for the
+  block-at-a-time command.
 """
 
 from pathlib import Path
@@ -20,8 +22,8 @@ import numpy as np
 
 from laco import kernels
 from laco.fusion import FusedContext, collaborative_decode
-from laco.model import EGO_LATENT, EGO_PREFILL, KVCache
-from laco.telemetry import DEFAULT_EPSILON
+from laco.model import EGO_LATENT, EGO_PREFILL, FOREIGN_LATENT, FOREIGN_PREFILL, KVCache
+from laco.telemetry import DEFAULT_EPSILON, TraceRecord
 from laco.wire import DTYPE_F32, Payload
 
 
@@ -240,6 +242,44 @@ def ref_emit(out_dir, entropy_rows, sparsity_rows, confusion_rows):
     for name, (header, rows) in files.items():
         lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
         (Path(out_dir) / name).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def ref_sparsity_curve(trace):
+    """(cumulative, fraction_for_80) of one (steps, L, H, n) trace: its mean mass
+    per position in float64 through ``ref_sparsity``."""
+    n = int(trace.lengths.max())
+    cum = ref_sparsity(trace.array[:, :, :, :n].astype(np.float64).mean(axis=(0, 1, 2)))
+    return cum, min(sum(1 for c in cum if c < 0.8 - 1e-12) + 1, n) / n
+
+
+def ref_confusion(rows_per_layer, tags_per_layer):
+    """Per-layer foreign fraction of one decision's (H, n_l) rows, one layer at a time."""
+    out = []
+    for rows, tags in zip(rows_per_layer, tags_per_layer):
+        r = np.asarray(rows, dtype=np.float64)
+        total = r.sum()
+        foreign = r[:, np.isin(tags, (FOREIGN_PREFILL, FOREIGN_LATENT))].sum()
+        out.append(float(foreign / total) if total > 0 else 0.0)
+    return out
+
+
+def ref_analyze(records, out_dir):
+    """The three diagnostics CSVs of ``records`` (trace and decision records in
+    stream order), one record at a time: ``ref_trace_entropy``,
+    ``ref_sparsity_curve`` and ``ref_confusion``, written by ``ref_emit``."""
+    entropy_rows, sparsity_rows, confusion_rows = [], [], []
+    for rec in records:
+        tick, agent = rec.tick, rec.agent
+        if isinstance(rec, TraceRecord):
+            entropies = ref_trace_entropy(rec.trace).tolist()
+            entropy_rows += [(tick, agent, layer, e) for layer, e in enumerate(entropies, start=1)]
+            cum, f80 = ref_sparsity_curve(rec.trace)
+            sparsity_rows += [(tick, agent, rank, rank / len(cum), c, f80)
+                              for rank, c in enumerate(cum.tolist(), start=1)]
+        else:
+            fractions = ref_confusion(rec.rows, rec.tags)
+            confusion_rows += [(tick, agent, layer, f) for layer, f in enumerate(fractions, start=1)]
+    ref_emit(out_dir, entropy_rows, sparsity_rows, confusion_rows)
 
 
 def ref_sparsity(mass):

@@ -18,6 +18,7 @@ from laco.ild import compute_alignment, deliberate
 from laco.fusion import attach_payload, collaborative_decode
 from laco.model import (
     ACTION_TOKENS,
+    AttentionTrace,
     TOKEN_BRAKE,
     TOKEN_KEEP,
     ModelConfig,
@@ -72,6 +73,22 @@ def test_prefill_and_deliberation_match_per_agent_path(seed, A):
         assert_cache_equal(pre.cache[a], ref_cache)
         assert pre.cache[a].agent == aid
         assert model.stats.forward_passes[aid] == 1 + m
+
+
+@pytest.mark.parametrize("A", [1, 3])
+def test_lock_step_deliberation_checks_its_rows_once(monkeypatch, A):
+    """One row check over the (m, L, A·H, n) buffer; each agent's trace is a
+    head view of it that is not checked again."""
+    model, tokens, _ = random_case(0, A)
+    pre = prefill(model, tokens)
+    checks = []
+    check = AttentionTrace.__post_init__
+    monkeypatch.setattr(AttentionTrace, "__post_init__",
+                        lambda trace: (checks.append(trace.array.shape), check(trace)))
+    delib = deliberate(model, compute_alignment(model), pre.hidden, pre.cache, 2)
+    L, H = model.config.num_layers, model.config.num_heads
+    assert checks == [(2, L, A * H, tokens.shape[1] + 2)]
+    assert all(t.array.base is delib.trace[0].array.base for t in delib.trace)
 
 
 @pytest.mark.parametrize("seed", range(6))

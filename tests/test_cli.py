@@ -110,11 +110,26 @@ BAD_SCENARIO_LINES = {
     [f"scenario:{k}" for k in BAD_SCENARIO_LINES]
     + ["sweep:m_not_int"]
     + [f"telemetry:{k}"
-       for k in ("zero_bytes", "array_cut_short", "weight_above_1", "decision_nan")],
+       for k in ("zero_bytes", "array_cut_short", "weight_above_1", "decision_nan")]
+    + [f"file:{k}" for k in ("missing_scenario", "non_utf8_scenario", "missing_in",
+                             "missing_payload", "analyze_out_is_a_file")],
 )
 def test_bad_input_is_one_error_line(tmp_path, occluded_path, capsys, case):
     kind, _, name = case.partition(":")
-    if kind == "scenario":
+    missing = str(tmp_path / "missing")
+    if kind == "file":
+        (tmp_path / "latin1.laco").write_bytes("grid = ....\n# caf\u00e9\n".encode("latin-1"))
+        (tmp_path / "t.bin").write_bytes(b"")
+        argv = {
+            "missing_scenario": ["run", "--scenario", missing, "--out", str(tmp_path / "m.csv")],
+            "non_utf8_scenario": ["run", "--scenario", str(tmp_path / "latin1.laco"),
+                                  "--out", str(tmp_path / "m.csv")],
+            "missing_in": ["analyze", "--in", missing, "--out", str(tmp_path / "diag")],
+            "missing_payload": ["dump-payload", missing],
+            "analyze_out_is_a_file": ["analyze", "--in", str(tmp_path / "t.bin"),
+                                      "--out", str(tmp_path / "t.bin")],
+        }[name]
+    elif kind == "scenario":
         path = tmp_path / "bad.laco"
         path.write_text(f"grid = ....\n{BAD_SCENARIO_LINES[name]}\n")
         argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "m.csv")]

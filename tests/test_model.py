@@ -370,6 +370,27 @@ class TestAttentionTrace:
         with pytest.raises(AssertionError):
             self._padded(pad)
 
+    def test_block_of_traces_checked_as_one(self):
+        """Leading axes index traces sharing ``lengths``; one bad trace fails the block."""
+        array = np.zeros((3, 2, 1, 2, 4), dtype=np.float32)
+        array[:, 0, :, :, :2], array[:, 1] = 0.5, 0.25
+        block = AttentionTrace(array, np.array([2, 4]))
+        assert block.num_steps == 2
+        array[1, 0, 0, 1, 3] = 1e-45
+        with pytest.raises(AssertionError, match="beyond"):
+            AttentionTrace(array, np.array([2, 4]))
+
+    def test_part_is_not_checked_again(self, monkeypatch):
+        trace = self._padded(0.0)
+
+        def refuse(_):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(AttentionTrace, "__post_init__", refuse)
+        part = trace.part(np.s_[:, :, 1:])
+        assert part.array.base is trace.array and part.array.shape == (2, 1, 1, 3)
+        np.testing.assert_array_equal(part.lengths, [2, 3])
+
     def test_one_bad_row_among_many_rejected(self):
         array = np.full((3, 2, 2, 4), 0.25, dtype=np.float32)
         array[2, 1, 0, 3] = 0.2501

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laco.cli import main
 from laco.errors import ConfigError, PayloadFormatError
 from laco.model import (
     EGO_LATENT,
@@ -14,7 +15,9 @@ from laco.model import (
     AttentionTrace,
 )
 from laco.telemetry import (
+    DecisionRecord,
     TelemetryWriter,
+    TraceRecord,
     confusion_index,
     emit,
     read_telemetry,
@@ -22,12 +25,28 @@ from laco.telemetry import (
     trace_entropy,
     trace_record_to_trace,
 )
-from reference import ref_emit, ref_layer_entropy, ref_sparsity, ref_trace_entropy
+from reference import (
+    ref_analyze,
+    ref_confusion,
+    ref_emit,
+    ref_layer_entropy,
+    ref_sparsity,
+    ref_sparsity_curve,
+    ref_trace_entropy,
+)
 
 
 def dist_rows(rng, H, n):
     raw = rng.random((H, n)) + 1e-3
     return (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
+
+
+def distributions(rng, shape, n):
+    """float32 rows of width ``n`` that pass the trace check, with exact zeros."""
+    raw = rng.random((*shape, n))
+    raw[raw < 0.2] = 0.0
+    raw[..., 0] += 1e-3
+    return (raw / raw.sum(axis=-1, keepdims=True)).astype(np.float32)
 
 
 def one_step(*rows_per_layer):
@@ -103,6 +122,38 @@ class TestTraceEntropyOracle:
     @settings(max_examples=60, deadline=None)
     def test_bit_equal_to_per_step_loop(self, trace):
         np.testing.assert_array_equal(trace_entropy(trace), ref_trace_entropy(trace))
+
+
+class TestBlockStatistics:
+    """Each trace or decision of a block gets the bits it gets alone."""
+
+    @given(st.integers(1, 4), ragged_traces(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_traces_of_a_block(self, R, first, seed):
+        rng = np.random.default_rng(seed)
+        array = np.zeros((R, *first.array.shape), dtype=np.float32)
+        for t, n in enumerate(first.lengths):
+            array[:, t, :, :, :n] = distributions(rng, (R, *first.array.shape[1:3]), n)
+        array[0] = first.array
+        block = AttentionTrace(array, first.lengths)
+        entropy, curve = trace_entropy(block), sparsity_curve(block)
+        for r in range(R):
+            alone = AttentionTrace(array[r].copy(), first.lengths)
+            np.testing.assert_array_equal(entropy[r], ref_trace_entropy(alone))
+            cum, f80 = ref_sparsity_curve(alone)
+            np.testing.assert_array_equal(curve.cumulative[r], cum)
+            assert curve.fraction_for_80[r] == f80
+
+    @given(st.integers(1, 4), st.lists(st.integers(1, 200), min_size=1, max_size=3),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_decisions_of_a_block(self, R, widths, H, seed):
+        rng = np.random.default_rng(seed)
+        rows = [distributions(rng, (R, H), n) for n in widths]
+        tags = [rng.integers(0, 4, n).astype(np.uint8) for n in widths]
+        fractions = confusion_index(rows, tags)
+        for r in range(R):
+            np.testing.assert_array_equal(fractions[r], ref_confusion([l[r] for l in rows], tags))
 
 
 class TestSparsity:
@@ -189,11 +240,17 @@ class TestConfusion:
                             [np.zeros(2, dtype=np.uint8)])
 
 
+def one_record(values, *f80):
+    """A column block of one record (stream index 0, tick 0, agent 1)."""
+    return (np.array([0]), np.array([0]), np.array([1]), np.array([values]),
+            *(np.array([x]) for x in f80))
+
+
 class TestEmit:
     def test_deterministic_bytes(self, tmp_path):
-        rows = [(0, 1, 1, 1.234567891234), (0, 1, 2, 0.5)]
-        spars = [(0, 1, 1, 0.5, 0.75, 0.5)]
-        conf = [(0, 1, 1, 0.0)]
+        rows = [one_record([1.234567891234, 0.5])]
+        spars = [one_record([0.75], 0.5)]
+        conf = [one_record([0.0])]
         emit(tmp_path / "a", rows, spars, conf)
         emit(tmp_path / "b", rows, spars, conf)
         for name in ("entropy.csv", "sparsity.csv", "confusion.csv"):
@@ -205,7 +262,7 @@ class TestEmit:
 
     def test_round_trip_precision(self, tmp_path):
         value = 2.718281828459045
-        emit(tmp_path, [(0, 0, 1, value)], [], [])
+        emit(tmp_path, [one_record([value])], [], [])
         line = (tmp_path / "entropy.csv").read_text().splitlines()[1]
         parsed = float(line.split(",")[-1])
         assert parsed == pytest.approx(value, rel=1e-8)
@@ -213,43 +270,62 @@ class TestEmit:
 
 SPECIAL_FLOATS = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072009e-308,
                   1e300, -1e-300, 1.7976931348623157e308, 0.1 + 0.2)
-any_float = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS)).flatmap(
-    lambda x: st.sampled_from((x, np.float64(x))))
-any_int = st.one_of(st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64))
-diag_row = st.tuples(any_int, any_int, any_int, any_float)
-sparsity_row = st.tuples(any_int, any_int, any_int, any_float, any_float, any_float)
+any_float = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+any_int64 = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def column_blocks(draw, sparsity=False):
+    """Up to 3 column blocks of 1-3 records with 1-4 values each, their stream
+    indices interleaved, and the rows ``ref_emit`` writes for them."""
+    sizes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), max_size=3))
+    order = draw(st.permutations(range(sum(R for R, _ in sizes))))
+    blocks, records = [], []
+    for R, K in sizes:
+        index, order = np.array(order[:R]), order[R:]
+        ticks, agents = (np.array(draw(st.lists(any_int64, min_size=R, max_size=R)), dtype=np.int64)
+                         for _ in range(2))
+        values = np.array(draw(st.lists(any_float, min_size=R * K, max_size=R * K))).reshape(R, K)
+        f80 = np.array(draw(st.lists(any_float, min_size=R, max_size=R)))
+        blocks.append((index, ticks, agents, values, *([f80] if sparsity else [])))
+        for r in range(R):
+            tail = [(k, k / K, values[r, k - 1], f80[r]) if sparsity else (k, values[r, k - 1])
+                    for k in range(1, K + 1)]
+            records.append((index[r], [(ticks[r], agents[r], *row) for row in tail]))
+    return blocks, [row for _, rows in sorted(records, key=lambda rec: rec[0]) for row in rows]
 
 
 class TestEmitOracle:
-    @given(st.lists(diag_row, max_size=8), st.lists(sparsity_row, max_size=8),
-           st.lists(diag_row, max_size=8))
+    @given(column_blocks(), column_blocks(sparsity=True), column_blocks())
     @settings(max_examples=100, deadline=None)
     def test_bytes_equal_per_value_oracle(self, tmp_path_factory, ent, spars, conf):
         base = tmp_path_factory.mktemp("emit")
         (base / "ref").mkdir()
-        emit(base / "fast", ent, spars, conf)
-        ref_emit(base / "ref", ent, spars, conf)
+        emit(base / "fast", ent[0], spars[0], conf[0])
+        ref_emit(base / "ref", ent[1], spars[1], conf[1])
         for name in ("entropy.csv", "sparsity.csv", "confusion.csv"):
             assert (base / "fast" / name).read_bytes() == (base / "ref" / name).read_bytes()
 
     @given(any_float, st.integers(0, 2), st.integers(0, 2))
     @settings(max_examples=50, deadline=None)
     def test_float_in_integer_column_raises(self, tmp_path_factory, x, column, which):
-        row = [0, 1, 2, 0.5] if which != 1 else [0, 1, 2, 0.5, 0.5, 0.5]
-        row[column] = x
+        block = list(one_record([0.5], *([0.5] if which == 1 else [])))
+        block[column] = np.array([x])
         tables = [[], [], []]
-        tables[which] = [tuple(row)]
+        tables[which] = [tuple(block)]
         with pytest.raises(TypeError):
             emit(tmp_path_factory.mktemp("emit"), *tables)
 
     @pytest.mark.parametrize(
-        "row", [(True, 1, 1, 0.5), (0, np.bool_(True), 1, 0.5), (0, 1, "1", 0.5), (0, 1, 1, 2),
-                (0, 1, 1, True), (0, 1, 1, "0.5")],
-        ids=["bool_tick", "numpy_bool_agent", "str_layer", "int_entropy", "bool_entropy",
+        "column, value", [(1, [True]), (2, [np.bool_(True)]), (0, ["1"]), (3, [[2]]),
+                          (3, [[True]]), (3, [["0.5"]])],
+        ids=["bool_tick", "numpy_bool_agent", "str_index", "int_entropy", "bool_entropy",
              "str_entropy"])
-    def test_value_of_another_type_raises(self, tmp_path, row):
+    def test_value_of_another_type_raises(self, tmp_path, column, value):
+        block = list(one_record([0.5]))
+        block[column] = np.array(value)
         with pytest.raises(TypeError):
-            emit(tmp_path, [row], [], [])
+            emit(tmp_path, [tuple(block)], [], [])
 
 
 class TestBinaryStream:
@@ -268,16 +344,18 @@ class TestBinaryStream:
         with TelemetryWriter(path) as w:
             w.write_trace(3, 1, trace)
             w.write_decision(3, 1, rows, tags)
-        records = read_telemetry(path)
-        assert len(records) == 2
-        rec_trace, rec_dec = records
-        np.testing.assert_array_equal(rec_trace.trace.lengths, trace.lengths[:2])
-        np.testing.assert_array_equal(rec_trace.trace.array, trace.array[:2])
+        groups = read_telemetry(path)
+        assert [g.tags is None for g in groups] == [True, False]
+        assert [g.offsets.tolist() for g in groups] == [[0], [4 + 19 + 4 * 2 + 4 * array.size]]
+        assert [(g.ticks.tolist(), g.agents.tolist()) for g in groups] == [([3], [1])] * 2
+        rec_trace = TraceRecord(3, 1, groups[0].trace.part(0))
+        np.testing.assert_array_equal(rec_trace.trace.lengths, trace.lengths)
+        np.testing.assert_array_equal(rec_trace.trace.array, trace.array)
         rebuilt = trace_record_to_trace(rec_trace)
-        np.testing.assert_array_equal(rebuilt.array, trace.array[:2])
-        for got, want in zip(rec_dec.rows, rows):
-            np.testing.assert_array_equal(got, want)
-        for got, want in zip(rec_dec.tags, tags):
+        np.testing.assert_array_equal(rebuilt.array, trace.array)
+        for got, want in zip(groups[1].rows, rows):
+            np.testing.assert_array_equal(got[0], want)
+        for got, want in zip(groups[1].tags, tags):
             np.testing.assert_array_equal(got, want)
 
     def test_truncated_stream_rejected(self, tmp_path):
@@ -364,3 +442,93 @@ class TestMalformedStream:
             read_telemetry(path)
         except PayloadFormatError:
             pass
+
+
+@st.composite
+def streams(draw):
+    """Trace records of 2-3 shapes and decision records of 2-3 layer widths,
+    1-3 records each, in a random order.  A shape may come with a second
+    ``lengths`` and a width list with second tags: records of one shape that
+    belong to two groups."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    small, pair = st.integers(1, 3), st.integers(1, 2)
+    some_widths = st.lists(st.integers(1, 70), min_size=2, max_size=3, unique=True)
+    kinds = []
+    for width in draw(some_widths):
+        steps, L, H = draw(small), draw(small), draw(small)
+        for _ in range(draw(pair)):
+            lengths = np.array(draw(st.lists(st.integers(1, width), min_size=steps, max_size=steps)))
+
+            def trace(steps=steps, L=L, H=H, width=width, lengths=lengths):
+                array = np.zeros((steps, L, H, width), dtype=np.float32)
+                for t, n in enumerate(lengths):
+                    array[t, :, :, :n] = distributions(rng, (L, H), n)
+                return AttentionTrace(array, lengths)
+
+            kinds.append(trace)
+    for width in draw(some_widths):
+        H, widths = draw(small), [width, *draw(st.lists(st.integers(1, 70), max_size=2))]
+        for _ in range(draw(pair)):
+            tags = [rng.integers(0, 4, n).astype(np.uint8) for n in widths]
+            kinds.append(lambda H=H, widths=widths, tags=tags:
+                         ([distributions(rng, (H,), n) for n in widths], tags))
+    picks = [kind for kind in kinds for _ in range(draw(small))]
+    records = []
+    for kind in draw(st.permutations(picks)):
+        tick, agent, made = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 9)), kind()
+        records.append(TraceRecord(tick, agent, made) if isinstance(made, AttentionTrace)
+                       else DecisionRecord(tick, agent, *made))
+    return records
+
+
+def write_stream(path, records):
+    """Write ``records`` in order; returns each record's byte offset."""
+    with TelemetryWriter(path) as w:
+        for rec in records:
+            if isinstance(rec, TraceRecord):
+                w.write_trace(rec.tick, rec.agent, rec.trace)
+            else:
+                w.write_decision(rec.tick, rec.agent, rec.rows, rec.tags)
+    blob, offsets = path.read_bytes(), [0]
+    while offsets[-1] < len(blob):
+        offsets.append(offsets[-1] + 4 + int.from_bytes(blob[offsets[-1] : offsets[-1] + 4], "little"))
+    return offsets[:-1]
+
+
+class TestAnalyzeOracle:
+    @given(streams())
+    @settings(max_examples=60, deadline=None)
+    def test_csvs_byte_equal_to_per_record_oracle(self, tmp_path_factory, records):
+        base = tmp_path_factory.mktemp("analyze")
+        write_stream(base / "t.bin", records)
+        assert len(read_telemetry(base / "t.bin")) >= 4
+        assert main(["analyze", "--in", str(base / "t.bin"), "--out", str(base / "fast")]) == 0
+        (base / "ref").mkdir()
+        ref_analyze(records, base / "ref")
+        for name in ("entropy.csv", "sparsity.csv", "confusion.csv"):
+            assert (base / "fast" / name).read_bytes() == (base / "ref" / name).read_bytes()
+
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    @pytest.mark.parametrize("kind", ["trace", "decision"])
+    def test_bad_row_names_its_record(self, tmp_path, kind, k):
+        """A bad weight in the k-th record of a group fails the group's one check;
+        the error names that record's byte offset, on one line."""
+        rng = np.random.default_rng(k)
+        records = []
+        for i in range(4):
+            rows, tags = [distributions(rng, (2,), 5)], [np.zeros(5, dtype=np.uint8)]
+            array = np.zeros((2, 1, 2, 6), dtype=np.float32)
+            array[0, :, :, :4], array[1] = distributions(rng, (1, 2), 4), distributions(rng, (1, 2), 6)
+            records += [TraceRecord(i, 0, AttentionTrace(array, np.array([4, 6]))),
+                        DecisionRecord(i, 0, rows, tags)]
+        path = tmp_path / "t.bin"
+        offsets = write_stream(path, records)
+        bad = offsets[2 * k] + 4 + 19 + 8 if kind == "trace" else offsets[2 * k + 1] + 4 + 13 + 4 + 5
+        blob = bytearray(path.read_bytes())
+        blob[bad : bad + 4] = np.float32(5.0).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(PayloadFormatError) as err:
+            read_telemetry(path)
+        message = str(err.value)
+        assert message == (f"malformed record at byte {offsets[2 * k + (kind == 'decision')]}: "
+                           "attention weight outside [0, 1]")
