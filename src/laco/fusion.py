@@ -11,38 +11,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .model import (
-    FOREIGN_LATENT,
-    FOREIGN_PREFILL,
-    KVCache,
-    Model,
-    forward_decode,
-    project_to_logits,
-)
+from .model import FOREIGN_LATENT, FOREIGN_PREFILL, Model, forward_decode, project_to_logits
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusedContext:
-    """Ego cache plus received payloads ordered by ascending sender id.
+    """A lock-step batch of ego caches, each with its own inbox of received
+    payloads ordered by ascending sender id; every inbox holds as many."""
 
-    For a lock-step batch ``ego`` is a list of caches and ``segments`` holds
-    each agent's payloads in turn, as many for every agent.
-    """
+    caches: list
+    inboxes: list
 
-    ego: KVCache | list
-    segments: list  # of Payload; perfbench/tracing.py reads the field by this name
+    def __post_init__(self):
+        if len(self.inboxes) != len(self.caches) or len(set(map(len, self.inboxes))) > 1:
+            raise ShapeMismatchError("a batch needs one payload list per cache, all of one length")
+
+    @property
+    def segments(self) -> list:
+        """Every inbox's payloads in turn (perfbench/tracing.py reads this name)."""
+        return [p for box in self.inboxes for p in box]
 
 
-def attach_payload(ego, payloads) -> FusedContext:
-    """Build the fused context; multiple payloads concatenate by sender id.
-
-    ``ego`` is one :class:`KVCache` with a payload list, or a list of caches
-    with one payload list each, all of one length.
-    """
-    caches, inboxes = ([ego], [payloads]) if isinstance(ego, KVCache) else (ego, list(payloads))
+def attach_payload(caches, inboxes) -> FusedContext:
+    """Build the fused context of A caches of one length and their A payload
+    lists; each list is sorted by sender id."""
     cfg = caches[0].config
-    if len(inboxes) != len(caches) or len({len(box) for box in inboxes}) > 1:
-        raise ShapeMismatchError("a batch needs one payload list per cache, all of one length")
     for p in (p for box in inboxes for p in box):
         if p.num_heads != cfg.num_heads or p.head_dim != cfg.head_dim:
             raise ShapeMismatchError(f"payload heads/head_dim ({p.num_heads}, {p.head_dim}) do "
@@ -50,39 +43,33 @@ def attach_payload(ego, payloads) -> FusedContext:
         if p.l_comm > cfg.num_layers:
             raise ShapeMismatchError(
                 f"payload spans {p.l_comm} layers but the model has {cfg.num_layers}")
-    return FusedContext(ego, [p for box in inboxes for p in sorted(box, key=lambda p: p.sender_id)])
+    return FusedContext(caches, [sorted(box, key=lambda p: p.sender_id) for box in inboxes])
 
 
 @dataclass
 class CollabResult:
-    hidden: np.ndarray     # (d,), or (A, d) for a batch of A agents
-    logits: np.ndarray     # (V,) or (A, V)
-    attention_rows: list   # per layer: (H, n_l) float32; a batch: one such list per agent
-    context_tags: list     # per layer: (n_l,) uint8, aligned with the rows; likewise
+    hidden: np.ndarray     # (A, d)
+    logits: np.ndarray     # (A, V)
+    attention_rows: list   # per agent, per layer: (H, n_l) float32
+    context_tags: list     # per agent, per layer: (n_l,) uint8, aligned with the rows
 
 
 def collaborative_decode(model: Model, input_vec, ctx: FusedContext) -> CollabResult:
-    """One decision decode over the fused context, for one agent or a batch.
+    """One decision decode of an (A, d) input over the fused context.
 
     Shallow layers see [ego || foreign]; deep layers see ego only; the
     appended position goes to the ego cache.  With no payloads this is the
     plain decode path (same code, bit-identical outputs).
     """
-    single = isinstance(ctx.ego, KVCache)
-    caches = [ctx.ego] if single else ctx.ego
-    k, H = len(ctx.segments) // len(caches), model.config.num_heads
-    inboxes = [ctx.segments[i * k : (i + 1) * k] for i in range(len(caches))]
-    hidden, rows = forward_decode(model, input_vec, ctx.ego, inboxes[0] if single else inboxes)
+    A, H = len(ctx.caches), model.config.num_heads
+    hidden, rows = forward_decode(model, input_vec, ctx.caches, ctx.inboxes)
     tags = []
-    for cache, box in zip(caches, inboxes):
+    for cache, box in zip(ctx.caches, ctx.inboxes):
         # Origin tags of each layer's context, ego (with the appended position) first.
         foreign = [np.array([FOREIGN_PREFILL, FOREIGN_LATENT], np.uint8).repeat(
             [p.salient_count, p.num_positions - p.salient_count]) for p in box]
         tags.append([np.concatenate([cache.tags[: cache.length]]
                                     + [t for p, t in zip(box, foreign) if l < p.l_comm])
                      for l in range(model.config.num_layers)])
-    logits = project_to_logits(model, hidden)
-    if single:
-        return CollabResult(hidden, logits, rows, tags[0])
-    return CollabResult(hidden, logits, [[r[i * H : (i + 1) * H] for r in rows]
-                                         for i in range(len(caches))], tags)
+    return CollabResult(hidden, project_to_logits(model, hidden),
+                        [[r[a * H : (a + 1) * H] for r in rows] for a in range(A)], tags)

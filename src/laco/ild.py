@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, ContextOverflowError
-from .model import EGO_LATENT, AttentionTrace, KVCache, Model, forward_decode, rowwise_matmul
+from .model import EGO_LATENT, AttentionTrace, Model, forward_decode, rowwise_matmul
 
 # Singular values below this fraction of the largest are truncated by pinv.
 _RCOND = 1e-6
@@ -42,28 +42,27 @@ def compute_alignment(model: Model) -> np.ndarray:
 
 @dataclass
 class DeliberationResult:
-    final_hidden: np.ndarray
-    trace: AttentionTrace  # a list of A traces for a batch of A caches
+    final_hidden: np.ndarray  # (A, d)
+    traces: list  # one AttentionTrace per agent
     steps: int
 
 
-def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, cache, m: int) -> DeliberationResult:
-    """Run m latent steps, appending ego-latent positions to the cache.
+def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) -> DeliberationResult:
+    """Run m latent steps, appending ego-latent positions to every cache.
 
-    ``cache`` is one :class:`KVCache` with a (d,) ``h0``, or a lock-step batch
-    of A caches with an (A, d) ``h0`` (see :func:`laco.model.forward_decode`);
-    every step is then one pass for all A agents, and the result holds one
-    trace per agent.  Deliberation is ego-local: received context joins only
-    the final decision decode.  Each step's rows go straight into its (L, A·H,
-    n0 + m) slot of one buffer, checked once; agent a views heads [a·H, (a+1)·H).
-    A run that would overflow the cache raises :class:`ContextOverflowError`
-    before its first step.  With m = 0 the cache and hidden state are returned
-    untouched and the trace is empty.
+    ``caches`` is a lock-step batch of A caches with an (A, d) ``h0`` (see
+    :func:`laco.model.forward_decode`); every step is one pass for all A
+    agents, and the result holds one trace per agent.  Deliberation is
+    ego-local: received context joins only the final decision decode.  Each
+    step's rows go straight into its (L, A·H, n0 + m) slot of one buffer,
+    checked once; agent a views heads [a·H, (a+1)·H).  A run that would
+    overflow the caches raises :class:`ContextOverflowError` before its first
+    step.  With m = 0 the caches and hidden states are returned untouched and
+    the traces are empty.
     """
     if m < 0:
         raise ConfigError("step count m must be >= 0")
-    single = isinstance(cache, KVCache)
-    first, A = (cache, 1) if single else (cache[0], len(cache))
+    first, A = caches[0], len(caches)
     L, H, n0 = model.config.num_layers, model.config.num_heads, first.length
     if n0 + m > first.capacity:
         raise ContextOverflowError(f"{m} latent steps from {n0} positions overflow {first.capacity}")
@@ -72,8 +71,8 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, cache, m: int) -> 
     h = np.asarray(h0, dtype=np.float32)
     logit_calls_before = model.stats.logit_projections
     for t in range(m):
-        h, _ = forward_decode(model, rowwise_matmul(h, w_a), cache, tag=EGO_LATENT, rows=array[t])
+        h, _ = forward_decode(model, rowwise_matmul(h, w_a), caches, tag=EGO_LATENT, rows=array[t])
     assert model.stats.logit_projections == logit_calls_before, "deliberation must not decode"
     whole = AttentionTrace(array, lengths)  # one row check for every agent's heads
     traces = [whole.part(np.s_[:, :, a * H : (a + 1) * H]) for a in range(A)]
-    return DeliberationResult(final_hidden=h, trace=traces[0] if single else traces, steps=m)
+    return DeliberationResult(final_hidden=h, traces=traces, steps=m)

@@ -286,17 +286,15 @@ class KVCache:
     :func:`laco.wire.distill`), never in place.
     """
 
-    def __init__(self, config: ModelConfig, agent: int = 0, store=None, row: int = 0):
-        L, H, cap, dh = config.num_layers, config.num_heads, config.max_context, config.head_dim
-        if store is None:
-            store = np.zeros((2, L, H, cap, dh), dtype=np.float64)
+    def __init__(self, config: ModelConfig, agent: int, store: np.ndarray, row: int):
+        H = config.num_heads
         self.config = config
         self.agent = agent
         self.store = store
         self.row = row
         self.k = store[0, :, row * H : (row + 1) * H]
         self.v = store[1, :, row * H : (row + 1) * H]
-        self.tags = np.zeros(cap, dtype=np.uint8)
+        self.tags = np.zeros(config.max_context, dtype=np.uint8)
         self.length = 0
 
     @property
@@ -351,8 +349,8 @@ class AttentionTrace:
 
 @dataclass
 class PrefillResult:
-    hidden: np.ndarray
-    cache: KVCache  # a list of A cache views for a batch of A sequences
+    hidden: np.ndarray  # (A, d)
+    caches: list  # A cache views of one store, in batch order
 
 
 def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
@@ -362,27 +360,25 @@ def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
 
 
 def rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` for (d,) or (A, d) ``x`` as one vector-matrix product per row,
+    """``x @ w`` for (..., d) ``x`` as one vector-matrix product per row,
     so a row gives the same bits batched or alone (a matrix product may not)."""
     return (x[..., None, :] @ w)[..., 0, :]
 
 
 def prefill(model: Model, tokens, agents=None) -> PrefillResult:
-    """Causal forward pass over token sequences, populating fresh caches.
+    """Causal forward pass over a batch of token sequences, populating fresh caches.
 
-    ``tokens`` is one sequence (T,) or a batch (A, T), run as one pass with
-    the agents folded into the head axis of one store.  Returns the last
-    hidden state, (d,) or (A, d), and the cache, or a list of A cache views
-    counting passes for ``agents`` (default 0..A-1).
+    ``tokens`` is an (A, T) batch, run as one pass with the agents folded into
+    the head axis of one store.  Returns the (A, d) last hidden states and A
+    cache views counting passes for ``agents`` (default 0..A-1).
     The last layer attends for position T-1 only but keeps ``w_o`` and the
     MLP at (A, T, .): a one-row product may sum in another order.
     """
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim not in (1, 2) or tokens.size == 0:
-        raise ConfigError("prefill needs one or a batch of non-empty token sequences")
-    rows = tokens.reshape(-1, tokens.shape[-1])
-    A, T = rows.shape
+    if tokens.ndim != 2 or tokens.size == 0:
+        raise ConfigError("prefill needs an (A, T) batch of non-empty token sequences")
+    A, T = tokens.shape
     agents = range(A) if agents is None else agents
     if T > cfg.max_context:
         raise ContextOverflowError(f"prefill of {T} tokens exceeds max_context {cfg.max_context}")
@@ -396,7 +392,7 @@ def prefill(model: Model, tokens, agents=None) -> PrefillResult:
     def split(y):  # (A, T, d) -> (A, H, T, d_h), a view
         return y.reshape(A, T, H, dh).transpose(0, 2, 1, 3)
 
-    x = model.w_in[rows] + model.pos[:T]
+    x = model.w_in[tokens] + model.pos[:T]
     for l, lw in enumerate(model.layers):
         kv_by_agent[0, l, :, :, :T] = split(x @ lw.w_k)
         kv_by_agent[1, l, :, :, :T] = split(x @ lw.w_v)
@@ -414,31 +410,27 @@ def prefill(model: Model, tokens, agents=None) -> PrefillResult:
         cache.tags[:T] = EGO_PREFILL
         cache.length = T
         model.stats.forward_passes[cache.agent] += 1
-    if tokens.ndim == 1:
-        return PrefillResult(hidden=x[0, -1].copy(), cache=caches[0])
-    return PrefillResult(hidden=x[:, -1].copy(), cache=caches)
+    return PrefillResult(hidden=x[:, -1].copy(), caches=caches)
 
 
-def forward_decode(model: Model, input_vec, cache, payloads=(), tag: int = EGO_LATENT, rows=None):
-    """Append one position and attend over ego cache plus received payloads.
+def forward_decode(model: Model, input_vec, caches, payloads=(), tag: int = EGO_LATENT, rows=None):
+    """Append one position per agent and attend over ego cache plus received payloads.
 
-    ``cache`` is one :class:`KVCache` with a (d,) input, or a lock-step batch
-    (a list of A caches from one :func:`prefill`, all of one length) with an
-    (A, d) input, run as one pass with the agents folded into the head axis.
-    ``payloads``, read as they are, is a list for one cache or one list per
-    agent, all of one signature (each payload's ``(l_comm, num_positions)``).
-    Layer l < ``l_comm`` joins a payload's ``keys[l]``/``values[l]`` (float32
-    or float16, widened exactly) to its own agent's rows of one (A·H, n + P,
-    d_h) context; the new position goes to the ego cache only.  Returns
-    (hidden (d,) or (A, d) float32, rows: list over layers of (A·H, n_l)),
-    views of ``rows[l]`` when the caller passes an (L, A·H, >= n_l) buffer.
+    ``caches`` is a lock-step batch: A caches from one :func:`prefill`, on
+    consecutive store rows and all of one length, with an (A, d) input, run
+    as one pass with the agents folded into the head axis.  ``payloads``,
+    read as they are, is empty or one list per agent, all of one signature
+    (each payload's ``(l_comm, num_positions)``).  Layer l < ``l_comm`` joins
+    a payload's ``keys[l]``/``values[l]`` (float32 or float16, widened
+    exactly) to its own agent's rows of one (A·H, n + P, d_h) context; the new
+    position goes to the ego cache only.  Returns (hidden (A, d) float32,
+    rows: list over layers of (A·H, n_l)), views of ``rows[l]`` when the
+    caller passes an (L, A·H, >= n_l) buffer.
 
     This is the single decode path: plain decoding is the degenerate case
     with no payloads, so the two are bit-identical by construction.
     """
     cfg = model.config
-    single = isinstance(cache, KVCache)
-    caches = [cache] if single else cache
     first, A, n = caches[0], len(caches), caches[0].length
     for row, c in enumerate(caches, first.row):
         if c.store is not first.store or c.row != row or c.length != n:
@@ -447,15 +439,13 @@ def forward_decode(model: Model, input_vec, cache, payloads=(), tag: int = EGO_L
         raise ConfigError("decode requires a non-empty cache")
     if n >= first.capacity:
         raise ContextOverflowError(f"cache full at {n} positions")
-    inboxes = [payloads] if single else payloads
-    signatures = {tuple((p.l_comm, p.num_positions) for p in box) for box in inboxes} if payloads else {()}
-    if payloads and (len(inboxes) != A or len(signatures) != 1):
+    signatures = {tuple((p.l_comm, p.num_positions) for p in box) for box in payloads} or {()}
+    if payloads and (len(payloads) != A or len(signatures) != 1):
         raise ConfigError("a decode batch needs one payload list per agent, all of one signature")
     depth = max((l_comm for l_comm, _ in signatures.pop()), default=0)
     x = np.asarray(input_vec, dtype=np.float32)
-    shape = (cfg.model_dim,) if single else (A, cfg.model_dim)
-    if x.shape != shape:
-        raise ConfigError(f"decode input must have shape {shape}")
+    if x.shape != (A, cfg.model_dim):
+        raise ConfigError(f"decode input must have shape {(A, cfg.model_dim)}")
     if not np.isfinite(x).all():
         raise ConfigError("decode input must be finite")
 
@@ -472,7 +462,7 @@ def forward_decode(model: Model, input_vec, cache, payloads=(), tag: int = EGO_L
         if l < depth:  # each agent's H rows go on with its own payloads' positions
             keys, values = np.concatenate([ctx[:, l], np.concatenate([np.concatenate(
                 [np.stack((p.keys[l], p.values[l])) for p in box if l < p.l_comm], axis=2)
-                for box in inboxes], axis=1)], axis=2)
+                for box in payloads], axis=1)], axis=2)
         q = np.asarray(qkv[:, 0], np.float64).reshape(A * H, dh)  # widened once, exactly
         out, r = kernels.attend_single(keys, values, q, model.inv_sqrt_head_dim,
                                        None if rows is None else rows[l, :, : keys.shape[1]])
@@ -483,7 +473,7 @@ def forward_decode(model: Model, input_vec, cache, payloads=(), tag: int = EGO_L
     for c in caches:
         c.commit(tag)
         model.stats.forward_passes[c.agent] += 1
-    return (x[0, 0] if single else x[:, 0]), rows_per_layer
+    return x[:, 0], rows_per_layer
 
 
 def project_to_logits(model: Model, hidden) -> np.ndarray:

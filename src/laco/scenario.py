@@ -519,7 +519,7 @@ def _send_tokens(sim: Simulation, live, pre):
     for step in range(sim.spec.m):
         ids[step] = np.argmax(project_to_logits(model, h), axis=1)
         # Looked up on the module, so a wrapper installed there (a tracer) sees it.
-        h, _ = model_module.forward_decode(model, model.w_in[ids[step]], pre.cache)
+        h, _ = model_module.forward_decode(model, model.w_in[ids[step]], pre.caches)
     for aid in live:
         sim.agents[aid].decoded_tokens += sim.spec.m
     return [LanguageMessage(sender_id=aid, frame_id=sim.tick, token_ids=tuple(ids[:, i].tolist()))
@@ -535,14 +535,14 @@ def _send_cache(sim: Simulation, aid: int, cache, indices, l_comm_fraction: floa
 def _send_visual(sim: Simulation, live, pre):
     """Visual: each whole prefill cache at full depth."""
     every = range(sim.spec.observation_len)
-    return [_send_cache(sim, aid, cache, every, 1.0) for aid, cache in zip(live, pre.cache)]
+    return [_send_cache(sim, aid, cache, every, 1.0) for aid, cache in zip(live, pre.caches)]
 
 
 def _deliberate(sim: Simulation, live, pre):
     """Run m latent steps on every prefill cache in lock-step and record the traces."""
-    delib = deliberate(sim.model, compute_alignment(sim.model), pre.hidden, pre.cache, sim.spec.m)
+    delib = deliberate(sim.model, compute_alignment(sim.model), pre.hidden, pre.caches, sim.spec.m)
     if delib.steps > 0:
-        for aid, trace in zip(live, delib.trace):
+        for aid, trace in zip(live, delib.traces):
             sim.telemetry.append(TraceRecord(tick=sim.tick, agent=aid, trace=trace))
     return delib
 
@@ -563,7 +563,7 @@ def _send_laco(sim: Simulation, live, pre):
             sim._warned_m0 = True
         return [None] * len(live)
     messages = []
-    for aid, cache, trace in zip(live, pre.cache, delib.trace):
+    for aid, cache, trace in zip(live, pre.caches, delib.traces):
         indices = select_topk(saliency_scores(trace, spec.observation_len, spec.rho))
         messages.append(_send_cache(sim, aid, cache, indices, spec.l_comm_fraction))
     return messages
@@ -579,7 +579,7 @@ def _decide_on_tokens(sim: Simulation, live, observations, caches, inboxes):
         group = [aid for aid, prefix in relayed.items() if len(prefix) == n]
         pre = prefill(sim.model, [relayed[aid] + observations[aid].tolist() for aid in group],
                       agents=group)
-        decisions.update(_decide(sim, group, observations, dict(zip(group, pre.cache)),
+        decisions.update(_decide(sim, group, observations, dict(zip(group, pre.caches)),
                                  dict.fromkeys(group, ())))
     return decisions
 
@@ -618,7 +618,7 @@ def run_tick(sim: Simulation):
 
     observations = {aid: observe(sim.world, sim.agents, spec.hazards, aid, t) for aid in live}
     pre = prefill(sim.model, np.stack([observations[aid] for aid in live]), agents=live)
-    caches = dict(zip(live, pre.cache))
+    caches = dict(zip(live, pre.caches))
     messages = dict(zip(live, sim.send(sim, live, pre)))
 
     # Deliver messages at the tick boundary, ascending sender id.

@@ -171,19 +171,15 @@ class DecisionRecord:
 @dataclass
 class RecordGroup:
     """The records of one kind and shape -- a trace's lengths and a decision's
-    tags included -- with their rows in one block, checked once as a trace.
+    tags included -- with their rows in blocks, each checked once as a trace.
     Record r's trace is ``trace.part(r)``, a decision's rows ``rows[l][r]``."""
 
     offsets: np.ndarray  # (R,) each record's byte offset in the stream
     ticks: np.ndarray  # (R,) int64
     agents: np.ndarray  # (R,) int64
-    trace: AttentionTrace  # (R, steps, L, H, n); a decision is one step, n = max n_l
+    trace: AttentionTrace = None  # traces only: (R, steps, L, H, n)
     tags: list = None  # decisions only: per layer (n_l,) uint8, shared by the group
-
-    @property
-    def rows(self) -> list:
-        """Decisions only: per layer the (R, H, n_l) rows."""
-        return [self.trace.array[:, 0, l, :, : t.size] for l, t in enumerate(self.tags)]
+    rows: list = None  # decisions only: per layer (R, H, n_l) float32, unpadded
 
 
 class TelemetryWriter:
@@ -227,8 +223,9 @@ def read_telemetry(path) -> list:
     """Parse a record stream into :class:`RecordGroup` s, in order of first record.
 
     A first pass reads each record's header (a decision's whole body); each
-    trace's weights are then read once, straight into the group's block.  A
-    block failing its one row check names the first record failing it alone.
+    trace's weights are then read once, straight into the group's block, and a
+    decision's rows into one unpadded block per layer.  A block failing its one
+    row check names the first record failing alone.
     Any malformed record raises :class:`PayloadFormatError`.
     """
     members = {}  # group key -> [(byte offset, tick, agent, weights' offset or body)]
@@ -264,6 +261,8 @@ def _scan_record(fh, length):
     if kind == KIND_DECISION:
         body += fh.read(length - len(body))
         L, H = _DECISION_HEAD.unpack_from(body)[3:]
+        if L == 0:
+            raise ValueError("decision record with no layers")
         pos, tags = _DECISION_HEAD.size, []
         for _ in range(L):
             (n,) = struct.unpack_from("<I", body, pos)
@@ -276,27 +275,34 @@ def _scan_record(fh, length):
 
 
 def _read_group(fh, key, recs) -> RecordGroup:
-    """Read the rows of ``recs`` into one block and check it once."""
+    """Read the rows of ``recs`` into one block per trace group or per decision
+    layer, and check each block once."""
     offsets, ticks, agents, rests = zip(*recs)
+    group = RecordGroup(np.array(offsets), np.array(ticks), np.array(agents))
     if key[0] == KIND_TRACE:
         _, steps, L, H, n, lengths = key
         block = np.zeros((len(recs), steps, L, H, n), dtype="<f4")
         for slot, pos in zip(block, rests):
             fh.seek(pos)
             fh.readinto(slot)
-        lengths, tags = np.frombuffer(lengths, dtype="<u4").astype(np.int64), None
-    else:
-        _, L, H, *tags = key
-        block = np.zeros((len(recs), 1, L, H, max(map(len, tags), default=0)), dtype="<f4")
-        for slot, body in zip(block[:, 0], rests):
-            pos = _DECISION_HEAD.size
-            for rows, t in zip(slot, tags):
-                pos += 4 + len(t)
-                rows[:, : len(t)] = np.frombuffer(body, "<f4", H * len(t), pos).reshape(H, len(t))
-                pos += 4 * H * len(t)
-        lengths, tags = np.array([block.shape[-1]]), [np.frombuffer(t, dtype="u1") for t in tags]
+        group.trace = _checked(block, np.frombuffer(lengths, "<u4").astype(np.int64), offsets)
+        return group
+    _, L, H, *tags = key
+    group.tags, group.rows, pos = [np.frombuffer(t, "u1") for t in tags], [], _DECISION_HEAD.size
+    for n in map(len, tags):  # a layer's rows sit at one offset in every record of the group
+        pos += 4 + n
+        rows = np.array([np.frombuffer(body, "<f4", H * n, pos).reshape(H, n) for body in rests])
+        group.rows.append(rows)
+        _checked(rows[:, None, None], np.array([n]), offsets)
+        pos += 4 * H * n
+    return group
+
+
+def _checked(block, lengths, offsets) -> AttentionTrace:
+    """``block`` (records first) as a trace, checked once; a failing block names
+    the first record that fails alone."""
     try:
-        trace = AttentionTrace(block, lengths)
+        return AttentionTrace(block, lengths)
     except AssertionError:
         for part, off in zip(block, offsets):
             try:
@@ -304,7 +310,6 @@ def _read_group(fh, key, recs) -> RecordGroup:
             except AssertionError as exc:
                 raise PayloadFormatError(f"malformed record at byte {off}: {exc}") from None
         raise
-    return RecordGroup(np.array(offsets), np.array(ticks), np.array(agents), trace, tags)
 
 
 def trace_record_to_trace(rec: TraceRecord) -> AttentionTrace:

@@ -385,8 +385,8 @@ def ref_visible(grid, frm, to):
 
 
 def ref_snapshot(cache):
-    """A stand-alone copy of one agent's cache, in a store of its own."""
-    dup = KVCache(cache.config, cache.agent)
+    """A copy of one agent's cache, alone in a store of its own."""
+    dup = KVCache(cache.config, cache.agent, np.zeros((2, *cache.k.shape)), 0)
     dup.k[...] = cache.k
     dup.v[...] = cache.v
     dup.tags[:] = cache.tags
@@ -405,7 +405,7 @@ def ref_check_tag_partition(cache):
 def ref_naive_full_fusion(model, input_vec, ego, foreign):
     """Full-depth fusion baseline: every layer attends over [ego || all of foreign].
 
-    ``foreign`` holds its prefill positions before its latent ones, all sent
+    A batch of one: ``input_vec`` is (1, d) and ``ego`` one cache; ``foreign`` holds its prefill positions before its latent ones, all sent
     unpruned as one payload over a copy of the whole cache.
     """
     ref_check_tag_partition(foreign)
@@ -417,4 +417,4 @@ def ref_naive_full_fusion(model, input_vec, ego, foreign):
         source_indices=tuple(range(prefill_len)),
         keys=foreign.k[:, :, :n].copy(), values=foreign.v[:, :, :n].copy(),
     )
-    return collaborative_decode(model, input_vec, FusedContext(ego=ego, segments=[payload]))
+    return collaborative_decode(model, input_vec, FusedContext([ego], [[payload]]))

@@ -71,17 +71,17 @@ def test_c01_empty_payload_equivalence():
             model = init_model(cfg)
             for _ in range(50):
                 tokens = rng.integers(0, V, size=int(rng.integers(1, 8)))
-                base = prefill(model, tokens)
-                x = rng.normal(scale=0.7, size=d).astype(np.float32)
-                plain_cache = ref_snapshot(base.cache)
-                fused_cache = ref_snapshot(base.cache)
-                hidden, rows = forward_decode(model, x, plain_cache)
+                (cache,) = prefill(model, [tokens]).caches
+                x = rng.normal(scale=0.7, size=(1, d)).astype(np.float32)
+                plain_cache = ref_snapshot(cache)
+                fused_cache = ref_snapshot(cache)
+                hidden, rows = forward_decode(model, x, [plain_cache])
                 logits = project_to_logits(model, hidden)
-                out = collaborative_decode(model, x, attach_payload(fused_cache, []))
+                out = collaborative_decode(model, x, attach_payload([fused_cache], [[]]))
                 assert np.array_equal(out.hidden, hidden)
                 assert np.array_equal(out.logits, logits)
-                assert len(out.attention_rows) == len(rows)
-                for a, b in zip(out.attention_rows, rows):
+                assert len(out.attention_rows[0]) == len(rows)
+                for a, b in zip(out.attention_rows[0], rows):
                     assert np.array_equal(a, b)
                 checked += 1
         assert checked == 1000
@@ -178,14 +178,14 @@ def test_c06_compression_accounting(shipped):
         cfg = ModelConfig(L, 2, 16, 16, 128, seed=0)
         model2 = make_hazard_model(cfg)
         tokens = [TOKEN_CLEAR] * (T - 1) + [TOKEN_EGO_A]
-        res2 = prefill(model2, tokens)
-        out2 = deliberate(model2, compute_alignment(model2), res2.hidden, res2.cache, m)
-        sal = saliency_scores(out2.trace, T, 0.3)
+        res2 = prefill(model2, [tokens])
+        out2 = deliberate(model2, compute_alignment(model2), res2.hidden, res2.caches, m)
+        sal = saliency_scores(out2.traces[0], T, 0.3)
         indices = select_topk(sal)
         assert len(indices) == 30
-        pruned = distill(res2.cache, T, indices, 0.10, sender_id=0, frame_id=0)
+        pruned = distill(res2.caches[0], T, indices, 0.10, sender_id=0, frame_id=0)
         assert pruned.l_comm == 2
-        full = distill(res2.cache, T, list(range(T)), 1.0, sender_id=0, frame_id=0)
+        full = distill(res2.caches[0], T, list(range(T)), 1.0, sender_id=0, frame_id=0)
         pruned_body = len(serialize(pruned)) - (37 + 4 * 30)
         full_body = len(serialize(full)) - (37 + 4 * 100)
         # pruned/full == 0.1 * (30 + 10) / (100 + 10), checked in exact integers

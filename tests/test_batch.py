@@ -60,18 +60,18 @@ def test_prefill_and_deliberation_match_per_agent_path(seed, A):
     agents = [10 + a for a in range(A)]
     pre = prefill(model, tokens, agents=agents)
     align = compute_alignment(model)
-    delib = deliberate(model, align, pre.hidden, pre.cache, m)
+    delib = deliberate(model, align, pre.hidden, pre.caches, m)
     assert pre.hidden.shape == (A, model.config.model_dim)
-    assert len(delib.trace) == A and delib.steps == m
+    assert len(delib.traces) == A and delib.steps == m
     for a, aid in enumerate(agents):
         h0, ref_cache = ref_prefill(model, tokens[a])
         np.testing.assert_array_equal(pre.hidden[a], h0)
         h, array, lengths = ref_deliberate(model, align, h0, ref_cache, m)
         np.testing.assert_array_equal(delib.final_hidden[a], h)
-        np.testing.assert_array_equal(delib.trace[a].array, array)
-        np.testing.assert_array_equal(delib.trace[a].lengths, lengths)
-        assert_cache_equal(pre.cache[a], ref_cache)
-        assert pre.cache[a].agent == aid
+        np.testing.assert_array_equal(delib.traces[a].array, array)
+        np.testing.assert_array_equal(delib.traces[a].lengths, lengths)
+        assert_cache_equal(pre.caches[a], ref_cache)
+        assert pre.caches[a].agent == aid
         assert model.stats.forward_passes[aid] == 1 + m
 
 
@@ -85,22 +85,27 @@ def test_lock_step_deliberation_checks_its_rows_once(monkeypatch, A):
     check = AttentionTrace.__post_init__
     monkeypatch.setattr(AttentionTrace, "__post_init__",
                         lambda trace: (checks.append(trace.array.shape), check(trace)))
-    delib = deliberate(model, compute_alignment(model), pre.hidden, pre.cache, 2)
+    delib = deliberate(model, compute_alignment(model), pre.hidden, pre.caches, 2)
     L, H = model.config.num_layers, model.config.num_heads
     assert checks == [(2, L, A * H, tokens.shape[1] + 2)]
-    assert all(t.array.base is delib.trace[0].array.base for t in delib.trace)
+    assert all(t.array.base is delib.traces[0].array.base for t in delib.traces)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_single_sequence_is_the_one_agent_batch(seed):
+    """One agent is a batch of one: a bare (T,) sequence is refused, and its
+    (1, T) batch gives the per-agent path's bits."""
     model, tokens, m = random_case(seed, 1)
-    pre = prefill(model, tokens[0])
-    delib = deliberate(model, compute_alignment(model), pre.hidden, pre.cache, m)
+    with pytest.raises(ConfigError) as err:
+        prefill(model, tokens[0])
+    assert str(err.value) == "prefill needs an (A, T) batch of non-empty token sequences"
+    pre = prefill(model, tokens)
+    delib = deliberate(model, compute_alignment(model), pre.hidden, pre.caches, m)
     h0, ref_cache = ref_prefill(model, tokens[0])
     h, array, _ = ref_deliberate(model, compute_alignment(model), h0, ref_cache, m)
-    np.testing.assert_array_equal(delib.final_hidden, h)
-    np.testing.assert_array_equal(delib.trace.array, array)
-    assert_cache_equal(pre.cache, ref_cache)
+    np.testing.assert_array_equal(delib.final_hidden, h[None])
+    np.testing.assert_array_equal(delib.traces[0].array, array)
+    assert_cache_equal(pre.caches[0], ref_cache)
     assert model.stats.forward_passes[0] == 1 + m
 
 
@@ -122,7 +127,7 @@ def test_language_decode_matches_per_agent_greedy_decode(seed, A):
             h, _ = ref_forward_decode(model, model.w_in[ids[-1]], ref_cache)
         assert messages[a].token_ids == tuple(ids)
         assert messages[a].sender_id == aid
-        assert_cache_equal(pre.cache[a], ref_cache)
+        assert_cache_equal(pre.caches[a], ref_cache)
         assert sim.agents[aid].decoded_tokens == m
         assert model.stats.forward_passes[aid] == 1 + m
 
@@ -132,7 +137,7 @@ def test_decision_decode_on_a_batch_view_matches_per_agent_path():
     model, tokens, m = random_case(3, 3)
     align = compute_alignment(model)
     pre = prefill(model, tokens)
-    deliberate(model, align, pre.hidden, pre.cache, m)
+    deliberate(model, align, pre.hidden, pre.caches, m)
     refs = []
     for a in range(3):
         h0, ref_cache = ref_prefill(model, tokens[a])
@@ -140,13 +145,13 @@ def test_decision_decode_on_a_batch_view_matches_per_agent_path():
         refs.append(ref_cache)
     x = np.linspace(-1, 1, model.config.model_dim).astype(np.float32)
     for a in (2, 0):  # ragged: agent 1 does not decode
-        h, rows = forward_decode(model, x, pre.cache[a])
+        h, rows = forward_decode(model, x[None], pre.caches[a : a + 1])
         h_ref, rows_ref = ref_forward_decode(model, x, refs[a])
-        np.testing.assert_array_equal(h, h_ref)
-        for got, want in zip(rows, rows_ref):
+        np.testing.assert_array_equal(h, h_ref[None])
+        for got, want in zip(rows, rows_ref, strict=True):
             np.testing.assert_array_equal(got, want)
     for a in range(3):
-        assert_cache_equal(pre.cache[a], refs[a])
+        assert_cache_equal(pre.caches[a], refs[a])
 
 
 def deliberated_batch(seed, A):
@@ -155,13 +160,13 @@ def deliberated_batch(seed, A):
     model, tokens, m = random_case(seed, A)
     align = compute_alignment(model)
     pre = prefill(model, tokens, agents=[10 + 3 * a for a in range(A)])
-    deliberate(model, align, pre.hidden, pre.cache, m)
+    deliberate(model, align, pre.hidden, pre.caches, m)
     refs = []
     for row in tokens:
         h0, ref_cache = ref_prefill(model, row)
         ref_deliberate(model, align, h0, ref_cache, m)
         refs.append(ref_cache)
-    return model, pre.cache, refs, tokens.shape[1]
+    return model, pre.caches, refs, tokens.shape[1]
 
 
 def inbox(caches, receiver, T, l_comms, dtype_flag, rng, kept):
@@ -225,7 +230,7 @@ def test_a_ragged_tick_decides_in_one_pass_per_signature(monkeypatch):
     live = [c.agent for c in caches]
     groups = []
     monkeypatch.setattr(sc, "collaborative_decode", lambda model, x, ctx: groups.append(
-        [c.agent for c in ctx.ego]) or collaborative_decode(model, x, ctx))
+        [c.agent for c in ctx.caches]) or collaborative_decode(model, x, ctx))
     decisions = sc._decide(sim, live, None, dict(zip(live, caches)), dict(zip(live, inboxes)))
     assert groups == [live[:2], live[2:]]
     for a, aid in enumerate(live):
@@ -244,7 +249,7 @@ def test_same_signature_on_rows_apart_is_not_one_batch(monkeypatch):
     sim.model = model
     groups = []
     monkeypatch.setattr(sc, "collaborative_decode", lambda model, x, ctx: groups.append(
-        len(ctx.ego)) or collaborative_decode(model, x, ctx))
+        len(ctx.caches)) or collaborative_decode(model, x, ctx))
     sc._decide(sim, [0, 1, 2], None, dict(enumerate(caches)), dict(enumerate(inboxes)))
     assert groups == [1, 1, 1]
 
@@ -293,7 +298,7 @@ def test_language_receivers_re_prefill_in_one_pass_per_prefix_length(monkeypatch
 
     def decode(model, x, ctx):
         out = collaborative_decode(model, x, ctx)
-        logits.update((c.agent, row) for c, row in zip(ctx.ego, out.logits))
+        logits.update((c.agent, row) for c, row in zip(ctx.caches, out.logits))
         return out
 
     monkeypatch.setattr(sc, "collaborative_decode", decode)
@@ -316,32 +321,38 @@ class TestBatchRejected:
 
     def test_rows_out_of_order(self):
         with pytest.raises(ConfigError, match="consecutive"):
-            forward_decode(self.model, self.x, [self.pre.cache[1], self.pre.cache[0]])
+            forward_decode(self.model, self.x, [self.pre.caches[1], self.pre.caches[0]])
 
     def test_rows_at_different_lengths(self):
-        forward_decode(self.model, self.x[0], self.pre.cache[1])
+        forward_decode(self.model, self.x[:1], self.pre.caches[1:2])
         with pytest.raises(ConfigError, match="one length"):
-            forward_decode(self.model, self.x, self.pre.cache[:2])
+            forward_decode(self.model, self.x, self.pre.caches[:2])
 
     def test_caches_of_two_stores(self):
-        other = prefill(self.model, np.zeros(self.pre.cache[0].length, dtype=np.int64)).cache
+        other = prefill(self.model, np.zeros((1, self.pre.caches[0].length), np.int64)).caches[0]
         with pytest.raises(ConfigError, match="one store"):
-            forward_decode(self.model, self.x, [self.pre.cache[0], other])
+            forward_decode(self.model, self.x, [self.pre.caches[0], other])
 
     def test_payload_lists_of_two_signatures(self):
-        cache = self.pre.cache[0]
+        cache = self.pre.caches[0]
         one = distill(cache, cache.length, [0], 1.0, sender_id=0, frame_id=0)
         two = distill(cache, cache.length, [0, 1], 1.0, sender_id=0, frame_id=0)
         shallow = distill(cache, cache.length, [0], 0.01, sender_id=0, frame_id=0)
         for inboxes in ([[one], [two]], [[one], [shallow]], [[one], []], [[one, one], [one]]):
             with pytest.raises(ConfigError, match="signature"):
-                forward_decode(self.model, self.x, self.pre.cache[:2], inboxes)
+                forward_decode(self.model, self.x, self.pre.caches[:2], inboxes)
         with pytest.raises(ConfigError, match="one payload list per agent"):
-            forward_decode(self.model, self.x, self.pre.cache[:2], [[one]])
+            forward_decode(self.model, self.x, self.pre.caches[:2], [[one]])
 
     def test_input_shape_must_match_the_batch(self):
         with pytest.raises(ConfigError, match="shape"):
-            forward_decode(self.model, self.x, self.pre.cache)
+            forward_decode(self.model, self.x, self.pre.caches)
+        d = self.model.config.model_dim
+        for x in (np.zeros(d, np.float32), np.zeros((1, 1, d), np.float32)):  # one cache: (1, d)
+            with pytest.raises(ConfigError) as err:
+                forward_decode(self.model, x, self.pre.caches[:1])
+            assert str(err.value) == f"decode input must have shape (1, {d})"
+        assert [c.length for c in self.pre.caches] == [self.pre.caches[0].length] * 3
 
 
 THREE_AGENTS = """

@@ -76,11 +76,11 @@ def deliberate_digest(A, m):
     model = init_model(cfg)
     tokens = np.random.default_rng(A).integers(0, cfg.vocab_size, size=(A, PREFILL_LEN))
     pre = prefill(model, tokens)
-    out = deliberate(model, compute_alignment(model), pre.hidden, pre.cache, m)
+    out = deliberate(model, compute_alignment(model), pre.hidden, pre.caches, m)
     arrays = [out.final_hidden]
-    for trace in out.trace:
+    for trace in out.traces:
         arrays += [trace.array, trace.lengths]
-    return _digest(*arrays, pre.cache[0].store)
+    return _digest(*arrays, pre.caches[0].store)
 
 
 @pytest.mark.parametrize("T", sorted(ATTEND_SINGLE))

@@ -125,9 +125,9 @@ class TestBuildCache:
 
     def _cache(self, seed=0, T=6, m=3):
         mdl = init_model(ModelConfig(2, 2, 8, 16, 32, seed=seed))
-        res = prefill(mdl, list(range(T)))
-        deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, m)
-        return res.cache
+        res = prefill(mdl, [list(range(T))])
+        deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, m)
+        return res.caches[0]
 
     def _distill(self, cache, indices, prefill_len=6):
         return distill(cache, prefill_len, indices, 1.0, sender_id=0, frame_id=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from laco.errors import ShapeMismatchError
-from laco.fusion import attach_payload, collaborative_decode
+from laco.fusion import FusedContext, attach_payload, collaborative_decode
 from laco.ild import compute_alignment, deliberate
 from laco.model import (
     FOREIGN_LATENT,
@@ -35,41 +35,41 @@ def cfg(seed=0, **kw):
 
 def build_payload(model, tokens, m=3, rho_indices=None, fraction=1.0, sender=1,
                   dtype_flag=DTYPE_F32):
-    res = prefill(model, tokens)
-    deliberate(model, compute_alignment(model), res.hidden, res.cache, m)
+    res = prefill(model, [tokens])
+    deliberate(model, compute_alignment(model), res.hidden, res.caches, m)
     T = len(tokens)
     idx = rho_indices if rho_indices is not None else list(range(T))
-    return distill(res.cache, T, idx, fraction, sender_id=sender, frame_id=0,
-                   dtype_flag=dtype_flag), res.cache
+    return distill(res.caches[0], T, idx, fraction, sender_id=sender, frame_id=0,
+                   dtype_flag=dtype_flag), res.caches[0]
 
 
 class TestAttach:
     def test_empty_payload_list_keeps_ego_only(self):
         mdl = init_model(cfg())
-        res = prefill(mdl, [1, 2, 3])
-        ctx = attach_payload(res.cache, [])
-        assert ctx.segments == []
+        res = prefill(mdl, [[1, 2, 3]])
+        ctx = attach_payload(res.caches, [[]])
+        assert ctx.segments == [] and ctx.inboxes == [[]]
 
     def test_zero_token_payload_positionless(self):
         mdl = init_model(cfg(seed=1))
-        res = prefill(mdl, [1, 2, 3])
+        res = prefill(mdl, [[1, 2, 3]])
         payload, _ = build_payload(init_model(cfg(seed=1)), [4, 5], m=0, rho_indices=[])
         assert payload.num_positions == 0
-        ctx = attach_payload(res.cache, [payload])
+        ctx = attach_payload(res.caches, [[payload]])
         assert ctx.segments[0].num_positions == 0
-        x = np.full(8, 0.5, dtype=np.float32)
+        x = np.full((1, 8), 0.5, dtype=np.float32)
         out = collaborative_decode(mdl, x, ctx)
         mdl2 = init_model(cfg(seed=1))
-        res2 = prefill(mdl2, [1, 2, 3])
-        h, _ = forward_decode(mdl2, x, res2.cache)
+        res2 = prefill(mdl2, [[1, 2, 3]])
+        h, _ = forward_decode(mdl2, x, res2.caches)
         np.testing.assert_array_equal(out.hidden, h)
 
     def test_sender_order(self):
         mdl = init_model(cfg(seed=2))
-        res = prefill(mdl, [1, 2, 3])
+        res = prefill(mdl, [[1, 2, 3]])
         p3, _ = build_payload(init_model(cfg(seed=2)), [4, 5], sender=3)
         p1, _ = build_payload(init_model(cfg(seed=2)), [6, 7], sender=1)
-        ctx = attach_payload(res.cache, [p3, p1])
+        ctx = attach_payload(res.caches, [[p3, p1]])
         assert [s.num_positions for s in ctx.segments] == [5, 5]
         assert p1.keys.tobytes() != p3.keys.tobytes()
         # received payloads are read as they are, with no copy
@@ -77,20 +77,31 @@ class TestAttach:
 
     def test_shape_mismatch_rejected(self):
         mdl = init_model(cfg(seed=3))
-        res = prefill(mdl, [1, 2])
+        res = prefill(mdl, [[1, 2]])
         other = init_model(cfg(seed=3, model_dim=16))
         payload, _ = build_payload(other, [1, 2])
         with pytest.raises(ShapeMismatchError):
-            attach_payload(res.cache, [payload])
+            attach_payload(res.caches, [[payload]])
+
+    def test_uneven_context_cannot_be_built(self):
+        """Every cache gets its own inbox, all of one length: three payloads for
+        two caches are refused when the context is built, not split or dropped."""
+        caches = prefill(init_model(cfg(seed=12)), [[1, 2, 3], [4, 5, 6]]).caches
+        payloads = [build_payload(init_model(cfg(seed=12)), [4, 5], sender=s)[0] for s in (2, 3, 4)]
+        for inboxes in ([payloads], [payloads[:1], payloads[1:]], [[], [], payloads]):
+            with pytest.raises(ShapeMismatchError, match="one payload list per cache"):
+                FusedContext(caches, inboxes)
+            with pytest.raises(ShapeMismatchError, match="one payload list per cache"):
+                attach_payload(caches, inboxes)
 
     def test_foreign_tags(self):
         payload, _ = build_payload(init_model(cfg(seed=4)), [1, 2, 3], m=2, fraction=0.5)
         mdl = init_model(cfg(seed=4))
-        res = prefill(mdl, [5, 6])
-        out = collaborative_decode(mdl, np.zeros(8, dtype=np.float32),
-                                   attach_payload(res.cache, [payload]))
+        res = prefill(mdl, [[5, 6]])
+        out = collaborative_decode(mdl, np.zeros((1, 8), dtype=np.float32),
+                                   attach_payload(res.caches, [[payload]]))
         foreign = [FOREIGN_PREFILL] * 3 + [FOREIGN_LATENT] * 2
-        for l, tags in enumerate(out.context_tags):
+        for l, tags in enumerate(out.context_tags[0]):
             assert tags.dtype == np.uint8
             np.testing.assert_array_equal(tags[3:], foreign if l < payload.l_comm else [])
 
@@ -99,49 +110,49 @@ class TestEquivalences:
     def test_zero_payload_bit_identical(self):
         mdl_a = init_model(cfg(seed=5))
         mdl_b = init_model(cfg(seed=5))
-        res_a = prefill(mdl_a, [3, 1, 4, 1])
-        res_b = prefill(mdl_b, [3, 1, 4, 1])
-        x = np.linspace(-1, 1, 8).astype(np.float32)
-        h, rows = forward_decode(mdl_a, x, res_a.cache)
+        res_a = prefill(mdl_a, [[3, 1, 4, 1]])
+        res_b = prefill(mdl_b, [[3, 1, 4, 1]])
+        x = np.linspace(-1, 1, 8).astype(np.float32)[None]
+        h, rows = forward_decode(mdl_a, x, res_a.caches)
         logits = project_to_logits(mdl_a, h)
-        out = collaborative_decode(mdl_b, x, attach_payload(res_b.cache, []))
+        out = collaborative_decode(mdl_b, x, attach_payload(res_b.caches, [[]]))
         assert np.array_equal(out.hidden, h)
         assert np.array_equal(out.logits, logits)
-        assert all(np.array_equal(a, b) for a, b in zip(out.attention_rows, rows))
+        assert all(np.array_equal(a, b) for a, b in zip(out.attention_rows[0], rows, strict=True))
 
     def test_full_depth_full_rho_equals_naive(self):
         sender = init_model(cfg(seed=6))
         payload, foreign_cache = build_payload(sender, [2, 4, 6], m=2, fraction=1.0)
         mdl_a = init_model(cfg(seed=6))
         mdl_b = init_model(cfg(seed=6))
-        res_a = prefill(mdl_a, [7, 8])
-        res_b = prefill(mdl_b, [7, 8])
-        x = np.full(8, 0.25, dtype=np.float32)
-        via_payload = collaborative_decode(mdl_a, x, attach_payload(res_a.cache, [payload]))
-        via_naive = ref_naive_full_fusion(mdl_b, x, res_b.cache, foreign_cache)
+        res_a = prefill(mdl_a, [[7, 8]])
+        res_b = prefill(mdl_b, [[7, 8]])
+        x = np.full((1, 8), 0.25, dtype=np.float32)
+        via_payload = collaborative_decode(mdl_a, x, attach_payload(res_a.caches, [[payload]]))
+        via_naive = ref_naive_full_fusion(mdl_b, x, res_b.caches[0], foreign_cache)
         np.testing.assert_array_equal(via_payload.hidden, via_naive.hidden)
         np.testing.assert_array_equal(via_payload.logits, via_naive.logits)
 
     def test_naive_empty_foreign_equals_plain(self):
         mdl = init_model(cfg(seed=7))
-        res = prefill(mdl, [1, 2, 3])
-        foreign = prefill(init_model(cfg(seed=7)), [9]).cache
+        res = prefill(mdl, [[1, 2, 3]])
+        foreign = prefill(init_model(cfg(seed=7)), [[9]]).caches[0]
         foreign.length = 0  # empty view of a fresh cache
-        x = np.zeros(8, dtype=np.float32)
-        out = ref_naive_full_fusion(mdl, x, res.cache, foreign)
+        x = np.zeros((1, 8), dtype=np.float32)
+        out = ref_naive_full_fusion(mdl, x, res.caches[0], foreign)
         mdl2 = init_model(cfg(seed=7))
-        res2 = prefill(mdl2, [1, 2, 3])
-        h, _ = forward_decode(mdl2, x, res2.cache)
+        res2 = prefill(mdl2, [[1, 2, 3]])
+        h, _ = forward_decode(mdl2, x, res2.caches)
         np.testing.assert_array_equal(out.hidden, h)
 
     def test_symmetric_split_with_identical_foreign(self):
         # a foreign copy of the ego cache halves every row's mass
         mdl = init_model(cfg(seed=8))
-        res = prefill(mdl, [1, 2, 3, 4])
-        twin = prefill(init_model(cfg(seed=8)), [1, 2, 3, 4]).cache
-        x = np.linspace(0, 1, 8).astype(np.float32)
-        out = ref_naive_full_fusion(mdl, x, res.cache, twin)
-        for rows, tags in zip(out.attention_rows, out.context_tags):
+        res = prefill(mdl, [[1, 2, 3, 4]])
+        twin = prefill(init_model(cfg(seed=8)), [[1, 2, 3, 4]]).caches[0]
+        x = np.linspace(0, 1, 8).astype(np.float32)[None]
+        out = ref_naive_full_fusion(mdl, x, res.caches[0], twin)
+        for rows, tags in zip(out.attention_rows[0], out.context_tags[0], strict=True):
             foreign = (tags == FOREIGN_PREFILL) | (tags == FOREIGN_LATENT)
             ego_mass = rows[:, ~foreign].sum(axis=1, dtype=np.float64)
             foreign_mass = rows[:, foreign].sum(axis=1, dtype=np.float64)
@@ -163,17 +174,17 @@ class TestWidening:
         assert all(p.keys.dtype == np.float16 for p in p16)
         p32 = [replace(p, dtype_flag=DTYPE_F32, keys=p.keys.astype(np.float32),
                        values=p.values.astype(np.float32)) for p in p16]
-        x = np.linspace(-1, 1, 8).astype(np.float32)
+        x = np.linspace(-1, 1, 8).astype(np.float32)[None]
         outs = []
         for payloads in (p16, p32):
             mdl = init_model(cfg(seed=seed))
-            res = prefill(mdl, [7, 8, 9])
-            outs.append(collaborative_decode(mdl, x, attach_payload(res.cache, payloads)))
+            res = prefill(mdl, [[7, 8, 9]])
+            outs.append(collaborative_decode(mdl, x, attach_payload(res.caches, [payloads])))
         f16, f32 = outs
-        assert f16.attention_rows[0].shape[1] == 4 + 7 + 5
+        assert f16.attention_rows[0][0].shape[1] == 4 + 7 + 5
         assert np.array_equal(f16.hidden, f32.hidden)
         assert np.array_equal(f16.logits, f32.logits)
-        for a, b in zip(f16.attention_rows, f32.attention_rows, strict=True):
+        for a, b in zip(f16.attention_rows[0], f32.attention_rows[0], strict=True):
             assert np.array_equal(a, b)
 
 
@@ -183,11 +194,12 @@ class TestDepthIsolation:
         payload, _ = build_payload(sender, [2, 4, 6], m=2, fraction=0.25)
         assert payload.l_comm == 1
         mdl = init_model(cfg(seed=9))
-        res = prefill(mdl, [7, 8])
-        out = collaborative_decode(mdl, np.zeros(8, dtype=np.float32),
-                                   attach_payload(res.cache, [payload]))
-        assert out.attention_rows[0].shape[1] == 3 + payload.num_positions
-        for rows in out.attention_rows[1:]:
+        res = prefill(mdl, [[7, 8]])
+        out = collaborative_decode(mdl, np.zeros((1, 8), dtype=np.float32),
+                                   attach_payload(res.caches, [[payload]]))
+        rows_per_layer = out.attention_rows[0]
+        assert rows_per_layer[0].shape[1] == 3 + payload.num_positions
+        for rows in rows_per_layer[1:]:
             assert rows.shape[1] == 3
 
     def test_deep_source_bytes_irrelevant(self):
@@ -207,11 +219,11 @@ class TestDepthIsolation:
         sender = init_model(cfg(seed=11))
         payload, _ = build_payload(sender, [2, 4, 6], m=2)
         mdl = init_model(cfg(seed=11))
-        res = prefill(mdl, [7, 8])
-        collaborative_decode(mdl, np.zeros(8, dtype=np.float32),
-                             attach_payload(res.cache, [payload]))
-        assert res.cache.length == 3
-        tags = res.cache.tags[:3]
+        res = prefill(mdl, [[7, 8]])
+        collaborative_decode(mdl, np.zeros((1, 8), dtype=np.float32),
+                             attach_payload(res.caches, [[payload]]))
+        assert res.caches[0].length == 3
+        tags = res.caches[0].tags[:3]
         assert not np.any((tags == FOREIGN_PREFILL) | (tags == FOREIGN_LATENT))
 
 
@@ -222,7 +234,7 @@ class TestHazardFusion:
         c = cfg(seed=0, num_layers=layers)
         mdl = make_hazard_model(c)
         tokens = [TOKEN_CLEAR] * 5 + [TOKEN_EGO_A]
-        res = prefill(mdl, tokens)
+        res = prefill(mdl, [tokens])
         return mdl, res
 
     def test_shallow_hazard_kv_raises_brake_logit(self):
@@ -232,12 +244,12 @@ class TestHazardFusion:
         payload, _ = build_payload(sender, [TOKEN_HAZARD_A, TOKEN_CLEAR, TOKEN_EGO_B],
                                    m=2, fraction=0.25, sender=1)
         mdl, res = self._clear_ego()
-        marker = mdl.w_in[TOKEN_EGO_A].copy()
+        marker = mdl.w_in[[TOKEN_EGO_A]]
         base_mdl, base_res = self._clear_ego()
-        h0, _ = forward_decode(base_mdl, marker, base_res.cache)
-        base_logits = project_to_logits(base_mdl, h0)
-        out = collaborative_decode(mdl, marker, attach_payload(res.cache, [payload]))
-        assert out.logits[TOKEN_BRAKE] > base_logits[TOKEN_BRAKE]
+        h0, _ = forward_decode(base_mdl, marker, base_res.caches)
+        base_logits = project_to_logits(base_mdl, h0)[0]
+        out = collaborative_decode(mdl, marker, attach_payload(res.caches, [[payload]]))
+        assert out.logits[0, TOKEN_BRAKE] > base_logits[TOKEN_BRAKE]
         assert int(np.argmax(out.logits)) == TOKEN_BRAKE
 
     def test_deep_decision_flips_naive_but_not_shallow(self):
@@ -249,15 +261,15 @@ class TestHazardFusion:
             sender, foreign_tokens, m=2, fraction=0.25, sender=1)
 
         mdl_naive, res_naive = self._clear_ego()
-        marker = mdl_naive.w_in[TOKEN_EGO_A].copy()
-        naive = ref_naive_full_fusion(mdl_naive, marker, res_naive.cache, foreign_cache)
+        marker = mdl_naive.w_in[[TOKEN_EGO_A]]
+        naive = ref_naive_full_fusion(mdl_naive, marker, res_naive.caches[0], foreign_cache)
         assert int(np.argmax(naive.logits)) == TOKEN_BRAKE
 
         mdl_shallow, res_shallow = self._clear_ego()
         shallow = collaborative_decode(mdl_shallow, marker,
-                                       attach_payload(res_shallow.cache, [payload_shallow]))
+                                       attach_payload(res_shallow.caches, [[payload_shallow]]))
         assert int(np.argmax(shallow.logits)) == TOKEN_KEEP
 
         mdl_plain, res_plain = self._clear_ego()
-        h, _ = forward_decode(mdl_plain, marker, res_plain.cache)
+        h, _ = forward_decode(mdl_plain, marker, res_plain.caches)
         assert int(np.argmax(project_to_logits(mdl_plain, h))) == TOKEN_KEEP

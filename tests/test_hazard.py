@@ -30,9 +30,9 @@ def hazard_config(layers=2, seed=0, **kw):
 
 
 def decide(model, tokens, marker=TOKEN_EGO_A):
-    res = prefill(model, tokens)
-    hidden, _ = forward_decode(model, model.w_in[marker].copy(), res.cache)
-    return project_to_logits(model, hidden)
+    res = prefill(model, [tokens])
+    hidden, _ = forward_decode(model, model.w_in[[marker]], res.caches)
+    return project_to_logits(model, hidden)[0]
 
 
 class TestConstruction:
@@ -96,9 +96,9 @@ class TestPolicy:
     def test_matches_manual_forward(self):
         m = make_hazard_model(hazard_config())
         tokens = [TOKEN_CLEAR, TOKEN_HAZARD_A, TOKEN_CLEAR, TOKEN_EGO_A]
-        res = prefill(m, tokens)
+        res = prefill(m, [tokens])
         marker = m.w_in[TOKEN_EGO_A].copy()
-        hidden, _ = forward_decode(m, marker, res.cache)
+        (hidden,), _ = forward_decode(m, marker[None], res.caches)
         ref = ref_decode_hiddens(m, tokens, [marker])[-1]
         np.testing.assert_allclose(hidden, ref, atol=1e-6)
         ref_logits = ref @ m.w_out.astype(np.float64)
@@ -110,15 +110,15 @@ class TestPolicy:
         # hold at most one non-zero weight, so its decode stays bit-equal.
         m = make_hazard_model(hazard_config(model_dim=56))
         tokens = [TOKEN_CLEAR, TOKEN_HAZARD_A, TOKEN_CLEAR, TOKEN_HAZARD_B, TOKEN_EGO_A]
-        res = prefill(m, tokens)
+        (cache,) = prefill(m, [tokens]).caches
         _, ref_cache = ref_prefill(m, tokens)
         for marker in (TOKEN_EGO_A, TOKEN_EGO_B, TOKEN_CLEAR):
-            hidden, rows = forward_decode(m, m.w_in[marker], res.cache)
+            (hidden,), rows = forward_decode(m, m.w_in[[marker]], [cache])
             ref_hidden, ref_rows = ref_forward_decode(m, m.w_in[marker], ref_cache)
             np.testing.assert_array_equal(hidden, ref_hidden)
             for got, want in zip(rows, ref_rows, strict=True):
                 np.testing.assert_array_equal(got, want)
             assert int(np.argmax(project_to_logits(m, hidden))) == TOKEN_BRAKE
         n = ref_cache.length
-        np.testing.assert_array_equal(res.cache.k[:, :, :n], ref_cache.k[:, :, :n])
-        np.testing.assert_array_equal(res.cache.v[:, :, :n], ref_cache.v[:, :, :n])
+        np.testing.assert_array_equal(cache.k[:, :, :n], ref_cache.k[:, :, :n])
+        np.testing.assert_array_equal(cache.v[:, :, :n], ref_cache.v[:, :, :n])

@@ -65,92 +65,92 @@ class TestAlignment:
 class TestDeliberate:
     def test_m0_no_change(self):
         m = init_model(cfg(seed=5))
-        res = prefill(m, [1, 2, 3])
+        res = prefill(m, [[1, 2, 3]])
         h0 = res.hidden.copy()
-        before = res.cache.length
-        out = deliberate(m, compute_alignment(m), h0, res.cache, 0)
-        assert res.cache.length == before
+        before = res.caches[0].length
+        out = deliberate(m, compute_alignment(m), h0, res.caches, 0)
+        assert res.caches[0].length == before
         np.testing.assert_array_equal(out.final_hidden, h0)
-        assert out.trace.num_steps == 0
+        assert out.traces[0].num_steps == 0
 
     @pytest.mark.parametrize("m_steps", [1, 3, 5])
     def test_cache_growth_law(self, m_steps):
         mdl = init_model(cfg(seed=6))
-        res = prefill(mdl, [1, 2, 3, 4])
-        deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, m_steps)
-        assert res.cache.length == 4 + m_steps
-        assert np.all(res.cache.tags[4 : 4 + m_steps] == EGO_LATENT)
-        ref_check_tag_partition(res.cache)
+        res = prefill(mdl, [[1, 2, 3, 4]])
+        deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, m_steps)
+        assert res.caches[0].length == 4 + m_steps
+        assert np.all(res.caches[0].tags[4 : 4 + m_steps] == EGO_LATENT)
+        ref_check_tag_partition(res.caches[0])
 
     def test_default_ten_steps_on_stable_model(self):
         mdl = make_hazard_model(cfg())
-        res = prefill(mdl, [TOKEN_CLEAR, TOKEN_HAZARD_A, TOKEN_EGO_A])
-        out = deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, 10)
-        assert res.cache.length == 3 + 10
-        assert out.trace.num_steps == 10
+        res = prefill(mdl, [[TOKEN_CLEAR, TOKEN_HAZARD_A, TOKEN_EGO_A]])
+        out = deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 10)
+        assert res.caches[0].length == 3 + 10
+        assert out.traces[0].num_steps == 10
 
     def test_no_vocabulary_projections(self):
         mdl = init_model(cfg(seed=7))
-        res = prefill(mdl, [1, 2])
+        res = prefill(mdl, [[1, 2]])
         before = mdl.stats.logit_projections
-        deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, 4)
+        deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 4)
         assert mdl.stats.logit_projections == before
 
     def test_forward_pass_count(self):
         mdl = init_model(cfg(seed=8))
-        res = prefill(mdl, [1, 2])
+        res = prefill(mdl, [[1, 2]])
         before = mdl.stats.forward_passes[0]
-        deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, 6)
+        deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 6)
         assert mdl.stats.forward_passes[0] == before + 6
 
     def test_trace_context_lengths(self):
         mdl = init_model(cfg(seed=9))
-        res = prefill(mdl, [1, 2, 3])
-        out = deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, 4)
-        np.testing.assert_array_equal(out.trace.lengths[:4], [4, 5, 6, 7])
+        res = prefill(mdl, [[1, 2, 3]])
+        out = deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 4)
+        np.testing.assert_array_equal(out.traces[0].lengths[:4], [4, 5, 6, 7])
 
     def test_negative_m_rejected(self):
         mdl = init_model(cfg())
-        res = prefill(mdl, [1])
+        res = prefill(mdl, [[1]])
         with pytest.raises(ConfigError):
-            deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, -1)
+            deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, -1)
 
     def test_overflow_mid_run(self):
         mdl = init_model(cfg(max_context=5))
-        res = prefill(mdl, [1, 2, 3])
+        res = prefill(mdl, [[1, 2, 3]])
         with pytest.raises(ContextOverflowError):
-            deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, 4)
+            deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 4)
 
     def test_overflow_raises_before_the_first_step(self):
         """A run that cannot fit leaves caches, store and counters untouched."""
         mdl = init_model(cfg(seed=11, max_context=60))
         res = prefill(mdl, np.random.default_rng(11).integers(0, 16, size=(2, 50)))
-        store, tags = res.cache[0].store.copy(), [c.tags.copy() for c in res.cache]
+        store, tags = res.caches[0].store.copy(), [c.tags.copy() for c in res.caches]
         passes = mdl.stats.forward_passes.copy()
         with pytest.raises(ContextOverflowError):
-            deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, 20)
-        assert [c.length for c in res.cache] == [50, 50]
-        np.testing.assert_array_equal(res.cache[0].store, store)
-        for cache, before in zip(res.cache, tags):
+            deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 20)
+        assert [c.length for c in res.caches] == [50, 50]
+        np.testing.assert_array_equal(res.caches[0].store, store)
+        for cache, before in zip(res.caches, tags):
             np.testing.assert_array_equal(cache.tags, before)
         assert mdl.stats.forward_passes == passes
-        out = deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, 10)
-        assert out.steps == 10 and [c.length for c in res.cache] == [60, 60]
+        out = deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 10)
+        assert out.steps == 10 and [c.length for c in res.caches] == [60, 60]
 
     def test_matches_unrolled_reference_hazard(self):
         mdl = make_hazard_model(cfg())
         tokens = [TOKEN_CLEAR, TOKEN_HAZARD_A, TOKEN_CLEAR, TOKEN_EGO_A]
-        res = prefill(mdl, tokens)
+        res = prefill(mdl, [tokens])
         proj = compute_alignment(mdl)
-        out = deliberate(mdl, proj, res.hidden, res.cache, 3)
+        out = deliberate(mdl, proj, res.hidden, res.caches, 3)
         ref = ref_deliberate_hidden(mdl, tokens, proj, 3)
-        np.testing.assert_allclose(out.final_hidden, ref, atol=1e-6)
+        np.testing.assert_allclose(out.final_hidden[0], ref, atol=1e-6)
 
     def test_matches_unrolled_reference_random(self):
         mdl = init_model(cfg(seed=10))
         tokens = [3, 9, 14]
-        res = prefill(mdl, tokens)
+        res = prefill(mdl, [tokens])
         proj = compute_alignment(mdl)
-        out = deliberate(mdl, proj, res.hidden, res.cache, 3)
+        out = deliberate(mdl, proj, res.hidden, res.caches, 3)
         ref = ref_deliberate_hidden(mdl, tokens, proj, 3)
-        np.testing.assert_allclose(out.final_hidden, ref, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(out.final_hidden[0], ref, rtol=1e-5, atol=1e-6)

@@ -10,7 +10,6 @@ from laco.model import (
     EGO_PREFILL,
     TOKEN_KEEP,
     AttentionTrace,
-    KVCache,
     ModelConfig,
     forward_decode,
     init_model,
@@ -57,7 +56,7 @@ def prefill_rows(monkeypatch, model, tokens):
             return out
 
         monkeypatch.setattr(kernels, name, spy)
-    prefill(model, tokens)
+    prefill(model, [tokens])
     *causal, last = calls
     H, T = last.shape
     rows = np.zeros((len(calls), H, T, T), dtype=np.float32)
@@ -117,10 +116,10 @@ class TestInit:
 class TestPrefill:
     def test_cache_length_and_tags(self):
         m = init_model(small_config())
-        res = prefill(m, [1, 2, 3, 4, 5])
-        assert res.cache.length == 5
-        assert np.all(res.cache.tags[:5] == EGO_PREFILL)
-        ref_check_tag_partition(res.cache)
+        (cache,) = prefill(m, [[1, 2, 3, 4, 5]]).caches
+        assert cache.length == 5
+        assert np.all(cache.tags[:5] == EGO_PREFILL)
+        ref_check_tag_partition(cache)
 
     def test_trace_rows_normalized(self, monkeypatch):
         m = init_model(small_config(seed=4))
@@ -134,7 +133,7 @@ class TestPrefill:
 
     def test_deterministic(self):
         m1, m2 = init_model(small_config(seed=5)), init_model(small_config(seed=5))
-        r1, r2 = prefill(m1, [3, 1, 4]), prefill(m2, [3, 1, 4])
+        r1, r2 = prefill(m1, [[3, 1, 4]]), prefill(m2, [[3, 1, 4]])
         np.testing.assert_array_equal(r1.hidden, r2.hidden)
 
     def test_single_token_row_is_one(self, monkeypatch):
@@ -145,12 +144,12 @@ class TestPrefill:
     def test_overflow(self):
         m = init_model(small_config(max_context=4))
         with pytest.raises(ContextOverflowError):
-            prefill(m, [0] * 5)
+            prefill(m, [[0] * 5])
 
     def test_empty_rejected(self):
         m = init_model(small_config())
         with pytest.raises(ConfigError):
-            prefill(m, [])
+            prefill(m, [[]])
 
     @pytest.mark.parametrize("d", [16, 24, 40, 48])
     def test_hidden_and_store_equal_the_per_agent_prefill(self, d):
@@ -164,41 +163,41 @@ class TestPrefill:
             np.testing.assert_array_equal(pre.hidden[a], h)
         # Every entry of the (2, L, A·H, capacity, d_h) store, zeros included.
         want = np.concatenate([np.stack([ref.k, ref.v]) for _, ref in refs], axis=2)
-        np.testing.assert_array_equal(pre.cache[0].store, want)
+        np.testing.assert_array_equal(pre.caches[0].store, want)
 
     def test_matches_reference_forward(self):
         m = init_model(small_config(seed=11))
         tokens = [2, 7, 1, 9, 4]
-        res = prefill(m, tokens)
+        res = prefill(m, [tokens])
         ref = ref_prefill_hidden(m, tokens)
-        np.testing.assert_allclose(res.hidden, ref, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(res.hidden[0], ref, rtol=1e-5, atol=1e-6)
 
 
 class TestDecode:
     def test_grows_by_one_with_latent_tag(self):
         m = init_model(small_config(seed=6))
-        res = prefill(m, [1, 2, 3])
-        x = np.zeros(8, dtype=np.float32)
-        forward_decode(m, x, res.cache)
-        assert res.cache.length == 4
-        assert res.cache.tags[3] == EGO_LATENT
-        ref_check_tag_partition(res.cache)
+        res = prefill(m, [[1, 2, 3]])
+        forward_decode(m, np.zeros((1, 8), dtype=np.float32), res.caches)
+        (cache,) = res.caches
+        assert cache.length == 4
+        assert cache.tags[3] == EGO_LATENT
+        ref_check_tag_partition(cache)
 
     def test_existing_positions_never_mutate(self):
         m = init_model(small_config(seed=7))
-        res = prefill(m, [1, 2, 3])
-        before_k = res.cache.k[:, :, :3, :].copy()
-        before_v = res.cache.v[:, :, :3, :].copy()
-        forward_decode(m, np.ones(8, dtype=np.float32), res.cache)
-        np.testing.assert_array_equal(res.cache.k[:, :, :3, :], before_k)
-        np.testing.assert_array_equal(res.cache.v[:, :, :3, :], before_v)
+        (cache,) = prefill(m, [[1, 2, 3]]).caches
+        before_k = cache.k[:, :, :3, :].copy()
+        before_v = cache.v[:, :, :3, :].copy()
+        forward_decode(m, np.ones((1, 8), dtype=np.float32), [cache])
+        np.testing.assert_array_equal(cache.k[:, :, :3, :], before_k)
+        np.testing.assert_array_equal(cache.v[:, :, :3, :], before_v)
 
     def test_repeat_from_snapshot_identical(self):
         m = init_model(small_config(seed=8))
-        res = prefill(m, [5, 6])
-        x = np.linspace(-1, 1, 8).astype(np.float32)
-        h1, r1 = forward_decode(m, x, ref_snapshot(res.cache))
-        h2, r2 = forward_decode(m, x, ref_snapshot(res.cache))
+        (cache,) = prefill(m, [[5, 6]]).caches
+        x = np.linspace(-1, 1, 8).astype(np.float32)[None]
+        h1, r1 = forward_decode(m, x, [ref_snapshot(cache)])
+        h2, r2 = forward_decode(m, x, [ref_snapshot(cache)])
         np.testing.assert_array_equal(h1, h2)
         for a, b in zip(r1, r2):
             np.testing.assert_array_equal(a, b)
@@ -209,9 +208,9 @@ class TestDecode:
         m = init_model(small_config(seed=12))
         tokens = np.random.default_rng(12).integers(0, 16, size=(2, 5))
         x = np.linspace(-1, 1, 16).astype(np.float32).reshape(2, 8)
-        h1, r1 = forward_decode(m, x, prefill(m, tokens).cache)
+        h1, r1 = forward_decode(m, x, prefill(m, tokens).caches)
         buffer = np.full((2, 4, 9), -1.0, dtype=np.float32)
-        h2, r2 = forward_decode(m, x, prefill(m, tokens).cache, rows=buffer)
+        h2, r2 = forward_decode(m, x, prefill(m, tokens).caches, rows=buffer)
         np.testing.assert_array_equal(h1, h2)
         for l, (a, b) in enumerate(zip(r1, r2)):
             assert b.base is buffer and b.shape == (4, 6)
@@ -221,50 +220,50 @@ class TestDecode:
 
     def test_rows_cover_context_including_self(self):
         m = init_model(small_config(seed=9))
-        res = prefill(m, [1, 2, 3])
-        _, rows = forward_decode(m, np.zeros(8, dtype=np.float32), res.cache)
+        res = prefill(m, [[1, 2, 3]])
+        _, rows = forward_decode(m, np.zeros((1, 8), dtype=np.float32), res.caches)
         assert all(r.shape == (2, 4) for r in rows)
         for r in rows:
             np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-6)
 
     def test_overflow(self):
         m = init_model(small_config(max_context=3))
-        res = prefill(m, [1, 2, 3])
+        res = prefill(m, [[1, 2, 3]])
         with pytest.raises(ContextOverflowError):
-            forward_decode(m, np.zeros(8, dtype=np.float32), res.cache)
+            forward_decode(m, np.zeros((1, 8), dtype=np.float32), res.caches)
 
     def test_nonfinite_input_rejected(self):
         m = init_model(small_config())
-        res = prefill(m, [1])
-        bad = np.full(8, np.nan, dtype=np.float32)
+        res = prefill(m, [[1]])
+        bad = np.full((1, 8), np.nan, dtype=np.float32)
         with pytest.raises(ConfigError):
-            forward_decode(m, bad, res.cache)
+            forward_decode(m, bad, res.caches)
 
     def test_matches_reference_forward(self):
         m = init_model(small_config(seed=13))
         tokens = [2, 5, 8]
-        res = prefill(m, tokens)
+        res = prefill(m, [tokens])
         rng = np.random.default_rng(0)
         extras = [rng.normal(scale=0.5, size=8).astype(np.float32) for _ in range(2)]
         h = None
         for x in extras:
-            h, _ = forward_decode(m, x, res.cache)
+            h, _ = forward_decode(m, x[None], res.caches)
         ref = ref_decode_hiddens(m, tokens, extras)[-1]
-        np.testing.assert_allclose(h, ref, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(h[0], ref, rtol=1e-5, atol=1e-6)
 
 
     def test_in_place_weight_write_reaches_next_decode(self):
         m = init_model(small_config(seed=14))
-        res = prefill(m, [1, 2, 3])
+        (cache,) = prefill(m, [[1, 2, 3]]).caches
         lw = m.layers[0]
         assert np.shares_memory(lw.w_k, lw.w_qkv) and np.shares_memory(lw.w_v, lw.w_qkv)
         lw.w_k[...] *= -2.0
         lw.w_v[:, 0] = 0.5
         x = np.linspace(-1, 1, 8).astype(np.float32)
-        forward_decode(m, x, res.cache)
+        forward_decode(m, x[None], [cache])
         y = x + m.pos[3]
-        np.testing.assert_array_equal(res.cache.k[0, :, 3], (y @ lw.w_k).reshape(2, 4))
-        np.testing.assert_array_equal(res.cache.v[0, :, 3], (y @ lw.w_v).reshape(2, 4))
+        np.testing.assert_array_equal(cache.k[0, :, 3], (y @ lw.w_k).reshape(2, 4))
+        np.testing.assert_array_equal(cache.v[0, :, 3], (y @ lw.w_v).reshape(2, 4))
 
 
 class TestWidenedStore:
@@ -279,16 +278,16 @@ class TestWidenedStore:
         live = sim.live_agents()
         obs = np.stack([observe(sim.world, sim.agents, spec.hazards, aid, 0) for aid in live])
         pre = prefill(model, obs, agents=live)
-        deliberate(model, compute_alignment(model), pre.hidden, pre.cache, spec.m)
-        forward_decode(model, model.w_in[np.full(len(live), TOKEN_KEEP)], pre.cache)
-        sender, receiver = pre.cache[0], pre.cache[-1]
+        deliberate(model, compute_alignment(model), pre.hidden, pre.caches, spec.m)
+        forward_decode(model, model.w_in[np.full(len(live), TOKEN_KEEP)], pre.caches)
+        sender, receiver = pre.caches[0], pre.caches[-1]
         payload = distill(sender, spec.observation_len, range(spec.observation_len), 0.5,
                           sender_id=live[0], frame_id=0)
-        marker = model.w_in[sim.agents[live[-1]].spec.marker_token]
-        collaborative_decode(model, marker, attach_payload(receiver, [payload]))
+        marker = model.w_in[[sim.agents[live[-1]].spec.marker_token]]
+        collaborative_decode(model, marker, attach_payload([receiver], [[payload]]))
         assert receiver.store.dtype == np.float64
         assert receiver.length == sender.length + 1
-        for cache in pre.cache:
+        for cache in pre.caches:
             for kv in (cache.k, cache.v):
                 written = kv[:, :, : cache.length]
                 np.testing.assert_array_equal(written, written.astype(np.float32))
@@ -318,7 +317,7 @@ class TestLogits:
 
 class TestKVCacheOps:
     def test_tag_partition_validation(self):
-        cache = KVCache(small_config())
+        cache = prefill(init_model(small_config()), [[1]]).caches[0]
         cache.tags[0] = EGO_LATENT
         cache.tags[1] = EGO_PREFILL
         cache.length = 2

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +359,25 @@ class TestBinaryStream:
         for got, want in zip(groups[1].tags, tags):
             np.testing.assert_array_equal(got, want)
 
+    def test_a_wide_decision_layer_is_read_in_the_memory_of_its_bytes(self, tmp_path):
+        """One decision of 2,000 layers, one of them 2,000 wide: each layer's rows
+        are read into their own unpadded block, so the reader's peak stays near
+        the 28 KB stream (a block padded to the widest layer is 16 MB)."""
+        rows = [np.ones((1, 1), np.float32)] * 1999 + [np.full((1, 2000), 1 / 2000, np.float32)]
+        path = tmp_path / "wide.bin"
+        with TelemetryWriter(path) as w:
+            w.write_decision(0, 0, rows, [np.zeros(r.shape[1], np.uint8) for r in rows])
+        assert path.stat().st_size == 28_012
+        tracemalloc.start()
+        try:
+            (group,) = read_telemetry(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert [r.shape for r in group.rows[-2:]] == [(1, 1, 1), (1, 1, 2000)]
+        np.testing.assert_array_equal(group.rows[-1][0], rows[-1])
+
     def test_truncated_stream_rejected(self, tmp_path):
         path = tmp_path / "telemetry.bin"
         with TelemetryWriter(path) as w:
@@ -404,6 +424,8 @@ def bad_streams(tmp_path):
         "trailing_bytes": struct.pack("<I", len(body) + 2) + body + b"\0\0",
         # one step, 0 layers, 2 heads, width 3, context length 2: no rows at all
         "no_layers": struct.pack("<IBIIHHHII", 23, 1, 0, 1, 1, 0, 2, 3, 2),
+        # a decision of 0 layers and 1 head: no rows at all
+        "decision_no_layers": struct.pack("<IBIIHH", 13, 2, 0, 0, 0, 1),
         "decision_nan": decision_stream(tmp_path, [np.nan, 5.0]),
         "decision_row_sum_off": decision_stream(tmp_path, [0.5, 0.4]),
     }
@@ -412,7 +434,7 @@ def bad_streams(tmp_path):
 class TestMalformedStream:
     @pytest.mark.parametrize(
         "case", ["zero_bytes", "short_body", "array_cut_short", "weight_above_1", "trailing_bytes",
-                 "no_layers", "decision_nan", "decision_row_sum_off"])
+                 "no_layers", "decision_no_layers", "decision_nan", "decision_row_sum_off"])
     def test_rejected_with_format_error(self, tmp_path, case):
         path = tmp_path / "bad.bin"
         path.write_bytes(bad_streams(tmp_path)[case])
@@ -532,3 +554,16 @@ class TestAnalyzeOracle:
         message = str(err.value)
         assert message == (f"malformed record at byte {offsets[2 * k + (kind == 'decision')]}: "
                            "attention weight outside [0, 1]")
+
+    def test_a_bad_decision_layer_names_its_first_bad_record(self, tmp_path):
+        """Each decision layer is its own block, checked in layer order: record 2
+        fails layer 0 and record 1 fails layer 1, so the error names record 2."""
+        rng = np.random.default_rng(5)
+        records = [DecisionRecord(i, 0, [distributions(rng, (2,), 3), distributions(rng, (2,), 4)],
+                                  [np.zeros(3, np.uint8), np.zeros(4, np.uint8)]) for i in range(4)]
+        records[2].rows[0][1, 2] = 0.5
+        records[1].rows[1][0, 0] = -0.25
+        path = tmp_path / "t.bin"
+        offsets = write_stream(path, records)
+        with pytest.raises(PayloadFormatError, match=f"^malformed record at byte {offsets[2]}: "):
+            read_telemetry(path)

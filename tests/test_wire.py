@@ -43,9 +43,9 @@ def random_payload(rng, l_comm, H, t_salient, t_latent, dh, dtype_flag=DTYPE_F32
 def chsa_from_model(seed=0, L=4, T=8, m=3):
     """(cache after m deliberation steps, prefill length, selected indices)."""
     mdl = init_model(ModelConfig(L, 2, 8, 16, 64, seed=seed))
-    res = prefill(mdl, list(range(T)))
-    deliberate(mdl, compute_alignment(mdl), res.hidden, res.cache, m)
-    return res.cache, T, [1, 4, 6]
+    res = prefill(mdl, [list(range(T))])
+    deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, m)
+    return res.caches[0], T, [1, 4, 6]
 
 
 def assert_matches_reference(p, cache, prefill_len, indices):
@@ -87,7 +87,7 @@ class TestDistill:
         rng = np.random.default_rng(7)
         for _ in range(30):
             L = int(rng.integers(2, 6))
-            cache = KVCache(ModelConfig(L, 2, 8, 16, 24, seed=0))
+            cache = KVCache(ModelConfig(L, 2, 8, 16, 24, seed=0), 0, np.zeros((2, L, 2, 24, 4)), 0)
             cache.k[:] = rng.normal(size=cache.k.shape)
             cache.v[:] = rng.normal(size=cache.v.shape)
             cache.length = int(rng.integers(1, 25))
