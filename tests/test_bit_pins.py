@@ -1,11 +1,15 @@
-"""Bit pins on random weights: kernel and deliberation outputs, by sha256.
+"""Bit pins on random weights: kernel, deliberation and decode outputs, by sha256.
 
 The golden hashes run the analytic hazard weights, whose products are mostly
 exact, so a change in summation order can pass them unseen.  These pin the
 bits on seeded random inputs instead: both kernels at context lengths on each
-side of numpy's 128-element pairwise-summation block, and a lock-step
+side of numpy's 128-element pairwise-summation block, a lock-step
 deliberation on ``init_model`` weights (final hidden state, every trace array
-and the K/V store).  An optimisation that keeps every bit leaves them alone.
+and the K/V store), and the two decodes that follow it: the decision decode
+over inboxes of float32 and float16 payloads (hidden state, logits, every row
+and tag), and a plain decode with no rows buffer, as the Language and
+NonCollab decodes run it (hidden state, every row and the store).  An
+optimisation that keeps every bit leaves them alone.
 
 ``PYTHONPATH=src python3 tests/test_bit_pins.py`` prints the tables.
 """
@@ -16,11 +20,14 @@ import numpy as np
 import pytest
 
 from laco import kernels
+from laco.fusion import attach_payload, collaborative_decode
 from laco.ild import compute_alignment, deliberate
-from laco.model import ModelConfig, init_model, prefill
+from laco.model import ModelConfig, forward_decode, init_model, prefill
+from laco.wire import DTYPE_F16, DTYPE_F32, distill
 
 HEADS, HEAD_DIM, SCALE = 6, 8, 0.35
 PREFILL_LEN = 57
+DECODE_STEPS, LAYERS = 12, 4
 
 ATTEND_SINGLE = {
     1: "f036f93e2c209c5aaf385130bf51e6e845a8d8870ae6343af6c6940ebf175654",
@@ -43,6 +50,16 @@ DELIBERATE = {
     (1, 40): "1ad5d162b623b93ebdfd1a08fab8db39e80ace6f7bfc136852dcffc4cb85dda7",
     (3, 1): "6d6534bbb380c70e21ee72628deaa6f87f480c8f882bc095db05f1f2e13695ac",
     (3, 40): "c17a3750ee4e13c29a00cc21afc50df43ccf81b4ed24d3f2cb1d4e8572589194",
+}
+DECISION = {
+    (1, 1): "5012d794580a075d344ad875ff33c9911232a557b62b48b4b3171859f8337512",
+    (1, LAYERS): "91dc4d21f430faf1c5c35374842518d9880ad0ba889c5ae116eb3f2ba960092d",
+    (3, 1): "db879ee4c3e0c5c28db1d16526c47201410d72767f72c364d744002632774f71",
+    (3, LAYERS): "faa96d5484e4b123dfe6cedcd6f81f3a31b0dde1da409ea8cc16bef14bd6d0be",
+}
+PLAIN_DECODE = {
+    1: "0ae8fd09f92d32bb24f2128bb530d76b3d047200d13965da6c7ff0f703081c5b",
+    3: "e8d93529135a50e59921b92ed7e551af729af1adf767e05ae5dfff9b8898a8f1",
 }
 
 
@@ -68,19 +85,48 @@ def causal_digest(T):
     return _digest(*kernels.attend_causal(q, k, v, SCALE))
 
 
-def deliberate_digest(A, m):
+def _deliberated(A, m, room=0, seed=0):
     # A vocabulary 4x the width keeps the alignment well conditioned: the
     # hidden state stays O(1) over 40 steps and every attention row is spread.
-    cfg = ModelConfig(num_layers=4, num_heads=2, model_dim=16, vocab_size=64,
-                      max_context=PREFILL_LEN + m, seed=7 + A)
+    cfg = ModelConfig(num_layers=LAYERS, num_heads=2, model_dim=16, vocab_size=64,
+                      max_context=PREFILL_LEN + m + room, seed=7 + A)
     model = init_model(cfg)
-    tokens = np.random.default_rng(A).integers(0, cfg.vocab_size, size=(A, PREFILL_LEN))
+    tokens = np.random.default_rng(A + seed).integers(0, cfg.vocab_size, size=(A, PREFILL_LEN))
     pre = prefill(model, tokens)
-    out = deliberate(model, compute_alignment(model), pre.hidden, pre.caches, m)
+    return model, pre, deliberate(model, compute_alignment(model), pre.hidden, pre.caches, m)
+
+
+def deliberate_digest(A, m):
+    model, pre, out = _deliberated(A, m)
     arrays = [out.final_hidden]
     for trace in out.traces:
         arrays += [trace.array, trace.lengths]
     return _digest(*arrays, pre.caches[0].store)
+
+
+def decision_digest(A, l_comm):
+    """A receivers' decision decode; each inbox holds a float32 and a float16
+    payload at ``l_comm`` layers, cut from two deliberated senders' caches."""
+    model, pre, _ = _deliberated(A, DECODE_STEPS, room=1)
+    _, senders, _ = _deliberated(2, DECODE_STEPS, room=1, seed=100)
+    rng = np.random.default_rng(200 + A)
+    inboxes = [[distill(senders.caches[s], PREFILL_LEN,
+                        sorted(rng.choice(PREFILL_LEN, size=19, replace=False).tolist()),
+                        l_comm / LAYERS, sender_id=s, frame_id=0, dtype_flag=flag)
+                for s, flag in enumerate((DTYPE_F32, DTYPE_F16))] for _ in range(A)]
+    x = rng.uniform(-1, 1, size=(A, 16)).astype(np.float32)
+    res = collaborative_decode(model, x, attach_payload(pre.caches, inboxes))
+    arrays = [res.hidden, res.logits]
+    for rows, tags in zip(res.attention_rows, res.context_tags, strict=True):
+        arrays += rows + tags
+    return _digest(*arrays)
+
+
+def plain_decode_digest(A):
+    """One decode after deliberation with no payloads and no rows buffer."""
+    model, pre, out = _deliberated(A, DECODE_STEPS, room=1)
+    hidden, rows = forward_decode(model, out.final_hidden, pre.caches)
+    return _digest(hidden, *rows, pre.caches[0].store)
 
 
 @pytest.mark.parametrize("T", sorted(ATTEND_SINGLE))
@@ -106,7 +152,19 @@ def test_deliberate_bits(A, m):
     assert deliberate_digest(A, m) == DELIBERATE[(A, m)]
 
 
+@pytest.mark.parametrize("A,l_comm", sorted(DECISION))
+def test_decision_decode_bits(A, l_comm):
+    assert decision_digest(A, l_comm) == DECISION[(A, l_comm)]
+
+
+@pytest.mark.parametrize("A", sorted(PLAIN_DECODE))
+def test_plain_decode_bits(A):
+    assert plain_decode_digest(A) == PLAIN_DECODE[A]
+
+
 if __name__ == "__main__":
     print("ATTEND_SINGLE =", {T: single_digest(T) for T in ATTEND_SINGLE})
     print("ATTEND_CAUSAL =", {T: causal_digest(T) for T in ATTEND_CAUSAL})
     print("DELIBERATE =", {key: deliberate_digest(*key) for key in DELIBERATE})
+    print("DECISION =", {key: decision_digest(*key) for key in DECISION})
+    print("PLAIN_DECODE =", {A: plain_decode_digest(A) for A in PLAIN_DECODE})
