@@ -2,8 +2,10 @@
 
 Keys/values/weights are float32 values (cached keys/values arrive widened to
 float64, which the kernels read in place); dot products, softmax sums and
-weighted value sums accumulate in float64, as batched float64 matmuls over
-heads.  Softmax is computed with the usual max-shift for stability.
+weighted value sums accumulate in float64: one ``np.matvec``/``np.vecmat``
+product per head in ``attend_single`` (bit-equal to the batched ``@`` form
+with numpy 2.4.6 / OpenBLAS 0.3.31 on x86-64), batched ``@`` products in
+``attend_causal``.  Softmax is computed with the usual max-shift for stability.
 """
 
 import functools
@@ -31,17 +33,15 @@ def attend_single(keys, values, query, inv_sqrt_dh, rows=None):
     written into ``rows``: an (H, n) float32 buffer the caller owns, or new.
     """
     # One (H, n) float64 block, reused in place for logits, weights and widened rows.
-    p = (np.asarray(keys, np.float64) @ np.asarray(query, np.float64)[:, :, None]).reshape(keys.shape[:2])
+    p = np.matvec(np.asarray(keys, np.float64), np.asarray(query, np.float64))
     p *= inv_sqrt_dh
     p -= np.maximum.reduce(p, axis=1, keepdims=True)
     np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=1, keepdims=True)
     if rows is None:
         rows = np.empty(p.shape, np.float32)
-    np.copyto(rows, p, casting="same_kind")
+    np.divide(p, np.add.reduce(p, axis=1, keepdims=True), out=rows, casting="same_kind")
     np.copyto(p, rows)
-    out64 = (p[:, None, :] @ np.asarray(values, np.float64))[:, 0, :]
-    return out64.astype(np.float32), rows
+    return np.vecmat(p, np.asarray(values, np.float64)).astype(np.float32), rows
 
 
 def attend_causal(queries, keys, values, inv_sqrt_dh):

@@ -301,10 +301,6 @@ class KVCache:
     def capacity(self) -> int:
         return self.k.shape[2]
 
-    def commit(self, tag: int):
-        self.tags[self.length] = tag
-        self.length += 1
-
 
 @dataclass(frozen=True)
 class AttentionTrace:
@@ -432,17 +428,19 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), tag: int = EGO_
     """
     cfg = model.config
     first, A, n = caches[0], len(caches), caches[0].length
-    for row, c in enumerate(caches, first.row):
-        if c.store is not first.store or c.row != row or c.length != n:
-            raise ConfigError("a decode batch must be consecutive caches of one store at one length")
+    if any(c.store is not first.store or c.row != row or c.length != n
+           for row, c in enumerate(caches, first.row)):
+        raise ConfigError("a decode batch must be consecutive caches of one store at one length")
     if n == 0:
         raise ConfigError("decode requires a non-empty cache")
     if n >= first.capacity:
         raise ContextOverflowError(f"cache full at {n} positions")
-    signatures = {tuple((p.l_comm, p.num_positions) for p in box) for box in payloads} or {()}
-    if payloads and (len(payloads) != A or len(signatures) != 1):
-        raise ConfigError("a decode batch needs one payload list per agent, all of one signature")
-    depth = max((l_comm for l_comm, _ in signatures.pop()), default=0)
+    depth = 0
+    if payloads:
+        signatures = {tuple((p.l_comm, p.num_positions) for p in box) for box in payloads}
+        if len(payloads) != A or len(signatures) != 1:
+            raise ConfigError("a decode batch needs one payload list per agent, all of one signature")
+        depth = max((l_comm for l_comm, _ in signatures.pop()), default=0)
     x = np.asarray(input_vec, dtype=np.float32)
     if x.shape != (A, cfg.model_dim):
         raise ConfigError(f"decode input must have shape {(A, cfg.model_dim)}")
@@ -450,6 +448,7 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), tag: int = EGO_
         raise ConfigError("decode input must be finite")
 
     L, H, dh, d = cfg.num_layers, cfg.num_heads, cfg.head_dim, cfg.model_dim
+    scale = model.inv_sqrt_head_dim
     # (A, 1, d): every product below is one vector-matrix product per agent.
     x = x.reshape(A, 1, d) + model.pos[n]
     ctx = first.store[:, :, first.row * H : (first.row + A) * H, : n + 1]  # (2, L, A·H, n + 1, d_h)
@@ -463,23 +462,26 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), tag: int = EGO_
             keys, values = np.concatenate([ctx[:, l], np.concatenate([np.concatenate(
                 [np.stack((p.keys[l], p.values[l])) for p in box if l < p.l_comm], axis=2)
                 for box in payloads], axis=1)], axis=2)
-        q = np.asarray(qkv[:, 0], np.float64).reshape(A * H, dh)  # widened once, exactly
-        out, r = kernels.attend_single(keys, values, q, model.inv_sqrt_head_dim,
+        q = qkv[:, 0].astype(np.float64).reshape(A * H, dh)  # widened once, exactly
+        out, r = kernels.attend_single(keys, values, q, scale,
                                        None if rows is None else rows[l, :, : keys.shape[1]])
         rows_per_layer.append(r)
         x += out.reshape(A, 1, d) @ lw.w_o
-        x += _mlp(x, lw)
+        hidden = x @ lw.w_mlp1
+        np.maximum(hidden, 0.0, out=hidden)
+        x += hidden @ lw.w_mlp2
 
+    passes = model.stats.forward_passes
     for c in caches:
-        c.commit(tag)
-        model.stats.forward_passes[c.agent] += 1
+        c.tags[n], c.length = tag, n + 1
+        passes[c.agent] += 1
     return x[:, 0], rows_per_layer
 
 
 def project_to_logits(model: Model, hidden) -> np.ndarray:
     """Apply the bias-free output head: logits = hidden @ W_out, per row."""
     h = np.asarray(hidden, dtype=np.float32)
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ConfigError("hidden vector must be finite")
     model.stats.logit_projections += 1
     return rowwise_matmul(h, model.w_out)

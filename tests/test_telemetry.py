@@ -390,6 +390,43 @@ class TestBinaryStream:
             read_telemetry(bad)
 
 
+def _decision_layers(*shapes):
+    """One (H, n) layer of uniform rows per shape, with n zero tags."""
+    return [np.full(shape, 1 / shape[1], np.float32) for shape in shapes], \
+        [np.zeros(shape[1], np.uint8) for shape in shapes]
+
+
+class TestWriterRejects:
+    """``write_decision`` raises, and writes nothing, on each record shape
+    ``read_telemetry`` would reject."""
+
+    def _assert_rejected(self, tmp_path, rows, tags, message):
+        path = tmp_path / "telemetry.bin"
+        with TelemetryWriter(path) as w, pytest.raises(ConfigError, match=message):
+            w.write_decision(0, 0, rows, tags)
+        assert path.read_bytes() == b""
+
+    def test_no_layers(self, tmp_path):
+        self._assert_rejected(tmp_path, [], [], "got 0 and 0")
+
+    def test_rows_and_tags_of_different_layer_counts(self, tmp_path):
+        rows, tags = _decision_layers((2, 3), (2, 4))
+        self._assert_rejected(tmp_path, rows, tags[:1], "got 2 and 1")
+
+    def test_tags_length_differs_from_the_rows_width(self, tmp_path):
+        rows, tags = _decision_layers((2, 3), (2, 4))
+        self._assert_rejected(tmp_path, rows, [tags[0], tags[1][:3]], r"shape \(2, 4\) need .* got 3")
+
+    def test_layers_of_different_head_counts(self, tmp_path):
+        rows, tags = _decision_layers((2, 3), (1, 3))
+        self._assert_rejected(tmp_path, rows, tags, "hold 2 and 1 heads")
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_a_layer_of_no_heads_or_no_positions(self, tmp_path, shape):
+        rows, tags = [np.zeros(shape, np.float32)], [np.zeros(shape[1], np.uint8)]
+        self._assert_rejected(tmp_path, rows, tags, "at least one of each")
+
+
 def trace_stream(tmp_path):
     """Bytes of a one-record stream holding a valid 2-step trace."""
     array = np.zeros((2, 1, 2, 3), dtype=np.float32)
