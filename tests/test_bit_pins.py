@@ -114,7 +114,7 @@ def decision_digest(A, l_comm):
                         sorted(rng.choice(PREFILL_LEN, size=19, replace=False).tolist()),
                         l_comm / LAYERS, sender_id=s, frame_id=0, dtype_flag=flag)
                 for s, flag in enumerate((DTYPE_F32, DTYPE_F16))] for _ in range(A)]
-    x = rng.uniform(-1, 1, size=(A, 16)).astype(np.float32)
+    x = rng.uniform(-1, 1, size=(A, model.config.model_dim)).astype(np.float32)
     res = collaborative_decode(model, x, attach_payload(pre.caches, inboxes))
     arrays = [res.hidden, res.logits]
     for rows, tags in zip(res.attention_rows, res.context_tags, strict=True):
