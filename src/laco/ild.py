@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, ContextOverflowError
-from .model import EGO_LATENT, AttentionTrace, Model, forward_decode, rowwise_matmul
+from .model import AttentionTrace, Model, forward_decode, rowwise_matmul
 
 # Singular values below this fraction of the largest are truncated by pinv.
 _RCOND = 1e-6
@@ -71,7 +71,7 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) ->
     h = np.asarray(h0, dtype=np.float32)
     logit_calls_before = model.stats.logit_projections
     for t in range(m):
-        h, _ = forward_decode(model, rowwise_matmul(h, w_a), caches, tag=EGO_LATENT, rows=array[t])
+        h, _ = forward_decode(model, rowwise_matmul(h, w_a), caches, rows=array[t])
     assert model.stats.logit_projections == logit_calls_before, "deliberation must not decode"
     whole = AttentionTrace(array, lengths)  # one row check for every agent's heads
     traces = [whole.part(np.s_[:, :, a * H : (a + 1) * H]) for a in range(A)]

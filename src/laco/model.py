@@ -282,8 +282,8 @@ class KVCache:
     attention reads the context without a copy.
 
     Positions are append-only: existing entries are never mutated, only new
-    ones committed.  Pruning happens by copying selected positions out (see
-    :func:`laco.wire.distill`), never in place.
+    ones committed, so a later :func:`prefill` may copy a prefix of the store.
+    Pruning copies selected positions out (:func:`laco.wire.distill`).
     """
 
     def __init__(self, config: ModelConfig, agent: int, store: np.ndarray, row: int):
@@ -347,6 +347,7 @@ class AttentionTrace:
 class PrefillResult:
     hidden: np.ndarray  # (A, d)
     caches: list  # A cache views of one store, in batch order
+    tokens: np.ndarray  # (A, T) int64, the batch prefilled
 
 
 def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
@@ -361,17 +362,20 @@ def rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ w)[..., 0, :]
 
 
-def prefill(model: Model, tokens, agents=None) -> PrefillResult:
+def prefill(model: Model, tokens, agents=None, prev=None) -> PrefillResult:
     """Causal forward pass over a batch of token sequences, populating fresh caches.
 
     ``tokens`` is an (A, T) batch, run as one pass with the agents folded into
     the head axis of one store.  Returns the (A, d) last hidden states and A
-    cache views counting passes for ``agents`` (default 0..A-1).
-    The last layer attends for position T-1 only but keeps ``w_o`` and the
-    MLP at (A, T, .): a one-row product may sum in another order.
+    cache views counting one pass each for ``agents`` (default 0..A-1).
+    ``prev``, the same agents' last prefill of this shape (anything else runs
+    in full), lends its store's K/V below the first changed position p0, and
+    the layers run over p0 .. T-1 only (no change: ``prev.hidden``).  p0 is
+    capped at T-2 and the last layer, which attends for T-1 only, keeps
+    ``w_o`` and the MLP at (A, T-p0, .): a one-row product may sum in another order.
     """
     cfg = model.config
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = np.array(tokens, dtype=np.int64)  # a copy: ``prev.tokens`` must not change
     if tokens.ndim != 2 or tokens.size == 0:
         raise ConfigError("prefill needs an (A, T) batch of non-empty token sequences")
     A, T = tokens.shape
@@ -384,32 +388,40 @@ def prefill(model: Model, tokens, agents=None) -> PrefillResult:
     L, H, dh, d = cfg.num_layers, cfg.num_heads, cfg.head_dim, cfg.model_dim
     store = np.zeros((2, L, A * H, cfg.max_context, dh), dtype=np.float64)
     kv_by_agent = store.reshape(2, L, A, H, cfg.max_context, dh)  # a view, for the K/V writes
-
-    def split(y):  # (A, T, d) -> (A, H, T, d_h), a view
-        return y.reshape(A, T, H, dh).transpose(0, 2, 1, 3)
-
-    x = model.w_in[tokens] + model.pos[:T]
-    for l, lw in enumerate(model.layers):
-        kv_by_agent[0, l, :, :, :T] = split(x @ lw.w_k)
-        kv_by_agent[1, l, :, :, :T] = split(x @ lw.w_v)
-        q, k, v = split(x @ lw.w_q).reshape(A * H, T, dh), store[0, l, :, :T], store[1, l, :, :T]
-        if l < L - 1:
-            out, _ = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
-        else:  # only position T-1 leaves the last layer: its other rows stay zero
-            out = np.zeros_like(q)
-            out[:, -1], _ = kernels.attend_single(k, v, q[:, -1], model.inv_sqrt_head_dim)
-        x = x + out.reshape(A, H, T, dh).transpose(0, 2, 1, 3).reshape(A, T, d) @ lw.w_o
-        x = x + _mlp(x, lw)
-
     caches = [KVCache(cfg, agent, store, row) for row, agent in zip(range(A), agents, strict=True)]
     for cache in caches:
         cache.tags[:T] = EGO_PREFILL
         cache.length = T
         model.stats.forward_passes[cache.agent] += 1
-    return PrefillResult(hidden=x[:, -1].copy(), caches=caches)
+    p0 = 0
+    if prev is not None and prev.tokens.shape == tokens.shape and [
+            c.agent for c in prev.caches] == [c.agent for c in caches]:
+        changed = np.flatnonzero((prev.tokens != tokens).any(axis=0))
+        p0 = max(0, min(int(changed[0]), T - 2)) if changed.size else T
+        store[:, :, :, :p0] = prev.caches[0].store[:, :, :, :p0]  # append-only below T
+        if p0 == T:
+            return PrefillResult(hidden=prev.hidden.copy(), caches=caches, tokens=tokens)
+    S = T - p0
+
+    def split(y):  # (A, S, d) -> (A, H, S, d_h), a view
+        return y.reshape(A, S, H, dh).transpose(0, 2, 1, 3)
+
+    x = model.w_in[tokens[:, p0:]] + model.pos[p0:T]
+    for l, lw in enumerate(model.layers):
+        kv_by_agent[0, l, :, :, p0:T] = split(x @ lw.w_k)
+        kv_by_agent[1, l, :, :, p0:T] = split(x @ lw.w_v)
+        q, k, v = split(x @ lw.w_q).reshape(A * H, S, dh), store[0, l, :, :T], store[1, l, :, :T]
+        if l < L - 1:
+            out, _ = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
+        else:  # only position T-1 leaves the last layer: its other rows stay zero
+            out = np.zeros_like(q)
+            out[:, -1], _ = kernels.attend_single(k, v, q[:, -1], model.inv_sqrt_head_dim)
+        x = x + out.reshape(A, H, S, dh).transpose(0, 2, 1, 3).reshape(A, S, d) @ lw.w_o
+        x = x + _mlp(x, lw)
+    return PrefillResult(hidden=x[:, -1].copy(), caches=caches, tokens=tokens)
 
 
-def forward_decode(model: Model, input_vec, caches, payloads=(), tag: int = EGO_LATENT, rows=None):
+def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
     """Append one position per agent and attend over ego cache plus received payloads.
 
     ``caches`` is a lock-step batch: A caches from one :func:`prefill`, on
@@ -419,9 +431,9 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), tag: int = EGO_
     (each payload's ``(l_comm, num_positions)``).  Layer l < ``l_comm`` joins
     a payload's ``keys[l]``/``values[l]`` (float32 or float16, widened
     exactly) to its own agent's rows of one (A·H, n + P, d_h) context; the new
-    position goes to the ego cache only.  Returns (hidden (A, d) float32,
-    rows: list over layers of (A·H, n_l)), views of ``rows[l]`` when the
-    caller passes an (L, A·H, >= n_l) buffer.
+    position, tagged ``EGO_LATENT``, goes to the ego cache only.  Returns
+    (hidden (A, d) float32, rows: list over layers of (A·H, n_l)), views of
+    ``rows[l]`` when the caller passes an (L, A·H, >= n_l) buffer.
 
     This is the single decode path: plain decoding is the degenerate case
     with no payloads, so the two are bit-identical by construction.
@@ -473,7 +485,7 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), tag: int = EGO_
 
     passes = model.stats.forward_passes
     for c in caches:
-        c.tags[n], c.length = tag, n + 1
+        c.tags[n], c.length = EGO_LATENT, n + 1
         passes[c.agent] += 1
     return x[:, 0], rows_per_layer
 

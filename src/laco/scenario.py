@@ -494,12 +494,21 @@ class Simulation:
         self.telemetry = []
         self.payload_bytes = []
         self._warned_m0 = False
+        self._prefills = {}  # (agents, T) -> that group's last PrefillResult
 
     def live_agents(self):
         return [aid for aid in sorted(self.agents) if not self.agents[aid].done]
 
     def all_done(self) -> bool:
         return all(a.done for a in self.agents.values())
+
+
+def _prefill(sim: Simulation, tokens, agents):
+    """Prefill ``tokens`` for ``agents``, reusing the unchanged prefix of the
+    same group's last prefill of this length."""
+    key = (tuple(agents), len(tokens[0]))
+    sim._prefills[key] = prefill(sim.model, tokens, agents=agents, prev=sim._prefills.get(key))
+    return sim._prefills[key]
 
 
 # Paradigms.  A sender turns the live agents' prefill batch into the message
@@ -577,8 +586,7 @@ def _decide_on_tokens(sim: Simulation, live, observations, caches, inboxes):
     relayed = {a: [tok for msg in inboxes[a] for tok in msg.token_ids] for a in live if inboxes[a]}
     for n in dict.fromkeys(map(len, relayed.values())):
         group = [aid for aid, prefix in relayed.items() if len(prefix) == n]
-        pre = prefill(sim.model, [relayed[aid] + observations[aid].tolist() for aid in group],
-                      agents=group)
+        pre = _prefill(sim, [relayed[aid] + observations[aid].tolist() for aid in group], group)
         decisions.update(_decide(sim, group, observations, dict(zip(group, pre.caches)),
                                  dict.fromkeys(group, ())))
     return decisions
@@ -617,7 +625,7 @@ def run_tick(sim: Simulation):
     t = sim.tick
 
     observations = {aid: observe(sim.world, sim.agents, spec.hazards, aid, t) for aid in live}
-    pre = prefill(sim.model, np.stack([observations[aid] for aid in live]), agents=live)
+    pre = _prefill(sim, np.stack([observations[aid] for aid in live]), live)
     caches = dict(zip(live, pre.caches))
     messages = dict(zip(live, sim.send(sim, live, pre)))
 

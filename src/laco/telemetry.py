@@ -207,7 +207,7 @@ class TelemetryWriter:
         self._fh.write(array)
 
     def write_decision(self, tick: int, agent: int, rows_per_layer, tags_per_layer):
-        """Per layer, (H, n) rows and n tags; a shape the reader rejects raises ConfigError."""
+        """Per layer, (H, n) rows and n tags; a shape or row the reader rejects raises ConfigError."""
         L = len(rows_per_layer)
         if L == 0 or L != len(tags_per_layer):
             raise ConfigError(f"a decision needs rows and tags for each of >= 1 layers, "
@@ -215,15 +215,17 @@ class TelemetryWriter:
         H = rows_per_layer[0].shape[0]
         body = [_DECISION_HEAD.pack(KIND_DECISION, tick, agent, L, H)]
         for rows, tags in zip(rows_per_layer, tags_per_layer):
-            tags = np.asarray(tags, dtype="u1")
+            rows, tags = np.ascontiguousarray(rows, dtype="<f4"), np.asarray(tags, dtype="u1")
             if rows.shape[0] != H:
                 raise ConfigError(f"decision layers hold {H} and {rows.shape[0]} heads")
             if tags.shape != rows.shape[1:] or not rows.size:
                 raise ConfigError(f"decision layer rows of shape {rows.shape} need one tag per "
                                   f"position and at least one of each, got {tags.size} tags")
-            body.append(struct.pack("<I", tags.size))
-            body.append(tags.tobytes())
-            body.append(np.ascontiguousarray(rows, dtype="<f4").tobytes())
+            try:  # the reader's row check, one trace per layer
+                AttentionTrace(rows[None, None], np.array([tags.size]))
+            except AssertionError as exc:
+                raise ConfigError(f"decision layer rows rejected: {exc}") from None
+            body += [struct.pack("<I", tags.size), tags.tobytes(), rows.tobytes()]
         self._fh.write(struct.pack("<I", sum(map(len, body))))
         self._fh.write(b"".join(body))
 

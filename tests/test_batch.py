@@ -293,8 +293,8 @@ def test_language_receivers_re_prefill_in_one_pass_per_prefix_length(monkeypatch
     heard = {0: [1], 1: [0, 2], 2: [1]}
 
     shapes, logits = [], {}
-    monkeypatch.setattr(sc, "prefill", lambda model, tokens, agents: shapes.append(
-        np.shape(tokens)) or prefill(model, tokens, agents))
+    monkeypatch.setattr(sc, "prefill", lambda model, tokens, agents, prev: shapes.append(
+        np.shape(tokens)) or prefill(model, tokens, agents, prev))
 
     def decode(model, x, ctx):
         out = collaborative_decode(model, x, ctx)

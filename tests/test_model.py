@@ -173,6 +173,79 @@ class TestPrefill:
         np.testing.assert_allclose(res.hidden[0], ref, rtol=1e-5, atol=1e-6)
 
 
+class TestPrefillReuse:
+    """``prefill(prev=...)`` gives a fresh prefill's bits, running the layers
+    only from the first changed position p0 (capped at T-2) on."""
+
+    CONFIG = ModelConfig(num_layers=3, num_heads=2, model_dim=16, vocab_size=20, max_context=64,
+                         seed=16)
+
+    def reuse(self, monkeypatch, old, new, agents=(5, 3, 9), prev_agents=None):
+        """(reused, fresh, query rows of each attend_causal call of the reused prefill)."""
+        model = init_model(self.CONFIG)
+        old, new = np.asarray(old), np.asarray(new)
+        agents, prev_agents = list(agents[: len(new)]), list((prev_agents or agents)[: len(old)])
+        prev = prefill(model, old, agents=prev_agents)
+        # Extend the store past T, as the episode's deliberation and decision do.
+        forward_decode(model, np.ones((len(old), 16), np.float32), prev.caches)
+        fresh = prefill(init_model(self.CONFIG), new, agents=agents)
+        passes = model.stats.forward_passes.copy()
+        rows = []
+
+        def spy(q, *args, kernel=kernels.attend_causal):
+            rows.append(q.shape[1])
+            return kernel(q, *args)
+
+        monkeypatch.setattr(kernels, "attend_causal", spy)
+        reused = prefill(model, new, agents=agents, prev=prev)
+        passes.update(agents)
+        assert model.stats.forward_passes == passes  # one pass per agent, reused or not
+        return reused, fresh, rows
+
+    def assert_bit_equal(self, got, want):
+        np.testing.assert_array_equal(got.hidden, want.hidden)
+        np.testing.assert_array_equal(got.tokens, want.tokens)
+        # Every store entry, the zeros at and beyond T included.
+        np.testing.assert_array_equal(got.caches[0].store, want.caches[0].store)
+        for g, w in zip(got.caches, want.caches, strict=True):
+            assert (g.agent, g.row, g.length) == (w.agent, w.row, w.length)
+            np.testing.assert_array_equal(g.tags, w.tags)
+
+    @pytest.mark.parametrize("A, T", [(1, 1), (1, 2), (2, 3), (3, 23), (2, 61)])
+    def test_every_first_changed_position(self, monkeypatch, A, T):
+        rng = np.random.default_rng(100 * A + T)
+        old = rng.integers(0, 20, size=(A, T))
+        for p0 in range(T + 1):  # p0 == T: every token equal, the hidden state copied
+            new = old.copy()
+            if p0 < T:
+                new[p0 % A, p0] = (old[p0 % A, p0] + 1) % 20
+                new[:, p0 + 1 :] = rng.integers(0, 20, size=(A, T - p0 - 1))
+            got, want, rows = self.reuse(monkeypatch, old, new)
+            self.assert_bit_equal(got, want)
+            ran = 0 if p0 == T else T - max(0, min(p0, T - 2))  # two rows at the least
+            assert rows == ([ran] * (self.CONFIG.num_layers - 1) if ran else [])
+
+    @pytest.mark.parametrize("case", ["longer", "shorter", "more_agents", "fewer_agents",
+                                      "other_agents", "other_order"])
+    def test_a_miss_runs_in_full(self, monkeypatch, case):
+        rng = np.random.default_rng(3)
+        new = rng.integers(0, 20, size=(2, 30))
+        old, prev_agents = new.copy(), None
+        if case == "longer":
+            old = np.concatenate([new, new[:, :1]], axis=1)
+        elif case == "shorter":
+            old = new[:, :-1]
+        elif case == "more_agents":
+            old = np.concatenate([new, new[:1]])
+        elif case == "fewer_agents":
+            old = new[:1]
+        else:
+            prev_agents = (5, 4, 9) if case == "other_agents" else (3, 5, 9)
+        got, want, rows = self.reuse(monkeypatch, old, new, prev_agents=prev_agents)
+        assert rows == [30, 30]
+        self.assert_bit_equal(got, want)
+
+
 class TestDecode:
     def test_grows_by_one_with_latent_tag(self):
         m = init_model(small_config(seed=6))

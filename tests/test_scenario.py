@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laco import kernels
 from laco import scenario as sc
 from laco.errors import ScenarioError
 from laco.model import (
@@ -13,7 +14,9 @@ from laco.model import (
     TOKEN_HAZARD_A,
     TOKEN_OCCLUDED,
     TOKEN_VEHICLE,
+    prefill,
 )
+from laco.telemetry import TelemetryWriter, TraceRecord
 from reference import ref_visible
 
 MINI = """
@@ -321,6 +324,43 @@ class TestEpisodes:
         spec = mini_spec(tick_budget=2)
         r = sc.run_episode(spec, "NonCollab")
         assert all(a.infractions.get("timeout") == 1 for a in r.agents.values())
+
+
+def episode_outputs(spec, paradigm, path):
+    """Metrics rows, the telemetry stream ``laco run`` writes, and the payload bytes."""
+    result = sc.run_episode(spec, paradigm)
+    with TelemetryWriter(path) as writer:
+        for rec in result.telemetry:
+            if isinstance(rec, TraceRecord):
+                writer.write_trace(rec.tick, rec.agent, rec.trace)
+            else:
+                writer.write_decision(rec.tick, rec.agent, rec.rows, rec.tags)
+    return sc.metrics_rows(result), path.read_bytes(), result.payload_bytes
+
+
+@pytest.mark.parametrize("model_dim", [12, 16, 18, 20, 22])
+def test_prefix_reuse_changes_no_output(monkeypatch, tmp_path, model_dim):
+    """Every shipped layout under every paradigm gives the same metrics rows,
+    telemetry and payload bytes as a run whose prefills never reuse a prefix."""
+    query_rows = []
+
+    def counted(q, *args, kernel=kernels.attend_causal):
+        query_rows[-1] += q.shape[1]
+        return kernel(q, *args)
+
+    monkeypatch.setattr(kernels, "attend_causal", counted)
+    runs = {}
+    for reuse in (True, False):
+        if not reuse:
+            monkeypatch.setattr(sc, "prefill", lambda model, tokens, agents=None, prev=None:
+                                prefill(model, tokens, agents))
+        query_rows.append(0)
+        runs[reuse] = [episode_outputs(replace(sc.load_scenario(sc.builtin_scenario_path(name)),
+                                               model_dim=model_dim), paradigm, tmp_path / "t.bin")
+                       for name in sc.builtin_scenario_names() for paradigm in sc.PARADIGMS]
+    for got, want in zip(runs[True], runs[False], strict=True):
+        assert got == want
+    assert query_rows[0] < query_rows[1]  # reuse did skip positions
 
 
 class TestInfractionScore:

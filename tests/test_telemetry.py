@@ -397,8 +397,8 @@ def _decision_layers(*shapes):
 
 
 class TestWriterRejects:
-    """``write_decision`` raises, and writes nothing, on each record shape
-    ``read_telemetry`` would reject."""
+    """``write_decision`` raises, and writes nothing, on each record shape or
+    row ``read_telemetry`` would reject."""
 
     def _assert_rejected(self, tmp_path, rows, tags, message):
         path = tmp_path / "telemetry.bin"
@@ -426,6 +426,21 @@ class TestWriterRejects:
         rows, tags = [np.zeros(shape, np.float32)], [np.zeros(shape[1], np.uint8)]
         self._assert_rejected(tmp_path, rows, tags, "at least one of each")
 
+    def test_rows_that_do_not_sum_to_one(self, tmp_path):
+        rows, tags = _decision_layers((2, 4), (2, 3))
+        rows[1][:] = 0.1
+        self._assert_rejected(tmp_path, rows, tags, "rejected: attention row does not sum to 1")
+
+    def test_a_nan_row(self, tmp_path):
+        rows, tags = _decision_layers((2, 3))
+        rows[0][1] = [np.nan, 0.5, 0.5]
+        self._assert_rejected(tmp_path, rows, tags, "rejected: attention row does not sum to 1")
+
+    def test_a_weight_beyond_one(self, tmp_path):
+        rows, tags = _decision_layers((1, 2))
+        rows[0][0] = [1.5, -0.5]
+        self._assert_rejected(tmp_path, rows, tags, "rejected: attention weight outside")
+
 
 def trace_stream(tmp_path):
     """Bytes of a one-record stream holding a valid 2-step trace."""
@@ -438,12 +453,12 @@ def trace_stream(tmp_path):
     return path.read_bytes()
 
 
-def decision_stream(tmp_path, row):
-    """Bytes of a one-record stream holding a one-layer, one-head decision."""
-    path = tmp_path / "decision.bin"
-    with TelemetryWriter(path) as w:
-        w.write_decision(0, 0, [np.array([row], dtype=np.float32)], [np.zeros(len(row), "u1")])
-    return path.read_bytes()
+def decision_stream(row):
+    """Bytes of a one-record stream holding a one-layer, one-head decision,
+    packed by hand: the writer refuses the rows the reader refuses."""
+    body = struct.pack("<BIIHHI", 2, 0, 0, 1, 1, len(row)) + bytes(len(row))
+    body += np.asarray(row, "<f4").tobytes()
+    return struct.pack("<I", len(body)) + body
 
 
 def bad_streams(tmp_path):
@@ -463,9 +478,16 @@ def bad_streams(tmp_path):
         "no_layers": struct.pack("<IBIIHHHII", 23, 1, 0, 1, 1, 0, 2, 3, 2),
         # a decision of 0 layers and 1 head: no rows at all
         "decision_no_layers": struct.pack("<IBIIHH", 13, 2, 0, 0, 0, 1),
-        "decision_nan": decision_stream(tmp_path, [np.nan, 5.0]),
-        "decision_row_sum_off": decision_stream(tmp_path, [0.5, 0.4]),
+        "decision_nan": decision_stream([np.nan, 5.0]),
+        "decision_row_sum_off": decision_stream([0.5, 0.4]),
     }
+
+
+def test_hand_packed_decision_stream_is_the_writers(tmp_path):
+    path = tmp_path / "decision.bin"
+    with TelemetryWriter(path) as w:
+        w.write_decision(0, 0, [np.array([[0.25, 0.75]], np.float32)], [np.zeros(2, "u1")])
+    assert path.read_bytes() == decision_stream([0.25, 0.75])
 
 
 class TestMalformedStream:
@@ -598,9 +620,13 @@ class TestAnalyzeOracle:
         rng = np.random.default_rng(5)
         records = [DecisionRecord(i, 0, [distributions(rng, (2,), 3), distributions(rng, (2,), 4)],
                                   [np.zeros(3, np.uint8), np.zeros(4, np.uint8)]) for i in range(4)]
-        records[2].rows[0][1, 2] = 0.5
-        records[1].rows[1][0, 0] = -0.25
         path = tmp_path / "t.bin"
         offsets = write_stream(path, records)
+        blob = bytearray(path.read_bytes())  # the writer refuses bad rows: patch them in
+        head = 4 + 13  # length prefix, decision head
+        for off, value in ((offsets[2] + head + 4 + 3 + 4 * (1 * 3 + 2), 0.5),  # layer 0, [1, 2]
+                           (offsets[1] + head + (4 + 3 + 4 * 6) + 4 + 4, -0.25)):  # layer 1, [0, 0]
+            blob[off : off + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(blob))
         with pytest.raises(PayloadFormatError, match=f"^malformed record at byte {offsets[2]}: "):
             read_telemetry(path)
