@@ -342,6 +342,30 @@ def test_outputs_match_golden(tmp_path, layout, paradigm):
     assert got == GOLDEN[f"{layout}/{paradigm}"]
 
 
+def sweep_hash(paradigm: str, out: Path) -> str:
+    """sha256 of ``laco sweep --param m --values 0,1`` on occluded_1 under ``paradigm``.
+
+    m = 0 is the edge where a Language receiver re-prefills an empty relayed
+    prefix: the same agents and length as the tick's own prefill."""
+    csv = out / "sweep.csv"
+    assert main(["sweep", "--param", "m", "--values", "0,1", "--paradigm", paradigm,
+                 "--scenario", str(sc.builtin_scenario_path("occluded_1")), "--out", str(csv)]) == 0
+    return _sha256(csv.read_bytes())
+
+
+# Recorded on the tree before the model layer dropped its per-agent counters.
+SWEEP_GOLDEN = {
+    "Language": "6411aa1f4726da5315fb2a9fe4311a502a1a14f749034117f77c9636a6c63ead",
+    "LACO": "e7ecf9c05dd6fa07a52e32dfb62b110ab6d1909fec52cc23ed471623f130b81f",
+    "NaiveLatent": "7b640b3cc183046c5ce7722842e7287d27d3a2ed1c6fcaa21b37bfc7b249fd6a",
+}
+
+
+@pytest.mark.parametrize("paradigm", SWEEP_GOLDEN)
+def test_m_sweep_matches_golden(tmp_path, paradigm):
+    assert sweep_hash(paradigm, tmp_path) == SWEEP_GOLDEN[paradigm]
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -356,4 +380,7 @@ if __name__ == "__main__":
             lines.extend(f'        "{name}": "{h}",'
                          for name, h in output_hashes(layout, paradigm, out).items())
             lines.append("    },")
+        lines.append("SWEEP_GOLDEN = {")
+        lines.extend(f'    "{p}": "{sweep_hash(p, Path(tmp))}",' for p in SWEEP_GOLDEN)
+        lines.append("}")
     sys.stdout.write("\n".join(lines) + "\n")
