@@ -17,10 +17,9 @@ from .model import AttentionTrace
 
 @dataclass
 class SaliencyVector:
-    """Per-prefill-position scores plus the retention parameters."""
+    """Per-prefill-position scores plus how many of them to keep."""
 
     scores: np.ndarray  # (T,) float64, each in [0, 1]
-    retention_ratio: float
     top_k: int
 
 
@@ -39,7 +38,7 @@ def saliency_scores(trace: AttentionTrace, prefill_len: int, retention_ratio: fl
     a = trace.array[:, :, :, :prefill_len].astype(np.float64)
     scores = a.max(axis=(1, 2)).mean(axis=0)
     k = math.ceil(retention_ratio * prefill_len)
-    return SaliencyVector(scores=scores, retention_ratio=retention_ratio, top_k=k)
+    return SaliencyVector(scores=scores, top_k=k)
 
 
 def select_topk(saliency: SaliencyVector):

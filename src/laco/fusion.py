@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .model import FOREIGN_LATENT, FOREIGN_PREFILL, Model, forward_decode, project_to_logits
+from .model import (EGO_LATENT, EGO_PREFILL, FOREIGN_LATENT, FOREIGN_PREFILL, Model,
+                    forward_decode, project_to_logits)
 
 
 @dataclass(frozen=True)
@@ -59,17 +60,19 @@ def collaborative_decode(model: Model, input_vec, ctx: FusedContext) -> CollabRe
 
     Shallow layers see [ego || foreign]; deep layers see ego only; the
     appended position goes to the ego cache.  With no payloads this is the
-    plain decode path (same code, bit-identical outputs).
+    plain decode path (same code, bit-identical outputs).  Each layer's context
+    is tagged ego prefill, ego latent (from each cache's ``prefill_len`` and
+    ``length``, the appended position included), then each payload's runs.
     """
     A, H = len(ctx.caches), model.config.num_heads
     hidden, rows = forward_decode(model, input_vec, ctx.caches, ctx.inboxes)
     tags = []
     for cache, box in zip(ctx.caches, ctx.inboxes):
-        # Origin tags of each layer's context, ego (with the appended position) first.
+        ego = np.array([EGO_PREFILL, EGO_LATENT], np.uint8).repeat(
+            [cache.prefill_len, cache.length - cache.prefill_len])
         foreign = [np.array([FOREIGN_PREFILL, FOREIGN_LATENT], np.uint8).repeat(
             [p.salient_count, p.num_positions - p.salient_count]) for p in box]
-        tags.append([np.concatenate([cache.tags[: cache.length]]
-                                    + [t for p, t in zip(box, foreign) if l < p.l_comm])
+        tags.append([np.concatenate([ego] + [t for p, t in zip(box, foreign) if l < p.l_comm])
                      for l in range(model.config.num_layers)])
     return CollabResult(hidden, project_to_logits(model, hidden),
                         [[r[a * H : (a + 1) * H] for r in rows] for a in range(A)], tags)

@@ -69,10 +69,8 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) ->
     array = np.zeros((m, L, A * H, n0 + m), dtype=np.float32)
     lengths = np.arange(n0 + 1, n0 + m + 1, dtype=np.int64)
     h = np.asarray(h0, dtype=np.float32)
-    logit_calls_before = model.stats.logit_projections
     for t in range(m):
         h, _ = forward_decode(model, rowwise_matmul(h, w_a), caches, rows=array[t])
-    assert model.stats.logit_projections == logit_calls_before, "deliberation must not decode"
     whole = AttentionTrace(array, lengths)  # one row check for every agent's heads
     traces = [whole.part(np.s_[:, :, a * H : (a + 1) * H]) for a in range(A)]
     return DeliberationResult(final_hidden=h, traces=traces, steps=m)

@@ -13,8 +13,7 @@ attention logits, softmax sums and weighted value sums accumulate in float64
 inside the kernels (see :mod:`laco.kernels`).
 """
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,16 +95,8 @@ class LayerWeights:
     w_v = property(lambda lw: lw.w_qkv[:, 2 * lw.w_o.shape[0] :])
 
 
-@dataclass
-class ModelStats:
-    """Instrumentation counters: forward passes per agent id, logit projections."""
-
-    forward_passes: Counter = field(default_factory=Counter)
-    logit_projections: int = 0
-
-
 class Model:
-    """Weights plus instrumentation; pure data, no hidden state besides caches."""
+    """Weights only: every agent, of any episode, runs the same frozen model."""
 
     def __init__(self, config: ModelConfig, w_in, w_out, pos, layers):
         self.config = config
@@ -113,7 +104,6 @@ class Model:
         self.w_out = w_out
         self.pos = pos
         self.layers = layers
-        self.stats = ModelStats()
         self._alignment = None  # memoized by laco.ild.compute_alignment
         self.inv_sqrt_head_dim = 1.0 / float(np.sqrt(config.head_dim))
 
@@ -272,30 +262,28 @@ def make_hazard_model(config: ModelConfig) -> Model:
 
 
 class KVCache:
-    """One agent's per-layer, per-head keys/values with origin tags.
+    """One store row's per-layer, per-head keys/values and two lengths.
 
     ``k``/``v`` are (L, H, capacity, d_h) views of heads [row·H, (row+1)·H)
     of a (2, L, A·H, capacity, d_h) store shared by a lock-step batch of A
-    agents (see :func:`prefill`).  ``length``, ``tags`` and ``agent`` (whose
-    forward-pass counter this cache's passes increment) are the agent's own.
-    The store is float64 holding float32 values, widened once when written so
-    attention reads the context without a copy.
+    rows (see :func:`prefill`).  Positions [0, ``prefill_len``) are ego prefill
+    and [``prefill_len``, ``length``) ego latent (decoded).  The store is
+    float64 holding float32 values, widened once when written so attention
+    reads the context without a copy.
 
     Positions are append-only: existing entries are never mutated, only new
     ones committed, so a later :func:`prefill` may copy a prefix of the store.
     Pruning copies selected positions out (:func:`laco.wire.distill`).
     """
 
-    def __init__(self, config: ModelConfig, agent: int, store: np.ndarray, row: int):
+    def __init__(self, config: ModelConfig, store: np.ndarray, row: int):
         H = config.num_heads
         self.config = config
-        self.agent = agent
         self.store = store
         self.row = row
         self.k = store[0, :, row * H : (row + 1) * H]
         self.v = store[1, :, row * H : (row + 1) * H]
-        self.tags = np.zeros(config.max_context, dtype=np.uint8)
-        self.length = 0
+        self.prefill_len = self.length = 0
 
     @property
     def capacity(self) -> int:
@@ -319,16 +307,19 @@ class AttentionTrace:
         a, lengths = self.array, self.lengths
         if a.ndim < 4 or lengths.shape != a.shape[-4:-3] or 0 in a.shape[-3:-1]:
             raise AssertionError("trace shape must be (..., steps, L>0, H>0, n) with one length per step")
-        if np.any((lengths < 1) | (lengths > a.shape[-1])):
+        n = a.shape[-1]
+        lo, hi = (lengths.min(), lengths.max()) if lengths.size else (1, n)
+        if lo < 1 or hi > n:
             raise AssertionError("trace context length outside [1, n]")
         if a.size and (a.min() < 0.0 or a.max() > 1.0 + 1e-6):
             raise AssertionError("attention weight outside [0, 1]")
         if not np.all(np.abs(a.sum(axis=-1, dtype=np.float64) - 1.0) <= 1e-6):
             raise AssertionError("attention row does not sum to 1 within 1e-6")
-        beyond = a != 0
-        beyond &= (np.arange(a.shape[-1]) >= lengths[:, None])[:, None, None, :]
-        if np.any(beyond):
-            raise AssertionError("attention weight beyond the step's context length")
+        if lo < n:  # else no position lies beyond a step's length
+            beyond = a != 0
+            beyond &= (np.arange(n) >= lengths[:, None])[:, None, None, :]
+            if np.any(beyond):
+                raise AssertionError("attention weight beyond the step's context length")
 
     @property
     def num_steps(self) -> int:
@@ -362,15 +353,15 @@ def rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ w)[..., 0, :]
 
 
-def prefill(model: Model, tokens, agents=None, prev=None) -> PrefillResult:
+def prefill(model: Model, tokens, prev=None) -> PrefillResult:
     """Causal forward pass over a batch of token sequences, populating fresh caches.
 
-    ``tokens`` is an (A, T) batch, run as one pass with the agents folded into
+    ``tokens`` is an (A, T) batch, run as one pass with the rows folded into
     the head axis of one store.  Returns the (A, d) last hidden states and A
-    cache views counting one pass each for ``agents`` (default 0..A-1).
-    ``prev``, the same agents' last prefill of this shape (anything else runs
-    in full), lends its store's K/V below the first changed position p0, and
-    the layers run over p0 .. T-1 only (no change: ``prev.hidden``).  p0 is
+    cache views of length T.  ``prev``, an earlier prefill of this (A, T) shape
+    (any other runs in full), lends its store's K/V below the first position p0
+    where a row's token changed (a position's K/V depends only on its row's
+    tokens up to it); the layers run over p0 .. T-1 (no change: ``prev.hidden``).  p0 is
     capped at T-2 and the last layer, which attends for T-1 only, keeps
     ``w_o`` and the MLP at (A, T-p0, .): a one-row product may sum in another order.
     """
@@ -379,7 +370,6 @@ def prefill(model: Model, tokens, agents=None, prev=None) -> PrefillResult:
     if tokens.ndim != 2 or tokens.size == 0:
         raise ConfigError("prefill needs an (A, T) batch of non-empty token sequences")
     A, T = tokens.shape
-    agents = range(A) if agents is None else agents
     if T > cfg.max_context:
         raise ContextOverflowError(f"prefill of {T} tokens exceeds max_context {cfg.max_context}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
@@ -388,14 +378,11 @@ def prefill(model: Model, tokens, agents=None, prev=None) -> PrefillResult:
     L, H, dh, d = cfg.num_layers, cfg.num_heads, cfg.head_dim, cfg.model_dim
     store = np.zeros((2, L, A * H, cfg.max_context, dh), dtype=np.float64)
     kv_by_agent = store.reshape(2, L, A, H, cfg.max_context, dh)  # a view, for the K/V writes
-    caches = [KVCache(cfg, agent, store, row) for row, agent in zip(range(A), agents, strict=True)]
+    caches = [KVCache(cfg, store, row) for row in range(A)]
     for cache in caches:
-        cache.tags[:T] = EGO_PREFILL
-        cache.length = T
-        model.stats.forward_passes[cache.agent] += 1
+        cache.prefill_len = cache.length = T
     p0 = 0
-    if prev is not None and prev.tokens.shape == tokens.shape and [
-            c.agent for c in prev.caches] == [c.agent for c in caches]:
+    if prev is not None and prev.tokens.shape == tokens.shape:
         changed = np.flatnonzero((prev.tokens != tokens).any(axis=0))
         p0 = max(0, min(int(changed[0]), T - 2)) if changed.size else T
         store[:, :, :, :p0] = prev.caches[0].store[:, :, :, :p0]  # append-only below T
@@ -431,7 +418,7 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
     (each payload's ``(l_comm, num_positions)``).  Layer l < ``l_comm`` joins
     a payload's ``keys[l]``/``values[l]`` (float32 or float16, widened
     exactly) to its own agent's rows of one (A·H, n + P, d_h) context; the new
-    position, tagged ``EGO_LATENT``, goes to the ego cache only.  Returns
+    position goes to the ego cache only, whose ``length`` becomes n + 1.  Returns
     (hidden (A, d) float32, rows: list over layers of (A·H, n_l)), views of
     ``rows[l]`` when the caller passes an (L, A·H, >= n_l) buffer.
 
@@ -483,10 +470,8 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
         np.maximum(hidden, 0.0, out=hidden)
         x += hidden @ lw.w_mlp2
 
-    passes = model.stats.forward_passes
     for c in caches:
-        c.tags[n], c.length = EGO_LATENT, n + 1
-        passes[c.agent] += 1
+        c.length = n + 1
     return x[:, 0], rows_per_layer
 
 
@@ -495,5 +480,4 @@ def project_to_logits(model: Model, hidden) -> np.ndarray:
     h = np.asarray(hidden, dtype=np.float32)
     if not np.isfinite(h).all():
         raise ConfigError("hidden vector must be finite")
-    model.stats.logit_projections += 1
     return rowwise_matmul(h, model.w_out)

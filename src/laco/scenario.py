@@ -16,7 +16,7 @@ import functools
 import itertools
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -156,9 +156,7 @@ _DEFAULTS = {
     "cell_size_m": 10.0,
     "tick_budget": 200,
     "blocked_after": 10,
-    "channel_range_m": 200.0,
-    "channel_bandwidth_bytes_per_s": 1_000_000.0,
-    "channel_base_latency_s": 0.01,
+    **{f"channel_{f.name}": f.default for f in fields(ChannelConfig)},
     "model_layers": 4,
     "model_heads": 2,
     "model_dim": 16,
@@ -398,6 +396,7 @@ class AgentState:
     route_idx: int = 0
     done: bool = False
     zero_speed_streak: int = 0
+    forward_passes: int = 0
     decoded_tokens: int = 0
     brake_ticks: int = 0
     infractions: Counter = field(default_factory=Counter)
@@ -483,7 +482,7 @@ class Simulation:
         self.send, self.receive = _PARADIGM_TABLE[self.paradigm]
         self.world = layout_world(spec.grid, spec.cell_size_m)
         self.agents = {a.agent_id: AgentState(spec=a) for a in spec.agents}
-        # Every agent runs the same weights; the model counts passes per agent.
+        # Every agent runs the same weights; run_tick counts each agent's passes.
         self.model = make_hazard_model(spec.model_config())
         self.tick = 0
         self.comm_bytes = 0
@@ -495,6 +494,7 @@ class Simulation:
         self.payload_bytes = []
         self._warned_m0 = False
         self._prefills = {}  # (agents, T) -> that group's last PrefillResult
+        self._tick_prefills = []  # (agents, PrefillResult) of every prefill run this tick
 
     def live_agents(self):
         return [aid for aid in sorted(self.agents) if not self.agents[aid].done]
@@ -507,7 +507,8 @@ def _prefill(sim: Simulation, tokens, agents):
     """Prefill ``tokens`` for ``agents``, reusing the unchanged prefix of the
     same group's last prefill of this length."""
     key = (tuple(agents), len(tokens[0]))
-    sim._prefills[key] = prefill(sim.model, tokens, agents=agents, prev=sim._prefills.get(key))
+    sim._prefills[key] = prefill(sim.model, tokens, prev=sim._prefills.get(key))
+    sim._tick_prefills.append((agents, sim._prefills[key]))
     return sim._prefills[key]
 
 
@@ -667,6 +668,11 @@ def run_tick(sim: Simulation):
         actions[aid] = action
         sim.actions.append((t, aid, ACTION_NAMES[action]))
         sim.telemetry.append(DecisionRecord(tick=t, agent=aid, rows=rows, tags=tags))
+    # One forward pass per prefill, and one per position a decode appended.
+    for agents, pre in sim._tick_prefills:
+        for aid, cache in zip(agents, pre.caches):
+            sim.agents[aid].forward_passes += 1 + cache.length - cache.prefill_len
+    sim._tick_prefills.clear()
 
     # Apply actions.
     moved = {}
@@ -734,7 +740,7 @@ def run_episode(spec: ScenarioSpec, paradigm: str | None = None) -> EpisodeResul
             infractions=dict(sorted(agent.infractions.items())),
             infraction_score=is_,
             driving_score=rc * is_,
-            forward_passes=sim.model.stats.forward_passes[aid],
+            forward_passes=agent.forward_passes,
             decoded_tokens=agent.decoded_tokens,
             brake_ticks=agent.brake_ticks,
             comm_bytes_sent=sim.sent_bytes[aid],

@@ -51,7 +51,7 @@ class SparsityCurve:
     fraction_for_80: np.ndarray  # (...) float64
 
 
-def trace_entropy(trace: AttentionTrace, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+def trace_entropy(trace: AttentionTrace) -> np.ndarray:
     """Per-layer entropy averaged over the trace's steps, an (..., L) float64 array.
 
     Step t widens its ``[..., t, :, :, :n]`` weights once, fused into the
@@ -65,7 +65,7 @@ def trace_entropy(trace: AttentionTrace, epsilon: float = DEFAULT_EPSILON) -> np
     sums = np.empty((trace.num_steps, *a.shape[:-4], a.shape[-3]))
     for t, n in enumerate(trace.lengths.tolist()):
         step = a[..., t, :, :, :n]
-        h = np.add(step, epsilon, dtype=np.float64)
+        h = np.add(step, DEFAULT_EPSILON, dtype=np.float64)
         np.log(h, out=h)
         h *= step
         h.reshape(*sums.shape[1:], -1).sum(axis=-1, out=sums[t])

@@ -7,8 +7,8 @@ implementations against each other.  Three groups differ:
 * ``ref_prefill``, ``ref_forward_decode`` and ``ref_deliberate`` are the
   package's own float32 forward passes, run one agent at a time on the
   package kernels: the bit-exact oracle for the lock-step batch.
-* ``ref_snapshot``, ``ref_check_tag_partition`` and ``ref_naive_full_fusion``
-  copy, check or fully fuse whole caches for tests.
+* ``ref_snapshot`` and ``ref_naive_full_fusion`` copy or fully fuse whole
+  caches for tests.
 * ``ref_trace_entropy`` and ``ref_emit`` are a one-step-at-a-time entropy
   loop and the package's per-value CSV writer: the bit- and byte-exact
   oracles for ``trace_entropy`` and ``emit``.  ``ref_analyze`` is ``laco
@@ -22,7 +22,7 @@ import numpy as np
 
 from laco import kernels
 from laco.fusion import FusedContext, collaborative_decode
-from laco.model import EGO_LATENT, EGO_PREFILL, FOREIGN_LATENT, FOREIGN_PREFILL, KVCache
+from laco.model import FOREIGN_LATENT, FOREIGN_PREFILL, KVCache
 from laco.telemetry import DEFAULT_EPSILON, TraceRecord
 from laco.wire import DTYPE_F32, Payload
 
@@ -99,14 +99,13 @@ def ref_deliberate_hidden(model, tokens, w_a, m):
 
 
 class RefCache:
-    """One agent's own (L, H, capacity, d_h) keys/values, tags and length."""
+    """One agent's own (L, H, capacity, d_h) keys/values, prefill length and length."""
 
     def __init__(self, config):
         shape = (config.num_layers, config.num_heads, config.max_context, config.head_dim)
         self.k = np.zeros(shape, dtype=np.float32)
         self.v = np.zeros(shape, dtype=np.float32)
-        self.tags = np.zeros(config.max_context, dtype=np.uint8)
-        self.length = 0
+        self.prefill_len = self.length = 0
 
 
 def _ref_mlp(x, lw):
@@ -132,12 +131,11 @@ def ref_prefill(model, tokens):
         out, _ = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
         x = x + out.transpose(1, 0, 2).reshape(T, d) @ lw.w_o
         x = x + _ref_mlp(x, lw)
-    cache.tags[:T] = EGO_PREFILL
-    cache.length = T
+    cache.prefill_len = cache.length = T
     return x[-1].copy(), cache
 
 
-def ref_forward_decode(model, input_vec, cache, tag=EGO_LATENT, payloads=()):
+def ref_forward_decode(model, input_vec, cache, payloads=()):
     """Per-agent decode of one (d,) input: (hidden (d,), rows per layer (H, n_l)).
 
     Each layer l attends over the agent's cache followed by ``keys[l]`` and
@@ -159,7 +157,6 @@ def ref_forward_decode(model, input_vec, cache, tag=EGO_LATENT, payloads=()):
         rows_per_layer.append(rows)
         x = x + out.reshape(d) @ lw.w_o
         x = x + _ref_mlp(x, lw)
-    cache.tags[n] = tag
     cache.length = n + 1
     return x, rows_per_layer
 
@@ -387,33 +384,23 @@ def ref_visible(grid, frm, to):
 
 def ref_snapshot(cache):
     """A copy of one agent's cache, alone in a store of its own."""
-    dup = KVCache(cache.config, cache.agent, np.zeros((2, *cache.k.shape)), 0)
+    dup = KVCache(cache.config, np.zeros((2, *cache.k.shape)), 0)
     dup.k[...] = cache.k
     dup.v[...] = cache.v
-    dup.tags[:] = cache.tags
-    dup.length = cache.length
+    dup.prefill_len, dup.length = cache.prefill_len, cache.length
     return dup
-
-
-def ref_check_tag_partition(cache):
-    """Assert the tag-partition invariant: ego prefill precedes ego latent."""
-    tags = cache.tags[: cache.length]
-    ego = tags[(tags == EGO_PREFILL) | (tags == EGO_LATENT)]
-    if ego.size and np.any(np.diff(ego.astype(np.int8)) < 0):
-        raise AssertionError("ego prefill positions must precede ego latent positions")
 
 
 def ref_naive_full_fusion(model, input_vec, ego, foreign):
     """Full-depth fusion baseline: every layer attends over [ego || all of foreign].
 
-    A batch of one: ``input_vec`` is (1, d) and ``ego`` one cache; ``foreign`` holds its prefill positions before its latent ones, all sent
-    unpruned as one payload over a copy of the whole cache.
+    A batch of one: ``input_vec`` is (1, d) and ``ego`` one cache; all of
+    ``foreign``'s prefill and latent positions are sent unpruned as one
+    payload over a copy of the whole cache.
     """
-    ref_check_tag_partition(foreign)
-    n = foreign.length
-    prefill_len = int(np.count_nonzero(foreign.tags[:n] == EGO_PREFILL))
+    n, prefill_len = foreign.length, foreign.prefill_len
     payload = Payload(
-        sender_id=foreign.agent, frame_id=0, salient_count=prefill_len,
+        sender_id=0, frame_id=0, salient_count=prefill_len,
         latent_count=n - prefill_len, dtype_flag=DTYPE_F32,
         source_indices=tuple(range(prefill_len)),
         keys=foreign.k[:, :, :n].copy(), values=foreign.v[:, :, :n].copy(),

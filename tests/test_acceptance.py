@@ -201,12 +201,12 @@ def test_c07_latency_accounting():
         spec = sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
         sim = sc.Simulation(spec, "LACO")
         for _ in range(3):
-            before_fwd = {aid: sim.model.stats.forward_passes[aid] for aid in sim.live_agents()}
+            before_fwd = {aid: sim.agents[aid].forward_passes for aid in sim.live_agents()}
             before_dec = {aid: sim.agents[aid].decoded_tokens for aid in sim.live_agents()}
             live = sim.live_agents()
             sc.run_tick(sim)
             for aid in live:
-                assert sim.model.stats.forward_passes[aid] - before_fwd[aid] == spec.m + 2
+                assert sim.agents[aid].forward_passes - before_fwd[aid] == spec.m + 2
                 assert sim.agents[aid].decoded_tokens - before_dec[aid] == 0
         sim_l = sc.Simulation(spec, "Language")
         for _ in range(3):

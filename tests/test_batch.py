@@ -48,8 +48,7 @@ def random_case(seed, A):
 
 def assert_cache_equal(cache, ref):
     n = ref.length
-    assert cache.length == n
-    np.testing.assert_array_equal(cache.tags[:n], ref.tags[:n])
+    assert (cache.prefill_len, cache.length) == (ref.prefill_len, n)
     np.testing.assert_array_equal(cache.k[:, :, :n], ref.k[:, :, :n])
     np.testing.assert_array_equal(cache.v[:, :, :n], ref.v[:, :, :n])
 
@@ -57,13 +56,12 @@ def assert_cache_equal(cache, ref):
 @pytest.mark.parametrize("seed, A", CASES)
 def test_prefill_and_deliberation_match_per_agent_path(seed, A):
     model, tokens, m = random_case(seed, A)
-    agents = [10 + a for a in range(A)]
-    pre = prefill(model, tokens, agents=agents)
+    pre = prefill(model, tokens)
     align = compute_alignment(model)
     delib = deliberate(model, align, pre.hidden, pre.caches, m)
     assert pre.hidden.shape == (A, model.config.model_dim)
     assert len(delib.traces) == A and delib.steps == m
-    for a, aid in enumerate(agents):
+    for a in range(A):
         h0, ref_cache = ref_prefill(model, tokens[a])
         np.testing.assert_array_equal(pre.hidden[a], h0)
         h, array, lengths = ref_deliberate(model, align, h0, ref_cache, m)
@@ -71,8 +69,7 @@ def test_prefill_and_deliberation_match_per_agent_path(seed, A):
         np.testing.assert_array_equal(delib.traces[a].array, array)
         np.testing.assert_array_equal(delib.traces[a].lengths, lengths)
         assert_cache_equal(pre.caches[a], ref_cache)
-        assert pre.caches[a].agent == aid
-        assert model.stats.forward_passes[aid] == 1 + m
+        assert 1 + pre.caches[a].length - pre.caches[a].prefill_len == 1 + m  # passes
 
 
 @pytest.mark.parametrize("A", [1, 3])
@@ -106,7 +103,7 @@ def test_single_sequence_is_the_one_agent_batch(seed):
     np.testing.assert_array_equal(delib.final_hidden, h[None])
     np.testing.assert_array_equal(delib.traces[0].array, array)
     assert_cache_equal(pre.caches[0], ref_cache)
-    assert model.stats.forward_passes[0] == 1 + m
+    assert 1 + pre.caches[0].length - pre.caches[0].prefill_len == 1 + m  # passes
 
 
 @pytest.mark.parametrize("seed, A", CASES)
@@ -117,7 +114,7 @@ def test_language_decode_matches_per_agent_greedy_decode(seed, A):
     sim = sc.Simulation(spec, "Language")
     sim.model = model
     live = sim.live_agents()
-    pre = prefill(model, tokens, agents=live)
+    pre = prefill(model, tokens)
     messages = sc._send_tokens(sim, live, pre)
     for a, aid in enumerate(live):
         h, ref_cache = ref_prefill(model, tokens[a])
@@ -129,7 +126,7 @@ def test_language_decode_matches_per_agent_greedy_decode(seed, A):
         assert messages[a].sender_id == aid
         assert_cache_equal(pre.caches[a], ref_cache)
         assert sim.agents[aid].decoded_tokens == m
-        assert model.stats.forward_passes[aid] == 1 + m
+        assert 1 + pre.caches[a].length - pre.caches[a].prefill_len == 1 + m  # passes
 
 
 def test_decision_decode_on_a_batch_view_matches_per_agent_path():
@@ -159,7 +156,7 @@ def deliberated_batch(seed, A):
     the per-agent reference caches at the same point, and T."""
     model, tokens, m = random_case(seed, A)
     align = compute_alignment(model)
-    pre = prefill(model, tokens, agents=[10 + 3 * a for a in range(A)])
+    pre = prefill(model, tokens)
     deliberate(model, align, pre.hidden, pre.caches, m)
     refs = []
     for row in tokens:
@@ -224,13 +221,13 @@ def test_a_ragged_tick_decides_in_one_pass_per_signature(monkeypatch):
                inbox(caches, 1, T, [1], DTYPE_F16, rng, 2),
                inbox(caches, 2, T, [L], DTYPE_F32, rng, 3)]
     spec = sc.parse_scenario(THREE_AGENTS)
-    sim = sc.Simulation(replace(spec, agents=tuple(replace(a, agent_id=c.agent)
-                                                   for a, c in zip(spec.agents, caches))))
+    live = [10 + 3 * a for a in range(3)]
+    sim = sc.Simulation(replace(spec, agents=tuple(replace(a, agent_id=aid)
+                                                   for a, aid in zip(spec.agents, live))))
     sim.model = model
-    live = [c.agent for c in caches]
     groups = []
     monkeypatch.setattr(sc, "collaborative_decode", lambda model, x, ctx: groups.append(
-        [c.agent for c in ctx.caches]) or collaborative_decode(model, x, ctx))
+        [live[c.row] for c in ctx.caches]) or collaborative_decode(model, x, ctx))
     decisions = sc._decide(sim, live, None, dict(zip(live, caches)), dict(zip(live, inboxes)))
     assert groups == [live[:2], live[2:]]
     for a, aid in enumerate(live):
@@ -293,15 +290,15 @@ def test_language_receivers_re_prefill_in_one_pass_per_prefix_length(monkeypatch
     heard = {0: [1], 1: [0, 2], 2: [1]}
 
     shapes, logits = [], {}
-    monkeypatch.setattr(sc, "prefill", lambda model, tokens, agents, prev: shapes.append(
-        np.shape(tokens)) or prefill(model, tokens, agents, prev))
+    monkeypatch.setattr(sc, "prefill", lambda model, tokens, prev: shapes.append(
+        np.shape(tokens)) or prefill(model, tokens, prev))
 
-    def decode(model, x, ctx):
-        out = collaborative_decode(model, x, ctx)
-        logits.update((c.agent, row) for c, row in zip(ctx.caches, out.logits))
+    def decide(*args, decide=sc._decide):
+        out = decide(*args)
+        logits.update((aid, decision[0]) for aid, decision in out.items())
         return out
 
-    monkeypatch.setattr(sc, "collaborative_decode", decode)
+    monkeypatch.setattr(sc, "_decide", decide)
     sc.run_tick(sim)
     assert shapes == [(3, T), (2, m + T), (1, 2 * m + T)]
     records = {r.agent: r for r in sim.telemetry}

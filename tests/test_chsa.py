@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from laco.chsa import SaliencyVector, saliency_scores, select_topk
 from laco.errors import ConfigError, EmptyTraceError
 from laco.ild import compute_alignment, deliberate
-from laco.model import EGO_LATENT, EGO_PREFILL, AttentionTrace, ModelConfig, init_model, prefill
+from laco.model import AttentionTrace, ModelConfig, init_model, prefill
 from laco.wire import distill
 from reference import ref_saliency, ref_topk
 
@@ -84,17 +84,17 @@ class TestSaliency:
 
 class TestTopK:
     def test_full_retention(self):
-        sal = SaliencyVector(scores=np.array([0.3, 0.9, 0.1]), retention_ratio=1.0, top_k=3)
+        sal = SaliencyVector(scores=np.array([0.3, 0.9, 0.1]), top_k=3)
         assert select_topk(sal) == [0, 1, 2]
 
     def test_ties_break_low(self):
-        sal = SaliencyVector(scores=np.full(10, 0.5), retention_ratio=0.3, top_k=3)
+        sal = SaliencyVector(scores=np.full(10, 0.5), top_k=3)
         assert select_topk(sal) == [0, 1, 2]
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(5)
         scores = rng.random(12)
-        sal = SaliencyVector(scores=scores, retention_ratio=0.3, top_k=math.ceil(0.3 * 12))
+        sal = SaliencyVector(scores=scores, top_k=math.ceil(0.3 * 12))
         assert select_topk(sal) == ref_topk(scores, 4)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=24),
@@ -102,7 +102,7 @@ class TestTopK:
     @settings(max_examples=80, deadline=None)
     def test_property_matches_oracle(self, scores, ratio):
         k = math.ceil(ratio * len(scores))
-        sal = SaliencyVector(scores=np.array(scores), retention_ratio=ratio, top_k=k)
+        sal = SaliencyVector(scores=np.array(scores), top_k=k)
         got = select_topk(sal)
         assert got == ref_topk(scores, k)
         assert got == sorted(got)
@@ -114,7 +114,7 @@ class TestTopK:
         n = len(scores)
         picks = []
         for k in range(1, n + 1):
-            sal = SaliencyVector(scores=np.array(scores), retention_ratio=k / n, top_k=k)
+            sal = SaliencyVector(scores=np.array(scores), top_k=k)
             picks.append(set(select_topk(sal)))
         for small, large in zip(picks, picks[1:]):
             assert small <= large
@@ -143,7 +143,7 @@ class TestBuildCache:
         np.testing.assert_array_equal(p.values[:, :, 1, :], cache.v[:, :, 5, :])
         assert p.keys[:, :, :2, :].tobytes() == cache.k[:, :, [2, 5], :].astype(np.float32).tobytes()
         assert p.salient_count == 2 and p.source_indices == (2, 5)
-        np.testing.assert_array_equal(cache.tags[[2, 5]], EGO_PREFILL)
+        assert cache.prefill_len == 6  # positions 2 and 5 are ego prefill
 
     def test_latent_segment_copied_whole(self):
         cache = self._cache(seed=2)
@@ -151,7 +151,7 @@ class TestBuildCache:
         assert p.num_positions == 1 + 3
         np.testing.assert_array_equal(p.keys[:, :, 1:, :], cache.k[:, :, 6:9, :])
         assert p.latent_count == 3
-        np.testing.assert_array_equal(cache.tags[6:9], EGO_LATENT)
+        assert (cache.prefill_len, cache.length) == (6, 9)  # positions 6..8 are ego latent
 
     def test_out_of_range_index(self):
         cache = self._cache()

@@ -7,6 +7,8 @@ from laco.errors import ShapeMismatchError
 from laco.fusion import FusedContext, attach_payload, collaborative_decode
 from laco.ild import compute_alignment, deliberate
 from laco.model import (
+    EGO_LATENT,
+    EGO_PREFILL,
     FOREIGN_LATENT,
     FOREIGN_PREFILL,
     TOKEN_BRAKE,
@@ -137,7 +139,7 @@ class TestEquivalences:
         mdl = init_model(cfg(seed=7))
         res = prefill(mdl, [[1, 2, 3]])
         foreign = prefill(init_model(cfg(seed=7)), [[9]]).caches[0]
-        foreign.length = 0  # empty view of a fresh cache
+        foreign.prefill_len = foreign.length = 0  # empty view of a fresh cache
         x = np.zeros((1, 8), dtype=np.float32)
         out = ref_naive_full_fusion(mdl, x, res.caches[0], foreign)
         mdl2 = init_model(cfg(seed=7))
@@ -220,11 +222,13 @@ class TestDepthIsolation:
         payload, _ = build_payload(sender, [2, 4, 6], m=2)
         mdl = init_model(cfg(seed=11))
         res = prefill(mdl, [[7, 8]])
-        collaborative_decode(mdl, np.zeros((1, 8), dtype=np.float32),
-                             attach_payload(res.caches, [[payload]]))
-        assert res.caches[0].length == 3
-        tags = res.caches[0].tags[:3]
-        assert not np.any((tags == FOREIGN_PREFILL) | (tags == FOREIGN_LATENT))
+        out = collaborative_decode(mdl, np.zeros((1, 8), dtype=np.float32),
+                                   attach_payload(res.caches, [[payload]]))
+        assert (res.caches[0].prefill_len, res.caches[0].length) == (2, 3)
+        assert not res.caches[0].store[:, :, :, 3:].any()
+        tags = out.context_tags[0][0]  # layer 0: ego, then the payload's positions
+        np.testing.assert_array_equal(tags[:3], [EGO_PREFILL, EGO_PREFILL, EGO_LATENT])
+        assert np.all((tags[3:] == FOREIGN_PREFILL) | (tags[3:] == FOREIGN_LATENT))
 
 
 class TestHazardFusion:

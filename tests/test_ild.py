@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from laco import ild
+from laco import model as model_module
 from laco.errors import ConfigError, ContextOverflowError
 from laco.ild import compute_alignment, deliberate
 from laco.model import (
-    EGO_LATENT,
     TOKEN_CLEAR,
     TOKEN_EGO_A,
     TOKEN_HAZARD_A,
@@ -13,7 +14,7 @@ from laco.model import (
     make_hazard_model,
     prefill,
 )
-from reference import ref_check_tag_partition, ref_deliberate_hidden
+from reference import ref_deliberate_hidden
 
 
 def cfg(seed=0, **kw):
@@ -78,9 +79,8 @@ class TestDeliberate:
         mdl = init_model(cfg(seed=6))
         res = prefill(mdl, [[1, 2, 3, 4]])
         deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, m_steps)
-        assert res.caches[0].length == 4 + m_steps
-        assert np.all(res.caches[0].tags[4 : 4 + m_steps] == EGO_LATENT)
-        ref_check_tag_partition(res.caches[0])
+        # Positions 4 .. 4 + m_steps - 1 are ego latent.
+        assert (res.caches[0].prefill_len, res.caches[0].length) == (4, 4 + m_steps)
 
     def test_default_ten_steps_on_stable_model(self):
         mdl = make_hazard_model(cfg())
@@ -89,19 +89,31 @@ class TestDeliberate:
         assert res.caches[0].length == 3 + 10
         assert out.traces[0].num_steps == 10
 
-    def test_no_vocabulary_projections(self):
+    def test_no_vocabulary_projections(self, monkeypatch):
         mdl = init_model(cfg(seed=7))
         res = prefill(mdl, [[1, 2]])
-        before = mdl.stats.logit_projections
-        deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 4)
-        assert mdl.stats.logit_projections == before
+        w_a = compute_alignment(mdl)
 
-    def test_forward_pass_count(self):
+        def refuse(*_):
+            raise AssertionError("deliberation projected to logits")
+
+        monkeypatch.setattr(model_module, "project_to_logits", refuse)
+        monkeypatch.setattr(ild, "project_to_logits", refuse, raising=False)
+        assert deliberate(mdl, w_a, res.hidden, res.caches, 4).steps == 4
+
+    def test_forward_pass_count(self, monkeypatch):
         mdl = init_model(cfg(seed=8))
         res = prefill(mdl, [[1, 2]])
-        before = mdl.stats.forward_passes[0]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return model_module.forward_decode(*args, **kwargs)
+
+        monkeypatch.setattr(ild, "forward_decode", counted)
         deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 6)
-        assert mdl.stats.forward_passes[0] == before + 6
+        assert len(calls) == 6 and all(c is res.caches for c in calls)
+        assert res.caches[0].length - res.caches[0].prefill_len == 6  # one position per pass
 
     def test_trace_context_lengths(self):
         mdl = init_model(cfg(seed=9))
@@ -122,18 +134,14 @@ class TestDeliberate:
             deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 4)
 
     def test_overflow_raises_before_the_first_step(self):
-        """A run that cannot fit leaves caches, store and counters untouched."""
+        """A run that cannot fit leaves caches and store untouched."""
         mdl = init_model(cfg(seed=11, max_context=60))
         res = prefill(mdl, np.random.default_rng(11).integers(0, 16, size=(2, 50)))
-        store, tags = res.caches[0].store.copy(), [c.tags.copy() for c in res.caches]
-        passes = mdl.stats.forward_passes.copy()
+        store = res.caches[0].store.copy()
         with pytest.raises(ContextOverflowError):
             deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 20)
-        assert [c.length for c in res.caches] == [50, 50]
+        assert [(c.prefill_len, c.length) for c in res.caches] == [(50, 50), (50, 50)]
         np.testing.assert_array_equal(res.caches[0].store, store)
-        for cache, before in zip(res.caches, tags):
-            np.testing.assert_array_equal(cache.tags, before)
-        assert mdl.stats.forward_passes == passes
         out = deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 10)
         assert out.steps == 10 and [c.length for c in res.caches] == [60, 60]
 

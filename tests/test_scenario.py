@@ -352,8 +352,8 @@ def test_prefix_reuse_changes_no_output(monkeypatch, tmp_path, model_dim):
     runs = {}
     for reuse in (True, False):
         if not reuse:
-            monkeypatch.setattr(sc, "prefill", lambda model, tokens, agents=None, prev=None:
-                                prefill(model, tokens, agents))
+            monkeypatch.setattr(sc, "prefill", lambda model, tokens, prev=None:
+                                prefill(model, tokens))
         query_rows.append(0)
         runs[reuse] = [episode_outputs(replace(sc.load_scenario(sc.builtin_scenario_path(name)),
                                                model_dim=model_dim), paradigm, tmp_path / "t.bin")
@@ -361,6 +361,23 @@ def test_prefix_reuse_changes_no_output(monkeypatch, tmp_path, model_dim):
     for got, want in zip(runs[True], runs[False], strict=True):
         assert got == want
     assert query_rows[0] < query_rows[1]  # reuse did skip positions
+
+
+def test_episodes_stepped_in_turn_share_one_model(monkeypatch, tmp_path):
+    """Three occluded_1 episodes stepped tick by tick in turn on one Model give
+    the metrics rows, telemetry and payload bytes of their own runs."""
+    spec = sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
+    paradigms = ("LACO", "Visual", "Language")
+    want = [episode_outputs(spec, p, tmp_path / "t.bin") for p in paradigms]
+    sims = {p: sc.Simulation(spec, p) for p in paradigms}
+    for sim in sims.values():
+        sim.model = sims["LACO"].model
+    while live := [s for s in sims.values() if not s.all_done() and s.tick < spec.tick_budget]:
+        for sim in live:
+            sc.run_tick(sim)
+    # run_episode then only closes each stepped episode: no tick is left to run.
+    monkeypatch.setattr(sc, "Simulation", lambda spec, paradigm: sims[paradigm])
+    assert [episode_outputs(spec, p, tmp_path / "t.bin") for p in paradigms] == want
 
 
 class TestInfractionScore:

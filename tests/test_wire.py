@@ -7,7 +7,7 @@ from laco import scenario as sc
 from laco import wire
 from laco.errors import ConfigError, PayloadFormatError
 from laco.ild import compute_alignment, deliberate
-from laco.model import EGO_LATENT, EGO_PREFILL, KVCache, ModelConfig, init_model, prefill
+from laco.model import KVCache, ModelConfig, init_model, prefill
 from laco.wire import (
     DTYPE_F16,
     DTYPE_F32,
@@ -87,13 +87,11 @@ class TestDistill:
         rng = np.random.default_rng(7)
         for _ in range(30):
             L = int(rng.integers(2, 6))
-            cache = KVCache(ModelConfig(L, 2, 8, 16, 24, seed=0), 0, np.zeros((2, L, 2, 24, 4)), 0)
+            cache = KVCache(ModelConfig(L, 2, 8, 16, 24, seed=0), np.zeros((2, L, 2, 24, 4)), 0)
             cache.k[:] = rng.normal(size=cache.k.shape)
             cache.v[:] = rng.normal(size=cache.v.shape)
             cache.length = int(rng.integers(1, 25))
-            T = int(rng.integers(1, cache.length + 1))
-            cache.tags[:T] = EGO_PREFILL
-            cache.tags[T : cache.length] = EGO_LATENT
+            T = cache.prefill_len = int(rng.integers(1, cache.length + 1))
             keep = int(rng.integers(0, T + 1))
             indices = sorted(rng.choice(T, size=keep, replace=False).tolist())
             fraction = float(rng.uniform(0.05, 1.0))
