@@ -96,7 +96,12 @@ class LayerWeights:
 
 
 class Model:
-    """Weights only: every agent, of any episode, runs the same frozen model."""
+    """Weights only: every agent, of any episode, runs the same frozen model.
+
+    ``passthrough[l]`` flags a layer whose four weights are all exactly zero;
+    prefill and decode skip its products.  Its arrays are made read-only, so an
+    in-place write cannot leave the flag stale.
+    """
 
     def __init__(self, config: ModelConfig, w_in, w_out, pos, layers):
         self.config = config
@@ -106,6 +111,10 @@ class Model:
         self.layers = layers
         self._alignment = None  # memoized by laco.ild.compute_alignment
         self.inv_sqrt_head_dim = 1.0 / float(np.sqrt(config.head_dim))
+        weights = [(lw.w_qkv, lw.w_o, lw.w_mlp1, lw.w_mlp2) for lw in layers]
+        self.passthrough = tuple(not any(w.any() for w in ws) for ws in weights)
+        for w in (w for ws, flat in zip(weights, self.passthrough) if flat for w in ws):
+            w.flags.writeable = False
 
 
 def sinusoidal_table(n: int, d: int) -> np.ndarray:
@@ -197,7 +206,8 @@ def make_hazard_model(config: ModelConfig) -> Model:
     evidence is not, shallow (layer-1) cache entries are decision-free and
     shareable across agents, whereas last-layer entries of a detecting agent
     encode its brake decision.  All intermediate layers are identity
-    (zero-weight) passthroughs.
+    (zero-weight) passthroughs: the model flags them in ``passthrough`` and
+    prefill and decode skip them (at L = 4, half of every pass).
     """
     cfg = config
     if cfg.head_dim < 4:
@@ -364,6 +374,8 @@ def prefill(model: Model, tokens, prev=None) -> PrefillResult:
     tokens up to it); the layers run over p0 .. T-1 (no change: ``prev.hidden``).  p0 is
     capped at T-2 and the last layer, which attends for T-1 only, keeps
     ``w_o`` and the MLP at (A, T-p0, .): a one-row product may sum in another order.
+    A ``model.passthrough`` layer is skipped: its K/V would be ``x @ 0 = +0.0``,
+    the store's own zeros, and its residual updates ``+0.0``, which leave x as it is.
     """
     cfg = model.config
     tokens = np.array(tokens, dtype=np.int64)  # a copy: ``prev.tokens`` must not change
@@ -395,6 +407,8 @@ def prefill(model: Model, tokens, prev=None) -> PrefillResult:
 
     x = model.w_in[tokens[:, p0:]] + model.pos[p0:T]
     for l, lw in enumerate(model.layers):
+        if model.passthrough[l]:
+            continue
         kv_by_agent[0, l, :, :, p0:T] = split(x @ lw.w_k)
         kv_by_agent[1, l, :, :, p0:T] = split(x @ lw.w_v)
         q, k, v = split(x @ lw.w_q).reshape(A * H, S, dh), store[0, l, :, :T], store[1, l, :, :T]
@@ -424,6 +438,11 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
 
     This is the single decode path: plain decoding is the degenerate case
     with no payloads, so the two are bit-identical by construction.
+
+    A ``model.passthrough`` layer l >= ``l_comm`` sees only zero keys, so
+    every logit is 0 and its rows are ``float32(1/(n+1))``, the bits the
+    kernel writes; it writes those and skips the rest (its K/V are the store's
+    zeros, its residual updates +0.0).  Below ``l_comm`` it runs in full.
     """
     cfg = model.config
     first, A, n = caches[0], len(caches), caches[0].length
@@ -454,6 +473,11 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
     new = ctx[:, :, :, n].reshape(2, L, A, H, dh).transpose(1, 2, 0, 3, 4)  # (L, A, 2, H, d_h) view
     rows_per_layer = []
     for l, lw in enumerate(model.layers):
+        if model.passthrough[l] and l >= depth:
+            r = np.empty((A * H, n + 1), np.float32) if rows is None else rows[l, :, : n + 1]
+            r[...] = 1.0 / (n + 1)  # rounded once to float32, as the kernel's division
+            rows_per_layer.append(r)
+            continue
         qkv = (x @ lw.w_qkv).reshape(A, 3, H, dh)
         new[l] = qkv[:, 1:]
         keys, values = ctx[0, l], ctx[1, l]

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from laco import kernels
 from laco.errors import ConfigError
+from laco.ild import compute_alignment, deliberate
 from laco.model import (
     TOKEN_BRAKE,
     TOKEN_CLEAR,
@@ -15,10 +17,12 @@ from laco.model import (
     TOKEN_OCCLUDED,
     ModelConfig,
     forward_decode,
+    init_model,
     make_hazard_model,
     prefill,
     project_to_logits,
 )
+from laco.scenario import Simulation, builtin_scenario_path, load_scenario, observe
 from reference import ref_decode_hiddens, ref_forward_decode, ref_prefill
 
 
@@ -53,6 +57,39 @@ class TestConstruction:
         b = make_hazard_model(hazard_config())
         assert a.w_in.tobytes() == b.w_in.tobytes()
         assert a.layers[0].w_k.tobytes() == b.layers[0].w_k.tobytes()
+
+
+class TestPassthrough:
+    """The zero-weight middle layers are flagged, and prefill and decode call
+    no kernel for them."""
+
+    @pytest.mark.parametrize("layers", [2, 3, 4, 6])
+    def test_middle_layers_flagged(self, layers):
+        flags = (False, *[True] * (layers - 2), False)
+        assert make_hazard_model(hazard_config(layers)).passthrough == flags
+        assert init_model(hazard_config(layers)).passthrough == (False,) * layers
+
+    def test_flagged_layers_call_no_kernel(self, monkeypatch):
+        """On occluded_1's model an observation prefill calls attend_causal
+        for layer 0 alone, and one deliberation step calls attend_single L-2 times."""
+        spec = load_scenario(builtin_scenario_path("occluded_1"))
+        sim = Simulation(spec, "LACO")
+        model, live = sim.model, sim.live_agents()
+        L = model.config.num_layers
+        assert model.passthrough == (False, *[True] * (L - 2), False) and L > 2
+        calls = dict.fromkeys(("attend_causal", "attend_single"), 0)
+        for name in calls:
+            def counted(*args, name=name, kernel=getattr(kernels, name)):
+                calls[name] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        obs = np.stack([observe(sim.world, sim.agents, spec.hazards, aid, 0) for aid in live])
+        pre = prefill(model, obs)
+        assert calls == {"attend_causal": 1, "attend_single": 1}
+        calls.update(attend_causal=0, attend_single=0)
+        deliberate(model, compute_alignment(model), pre.hidden, pre.caches, 1)
+        assert calls == {"attend_causal": 0, "attend_single": L - 2}
 
 
 class TestPolicy:

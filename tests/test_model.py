@@ -8,6 +8,7 @@ from laco.ild import compute_alignment, deliberate
 from laco.model import (
     TOKEN_KEEP,
     AttentionTrace,
+    Model,
     ModelConfig,
     forward_decode,
     init_model,
@@ -320,6 +321,73 @@ class TestDecode:
         y = x + m.pos[3]
         np.testing.assert_array_equal(cache.k[0, :, 3], (y @ lw.w_k).reshape(2, 4))
         np.testing.assert_array_equal(cache.v[0, :, 3], (y @ lw.w_v).reshape(2, 4))
+
+
+def with_passthrough(config, zeroed):
+    """``init_model`` weights with the layers ``zeroed`` set to zero, as two
+    models on the same arrays: one skips those layers, one runs them in full."""
+    weights = init_model(config)
+    for l in zeroed:
+        lw = weights.layers[l]
+        for w in (lw.w_qkv, lw.w_o, lw.w_mlp1, lw.w_mlp2):
+            w[...] = 0.0
+    skip, full = (Model(config, weights.w_in, weights.w_out, weights.pos, weights.layers)
+                  for _ in range(2))
+    full.passthrough = (False,) * config.num_layers
+    return skip, full
+
+
+class TestPassthrough:
+    """A layer of all-zero weights is skipped, bit for bit."""
+
+    def run(self, model, l_comm, seed):
+        """The bytes of a prefill, a prefix-reusing prefill, a deliberation, a
+        fused decision decode and a plain decode, with every store after them."""
+        A, T, m = 3, 40, 20
+        L, d = model.config.num_layers, model.config.model_dim
+        rng = np.random.default_rng(seed)
+        tokens = rng.integers(0, model.config.vocab_size, size=(A, T))
+        w_a = compute_alignment(model)
+        senders = prefill(model, tokens[::-1])
+        deliberate(model, w_a, senders.hidden, senders.caches, 5)
+        pre = prefill(model, tokens)
+        out = [pre.hidden, pre.caches[0].store]
+        delib = deliberate(model, w_a, pre.hidden, pre.caches, m)
+        out += [delib.final_hidden, *(t.array for t in delib.traces)]
+        inboxes = [[distill(senders.caches[s], T, range(a, a + 36, 3), l_comm / L, sender_id=s,
+                            frame_id=0) for s in range(A) if s != a] for a in range(A)]
+        x = rng.uniform(-1, 1, size=(A, d)).astype(np.float32)
+        res = collaborative_decode(model, x, attach_payload(pre.caches, inboxes))
+        out += [res.hidden, res.logits]
+        for rows, tags in zip(res.attention_rows, res.context_tags, strict=True):
+            out += rows + tags
+        out += forward_decode(model, res.hidden, pre.caches)[1] + [pre.caches[0].store]
+        tokens[:, T // 2 :] = rng.integers(0, model.config.vocab_size, size=(A, T - T // 2))
+        again = prefill(model, tokens, prev=pre)
+        out += [again.hidden, again.caches[0].store]
+        return [np.ascontiguousarray(a).tobytes() for a in out]  # tells -0.0 from +0.0
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("l_comm", [1, 2, 4])
+    @pytest.mark.parametrize("d", [16, 18, 22, 24, 32])
+    def test_skip_matches_the_full_path(self, d, l_comm, seed):
+        """Store, hidden states, traces, rows and tags equal the full path's.
+        At l_comm 2, flagged layer 1 joins the payloads and runs in full."""
+        config = ModelConfig(num_layers=4, num_heads=2, model_dim=d, vocab_size=64,
+                             max_context=64, seed=seed)
+        skip, full = with_passthrough(config, zeroed=(1, 2))
+        assert skip.passthrough == (False, True, True, False)
+        assert self.run(skip, l_comm, seed) == self.run(full, l_comm, seed)
+
+    def test_flagged_weights_are_read_only(self):
+        """A write into a skipped layer raises; it could not reach a decode."""
+        skip, _ = with_passthrough(small_config(num_layers=3), zeroed=(1,))
+        zero = skip.layers[1]
+        for w in (zero.w_qkv, zero.w_k, zero.w_o, zero.w_mlp1, zero.w_mlp2):
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0] = 1.0
+        for lw in (skip.layers[0], skip.layers[2]):
+            assert all(w.flags.writeable for w in (lw.w_qkv, lw.w_o, lw.w_mlp1, lw.w_mlp2))
 
 
 class TestWidenedStore:

@@ -363,6 +363,35 @@ def test_prefix_reuse_changes_no_output(monkeypatch, tmp_path, model_dim):
     assert query_rows[0] < query_rows[1]  # reuse did skip positions
 
 
+@pytest.mark.parametrize("model_dim", [16, 18, 22])
+def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, model_dim):
+    """Every shipped layout under every paradigm gives the same metrics rows,
+    telemetry and payload bytes as a run through its zero-weight layers."""
+    calls = []
+
+    def counted(*args, kernel=kernels.attend_single):
+        calls[-1] += 1
+        return kernel(*args)
+
+    def full_model(config, make=sc.make_hazard_model):
+        model = make(config)
+        model.passthrough = (False,) * config.num_layers
+        return model
+
+    monkeypatch.setattr(kernels, "attend_single", counted)
+    runs = {}
+    for skip in (True, False):
+        if not skip:
+            monkeypatch.setattr(sc, "make_hazard_model", full_model)
+        calls.append(0)
+        runs[skip] = [episode_outputs(replace(sc.load_scenario(sc.builtin_scenario_path(name)),
+                                              model_dim=model_dim), paradigm, tmp_path / "t.bin")
+                      for name in sc.builtin_scenario_names() for paradigm in sc.PARADIGMS]
+    for got, want in zip(runs[True], runs[False], strict=True):
+        assert got == want
+    assert calls[0] < calls[1]  # the skip did skip layers
+
+
 def test_episodes_stepped_in_turn_share_one_model(monkeypatch, tmp_path):
     """Three occluded_1 episodes stepped tick by tick in turn on one Model give
     the metrics rows, telemetry and payload bytes of their own runs."""
