@@ -98,9 +98,9 @@ class LayerWeights:
 class Model:
     """Weights only: every agent, of any episode, runs the same frozen model.
 
-    ``passthrough[l]`` flags a layer whose four weights are all exactly zero;
-    prefill and decode skip its products.  Its arrays are made read-only, so an
-    in-place write cannot leave the flag stale.
+    ``passthrough[l]`` flags a layer whose four weights are all exactly zero,
+    ``zero_mlp[l]`` one whose ``w_mlp1`` and ``w_mlp2`` are; prefill and decode
+    skip those products.  Flagged arrays are read-only, so a write cannot leave a flag stale.
     """
 
     def __init__(self, config: ModelConfig, w_in, w_out, pos, layers):
@@ -111,10 +111,12 @@ class Model:
         self.layers = layers
         self._alignment = None  # memoized by laco.ild.compute_alignment
         self.inv_sqrt_head_dim = 1.0 / float(np.sqrt(config.head_dim))
-        weights = [(lw.w_qkv, lw.w_o, lw.w_mlp1, lw.w_mlp2) for lw in layers]
-        self.passthrough = tuple(not any(w.any() for w in ws) for ws in weights)
-        for w in (w for ws, flat in zip(weights, self.passthrough) if flat for w in ws):
-            w.flags.writeable = False
+        self.zero_mlp = tuple(not (lw.w_mlp1.any() or lw.w_mlp2.any()) for lw in layers)
+        self.passthrough = tuple(z and not (lw.w_qkv.any() or lw.w_o.any())
+                                 for z, lw in zip(self.zero_mlp, layers))
+        for lw, z, flat in zip(layers, self.zero_mlp, self.passthrough):
+            for w in (lw.w_mlp1, lw.w_mlp2) * z + (lw.w_qkv, lw.w_o) * flat:
+                w.flags.writeable = False
 
 
 def sinusoidal_table(n: int, d: int) -> np.ndarray:
@@ -205,9 +207,9 @@ def make_hazard_model(config: ModelConfig) -> Model:
     Because detection is gated by the observer's own lane marker while raw
     evidence is not, shallow (layer-1) cache entries are decision-free and
     shareable across agents, whereas last-layer entries of a detecting agent
-    encode its brake decision.  All intermediate layers are identity
-    (zero-weight) passthroughs: the model flags them in ``passthrough`` and
-    prefill and decode skip them (at L = 4, half of every pass).
+    encode its brake decision.  The intermediate layers are zero-weight
+    passthroughs and the last layer's MLP is zero: ``passthrough`` and
+    ``zero_mlp`` flag them, and prefill and decode skip them (at L = 4, half of every pass).
     """
     cfg = config
     if cfg.head_dim < 4:
@@ -373,9 +375,10 @@ def prefill(model: Model, tokens, prev=None) -> PrefillResult:
     where a row's token changed (a position's K/V depends only on its row's
     tokens up to it); the layers run over p0 .. T-1 (no change: ``prev.hidden``).  p0 is
     capped at T-2 and the last layer, which attends for T-1 only, keeps
-    ``w_o`` and the MLP at (A, T-p0, .): a one-row product may sum in another order.
+    ``w_o`` and an unflagged MLP at (A, T-p0, .): a one-row product may sum in another order.
     A ``model.passthrough`` layer is skipped: its K/V would be ``x @ 0 = +0.0``,
-    the store's own zeros, and its residual updates ``+0.0``, which leave x as it is.
+    the store's own zeros, and its residual updates ``+0.0``, which leave x as it is;
+    so is a ``model.zero_mlp`` MLP, whose update ``relu(x @ 0) @ 0`` is ±0.0.
     """
     cfg = model.config
     tokens = np.array(tokens, dtype=np.int64)  # a copy: ``prev.tokens`` must not change
@@ -418,7 +421,8 @@ def prefill(model: Model, tokens, prev=None) -> PrefillResult:
             out = np.zeros_like(q)
             out[:, -1], _ = kernels.attend_single(k, v, q[:, -1], model.inv_sqrt_head_dim)
         x = x + out.reshape(A, H, S, dh).transpose(0, 2, 1, 3).reshape(A, S, d) @ lw.w_o
-        x = x + _mlp(x, lw)
+        if not model.zero_mlp[l]:
+            x = x + _mlp(x, lw)
     return PrefillResult(hidden=x[:, -1].copy(), caches=caches, tokens=tokens)
 
 
@@ -439,10 +443,11 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
     This is the single decode path: plain decoding is the degenerate case
     with no payloads, so the two are bit-identical by construction.
 
-    A ``model.passthrough`` layer l >= ``l_comm`` sees only zero keys, so
-    every logit is 0 and its rows are ``float32(1/(n+1))``, the bits the
-    kernel writes; it writes those and skips the rest (its K/V are the store's
-    zeros, its residual updates +0.0).  Below ``l_comm`` it runs in full.
+    A ``model.passthrough`` layer's query is 0, so over a finite context its rows
+    are ``float32(1/w)``, w = n + 1 + the payload positions it joins; it writes
+    those and skips the rest (its K/V are the store's zeros, its updates ±0.0),
+    below ``l_comm`` only if every payload slice the flagged layers join is finite.
+    A ``model.zero_mlp`` MLP is skipped.  Exact for a finite x (README "Zero weight blocks").
     """
     cfg = model.config
     first, A, n = caches[0], len(caches), caches[0].length
@@ -453,12 +458,14 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
         raise ConfigError("decode requires a non-empty cache")
     if n >= first.capacity:
         raise ContextOverflowError(f"cache full at {n} positions")
-    depth = 0
+    depth, finite = 0, True
     if payloads:
         signatures = {tuple((p.l_comm, p.num_positions) for p in box) for box in payloads}
         if len(payloads) != A or len(signatures) != 1:
             raise ConfigError("a decode batch needs one payload list per agent, all of one signature")
         depth = max((l_comm for l_comm, _ in signatures.pop()), default=0)
+        finite = all(np.isfinite(a[l]).all() for l in range(depth) if model.passthrough[l]
+                     for box in payloads for p in box if l < p.l_comm for a in (p.keys, p.values))
     x = np.asarray(input_vec, dtype=np.float32)
     if x.shape != (A, cfg.model_dim):
         raise ConfigError(f"decode input must have shape {(A, cfg.model_dim)}")
@@ -473,9 +480,10 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
     new = ctx[:, :, :, n].reshape(2, L, A, H, dh).transpose(1, 2, 0, 3, 4)  # (L, A, 2, H, d_h) view
     rows_per_layer = []
     for l, lw in enumerate(model.layers):
-        if model.passthrough[l] and l >= depth:
-            r = np.empty((A * H, n + 1), np.float32) if rows is None else rows[l, :, : n + 1]
-            r[...] = 1.0 / (n + 1)  # rounded once to float32, as the kernel's division
+        if model.passthrough[l] and (l >= depth or finite):
+            w = n + 1 + (sum(p.num_positions for p in payloads[0] if l < p.l_comm) if l < depth else 0)
+            r = np.empty((A * H, w), np.float32) if rows is None else rows[l, :, :w]
+            r[...] = 1.0 / w  # rounded once to float32, as the kernel's division
             rows_per_layer.append(r)
             continue
         qkv = (x @ lw.w_qkv).reshape(A, 3, H, dh)
@@ -490,9 +498,10 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
                                        None if rows is None else rows[l, :, : keys.shape[1]])
         rows_per_layer.append(r)
         x += out.reshape(A, 1, d) @ lw.w_o
-        hidden = x @ lw.w_mlp1
-        np.maximum(hidden, 0.0, out=hidden)
-        x += hidden @ lw.w_mlp2
+        if not model.zero_mlp[l]:
+            hidden = x @ lw.w_mlp1
+            np.maximum(hidden, 0.0, out=hidden)
+            x += hidden @ lw.w_mlp2
 
     for c in caches:
         c.length = n + 1

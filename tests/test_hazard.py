@@ -5,6 +5,7 @@ import pytest
 
 from laco import kernels
 from laco.errors import ConfigError
+from laco.fusion import attach_payload, collaborative_decode
 from laco.ild import compute_alignment, deliberate
 from laco.model import (
     TOKEN_BRAKE,
@@ -23,6 +24,7 @@ from laco.model import (
     project_to_logits,
 )
 from laco.scenario import Simulation, builtin_scenario_path, load_scenario, observe
+from laco.wire import distill
 from reference import ref_decode_hiddens, ref_forward_decode, ref_prefill
 
 
@@ -59,15 +61,61 @@ class TestConstruction:
         assert a.layers[0].w_k.tobytes() == b.layers[0].w_k.tobytes()
 
 
+def occluded_1_decision(l_comm, full=False):
+    """forward_decode's arguments for a decision: occluded_1's model (with
+    every skip forced off if ``full``), its live agents' marker inputs, their
+    caches after one prefill and deliberation, and one inbox per agent holding
+    the others' payloads at ``l_comm`` layers."""
+    spec = load_scenario(builtin_scenario_path("occluded_1"))
+    sim = Simulation(spec, "LACO")
+    model, live = sim.model, sim.live_agents()
+    if full:
+        model = make_hazard_model(spec.model_config())
+        model.passthrough = model.zero_mlp = (False,) * model.config.num_layers
+    obs = np.stack([observe(sim.world, sim.agents, spec.hazards, aid, 0) for aid in live])
+    pre = prefill(model, obs)
+    deliberate(model, compute_alignment(model), pre.hidden, pre.caches, spec.m)
+    T, L = spec.observation_len, model.config.num_layers
+    sent = [distill(cache, T, range(0, T, 3), l_comm / L, sender_id=aid, frame_id=0)
+            for aid, cache in zip(live, pre.caches)]
+    inboxes = [[p for p in sent if p.sender_id != aid] for aid in live]
+    markers = model.w_in[[sim.agents[aid].spec.marker_token for aid in live]]
+    return model, markers, pre.caches, inboxes
+
+
+def count_kernel_calls(monkeypatch):
+    """Route both attention kernels through counters; returns the counts."""
+    calls = dict.fromkeys(("attend_causal", "attend_single"), 0)
+    for name in calls:
+        def counted(*args, name=name, kernel=getattr(kernels, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
 class TestPassthrough:
-    """The zero-weight middle layers are flagged, and prefill and decode call
-    no kernel for them."""
+    """The zero-weight middle layers and the last layer's zero MLP are flagged,
+    and prefill and decode call no kernel for the flagged layers."""
 
     @pytest.mark.parametrize("layers", [2, 3, 4, 6])
     def test_middle_layers_flagged(self, layers):
         flags = (False, *[True] * (layers - 2), False)
         assert make_hazard_model(hazard_config(layers)).passthrough == flags
         assert init_model(hazard_config(layers)).passthrough == (False,) * layers
+
+    @pytest.mark.parametrize("layers", [2, 3, 4, 6])
+    def test_last_layer_mlp_flagged(self, layers):
+        assert make_hazard_model(hazard_config(layers)).zero_mlp == (False,) + (True,) * (layers - 1)
+        assert init_model(hazard_config(layers)).zero_mlp == (False,) * layers
+
+    def test_flagged_mlp_is_read_only(self):
+        last = make_hazard_model(hazard_config(2)).layers[-1]
+        for w in (last.w_mlp1, last.w_mlp2):
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0] = 1.0
+        assert last.w_qkv.flags.writeable and last.w_o.flags.writeable
 
     def test_flagged_layers_call_no_kernel(self, monkeypatch):
         """On occluded_1's model an observation prefill calls attend_causal
@@ -77,19 +125,56 @@ class TestPassthrough:
         model, live = sim.model, sim.live_agents()
         L = model.config.num_layers
         assert model.passthrough == (False, *[True] * (L - 2), False) and L > 2
-        calls = dict.fromkeys(("attend_causal", "attend_single"), 0)
-        for name in calls:
-            def counted(*args, name=name, kernel=getattr(kernels, name)):
-                calls[name] += 1
-                return kernel(*args)
-
-            monkeypatch.setattr(kernels, name, counted)
+        calls = count_kernel_calls(monkeypatch)
         obs = np.stack([observe(sim.world, sim.agents, spec.hazards, aid, 0) for aid in live])
         pre = prefill(model, obs)
         assert calls == {"attend_causal": 1, "attend_single": 1}
         calls.update(attend_causal=0, attend_single=0)
         deliberate(model, compute_alignment(model), pre.hidden, pre.caches, 1)
         assert calls == {"attend_causal": 0, "attend_single": L - 2}
+
+    def test_finite_payload_layers_call_no_kernel(self, monkeypatch):
+        """A decision decode over full-depth payloads skips the flagged layers
+        that join them; a NaN in one payload's layer-1 slice runs them in full."""
+        model, markers, caches, inboxes = occluded_1_decision(l_comm=4)
+        assert model.config.num_layers == 4
+        calls = count_kernel_calls(monkeypatch)
+        forward_decode(model, markers, caches, inboxes)
+        assert calls["attend_single"] == 2
+        model, markers, caches, inboxes = occluded_1_decision(l_comm=4)
+        inboxes[0][0].keys[1, 0, 0, 0] = np.nan
+        calls["attend_single"] = 0
+        forward_decode(model, markers, caches, inboxes)
+        assert calls["attend_single"] == 4
+
+    @pytest.mark.parametrize("l_comm", [1, 4])
+    def test_nan_payload_ends_alike_on_both_paths(self, l_comm):
+        """A NaN in a received payload's layer-0 keys: the skipping and the full
+        path give the same NaN-aware hidden bits, bit-identical batch-mates, and
+        the same ConfigError from collaborative_decode."""
+
+        def poisoned(full):
+            args = occluded_1_decision(l_comm, full)
+            args[3][0][0].keys[0, 0, 0, 0] = np.nan  # agent 0's one payload
+            return args
+
+        clean = forward_decode(*occluded_1_decision(l_comm))
+        hiddens, errors = [], []
+        for full in (False, True):
+            hidden, rows = forward_decode(*poisoned(full))
+            H = len(rows[0]) // len(hidden)
+            assert np.isnan(hidden[0]).all()
+            assert hidden[1:].tobytes() == clean[0][1:].tobytes()
+            assert [r[H:].tobytes() for r in rows] == [r[H:].tobytes() for r in clean[1]]
+            hiddens.append(hidden)
+            model, markers, caches, inboxes = poisoned(full)
+            with pytest.raises(ConfigError) as err:
+                collaborative_decode(model, markers, attach_payload(caches, inboxes))
+            errors.append(str(err.value))
+        skip, full = hiddens
+        assert np.array_equal(np.isnan(skip), np.isnan(full))
+        assert skip[~np.isnan(skip)].tobytes() == full[~np.isnan(full)].tobytes()
+        assert errors[0] == errors[1] == "hidden vector must be finite"
 
 
 class TestPolicy:

@@ -323,22 +323,25 @@ class TestDecode:
         np.testing.assert_array_equal(cache.v[0, :, 3], (y @ lw.w_v).reshape(2, 4))
 
 
-def with_passthrough(config, zeroed):
-    """``init_model`` weights with the layers ``zeroed`` set to zero, as two
-    models on the same arrays: one skips those layers, one runs them in full."""
+def with_passthrough(config, zeroed=(), zeroed_mlp=()):
+    """``init_model`` weights with the layers ``zeroed`` set to zero and the
+    MLPs of ``zeroed_mlp``, as two models on the same arrays: one skips those
+    blocks, one runs them in full."""
     weights = init_model(config)
     for l in zeroed:
         lw = weights.layers[l]
-        for w in (lw.w_qkv, lw.w_o, lw.w_mlp1, lw.w_mlp2):
+        for w in (lw.w_qkv, lw.w_o):
             w[...] = 0.0
+    for l in {*zeroed, *zeroed_mlp}:
+        weights.layers[l].w_mlp1[...] = weights.layers[l].w_mlp2[...] = 0.0
     skip, full = (Model(config, weights.w_in, weights.w_out, weights.pos, weights.layers)
                   for _ in range(2))
-    full.passthrough = (False,) * config.num_layers
+    full.passthrough = full.zero_mlp = (False,) * config.num_layers
     return skip, full
 
 
 class TestPassthrough:
-    """A layer of all-zero weights is skipped, bit for bit."""
+    """A layer of all-zero weights, or an all-zero MLP, is skipped, bit for bit."""
 
     def run(self, model, l_comm, seed):
         """The bytes of a prefill, a prefix-reusing prefill, a deliberation, a
@@ -372,11 +375,22 @@ class TestPassthrough:
     @pytest.mark.parametrize("d", [16, 18, 22, 24, 32])
     def test_skip_matches_the_full_path(self, d, l_comm, seed):
         """Store, hidden states, traces, rows and tags equal the full path's.
-        At l_comm 2, flagged layer 1 joins the payloads and runs in full."""
+        At l_comm 2 and 4, flagged layers join the finite payloads and are skipped."""
         config = ModelConfig(num_layers=4, num_heads=2, model_dim=d, vocab_size=64,
                              max_context=64, seed=seed)
         skip, full = with_passthrough(config, zeroed=(1, 2))
-        assert skip.passthrough == (False, True, True, False)
+        assert skip.passthrough == skip.zero_mlp == (False, True, True, False)
+        assert self.run(skip, l_comm, seed) == self.run(full, l_comm, seed)
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("l_comm", [1, 4])
+    @pytest.mark.parametrize("d", [16, 18, 22, 24, 32])
+    def test_zero_mlp_skip_matches_the_full_path(self, d, l_comm, seed):
+        """With only the last layer's MLP zeroed, its skip changes no byte."""
+        config = ModelConfig(num_layers=4, num_heads=2, model_dim=d, vocab_size=64,
+                             max_context=64, seed=seed)
+        skip, full = with_passthrough(config, zeroed_mlp=(3,))
+        assert skip.passthrough == (False,) * 4 and skip.zero_mlp == (False, False, False, True)
         assert self.run(skip, l_comm, seed) == self.run(full, l_comm, seed)
 
     def test_flagged_weights_are_read_only(self):

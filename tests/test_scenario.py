@@ -366,7 +366,7 @@ def test_prefix_reuse_changes_no_output(monkeypatch, tmp_path, model_dim):
 @pytest.mark.parametrize("model_dim", [16, 18, 22])
 def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, model_dim):
     """Every shipped layout under every paradigm gives the same metrics rows,
-    telemetry and payload bytes as a run through its zero-weight layers."""
+    telemetry and payload bytes as a run through its zero-weight layers and MLPs."""
     calls = []
 
     def counted(*args, kernel=kernels.attend_single):
@@ -375,7 +375,7 @@ def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, model_dim):
 
     def full_model(config, make=sc.make_hazard_model):
         model = make(config)
-        model.passthrough = (False,) * config.num_layers
+        model.passthrough = model.zero_mlp = (False,) * config.num_layers
         return model
 
     monkeypatch.setattr(kernels, "attend_single", counted)
