@@ -464,8 +464,10 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
         if len(payloads) != A or len(signatures) != 1:
             raise ConfigError("a decode batch needs one payload list per agent, all of one signature")
         depth = max((l_comm for l_comm, _ in signatures.pop()), default=0)
+        # A sender's one Payload sits in every peer's inbox: check each once.
+        sent = {id(p): p for box in payloads for p in box}.values()
         finite = all(np.isfinite(a[l]).all() for l in range(depth) if model.passthrough[l]
-                     for box in payloads for p in box if l < p.l_comm for a in (p.keys, p.values))
+                     for p in sent if l < p.l_comm for a in (p.keys, p.values))
     x = np.asarray(input_vec, dtype=np.float32)
     if x.shape != (A, cfg.model_dim):
         raise ConfigError(f"decode input must have shape {(A, cfg.model_dim)}")

@@ -16,7 +16,7 @@ import functools
 import itertools
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,25 +100,25 @@ class HazardSpec:
         return self.enter <= tick < self.clear
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
-    name: str
+    name: str = "unnamed"
     grid: tuple
     agents: tuple
     hazards: tuple
-    paradigm: str
-    seed: int
-    m: int
-    rho: float
-    l_comm_fraction: float
+    paradigm: str = "LACO"
+    seed: int = 0
+    m: int = 10
+    rho: float = 0.3
+    l_comm_fraction: float = 0.10
     channel: ChannelConfig
-    cell_size_m: float
-    tick_budget: int
-    blocked_after: int
-    model_layers: int
-    model_heads: int
-    model_dim: int
-    vocab_size: int
+    cell_size_m: float = 10.0
+    tick_budget: int = 200
+    blocked_after: int = 10
+    model_layers: int = 4
+    model_heads: int = 2
+    model_dim: int = 16
+    vocab_size: int = 16
 
     @property
     def rows(self) -> int:
@@ -146,21 +146,10 @@ class ScenarioSpec:
         )
 
 
+# Scalar keys: the ScenarioSpec fields with a default, and channel_<ChannelConfig field>.
 _DEFAULTS = {
-    "name": "unnamed",
-    "paradigm": "LACO",
-    "seed": 0,
-    "m": 10,
-    "rho": 0.3,
-    "l_comm_fraction": 0.10,
-    "cell_size_m": 10.0,
-    "tick_budget": 200,
-    "blocked_after": 10,
+    **{f.name: f.default for f in fields(ScenarioSpec) if f.default is not MISSING},
     **{f"channel_{f.name}": f.default for f in fields(ChannelConfig)},
-    "model_layers": 4,
-    "model_heads": 2,
-    "model_dim": 16,
-    "vocab_size": 16,
 }
 
 _HAZARD_FIELDS = {"lane", "path", "hide", "appear", "enter", "clear"}
@@ -392,6 +381,8 @@ def layout_world(grid: tuple, cell_size_m: float) -> World:
 
 @dataclass
 class AgentState:
+    """One agent's episode state; once the episode ends, its row of the metrics."""
+
     spec: AgentSpec
     route_idx: int = 0
     done: bool = False
@@ -399,8 +390,18 @@ class AgentState:
     forward_passes: int = 0
     decoded_tokens: int = 0
     brake_ticks: int = 0
+    comm_bytes_sent: int = 0
+    comm_latency_s: float = 0  # int until a delivery adds a float: metric digests tell 0 from 0.0
     infractions: Counter = field(default_factory=Counter)
     _hit_hazards: set = field(default_factory=set)
+
+    @property
+    def agent_id(self) -> int:
+        return self.spec.agent_id
+
+    @property
+    def lane(self) -> str:
+        return self.spec.lane
 
     @property
     def cell(self) -> tuple:
@@ -409,6 +410,14 @@ class AgentState:
     @property
     def route_completion(self) -> float:
         return 100.0 * self.route_idx / (len(self.spec.route) - 1)
+
+    @property
+    def infraction_score(self) -> float:
+        return infraction_score(self.infractions)
+
+    @property
+    def driving_score(self) -> float:
+        return self.route_completion * self.infraction_score
 
 
 def observe(world: World, agents, hazards, agent_id: int, tick: int):
@@ -444,26 +453,11 @@ def infraction_score(counts) -> float:
 
 
 @dataclass
-class AgentMetrics:
-    agent_id: int
-    lane: str
-    route_completion: float
-    infractions: dict
-    infraction_score: float
-    driving_score: float
-    forward_passes: int
-    decoded_tokens: int
-    brake_ticks: int
-    comm_bytes_sent: int
-    comm_latency_s: float
-
-
-@dataclass
 class EpisodeResult:
     scenario: str
     paradigm: str
     ticks: int
-    agents: dict
+    agents: dict           # agent_id -> final AgentState, ascending id
     comm_bytes_total: int
     comm_latency_total_s: float
     actions: list          # (tick, agent_id, action_name)
@@ -487,8 +481,6 @@ class Simulation:
         self.tick = 0
         self.comm_bytes = 0
         self.comm_latency = 0.0
-        self.sent_bytes = Counter()
-        self.sent_latency = Counter()
         self.actions = []
         self.telemetry = []
         self.payload_bytes = []
@@ -651,8 +643,8 @@ def run_tick(sim: Simulation):
             size = msg.size_bytes()
             sim.comm_bytes += size
             sim.comm_latency += res.latency_s
-            sim.sent_bytes[sender] += size
-            sim.sent_latency[sender] += res.latency_s
+            sim.agents[sender].comm_bytes_sent += size
+            sim.agents[sender].comm_latency_s += res.latency_s
         if not isinstance(msg, LanguageMessage):
             sim.payload_bytes.append((t, sender, serialize(msg)))
 
@@ -728,29 +720,11 @@ def run_episode(spec: ScenarioSpec, paradigm: str | None = None) -> EpisodeResul
             agent.infractions["timeout"] += 1
             agent.done = True
 
-    agents = {}
-    for aid in sorted(sim.agents):
-        agent = sim.agents[aid]
-        rc = agent.route_completion
-        is_ = infraction_score(agent.infractions)
-        agents[aid] = AgentMetrics(
-            agent_id=aid,
-            lane=agent.spec.lane,
-            route_completion=rc,
-            infractions=dict(sorted(agent.infractions.items())),
-            infraction_score=is_,
-            driving_score=rc * is_,
-            forward_passes=agent.forward_passes,
-            decoded_tokens=agent.decoded_tokens,
-            brake_ticks=agent.brake_ticks,
-            comm_bytes_sent=sim.sent_bytes[aid],
-            comm_latency_s=sim.sent_latency[aid],
-        )
     return EpisodeResult(
         scenario=spec.name,
         paradigm=sim.paradigm,
         ticks=sim.tick,
-        agents=agents,
+        agents={aid: sim.agents[aid] for aid in sorted(sim.agents)},
         comm_bytes_total=sim.comm_bytes,
         comm_latency_total_s=sim.comm_latency,
         actions=sim.actions,
@@ -772,10 +746,9 @@ METRIC_COLUMNS = (
 def metrics_rows(result: EpisodeResult):
     """Flatten an episode into per-agent CSV rows (METRIC_COLUMNS order)."""
     rows = []
-    for aid in sorted(result.agents):
-        a = result.agents[aid]
+    for a in result.agents.values():
         rows.append((
-            result.scenario, result.paradigm, aid, a.lane, a.route_completion,
+            result.scenario, result.paradigm, a.agent_id, a.lane, a.route_completion,
             a.infraction_score, 1.0 - a.infraction_score, a.driving_score,
             a.infractions.get("collision_pedestrian", 0),
             a.infractions.get("collision_vehicle", 0),

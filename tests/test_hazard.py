@@ -1,5 +1,7 @@
 """Behavioral contract of the handcrafted hazard-braking model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from laco.model import (
     prefill,
     project_to_logits,
 )
-from laco.scenario import Simulation, builtin_scenario_path, load_scenario, observe
+from laco.scenario import AgentSpec, Simulation, builtin_scenario_path, load_scenario, observe
 from laco.wire import distill
 from reference import ref_decode_hiddens, ref_forward_decode, ref_prefill
 
@@ -61,12 +63,16 @@ class TestConstruction:
         assert a.layers[0].w_k.tobytes() == b.layers[0].w_k.tobytes()
 
 
-def occluded_1_decision(l_comm, full=False):
+def occluded_1_decision(l_comm, full=False, agents=2):
     """forward_decode's arguments for a decision: occluded_1's model (with
     every skip forced off if ``full``), its live agents' marker inputs, their
     caches after one prefill and deliberation, and one inbox per agent holding
-    the others' payloads at ``l_comm`` layers."""
+    the others' payloads at ``l_comm`` layers.  ``agents=3`` adds a lane-B
+    agent on row 1; the model stays the same."""
     spec = load_scenario(builtin_scenario_path("occluded_1"))
+    if agents == 3:
+        row_1 = AgentSpec(agent_id=2, lane="B", route=tuple((1, c) for c in range(spec.cols)))
+        spec = replace(spec, agents=spec.agents + (row_1,))
     sim = Simulation(spec, "LACO")
     model, live = sim.model, sim.live_agents()
     if full:
@@ -135,17 +141,22 @@ class TestPassthrough:
 
     def test_finite_payload_layers_call_no_kernel(self, monkeypatch):
         """A decision decode over full-depth payloads skips the flagged layers
-        that join them; a NaN in one payload's layer-1 slice runs them in full."""
-        model, markers, caches, inboxes = occluded_1_decision(l_comm=4)
-        assert model.config.num_layers == 4
+        that join them; a NaN in one payload's layer-1 slice runs them in full,
+        also when that payload sits in two inboxes (A = 3)."""
         calls = count_kernel_calls(monkeypatch)
-        forward_decode(model, markers, caches, inboxes)
-        assert calls["attend_single"] == 2
-        model, markers, caches, inboxes = occluded_1_decision(l_comm=4)
-        inboxes[0][0].keys[1, 0, 0, 0] = np.nan
-        calls["attend_single"] = 0
-        forward_decode(model, markers, caches, inboxes)
-        assert calls["attend_single"] == 4
+        for agents in (2, 3):
+            model, markers, caches, inboxes = occluded_1_decision(l_comm=4, agents=agents)
+            assert model.config.num_layers == 4
+            calls["attend_single"] = 0
+            forward_decode(model, markers, caches, inboxes)
+            assert calls["attend_single"] == 2
+            model, markers, caches, inboxes = occluded_1_decision(l_comm=4, agents=agents)
+            poisoned = inboxes[0][0]
+            assert sum(any(p is poisoned for p in box) for box in inboxes) == agents - 1
+            poisoned.keys[1, 0, 0, 0] = np.nan
+            calls["attend_single"] = 0
+            forward_decode(model, markers, caches, inboxes)
+            assert calls["attend_single"] == 4
 
     @pytest.mark.parametrize("l_comm", [1, 4])
     def test_nan_payload_ends_alike_on_both_paths(self, l_comm):

@@ -80,6 +80,23 @@ class TestParser:
         assert spec.agents[0].lane == "A"
         assert spec.hazards[0].hide_cell == (1, 4)
 
+    def test_unset_scalars_take_their_documented_defaults(self):
+        """The README's defaults, each of its own type; an int written for a float key is a float."""
+        text = "\n".join(line for line in MINI.splitlines()
+                         if line.partition("=")[0].strip() not in sc._DEFAULTS)
+        spec = sc.parse_scenario(text)
+        want = {"name": "unnamed", "paradigm": "LACO", "seed": 0, "m": 10, "rho": 0.3,
+                "l_comm_fraction": 0.1, "cell_size_m": 10.0, "tick_budget": 200,
+                "blocked_after": 10, "model_layers": 4, "model_heads": 2, "model_dim": 16,
+                "vocab_size": 16, "channel_range_m": 200.0,
+                "channel_bandwidth_bytes_per_s": 1e6, "channel_base_latency_s": 0.01}
+        assert want.keys() == sc._DEFAULTS.keys()
+        got = {key: getattr(spec.channel, key.removeprefix("channel_"))
+               if key.startswith("channel_") else getattr(spec, key) for key in want}
+        assert [(v, type(v)) for v in got.values()] == [(v, type(v)) for v in want.values()]
+        rho = sc.parse_scenario(text + "\nrho = 1").rho
+        assert rho == 1.0 and type(rho) is float
+
     def test_builtins_parse(self):
         for name in sc.builtin_scenario_names():
             spec = sc.load_scenario(sc.builtin_scenario_path(name))
@@ -416,6 +433,14 @@ class TestInfractionScore:
 
     def test_empty_is_one(self):
         assert sc.infraction_score({}) == 1.0
+
+    def test_an_agent_multiplies_in_the_order_of_its_infractions(self):
+        """A float product depends on its order; the score is not taken over a sorted copy."""
+        agent = sc.AgentState(spec=mini_spec().agents[0])
+        for name in ("red_light", "collision_vehicle", "collision_static"):
+            agent.infractions[name] += 1
+        assert agent.infraction_score == 0.7 * 0.6 * 0.65
+        assert agent.infraction_score != 0.65 * 0.6 * 0.7
 
 
 class TestSweep:
