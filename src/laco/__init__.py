@@ -2,8 +2,8 @@
 
 Pipeline: prefill -> iterative latent deliberation -> saliency pruning ->
 shallow-layer truncation -> simulated V2V channel -> asymmetric fusion at the
-receiver, embedded in a deterministic two-agent gridworld with benchmark-style
-scoring and attention diagnostics.
+receiver, embedded in a deterministic multi-agent gridworld with
+benchmark-style scoring and attention diagnostics.
 """
 
 from .chsa import SaliencyVector, saliency_scores, select_topk
@@ -21,7 +21,6 @@ from .model import (
     project_to_logits,
 )
 from .scenario import (
-    EpisodeResult,
     ScenarioSpec,
     Simulation,
     builtin_scenario_names,

@@ -1,4 +1,4 @@
-"""Two-agent occluded-hazard gridworld with pluggable communication paradigms.
+"""Multi-agent occluded-hazard gridworld with pluggable communication paradigms.
 
 The world is a small grid of road/obstacle cells.  Each agent follows a fixed
 waypoint route; hazards are pedestrians that may first stand in a hiding cell
@@ -119,6 +119,9 @@ class ScenarioSpec:
     model_heads: int = 2
     model_dim: int = 16
     vocab_size: int = 16
+
+    def __post_init__(self):
+        _validate_spec(self)  # every construction checks, replace included
 
     @property
     def rows(self) -> int:
@@ -248,9 +251,6 @@ def parse_scenario(text: str) -> ScenarioSpec:
             raise ScenarioError(f"agent {agent_id} route must start at its start cell")
         agents.append(AgentSpec(agent_id=agent_id, lane=lane, route=route))
 
-    if values["paradigm"] not in PARADIGMS:
-        raise ScenarioError(f"unknown paradigm {values['paradigm']!r}")
-
     # ``channel_<field>`` sets ChannelConfig.<field>; every other key is a ScenarioSpec field.
     link = {key.removeprefix("channel_"): v
             for key, v in values.items() if key.startswith("channel_")}
@@ -258,18 +258,18 @@ def parse_scenario(text: str) -> ScenarioSpec:
         channel = ChannelConfig(**link)
     except ConfigError as exc:
         raise ScenarioError(f"channel: {exc}") from exc
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         grid=tuple(grid_rows),
         agents=tuple(agents),
         hazards=tuple(hazards),
         channel=channel,
         **{key: v for key, v in values.items() if not key.startswith("channel_")},
     )
-    _validate_spec(spec)
-    return spec
 
 
 def _validate_spec(spec: ScenarioSpec):
+    if spec.paradigm not in PARADIGMS:
+        raise ScenarioError(f"unknown paradigm {spec.paradigm!r}")
     # The bounds deliberate, saliency_scores and distill enforce at run time.
     if spec.m < 0:
         raise ScenarioError(f"m must be >= 0, got {spec.m}")
@@ -452,38 +452,26 @@ def infraction_score(counts) -> float:
     return score
 
 
-@dataclass
-class EpisodeResult:
-    scenario: str
-    paradigm: str
-    ticks: int
-    agents: dict           # agent_id -> final AgentState, ascending id
-    comm_bytes_total: int
-    comm_latency_total_s: float
-    actions: list          # (tick, agent_id, action_name)
-    telemetry: list        # TraceRecord / DecisionRecord
-    payload_bytes: list    # (tick, sender_id, bytes) serialized payloads
-
-
 class Simulation:
-    """Mutable episode state; stepped tick by tick by :func:`run_tick`."""
+    """Mutable episode state, stepped tick by tick by :func:`run_tick`; once
+    :func:`run_episode` finishes it, the episode's record."""
 
     def __init__(self, spec: ScenarioSpec, paradigm: str | None = None):
-        self.spec = spec
-        self.paradigm = paradigm or spec.paradigm
-        if self.paradigm not in PARADIGMS:
-            raise ScenarioError(f"unknown paradigm {self.paradigm!r}")
-        self.send, self.receive = _PARADIGM_TABLE[self.paradigm]
+        # spec.paradigm is the paradigm that runs; replace checks it.
+        self.spec = spec = replace(spec, paradigm=paradigm) if paradigm else spec
+        self.send, self.receive = _PARADIGM_TABLE[spec.paradigm]
         self.world = layout_world(spec.grid, spec.cell_size_m)
-        self.agents = {a.agent_id: AgentState(spec=a) for a in spec.agents}
+        # Ascending id, however the spec lists its agents.
+        self.agents = {a.agent_id: AgentState(spec=a)
+                       for a in sorted(spec.agents, key=lambda a: a.agent_id)}
         # Every agent runs the same weights; run_tick counts each agent's passes.
         self.model = make_hazard_model(spec.model_config())
-        self.tick = 0
-        self.comm_bytes = 0
-        self.comm_latency = 0.0
-        self.actions = []
-        self.telemetry = []
-        self.payload_bytes = []
+        self.ticks = 0  # ticks run; the current tick while one runs
+        self.comm_bytes_total = 0
+        self.comm_latency_total_s = 0.0
+        self.actions = []          # (tick, agent_id, action_name)
+        self.telemetry = []        # TraceRecord / DecisionRecord
+        self.payload_bytes = []    # (tick, sender_id, bytes) serialized payloads
         self._warned_m0 = False
         self._prefills = {}  # (agents, T) -> that group's last PrefillResult
         self._tick_prefills = []  # (agents, PrefillResult) of every prefill run this tick
@@ -524,20 +512,15 @@ def _send_tokens(sim: Simulation, live, pre):
         h, _ = model_module.forward_decode(model, model.w_in[ids[step]], pre.caches)
     for aid in live:
         sim.agents[aid].decoded_tokens += sim.spec.m
-    return [LanguageMessage(sender_id=aid, frame_id=sim.tick, token_ids=tuple(ids[:, i].tolist()))
+    return [LanguageMessage(sender_id=aid, frame_id=sim.ticks, token_ids=tuple(ids[:, i].tolist()))
             for i, aid in enumerate(live)]
-
-
-def _send_cache(sim: Simulation, aid: int, cache, indices, l_comm_fraction: float):
-    """Payload of the selected prefill positions plus every latent one."""
-    return distill(cache, sim.spec.observation_len, indices, l_comm_fraction,
-                   sender_id=aid, frame_id=sim.tick)
 
 
 def _send_visual(sim: Simulation, live, pre):
     """Visual: each whole prefill cache at full depth."""
-    every = range(sim.spec.observation_len)
-    return [_send_cache(sim, aid, cache, every, 1.0) for aid, cache in zip(live, pre.caches)]
+    T = sim.spec.observation_len
+    return [distill(cache, T, range(T), 1.0, sender_id=aid, frame_id=sim.ticks)
+            for aid, cache in zip(live, pre.caches)]
 
 
 def _deliberate(sim: Simulation, live, pre):
@@ -545,7 +528,7 @@ def _deliberate(sim: Simulation, live, pre):
     delib = deliberate(sim.model, compute_alignment(sim.model), pre.hidden, pre.caches, sim.spec.m)
     if delib.steps > 0:
         for aid, trace in zip(live, delib.traces):
-            sim.telemetry.append(TraceRecord(tick=sim.tick, agent=aid, trace=trace))
+            sim.telemetry.append(TraceRecord(tick=sim.ticks, agent=aid, trace=trace))
     return delib
 
 
@@ -567,7 +550,8 @@ def _send_laco(sim: Simulation, live, pre):
     messages = []
     for aid, cache, trace in zip(live, pre.caches, delib.traces):
         indices = select_topk(saliency_scores(trace, spec.observation_len, spec.rho))
-        messages.append(_send_cache(sim, aid, cache, indices, spec.l_comm_fraction))
+        messages.append(distill(cache, spec.observation_len, indices, spec.l_comm_fraction,
+                                sender_id=aid, frame_id=sim.ticks))
     return messages
 
 
@@ -615,7 +599,7 @@ def run_tick(sim: Simulation):
     """Advance the simulation one tick; returns {agent_id: action_token}."""
     spec = sim.spec
     live = sim.live_agents()
-    t = sim.tick
+    t = sim.ticks
 
     observations = {aid: observe(sim.world, sim.agents, spec.hazards, aid, t) for aid in live}
     pre = _prefill(sim, np.stack([observations[aid] for aid in live]), live)
@@ -641,8 +625,8 @@ def run_tick(sim: Simulation):
                 continue
             inboxes[receiver].append(msg)
             size = msg.size_bytes()
-            sim.comm_bytes += size
-            sim.comm_latency += res.latency_s
+            sim.comm_bytes_total += size
+            sim.comm_latency_total_s += res.latency_s
             sim.agents[sender].comm_bytes_sent += size
             sim.agents[sender].comm_latency_s += res.latency_s
         if not isinstance(msg, LanguageMessage):
@@ -706,31 +690,22 @@ def run_tick(sim: Simulation):
                 agent.infractions["timeout"] += 1
                 agent.done = True
 
-    sim.tick += 1
+    sim.ticks += 1
     return actions
 
 
-def run_episode(spec: ScenarioSpec, paradigm: str | None = None) -> EpisodeResult:
-    """Run ticks until every agent finishes or the budget expires."""
+def run_episode(spec: ScenarioSpec, paradigm: str | None = None) -> Simulation:
+    """Run ticks until every agent finishes or the budget expires; return the
+    finished Simulation."""
     sim = Simulation(spec, paradigm)
-    while not sim.all_done() and sim.tick < spec.tick_budget:
+    while not sim.all_done() and sim.ticks < spec.tick_budget:
         run_tick(sim)
-    for aid, agent in sim.agents.items():
+    for agent in sim.agents.values():
         if not agent.done:
             agent.infractions["timeout"] += 1
             agent.done = True
-
-    return EpisodeResult(
-        scenario=spec.name,
-        paradigm=sim.paradigm,
-        ticks=sim.tick,
-        agents={aid: sim.agents[aid] for aid in sorted(sim.agents)},
-        comm_bytes_total=sim.comm_bytes,
-        comm_latency_total_s=sim.comm_latency,
-        actions=sim.actions,
-        telemetry=sim.telemetry,
-        payload_bytes=sim.payload_bytes,
-    )
+    sim._prefills.clear()  # a held result keeps no prefix-reuse store
+    return sim
 
 
 METRIC_COLUMNS = (
@@ -743,12 +718,12 @@ METRIC_COLUMNS = (
 )
 
 
-def metrics_rows(result: EpisodeResult):
-    """Flatten an episode into per-agent CSV rows (METRIC_COLUMNS order)."""
+def metrics_rows(result: Simulation):
+    """Flatten a finished episode into per-agent CSV rows (METRIC_COLUMNS order)."""
     rows = []
     for a in result.agents.values():
         rows.append((
-            result.scenario, result.paradigm, a.agent_id, a.lane, a.route_completion,
+            result.spec.name, result.spec.paradigm, a.agent_id, a.lane, a.route_completion,
             a.infraction_score, 1.0 - a.infraction_score, a.driving_score,
             a.infractions.get("collision_pedestrian", 0),
             a.infractions.get("collision_vehicle", 0),
@@ -776,9 +751,8 @@ def sweep(param: str, values, specs, paradigm: str | None = None):
         values = [cast(v) for v in values]
     except ValueError as exc:
         raise ScenarioError(f"bad {param} value: {exc}") from exc
+    # Each replace checks its spec, so a bad value fails before any episode runs.
     runs = [(value, replace(spec, **{param: value})) for value in values for spec in specs]
-    for _, spec in runs:
-        _validate_spec(spec)
     rows = []
     for value, spec in runs:
         for row in metrics_rows(run_episode(spec, paradigm)):

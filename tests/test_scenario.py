@@ -148,6 +148,23 @@ class TestParser:
         with pytest.raises(ScenarioError, match=match):
             sc.parse_scenario(MINI + line + "\n")
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("m", -1, "m must be >= 0"),
+        ("rho", 0.0, "rho must be in"),
+        ("paradigm", "Telepathy", "unknown paradigm"),
+    ])
+    def test_replace_checks_the_new_spec(self, key, value, match):
+        with pytest.raises(ScenarioError, match=match):
+            replace(mini_spec(), **{key: value})
+
+    def test_simulation_rejects_an_unknown_paradigm(self):
+        with pytest.raises(ScenarioError, match="unknown paradigm 'Telepathy'"):
+            sc.Simulation(mini_spec(), "Telepathy")
+
+    def test_simulation_spec_holds_the_paradigm_that_runs(self):
+        assert sc.Simulation(mini_spec(), "Visual").spec.paradigm == "Visual"
+        assert sc.Simulation(mini_spec()).spec.paradigm == "LACO"
+
     @given(mutated_scenario())
     @settings(max_examples=100, deadline=1000)
     def test_fuzzed_text_parses_or_raises_scenario_error(self, text):
@@ -337,6 +354,10 @@ class TestEpisodes:
         assert r.agents[0].infractions.get("timeout") == 1
         assert r.agents[0].route_completion < 100.0
 
+    def test_finished_episode_keeps_no_prefix_store(self):
+        """A held result does not pin the prefill stores kept for prefix reuse."""
+        assert sc.run_episode(mini_spec(), "LACO")._prefills == {}
+
     def test_tick_budget_timeout(self):
         spec = mini_spec(tick_budget=2)
         r = sc.run_episode(spec, "NonCollab")
@@ -418,7 +439,7 @@ def test_episodes_stepped_in_turn_share_one_model(monkeypatch, tmp_path):
     sims = {p: sc.Simulation(spec, p) for p in paradigms}
     for sim in sims.values():
         sim.model = sims["LACO"].model
-    while live := [s for s in sims.values() if not s.all_done() and s.tick < spec.tick_budget]:
+    while live := [s for s in sims.values() if not s.all_done() and s.ticks < spec.tick_budget]:
         for sim in live:
             sc.run_tick(sim)
     # run_episode then only closes each stepped episode: no tick is left to run.
@@ -534,3 +555,13 @@ class TestFourAgents:
         assert result.agents[0].driving_score == (100.0 if shares_cache else 50.0)
         if paradigm == "Language":
             assert result.comm_bytes_total > 0
+
+    def test_agents_listed_out_of_order_report_in_ascending_id(self):
+        spec = sc.parse_scenario(FOUR_AGENTS)
+        descending = replace(spec, agents=spec.agents[::-1])
+        assert [a.agent_id for a in descending.agents] == [3, 2, 1, 0]
+        result = sc.run_episode(descending, "LACO")
+        assert list(result.agents) == [0, 1, 2, 3]
+        rows = sc.metrics_rows(result)
+        assert [row[sc.METRIC_COLUMNS.index("agent")] for row in rows] == [0, 1, 2, 3]
+        assert rows == sc.metrics_rows(sc.run_episode(spec, "LACO"))
