@@ -50,7 +50,8 @@ MIN_HAZARD_VOCAB = 14
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model dimensions plus the seed that fully determines random weights."""
+    """Model dimensions plus the seed that fully determines random weights.
+    Each ``ConfigError`` here and in :func:`check_hazard_config` begins with its field."""
 
     num_layers: int
     num_heads: int
@@ -60,8 +61,9 @@ class ModelConfig:
     seed: int
 
     def __post_init__(self):
-        if min(self.num_layers, self.num_heads, self.model_dim, self.vocab_size, self.max_context) <= 0:
-            raise ConfigError("all dimensions must be positive")
+        for name in ("num_layers", "num_heads", "model_dim", "vocab_size", "max_context"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}"
@@ -173,6 +175,16 @@ _EVIDENCE = 2.0     # amplitude of imported hazard evidence
 _GATE_BIAS = 3.0    # AND-gate threshold, paid out of the constant channel
 
 
+def check_hazard_config(cfg: ModelConfig):
+    """Raise ``ConfigError`` if :func:`make_hazard_model` cannot build ``cfg``'s weights."""
+    if cfg.num_heads < 2:
+        raise ConfigError("num_heads must be >= 2 for the hazard construction")
+    if cfg.head_dim < 4:
+        raise ConfigError("model_dim must be >= 4 per head for the hazard construction")
+    if cfg.vocab_size < MIN_HAZARD_VOCAB:
+        raise ConfigError(f"vocab_size must be >= {MIN_HAZARD_VOCAB} for the hazard construction")
+
+
 def make_hazard_model(config: ModelConfig) -> Model:
     """Analytic weights implementing an occluded-hazard braking policy.
 
@@ -212,13 +224,7 @@ def make_hazard_model(config: ModelConfig) -> Model:
     ``zero_mlp`` flag them, and prefill and decode skip them (at L = 4, half of every pass).
     """
     cfg = config
-    if cfg.head_dim < 4:
-        raise ConfigError("hazard construction needs head_dim >= 4")
-    if cfg.num_heads < 2:
-        raise ConfigError("hazard construction needs at least 2 heads")
-    if cfg.vocab_size < MIN_HAZARD_VOCAB:
-        raise ConfigError(f"hazard construction needs vocab_size >= {MIN_HAZARD_VOCAB}")
-
+    check_hazard_config(cfg)
     d = cfg.model_dim
     dh = cfg.head_dim
     d_ff = 2 * d
@@ -286,9 +292,12 @@ class KVCache:
     Positions are append-only: existing entries are never mutated, only new
     ones committed, so a later :func:`prefill` may copy a prefix of the store.
     Pruning copies selected positions out (:func:`laco.wire.distill`).
+    ``nonzero`` (L, rows), shared by the store's caches, is False at [l, r] only if
+    row r's K/V at layer l are all exactly zero: :func:`prefill` sets it and each
+    decode ORs in its new position; a cache made otherwise has all True ("may be non-zero").
     """
 
-    def __init__(self, config: ModelConfig, store: np.ndarray, row: int):
+    def __init__(self, config: ModelConfig, store: np.ndarray, row: int, nonzero=None):
         H = config.num_heads
         self.config = config
         self.store = store
@@ -296,6 +305,7 @@ class KVCache:
         self.k = store[0, :, row * H : (row + 1) * H]
         self.v = store[1, :, row * H : (row + 1) * H]
         self.prefill_len = self.length = 0
+        self.nonzero = np.ones((config.num_layers, store.shape[2] // H), bool) if nonzero is None else nonzero
 
     @property
     def capacity(self) -> int:
@@ -365,13 +375,19 @@ def rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ w)[..., 0, :]
 
 
+def _zero_context(flagged: bool, slices=()) -> bool:
+    """Whether attention reads only exact zeros: no ``flagged`` store row, no non-zero
+    entry in a payload slice (NaN and inf count, so a poisoned context runs in full)."""
+    return not flagged and not any(s.any() for s in slices)
+
+
 def prefill(model: Model, tokens, prev=None) -> PrefillResult:
     """Causal forward pass over a batch of token sequences, populating fresh caches.
 
     ``tokens`` is an (A, T) batch, run as one pass with the rows folded into
     the head axis of one store.  Returns the (A, d) last hidden states and A
-    cache views of length T.  ``prev``, an earlier prefill of this (A, T) shape
-    (any other runs in full), lends its store's K/V below the first position p0
+    cache views of length T.  ``prev``, an earlier prefill of this model and (A, T)
+    shape (any other runs in full), lends its store's K/V below the first position p0
     where a row's token changed (a position's K/V depends only on its row's
     tokens up to it); the layers run over p0 .. T-1 (no change: ``prev.hidden``).  p0 is
     capped at T-2 and the last layer, which attends for T-1 only, keeps
@@ -379,6 +395,8 @@ def prefill(model: Model, tokens, prev=None) -> PrefillResult:
     A ``model.passthrough`` layer is skipped: its K/V would be ``x @ 0 = +0.0``,
     the store's own zeros, and its residual updates ``+0.0``, which leave x as it is;
     so is a ``model.zero_mlp`` MLP, whose update ``relu(x @ 0) @ 0`` is ±0.0.
+    One ``.any()`` per layer over the K/V of [0, T), prefix included, sets ``nonzero``; a layer
+    with no row flagged skips attention and ``w_o``, whose update is ±0.0 for a finite query.
     """
     cfg = model.config
     tokens = np.array(tokens, dtype=np.int64)  # a copy: ``prev.tokens`` must not change
@@ -393,7 +411,8 @@ def prefill(model: Model, tokens, prev=None) -> PrefillResult:
     L, H, dh, d = cfg.num_layers, cfg.num_heads, cfg.head_dim, cfg.model_dim
     store = np.zeros((2, L, A * H, cfg.max_context, dh), dtype=np.float64)
     kv_by_agent = store.reshape(2, L, A, H, cfg.max_context, dh)  # a view, for the K/V writes
-    caches = [KVCache(cfg, store, row) for row in range(A)]
+    nonzero = np.zeros((L, A), bool)  # a passthrough layer's K/V are the store's zeros
+    caches = [KVCache(cfg, store, row, nonzero) for row in range(A)]
     for cache in caches:
         cache.prefill_len = cache.length = T
     p0 = 0
@@ -402,6 +421,7 @@ def prefill(model: Model, tokens, prev=None) -> PrefillResult:
         p0 = max(0, min(int(changed[0]), T - 2)) if changed.size else T
         store[:, :, :, :p0] = prev.caches[0].store[:, :, :, :p0]  # append-only below T
         if p0 == T:
+            nonzero[...] = kv_by_agent[:, :, :, :, :T].any(axis=(0, 3, 4, 5))
             return PrefillResult(hidden=prev.hidden.copy(), caches=caches, tokens=tokens)
     S = T - p0
 
@@ -414,13 +434,15 @@ def prefill(model: Model, tokens, prev=None) -> PrefillResult:
             continue
         kv_by_agent[0, l, :, :, p0:T] = split(x @ lw.w_k)
         kv_by_agent[1, l, :, :, p0:T] = split(x @ lw.w_v)
-        q, k, v = split(x @ lw.w_q).reshape(A * H, S, dh), store[0, l, :, :T], store[1, l, :, :T]
-        if l < L - 1:
-            out, _ = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
-        else:  # only position T-1 leaves the last layer: its other rows stay zero
-            out = np.zeros_like(q)
-            out[:, -1], _ = kernels.attend_single(k, v, q[:, -1], model.inv_sqrt_head_dim)
-        x = x + out.reshape(A, H, S, dh).transpose(0, 2, 1, 3).reshape(A, S, d) @ lw.w_o
+        nonzero[l] = kv_by_agent[:, l, :, :, :T].any(axis=(0, 2, 3, 4))
+        if not _zero_context(nonzero[l].any()):
+            q, k, v = split(x @ lw.w_q).reshape(A * H, S, dh), store[0, l, :, :T], store[1, l, :, :T]
+            if l < L - 1:
+                out, _ = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
+            else:  # only position T-1 leaves the last layer: its other rows stay zero
+                out = np.zeros_like(q)
+                out[:, -1], _ = kernels.attend_single(k, v, q[:, -1], model.inv_sqrt_head_dim)
+            x = x + out.reshape(A, H, S, dh).transpose(0, 2, 1, 3).reshape(A, S, d) @ lw.w_o
         if not model.zero_mlp[l]:
             x = x + _mlp(x, lw)
     return PrefillResult(hidden=x[:, -1].copy(), caches=caches, tokens=tokens)
@@ -443,11 +465,11 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
     This is the single decode path: plain decoding is the degenerate case
     with no payloads, so the two are bit-identical by construction.
 
-    A ``model.passthrough`` layer's query is 0, so over a finite context its rows
-    are ``float32(1/w)``, w = n + 1 + the payload positions it joins; it writes
-    those and skips the rest (its K/V are the store's zeros, its updates ±0.0),
-    below ``l_comm`` only if every payload slice the flagged layers join is finite.
-    A ``model.zero_mlp`` MLP is skipped.  Exact for a finite x (README "Zero weight blocks").
+    A layer with no batch row ``nonzero``-flagged (the new position ORed in) and only zeros
+    in the payload slices it joins writes rows of ``float32(1/w)``, w = n + 1 + the payload
+    positions it joins, and skips attention and ``w_o``, whose update is ±0.0 for a finite
+    query.  A ``model.passthrough`` layer skips its QKV product (query 0, K/V the store's
+    zeros); a ``model.zero_mlp`` MLP is skipped.  Exact for a finite x (README "Zero contexts").
     """
     cfg = model.config
     first, A, n = caches[0], len(caches), caches[0].length
@@ -458,16 +480,14 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
         raise ConfigError("decode requires a non-empty cache")
     if n >= first.capacity:
         raise ContextOverflowError(f"cache full at {n} positions")
-    depth, finite = 0, True
+    depth, sent = 0, ()
     if payloads:
         signatures = {tuple((p.l_comm, p.num_positions) for p in box) for box in payloads}
         if len(payloads) != A or len(signatures) != 1:
             raise ConfigError("a decode batch needs one payload list per agent, all of one signature")
         depth = max((l_comm for l_comm, _ in signatures.pop()), default=0)
-        # A sender's one Payload sits in every peer's inbox: check each once.
+        # A sender's one Payload sits in every peer's inbox: scan each once.
         sent = {id(p): p for box in payloads for p in box}.values()
-        finite = all(np.isfinite(a[l]).all() for l in range(depth) if model.passthrough[l]
-                     for p in sent if l < p.l_comm for a in (p.keys, p.values))
     x = np.asarray(input_vec, dtype=np.float32)
     if x.shape != (A, cfg.model_dim):
         raise ConfigError(f"decode input must have shape {(A, cfg.model_dim)}")
@@ -480,26 +500,31 @@ def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
     x = x.reshape(A, 1, d) + model.pos[n]
     ctx = first.store[:, :, first.row * H : (first.row + A) * H, : n + 1]  # (2, L, A·H, n + 1, d_h)
     new = ctx[:, :, :, n].reshape(2, L, A, H, dh).transpose(1, 2, 0, 3, 4)  # (L, A, 2, H, d_h) view
+    ego = first.nonzero[:, first.row : first.row + A]  # (L, A) view: the batch rows' flags
+    flagged = ego.any(axis=1).tolist()
     rows_per_layer = []
     for l, lw in enumerate(model.layers):
-        if model.passthrough[l] and (l >= depth or finite):
-            w = n + 1 + (sum(p.num_positions for p in payloads[0] if l < p.l_comm) if l < depth else 0)
-            r = np.empty((A * H, w), np.float32) if rows is None else rows[l, :, :w]
+        if not model.passthrough[l]:
+            qkv = (x @ lw.w_qkv).reshape(A, 3, H, dh)
+            new[l] = kv = qkv[:, 1:]
+            if kv.any():  # one reduction while, as usual, the new K/V are all zero
+                ego[l] |= kv.reshape(A, -1).any(axis=1)
+                flagged[l] = True
+        w = n + 1 + (sum(p.num_positions for p in payloads[0] if l < p.l_comm) if l < depth else 0)
+        r = np.empty((A * H, w), np.float32) if rows is None else rows[l, :, :w]
+        if _zero_context(flagged[l], (a[l] for p in sent if l < p.l_comm for a in (p.keys, p.values))):
             r[...] = 1.0 / w  # rounded once to float32, as the kernel's division
-            rows_per_layer.append(r)
-            continue
-        qkv = (x @ lw.w_qkv).reshape(A, 3, H, dh)
-        new[l] = qkv[:, 1:]
-        keys, values = ctx[0, l], ctx[1, l]
-        if l < depth:  # each agent's H rows go on with its own payloads' positions
-            keys, values = np.concatenate([ctx[:, l], np.concatenate([np.concatenate(
-                [np.stack((p.keys[l], p.values[l])) for p in box if l < p.l_comm], axis=2)
-                for box in payloads], axis=1)], axis=2)
-        q = qkv[:, 0].astype(np.float64).reshape(A * H, dh)  # widened once, exactly
-        out, r = kernels.attend_single(keys, values, q, scale,
-                                       None if rows is None else rows[l, :, : keys.shape[1]])
+        else:
+            keys, values = ctx[0, l], ctx[1, l]
+            if l < depth:  # each agent's H rows go on with its own payloads' positions
+                keys, values = np.concatenate([ctx[:, l], np.concatenate([np.concatenate(
+                    [np.stack((p.keys[l], p.values[l])) for p in box if l < p.l_comm], axis=2)
+                    for box in payloads], axis=1)], axis=2)
+            q = (np.zeros((A * H, dh)) if model.passthrough[l]  # its query is x @ 0
+                 else qkv[:, 0].astype(np.float64).reshape(A * H, dh))  # widened once, exactly
+            out, r = kernels.attend_single(keys, values, q, scale, r)
+            x += out.reshape(A, 1, d) @ lw.w_o
         rows_per_layer.append(r)
-        x += out.reshape(A, 1, d) @ lw.w_o
         if not model.zero_mlp[l]:
             hidden = x @ lw.w_mlp1
             np.maximum(hidden, 0.0, out=hidden)

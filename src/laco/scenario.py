@@ -39,6 +39,7 @@ from .model import (
     TOKEN_OCCLUDED,
     TOKEN_VEHICLE,
     ModelConfig,
+    check_hazard_config,
     make_hazard_model,
     prefill,
     project_to_logits,
@@ -100,6 +101,11 @@ class HazardSpec:
         return self.enter <= tick < self.clear
 
 
+# ModelConfig field -> the scenario key that sets it.
+_MODEL_KEYS = {"num_layers": "model_layers", "num_heads": "model_heads", "model_dim": "model_dim",
+               "vocab_size": "vocab_size", "seed": "seed"}
+
+
 @dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
     name: str = "unnamed"
@@ -139,14 +145,7 @@ class ScenarioSpec:
         # A Language receiver re-prefills one relayed m-token message per peer.
         relayed = max(2, len(self.agents) - 1)
         budget = self.observation_len + max(self.m, 1) * relayed + 8
-        return ModelConfig(
-            num_layers=self.model_layers,
-            num_heads=self.model_heads,
-            model_dim=self.model_dim,
-            vocab_size=self.vocab_size,
-            max_context=budget,
-            seed=self.seed,
-        )
+        return ModelConfig(max_context=budget, **{f: getattr(self, k) for f, k in _MODEL_KEYS.items()})
 
 
 # Scalar keys: the ScenarioSpec fields with a default, and channel_<ChannelConfig field>.
@@ -270,14 +269,20 @@ def parse_scenario(text: str) -> ScenarioSpec:
 def _validate_spec(spec: ScenarioSpec):
     if spec.paradigm not in PARADIGMS:
         raise ScenarioError(f"unknown paradigm {spec.paradigm!r}")
-    # The bounds deliberate, saliency_scores and distill enforce at run time.
-    if spec.m < 0:
-        raise ScenarioError(f"m must be >= 0, got {spec.m}")
+    # The bounds deliberate, saliency_scores, distill and the episode loop need at run time.
+    for key, low in (("m", 0), ("tick_budget", 1), ("blocked_after", 1)):
+        if getattr(spec, key) < low:
+            raise ScenarioError(f"{key} must be >= {low}, got {getattr(spec, key)}")
     if not 0.0 < spec.cell_size_m < np.inf:
         raise ScenarioError(f"cell_size_m must be positive and finite, got {spec.cell_size_m}")
     for key in ("rho", "l_comm_fraction"):
         if not 0.0 < getattr(spec, key) <= 1.0:
             raise ScenarioError(f"{key} must be in (0, 1], got {getattr(spec, key)}")
+    try:  # the model that Simulation builds
+        check_hazard_config(spec.model_config())
+    except ConfigError as exc:
+        name = str(exc).split()[0]  # each begins with the ModelConfig field it rejects
+        raise ScenarioError(f"{_MODEL_KEYS.get(name, name)}: {exc}") from exc
 
     def on_road(cell):
         r, c = cell

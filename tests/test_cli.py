@@ -102,6 +102,8 @@ BAD_SCENARIO_LINES = {
     "bandwidth_nan": "channel_bandwidth_bytes_per_s = nan",
     "cell_size_nan": "cell_size_m = nan",
     "cell_size_negative": "cell_size_m = -10",
+    "tick_budget_negative": "tick_budget = -5",
+    "blocked_after_zero": "blocked_after = 0",
 }
 
 

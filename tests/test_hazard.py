@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from laco import kernels
+from laco import model as model_module
 from laco.errors import ConfigError
 from laco.fusion import attach_payload, collaborative_decode
 from laco.ild import compute_alignment, deliberate
@@ -124,25 +125,39 @@ class TestPassthrough:
         assert last.w_qkv.flags.writeable and last.w_o.flags.writeable
 
     def test_flagged_layers_call_no_kernel(self, monkeypatch):
-        """On occluded_1's model an observation prefill calls attend_causal
-        for layer 0 alone, and one deliberation step calls attend_single L-2 times."""
+        """On occluded_1's model a layer calls a kernel only when some K/V entry
+        of the batch's context is non-zero: the flagged layers never do, and at
+        tick 0, where only agent 1's layer-0 keys see the lane-A hazard and no
+        agent detects, an observation prefill calls attend_causal for layer 0
+        alone and one deliberation step calls attend_single for layer 0 alone."""
         spec = load_scenario(builtin_scenario_path("occluded_1"))
         sim = Simulation(spec, "LACO")
         model, live = sim.model, sim.live_agents()
-        L = model.config.num_layers
+        L, A = model.config.num_layers, len(live)
         assert model.passthrough == (False, *[True] * (L - 2), False) and L > 2
+
+        def scanned(cache):  # (L, A): a row's K/V at a layer hold a non-zero entry
+            kv = cache.store[:, :, :, : cache.length].reshape(2, L, A, -1)
+            return kv.any(axis=(0, 3))
+
         calls = count_kernel_calls(monkeypatch)
         obs = np.stack([observe(sim.world, sim.agents, spec.hazards, aid, 0) for aid in live])
         pre = prefill(model, obs)
-        assert calls == {"attend_causal": 1, "attend_single": 1}
+        flags = pre.caches[0].nonzero
+        np.testing.assert_array_equal(flags, scanned(pre.caches[0]))
+        assert flags.any(axis=1).tolist() == [True] + [False] * (L - 1)
+        assert calls == {"attend_causal": int(flags[0].any()), "attend_single": int(flags[-1].any())}
         calls.update(attend_causal=0, attend_single=0)
         deliberate(model, compute_alignment(model), pre.hidden, pre.caches, 1)
-        assert calls == {"attend_causal": 0, "attend_single": L - 2}
+        np.testing.assert_array_equal(flags, scanned(pre.caches[0]))
+        assert calls == {"attend_causal": 0, "attend_single": int(flags.any(axis=1).sum())}
+        assert calls["attend_single"] == 1  # layer 0: the step added no non-zero K/V elsewhere
 
     def test_finite_payload_layers_call_no_kernel(self, monkeypatch):
         """A decision decode over full-depth payloads skips the flagged layers
-        that join them; a NaN in one payload's layer-1 slice runs them in full,
-        also when that payload sits in two inboxes (A = 3)."""
+        that join them; a NaN in one payload's layer-1 slice runs layer 1 in
+        full, also when that payload sits in two inboxes (A = 3), while layer 2,
+        whose payload slices and ego context are zero, is still skipped."""
         calls = count_kernel_calls(monkeypatch)
         for agents in (2, 3):
             model, markers, caches, inboxes = occluded_1_decision(l_comm=4, agents=agents)
@@ -156,36 +171,41 @@ class TestPassthrough:
             poisoned.keys[1, 0, 0, 0] = np.nan
             calls["attend_single"] = 0
             forward_decode(model, markers, caches, inboxes)
-            assert calls["attend_single"] == 4
+            assert calls["attend_single"] == 3
 
     @pytest.mark.parametrize("l_comm", [1, 4])
-    def test_nan_payload_ends_alike_on_both_paths(self, l_comm):
-        """A NaN in a received payload's layer-0 keys: the skipping and the full
-        path give the same NaN-aware hidden bits, bit-identical batch-mates, and
-        the same ConfigError from collaborative_decode."""
+    def test_nan_payload_ends_alike_on_both_paths(self, l_comm, monkeypatch):
+        """A NaN in a received payload's keys at any layer it spans (layer 0,
+        and at l_comm 4 also layers 1-3, whose ego context is zero): the
+        skipping and the full path give the same NaN-aware hidden bits,
+        bit-identical batch-mates, and the same ConfigError from collaborative_decode."""
 
-        def poisoned(full):
+        def poisoned(full, layer):
             args = occluded_1_decision(l_comm, full)
-            args[3][0][0].keys[0, 0, 0, 0] = np.nan  # agent 0's one payload
+            args[3][0][0].keys[layer, 0, 0, 0] = np.nan  # agent 0's one payload
             return args
 
         clean = forward_decode(*occluded_1_decision(l_comm))
-        hiddens, errors = [], []
-        for full in (False, True):
-            hidden, rows = forward_decode(*poisoned(full))
-            H = len(rows[0]) // len(hidden)
-            assert np.isnan(hidden[0]).all()
-            assert hidden[1:].tobytes() == clean[0][1:].tobytes()
-            assert [r[H:].tobytes() for r in rows] == [r[H:].tobytes() for r in clean[1]]
-            hiddens.append(hidden)
-            model, markers, caches, inboxes = poisoned(full)
-            with pytest.raises(ConfigError) as err:
-                collaborative_decode(model, markers, attach_payload(caches, inboxes))
-            errors.append(str(err.value))
-        skip, full = hiddens
-        assert np.array_equal(np.isnan(skip), np.isnan(full))
-        assert skip[~np.isnan(skip)].tobytes() == full[~np.isnan(full)].tobytes()
-        assert errors[0] == errors[1] == "hidden vector must be finite"
+        for layer in range(l_comm):
+            hiddens, errors = [], []
+            for full in (False, True):
+                with monkeypatch.context() as patch:
+                    if full:
+                        patch.setattr(model_module, "_zero_context", lambda *args: False)
+                    hidden, rows = forward_decode(*poisoned(full, layer))
+                    H = len(rows[0]) // len(hidden)
+                    assert np.isnan(hidden[0]).all()
+                    assert hidden[1:].tobytes() == clean[0][1:].tobytes()
+                    assert [r[H:].tobytes() for r in rows] == [r[H:].tobytes() for r in clean[1]]
+                    hiddens.append(hidden)
+                    model, markers, caches, inboxes = poisoned(full, layer)
+                    with pytest.raises(ConfigError) as err:
+                        collaborative_decode(model, markers, attach_payload(caches, inboxes))
+                    errors.append(str(err.value))
+            skip, full = hiddens
+            assert np.array_equal(np.isnan(skip), np.isnan(full))
+            assert skip[~np.isnan(skip)].tobytes() == full[~np.isnan(full)].tobytes()
+            assert errors[0] == errors[1] == "hidden vector must be finite"
 
 
 class TestPolicy:

@@ -50,6 +50,23 @@ def _rand(rng, *shape):
     return rng.normal(size=shape).astype(np.float32)
 
 
+def test_zero_context_gives_uniform_rows_and_a_zero_output():
+    """Over keys and values of ±0.0 (all +0.0, all −0.0, or mixed; float32 or
+    widened to float64) a finite query's logits are ±0.0: each row is exactly
+    ``float32(1/n)`` and the output ±0.0, which is what the model writes when
+    it skips a zero context."""
+    rng = np.random.default_rng(9)
+    for n in range(1, 201):
+        q = (rng.normal(size=(H, DH)) * 10.0 ** rng.integers(-30, 30, size=(H, DH))).astype(np.float32)
+        for signs in (np.zeros((2, H, n, DH)), np.ones((2, H, n, DH)),
+                      rng.integers(0, 2, size=(2, H, n, DH))):
+            for dtype in (np.float32, np.float64):
+                k, v = np.where(signs == 1, -0.0, 0.0).astype(dtype)
+                out, rows = kernels.attend_single(k, v, q, 0.35)
+                assert out.dtype == np.float32 and np.all(out == 0.0)
+                assert rows.tobytes() == np.full((H, n), 1.0 / n, np.float32).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 42, 412])
 def test_single_matches_einsum_oracle(n):
     rng = np.random.default_rng(n)
@@ -103,7 +120,7 @@ def test_causal_last_rows_match_einsum_oracle(T, S):
 def test_hazard_model_calls_equal_oracle_exactly(monkeypatch, name):
     """Every kernel call of one LACO tick on a shipped layout is bit-equal to einsum.
 
-    A decode hands ``attend_single`` a rows buffer (or None) as a fifth
+    A decode hands ``attend_single`` a rows buffer as a fifth
     argument.  The spy checks that the kernel fills and returns a given
     buffer, copies the rows (the caller's buffer outlives the call) and gives
     the oracle the four inputs.

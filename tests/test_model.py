@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from laco import kernels
+from laco import model as model_module
 from laco.errors import ConfigError, ContextOverflowError
 from laco.fusion import attach_payload, collaborative_decode
 from laco.ild import compute_alignment, deliberate
@@ -323,15 +324,18 @@ class TestDecode:
         np.testing.assert_array_equal(cache.v[0, :, 3], (y @ lw.w_v).reshape(2, 4))
 
 
-def with_passthrough(config, zeroed=(), zeroed_mlp=()):
-    """``init_model`` weights with the layers ``zeroed`` set to zero and the
-    MLPs of ``zeroed_mlp``, as two models on the same arrays: one skips those
-    blocks, one runs them in full."""
+def with_passthrough(config, zeroed=(), zeroed_mlp=(), zeroed_kv=()):
+    """``init_model`` weights with the layers ``zeroed`` set to zero, the MLPs
+    of ``zeroed_mlp`` and the ``w_k`` and ``w_v`` of ``zeroed_kv``, as two
+    models on the same arrays: one skips those blocks, one runs them in full
+    (with ``full_path`` on, which also runs attention over all-zero contexts)."""
     weights = init_model(config)
     for l in zeroed:
         lw = weights.layers[l]
         for w in (lw.w_qkv, lw.w_o):
             w[...] = 0.0
+    for l in zeroed_kv:
+        weights.layers[l].w_qkv[:, config.model_dim :] = 0.0
     for l in {*zeroed, *zeroed_mlp}:
         weights.layers[l].w_mlp1[...] = weights.layers[l].w_mlp2[...] = 0.0
     skip, full = (Model(config, weights.w_in, weights.w_out, weights.pos, weights.layers)
@@ -340,8 +344,14 @@ def with_passthrough(config, zeroed=(), zeroed_mlp=()):
     return skip, full
 
 
+def full_path(monkeypatch):
+    """Run attention over every context, all-zero ones included."""
+    monkeypatch.setattr(model_module, "_zero_context", lambda *args: False)
+
+
 class TestPassthrough:
-    """A layer of all-zero weights, or an all-zero MLP, is skipped, bit for bit."""
+    """A layer of all-zero weights, an all-zero MLP, or attention over an
+    all-zero context is skipped, bit for bit."""
 
     def run(self, model, l_comm, seed):
         """The bytes of a prefill, a prefix-reusing prefill, a deliberation, a
@@ -373,25 +383,91 @@ class TestPassthrough:
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("l_comm", [1, 2, 4])
     @pytest.mark.parametrize("d", [16, 18, 22, 24, 32])
-    def test_skip_matches_the_full_path(self, d, l_comm, seed):
+    def test_skip_matches_the_full_path(self, d, l_comm, seed, monkeypatch):
         """Store, hidden states, traces, rows and tags equal the full path's.
         At l_comm 2 and 4, flagged layers join the finite payloads and are skipped."""
         config = ModelConfig(num_layers=4, num_heads=2, model_dim=d, vocab_size=64,
                              max_context=64, seed=seed)
         skip, full = with_passthrough(config, zeroed=(1, 2))
         assert skip.passthrough == skip.zero_mlp == (False, True, True, False)
-        assert self.run(skip, l_comm, seed) == self.run(full, l_comm, seed)
+        got = self.run(skip, l_comm, seed)
+        full_path(monkeypatch)
+        assert got == self.run(full, l_comm, seed)
 
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("l_comm", [1, 4])
     @pytest.mark.parametrize("d", [16, 18, 22, 24, 32])
-    def test_zero_mlp_skip_matches_the_full_path(self, d, l_comm, seed):
+    def test_zero_mlp_skip_matches_the_full_path(self, d, l_comm, seed, monkeypatch):
         """With only the last layer's MLP zeroed, its skip changes no byte."""
         config = ModelConfig(num_layers=4, num_heads=2, model_dim=d, vocab_size=64,
                              max_context=64, seed=seed)
         skip, full = with_passthrough(config, zeroed_mlp=(3,))
         assert skip.passthrough == (False,) * 4 and skip.zero_mlp == (False, False, False, True)
-        assert self.run(skip, l_comm, seed) == self.run(full, l_comm, seed)
+        got = self.run(skip, l_comm, seed)
+        full_path(monkeypatch)
+        assert got == self.run(full, l_comm, seed)
+
+    @pytest.mark.parametrize("l_comm", [1, 2, 4])
+    def test_zero_context_skip_matches_the_full_path(self, l_comm, monkeypatch):
+        """Layer 1's ``w_k`` and ``w_v`` are zero while its ``w_q``, ``w_o`` and
+        MLP are not: every call skips its attention, and the outputs keep their
+        bytes.  With a zero positional table and zero embeddings for tokens
+        32..63, a reused prefill whose new tokens are all of those has non-zero
+        layer-0 K/V only in the copied prefix, and must still attend over it."""
+        config = ModelConfig(num_layers=4, num_heads=2, model_dim=16, vocab_size=64,
+                             max_context=64, seed=l_comm)
+        skip, full = with_passthrough(config, zeroed_kv=(1,))
+        skip.pos[...] = skip.w_in[32:] = 0.0  # arrays both models share
+        assert skip.passthrough == skip.zero_mlp == (False,) * 4
+        lw = skip.layers[1]
+        assert lw.w_q.any() and lw.w_o.any() and lw.w_mlp1.any() and lw.w_mlp2.any()
+
+        def reused(model):
+            A, T = 3, 40
+            rng = np.random.default_rng(l_comm)
+            tokens = rng.integers(0, 32, size=(A, T))
+            pre = prefill(model, tokens)
+            tokens[:, T // 2 :] = rng.integers(32, 64, size=(A, T - T // 2))
+            again = prefill(model, tokens, prev=pre)
+            kv = again.caches[0].store[:, 0]
+            assert not kv[:, :, T // 2 : T].any() and kv[:, :, : T // 2].any()
+            assert again.caches[0].nonzero[:2].tolist() == [[True] * A, [False] * A]
+            x = rng.uniform(-1, 1, size=(A, 16)).astype(np.float32)
+            out = [again.hidden, *forward_decode(model, x, again.caches)[1], again.caches[0].store]
+            return [np.ascontiguousarray(a).tobytes() for a in out]
+
+        verdicts = []
+
+        def judged(*args, predicate=model_module._zero_context):
+            verdicts.append(predicate(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(model_module, "_zero_context", judged)
+        got = self.run(skip, l_comm, l_comm) + reused(skip)
+        assert True in verdicts
+        full_path(monkeypatch)
+        assert got == self.run(full, l_comm, l_comm) + reused(full)
+
+    def test_a_hand_filled_cache_runs_in_full(self, monkeypatch):
+        """A cache that prefill did not make reports every row "may be
+        non-zero", so K/V written into it by hand are attended over, as on the
+        full path, even at a layer whose ``w_k`` and ``w_v`` are zero."""
+        skip, _ = with_passthrough(small_config(seed=5), zeroed_kv=(0,))
+        pre = prefill(skip, [[1, 2, 3, 4]])
+        assert not pre.caches[0].nonzero[0].any()
+        rng = np.random.default_rng(5)
+        kv = rng.normal(size=(2, 2, 4, 4)).astype(np.float32)
+        x = rng.uniform(-1, 1, size=(1, 8)).astype(np.float32)
+        outs = []
+        for full in (False, True):
+            cache = ref_snapshot(pre.caches[0])
+            cache.k[0, :, :4], cache.v[0, :, :4] = kv
+            assert cache.nonzero.all()
+            if full:
+                full_path(monkeypatch)
+            hidden, rows = forward_decode(skip, x, [cache])
+            outs.append([hidden.tobytes(), *(r.tobytes() for r in rows)])
+        assert outs[0] == outs[1]
 
     def test_flagged_weights_are_read_only(self):
         """A write into a skipped layer raises; it could not reach a decode."""

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laco import kernels
+from laco import model as model_module
 from laco import scenario as sc
 from laco.errors import ScenarioError
 from laco.model import (
@@ -152,6 +154,16 @@ class TestParser:
         ("m", -1, "m must be >= 0"),
         ("rho", 0.0, "rho must be in"),
         ("paradigm", "Telepathy", "unknown paradigm"),
+        ("tick_budget", -5, "tick_budget must be >= 1"),
+        ("tick_budget", 0, "tick_budget must be >= 1"),
+        ("blocked_after", 0, "blocked_after must be >= 1"),
+        ("model_dim", 15, "^model_dim: model_dim 15 not divisible"),
+        ("model_dim", 6, "^model_dim: model_dim must be >= 4 per head"),
+        ("model_layers", 0, "^model_layers: num_layers must be positive"),
+        ("model_layers", 1, "^model_layers: num_layers must be >= 2"),
+        ("model_heads", 1, "^model_heads: num_heads must be >= 2"),
+        ("vocab_size", 3, "^vocab_size: vocab_size must be >= 14"),
+        ("seed", -1, "^seed: seed must fit"),
     ])
     def test_replace_checks_the_new_spec(self, key, value, match):
         with pytest.raises(ScenarioError, match=match):
@@ -404,30 +416,40 @@ def test_prefix_reuse_changes_no_output(monkeypatch, tmp_path, model_dim):
 @pytest.mark.parametrize("model_dim", [16, 18, 22])
 def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, model_dim):
     """Every shipped layout under every paradigm gives the same metrics rows,
-    telemetry and payload bytes as a run through its zero-weight layers and MLPs."""
-    calls = []
+    telemetry and payload bytes as a run through its zero-weight layers and MLPs
+    and its attention over all-zero contexts.  With the skips on, every kernel
+    call is one the zero-context rule let run, and some were skipped."""
+    calls, verdicts = [], []
 
-    def counted(*args, kernel=kernels.attend_single):
+    def counted(*args, kernel):
         calls[-1] += 1
         return kernel(*args)
+
+    def judged(*args, predicate=model_module._zero_context):
+        verdicts.append(predicate(*args))
+        return verdicts[-1]
 
     def full_model(config, make=sc.make_hazard_model):
         model = make(config)
         model.passthrough = model.zero_mlp = (False,) * config.num_layers
         return model
 
-    monkeypatch.setattr(kernels, "attend_single", counted)
+    for name in ("attend_single", "attend_causal"):
+        monkeypatch.setattr(kernels, name, partial(counted, kernel=getattr(kernels, name)))
+    monkeypatch.setattr(model_module, "_zero_context", judged)
     runs = {}
     for skip in (True, False):
         if not skip:
             monkeypatch.setattr(sc, "make_hazard_model", full_model)
+            monkeypatch.setattr(model_module, "_zero_context", lambda *args: False)
         calls.append(0)
         runs[skip] = [episode_outputs(replace(sc.load_scenario(sc.builtin_scenario_path(name)),
                                               model_dim=model_dim), paradigm, tmp_path / "t.bin")
                       for name in sc.builtin_scenario_names() for paradigm in sc.PARADIGMS]
     for got, want in zip(runs[True], runs[False], strict=True):
         assert got == want
-    assert calls[0] < calls[1]  # the skip did skip layers
+    assert calls[0] == verdicts.count(False) and True in verdicts
+    assert calls[0] < calls[1]  # against a full run, the skips did skip layers
 
 
 def test_episodes_stepped_in_turn_share_one_model(monkeypatch, tmp_path):
@@ -506,6 +528,13 @@ class TestSweep:
     def test_empty_values_rejected(self):
         with pytest.raises(ScenarioError):
             sc.sweep("m", [], [mini_spec()])
+
+    def test_a_bad_model_key_fails_before_any_episode(self, monkeypatch):
+        """A spec the model cannot be built from is rejected when it is made,
+        so a sweep over it and a good spec runs no episode."""
+        monkeypatch.setattr(sc, "run_episode", pytest.fail)
+        with pytest.raises(ScenarioError, match="^model_dim: "):
+            sc.sweep("m", [1], [mini_spec(), replace(mini_spec(), model_dim=15)])
 
     @pytest.mark.parametrize("param, value", [("m", -1), ("rho", 0.0), ("l_comm_fraction", 1.5)])
     def test_out_of_range_value_rejected_before_any_episode(self, monkeypatch, param, value):
