@@ -45,21 +45,19 @@ def attend_single(keys, values, query, inv_sqrt_dh, rows=None):
 
 
 def attend_causal(queries, keys, values, inv_sqrt_dh):
-    """Causal attention of the last S of T positions over all T (prefill).
+    """Causal attention of T positions over themselves (prefill).
 
-    queries: (H, S, d_h) for positions T-S .. T-1, keys/values: (H, T, d_h),
-    float32 values (a float64 array is not copied).  Returns (out (H, S, d_h)
-    float32, rows (H, S, T) float32) with rows[h, i, j] = 0 for j > T-S+i: the
-    max and exp run over visible positions only, so no -inf reaches
-    ``np.exp``, whose SIMD loop is slow on it.
+    queries/keys/values: (H, T, d_h), float32 values (a float64 array is not
+    copied).  Returns (out (H, T, d_h) float32, rows (H, T, T) float32) with
+    rows[h, i, j] = 0 for j > i: the max and exp run over visible positions
+    only, so no -inf reaches ``np.exp``, whose SIMD loop is slow on it.
     """
     q64 = np.asarray(queries, np.float64)
     k64 = np.asarray(keys, np.float64)
-    # One (H, S, T) float64 block, reused in place, for a batch folded into H.
+    # One (H, T, T) float64 block, reused in place, for a batch folded into H.
     p = q64 @ k64.transpose(0, 2, 1)
     p *= inv_sqrt_dh
-    S, T = p.shape[1:]
-    past, future = _causal_masks(T)[:, T - S :]
+    past, future = _causal_masks(p.shape[2])
     p -= np.maximum.reduce(p, axis=2, keepdims=True, initial=-np.inf, where=past)
     np.exp(p, out=p, where=past)
     np.copyto(p, 0.0, where=future)  # the +0.0 that exp(-inf) gives

@@ -290,8 +290,7 @@ class KVCache:
     reads the context without a copy.
 
     Positions are append-only: existing entries are never mutated, only new
-    ones committed, so a later :func:`prefill` may copy a prefix of the store.
-    Pruning copies selected positions out (:func:`laco.wire.distill`).
+    ones committed.  Pruning copies selected positions out (:func:`laco.wire.distill`).
     ``nonzero`` (L, rows), shared by the store's caches, is False at [l, r] only if
     row r's K/V at layer l are all exactly zero: :func:`prefill` sets it and each
     decode ORs in its new position; a cache made otherwise has all True ("may be non-zero").
@@ -360,7 +359,6 @@ class AttentionTrace:
 class PrefillResult:
     hidden: np.ndarray  # (A, d)
     caches: list  # A cache views of one store, in batch order
-    tokens: np.ndarray  # (A, T) int64, the batch prefilled
 
 
 def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
@@ -381,25 +379,22 @@ def _zero_context(flagged: bool, slices=()) -> bool:
     return not flagged and not any(s.any() for s in slices)
 
 
-def prefill(model: Model, tokens, prev=None) -> PrefillResult:
+def prefill(model: Model, tokens) -> PrefillResult:
     """Causal forward pass over a batch of token sequences, populating fresh caches.
 
-    ``tokens`` is an (A, T) batch, run as one pass with the rows folded into
-    the head axis of one store.  Returns the (A, d) last hidden states and A
-    cache views of length T.  ``prev``, an earlier prefill of this model and (A, T)
-    shape (any other runs in full), lends its store's K/V below the first position p0
-    where a row's token changed (a position's K/V depends only on its row's
-    tokens up to it); the layers run over p0 .. T-1 (no change: ``prev.hidden``).  p0 is
-    capped at T-2 and the last layer, which attends for T-1 only, keeps
-    ``w_o`` and an unflagged MLP at (A, T-p0, .): a one-row product may sum in another order.
+    ``tokens`` is an (A, T) batch, run as one pass over positions 0 .. T-1 with the
+    rows folded into the head axis of one store.  Returns the (A, d) last hidden
+    states and A cache views of length T.  The last layer attends for position T-1
+    only, but keeps ``w_o`` and an unflagged MLP at (A, T, .): a one-row product may
+    sum in another order.
     A ``model.passthrough`` layer is skipped: its K/V would be ``x @ 0 = +0.0``,
     the store's own zeros, and its residual updates ``+0.0``, which leave x as it is;
     so is a ``model.zero_mlp`` MLP, whose update ``relu(x @ 0) @ 0`` is ±0.0.
-    One ``.any()`` per layer over the K/V of [0, T), prefix included, sets ``nonzero``; a layer
+    One ``.any()`` per layer over the K/V of [0, T) sets ``nonzero``; a layer
     with no row flagged skips attention and ``w_o``, whose update is ±0.0 for a finite query.
     """
     cfg = model.config
-    tokens = np.array(tokens, dtype=np.int64)  # a copy: ``prev.tokens`` must not change
+    tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2 or tokens.size == 0:
         raise ConfigError("prefill needs an (A, T) batch of non-empty token sequences")
     A, T = tokens.shape
@@ -415,37 +410,28 @@ def prefill(model: Model, tokens, prev=None) -> PrefillResult:
     caches = [KVCache(cfg, store, row, nonzero) for row in range(A)]
     for cache in caches:
         cache.prefill_len = cache.length = T
-    p0 = 0
-    if prev is not None and prev.tokens.shape == tokens.shape:
-        changed = np.flatnonzero((prev.tokens != tokens).any(axis=0))
-        p0 = max(0, min(int(changed[0]), T - 2)) if changed.size else T
-        store[:, :, :, :p0] = prev.caches[0].store[:, :, :, :p0]  # append-only below T
-        if p0 == T:
-            nonzero[...] = kv_by_agent[:, :, :, :, :T].any(axis=(0, 3, 4, 5))
-            return PrefillResult(hidden=prev.hidden.copy(), caches=caches, tokens=tokens)
-    S = T - p0
 
-    def split(y):  # (A, S, d) -> (A, H, S, d_h), a view
-        return y.reshape(A, S, H, dh).transpose(0, 2, 1, 3)
+    def split(y):  # (A, T, d) -> (A, H, T, d_h), a view
+        return y.reshape(A, T, H, dh).transpose(0, 2, 1, 3)
 
-    x = model.w_in[tokens[:, p0:]] + model.pos[p0:T]
+    x = model.w_in[tokens] + model.pos[:T]
     for l, lw in enumerate(model.layers):
         if model.passthrough[l]:
             continue
-        kv_by_agent[0, l, :, :, p0:T] = split(x @ lw.w_k)
-        kv_by_agent[1, l, :, :, p0:T] = split(x @ lw.w_v)
+        kv_by_agent[0, l, :, :, :T] = split(x @ lw.w_k)
+        kv_by_agent[1, l, :, :, :T] = split(x @ lw.w_v)
         nonzero[l] = kv_by_agent[:, l, :, :, :T].any(axis=(0, 2, 3, 4))
         if not _zero_context(nonzero[l].any()):
-            q, k, v = split(x @ lw.w_q).reshape(A * H, S, dh), store[0, l, :, :T], store[1, l, :, :T]
+            q, k, v = split(x @ lw.w_q).reshape(A * H, T, dh), store[0, l, :, :T], store[1, l, :, :T]
             if l < L - 1:
                 out, _ = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
             else:  # only position T-1 leaves the last layer: its other rows stay zero
                 out = np.zeros_like(q)
                 out[:, -1], _ = kernels.attend_single(k, v, q[:, -1], model.inv_sqrt_head_dim)
-            x = x + out.reshape(A, H, S, dh).transpose(0, 2, 1, 3).reshape(A, S, d) @ lw.w_o
+            x = x + out.reshape(A, H, T, dh).transpose(0, 2, 1, 3).reshape(A, T, d) @ lw.w_o
         if not model.zero_mlp[l]:
             x = x + _mlp(x, lw)
-    return PrefillResult(hidden=x[:, -1].copy(), caches=caches, tokens=tokens)
+    return PrefillResult(hidden=x[:, -1].copy(), caches=caches)
 
 
 def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):

@@ -289,6 +289,8 @@ def _validate_spec(spec: ScenarioSpec):
         return 0 <= r < spec.rows and 0 <= c < spec.cols and spec.grid[r][c] == "."
 
     for a in spec.agents:
+        if len(a.route) < 2:  # route_completion divides by the steps to the goal
+            raise ScenarioError(f"agent {a.agent_id} route needs at least two cells")
         for cell in a.route:
             if not on_road(cell):
                 raise ScenarioError(f"agent {a.agent_id} route cell {cell} is not road")
@@ -478,7 +480,6 @@ class Simulation:
         self.telemetry = []        # TraceRecord / DecisionRecord
         self.payload_bytes = []    # (tick, sender_id, bytes) serialized payloads
         self._warned_m0 = False
-        self._prefills = {}  # (agents, T) -> that group's last PrefillResult
         self._tick_prefills = []  # (agents, PrefillResult) of every prefill run this tick
 
     def live_agents(self):
@@ -489,12 +490,10 @@ class Simulation:
 
 
 def _prefill(sim: Simulation, tokens, agents):
-    """Prefill ``tokens`` for ``agents``, reusing the unchanged prefix of the
-    same group's last prefill of this length."""
-    key = (tuple(agents), len(tokens[0]))
-    sim._prefills[key] = prefill(sim.model, tokens, prev=sim._prefills.get(key))
-    sim._tick_prefills.append((agents, sim._prefills[key]))
-    return sim._prefills[key]
+    """Prefill ``tokens`` for ``agents``, noted for the tick's forward-pass count."""
+    pre = prefill(sim.model, tokens)
+    sim._tick_prefills.append((agents, pre))
+    return pre
 
 
 # Paradigms.  A sender turns the live agents' prefill batch into the message
@@ -709,7 +708,6 @@ def run_episode(spec: ScenarioSpec, paradigm: str | None = None) -> Simulation:
         if not agent.done:
             agent.infractions["timeout"] += 1
             agent.done = True
-    sim._prefills.clear()  # a held result keeps no prefix-reuse store
     return sim
 
 

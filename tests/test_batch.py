@@ -290,8 +290,8 @@ def test_language_receivers_re_prefill_in_one_pass_per_prefix_length(monkeypatch
     heard = {0: [1], 1: [0, 2], 2: [1]}
 
     shapes, logits = [], {}
-    monkeypatch.setattr(sc, "prefill", lambda model, tokens, prev: shapes.append(
-        np.shape(tokens)) or prefill(model, tokens, prev))
+    monkeypatch.setattr(sc, "prefill", lambda model, tokens: shapes.append(
+        np.shape(tokens)) or prefill(model, tokens))
 
     def decide(*args, decide=sc._decide):
         out = decide(*args)

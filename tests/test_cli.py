@@ -104,6 +104,7 @@ BAD_SCENARIO_LINES = {
     "cell_size_negative": "cell_size_m = -10",
     "tick_budget_negative": "tick_budget = -5",
     "blocked_after_zero": "blocked_after = 0",
+    "route_one_cell": "agent = 0 A 0,0\nroute = 0 0,0",
 }
 
 

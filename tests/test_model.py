@@ -170,69 +170,6 @@ class TestPrefill:
         np.testing.assert_allclose(res.hidden[0], ref, rtol=1e-5, atol=1e-6)
 
 
-class TestPrefillReuse:
-    """``prefill(prev=...)`` gives a fresh prefill's bits, running the layers
-    only from the first changed position p0 (capped at T-2) on."""
-
-    CONFIG = ModelConfig(num_layers=3, num_heads=2, model_dim=16, vocab_size=20, max_context=64,
-                         seed=16)
-
-    def reuse(self, monkeypatch, old, new):
-        """(reused, fresh, query rows of each attend_causal call of the reused prefill)."""
-        model = init_model(self.CONFIG)
-        old, new = np.asarray(old), np.asarray(new)
-        prev = prefill(model, old)
-        # Extend the store past T, as the episode's deliberation and decision do.
-        forward_decode(model, np.ones((len(old), 16), np.float32), prev.caches)
-        fresh = prefill(init_model(self.CONFIG), new)
-        rows = []
-
-        def spy(q, *args, kernel=kernels.attend_causal):
-            rows.append(q.shape[1])
-            return kernel(q, *args)
-
-        monkeypatch.setattr(kernels, "attend_causal", spy)
-        return prefill(model, new, prev=prev), fresh, rows
-
-    def assert_bit_equal(self, got, want):
-        np.testing.assert_array_equal(got.hidden, want.hidden)
-        np.testing.assert_array_equal(got.tokens, want.tokens)
-        # Every store entry, the zeros at and beyond T included.
-        np.testing.assert_array_equal(got.caches[0].store, want.caches[0].store)
-        for g, w in zip(got.caches, want.caches, strict=True):
-            assert (g.row, g.prefill_len, g.length) == (w.row, w.prefill_len, w.length)
-
-    @pytest.mark.parametrize("A, T", [(1, 1), (1, 2), (2, 3), (3, 23), (2, 61)])
-    def test_every_first_changed_position(self, monkeypatch, A, T):
-        rng = np.random.default_rng(100 * A + T)
-        old = rng.integers(0, 20, size=(A, T))
-        for p0 in range(T + 1):  # p0 == T: every token equal, the hidden state copied
-            new = old.copy()
-            if p0 < T:
-                new[p0 % A, p0] = (old[p0 % A, p0] + 1) % 20
-                new[:, p0 + 1 :] = rng.integers(0, 20, size=(A, T - p0 - 1))
-            got, want, rows = self.reuse(monkeypatch, old, new)
-            self.assert_bit_equal(got, want)
-            ran = 0 if p0 == T else T - max(0, min(p0, T - 2))  # two rows at the least
-            assert rows == ([ran] * (self.CONFIG.num_layers - 1) if ran else [])
-
-    @pytest.mark.parametrize("case", ["longer", "shorter", "more_agents", "fewer_agents"])
-    def test_a_miss_runs_in_full(self, monkeypatch, case):
-        rng = np.random.default_rng(3)
-        new = rng.integers(0, 20, size=(2, 30))
-        if case == "longer":
-            old = np.concatenate([new, new[:, :1]], axis=1)
-        elif case == "shorter":
-            old = new[:, :-1]
-        elif case == "more_agents":
-            old = np.concatenate([new, new[:1]])
-        else:
-            old = new[:1]
-        got, want, rows = self.reuse(monkeypatch, old, new)
-        assert rows == [30, 30]
-        self.assert_bit_equal(got, want)
-
-
 class TestDecode:
     def test_grows_by_one_with_latent_tag(self):
         m = init_model(small_config(seed=6))
@@ -354,8 +291,8 @@ class TestPassthrough:
     all-zero context is skipped, bit for bit."""
 
     def run(self, model, l_comm, seed):
-        """The bytes of a prefill, a prefix-reusing prefill, a deliberation, a
-        fused decision decode and a plain decode, with every store after them."""
+        """The bytes of a prefill, a deliberation, a fused decision decode and
+        a plain decode, with every store after them."""
         A, T, m = 3, 40, 20
         L, d = model.config.num_layers, model.config.model_dim
         rng = np.random.default_rng(seed)
@@ -375,9 +312,6 @@ class TestPassthrough:
         for rows, tags in zip(res.attention_rows, res.context_tags, strict=True):
             out += rows + tags
         out += forward_decode(model, res.hidden, pre.caches)[1] + [pre.caches[0].store]
-        tokens[:, T // 2 :] = rng.integers(0, model.config.vocab_size, size=(A, T - T // 2))
-        again = prefill(model, tokens, prev=pre)
-        out += [again.hidden, again.caches[0].store]
         return [np.ascontiguousarray(a).tobytes() for a in out]  # tells -0.0 from +0.0
 
     @pytest.mark.parametrize("seed", range(2))
@@ -411,30 +345,13 @@ class TestPassthrough:
     def test_zero_context_skip_matches_the_full_path(self, l_comm, monkeypatch):
         """Layer 1's ``w_k`` and ``w_v`` are zero while its ``w_q``, ``w_o`` and
         MLP are not: every call skips its attention, and the outputs keep their
-        bytes.  With a zero positional table and zero embeddings for tokens
-        32..63, a reused prefill whose new tokens are all of those has non-zero
-        layer-0 K/V only in the copied prefix, and must still attend over it."""
+        bytes."""
         config = ModelConfig(num_layers=4, num_heads=2, model_dim=16, vocab_size=64,
                              max_context=64, seed=l_comm)
         skip, full = with_passthrough(config, zeroed_kv=(1,))
-        skip.pos[...] = skip.w_in[32:] = 0.0  # arrays both models share
         assert skip.passthrough == skip.zero_mlp == (False,) * 4
         lw = skip.layers[1]
         assert lw.w_q.any() and lw.w_o.any() and lw.w_mlp1.any() and lw.w_mlp2.any()
-
-        def reused(model):
-            A, T = 3, 40
-            rng = np.random.default_rng(l_comm)
-            tokens = rng.integers(0, 32, size=(A, T))
-            pre = prefill(model, tokens)
-            tokens[:, T // 2 :] = rng.integers(32, 64, size=(A, T - T // 2))
-            again = prefill(model, tokens, prev=pre)
-            kv = again.caches[0].store[:, 0]
-            assert not kv[:, :, T // 2 : T].any() and kv[:, :, : T // 2].any()
-            assert again.caches[0].nonzero[:2].tolist() == [[True] * A, [False] * A]
-            x = rng.uniform(-1, 1, size=(A, 16)).astype(np.float32)
-            out = [again.hidden, *forward_decode(model, x, again.caches)[1], again.caches[0].store]
-            return [np.ascontiguousarray(a).tobytes() for a in out]
 
         verdicts = []
 
@@ -443,10 +360,10 @@ class TestPassthrough:
             return verdicts[-1]
 
         monkeypatch.setattr(model_module, "_zero_context", judged)
-        got = self.run(skip, l_comm, l_comm) + reused(skip)
+        got = self.run(skip, l_comm, l_comm)
         assert True in verdicts
         full_path(monkeypatch)
-        assert got == self.run(full, l_comm, l_comm) + reused(full)
+        assert got == self.run(full, l_comm, l_comm)
 
     def test_a_hand_filled_cache_runs_in_full(self, monkeypatch):
         """A cache that prefill did not make reports every row "may be

@@ -16,7 +16,6 @@ from laco.model import (
     TOKEN_HAZARD_A,
     TOKEN_OCCLUDED,
     TOKEN_VEHICLE,
-    prefill,
 )
 from laco.telemetry import TelemetryWriter, TraceRecord
 from reference import ref_visible
@@ -366,10 +365,6 @@ class TestEpisodes:
         assert r.agents[0].infractions.get("timeout") == 1
         assert r.agents[0].route_completion < 100.0
 
-    def test_finished_episode_keeps_no_prefix_store(self):
-        """A held result does not pin the prefill stores kept for prefix reuse."""
-        assert sc.run_episode(mini_spec(), "LACO")._prefills == {}
-
     def test_tick_budget_timeout(self):
         spec = mini_spec(tick_budget=2)
         r = sc.run_episode(spec, "NonCollab")
@@ -386,31 +381,6 @@ def episode_outputs(spec, paradigm, path):
             else:
                 writer.write_decision(rec.tick, rec.agent, rec.rows, rec.tags)
     return sc.metrics_rows(result), path.read_bytes(), result.payload_bytes
-
-
-@pytest.mark.parametrize("model_dim", [12, 16, 18, 20, 22])
-def test_prefix_reuse_changes_no_output(monkeypatch, tmp_path, model_dim):
-    """Every shipped layout under every paradigm gives the same metrics rows,
-    telemetry and payload bytes as a run whose prefills never reuse a prefix."""
-    query_rows = []
-
-    def counted(q, *args, kernel=kernels.attend_causal):
-        query_rows[-1] += q.shape[1]
-        return kernel(q, *args)
-
-    monkeypatch.setattr(kernels, "attend_causal", counted)
-    runs = {}
-    for reuse in (True, False):
-        if not reuse:
-            monkeypatch.setattr(sc, "prefill", lambda model, tokens, prev=None:
-                                prefill(model, tokens))
-        query_rows.append(0)
-        runs[reuse] = [episode_outputs(replace(sc.load_scenario(sc.builtin_scenario_path(name)),
-                                               model_dim=model_dim), paradigm, tmp_path / "t.bin")
-                       for name in sc.builtin_scenario_names() for paradigm in sc.PARADIGMS]
-    for got, want in zip(runs[True], runs[False], strict=True):
-        assert got == want
-    assert query_rows[0] < query_rows[1]  # reuse did skip positions
 
 
 @pytest.mark.parametrize("model_dim", [16, 18, 22])

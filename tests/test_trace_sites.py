@@ -38,4 +38,8 @@ def test_every_laco_layer_is_traced_and_its_statistic_computes():
     stats = {layer: stat for layer, (_, stat) in tracing.LAYERS.items()}
     for _, layer, _, _, value in tracer.spans:
         assert (value is None) == (stats[layer] is None), layer
+    # Every prefill runs all T observation positions, so the kernel work the
+    # tracer computes from the queries' shape covers the whole T x T block.
+    causal = [value[0] for _, layer, _, _, value in tracer.spans if layer == "kernels.attend_causal"]
+    assert causal and set(causal) == {spec.observation_len}
     assert metrics["fusion.attach_payload.foreign_positions_mean"][0] > 0
