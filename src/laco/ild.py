@@ -11,9 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model as model_module
 from .errors import AlignmentError, ConfigError, ContextOverflowError
-from .model import AttentionTrace, Model, forward_decode, rowwise_matmul
+from .model import AttentionTrace, DecodeBatch, Model, rowwise_matmul
 
+forward_decode = model_module.forward_decode  # not called here; perfbench/tracing.py looks it up
 # Singular values below this fraction of the largest are truncated by pinv.
 _RCOND = 1e-6
 
@@ -51,8 +53,8 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) ->
     """Run m latent steps, appending ego-latent positions to every cache.
 
     ``caches`` is a lock-step batch of A caches with an (A, d) ``h0`` (see
-    :func:`laco.model.forward_decode`); every step is one pass for all A
-    agents, and the result holds one trace per agent.  Deliberation is
+    :class:`laco.model.DecodeBatch`, made once); every step is one pass for all
+    A agents, and the result holds one trace per agent.  Deliberation is
     ego-local: received context joins only the final decision decode.  Each
     step's rows go straight into its (L, A·H, n0 + m) slot of one buffer,
     checked once; agent a views heads [a·H, (a+1)·H).  A run that would
@@ -68,9 +70,9 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) ->
         raise ContextOverflowError(f"{m} latent steps from {n0} positions overflow {first.capacity}")
     array = np.zeros((m, L, A * H, n0 + m), dtype=np.float32)
     lengths = np.arange(n0 + 1, n0 + m + 1, dtype=np.int64)
-    h = np.asarray(h0, dtype=np.float32)
+    h, batch = np.asarray(h0, dtype=np.float32), DecodeBatch(model, caches)
     for t in range(m):
-        h, _ = forward_decode(model, rowwise_matmul(h, w_a), caches, rows=array[t])
+        h, _ = batch(rowwise_matmul(h, w_a), array[t])
     whole = AttentionTrace(array, lengths)  # one row check for every agent's heads
     traces = [whole.part(np.s_[:, :, a * H : (a + 1) * H]) for a in range(A)]
     return DeliberationResult(final_hidden=h, traces=traces, steps=m)

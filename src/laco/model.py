@@ -373,10 +373,9 @@ def rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ w)[..., 0, :]
 
 
-def _zero_context(flagged: bool, slices=()) -> bool:
-    """Whether attention reads only exact zeros: no ``flagged`` store row, no non-zero
-    entry in a payload slice (NaN and inf count, so a poisoned context runs in full)."""
-    return not flagged and not any(s.any() for s in slices)
+def _zero_context(flagged: bool) -> bool:
+    """Whether attention reads only exact zeros: no ``flagged`` store row or payload slice."""
+    return not flagged
 
 
 def prefill(model: Model, tokens) -> PrefillResult:
@@ -408,8 +407,9 @@ def prefill(model: Model, tokens) -> PrefillResult:
     kv_by_agent = store.reshape(2, L, A, H, cfg.max_context, dh)  # a view, for the K/V writes
     nonzero = np.zeros((L, A), bool)  # a passthrough layer's K/V are the store's zeros
     caches = [KVCache(cfg, store, row, nonzero) for row in range(A)]
-    for cache in caches:
+    for cache in caches:  # append-only: decode writes through the store, not these views
         cache.prefill_len = cache.length = T
+        cache.k.flags.writeable = cache.v.flags.writeable = False
 
     def split(y):  # (A, T, d) -> (A, H, T, d_h), a view
         return y.reshape(A, T, H, dh).transpose(0, 2, 1, 3)
@@ -434,91 +434,102 @@ def prefill(model: Model, tokens) -> PrefillResult:
     return PrefillResult(hidden=x[:, -1].copy(), caches=caches)
 
 
-def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
-    """Append one position per agent and attend over ego cache plus received payloads.
+class DecodeBatch:
+    """A lock-step decode batch, checked and laid out once; each call runs one step.
 
-    ``caches`` is a lock-step batch: A caches from one :func:`prefill`, on
-    consecutive store rows and all of one length, with an (A, d) input, run
-    as one pass with the agents folded into the head axis.  ``payloads``,
-    read as they are, is empty or one list per agent, all of one signature
-    (each payload's ``(l_comm, num_positions)``).  Layer l < ``l_comm`` joins
-    a payload's ``keys[l]``/``values[l]`` (float32 or float16, widened
-    exactly) to its own agent's rows of one (A·H, n + P, d_h) context; the new
-    position goes to the ego cache only, whose ``length`` becomes n + 1.  Returns
-    (hidden (A, d) float32, rows: list over layers of (A·H, n_l)), views of
-    ``rows[l]`` when the caller passes an (L, A·H, >= n_l) buffer.
-
-    This is the single decode path: plain decoding is the degenerate case
-    with no payloads, so the two are bit-identical by construction.
-
-    A layer with no batch row ``nonzero``-flagged (the new position ORed in) and only zeros
-    in the payload slices it joins writes rows of ``float32(1/w)``, w = n + 1 + the payload
-    positions it joins, and skips attention and ``w_o``, whose update is ±0.0 for a finite
-    query.  A ``model.passthrough`` layer skips its QKV product (query 0, K/V the store's
-    zeros); a ``model.zero_mlp`` MLP is skipped.  Exact for a finite x (README "Zero contexts").
+    ``caches``: A caches from one :func:`prefill`, on consecutive store rows at one length,
+    agents folded into the head axis.  ``payloads``: empty or one list per agent, of one
+    signature (each payload's ``(l_comm, num_positions)``), scanned here, read as they are and
+    left so while the batch runs; layer l < ``l_comm`` joins ``keys[l]``/``values[l]`` (float32
+    or float16, widened exactly) to its agent's rows.  A step raises ``ConfigError`` once another
+    decode moved a cache, so the kept ``nonzero`` flags stay exact (only a decode raises one).
     """
-    cfg = model.config
-    first, A, n = caches[0], len(caches), caches[0].length
-    if any(c.store is not first.store or c.row != row or c.length != n
-           for row, c in enumerate(caches, first.row)):
-        raise ConfigError("a decode batch must be consecutive caches of one store at one length")
-    if n == 0:
-        raise ConfigError("decode requires a non-empty cache")
-    if n >= first.capacity:
-        raise ContextOverflowError(f"cache full at {n} positions")
-    depth, sent = 0, ()
-    if payloads:
-        signatures = {tuple((p.l_comm, p.num_positions) for p in box) for box in payloads}
-        if len(payloads) != A or len(signatures) != 1:
-            raise ConfigError("a decode batch needs one payload list per agent, all of one signature")
-        depth = max((l_comm for l_comm, _ in signatures.pop()), default=0)
-        # A sender's one Payload sits in every peer's inbox: scan each once.
-        sent = {id(p): p for box in payloads for p in box}.values()
-    x = np.asarray(input_vec, dtype=np.float32)
-    if x.shape != (A, cfg.model_dim):
-        raise ConfigError(f"decode input must have shape {(A, cfg.model_dim)}")
-    if not np.isfinite(x).all():
-        raise ConfigError("decode input must be finite")
 
-    L, H, dh, d = cfg.num_layers, cfg.num_heads, cfg.head_dim, cfg.model_dim
-    scale = model.inv_sqrt_head_dim
-    # (A, 1, d): every product below is one vector-matrix product per agent.
-    x = x.reshape(A, 1, d) + model.pos[n]
-    ctx = first.store[:, :, first.row * H : (first.row + A) * H, : n + 1]  # (2, L, A·H, n + 1, d_h)
-    new = ctx[:, :, :, n].reshape(2, L, A, H, dh).transpose(1, 2, 0, 3, 4)  # (L, A, 2, H, d_h) view
-    ego = first.nonzero[:, first.row : first.row + A]  # (L, A) view: the batch rows' flags
-    flagged = ego.any(axis=1).tolist()
-    rows_per_layer = []
-    for l, lw in enumerate(model.layers):
-        if not model.passthrough[l]:
-            qkv = (x @ lw.w_qkv).reshape(A, 3, H, dh)
-            new[l] = kv = qkv[:, 1:]
-            if kv.any():  # one reduction while, as usual, the new K/V are all zero
-                ego[l] |= kv.reshape(A, -1).any(axis=1)
-                flagged[l] = True
-        w = n + 1 + (sum(p.num_positions for p in payloads[0] if l < p.l_comm) if l < depth else 0)
-        r = np.empty((A * H, w), np.float32) if rows is None else rows[l, :, :w]
-        if _zero_context(flagged[l], (a[l] for p in sent if l < p.l_comm for a in (p.keys, p.values))):
-            r[...] = 1.0 / w  # rounded once to float32, as the kernel's division
-        else:
-            keys, values = ctx[0, l], ctx[1, l]
-            if l < depth:  # each agent's H rows go on with its own payloads' positions
-                keys, values = np.concatenate([ctx[:, l], np.concatenate([np.concatenate(
-                    [np.stack((p.keys[l], p.values[l])) for p in box if l < p.l_comm], axis=2)
-                    for box in payloads], axis=1)], axis=2)
-            q = (np.zeros((A * H, dh)) if model.passthrough[l]  # its query is x @ 0
-                 else qkv[:, 0].astype(np.float64).reshape(A * H, dh))  # widened once, exactly
-            out, r = kernels.attend_single(keys, values, q, scale, r)
-            x += out.reshape(A, 1, d) @ lw.w_o
-        rows_per_layer.append(r)
-        if not model.zero_mlp[l]:
-            hidden = x @ lw.w_mlp1
-            np.maximum(hidden, 0.0, out=hidden)
-            x += hidden @ lw.w_mlp2
+    def __init__(self, model: Model, caches, payloads=()):
+        cfg, first, A, n = model.config, caches[0], len(caches), caches[0].length
+        if any(c.store is not first.store or c.row != row or c.length != n
+               for row, c in enumerate(caches, first.row)):
+            raise ConfigError("a decode batch must be consecutive caches of one store at one length")
+        if n == 0:
+            raise ConfigError("decode requires a non-empty cache")
+        L, H, depth, sent = cfg.num_layers, cfg.num_heads, 0, ()
+        if payloads:
+            signatures = {tuple((p.l_comm, p.num_positions) for p in box) for box in payloads}
+            if len(payloads) != A or len(signatures) != 1:
+                raise ConfigError("a decode batch needs one payload list per agent, all of one signature")
+            depth = max((l_comm for l_comm, _ in signatures.pop()), default=0)
+            # A sender's one Payload sits in every peer's inbox: scan each once.
+            sent = {id(p): p for box in payloads for p in box}.values()
+        self.model, self.caches, self.payloads, self.length = model, caches, payloads, n
+        self.dims = A, H, cfg.head_dim, cfg.model_dim
+        self.ctx = first.store[:, :, first.row * H : (first.row + A) * H]  # (2, L, A·H, capacity, d_h)
+        self.new = self.ctx.reshape(2, L, A, H, -1, cfg.head_dim).transpose(1, 4, 2, 0, 3, 5)  # [l, n]: K/V
+        self.ego = first.nonzero[:, first.row : first.row + A]  # (L, A) view: the batch rows' flags
+        # Per layer: may a batch row or joined slice be non-zero (NaN, inf count); P joined or None.
+        self.flagged = [bool(f) or any(a[l].any() for p in sent if l < p.l_comm for a in (p.keys, p.values))
+                        for l, f in enumerate(self.ego.any(axis=1))]
+        self.joined = [sum(p.num_positions for p in payloads[0] if l < p.l_comm) if l < depth else None
+                       for l in range(L)]
 
-    for c in caches:
-        c.length = n + 1
-    return x[:, 0], rows_per_layer
+    def __call__(self, input_vec, rows=None):
+        """Append one position per agent for an (A, d) input; returns (hidden (A, d) float32,
+        rows: per layer (A·H, n_l), views of ``rows[l]`` given an (L, A·H, >= n_l) buffer).
+        A layer with no batch row or joined slice flagged (the new position ORed in) writes
+        rows of ``float32(1/n_l)``, skipping attention and ``w_o`` (±0.0 for a finite query);
+        a ``model.passthrough`` layer skips its QKV product (query 0, K/V the store's zeros),
+        a ``model.zero_mlp`` MLP is skipped.  Exact for a finite x (README "Zero contexts").
+        """
+        model, caches, n, (A, H, dh, d) = self.model, self.caches, self.length, self.dims
+        if any(c.length != n for c in caches):
+            raise ConfigError("a decode batch's caches were decoded outside it")
+        if n >= self.new.shape[1]:
+            raise ContextOverflowError(f"cache full at {n} positions")
+        x = np.asarray(input_vec, dtype=np.float32)
+        if x.shape != (A, d):
+            raise ConfigError(f"decode input must have shape {(A, d)}")
+        if not np.isfinite(x).all():
+            raise ConfigError("decode input must be finite")
+
+        # (A, 1, d): every product below is one vector-matrix product per agent.
+        x = x.reshape(A, 1, d) + model.pos[n]
+        ctx = self.ctx[..., : n + 1, :]  # (2, L, A·H, n + 1, d_h)
+        rows_per_layer = []
+        for l, lw in enumerate(model.layers):
+            if not model.passthrough[l]:
+                qkv = (x @ lw.w_qkv).reshape(A, 3, H, dh)
+                self.new[l, n] = kv = qkv[:, 1:]
+                if kv.any():  # one reduction while, as usual, the new K/V are all zero
+                    self.ego[l] |= kv.reshape(A, -1).any(axis=1)
+                    self.flagged[l] = True
+            w = n + 1 + (self.joined[l] or 0)
+            r = np.empty((A * H, w), np.float32) if rows is None else rows[l, :, :w]
+            if _zero_context(self.flagged[l]):
+                r[...] = 1.0 / w  # rounded once to float32, as the kernel's division
+            else:
+                keys, values = ctx[0, l], ctx[1, l]
+                if self.joined[l] is not None:  # each agent's H rows go on with its own payloads'
+                    keys, values = np.concatenate([ctx[:, l], np.concatenate([np.concatenate(
+                        [np.stack((p.keys[l], p.values[l])) for p in box if l < p.l_comm], axis=2)
+                        for box in self.payloads], axis=1)], axis=2)
+                q = (np.zeros((A * H, dh)) if model.passthrough[l]  # its query is x @ 0
+                     else qkv[:, 0].astype(np.float64).reshape(A * H, dh))  # widened once, exactly
+                out, r = kernels.attend_single(keys, values, q, model.inv_sqrt_head_dim, r)
+                x += out.reshape(A, 1, d) @ lw.w_o
+            rows_per_layer.append(r)
+            if not model.zero_mlp[l]:
+                hidden = x @ lw.w_mlp1
+                np.maximum(hidden, 0.0, out=hidden)
+                x += hidden @ lw.w_mlp2
+
+        self.length = n + 1
+        for c in caches:
+            c.length = n + 1
+        return x[:, 0], rows_per_layer
+
+
+def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
+    """One step of a fresh :class:`DecodeBatch`, the one decode path (plain decoding: no payloads)."""
+    return DecodeBatch(model, caches, payloads)(input_vec, rows)
 
 
 def project_to_logits(model: Model, hidden) -> np.ndarray:

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model as model_module
 from .chsa import saliency_scores, select_topk
 from .errors import ConfigError, InvalidActionError, ScenarioError
 from .fusion import attach_payload, collaborative_decode
@@ -38,6 +37,7 @@ from .model import (
     TOKEN_OBSTACLE,
     TOKEN_OCCLUDED,
     TOKEN_VEHICLE,
+    DecodeBatch,
     ModelConfig,
     check_hazard_config,
     make_hazard_model,
@@ -386,6 +386,15 @@ def layout_world(grid: tuple, cell_size_m: float) -> World:
     return World(grid, cell_size_m)
 
 
+@functools.lru_cache(maxsize=64)
+def hazard_model(config: ModelConfig):
+    """The hazard Model of a config, shared by its episodes (bounded memo), weights read-only."""
+    model = make_hazard_model(config)
+    for w in (model.w_in, model.w_out, model.pos, *(w for lw in model.layers for w in vars(lw).values())):
+        w.flags.writeable = False
+    return model
+
+
 @dataclass
 class AgentState:
     """One agent's episode state; once the episode ends, its row of the metrics."""
@@ -472,7 +481,7 @@ class Simulation:
         self.agents = {a.agent_id: AgentState(spec=a)
                        for a in sorted(spec.agents, key=lambda a: a.agent_id)}
         # Every agent runs the same weights; run_tick counts each agent's passes.
-        self.model = make_hazard_model(spec.model_config())
+        self.model = hazard_model(spec.model_config())
         self.ticks = 0  # ticks run; the current tick while one runs
         self.comm_bytes_total = 0
         self.comm_latency_total_s = 0.0
@@ -507,13 +516,11 @@ def _send_nothing(sim: Simulation, live, pre):
 
 def _send_tokens(sim: Simulation, live, pre):
     """Language: greedily decode m tokens per agent in lock-step and relay their ids."""
-    model = sim.model
-    h = pre.hidden
+    model, h, batch = sim.model, pre.hidden, DecodeBatch(sim.model, pre.caches)
     ids = np.zeros((sim.spec.m, len(live)), dtype=np.int64)
     for step in range(sim.spec.m):
         ids[step] = np.argmax(project_to_logits(model, h), axis=1)
-        # Looked up on the module, so a wrapper installed there (a tracer) sees it.
-        h, _ = model_module.forward_decode(model, model.w_in[ids[step]], pre.caches)
+        h, _ = batch(model.w_in[ids[step]])
     for aid in live:
         sim.agents[aid].decoded_tokens += sim.spec.m
     return [LanguageMessage(sender_id=aid, frame_id=sim.ticks, token_ids=tuple(ids[:, i].tolist()))

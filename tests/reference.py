@@ -312,13 +312,13 @@ def ref_attend_single(keys, values, query, inv_sqrt_dh):
 
 
 def ref_attend_causal(queries, keys, values, inv_sqrt_dh):
-    """Causal block attention written with einsum and a freshly built mask:
-    the S query rows are the last S of the T key positions."""
-    S, T = queries.shape[1], keys.shape[1]
+    """Causal block attention written with einsum and a freshly built mask
+    over T query rows and T key positions."""
+    T = keys.shape[1]
     q64 = queries.astype(np.float64)
     k64 = keys.astype(np.float64)
     logits = np.einsum("htd,hjd->htj", q64, k64) * inv_sqrt_dh
-    mask = np.triu(np.ones((T, T), dtype=bool), k=1)[T - S :]
+    mask = np.triu(np.ones((T, T), dtype=bool), k=1)
     logits[:, mask] = -np.inf
     logits -= logits.max(axis=2, keepdims=True)
     e = np.exp(logits)

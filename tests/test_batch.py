@@ -21,6 +21,7 @@ from laco.model import (
     AttentionTrace,
     TOKEN_BRAKE,
     TOKEN_KEEP,
+    DecodeBatch,
     ModelConfig,
     forward_decode,
     init_model,
@@ -308,6 +309,45 @@ def test_language_receivers_re_prefill_in_one_pass_per_prefix_length(monkeypatch
         x = model.w_in[sim.agents[aid].spec.marker_token]
         assert_decision_matches_reference(model, x, cache, (), None, logits[aid],
                                           records[aid].rows)
+
+
+@pytest.mark.parametrize("seed, A", CASES)
+def test_steps_of_one_batch_equal_fresh_decodes(seed, A):
+    """Three steps of one DecodeBatch give the bytes of three fresh ``forward_decode``
+    calls on a second prefill: hidden states, rows (one run into a buffer) and the store,
+    with one float32 or float16 payload per sender, each at its own depth."""
+    rng = np.random.default_rng(seed)
+    H, dh, L, T = (int(rng.integers(lo, hi)) for lo, hi in ((1, 4), (2, 17), (2, 5), (1, 40)))
+    model = init_model(ModelConfig(L, H, H * dh, 16, T + 3, seed=seed))
+    tokens, sent = rng.integers(0, 16, size=(2, A, T))
+    senders, kept = prefill(model, sent).caches, rng.integers(1, T + 1, size=A)
+    inboxes = [[distill(senders[s], T, sorted(rng.choice(T, size=kept[s], replace=False)),
+                        (1 + s % L) / L, sender_id=s, frame_id=0, dtype_flag=(DTYPE_F32, DTYPE_F16)[s % 2])
+                for s in range(A)] for _ in range(A)]
+    batched, fresh = prefill(model, tokens).caches, prefill(model, tokens).caches
+    batch = DecodeBatch(model, batched, inboxes)
+    buffer = np.zeros((3, L, A * H, T + 3 + kept.sum()), np.float32)
+    for x, rows in zip(rng.uniform(-1, 1, size=(3, A, H * dh)).astype(np.float32), buffer):
+        got, want = batch(x, rows), forward_decode(model, x, fresh, inboxes)
+        assert [a.tobytes() for a in (got[0], *got[1])] == [a.tobytes() for a in (want[0], *want[1])]
+    assert batched[0].store.tobytes() == fresh[0].store.tobytes()
+    assert [c.length for c in batched] == [c.length for c in fresh] == [T + 3] * A
+
+
+def test_a_decode_of_a_batch_row_outside_the_batch_is_refused():
+    """Once a subset of its caches decodes on its own, the batch's next step raises
+    (its kept ``nonzero`` flags could be stale) and changes nothing."""
+    model, tokens, _ = random_case(5, 3)
+    pre = prefill(model, tokens)
+    x = np.ones((3, model.config.model_dim), dtype=np.float32)
+    batch = DecodeBatch(model, pre.caches)
+    batch(x)
+    forward_decode(model, x[1:2], pre.caches[1:2])
+    store = pre.caches[0].store.copy()
+    with pytest.raises(ConfigError, match="decoded outside"):
+        batch(x)
+    assert [c.length for c in pre.caches] == [tokens.shape[1] + 1, tokens.shape[1] + 2, tokens.shape[1] + 1]
+    np.testing.assert_array_equal(pre.caches[0].store, store)
 
 
 class TestBatchRejected:

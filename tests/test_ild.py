@@ -102,17 +102,19 @@ class TestDeliberate:
         assert deliberate(mdl, w_a, res.hidden, res.caches, 4).steps == 4
 
     def test_forward_pass_count(self, monkeypatch):
+        """One decode batch over the caches, stepped once per latent step."""
         mdl = init_model(cfg(seed=8))
         res = prefill(mdl, [[1, 2]])
-        calls = []
+        steps, step = [], model_module.DecodeBatch.__call__
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return model_module.forward_decode(*args, **kwargs)
+        def counted(batch, *args, **kwargs):
+            steps.append(batch)
+            return step(batch, *args, **kwargs)
 
-        monkeypatch.setattr(ild, "forward_decode", counted)
+        monkeypatch.setattr(model_module.DecodeBatch, "__call__", counted)
         deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 6)
-        assert len(calls) == 6 and all(c is res.caches for c in calls)
+        assert len(steps) == 6 and all(b is steps[0] for b in steps)
+        assert steps[0].caches is res.caches
         assert res.caches[0].length - res.caches[0].prefill_len == 6  # one position per pass
 
     def test_trace_context_lengths(self):

@@ -187,6 +187,17 @@ class TestDecode:
         np.testing.assert_array_equal(cache.k[:, :, :3, :], before_k)
         np.testing.assert_array_equal(cache.v[:, :, :3, :], before_v)
 
+    def test_prefill_caches_are_read_only(self):
+        """A prefill cache's ``k``/``v`` refuse a write, which could leave a ``nonzero``
+        flag stale; decode appends through the store."""
+        m = init_model(small_config(seed=15))
+        (cache,) = prefill(m, [[1, 2, 3]]).caches
+        for kv in (cache.k, cache.v):
+            with pytest.raises(ValueError, match="read-only"):
+                kv[0, 0, 0, 0] = 1.0
+        forward_decode(m, np.ones((1, 8), dtype=np.float32), [cache])
+        assert cache.length == 4 and cache.k[:, :, 3].any()
+
     def test_repeat_from_snapshot_identical(self):
         m = init_model(small_config(seed=8))
         (cache,) = prefill(m, [[5, 6]]).caches

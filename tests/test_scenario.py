@@ -410,7 +410,7 @@ def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, model_dim):
     runs = {}
     for skip in (True, False):
         if not skip:
-            monkeypatch.setattr(sc, "make_hazard_model", full_model)
+            monkeypatch.setattr(sc, "hazard_model", full_model)
             monkeypatch.setattr(model_module, "_zero_context", lambda *args: False)
         calls.append(0)
         runs[skip] = [episode_outputs(replace(sc.load_scenario(sc.builtin_scenario_path(name)),
@@ -422,6 +422,17 @@ def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, model_dim):
     assert calls[0] < calls[1]  # against a full run, the skips did skip layers
 
 
+def test_episodes_of_one_layout_share_one_read_only_model():
+    """Simulations of one model config share one hazard Model, whose weights refuse a write."""
+    spec = sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
+    model = sc.Simulation(spec, "LACO").model
+    assert sc.Simulation(spec, "Visual").model is model
+    lw = model.layers[0]
+    for w in (model.w_in, model.w_out, model.pos, lw.w_qkv, lw.w_k, lw.w_o, lw.w_mlp1, lw.w_mlp2):
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 1.0
+
+
 def test_episodes_stepped_in_turn_share_one_model(monkeypatch, tmp_path):
     """Three occluded_1 episodes stepped tick by tick in turn on one Model give
     the metrics rows, telemetry and payload bytes of their own runs."""
@@ -429,8 +440,7 @@ def test_episodes_stepped_in_turn_share_one_model(monkeypatch, tmp_path):
     paradigms = ("LACO", "Visual", "Language")
     want = [episode_outputs(spec, p, tmp_path / "t.bin") for p in paradigms]
     sims = {p: sc.Simulation(spec, p) for p in paradigms}
-    for sim in sims.values():
-        sim.model = sims["LACO"].model
+    assert all(sim.model is sims["LACO"].model for sim in sims.values())
     while live := [s for s in sims.values() if not s.all_done() and s.ticks < spec.tick_budget]:
         for sim in live:
             sc.run_tick(sim)
