@@ -53,14 +53,14 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) ->
     """Run m latent steps, appending ego-latent positions to every cache.
 
     ``caches`` is a lock-step batch of A caches with an (A, d) ``h0`` (see
-    :class:`laco.model.DecodeBatch`, made once); every step is one pass for all
-    A agents, and the result holds one trace per agent.  Deliberation is
-    ego-local: received context joins only the final decision decode.  Each
-    step's rows go straight into its (L, A·H, n0 + m) slot of one buffer,
-    checked once; agent a views heads [a·H, (a+1)·H).  A run that would
-    overflow the caches raises :class:`ContextOverflowError` before its first
-    step.  With m = 0 the caches and hidden states are returned untouched and
-    the traces are empty.
+    :class:`laco.model.DecodeBatch`, made once); every step is one pass for all A
+    agents, and the result holds one trace per agent.  Deliberation is ego-local:
+    received context joins only the final decision decode.  Each step's rows go
+    straight into its (L, A·H, n0 + m) slot of one buffer, checked once; agent a
+    views heads [a·H, (a+1)·H).  Steps that repeat over an all-zero context run at
+    once (``DecodeBatch.repeat``).  A run that would overflow the caches raises
+    :class:`ContextOverflowError` before its first step.  With m = 0 the caches
+    and hidden states are returned untouched and the traces are empty.
     """
     if m < 0:
         raise ConfigError("step count m must be >= 0")
@@ -72,7 +72,10 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) ->
     lengths = np.arange(n0 + 1, n0 + m + 1, dtype=np.int64)
     h, batch = np.asarray(h0, dtype=np.float32), DecodeBatch(model, caches)
     for t in range(m):
-        h, _ = batch(rowwise_matmul(h, w_a), array[t])
+        x = rowwise_matmul(h, w_a)
+        if (h := batch.repeat(x, array[t:])) is not None:  # steps t .. m-1 repeat step t-1
+            break
+        h, _ = batch(x, array[t])
     whole = AttentionTrace(array, lengths)  # one row check for every agent's heads
     traces = [whole.part(np.s_[:, :, a * H : (a + 1) * H]) for a in range(A)]
     return DeliberationResult(final_hidden=h, traces=traces, steps=m)

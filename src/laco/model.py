@@ -84,8 +84,8 @@ class LayerWeights:
 
     ``w_q``/``w_k``/``w_v`` are read-only column views of it, so in-place
     writes land in the one buffer.  A decode layer takes ``x @ w_qkv`` in one
-    product: for a (1, d) row, bit-equal to three products for every d <= 48
-    with numpy 2.4.6 / OpenBLAS 0.3.31 on x86-64 (not for 49 <= d <= 63).
+    product: for a (1, d) row, bit-equal to three products for every d <= 48 (not
+    49-63) with numpy 2.4.6 / OpenBLAS 0.3.31's SkylakeX kernel, not its Haswell one.
     """
 
     w_qkv: np.ndarray
@@ -292,8 +292,9 @@ class KVCache:
     Positions are append-only: existing entries are never mutated, only new
     ones committed.  Pruning copies selected positions out (:func:`laco.wire.distill`).
     ``nonzero`` (L, rows), shared by the store's caches, is False at [l, r] only if
-    row r's K/V at layer l are all exactly zero: :func:`prefill` sets it and each
-    decode ORs in its new position; a cache made otherwise has all True ("may be non-zero").
+    row r's K/V at layer l are all exactly zero: :func:`prefill` sets it, each decode step
+    ORs in its new position (a ``DecodeBatch.repeat`` writes only ±0.0, so sets none); a
+    cache made otherwise has all True ("may be non-zero").
     """
 
     def __init__(self, config: ModelConfig, store: np.ndarray, row: int, nonzero=None):
@@ -470,6 +471,20 @@ class DecodeBatch:
                         for l, f in enumerate(self.ego.any(axis=1))]
         self.joined = [sum(p.num_positions for p in payloads[0] if l < p.l_comm) if l < depth else None
                        for l in range(L)]
+        self.record = None  # (layer-0 input, hidden state) of a last step that read only zeros
+
+    def _input(self, input_vec, k):  # the checked (A, 1, d) float32 input of k steps from n
+        n, (A, _, _, d) = self.length, self.dims
+        if any(c.length != n for c in self.caches):
+            raise ConfigError("a decode batch's caches were decoded outside it")
+        if n + k > self.new.shape[1]:
+            raise ContextOverflowError(f"{k} step(s) from {n} positions overflow {self.new.shape[1]}")
+        x = np.asarray(input_vec, dtype=np.float32)
+        if x.shape != (A, d):
+            raise ConfigError(f"decode input must have shape {(A, d)}")
+        if not np.isfinite(x).all():
+            raise ConfigError("decode input must be finite")
+        return x.reshape(A, 1, d)  # every product below is one vector-matrix product per agent
 
     def __call__(self, input_vec, rows=None):
         """Append one position per agent for an (A, d) input; returns (hidden (A, d) float32,
@@ -479,21 +494,10 @@ class DecodeBatch:
         a ``model.passthrough`` layer skips its QKV product (query 0, K/V the store's zeros),
         a ``model.zero_mlp`` MLP is skipped.  Exact for a finite x (README "Zero contexts").
         """
-        model, caches, n, (A, H, dh, d) = self.model, self.caches, self.length, self.dims
-        if any(c.length != n for c in caches):
-            raise ConfigError("a decode batch's caches were decoded outside it")
-        if n >= self.new.shape[1]:
-            raise ContextOverflowError(f"cache full at {n} positions")
-        x = np.asarray(input_vec, dtype=np.float32)
-        if x.shape != (A, d):
-            raise ConfigError(f"decode input must have shape {(A, d)}")
-        if not np.isfinite(x).all():
-            raise ConfigError("decode input must be finite")
-
-        # (A, 1, d): every product below is one vector-matrix product per agent.
-        x = x.reshape(A, 1, d) + model.pos[n]
+        model, n, (A, H, dh, d) = self.model, self.length, self.dims
+        x = x0 = self._input(input_vec, 1) + model.pos[n]  # (A, 1, d); x0 is never written
         ctx = self.ctx[..., : n + 1, :]  # (2, L, A·H, n + 1, d_h)
-        rows_per_layer = []
+        rows_per_layer, repeatable = [], True
         for l, lw in enumerate(model.layers):
             if not model.passthrough[l]:
                 qkv = (x @ lw.w_qkv).reshape(A, 3, H, dh)
@@ -506,6 +510,7 @@ class DecodeBatch:
             if _zero_context(self.flagged[l]):
                 r[...] = 1.0 / w  # rounded once to float32, as the kernel's division
             else:
+                repeatable = False
                 keys, values = ctx[0, l], ctx[1, l]
                 if self.joined[l] is not None:  # each agent's H rows go on with its own payloads'
                     keys, values = np.concatenate([ctx[:, l], np.concatenate([np.concatenate(
@@ -514,17 +519,39 @@ class DecodeBatch:
                 q = (np.zeros((A * H, dh)) if model.passthrough[l]  # its query is x @ 0
                      else qkv[:, 0].astype(np.float64).reshape(A * H, dh))  # widened once, exactly
                 out, r = kernels.attend_single(keys, values, q, model.inv_sqrt_head_dim, r)
-                x += out.reshape(A, 1, d) @ lw.w_o
+                x = x + out.reshape(A, 1, d) @ lw.w_o
             rows_per_layer.append(r)
             if not model.zero_mlp[l]:
-                hidden = x @ lw.w_mlp1
-                np.maximum(hidden, 0.0, out=hidden)
-                x += hidden @ lw.w_mlp2
+                x = x + _mlp(x, lw)
 
-        self.length = n + 1
-        for c in caches:
+        self.record = (x0, x[:, 0].copy()) if repeatable else None
+        for c in (self, *self.caches):
             c.length = n + 1
         return x[:, 0], rows_per_layer
+
+    def repeat(self, input_vec, rows):
+        """Run k = ``len(rows)`` steps at once as repeats of the ``record``ed step, or return None.
+
+        A step that read only exact zeros at every layer depends on its layer-0 input bits alone
+        (n sets only its row width and write position).  If ``input_vec + pos[j]`` has the
+        recorded bits for every j in [n, n + k), step n + t writes the K/V at n - 1 (±0.0: no
+        flag rises) and rows of ``float32(1/w)`` into ``rows[t]``, a step's buffer, and gives
+        the recorded hidden state, whose copy is returned.  Raises as a step of k positions.
+        """
+        if self.record is None:
+            return None
+        x0, hidden = self.record
+        n, k = self.length, len(rows)
+        x = self._input(input_vec, k) + self.model.pos[n : n + k]  # (A, k, d)
+        if not (x.view(np.uint32) == x0.view(np.uint32)).all():  # tells -0.0 from +0.0
+            return None
+        self.new[:, n : n + k] = self.new[:, n - 1 : n]  # the recorded step's K/V, exactly
+        for l, joined in enumerate(self.joined):
+            w = np.arange(n + 1, n + k + 1)[:, None, None] + (joined or 0)  # (k, 1, 1)
+            np.copyto(rows[:, l], 1.0 / w, where=np.arange(rows.shape[-1]) < w)
+        for c in (self, *self.caches):
+            c.length = n + k
+        return hidden.copy()
 
 
 def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):

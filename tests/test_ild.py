@@ -9,11 +9,16 @@ from laco.model import (
     TOKEN_CLEAR,
     TOKEN_EGO_A,
     TOKEN_HAZARD_A,
+    DecodeBatch,
+    Model,
     ModelConfig,
+    forward_decode,
     init_model,
     make_hazard_model,
     prefill,
 )
+from laco.scenario import builtin_scenario_path, load_scenario, run_episode
+from laco.wire import distill
 from reference import ref_deliberate_hidden
 
 
@@ -164,3 +169,203 @@ class TestDeliberate:
         out = deliberate(mdl, proj, res.hidden, res.caches, 3)
         ref = ref_deliberate_hidden(mdl, tokens, proj, 3)
         np.testing.assert_allclose(out.final_hidden[0], ref, rtol=1e-5, atol=1e-6)
+
+
+def zero_kv_model(d=16, num_layers=4, pos="zero", passthrough=(), seed=0, max_context=64):
+    """Random weights with ``w_k`` and ``w_v`` zero at every layer, so every
+    context stays exactly zero, and the layers ``passthrough`` all zero.
+    Channel 0 is 1 in every embedding and no layer writes it, so with
+    :func:`fixed_alignment` every step's input is the same vector."""
+    config = ModelConfig(num_layers=num_layers, num_heads=2, model_dim=d, vocab_size=32,
+                         max_context=max_context, seed=seed)
+    weights = init_model(config)
+    weights.w_in[:, 0] = 1.0
+    for l, lw in enumerate(weights.layers):
+        lw.w_qkv[:, d:] = 0.0
+        lw.w_o[:, 0] = lw.w_mlp2[:, 0] = 0.0
+        if l in passthrough:
+            for w in (lw.w_qkv, lw.w_o, lw.w_mlp1, lw.w_mlp2):
+                w[...] = 0.0
+    table = {"zero": np.zeros_like(weights.pos), "sinusoidal": weights.pos,
+             "negative zero": np.full_like(weights.pos, -0.0)}[pos]
+    model = Model(config, weights.w_in, weights.w_out, table, weights.layers)
+    assert not any(model.zero_mlp[l] for l in range(num_layers) if l not in passthrough)
+    return model
+
+
+def fixed_alignment(model, seed=0):
+    """A (d, d) W_a that sends a hidden state with channel 0 = 1 to one fixed
+    vector, itself with channel 0 = 1."""
+    d = model.config.model_dim
+    w_a = np.zeros((d, d), np.float32)
+    w_a[0] = np.random.default_rng(seed).uniform(-1, 1, d)
+    w_a[0, 0] = 1.0
+    return w_a
+
+
+def spy_repeats(monkeypatch):
+    """Record each DecodeBatch.repeat call's step count k, or None where it did not run."""
+    ran, repeat = [], DecodeBatch.repeat
+
+    def spied(batch, input_vec, rows):
+        out = repeat(batch, input_vec, rows)
+        ran.append(None if out is None else len(rows))
+        return out
+
+    monkeypatch.setattr(DecodeBatch, "repeat", spied)
+    return ran
+
+
+class TestRepeat:
+    """A deliberation whose steps repeat over an all-zero context is run in
+    closed form by ``DecodeBatch.repeat``, bit for bit as stepping it."""
+
+    def deliberation(self, model, A, m, seed):
+        """The bytes of a deliberation's hidden states, traces, store and lengths."""
+        tokens = np.random.default_rng(seed).integers(0, model.config.vocab_size, size=(A, 12))
+        pre = prefill(model, tokens)
+        out = deliberate(model, fixed_alignment(model, seed), pre.hidden, pre.caches, m)
+        arrays = [out.final_hidden, *(t.array for t in out.traces), pre.caches[0].store]
+        return ([np.ascontiguousarray(a).tobytes() for a in arrays],
+                [(c.prefill_len, c.length) for c in pre.caches], out.traces[0].lengths.tolist())
+
+    @pytest.mark.parametrize("passthrough", [(), (1, 2)])
+    @pytest.mark.parametrize("A", [1, 3])
+    @pytest.mark.parametrize("d", [8, 16, 18])
+    def test_matches_stepping(self, d, A, passthrough, monkeypatch):
+        """Hidden states, traces, store and lengths equal those of a deliberation
+        stepped to the end, and steps 1 .. m-1 ran at once."""
+        model = zero_kv_model(d, passthrough=passthrough, seed=d)
+        ran = spy_repeats(monkeypatch)
+        got = self.deliberation(model, A, 20, d)
+        assert [k for k in ran if k is not None] == [19]
+        monkeypatch.setattr(DecodeBatch, "repeat", lambda *args: None)
+        assert got == self.deliberation(model, A, 20, d)
+
+    def test_never_runs_with_sinusoidal_positions(self, monkeypatch):
+        """Every step reads an all-zero context, but no two steps have one layer-0 input."""
+        model = zero_kv_model(pos="sinusoidal")
+        ran = spy_repeats(monkeypatch)
+        got = self.deliberation(model, 2, 20, 1)
+        assert len(ran) == 20 and ran == [None] * 20
+        monkeypatch.setattr(DecodeBatch, "repeat", lambda *args: None)
+        assert got == self.deliberation(model, 2, 20, 1)
+
+    def test_random_weights_never_record(self):
+        """With non-zero keys, no step reads an all-zero context."""
+        mdl = init_model(cfg(seed=8))
+        res = prefill(mdl, [[1, 2]])
+        batch = DecodeBatch(mdl, res.caches)
+        for _ in range(3):
+            batch(decode_input(mdl, 1))
+            assert batch.record is None
+
+    @pytest.mark.parametrize("l_comm", [1, 4])
+    def test_matches_stepping_with_joined_payloads(self, l_comm):
+        """A batch that joins all-zero payload positions repeats k steps as k
+        steps of the same input: hidden state, rows, store and lengths."""
+        model = zero_kv_model()
+        A, T, k = 2, 12, 6
+        tokens = np.random.default_rng(3).integers(0, 32, size=(A, T))
+        senders = prefill(model, tokens[::-1])
+        inboxes = [[distill(senders.caches[1 - a], T, range(a, T, 2), l_comm / 4, sender_id=1 - a,
+                            frame_id=0)] for a in range(A)]
+        x = decode_input(model, A)
+        outs = []
+        for fast in (True, False):
+            pre = prefill(model, tokens)
+            batch = DecodeBatch(model, pre.caches, inboxes)
+            rows = np.zeros((k + 1, 4, A * 2, T + k + 1 + T), np.float32)
+            hidden, _ = batch(x, rows[0])
+            if fast:
+                hidden = batch.repeat(x, rows[1:])
+            else:
+                for t in range(1, k + 1):
+                    hidden, _ = batch(x, rows[t])
+            outs.append([hidden.tobytes(), rows.tobytes(), pre.caches[0].store.tobytes(),
+                         [c.length for c in pre.caches], batch.length])
+        assert outs[0] == outs[1]
+
+    def test_writes_every_position_it_appends(self):
+        """Positions past the length hold NaN here; a repeat overwrites each one
+        it appends at every non-passthrough layer, with a step's K/V bits."""
+        model = zero_kv_model(passthrough=(1, 2))
+        x, stores = decode_input(model, 2), []
+        for fast in (True, False):
+            pre = prefill(model, [[1, 2, 3], [4, 5, 6]])
+            pre.caches[0].store[:, :, :, 3:] = np.nan
+            batch = DecodeBatch(model, pre.caches)
+            batch(x)
+            if fast:
+                assert batch.repeat(x, np.zeros((5, 4, 4, 9), np.float32)) is not None
+            else:
+                for _ in range(5):
+                    batch(x)
+            stores.append(pre.caches[0].store)
+        assert stores[0].tobytes() == stores[1].tobytes()
+        assert not np.isnan(stores[0][:, [0, 3], :, :9]).any() and np.isnan(stores[0][:, 1:3, :, 3:]).all()
+
+    def test_the_sign_of_a_zero_input_stops_it(self):
+        """An input that differs from the recorded one only by the sign of a zero
+        does not repeat it; a -0.0 positional table keeps the sign."""
+        model = zero_kv_model(pos="negative zero")
+        pre = prefill(model, [[1, 2, 3]])
+        batch = DecodeBatch(model, pre.caches)
+        x = decode_input(model, 1)
+        x[0, 1] = 0.0
+        batch(x)
+        rows = np.zeros((3, 4, 2, 8), np.float32)
+        flipped = x.copy()
+        flipped[0, 1] = -0.0
+        assert batch.repeat(flipped, rows) is None and batch.length == 4
+        assert batch.repeat(x, rows) is not None and batch.length == 7
+
+    def test_each_position_of_the_run_is_checked(self):
+        """A positional row that differs at any position of the run stops it,
+        and the hidden state it returns is a copy."""
+        model = zero_kv_model()
+        pre = prefill(model, [[1, 2, 3]])
+        batch = DecodeBatch(model, pre.caches)
+        x = decode_input(model, 1)
+        want, _ = batch(x)
+        model.pos[7, 5] = 1e-3
+        assert batch.repeat(x, np.zeros((4, 4, 2, 8), np.float32)) is None
+        hidden = batch.repeat(x, np.zeros((3, 4, 2, 8), np.float32))
+        assert hidden.tobytes() == want.tobytes() and batch.length == 7
+        hidden[...] = 7.0
+        assert batch.repeat(x, np.zeros((0, 4, 2, 8), np.float32)).tobytes() == want.tobytes()
+
+    def test_a_decode_outside_the_batch_raises(self):
+        model = zero_kv_model()
+        pre = prefill(model, [[1, 2, 3], [4, 5, 6]])
+        batch = DecodeBatch(model, pre.caches)
+        x = decode_input(model, 2)
+        batch(x)
+        assert batch.record is not None
+        forward_decode(model, x[:1], pre.caches[:1])
+        with pytest.raises(ConfigError, match="decoded outside"):
+            batch.repeat(x, np.zeros((2, 4, 4, 8), np.float32))
+
+    def test_steps_past_capacity_raise(self):
+        model = zero_kv_model(max_context=8)
+        pre = prefill(model, [[1, 2, 3]])
+        batch = DecodeBatch(model, pre.caches)
+        x = decode_input(model, 1)
+        batch(x)
+        store = pre.caches[0].store.copy()
+        with pytest.raises(ContextOverflowError):
+            batch.repeat(x, np.zeros((5, 4, 2, 9), np.float32))
+        assert batch.length == pre.caches[0].length == 4
+        np.testing.assert_array_equal(pre.caches[0].store, store)
+        assert batch.repeat(x, np.zeros((4, 4, 2, 8), np.float32)) is not None
+        assert pre.caches[0].length == 8
+
+    def test_runs_on_occluded_1_under_laco(self, monkeypatch):
+        ran = spy_repeats(monkeypatch)
+        run_episode(load_scenario(builtin_scenario_path("occluded_1")), "LACO")
+        assert any(k is not None for k in ran)
+
+
+def decode_input(model, A, seed=0):
+    """An (A, d) float32 decode input."""
+    return np.random.default_rng(seed).uniform(-1, 1, size=(A, model.config.model_dim)).astype(np.float32)
