@@ -15,7 +15,6 @@ from .model import (
     KVCache,
     Model,
     ModelConfig,
-    init_model,
     make_hazard_model,
     prefill,
     project_to_logits,

@@ -2,7 +2,7 @@
 
 The model is a plain pre-activation residual decoder: per layer, multi-head
 self-attention (keys/values cached per layer and head) followed by a ReLU MLP,
-no normalization, no biases.  The sinusoidal positional encoding is added to
+no normalization, no biases.  The positional table ``Model.pos`` is added to
 the layer-0 input at write time, so every stored key/value is
 position-complete and meaningful to any reader; foreign cache entries are
 consumed as-is with no re-encoding.
@@ -50,15 +50,14 @@ MIN_HAZARD_VOCAB = 14
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model dimensions plus the seed that fully determines random weights.
-    Each ``ConfigError`` here and in :func:`check_hazard_config` begins with its field."""
+    """Model dimensions.  Each ``ConfigError`` here and in
+    :func:`check_hazard_config` begins with its field."""
 
     num_layers: int
     num_heads: int
     model_dim: int
     vocab_size: int
     max_context: int
-    seed: int
 
     def __post_init__(self):
         for name in ("num_layers", "num_heads", "model_dim", "vocab_size", "max_context"):
@@ -70,8 +69,6 @@ class ModelConfig:
             )
         if self.num_layers < 2:
             raise ConfigError("num_layers must be >= 2 (shallow/deep split)")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
     @property
     def head_dim(self) -> int:
@@ -119,46 +116,6 @@ class Model:
         for lw, z, flat in zip(layers, self.zero_mlp, self.passthrough):
             for w in (lw.w_mlp1, lw.w_mlp2) * z + (lw.w_qkv, lw.w_o) * flat:
                 w.flags.writeable = False
-
-
-def sinusoidal_table(n: int, d: int) -> np.ndarray:
-    """Fixed additive positional encoding, shape (n, d) float32."""
-    pos = np.arange(n, dtype=np.float64)[:, None]
-    i = np.arange(d, dtype=np.float64)[None, :]
-    angle = pos / np.power(10000.0, (2.0 * (i // 2)) / d)
-    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return table.astype(np.float32)
-
-
-def init_model(config: ModelConfig) -> Model:
-    """Seeded random model: all weight matrices uniform(-1/sqrt(d), 1/sqrt(d)).
-
-    Draws come from a PCG64 stream in a fixed order: w_in, w_out, then per
-    layer w_q, w_k, w_v, w_o, w_mlp1, w_mlp2.  Identical (config, seed) gives
-    bit-identical weights.
-    """
-    d = config.model_dim
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    bound = 1.0 / float(np.sqrt(d))
-
-    def draw(shape):
-        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-    w_in = draw((config.vocab_size, d))
-    w_out = draw((d, config.vocab_size))
-    d_ff = 2 * d
-    layers = []
-    for _ in range(config.num_layers):
-        layers.append(
-            LayerWeights(
-                w_qkv=np.concatenate([draw((d, d)), draw((d, d)), draw((d, d))], axis=1),
-                w_o=draw((d, d)),
-                w_mlp1=draw((d, d_ff)),
-                w_mlp2=draw((d_ff, d)),
-            )
-        )
-    pos = sinusoidal_table(config.max_context, d)
-    return Model(config, w_in, w_out, pos, layers)
 
 
 # Residual-stream channels used by the handcrafted hazard model.

@@ -103,7 +103,7 @@ class HazardSpec:
 
 # ModelConfig field -> the scenario key that sets it.
 _MODEL_KEYS = {"num_layers": "model_layers", "num_heads": "model_heads", "model_dim": "model_dim",
-               "vocab_size": "vocab_size", "seed": "seed"}
+               "vocab_size": "vocab_size"}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -113,7 +113,7 @@ class ScenarioSpec:
     agents: tuple
     hazards: tuple
     paradigm: str = "LACO"
-    seed: int = 0
+    seed: int = 0  # accepted and ignored: no output depends on it
     m: int = 10
     rho: float = 0.3
     l_comm_fraction: float = 0.10
@@ -241,6 +241,9 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if any(set(r) - {".", "#"} for r in grid_rows):
         raise ScenarioError("grid rows may only contain '.' and '#'")
 
+    orphans = route_lines.keys() - agent_lines.keys()
+    if orphans:
+        raise ScenarioError(f"route {min(orphans)} has no agent")
     agents = []
     for agent_id, (lane, start) in sorted(agent_lines.items()):
         route = route_lines.get(agent_id)
@@ -297,7 +300,9 @@ def _validate_spec(spec: ScenarioSpec):
         for u, v in zip(a.route, a.route[1:]):
             if abs(u[0] - v[0]) + abs(u[1] - v[1]) != 1:
                 raise ScenarioError(f"agent {a.agent_id} route not 4-connected at {u}->{v}")
-    lanes = {a.lane: a for a in spec.agents}
+    lane_cells = {}  # lane -> every cell of that lane's routes
+    for a in spec.agents:
+        lane_cells.setdefault(a.lane, set()).update(a.route)
     for hz in spec.hazards:
         if not on_road(hz.path_cell):
             raise ScenarioError(f"hazard path cell {hz.path_cell} is not road")
@@ -305,8 +310,8 @@ def _validate_spec(spec: ScenarioSpec):
             raise ScenarioError(f"hazard hide cell {hz.hide_cell} is not road")
         if not hz.appear <= hz.enter < hz.clear:
             raise ScenarioError("hazard ticks must satisfy appear <= enter < clear")
-        lane_agent = lanes.get(hz.lane)
-        if lane_agent is not None and hz.path_cell not in lane_agent.route:
+        cells = lane_cells.get(hz.lane)
+        if cells is not None and hz.path_cell not in cells:
             raise ScenarioError(f"lane-{hz.lane} hazard path {hz.path_cell} not on that lane's route")
 
 
@@ -474,7 +479,7 @@ class Simulation:
 
     def __init__(self, spec: ScenarioSpec, paradigm: str | None = None):
         # spec.paradigm is the paradigm that runs; replace checks it.
-        self.spec = spec = replace(spec, paradigm=paradigm) if paradigm else spec
+        self.spec = spec = replace(spec, paradigm=paradigm) if paradigm is not None else spec
         self.send, self.receive = _PARADIGM_TABLE[spec.paradigm]
         self.world = layout_world(spec.grid, spec.cell_size_m)
         # Ascending id, however the spec lists its agents.

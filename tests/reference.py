@@ -2,8 +2,10 @@
 
 Most helpers recompute from first principles in float64 with no caching and
 no shared code with the package's hot paths, so tests can compare the two
-implementations against each other.  Three groups differ:
+implementations against each other.  Four groups differ:
 
+* ``init_model`` builds the seeded random-weight ``Model`` that most tests
+  run on; the package itself builds only the hazard model.
 * ``ref_prefill``, ``ref_forward_decode`` and ``ref_deliberate`` are the
   package's own float32 forward passes, run one agent at a time on the
   package kernels: the bit-exact oracle for the lock-step batch.
@@ -22,9 +24,49 @@ import numpy as np
 
 from laco import kernels
 from laco.fusion import FusedContext, collaborative_decode
-from laco.model import FOREIGN_LATENT, FOREIGN_PREFILL, KVCache
+from laco.model import FOREIGN_LATENT, FOREIGN_PREFILL, KVCache, LayerWeights, Model
 from laco.telemetry import DEFAULT_EPSILON, TraceRecord
 from laco.wire import DTYPE_F32, Payload
+
+
+def sinusoidal_table(n: int, d: int) -> np.ndarray:
+    """Fixed additive positional encoding, shape (n, d) float32."""
+    pos = np.arange(n, dtype=np.float64)[:, None]
+    i = np.arange(d, dtype=np.float64)[None, :]
+    angle = pos / np.power(10000.0, (2.0 * (i // 2)) / d)
+    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    return table.astype(np.float32)
+
+
+def init_model(config, seed: int) -> Model:
+    """Seeded random model: all weight matrices uniform(-1/sqrt(d), 1/sqrt(d)).
+
+    Draws come from a PCG64 stream in a fixed order: w_in, w_out, then per
+    layer w_q, w_k, w_v, w_o, w_mlp1, w_mlp2.  Identical (config, seed) gives
+    bit-identical weights.
+    """
+    d = config.model_dim
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bound = 1.0 / float(np.sqrt(d))
+
+    def draw(shape):
+        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+
+    w_in = draw((config.vocab_size, d))
+    w_out = draw((d, config.vocab_size))
+    d_ff = 2 * d
+    layers = []
+    for _ in range(config.num_layers):
+        layers.append(
+            LayerWeights(
+                w_qkv=np.concatenate([draw((d, d)), draw((d, d)), draw((d, d))], axis=1),
+                w_o=draw((d, d)),
+                w_mlp1=draw((d, d_ff)),
+                w_mlp2=draw((d_ff, d)),
+            )
+        )
+    pos = sinusoidal_table(config.max_context, d)
+    return Model(config, w_in, w_out, pos, layers)
 
 
 def ref_forward_block(model, xs):

@@ -20,14 +20,13 @@ from laco.model import (
     AttentionTrace,
     ModelConfig,
     forward_decode,
-    init_model,
     make_hazard_model,
     prefill,
     project_to_logits,
 )
 from laco.telemetry import DecisionRecord, confusion_index, trace_entropy
 from laco.wire import DTYPE_F16, DTYPE_F32, deserialize, distill, serialize
-from reference import ref_layer_entropy, ref_saliency, ref_snapshot
+from reference import init_model, ref_layer_entropy, ref_saliency, ref_snapshot
 from test_wire import random_payload
 
 OCCLUDED = ("occluded_1", "occluded_2", "occluded_3", "occluded_4", "occluded_5")
@@ -67,8 +66,7 @@ def test_c01_empty_payload_equivalence():
             dh = int(rng.integers(2, 5))
             d = H * dh
             V = int(rng.integers(8, 24))
-            cfg = ModelConfig(L, H, d, V, 24, seed=int(rng.integers(0, 2**32)))
-            model = init_model(cfg)
+            model = init_model(ModelConfig(L, H, d, V, 24), int(rng.integers(0, 2**32)))
             for _ in range(50):
                 tokens = rng.integers(0, V, size=int(rng.integers(1, 8)))
                 (cache,) = prefill(model, [tokens]).caches
@@ -141,7 +139,7 @@ def test_c04_pseudo_inverse_contract():
         q = np.eye(32) - 2.0 * np.outer(u, u)  # orthogonal (and symmetric)
         np.testing.assert_allclose(np.linalg.pinv(q), q.T, atol=1e-5)
         # and the alignment built on such a head reduces to transpose-multiply
-        model = init_model(ModelConfig(2, 2, 32, 32, 16, seed=0))
+        model = init_model(ModelConfig(2, 2, 32, 32, 16), 0)
         model.w_out = q.astype(np.float32)
         model._alignment = None
         proj = compute_alignment(model)
@@ -175,7 +173,7 @@ def test_c05_wire_format_fuzz():
 def test_c06_compression_accounting(shipped):
     with budget("C06 compression accounting (closed form, exact)", 1.0):
         L, T, m = 20, 100, 10
-        cfg = ModelConfig(L, 2, 16, 16, 128, seed=0)
+        cfg = ModelConfig(L, 2, 16, 16, 128)
         model2 = make_hazard_model(cfg)
         tokens = [TOKEN_CLEAR] * (T - 1) + [TOKEN_EGO_A]
         res2 = prefill(model2, [tokens])

@@ -24,12 +24,11 @@ from laco.model import (
     DecodeBatch,
     ModelConfig,
     forward_decode,
-    init_model,
     prefill,
     project_to_logits,
 )
 from laco.wire import DTYPE_F16, DTYPE_F32, distill
-from reference import ref_deliberate, ref_forward_decode, ref_prefill
+from reference import init_model, ref_deliberate, ref_forward_decode, ref_prefill
 
 CASES = [(seed, A) for seed in range(12) for A in (1, 2, 3)]
 
@@ -43,8 +42,8 @@ def random_case(seed, A):
     V = int(rng.integers(8, 24))
     T = int(rng.integers(1, 98))
     m = int(rng.integers(0, 6))
-    cfg = ModelConfig(L, H, H * dh, V, T + m + 2, seed=int(rng.integers(0, 2**32)))
-    return init_model(cfg), rng.integers(0, V, size=(A, T)), m
+    model = init_model(ModelConfig(L, H, H * dh, V, T + m + 2), int(rng.integers(0, 2**32)))
+    return model, rng.integers(0, V, size=(A, T)), m
 
 
 def assert_cache_equal(cache, ref):
@@ -275,7 +274,7 @@ def test_language_receivers_re_prefill_in_one_pass_per_prefix_length(monkeypatch
     tokens and 1 relays 2m: one re-prefill for {0, 2}, one for {1}."""
     spec = sc.parse_scenario(LANGUAGE_CHAIN)
     sim = sc.Simulation(spec)
-    sim.model = model = init_model(spec.model_config())
+    sim.model = model = init_model(spec.model_config(), 0)
     # Non-action logits are 0 and KEEP = -BRAKE, so the argmax is an action slot.
     model.w_out[:, len(ACTION_TOKENS):] = 0.0
     model.w_out[:, TOKEN_KEEP] = -model.w_out[:, TOKEN_BRAKE]
@@ -318,7 +317,7 @@ def test_steps_of_one_batch_equal_fresh_decodes(seed, A):
     with one float32 or float16 payload per sender, each at its own depth."""
     rng = np.random.default_rng(seed)
     H, dh, L, T = (int(rng.integers(lo, hi)) for lo, hi in ((1, 4), (2, 17), (2, 5), (1, 40)))
-    model = init_model(ModelConfig(L, H, H * dh, 16, T + 3, seed=seed))
+    model = init_model(ModelConfig(L, H, H * dh, 16, T + 3), seed)
     tokens, sent = rng.integers(0, 16, size=(2, A, T))
     senders, kept = prefill(model, sent).caches, rng.integers(1, T + 1, size=A)
     inboxes = [[distill(senders[s], T, sorted(rng.choice(T, size=kept[s], replace=False)),

@@ -22,8 +22,9 @@ import pytest
 from laco import kernels
 from laco.fusion import attach_payload, collaborative_decode
 from laco.ild import compute_alignment, deliberate
-from laco.model import ModelConfig, forward_decode, init_model, prefill
+from laco.model import ModelConfig, forward_decode, prefill
 from laco.wire import DTYPE_F16, DTYPE_F32, distill
+from reference import init_model
 
 HEADS, HEAD_DIM, SCALE = 6, 8, 0.35
 PREFILL_LEN = 57
@@ -89,8 +90,8 @@ def _deliberated(A, m, room=0, seed=0):
     # A vocabulary 4x the width keeps the alignment well conditioned: the
     # hidden state stays O(1) over 40 steps and every attention row is spread.
     cfg = ModelConfig(num_layers=LAYERS, num_heads=2, model_dim=16, vocab_size=64,
-                      max_context=PREFILL_LEN + m + room, seed=7 + A)
-    model = init_model(cfg)
+                      max_context=PREFILL_LEN + m + room)
+    model = init_model(cfg, 7 + A)
     tokens = np.random.default_rng(A + seed).integers(0, cfg.vocab_size, size=(A, PREFILL_LEN))
     pre = prefill(model, tokens)
     return model, pre, deliberate(model, compute_alignment(model), pre.hidden, pre.caches, m)

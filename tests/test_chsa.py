@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from laco.chsa import SaliencyVector, saliency_scores, select_topk
 from laco.errors import ConfigError, EmptyTraceError
 from laco.ild import compute_alignment, deliberate
-from laco.model import AttentionTrace, ModelConfig, init_model, prefill
+from laco.model import AttentionTrace, ModelConfig, prefill
 from laco.wire import distill
-from reference import ref_saliency, ref_topk
+from reference import init_model, ref_saliency, ref_topk
 
 
 def random_trace(rng, steps, L, H, prefill_len, extra=0):
@@ -124,7 +124,7 @@ class TestBuildCache:
     """The transmitted [salient prefill || latent] cache, cut by ``distill``."""
 
     def _cache(self, seed=0, T=6, m=3):
-        mdl = init_model(ModelConfig(2, 2, 8, 16, 32, seed=seed))
+        mdl = init_model(ModelConfig(2, 2, 8, 16, 32), seed)
         res = prefill(mdl, [list(range(T))])
         deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, m)
         return res.caches[0]

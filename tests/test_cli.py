@@ -105,13 +105,14 @@ BAD_SCENARIO_LINES = {
     "tick_budget_negative": "tick_budget = -5",
     "blocked_after_zero": "blocked_after = 0",
     "route_one_cell": "agent = 0 A 0,0\nroute = 0 0,0",
+    "route_without_agent": "agent = 0 A 0,0\nroute = 0 0,0 0,1\nroute = 9 0,0 0,1",
 }
 
 
 @pytest.mark.parametrize(
     "case",
     [f"scenario:{k}" for k in BAD_SCENARIO_LINES]
-    + ["sweep:m_not_int"]
+    + ["sweep:m_not_int", "sweep:paradigm_empty"]
     + [f"telemetry:{k}"
        for k in ("zero_bytes", "array_cut_short", "weight_above_1", "decision_nan")]
     + [f"file:{k}" for k in ("missing_scenario", "non_utf8_scenario", "missing_in",
@@ -137,8 +138,9 @@ def test_bad_input_is_one_error_line(tmp_path, occluded_path, capsys, case):
         path.write_text(f"grid = ....\n{BAD_SCENARIO_LINES[name]}\n")
         argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "m.csv")]
     elif kind == "sweep":
-        argv = ["sweep", "--param", "m", "--values", "1.5", "--scenario", occluded_path,
-                "--out", str(tmp_path / "s.csv")]
+        argv = ["sweep", "--param", "m", "--scenario", occluded_path, "--out", str(tmp_path / "s.csv"),
+                *{"m_not_int": ["--values", "1.5"],
+                  "paradigm_empty": ["--values", "1", "--paradigm", ""]}[name]]
     else:
         path = tmp_path / "bad.bin"
         path.write_bytes(bad_streams(tmp_path)[name])

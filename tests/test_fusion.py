@@ -20,17 +20,16 @@ from laco.model import (
     TOKEN_KEEP,
     ModelConfig,
     forward_decode,
-    init_model,
     make_hazard_model,
     prefill,
     project_to_logits,
 )
 from laco.wire import DTYPE_F16, DTYPE_F32, distill
-from reference import ref_naive_full_fusion, ref_snapshot
+from reference import init_model, ref_naive_full_fusion, ref_snapshot
 
 
-def cfg(seed=0, **kw):
-    base = dict(num_layers=4, num_heads=2, model_dim=8, vocab_size=16, max_context=96, seed=seed)
+def cfg(**kw):
+    base = dict(num_layers=4, num_heads=2, model_dim=8, vocab_size=16, max_context=96)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -47,30 +46,30 @@ def build_payload(model, tokens, m=3, rho_indices=None, fraction=1.0, sender=1,
 
 class TestAttach:
     def test_empty_payload_list_keeps_ego_only(self):
-        mdl = init_model(cfg())
+        mdl = init_model(cfg(), 0)
         res = prefill(mdl, [[1, 2, 3]])
         ctx = attach_payload(res.caches, [[]])
         assert ctx.segments == [] and ctx.inboxes == [[]]
 
     def test_zero_token_payload_positionless(self):
-        mdl = init_model(cfg(seed=1))
+        mdl = init_model(cfg(), 1)
         res = prefill(mdl, [[1, 2, 3]])
-        payload, _ = build_payload(init_model(cfg(seed=1)), [4, 5], m=0, rho_indices=[])
+        payload, _ = build_payload(init_model(cfg(), 1), [4, 5], m=0, rho_indices=[])
         assert payload.num_positions == 0
         ctx = attach_payload(res.caches, [[payload]])
         assert ctx.segments[0].num_positions == 0
         x = np.full((1, 8), 0.5, dtype=np.float32)
         out = collaborative_decode(mdl, x, ctx)
-        mdl2 = init_model(cfg(seed=1))
+        mdl2 = init_model(cfg(), 1)
         res2 = prefill(mdl2, [[1, 2, 3]])
         h, _ = forward_decode(mdl2, x, res2.caches)
         np.testing.assert_array_equal(out.hidden, h)
 
     def test_sender_order(self):
-        mdl = init_model(cfg(seed=2))
+        mdl = init_model(cfg(), 2)
         res = prefill(mdl, [[1, 2, 3]])
-        p3, _ = build_payload(init_model(cfg(seed=2)), [4, 5], sender=3)
-        p1, _ = build_payload(init_model(cfg(seed=2)), [6, 7], sender=1)
+        p3, _ = build_payload(init_model(cfg(), 2), [4, 5], sender=3)
+        p1, _ = build_payload(init_model(cfg(), 2), [6, 7], sender=1)
         ctx = attach_payload(res.caches, [[p3, p1]])
         assert [s.num_positions for s in ctx.segments] == [5, 5]
         assert p1.keys.tobytes() != p3.keys.tobytes()
@@ -78,9 +77,9 @@ class TestAttach:
         assert all(seg is p for seg, p in zip(ctx.segments, [p1, p3], strict=True))
 
     def test_shape_mismatch_rejected(self):
-        mdl = init_model(cfg(seed=3))
+        mdl = init_model(cfg(), 3)
         res = prefill(mdl, [[1, 2]])
-        other = init_model(cfg(seed=3, model_dim=16))
+        other = init_model(cfg(model_dim=16), 3)
         payload, _ = build_payload(other, [1, 2])
         with pytest.raises(ShapeMismatchError):
             attach_payload(res.caches, [[payload]])
@@ -88,8 +87,8 @@ class TestAttach:
     def test_uneven_context_cannot_be_built(self):
         """Every cache gets its own inbox, all of one length: three payloads for
         two caches are refused when the context is built, not split or dropped."""
-        caches = prefill(init_model(cfg(seed=12)), [[1, 2, 3], [4, 5, 6]]).caches
-        payloads = [build_payload(init_model(cfg(seed=12)), [4, 5], sender=s)[0] for s in (2, 3, 4)]
+        caches = prefill(init_model(cfg(), 12), [[1, 2, 3], [4, 5, 6]]).caches
+        payloads = [build_payload(init_model(cfg(), 12), [4, 5], sender=s)[0] for s in (2, 3, 4)]
         for inboxes in ([payloads], [payloads[:1], payloads[1:]], [[], [], payloads]):
             with pytest.raises(ShapeMismatchError, match="one payload list per cache"):
                 FusedContext(caches, inboxes)
@@ -97,8 +96,8 @@ class TestAttach:
                 attach_payload(caches, inboxes)
 
     def test_foreign_tags(self):
-        payload, _ = build_payload(init_model(cfg(seed=4)), [1, 2, 3], m=2, fraction=0.5)
-        mdl = init_model(cfg(seed=4))
+        payload, _ = build_payload(init_model(cfg(), 4), [1, 2, 3], m=2, fraction=0.5)
+        mdl = init_model(cfg(), 4)
         res = prefill(mdl, [[5, 6]])
         out = collaborative_decode(mdl, np.zeros((1, 8), dtype=np.float32),
                                    attach_payload(res.caches, [[payload]]))
@@ -110,8 +109,8 @@ class TestAttach:
 
 class TestEquivalences:
     def test_zero_payload_bit_identical(self):
-        mdl_a = init_model(cfg(seed=5))
-        mdl_b = init_model(cfg(seed=5))
+        mdl_a = init_model(cfg(), 5)
+        mdl_b = init_model(cfg(), 5)
         res_a = prefill(mdl_a, [[3, 1, 4, 1]])
         res_b = prefill(mdl_b, [[3, 1, 4, 1]])
         x = np.linspace(-1, 1, 8).astype(np.float32)[None]
@@ -123,10 +122,10 @@ class TestEquivalences:
         assert all(np.array_equal(a, b) for a, b in zip(out.attention_rows[0], rows, strict=True))
 
     def test_full_depth_full_rho_equals_naive(self):
-        sender = init_model(cfg(seed=6))
+        sender = init_model(cfg(), 6)
         payload, foreign_cache = build_payload(sender, [2, 4, 6], m=2, fraction=1.0)
-        mdl_a = init_model(cfg(seed=6))
-        mdl_b = init_model(cfg(seed=6))
+        mdl_a = init_model(cfg(), 6)
+        mdl_b = init_model(cfg(), 6)
         res_a = prefill(mdl_a, [[7, 8]])
         res_b = prefill(mdl_b, [[7, 8]])
         x = np.full((1, 8), 0.25, dtype=np.float32)
@@ -136,22 +135,22 @@ class TestEquivalences:
         np.testing.assert_array_equal(via_payload.logits, via_naive.logits)
 
     def test_naive_empty_foreign_equals_plain(self):
-        mdl = init_model(cfg(seed=7))
+        mdl = init_model(cfg(), 7)
         res = prefill(mdl, [[1, 2, 3]])
-        foreign = prefill(init_model(cfg(seed=7)), [[9]]).caches[0]
+        foreign = prefill(init_model(cfg(), 7), [[9]]).caches[0]
         foreign.prefill_len = foreign.length = 0  # empty view of a fresh cache
         x = np.zeros((1, 8), dtype=np.float32)
         out = ref_naive_full_fusion(mdl, x, res.caches[0], foreign)
-        mdl2 = init_model(cfg(seed=7))
+        mdl2 = init_model(cfg(), 7)
         res2 = prefill(mdl2, [[1, 2, 3]])
         h, _ = forward_decode(mdl2, x, res2.caches)
         np.testing.assert_array_equal(out.hidden, h)
 
     def test_symmetric_split_with_identical_foreign(self):
         # a foreign copy of the ego cache halves every row's mass
-        mdl = init_model(cfg(seed=8))
+        mdl = init_model(cfg(), 8)
         res = prefill(mdl, [[1, 2, 3, 4]])
-        twin = prefill(init_model(cfg(seed=8)), [[1, 2, 3, 4]]).caches[0]
+        twin = prefill(init_model(cfg(), 8), [[1, 2, 3, 4]]).caches[0]
         x = np.linspace(0, 1, 8).astype(np.float32)[None]
         out = ref_naive_full_fusion(mdl, x, res.caches[0], twin)
         for rows, tags in zip(out.attention_rows[0], out.context_tags[0], strict=True):
@@ -170,7 +169,7 @@ class TestWidening:
     def test_f16_payloads_decode_as_their_float32_widening(self, seed):
         # the decode joins float16 bodies to its float64 context exactly, so a
         # float16 payload and its float32 cast give the same bits
-        p16 = [build_payload(init_model(cfg(seed=seed)), tokens, m=3, fraction=fraction,
+        p16 = [build_payload(init_model(cfg(), seed), tokens, m=3, fraction=fraction,
                              sender=sender, dtype_flag=DTYPE_F16)[0]
                for sender, tokens, fraction in ((2, [2, 4, 6, 1], 0.5), (1, [3, 5], 1.0))]
         assert all(p.keys.dtype == np.float16 for p in p16)
@@ -179,7 +178,7 @@ class TestWidening:
         x = np.linspace(-1, 1, 8).astype(np.float32)[None]
         outs = []
         for payloads in (p16, p32):
-            mdl = init_model(cfg(seed=seed))
+            mdl = init_model(cfg(), seed)
             res = prefill(mdl, [[7, 8, 9]])
             outs.append(collaborative_decode(mdl, x, attach_payload(res.caches, [payloads])))
         f16, f32 = outs
@@ -192,10 +191,10 @@ class TestWidening:
 
 class TestDepthIsolation:
     def test_deep_layers_never_see_foreign(self):
-        sender = init_model(cfg(seed=9))
+        sender = init_model(cfg(), 9)
         payload, _ = build_payload(sender, [2, 4, 6], m=2, fraction=0.25)
         assert payload.l_comm == 1
-        mdl = init_model(cfg(seed=9))
+        mdl = init_model(cfg(), 9)
         res = prefill(mdl, [[7, 8]])
         out = collaborative_decode(mdl, np.zeros((1, 8), dtype=np.float32),
                                    attach_payload(res.caches, [[payload]]))
@@ -206,8 +205,8 @@ class TestDepthIsolation:
 
     def test_deep_source_bytes_irrelevant(self):
         # two source caches differing only in deep layers produce identical payloads
-        sender_a = init_model(cfg(seed=10))
-        sender_b = init_model(cfg(seed=10))
+        sender_a = init_model(cfg(), 10)
+        sender_b = init_model(cfg(), 10)
         pa, cache_a = build_payload(sender_a, [2, 4, 6], m=2, fraction=0.25)
         cache_b = ref_snapshot(cache_a)
         cache_b.k[1:] += 17.0
@@ -218,9 +217,9 @@ class TestDepthIsolation:
         assert pa.values.tobytes() == pb.values.tobytes()
 
     def test_foreign_positions_never_enter_ego_cache(self):
-        sender = init_model(cfg(seed=11))
+        sender = init_model(cfg(), 11)
         payload, _ = build_payload(sender, [2, 4, 6], m=2)
-        mdl = init_model(cfg(seed=11))
+        mdl = init_model(cfg(), 11)
         res = prefill(mdl, [[7, 8]])
         out = collaborative_decode(mdl, np.zeros((1, 8), dtype=np.float32),
                                    attach_payload(res.caches, [[payload]]))
@@ -235,7 +234,7 @@ class TestHazardFusion:
     """Constructed shallow-benefit and deep-interference behaviors."""
 
     def _clear_ego(self, layers=4):
-        c = cfg(seed=0, num_layers=layers)
+        c = cfg(num_layers=layers)
         mdl = make_hazard_model(c)
         tokens = [TOKEN_CLEAR] * 5 + [TOKEN_EGO_A]
         res = prefill(mdl, [tokens])
@@ -244,7 +243,7 @@ class TestHazardFusion:
     def test_shallow_hazard_kv_raises_brake_logit(self):
         # collaborator saw a lane-A hazard; its shallow cache alone must push
         # the lane-A receiver's brake logit above the no-payload run
-        sender = make_hazard_model(cfg(seed=0))
+        sender = make_hazard_model(cfg())
         payload, _ = build_payload(sender, [TOKEN_HAZARD_A, TOKEN_CLEAR, TOKEN_EGO_B],
                                    m=2, fraction=0.25, sender=1)
         mdl, res = self._clear_ego()
@@ -259,7 +258,7 @@ class TestHazardFusion:
     def test_deep_decision_flips_naive_but_not_shallow(self):
         # foreign agent braked for a hazard in its own lane; its deep cache
         # flips the clear-lane ego under full-depth fusion only
-        sender = make_hazard_model(cfg(seed=0))
+        sender = make_hazard_model(cfg())
         foreign_tokens = [TOKEN_HAZARD_B, TOKEN_CLEAR, TOKEN_EGO_B]
         payload_shallow, foreign_cache = build_payload(
             sender, foreign_tokens, m=2, fraction=0.25, sender=1)

@@ -21,19 +21,17 @@ from laco.model import (
     TOKEN_OCCLUDED,
     ModelConfig,
     forward_decode,
-    init_model,
     make_hazard_model,
     prefill,
     project_to_logits,
 )
 from laco.scenario import AgentSpec, Simulation, builtin_scenario_path, load_scenario, observe
 from laco.wire import distill
-from reference import ref_decode_hiddens, ref_forward_decode, ref_prefill
+from reference import init_model, ref_decode_hiddens, ref_forward_decode, ref_prefill
 
 
-def hazard_config(layers=2, seed=0, **kw):
-    base = dict(num_layers=layers, num_heads=2, model_dim=8, vocab_size=16,
-                max_context=64, seed=seed)
+def hazard_config(layers=2, **kw):
+    base = dict(num_layers=layers, num_heads=2, model_dim=8, vocab_size=16, max_context=64)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -110,12 +108,12 @@ class TestPassthrough:
     def test_middle_layers_flagged(self, layers):
         flags = (False, *[True] * (layers - 2), False)
         assert make_hazard_model(hazard_config(layers)).passthrough == flags
-        assert init_model(hazard_config(layers)).passthrough == (False,) * layers
+        assert init_model(hazard_config(layers), 0).passthrough == (False,) * layers
 
     @pytest.mark.parametrize("layers", [2, 3, 4, 6])
     def test_last_layer_mlp_flagged(self, layers):
         assert make_hazard_model(hazard_config(layers)).zero_mlp == (False,) + (True,) * (layers - 1)
-        assert init_model(hazard_config(layers)).zero_mlp == (False,) * layers
+        assert init_model(hazard_config(layers), 0).zero_mlp == (False,) * layers
 
     def test_flagged_mlp_is_read_only(self):
         last = make_hazard_model(hazard_config(2)).layers[-1]

@@ -13,17 +13,16 @@ from laco.model import (
     Model,
     ModelConfig,
     forward_decode,
-    init_model,
     make_hazard_model,
     prefill,
 )
 from laco.scenario import builtin_scenario_path, load_scenario, run_episode
 from laco.wire import distill
-from reference import ref_deliberate_hidden
+from reference import init_model, ref_deliberate_hidden
 
 
-def cfg(seed=0, **kw):
-    base = dict(num_layers=2, num_heads=2, model_dim=8, vocab_size=16, max_context=64, seed=seed)
+def cfg(**kw):
+    base = dict(num_layers=2, num_heads=2, model_dim=8, vocab_size=16, max_context=64)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -40,7 +39,7 @@ class TestAlignment:
         # with an orthogonal square output head, pinv(W_out) = W_out^T,
         # so the alignment collapses to W_out^T @ W_in
         rng = np.random.default_rng(0)
-        m = init_model(cfg(vocab_size=8))
+        m = init_model(cfg(vocab_size=8), 0)
         m.w_out = householder(8, rng)
         m.w_in = rng.normal(size=(8, 8)).astype(np.float32)
         m._alignment = None
@@ -49,28 +48,28 @@ class TestAlignment:
         np.testing.assert_allclose(proj, expected, atol=1e-5)
 
     def test_pinv_defining_identity(self):
-        m = init_model(cfg(seed=2))
+        m = init_model(cfg(), 2)
         w = m.w_out.T.astype(np.float64)
         pinv = np.linalg.pinv(w, rcond=1e-6)
         err = np.linalg.norm(w @ pinv @ w - w) / np.linalg.norm(w)
         assert err < 1e-5
 
     def test_memoized_same_object(self):
-        m = init_model(cfg(seed=3))
+        m = init_model(cfg(), 3)
         a = compute_alignment(m)
         b = compute_alignment(m)
         assert a is b
         assert a.tobytes() == b.tobytes()
 
     def test_shape(self):
-        m = init_model(cfg(seed=4, vocab_size=20))
+        m = init_model(cfg(vocab_size=20), 4)
         proj = compute_alignment(m)
         assert proj.shape == (8, 8) and proj.dtype == np.float32
 
 
 class TestDeliberate:
     def test_m0_no_change(self):
-        m = init_model(cfg(seed=5))
+        m = init_model(cfg(), 5)
         res = prefill(m, [[1, 2, 3]])
         h0 = res.hidden.copy()
         before = res.caches[0].length
@@ -81,7 +80,7 @@ class TestDeliberate:
 
     @pytest.mark.parametrize("m_steps", [1, 3, 5])
     def test_cache_growth_law(self, m_steps):
-        mdl = init_model(cfg(seed=6))
+        mdl = init_model(cfg(), 6)
         res = prefill(mdl, [[1, 2, 3, 4]])
         deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, m_steps)
         # Positions 4 .. 4 + m_steps - 1 are ego latent.
@@ -95,7 +94,7 @@ class TestDeliberate:
         assert out.traces[0].num_steps == 10
 
     def test_no_vocabulary_projections(self, monkeypatch):
-        mdl = init_model(cfg(seed=7))
+        mdl = init_model(cfg(), 7)
         res = prefill(mdl, [[1, 2]])
         w_a = compute_alignment(mdl)
 
@@ -108,7 +107,7 @@ class TestDeliberate:
 
     def test_forward_pass_count(self, monkeypatch):
         """One decode batch over the caches, stepped once per latent step."""
-        mdl = init_model(cfg(seed=8))
+        mdl = init_model(cfg(), 8)
         res = prefill(mdl, [[1, 2]])
         steps, step = [], model_module.DecodeBatch.__call__
 
@@ -123,26 +122,26 @@ class TestDeliberate:
         assert res.caches[0].length - res.caches[0].prefill_len == 6  # one position per pass
 
     def test_trace_context_lengths(self):
-        mdl = init_model(cfg(seed=9))
+        mdl = init_model(cfg(), 9)
         res = prefill(mdl, [[1, 2, 3]])
         out = deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 4)
         np.testing.assert_array_equal(out.traces[0].lengths[:4], [4, 5, 6, 7])
 
     def test_negative_m_rejected(self):
-        mdl = init_model(cfg())
+        mdl = init_model(cfg(), 0)
         res = prefill(mdl, [[1]])
         with pytest.raises(ConfigError):
             deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, -1)
 
     def test_overflow_mid_run(self):
-        mdl = init_model(cfg(max_context=5))
+        mdl = init_model(cfg(max_context=5), 0)
         res = prefill(mdl, [[1, 2, 3]])
         with pytest.raises(ContextOverflowError):
             deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 4)
 
     def test_overflow_raises_before_the_first_step(self):
         """A run that cannot fit leaves caches and store untouched."""
-        mdl = init_model(cfg(seed=11, max_context=60))
+        mdl = init_model(cfg(max_context=60), 11)
         res = prefill(mdl, np.random.default_rng(11).integers(0, 16, size=(2, 50)))
         store = res.caches[0].store.copy()
         with pytest.raises(ContextOverflowError):
@@ -162,7 +161,7 @@ class TestDeliberate:
         np.testing.assert_allclose(out.final_hidden[0], ref, atol=1e-6)
 
     def test_matches_unrolled_reference_random(self):
-        mdl = init_model(cfg(seed=10))
+        mdl = init_model(cfg(), 10)
         tokens = [3, 9, 14]
         res = prefill(mdl, [tokens])
         proj = compute_alignment(mdl)
@@ -177,8 +176,8 @@ def zero_kv_model(d=16, num_layers=4, pos="zero", passthrough=(), seed=0, max_co
     Channel 0 is 1 in every embedding and no layer writes it, so with
     :func:`fixed_alignment` every step's input is the same vector."""
     config = ModelConfig(num_layers=num_layers, num_heads=2, model_dim=d, vocab_size=32,
-                         max_context=max_context, seed=seed)
-    weights = init_model(config)
+                         max_context=max_context)
+    weights = init_model(config, seed)
     weights.w_in[:, 0] = 1.0
     for l, lw in enumerate(weights.layers):
         lw.w_qkv[:, d:] = 0.0
@@ -253,7 +252,7 @@ class TestRepeat:
 
     def test_random_weights_never_record(self):
         """With non-zero keys, no step reads an all-zero context."""
-        mdl = init_model(cfg(seed=8))
+        mdl = init_model(cfg(), 8)
         res = prefill(mdl, [[1, 2]])
         batch = DecodeBatch(mdl, res.caches)
         for _ in range(3):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,8 @@ from laco.model import (
     Model,
     ModelConfig,
     forward_decode,
-    init_model,
     prefill,
     project_to_logits,
-    sinusoidal_table,
 )
 from laco.scenario import (
     Simulation,
@@ -26,16 +26,18 @@ from laco.scenario import (
 )
 from laco.wire import distill
 from reference import (
+    init_model,
     ref_decode_hiddens,
     ref_matmul_row,
     ref_prefill,
     ref_prefill_hidden,
     ref_snapshot,
+    sinusoidal_table,
 )
 
 
-def small_config(seed=0, **kw):
-    base = dict(num_layers=2, num_heads=2, model_dim=8, vocab_size=16, max_context=32, seed=seed)
+def small_config(**kw):
+    base = dict(num_layers=2, num_heads=2, model_dim=8, vocab_size=16, max_context=32)
     base.update(kw)
     return ModelConfig(**base)
 
@@ -68,6 +70,10 @@ class TestConfig:
     def test_head_dim(self):
         assert small_config(model_dim=8, num_heads=2).head_dim == 4
 
+    def test_holds_only_the_model_dimensions(self):
+        assert [f.name for f in fields(ModelConfig)] == [
+            "num_layers", "num_heads", "model_dim", "vocab_size", "max_context"]
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -75,8 +81,6 @@ class TestConfig:
             {"num_layers": 1},
             {"vocab_size": 0},
             {"max_context": 0},
-            {"seed": -1},
-            {"seed": 2**64},
         ],
     )
     def test_rejects_bad_config(self, kw):
@@ -86,7 +90,7 @@ class TestConfig:
 
 class TestInit:
     def test_same_seed_bit_identical(self):
-        a, b = init_model(small_config(seed=9)), init_model(small_config(seed=9))
+        a, b = init_model(small_config(), 9), init_model(small_config(), 9)
         assert a.w_in.tobytes() == b.w_in.tobytes()
         assert a.w_out.tobytes() == b.w_out.tobytes()
         for la, lb in zip(a.layers, b.layers):
@@ -94,11 +98,11 @@ class TestInit:
                 assert getattr(la, name).tobytes() == getattr(lb, name).tobytes()
 
     def test_different_seeds_differ(self):
-        a, b = init_model(small_config(seed=1)), init_model(small_config(seed=2))
+        a, b = init_model(small_config(), 1), init_model(small_config(), 2)
         assert not np.array_equal(a.w_in, b.w_in)
 
     def test_weights_bounded_and_finite(self):
-        m = init_model(small_config(seed=3))
+        m = init_model(small_config(), 3)
         bound = 1.0 / np.sqrt(m.config.model_dim)
         for w in (m.w_in, m.w_out, m.layers[0].w_q):
             assert np.all(np.isfinite(w))
@@ -114,12 +118,12 @@ class TestInit:
 
 class TestPrefill:
     def test_cache_length_and_tags(self):
-        m = init_model(small_config())
+        m = init_model(small_config(), 0)
         (cache,) = prefill(m, [[1, 2, 3, 4, 5]]).caches
         assert (cache.prefill_len, cache.length) == (5, 5)  # every position ego prefill
 
     def test_trace_rows_normalized(self, monkeypatch):
-        m = init_model(small_config(seed=4))
+        m = init_model(small_config(), 4)
         rows = prefill_rows(monkeypatch, m, [0, 1, 2, 3])
         assert rows.shape == (2, 2, 4, 4)
         for t in range(4):
@@ -129,22 +133,22 @@ class TestPrefill:
             np.testing.assert_allclose(computed[:, :, :n].sum(axis=2), 1.0, atol=1e-6)
 
     def test_deterministic(self):
-        m1, m2 = init_model(small_config(seed=5)), init_model(small_config(seed=5))
+        m1, m2 = init_model(small_config(), 5), init_model(small_config(), 5)
         r1, r2 = prefill(m1, [[3, 1, 4]]), prefill(m2, [[3, 1, 4]])
         np.testing.assert_array_equal(r1.hidden, r2.hidden)
 
     def test_single_token_row_is_one(self, monkeypatch):
-        m = init_model(small_config(seed=21))
+        m = init_model(small_config(), 21)
         rows = prefill_rows(monkeypatch, m, [7])
         np.testing.assert_array_equal(rows[:, :, 0, 0], 1.0)
 
     def test_overflow(self):
-        m = init_model(small_config(max_context=4))
+        m = init_model(small_config(max_context=4), 0)
         with pytest.raises(ContextOverflowError):
             prefill(m, [[0] * 5])
 
     def test_empty_rejected(self):
-        m = init_model(small_config())
+        m = init_model(small_config(), 0)
         with pytest.raises(ConfigError):
             prefill(m, [[]])
 
@@ -152,7 +156,7 @@ class TestPrefill:
     def test_hidden_and_store_equal_the_per_agent_prefill(self, d):
         # At d >= 24 a one-row product sums in another order than the (T, k)
         # product, so the last layer keeps w_o and the MLP at (A, T, .).
-        model = init_model(ModelConfig(3, 4, d, 16, 48, seed=d))
+        model = init_model(ModelConfig(3, 4, d, 16, 48), d)
         tokens = np.random.default_rng(d).integers(0, 16, size=(2, 41))
         pre = prefill(model, tokens)
         refs = [ref_prefill(model, row) for row in tokens]
@@ -163,7 +167,7 @@ class TestPrefill:
         np.testing.assert_array_equal(pre.caches[0].store, want)
 
     def test_matches_reference_forward(self):
-        m = init_model(small_config(seed=11))
+        m = init_model(small_config(), 11)
         tokens = [2, 7, 1, 9, 4]
         res = prefill(m, [tokens])
         ref = ref_prefill_hidden(m, tokens)
@@ -172,14 +176,14 @@ class TestPrefill:
 
 class TestDecode:
     def test_grows_by_one_with_latent_tag(self):
-        m = init_model(small_config(seed=6))
+        m = init_model(small_config(), 6)
         res = prefill(m, [[1, 2, 3]])
         forward_decode(m, np.zeros((1, 8), dtype=np.float32), res.caches)
         (cache,) = res.caches
         assert (cache.prefill_len, cache.length) == (3, 4)  # position 3 is ego latent
 
     def test_existing_positions_never_mutate(self):
-        m = init_model(small_config(seed=7))
+        m = init_model(small_config(), 7)
         (cache,) = prefill(m, [[1, 2, 3]]).caches
         before_k = cache.k[:, :, :3, :].copy()
         before_v = cache.v[:, :, :3, :].copy()
@@ -190,7 +194,7 @@ class TestDecode:
     def test_prefill_caches_are_read_only(self):
         """A prefill cache's ``k``/``v`` refuse a write, which could leave a ``nonzero``
         flag stale; decode appends through the store."""
-        m = init_model(small_config(seed=15))
+        m = init_model(small_config(), 15)
         (cache,) = prefill(m, [[1, 2, 3]]).caches
         for kv in (cache.k, cache.v):
             with pytest.raises(ValueError, match="read-only"):
@@ -199,7 +203,7 @@ class TestDecode:
         assert cache.length == 4 and cache.k[:, :, 3].any()
 
     def test_repeat_from_snapshot_identical(self):
-        m = init_model(small_config(seed=8))
+        m = init_model(small_config(), 8)
         (cache,) = prefill(m, [[5, 6]]).caches
         x = np.linspace(-1, 1, 8).astype(np.float32)[None]
         h1, r1 = forward_decode(m, x, [ref_snapshot(cache)])
@@ -211,7 +215,7 @@ class TestDecode:
     def test_rows_land_in_the_callers_buffer(self):
         """With a rows buffer, each layer's rows are views of its slot, bit-equal
         to a decode that allocates them; the slot's tail stays as it was."""
-        m = init_model(small_config(seed=12))
+        m = init_model(small_config(), 12)
         tokens = np.random.default_rng(12).integers(0, 16, size=(2, 5))
         x = np.linspace(-1, 1, 16).astype(np.float32).reshape(2, 8)
         h1, r1 = forward_decode(m, x, prefill(m, tokens).caches)
@@ -225,7 +229,7 @@ class TestDecode:
         assert np.all(buffer[:, :, 6:] == -1.0)
 
     def test_rows_cover_context_including_self(self):
-        m = init_model(small_config(seed=9))
+        m = init_model(small_config(), 9)
         res = prefill(m, [[1, 2, 3]])
         _, rows = forward_decode(m, np.zeros((1, 8), dtype=np.float32), res.caches)
         assert all(r.shape == (2, 4) for r in rows)
@@ -233,20 +237,20 @@ class TestDecode:
             np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-6)
 
     def test_overflow(self):
-        m = init_model(small_config(max_context=3))
+        m = init_model(small_config(max_context=3), 0)
         res = prefill(m, [[1, 2, 3]])
         with pytest.raises(ContextOverflowError):
             forward_decode(m, np.zeros((1, 8), dtype=np.float32), res.caches)
 
     def test_nonfinite_input_rejected(self):
-        m = init_model(small_config())
+        m = init_model(small_config(), 0)
         res = prefill(m, [[1]])
         bad = np.full((1, 8), np.nan, dtype=np.float32)
         with pytest.raises(ConfigError):
             forward_decode(m, bad, res.caches)
 
     def test_matches_reference_forward(self):
-        m = init_model(small_config(seed=13))
+        m = init_model(small_config(), 13)
         tokens = [2, 5, 8]
         res = prefill(m, [tokens])
         rng = np.random.default_rng(0)
@@ -259,7 +263,7 @@ class TestDecode:
 
 
     def test_in_place_weight_write_reaches_next_decode(self):
-        m = init_model(small_config(seed=14))
+        m = init_model(small_config(), 14)
         (cache,) = prefill(m, [[1, 2, 3]]).caches
         lw = m.layers[0]
         assert np.shares_memory(lw.w_k, lw.w_qkv) and np.shares_memory(lw.w_v, lw.w_qkv)
@@ -272,12 +276,12 @@ class TestDecode:
         np.testing.assert_array_equal(cache.v[0, :, 3], (y @ lw.w_v).reshape(2, 4))
 
 
-def with_passthrough(config, zeroed=(), zeroed_mlp=(), zeroed_kv=()):
-    """``init_model`` weights with the layers ``zeroed`` set to zero, the MLPs
+def with_passthrough(config, seed, zeroed=(), zeroed_mlp=(), zeroed_kv=()):
+    """``init_model(config, seed)`` weights with the layers ``zeroed`` set to zero, the MLPs
     of ``zeroed_mlp`` and the ``w_k`` and ``w_v`` of ``zeroed_kv``, as two
     models on the same arrays: one skips those blocks, one runs them in full
     (with ``full_path`` on, which also runs attention over all-zero contexts)."""
-    weights = init_model(config)
+    weights = init_model(config, seed)
     for l in zeroed:
         lw = weights.layers[l]
         for w in (lw.w_qkv, lw.w_o):
@@ -332,8 +336,8 @@ class TestPassthrough:
         """Store, hidden states, traces, rows and tags equal the full path's.
         At l_comm 2 and 4, flagged layers join the finite payloads and are skipped."""
         config = ModelConfig(num_layers=4, num_heads=2, model_dim=d, vocab_size=64,
-                             max_context=64, seed=seed)
-        skip, full = with_passthrough(config, zeroed=(1, 2))
+                             max_context=64)
+        skip, full = with_passthrough(config, seed, zeroed=(1, 2))
         assert skip.passthrough == skip.zero_mlp == (False, True, True, False)
         got = self.run(skip, l_comm, seed)
         full_path(monkeypatch)
@@ -345,8 +349,8 @@ class TestPassthrough:
     def test_zero_mlp_skip_matches_the_full_path(self, d, l_comm, seed, monkeypatch):
         """With only the last layer's MLP zeroed, its skip changes no byte."""
         config = ModelConfig(num_layers=4, num_heads=2, model_dim=d, vocab_size=64,
-                             max_context=64, seed=seed)
-        skip, full = with_passthrough(config, zeroed_mlp=(3,))
+                             max_context=64)
+        skip, full = with_passthrough(config, seed, zeroed_mlp=(3,))
         assert skip.passthrough == (False,) * 4 and skip.zero_mlp == (False, False, False, True)
         got = self.run(skip, l_comm, seed)
         full_path(monkeypatch)
@@ -358,8 +362,8 @@ class TestPassthrough:
         MLP are not: every call skips its attention, and the outputs keep their
         bytes."""
         config = ModelConfig(num_layers=4, num_heads=2, model_dim=16, vocab_size=64,
-                             max_context=64, seed=l_comm)
-        skip, full = with_passthrough(config, zeroed_kv=(1,))
+                             max_context=64)
+        skip, full = with_passthrough(config, l_comm, zeroed_kv=(1,))
         assert skip.passthrough == skip.zero_mlp == (False,) * 4
         lw = skip.layers[1]
         assert lw.w_q.any() and lw.w_o.any() and lw.w_mlp1.any() and lw.w_mlp2.any()
@@ -380,7 +384,7 @@ class TestPassthrough:
         """A cache that prefill did not make reports every row "may be
         non-zero", so K/V written into it by hand are attended over, as on the
         full path, even at a layer whose ``w_k`` and ``w_v`` are zero."""
-        skip, _ = with_passthrough(small_config(seed=5), zeroed_kv=(0,))
+        skip, _ = with_passthrough(small_config(), 5, zeroed_kv=(0,))
         pre = prefill(skip, [[1, 2, 3, 4]])
         assert not pre.caches[0].nonzero[0].any()
         rng = np.random.default_rng(5)
@@ -399,7 +403,7 @@ class TestPassthrough:
 
     def test_flagged_weights_are_read_only(self):
         """A write into a skipped layer raises; it could not reach a decode."""
-        skip, _ = with_passthrough(small_config(num_layers=3), zeroed=(1,))
+        skip, _ = with_passthrough(small_config(num_layers=3), 0, zeroed=(1,))
         zero = skip.layers[1]
         for w in (zero.w_qkv, zero.w_k, zero.w_o, zero.w_mlp1, zero.w_mlp2):
             with pytest.raises(ValueError, match="read-only"):
@@ -416,7 +420,7 @@ class TestWidenedStore:
         all write float32 values into the float64 store."""
         spec = load_scenario(builtin_scenario_path(name))
         sim = Simulation(spec, "LACO")
-        model = sim.model if weights == "hazard" else init_model(spec.model_config())
+        model = sim.model if weights == "hazard" else init_model(spec.model_config(), 0)
         live = sim.live_agents()
         obs = np.stack([observe(sim.world, sim.agents, spec.hazards, aid, 0) for aid in live])
         pre = prefill(model, obs)
@@ -437,17 +441,17 @@ class TestWidenedStore:
 
 class TestLogits:
     def test_zero_hidden_zero_logits(self):
-        m = init_model(small_config())
+        m = init_model(small_config(), 0)
         np.testing.assert_array_equal(
             project_to_logits(m, np.zeros(8, dtype=np.float32)), np.zeros(16, dtype=np.float32)
         )
 
     def test_shape(self):
-        m = init_model(small_config())
+        m = init_model(small_config(), 0)
         assert project_to_logits(m, np.ones(8, dtype=np.float32)).shape == (16,)
 
     def test_matches_loop_matmul(self):
-        m = init_model(small_config(seed=15))
+        m = init_model(small_config(), 15)
         rng = np.random.default_rng(1)
         h = rng.normal(size=8).astype(np.float32)
         ref = ref_matmul_row(h, m.w_out)

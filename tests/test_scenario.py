@@ -65,6 +65,14 @@ def mutated_scenario(draw):
     return "\n".join(lines)
 
 
+# A 3x10 grid: agent 0 on lane A, agents 1 and 2 on lane B, a lane-B hazard at {path}.
+TWO_ON_LANE_B = "\n".join(
+    ["grid = .........."] * 3
+    + ["agent = 0 A 2,0", "agent = 1 B 0,0", "agent = 2 B 1,0"]
+    + [f"route = {a} " + " ".join(f"{r},{c}" for c in range(10)) for a, r in ((0, 2), (1, 0), (2, 1))]
+    + ["hazard = lane=B path={path} appear=0 enter=2 clear=4"])
+
+
 def mini_spec(**overrides):
     spec = sc.parse_scenario(MINI)
     if overrides:
@@ -124,6 +132,7 @@ class TestParser:
             ("cell_size_m = inf", "cell_size_m must be positive and finite"),
             ("cell_size_m = -10", "cell_size_m must be positive and finite"),
             ("cell_size_m = 0", "cell_size_m must be positive and finite"),
+            ("route = 9 0,0 0,1", "route 9 has no agent"),
         ],
     )
     def test_rejects_malformed(self, mutation):
@@ -162,7 +171,6 @@ class TestParser:
         ("model_layers", 1, "^model_layers: num_layers must be >= 2"),
         ("model_heads", 1, "^model_heads: num_heads must be >= 2"),
         ("vocab_size", 3, "^vocab_size: vocab_size must be >= 14"),
-        ("seed", -1, "^seed: seed must fit"),
     ])
     def test_replace_checks_the_new_spec(self, key, value, match):
         with pytest.raises(ScenarioError, match=match):
@@ -171,6 +179,10 @@ class TestParser:
     def test_simulation_rejects_an_unknown_paradigm(self):
         with pytest.raises(ScenarioError, match="unknown paradigm 'Telepathy'"):
             sc.Simulation(mini_spec(), "Telepathy")
+
+    def test_simulation_rejects_an_empty_paradigm(self):
+        with pytest.raises(ScenarioError, match="unknown paradigm ''"):
+            sc.Simulation(mini_spec(), "")
 
     def test_simulation_spec_holds_the_paradigm_that_runs(self):
         assert sc.Simulation(mini_spec(), "Visual").spec.paradigm == "Visual"
@@ -200,6 +212,16 @@ class TestParser:
         text = MINI.replace("path=3,4", "path=1,4")
         with pytest.raises(ScenarioError, match="not on that lane's route"):
             sc.parse_scenario(text)
+
+    @pytest.mark.parametrize("path", ["0,2", "1,7"])
+    def test_hazard_may_sit_on_any_route_of_its_lane(self, path):
+        """Agents 1 and 2 both drive lane B: a lane-B hazard may cross either route."""
+        spec = sc.parse_scenario(TWO_ON_LANE_B.format(path=path))
+        assert spec.hazards[0].path_cell == tuple(map(int, path.split(",")))
+
+    def test_hazard_off_every_route_of_its_lane_is_rejected(self):
+        with pytest.raises(ScenarioError, match=r"lane-B hazard path \(2, 5\) not on"):
+            sc.parse_scenario(TWO_ON_LANE_B.format(path="2,5"))
 
 
 class TestObserve:
@@ -431,6 +453,14 @@ def test_episodes_of_one_layout_share_one_read_only_model():
     for w in (model.w_in, model.w_out, model.pos, lw.w_qkv, lw.w_k, lw.w_o, lw.w_mlp1, lw.w_mlp2):
         with pytest.raises(ValueError, match="read-only"):
             w[0, 0] = 1.0
+
+
+def test_specs_that_differ_only_in_seed_share_one_model():
+    """``seed`` sets nothing: its episodes run the one hazard Model and give the same rows."""
+    spec = sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
+    other = replace(spec, seed=spec.seed + 1)
+    assert sc.Simulation(other).model is sc.Simulation(spec).model
+    assert sc.metrics_rows(sc.run_episode(other)) == sc.metrics_rows(sc.run_episode(spec))
 
 
 def test_episodes_stepped_in_turn_share_one_model(monkeypatch, tmp_path):

@@ -7,7 +7,7 @@ from laco import scenario as sc
 from laco import wire
 from laco.errors import ConfigError, PayloadFormatError
 from laco.ild import compute_alignment, deliberate
-from laco.model import KVCache, ModelConfig, init_model, prefill
+from laco.model import KVCache, ModelConfig, prefill
 from laco.wire import (
     DTYPE_F16,
     DTYPE_F32,
@@ -22,7 +22,7 @@ from laco.wire import (
     rounded_layer_count,
     serialize,
 )
-from reference import ref_chsa_payload
+from reference import init_model, ref_chsa_payload
 
 
 def random_payload(rng, l_comm, H, t_salient, t_latent, dh, dtype_flag=DTYPE_F32):
@@ -42,7 +42,7 @@ def random_payload(rng, l_comm, H, t_salient, t_latent, dh, dtype_flag=DTYPE_F32
 
 def chsa_from_model(seed=0, L=4, T=8, m=3):
     """(cache after m deliberation steps, prefill length, selected indices)."""
-    mdl = init_model(ModelConfig(L, 2, 8, 16, 64, seed=seed))
+    mdl = init_model(ModelConfig(L, 2, 8, 16, 64), seed)
     res = prefill(mdl, [list(range(T))])
     deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, m)
     return res.caches[0], T, [1, 4, 6]
@@ -87,7 +87,7 @@ class TestDistill:
         rng = np.random.default_rng(7)
         for _ in range(30):
             L = int(rng.integers(2, 6))
-            cache = KVCache(ModelConfig(L, 2, 8, 16, 24, seed=0), np.zeros((2, L, 2, 24, 4)), 0)
+            cache = KVCache(ModelConfig(L, 2, 8, 16, 24), np.zeros((2, L, 2, 24, 4)), 0)
             cache.k[:] = rng.normal(size=cache.k.shape)
             cache.v[:] = rng.normal(size=cache.v.shape)
             cache.length = int(rng.integers(1, 25))
