@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
 from .model import (EGO_LATENT, EGO_PREFILL, FOREIGN_LATENT, FOREIGN_PREFILL, Model,
                     forward_decode, project_to_logits)
 
@@ -18,14 +17,12 @@ from .model import (EGO_LATENT, EGO_PREFILL, FOREIGN_LATENT, FOREIGN_PREFILL, Mo
 @dataclass(frozen=True)
 class FusedContext:
     """A lock-step batch of ego caches, each with its own inbox of received
-    payloads ordered by ascending sender id; every inbox holds as many."""
+    payloads ordered by ascending sender id.  It checks nothing itself: the
+    decode (:class:`laco.model.DecodeBatch`) checks the inbox count, their one
+    signature and that every payload fits the model."""
 
     caches: list
     inboxes: list
-
-    def __post_init__(self):
-        if len(self.inboxes) != len(self.caches) or len(set(map(len, self.inboxes))) > 1:
-            raise ShapeMismatchError("a batch needs one payload list per cache, all of one length")
 
     @property
     def segments(self) -> list:
@@ -34,16 +31,8 @@ class FusedContext:
 
 
 def attach_payload(caches, inboxes) -> FusedContext:
-    """Build the fused context of A caches of one length and their A payload
-    lists; each list is sorted by sender id."""
-    cfg = caches[0].config
-    for p in (p for box in inboxes for p in box):
-        if p.num_heads != cfg.num_heads or p.head_dim != cfg.head_dim:
-            raise ShapeMismatchError(f"payload heads/head_dim ({p.num_heads}, {p.head_dim}) do "
-                                     f"not match model ({cfg.num_heads}, {cfg.head_dim})")
-        if p.l_comm > cfg.num_layers:
-            raise ShapeMismatchError(
-                f"payload spans {p.l_comm} layers but the model has {cfg.num_layers}")
+    """Wrap A caches of one length and their A payload lists, each sorted by
+    sender id; the decode checks them."""
     return FusedContext(caches, [sorted(box, key=lambda p: p.sender_id) for box in inboxes])
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, ContextOverflowError
+from .errors import ConfigError, ContextOverflowError, ShapeMismatchError
 
 # Cache position origin tags.
 EGO_PREFILL = 0
@@ -399,8 +399,10 @@ class DecodeBatch:
     agents folded into the head axis.  ``payloads``: empty or one list per agent, of one
     signature (each payload's ``(l_comm, num_positions)``), scanned here, read as they are and
     left so while the batch runs; layer l < ``l_comm`` joins ``keys[l]``/``values[l]`` (float32
-    or float16, widened exactly) to its agent's rows.  A step raises ``ConfigError`` once another
-    decode moved a cache, so the kept ``nonzero`` flags stay exact (only a decode raises one).
+    or float16, widened exactly) to its agent's rows.  The scan is the one check that a payload
+    fits the model (heads, ``head_dim``, ``l_comm <= L``; else ``ShapeMismatchError``).  A step
+    raises ``ConfigError`` once another decode moved a cache, so the kept ``nonzero`` flags stay
+    exact (only a decode raises one).
     """
 
     def __init__(self, model: Model, caches, payloads=()):
@@ -410,7 +412,7 @@ class DecodeBatch:
             raise ConfigError("a decode batch must be consecutive caches of one store at one length")
         if n == 0:
             raise ConfigError("decode requires a non-empty cache")
-        L, H, depth, sent = cfg.num_layers, cfg.num_heads, 0, ()
+        L, H, dh, depth, sent = cfg.num_layers, cfg.num_heads, cfg.head_dim, 0, ()
         if payloads:
             signatures = {tuple((p.l_comm, p.num_positions) for p in box) for box in payloads}
             if len(payloads) != A or len(signatures) != 1:
@@ -418,10 +420,15 @@ class DecodeBatch:
             depth = max((l_comm for l_comm, _ in signatures.pop()), default=0)
             # A sender's one Payload sits in every peer's inbox: scan each once.
             sent = {id(p): p for box in payloads for p in box}.values()
+            for p in sent:
+                l_comm, heads, _, head_dim = p.keys.shape
+                if heads != H or head_dim != dh or l_comm > L:
+                    raise ShapeMismatchError(f"a payload of {l_comm} layers of {heads} heads of {head_dim} "
+                                             f"does not fit a model of {L} layers of {H} heads of {dh}")
         self.model, self.caches, self.payloads, self.length = model, caches, payloads, n
-        self.dims = A, H, cfg.head_dim, cfg.model_dim
+        self.dims = A, H, dh, cfg.model_dim
         self.ctx = first.store[:, :, first.row * H : (first.row + A) * H]  # (2, L, A·H, capacity, d_h)
-        self.new = self.ctx.reshape(2, L, A, H, -1, cfg.head_dim).transpose(1, 4, 2, 0, 3, 5)  # [l, n]: K/V
+        self.new = self.ctx.reshape(2, L, A, H, -1, dh).transpose(1, 4, 2, 0, 3, 5)  # [l, n]: K/V
         self.ego = first.nonzero[:, first.row : first.row + A]  # (L, A) view: the batch rows' flags
         # Per layer: may a batch row or joined slice be non-zero (NaN, inf count); P joined or None.
         self.flagged = [bool(f) or any(a[l].any() for p in sent if l < p.l_comm for a in (p.keys, p.values))

@@ -168,13 +168,15 @@ def parse_scenario(text: str) -> ScenarioSpec:
     Repeatable keys: ``grid`` (one row per line, ``.`` road / ``#`` obstacle),
     ``agent = <id> <lane> <r,c>``, ``route = <id> <r,c> ...``, and
     ``hazard = lane=<A|B> path=<r,c> [hide=<r,c>] appear=<t> enter=<t>
-    clear=<t>``, each field at most once.  An agent or route id appears at
-    most once.  Every other key is a scalar with a default in ``_DEFAULTS``,
-    parsed as the type of that default.
+    clear=<t>``, each field at most once.  A route id appears at most once
+    and names an agent.  Every other key is a scalar with a default in
+    ``_DEFAULTS``, parsed as the type of that default.  The rules on the
+    values (grid, lanes, unique agent ids, routes, ...) are
+    :class:`ScenarioSpec`'s own.
     """
     values = dict(_DEFAULTS)
     grid_rows = []
-    agent_lines = {}
+    agent_lines = []  # (id, lane, start cell)
     route_lines = {}
     hazards = []
     for raw in text.splitlines():
@@ -193,12 +195,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
                 parts = value.split()
                 if len(parts) != 3:
                     raise ScenarioError(f"agent line needs '<id> <lane> <r,c>': {value!r}")
-                if parts[1] not in ("A", "B"):
-                    raise ScenarioError(f"agent lane must be A or B, got {parts[1]!r}")
-                agent_id = int(parts[0])
-                if agent_id in agent_lines:
-                    raise ScenarioError(f"agent {agent_id} is defined twice")
-                agent_lines[agent_id] = (parts[1], _parse_cell(parts[2]))
+                agent_lines.append((int(parts[0]), parts[1], _parse_cell(parts[2])))
             elif key == "route":
                 parts = value.split()
                 route_id = int(parts[0])
@@ -212,8 +209,6 @@ def parse_scenario(text: str) -> ScenarioSpec:
                     raise ScenarioError(f"hazard line {value!r} repeats a field")
                 if fields.keys() - _HAZARD_FIELDS:
                     raise ScenarioError(f"unknown hazard field in {value!r}")
-                if fields["lane"] not in ("A", "B"):
-                    raise ScenarioError(f"hazard lane must be A or B, got {fields['lane']!r}")
                 hazards.append(
                     HazardSpec(
                         lane=fields["lane"],
@@ -233,19 +228,11 @@ def parse_scenario(text: str) -> ScenarioSpec:
         except (ValueError, IndexError) as exc:
             raise ScenarioError(f"malformed {key} line {value!r}: {exc}") from exc
 
-    if not grid_rows:
-        raise ScenarioError("scenario has no grid rows")
-    width = len(grid_rows[0])
-    if any(len(r) != width for r in grid_rows):
-        raise ScenarioError("grid rows must all have the same width")
-    if any(set(r) - {".", "#"} for r in grid_rows):
-        raise ScenarioError("grid rows may only contain '.' and '#'")
-
-    orphans = route_lines.keys() - agent_lines.keys()
+    orphans = route_lines.keys() - {agent_id for agent_id, _, _ in agent_lines}
     if orphans:
         raise ScenarioError(f"route {min(orphans)} has no agent")
     agents = []
-    for agent_id, (lane, start) in sorted(agent_lines.items()):
+    for agent_id, lane, start in sorted(agent_lines):
         route = route_lines.get(agent_id)
         if not route:
             raise ScenarioError(f"agent {agent_id} has no route")
@@ -270,6 +257,21 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
 
 def _validate_spec(spec: ScenarioSpec):
+    for who, lane in [(f"agent {a.agent_id}", a.lane) for a in spec.agents] + [
+            ("hazard", hz.lane) for hz in spec.hazards]:
+        if lane not in ("A", "B"):
+            raise ScenarioError(f"{who} lane must be A or B, got {lane!r}")
+    for agent_id, n in Counter(a.agent_id for a in spec.agents).items():
+        if n > 1:
+            raise ScenarioError(f"agent {agent_id} is defined twice")
+        if not 0 <= agent_id < 2**32:  # a payload's sender_id is a u32
+            raise ScenarioError(f"agent id {agent_id} outside [0, 2**32)")
+    if not spec.grid or not spec.grid[0]:
+        raise ScenarioError("scenario grid has no cells")
+    if set(map(len, spec.grid)) != {spec.cols}:
+        raise ScenarioError("grid rows must all have the same width")
+    if not set().union(*spec.grid) <= {".", "#"}:
+        raise ScenarioError("grid rows may only contain '.' and '#'")
     if spec.paradigm not in PARADIGMS:
         raise ScenarioError(f"unknown paradigm {spec.paradigm!r}")
     # The bounds deliberate, saliency_scores, distill and the episode loop need at run time.
@@ -487,13 +489,14 @@ class Simulation:
                        for a in sorted(spec.agents, key=lambda a: a.agent_id)}
         # Every agent runs the same weights; run_tick counts each agent's passes.
         self.model = hazard_model(spec.model_config())
+        if spec.paradigm == "LACO" and spec.m == 0:
+            log.warning("LACO with m=0: no latent trace, transmitting nothing")
         self.ticks = 0  # ticks run; the current tick while one runs
         self.comm_bytes_total = 0
         self.comm_latency_total_s = 0.0
         self.actions = []          # (tick, agent_id, action_name)
         self.telemetry = []        # TraceRecord / DecisionRecord
         self.payload_bytes = []    # (tick, sender_id, bytes) serialized payloads
-        self._warned_m0 = False
         self._tick_prefills = []  # (agents, PrefillResult) of every prefill run this tick
 
     def live_agents(self):
@@ -558,10 +561,7 @@ def _send_laco(sim: Simulation, live, pre):
     """LACO: deliberate, keep the salient prefill positions, truncate to shallow layers."""
     spec = sim.spec
     delib = _deliberate(sim, live, pre)
-    if spec.m == 0:
-        if not sim._warned_m0:
-            log.warning("LACO with m=0: no latent trace, transmitting nothing")
-            sim._warned_m0 = True
+    if spec.m == 0:  # Simulation warned once
         return [None] * len(live)
     messages = []
     for aid, cache, trace in zip(live, pre.caches, delib.traces):

@@ -12,9 +12,9 @@ frame_id            8      tick / frame counter at the producer
 l_comm              2      number of transmitted (shallowest) layers
 num_heads           2      heads per layer
 head_dim            2      channels per head
-salient_count       4      pruned-prefill positions
+salient_count       4      pruned-prefill positions (the index count)
 latent_count        4      latent positions (always the full latent run)
-dtype_flag          1      0 = float32, 1 = float16
+dtype_flag          1      0 = float32, 1 = float16 (the arrays' dtype)
 index_count         4      entries in the source index table
 indices             4*n    original prefill index of each salient position
 body                ...    one row-major (l_comm, 2, heads, positions,
@@ -22,13 +22,16 @@ body                ...    one row-major (l_comm, 2, heads, positions,
                            = salient_count + latent_count
 ==================  =====  ==============================================
 
-Serialization round-trips bit-exactly and a truncated or oversized stream is
-rejected, never partially decoded.
+A :class:`Payload` computes its counts and dtype flag from its index table and
+arrays, so the header always describes the body.  Serialization round-trips
+bit-exactly and a truncated or oversized stream is rejected, never partially
+decoded.
 """
 
 import math
+import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,20 +44,39 @@ DTYPE_F32 = 0
 DTYPE_F16 = 1
 _FIXED = struct.Struct("<4sHIQHHHIIBI")
 _DTYPES = {DTYPE_F32: np.dtype("<f4"), DTYPE_F16: np.dtype("<f2")}
+_FLAGS = {dtype: flag for flag, dtype in _DTYPES.items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Payload:
-    """A pruned, layer-truncated KV cache with provenance metadata."""
+    """A pruned, layer-truncated KV cache with provenance metadata; frozen, and made only
+    if ``keys`` and ``values`` share one 4-D float32 or float16 shape and ``source_indices``
+    is a tuple that strictly increases from 0, one per position at most (else
+    ``PayloadFormatError``).  ``salient_count``, ``latent_count`` and ``dtype_flag`` are
+    computed from those."""
 
     sender_id: int
     frame_id: int
-    salient_count: int
-    latent_count: int
-    dtype_flag: int
     source_indices: tuple
     keys: np.ndarray    # (l_comm, H, positions, head_dim)
     values: np.ndarray  # same shape/dtype as keys
+    salient_count: int = field(init=False)
+    latent_count: int = field(init=False)
+    dtype_flag: int = field(init=False)
+
+    def __post_init__(self):
+        k, v, idx = self.keys, self.values, self.source_indices
+        if k.ndim != 4 or k.shape != v.shape or k.dtype != v.dtype or k.dtype not in _FLAGS:
+            raise PayloadFormatError(f"keys {k.dtype} {k.shape} and values {v.dtype} {v.shape} "
+                                     "are not one 4-D float32 or float16 array shape")
+        salient = len(idx)
+        if (not isinstance(idx, tuple) or salient > k.shape[2]
+                or salient and (idx[0] < 0 or not all(map(operator.lt, idx, idx[1:])))):
+            raise PayloadFormatError(f"source_indices must be a tuple of at most {k.shape[2]} "
+                                     "indices that strictly increase from 0 or more")
+        object.__setattr__(self, "salient_count", salient)
+        object.__setattr__(self, "latent_count", k.shape[2] - salient)
+        object.__setattr__(self, "dtype_flag", _FLAGS[k.dtype])
 
     @property
     def l_comm(self) -> int:
@@ -96,27 +118,18 @@ def distill(cache: KVCache, prefill_len: int, indices, l_comm_fraction: float, *
     """
     if dtype_flag not in _DTYPES:
         raise ConfigError(f"unknown dtype flag {dtype_flag}")
-    idx = list(indices)
+    idx = tuple(indices)
     if not 0 <= prefill_len <= cache.length:
         raise IndexError(f"prefill length {prefill_len} outside cache of length {cache.length}")
-    if any(i < 0 or i >= prefill_len for i in idx):
+    if idx and (min(idx) < 0 or max(idx) >= prefill_len):
         raise IndexError("selected index outside the prefill run")
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ConfigError("selected indices must be strictly increasing")
     l_comm = rounded_layer_count(l_comm_fraction, cache.config.num_layers)
     positions = np.concatenate([np.asarray(idx, dtype=np.int64),
                                 np.arange(prefill_len, cache.length)])
     np_dtype = _DTYPES[dtype_flag]
-    return Payload(
-        sender_id=sender_id,
-        frame_id=frame_id,
-        salient_count=len(idx),
-        latent_count=cache.length - prefill_len,
-        dtype_flag=dtype_flag,
-        source_indices=tuple(idx),
-        keys=np.take(cache.k[:l_comm], positions, axis=2).astype(np_dtype, copy=False),
-        values=np.take(cache.v[:l_comm], positions, axis=2).astype(np_dtype, copy=False),
-    )
+    return Payload(sender_id=sender_id, frame_id=frame_id, source_indices=idx,
+                   keys=np.take(cache.k[:l_comm], positions, axis=2).astype(np_dtype, copy=False),
+                   values=np.take(cache.v[:l_comm], positions, axis=2).astype(np_dtype, copy=False))
 
 
 def payload_size_bytes(l_comm: int, num_heads: int, head_dim: int, salient: int, latent: int,
@@ -131,18 +144,8 @@ def payload_size_bytes(l_comm: int, num_heads: int, head_dim: int, salient: int,
 
 
 def serialize(p: Payload) -> bytes:
-    """Bit-exact, deterministic byte encoding of a payload.
-
-    A payload whose index table, or whose keys and values, disagree with
-    ``salient_count`` and ``latent_count`` is rejected, so ``p.size_bytes()``
-    is always the length of the stream.
-    """
-    if len(p.source_indices) != p.salient_count:
-        raise PayloadFormatError(
-            f"index table has {len(p.source_indices)} entries, salient_count is {p.salient_count}")
-    if p.keys.shape != p.values.shape or p.num_positions != p.salient_count + p.latent_count:
-        raise PayloadFormatError(f"keys {p.keys.shape} and values {p.values.shape} do not both "
-                                 f"hold {p.salient_count} + {p.latent_count} positions")
+    """Bit-exact, deterministic byte encoding of a payload, ``p.size_bytes()`` long
+    (a :class:`Payload` cannot disagree with itself)."""
     parts = [
         _FIXED.pack(
             MAGIC,
@@ -155,11 +158,10 @@ def serialize(p: Payload) -> bytes:
             p.salient_count,
             p.latent_count,
             p.dtype_flag,
-            len(p.source_indices),
+            p.salient_count,
         ),
         np.asarray(p.source_indices, dtype="<u4").tobytes(),
-        np.concatenate((p.keys[:, None], p.values[:, None]), axis=1,
-                       dtype=_DTYPES[p.dtype_flag]).tobytes(),
+        np.concatenate((p.keys[:, None], p.values[:, None]), axis=1).tobytes(),
     ]
     return b"".join(parts)
 
@@ -184,23 +186,12 @@ def deserialize(data: bytes) -> Payload:
         raise PayloadFormatError(f"stream is {len(data)} bytes, expected {expected}")
 
     off = _FIXED.size
-    table = np.frombuffer(data, dtype="<u4", count=index_count, offset=off).astype(np.int64)
-    if np.any(np.diff(table) <= 0):
-        raise PayloadFormatError("source indices are not strictly increasing")
-    indices = tuple(int(i) for i in table)
+    indices = tuple(np.frombuffer(data, dtype="<u4", count=index_count, offset=off).tolist())
     off += 4 * index_count
     shape = (l_comm, 2, num_heads, salient + latent, head_dim)
     body = np.frombuffer(data, _DTYPES[dtype_flag], math.prod(shape), off).reshape(shape)
-    return Payload(
-        sender_id=sender_id,
-        frame_id=frame_id,
-        salient_count=salient,
-        latent_count=latent,
-        dtype_flag=dtype_flag,
-        source_indices=indices,
-        keys=body[:, 0].copy(),
-        values=body[:, 1].copy(),
-    )
+    return Payload(sender_id=sender_id, frame_id=frame_id, source_indices=indices,  # checks their order
+                   keys=body[:, 0].copy(), values=body[:, 1].copy())
 
 
 @dataclass

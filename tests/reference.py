@@ -26,7 +26,7 @@ from laco import kernels
 from laco.fusion import FusedContext, collaborative_decode
 from laco.model import FOREIGN_LATENT, FOREIGN_PREFILL, KVCache, LayerWeights, Model
 from laco.telemetry import DEFAULT_EPSILON, TraceRecord
-from laco.wire import DTYPE_F32, Payload
+from laco.wire import Payload
 
 
 def sinusoidal_table(n: int, d: int) -> np.ndarray:
@@ -438,13 +438,12 @@ def ref_naive_full_fusion(model, input_vec, ego, foreign):
 
     A batch of one: ``input_vec`` is (1, d) and ``ego`` one cache; all of
     ``foreign``'s prefill and latent positions are sent unpruned as one
-    payload over a copy of the whole cache.
+    payload over a float32 copy of the whole cache (exact: the store holds
+    float32 values).
     """
     n, prefill_len = foreign.length, foreign.prefill_len
     payload = Payload(
-        sender_id=0, frame_id=0, salient_count=prefill_len,
-        latent_count=n - prefill_len, dtype_flag=DTYPE_F32,
-        source_indices=tuple(range(prefill_len)),
-        keys=foreign.k[:, :, :n].copy(), values=foreign.v[:, :, :n].copy(),
+        sender_id=0, frame_id=0, source_indices=tuple(range(prefill_len)),
+        keys=foreign.k[:, :, :n].astype(np.float32), values=foreign.v[:, :, :n].astype(np.float32),
     )
     return collaborative_decode(model, input_vec, FusedContext([ego], [[payload]]))

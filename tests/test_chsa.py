@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laco.chsa import SaliencyVector, saliency_scores, select_topk
-from laco.errors import ConfigError, EmptyTraceError
+from laco.errors import ConfigError, EmptyTraceError, PayloadFormatError
 from laco.ild import compute_alignment, deliberate
 from laco.model import AttentionTrace, ModelConfig, prefill
 from laco.wire import distill
@@ -166,8 +166,9 @@ class TestBuildCache:
             self._distill(cache, [0], prefill_len=10)
 
     def test_unsorted_indices_rejected(self):
+        # the Payload that distill makes checks the order
         cache = self._cache()
-        with pytest.raises(ConfigError):
+        with pytest.raises(PayloadFormatError, match="strictly increase"):
             self._distill(cache, [3, 1])
-        with pytest.raises(ConfigError):
+        with pytest.raises(PayloadFormatError, match="strictly increase"):
             self._distill(cache, [1, 1])

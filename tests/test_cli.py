@@ -106,6 +106,13 @@ BAD_SCENARIO_LINES = {
     "blocked_after_zero": "blocked_after = 0",
     "route_one_cell": "agent = 0 A 0,0\nroute = 0 0,0",
     "route_without_agent": "agent = 0 A 0,0\nroute = 0 0,0 0,1\nroute = 9 0,0 0,1",
+    "agent_lane_c": "agent = 0 C 0,0\nroute = 0 0,0 0,1",
+    "agent_id_twice": "agent = 0 A 0,0\nagent = 0 A 0,0\nroute = 0 0,0 0,1",
+    "hazard_lane_c": "agent = 0 A 0,0\nroute = 0 0,0 0,1\nhazard = lane=C path=0,1 enter=1 clear=2",
+    "agent_id_negative": "agent = -1 A 0,0\nroute = -1 0,0 0,1",
+    "agent_id_past_u32": "agent = 4294967296 A 0,0\nroute = 4294967296 0,0 0,1",
+    "grid_ragged": "grid = ...",
+    "grid_not_road_or_wall": "grid = ..x.",
 }
 
 
@@ -116,7 +123,7 @@ BAD_SCENARIO_LINES = {
     + [f"telemetry:{k}"
        for k in ("zero_bytes", "array_cut_short", "weight_above_1", "decision_nan")]
     + [f"file:{k}" for k in ("missing_scenario", "non_utf8_scenario", "missing_in",
-                             "missing_payload", "analyze_out_is_a_file")],
+                             "missing_payload", "analyze_out_is_a_file", "scenario_without_grid")],
 )
 def test_bad_input_is_one_error_line(tmp_path, occluded_path, capsys, case):
     kind, _, name = case.partition(":")
@@ -124,6 +131,7 @@ def test_bad_input_is_one_error_line(tmp_path, occluded_path, capsys, case):
     if kind == "file":
         (tmp_path / "latin1.laco").write_bytes("grid = ....\n# caf\u00e9\n".encode("latin-1"))
         (tmp_path / "t.bin").write_bytes(b"")
+        (tmp_path / "no_grid.laco").write_text("m = 3\n")
         argv = {
             "missing_scenario": ["run", "--scenario", missing, "--out", str(tmp_path / "m.csv")],
             "non_utf8_scenario": ["run", "--scenario", str(tmp_path / "latin1.laco"),
@@ -132,6 +140,8 @@ def test_bad_input_is_one_error_line(tmp_path, occluded_path, capsys, case):
             "missing_payload": ["dump-payload", missing],
             "analyze_out_is_a_file": ["analyze", "--in", str(tmp_path / "t.bin"),
                                       "--out", str(tmp_path / "t.bin")],
+            "scenario_without_grid": ["run", "--scenario", str(tmp_path / "no_grid.laco"),
+                                      "--out", str(tmp_path / "m.csv")],
         }[name]
     elif kind == "scenario":
         path = tmp_path / "bad.laco"

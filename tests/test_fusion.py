@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from laco.errors import ShapeMismatchError
-from laco.fusion import FusedContext, attach_payload, collaborative_decode
+from laco.errors import ConfigError, ShapeMismatchError
+from laco.fusion import attach_payload, collaborative_decode
 from laco.ild import compute_alignment, deliberate
 from laco.model import (
     EGO_LATENT,
@@ -18,6 +18,7 @@ from laco.model import (
     TOKEN_HAZARD_A,
     TOKEN_HAZARD_B,
     TOKEN_KEEP,
+    DecodeBatch,
     ModelConfig,
     forward_decode,
     make_hazard_model,
@@ -77,23 +78,32 @@ class TestAttach:
         assert all(seg is p for seg, p in zip(ctx.segments, [p1, p3], strict=True))
 
     def test_shape_mismatch_rejected(self):
+        """A payload of another head_dim, head count or depth: the decode is the one
+        check (attach_payload only sorts and wraps), with or without attach_payload."""
         mdl = init_model(cfg(), 3)
         res = prefill(mdl, [[1, 2]])
-        other = init_model(cfg(model_dim=16), 3)
-        payload, _ = build_payload(other, [1, 2])
-        with pytest.raises(ShapeMismatchError):
-            attach_payload(res.caches, [[payload]])
+        x = np.zeros((1, 8), dtype=np.float32)
+        for other in (dict(model_dim=16), dict(num_heads=4), dict(num_layers=6)):
+            payload, _ = build_payload(init_model(cfg(**other), 3), [1, 2])
+            ctx = attach_payload(res.caches, [[payload]])
+            with pytest.raises(ShapeMismatchError, match="does not fit a model of 4 layers of 2 heads of 4"):
+                collaborative_decode(mdl, x, ctx)
+            with pytest.raises(ShapeMismatchError, match="does not fit"):
+                forward_decode(mdl, x, res.caches, [[payload]])
+        assert res.caches[0].length == 2
 
     def test_uneven_context_cannot_be_built(self):
-        """Every cache gets its own inbox, all of one length: three payloads for
-        two caches are refused when the context is built, not split or dropped."""
-        caches = prefill(init_model(cfg(), 12), [[1, 2, 3], [4, 5, 6]]).caches
+        """Every cache gets its own inbox, all of one length: the decode batch over
+        three payloads for two caches is refused, not split or dropped."""
+        mdl = init_model(cfg(), 12)
+        caches = prefill(mdl, [[1, 2, 3], [4, 5, 6]]).caches
         payloads = [build_payload(init_model(cfg(), 12), [4, 5], sender=s)[0] for s in (2, 3, 4)]
+        x = np.zeros((2, 8), dtype=np.float32)
         for inboxes in ([payloads], [payloads[:1], payloads[1:]], [[], [], payloads]):
-            with pytest.raises(ShapeMismatchError, match="one payload list per cache"):
-                FusedContext(caches, inboxes)
-            with pytest.raises(ShapeMismatchError, match="one payload list per cache"):
-                attach_payload(caches, inboxes)
+            with pytest.raises(ConfigError, match="one payload list per agent"):
+                DecodeBatch(mdl, caches, inboxes)
+            with pytest.raises(ConfigError, match="one payload list per agent"):
+                collaborative_decode(mdl, x, attach_payload(caches, inboxes))
 
     def test_foreign_tags(self):
         payload, _ = build_payload(init_model(cfg(), 4), [1, 2, 3], m=2, fraction=0.5)
@@ -173,8 +183,9 @@ class TestWidening:
                              sender=sender, dtype_flag=DTYPE_F16)[0]
                for sender, tokens, fraction in ((2, [2, 4, 6, 1], 0.5), (1, [3, 5], 1.0))]
         assert all(p.keys.dtype == np.float16 for p in p16)
-        p32 = [replace(p, dtype_flag=DTYPE_F32, keys=p.keys.astype(np.float32),
-                       values=p.values.astype(np.float32)) for p in p16]
+        p32 = [replace(p, keys=p.keys.astype(np.float32), values=p.values.astype(np.float32))
+               for p in p16]
+        assert all(p.dtype_flag == DTYPE_F32 for p in p32)
         x = np.linspace(-1, 1, 8).astype(np.float32)[None]
         outs = []
         for payloads in (p16, p32):

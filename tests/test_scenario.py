@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 from functools import partial
 
@@ -176,6 +177,31 @@ class TestParser:
         with pytest.raises(ScenarioError, match=match):
             replace(mini_spec(), **{key: value})
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda s: dict(agents=(s.agents[0], replace(s.agents[1], agent_id=0))),
+         "agent 0 is defined twice"),
+        (lambda s: dict(agents=(replace(s.agents[0], lane="C"), s.agents[1])),
+         "agent 0 lane must be A or B, got 'C'"),
+        (lambda s: dict(agents=(s.agents[0], replace(s.agents[1], agent_id=2**32))),
+         "agent id 4294967296 outside [0, 2**32)"),
+        (lambda s: dict(agents=(replace(s.agents[0], agent_id=-1), s.agents[1])),
+         "agent id -1 outside [0, 2**32)"),
+        (lambda s: dict(hazards=(replace(s.hazards[0], lane="C"),)),
+         "hazard lane must be A or B, got 'C'"),
+        (lambda s: dict(grid=()), "scenario grid has no cells"),
+        (lambda s: dict(grid=("",) * 4), "scenario grid has no cells"),
+        (lambda s: dict(grid=s.grid[:-1] + ("....",)), "grid rows must all have the same width"),
+        (lambda s: dict(grid=s.grid[:-1] + ("...x..",)), "grid rows may only contain '.' and '#'"),
+    ], ids=["agent_id_twice", "agent_lane_c", "agent_id_past_u32", "agent_id_negative",
+            "hazard_lane_c", "no_rows", "no_columns",
+            "ragged", "not_road_or_wall"])
+    def test_replace_checks_agents_hazards_and_grid(self, change, message):
+        """The rules on agents, hazards and the grid are ScenarioSpec's, not the parser's:
+        a replace-built spec that breaks one fails with that one line."""
+        with pytest.raises(ScenarioError) as err:
+            replace(mini_spec(), **change(mini_spec()))
+        assert str(err.value) == message
+
     def test_simulation_rejects_an_unknown_paradigm(self):
         with pytest.raises(ScenarioError, match="unknown paradigm 'Telepathy'"):
             sc.Simulation(mini_spec(), "Telepathy")
@@ -340,6 +366,17 @@ class TestEpisodes:
     def test_laco_decodes_zero_tokens(self):
         r = sc.run_episode(mini_spec(), "LACO")
         assert all(a.decoded_tokens == 0 for a in r.agents.values())
+
+    def test_laco_with_m_0_warns_once_and_sends_nothing(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="laco.scenario"):
+            r = sc.run_episode(mini_spec(m=0), "LACO")
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "LACO with m=0: no latent trace, transmitting nothing"]
+        assert r.ticks > 1 and r.comm_bytes_total == 0
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="laco.scenario"):
+            sc.run_episode(mini_spec(m=0), "NaiveLatent")
+        assert caplog.records == []
 
     def test_laco_forward_passes_m_plus_2(self):
         r = sc.run_episode(mini_spec(), "LACO")

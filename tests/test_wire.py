@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,9 +33,6 @@ def random_payload(rng, l_comm, H, t_salient, t_latent, dh, dtype_flag=DTYPE_F32
     return Payload(
         sender_id=int(rng.integers(0, 100)),
         frame_id=int(rng.integers(0, 1000)),
-        salient_count=t_salient,
-        latent_count=t_latent,
-        dtype_flag=dtype_flag,
         source_indices=tuple(sorted(rng.choice(100, size=t_salient, replace=False).tolist())),
         keys=rng.normal(size=(l_comm, H, t, dh)).astype(np_dtype),
         values=rng.normal(size=(l_comm, H, t, dh)).astype(np_dtype),
@@ -200,7 +199,7 @@ class TestSerialization:
     def test_bad_index_table_rejected(self, indices):
         rng = np.random.default_rng(4)
         p = random_payload(rng, 1, 2, 2, 1, 4)
-        # serialize refuses a mismatched table, so pack the stream by hand.
+        # no Payload holds such a table, so pack the stream by hand.
         header = wire._FIXED.pack(
             wire.MAGIC, wire.VERSION, p.sender_id, p.frame_id, p.l_comm, p.num_heads,
             p.head_dim, p.salient_count, p.latent_count, p.dtype_flag, len(indices))
@@ -208,30 +207,6 @@ class TestSerialization:
         body = b"".join(arr[l].tobytes() for l in range(p.l_comm) for arr in (p.keys, p.values))
         with pytest.raises(PayloadFormatError):
             deserialize(header + table + body)
-
-    @pytest.mark.parametrize("indices", [(1,), (0, 1, 2)], ids=["short_table", "long_table"])
-    def test_serialize_rejects_mismatched_index_table(self, indices):
-        p = random_payload(np.random.default_rng(4), 1, 2, 2, 1, 4)
-        p.source_indices = indices
-        with pytest.raises(PayloadFormatError, match="index table"):
-            serialize(p)
-
-    def test_serialize_rejects_counts_the_arrays_do_not_hold(self):
-        # A distilled payload billing one latent position more than it holds
-        # used to serialize to 1,069 bytes while size_bytes() said 1,325.
-        cache, T, _ = chsa_from_model(m=2)
-        p = distill(cache, T, [1, 4], 1.0, sender_id=0, frame_id=0)
-        assert len(serialize(p)) == p.size_bytes() == 1069
-        p.latent_count += 1
-        assert p.size_bytes() == 1325
-        with pytest.raises(PayloadFormatError, match="positions"):
-            serialize(p)
-
-    def test_serialize_rejects_keys_and_values_of_two_shapes(self):
-        p = random_payload(np.random.default_rng(5), 2, 2, 2, 1, 4)
-        p.values = p.values[:1]
-        with pytest.raises(PayloadFormatError, match="do not both hold"):
-            serialize(p)
 
     @given(st.binary(max_size=200))
     @settings(max_examples=100, deadline=1000)
@@ -250,6 +225,93 @@ class TestSerialization:
             deserialize(corrupt)
         except PayloadFormatError:
             pass
+
+
+def part_arrays(dtype, shape, rng):
+    return rng.normal(size=shape).astype(dtype), rng.normal(size=shape).astype(dtype)
+
+
+class TestPayload:
+    """A Payload is checked when it is made, and its counts and flag come from its parts."""
+
+    @pytest.mark.parametrize("dtype, flag", [(np.float32, DTYPE_F32), (np.float16, DTYPE_F16)])
+    def test_counts_and_flag_come_from_the_parts(self, dtype, flag):
+        keys, values = part_arrays(dtype, (2, 3, 7, 4), np.random.default_rng(0))
+        p = Payload(sender_id=1, frame_id=2, source_indices=(0, 3, 9), keys=keys, values=values)
+        assert (p.salient_count, p.latent_count, p.dtype_flag) == (3, 4, flag)
+        assert len(serialize(p)) == p.size_bytes()
+
+    @pytest.mark.parametrize("keys_shape, values_shape, keys_dtype, values_dtype", [
+        ((2, 2, 3, 4), (1, 2, 3, 4), np.float32, np.float32),
+        ((2, 2, 3, 4), (2, 2, 3, 4), np.float32, np.float16),
+        ((2, 2, 3, 4), (2, 2, 3, 4), np.float64, np.float64),
+        ((2, 3, 4), (2, 3, 4), np.float32, np.float32),
+        ((2, 2, 3, 4), (2, 2, 3, 4), np.int32, np.int32),
+    ], ids=["values_of_another_shape", "two_dtypes", "float64", "three_axes", "int32"])
+    def test_rejects_bad_arrays(self, keys_shape, values_shape, keys_dtype, values_dtype):
+        rng = np.random.default_rng(1)
+        keys = part_arrays(keys_dtype, keys_shape, rng)[0]
+        values = part_arrays(values_dtype, values_shape, rng)[1]
+        with pytest.raises(PayloadFormatError, match="not one 4-D float32 or float16"):
+            Payload(sender_id=0, frame_id=0, source_indices=(0,), keys=keys, values=values)
+
+    @pytest.mark.parametrize("indices", [(5, 2), (3, 3), (-1, 2), (0, 1, 2, 3), [0, 1]],
+                             ids=["out_of_order", "repeated_index", "negative", "too_many", "list"])
+    def test_rejects_bad_source_indices(self, indices):
+        keys, values = part_arrays(np.float32, (1, 2, 3, 4), np.random.default_rng(2))
+        with pytest.raises(PayloadFormatError, match="source_indices must be a tuple"):
+            Payload(sender_id=0, frame_id=0, source_indices=indices, keys=keys, values=values)
+
+    def test_fields_cannot_be_reassigned(self):
+        p = random_payload(np.random.default_rng(3), 2, 2, 2, 1, 4)
+        for f in fields(p):
+            with pytest.raises(FrozenInstanceError):
+                setattr(p, f.name, getattr(p, f.name))
+
+    @pytest.mark.parametrize("name", ["salient_count", "latent_count", "dtype_flag"])
+    def test_counts_cannot_disagree_with_the_arrays(self, name):
+        # A distilled payload billing one latent position more than it held
+        # once reported 1,325 bytes for a 1,069-byte stream.
+        cache, T, _ = chsa_from_model(m=2)
+        p = distill(cache, T, [1, 4], 1.0, sender_id=0, frame_id=0)
+        assert len(serialize(p)) == p.size_bytes() == 1069
+        with pytest.raises(ValueError, match="init=False"):
+            replace(p, **{name: getattr(p, name) + 1})
+        narrowed = replace(p, keys=p.keys.astype(np.float16), values=p.values.astype(np.float16))
+        assert narrowed.dtype_flag == DTYPE_F16
+        assert len(serialize(narrowed)) == narrowed.size_bytes() < p.size_bytes()
+
+    @given(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 6), st.integers(0, 4)),
+        st.sampled_from(["same", "other_shape", "three_axes"]),
+        st.sampled_from([np.float32, np.float16, np.float64]),
+        st.sampled_from([np.float32, np.float16, np.float64]),
+        st.one_of(st.lists(st.integers(-3, 12), max_size=8),
+                  st.sets(st.integers(0, 12), max_size=6).map(sorted)),
+        st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_parts_raise_or_round_trip(self, shape, layout, keys_dtype, values_dtype,
+                                              indices, sender_id, frame_id, seed):
+        rng = np.random.default_rng(seed)
+        values_shape = {"same": shape, "other_shape": (shape[0] + 1, *shape[1:]),
+                        "three_axes": shape[1:]}[layout]
+        keys = part_arrays(keys_dtype, shape, rng)[0]
+        values = part_arrays(values_dtype, values_shape, rng)[1]
+        try:
+            p = Payload(sender_id=sender_id, frame_id=frame_id, source_indices=tuple(indices),
+                        keys=keys, values=values)
+        except PayloadFormatError:
+            return
+        blob = serialize(p)
+        assert len(blob) == p.size_bytes()
+        q = deserialize(blob)
+        for f in fields(p):
+            if f.name in ("keys", "values"):
+                a, b = getattr(p, f.name), getattr(q, f.name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            else:
+                assert getattr(q, f.name) == getattr(p, f.name)
 
 
 class TestCompressionAccounting:
