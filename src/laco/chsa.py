@@ -23,7 +23,7 @@ class SaliencyVector:
     top_k: int
 
 
-def saliency_scores(trace: AttentionTrace, prefill_len: int, retention_ratio: float = 0.3) -> SaliencyVector:
+def saliency_scores(trace: AttentionTrace, prefill_len: int, retention_ratio: float) -> SaliencyVector:
     """Score prefill positions from the deliberation trace.
 
     score[j] = mean over steps of (max over layers and heads of A[t, l, h, j]),

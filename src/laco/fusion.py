@@ -17,7 +17,7 @@ from .model import (EGO_LATENT, EGO_PREFILL, FOREIGN_LATENT, FOREIGN_PREFILL, Mo
 @dataclass(frozen=True)
 class FusedContext:
     """A lock-step batch of ego caches, each with its own inbox of received
-    payloads ordered by ascending sender id.  It checks nothing itself: the
+    payloads in delivery order.  It checks nothing itself: the
     decode (:class:`laco.model.DecodeBatch`) checks the inbox count, their one
     signature and that every payload fits the model."""
 
@@ -31,9 +31,9 @@ class FusedContext:
 
 
 def attach_payload(caches, inboxes) -> FusedContext:
-    """Wrap A caches of one length and their A payload lists, each sorted by
-    sender id; the decode checks them."""
-    return FusedContext(caches, [sorted(box, key=lambda p: p.sender_id) for box in inboxes])
+    """Wrap A caches of one length and their A payload lists, each kept in the
+    order given (the episode delivers by ascending sender id); the decode checks them."""
+    return FusedContext(caches, inboxes)
 
 
 @dataclass

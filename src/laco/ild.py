@@ -60,7 +60,7 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) ->
     views heads [a·H, (a+1)·H).  Steps that repeat over an all-zero context run at
     once (``DecodeBatch.repeat``).  A run that would overflow the caches raises
     :class:`ContextOverflowError` before its first step.  With m = 0 the caches
-    and hidden states are returned untouched and the traces are empty.
+    and hidden states are returned untouched and each trace has zero steps.
     """
     if m < 0:
         raise ConfigError("step count m must be >= 0")

@@ -518,9 +518,9 @@ class DecodeBatch:
         return hidden.copy()
 
 
-def forward_decode(model: Model, input_vec, caches, payloads=(), rows=None):
+def forward_decode(model: Model, input_vec, caches, payloads=()):
     """One step of a fresh :class:`DecodeBatch`, the one decode path (plain decoding: no payloads)."""
-    return DecodeBatch(model, caches, payloads)(input_vec, rows)
+    return DecodeBatch(model, caches, payloads)(input_vec)
 
 
 def project_to_logits(model: Model, hidden) -> np.ndarray:

@@ -337,8 +337,7 @@ def builtin_scenario_names():
 class World:
     """Static geometry plus deterministic line-of-sight queries."""
 
-    def __init__(self, grid: tuple, cell_size_m: float):
-        self.cell_size_m = cell_size_m
+    def __init__(self, grid: tuple):
         self.obstacle_mask = np.array([[ch == "#" for ch in row] for row in grid])
         # Obstacle corners (M, 2), their raster indices (M,) and every cell
         # center (N, 2), all in raster order.
@@ -382,15 +381,11 @@ class World:
         hit[:, self._obstacle_index == frm[0] * self.obstacle_mask.shape[1] + frm[1]] = False
         return ~hit.any(axis=1).reshape(self.obstacle_mask.shape)
 
-    def cell_to_meters(self, cell: tuple):
-        s = self.cell_size_m
-        return (cell[0] * s, cell[1] * s)
-
 
 @functools.lru_cache(maxsize=64)
-def layout_world(grid: tuple, cell_size_m: float) -> World:
-    """The World of a layout, shared by every episode on it (bounded memo)."""
-    return World(grid, cell_size_m)
+def layout_world(grid: tuple) -> World:
+    """The World of a grid, shared by every episode on it (bounded memo)."""
+    return World(grid)
 
 
 @functools.lru_cache(maxsize=64)
@@ -483,7 +478,7 @@ class Simulation:
         # spec.paradigm is the paradigm that runs; replace checks it.
         self.spec = spec = replace(spec, paradigm=paradigm) if paradigm is not None else spec
         self.send, self.receive = _PARADIGM_TABLE[spec.paradigm]
-        self.world = layout_world(spec.grid, spec.cell_size_m)
+        self.world = layout_world(spec.grid)
         # Ascending id, however the spec lists its agents.
         self.agents = {a.agent_id: AgentState(spec=a)
                        for a in sorted(spec.agents, key=lambda a: a.agent_id)}
@@ -537,8 +532,7 @@ def _send_tokens(sim: Simulation, live, pre):
 
 def _send_visual(sim: Simulation, live, pre):
     """Visual: each whole prefill cache at full depth."""
-    T = sim.spec.observation_len
-    return [distill(cache, T, range(T), 1.0, sender_id=aid, frame_id=sim.ticks)
+    return [distill(cache, range(cache.prefill_len), 1.0, sender_id=aid, frame_id=sim.ticks)
             for aid, cache in zip(live, pre.caches)]
 
 
@@ -565,9 +559,9 @@ def _send_laco(sim: Simulation, live, pre):
         return [None] * len(live)
     messages = []
     for aid, cache, trace in zip(live, pre.caches, delib.traces):
-        indices = select_topk(saliency_scores(trace, spec.observation_len, spec.rho))
-        messages.append(distill(cache, spec.observation_len, indices, spec.l_comm_fraction,
-                                sender_id=aid, frame_id=sim.ticks))
+        indices = select_topk(saliency_scores(trace, cache.prefill_len, spec.rho))
+        messages.append(distill(cache, indices, spec.l_comm_fraction, sender_id=aid,
+                                frame_id=sim.ticks))
     return messages
 
 
@@ -622,7 +616,9 @@ def run_tick(sim: Simulation):
     caches = dict(zip(live, pre.caches))
     messages = dict(zip(live, sim.send(sim, live, pre)))
 
-    # Deliver messages at the tick boundary, ascending sender id.
+    # Deliver messages at the tick boundary, ascending sender id, between places in meters.
+    s = spec.cell_size_m
+    meters = {aid: (cell[0] * s, cell[1] * s) for aid in live for cell in [sim.agents[aid].cell]}
     inboxes = {aid: [] for aid in live}
     for sender in live:
         msg = messages[sender]
@@ -631,12 +627,7 @@ def run_tick(sim: Simulation):
         for receiver in live:
             if receiver == sender:
                 continue
-            res = channel_send(
-                spec.channel,
-                msg,
-                sim.world.cell_to_meters(sim.agents[sender].cell),
-                sim.world.cell_to_meters(sim.agents[receiver].cell),
-            )
+            res = channel_send(spec.channel, msg, meters[sender], meters[receiver])
             if not res.delivered:
                 continue
             inboxes[receiver].append(msg)

@@ -50,10 +50,11 @@ _FLAGS = {dtype: flag for flag, dtype in _DTYPES.items()}
 @dataclass(frozen=True)
 class Payload:
     """A pruned, layer-truncated KV cache with provenance metadata; frozen, and made only
-    if ``keys`` and ``values`` share one 4-D float32 or float16 shape and ``source_indices``
-    is a tuple that strictly increases from 0, one per position at most (else
-    ``PayloadFormatError``).  ``salient_count``, ``latent_count`` and ``dtype_flag`` are
-    computed from those."""
+    if ``keys`` and ``values`` share one 4-D float32 or float16 shape, ``source_indices``
+    is a tuple of ints that strictly increases from 0, one per position at most, and every
+    header field is an int that fits its width (else ``PayloadFormatError``), so
+    :func:`serialize` cannot fail.  ``salient_count``, ``latent_count`` and ``dtype_flag``
+    are computed from those."""
 
     sender_id: int
     frame_id: int
@@ -70,10 +71,15 @@ class Payload:
             raise PayloadFormatError(f"keys {k.dtype} {k.shape} and values {v.dtype} {v.shape} "
                                      "are not one 4-D float32 or float16 array shape")
         salient = len(idx)
-        if (not isinstance(idx, tuple) or salient > k.shape[2]
-                or salient and (idx[0] < 0 or not all(map(operator.lt, idx, idx[1:])))):
-            raise PayloadFormatError(f"source_indices must be a tuple of at most {k.shape[2]} "
-                                     "indices that strictly increase from 0 or more")
+        if (not isinstance(idx, tuple) or salient > k.shape[2] or {*map(type, idx)} - {int}
+                or salient and (idx[0] < 0 or idx[-1] >= 2**32 or not all(map(operator.lt, idx, idx[1:])))):
+            raise PayloadFormatError(f"source_indices must be a tuple of at most {k.shape[2]} ints "
+                                     "that strictly increase from 0 or more, each below 2**32")
+        for name, value, bits in (("sender_id", self.sender_id, 32), ("frame_id", self.frame_id, 64),
+                                  ("l_comm", k.shape[0], 16), ("num_heads", k.shape[1], 16),
+                                  ("head_dim", k.shape[3], 16), ("num_positions", k.shape[2], 32)):
+            if type(value) is not int or not 0 <= value < 2**bits:
+                raise PayloadFormatError(f"{name} {value!r} is not an int in [0, 2**{bits})")
         object.__setattr__(self, "salient_count", salient)
         object.__setattr__(self, "latent_count", k.shape[2] - salient)
         object.__setattr__(self, "dtype_flag", _FLAGS[k.dtype])
@@ -106,30 +112,24 @@ def rounded_layer_count(fraction: float, num_layers: int) -> int:
     return max(1, math.floor(fraction * num_layers + 0.5))
 
 
-def distill(cache: KVCache, prefill_len: int, indices, l_comm_fraction: float, *,
-            sender_id: int, frame_id: int, dtype_flag: int = DTYPE_F32) -> Payload:
+def distill(cache: KVCache, indices, l_comm_fraction: float, *, sender_id: int, frame_id: int) -> Payload:
     """Cut the transmitted [salient prefill || latent] cache out of an ego cache.
 
     The payload holds the prefill positions ``indices`` (strictly increasing,
-    each in ``[0, prefill_len)``) followed by the whole latent run
-    ``[prefill_len, cache.length)``, at the first l_comm layers only, gathered
-    in one copy.  Bytes are the float32 values written (the float64 store
-    narrows exactly) or those values rounded to float16.
+    each in ``[0, cache.prefill_len)``) followed by the whole latent run
+    ``[cache.prefill_len, cache.length)``, at the first l_comm layers only,
+    gathered in one copy, as the float32 values written (the float64 store
+    narrows exactly).
     """
-    if dtype_flag not in _DTYPES:
-        raise ConfigError(f"unknown dtype flag {dtype_flag}")
     idx = tuple(indices)
-    if not 0 <= prefill_len <= cache.length:
-        raise IndexError(f"prefill length {prefill_len} outside cache of length {cache.length}")
-    if idx and (min(idx) < 0 or max(idx) >= prefill_len):
+    if idx and (min(idx) < 0 or max(idx) >= cache.prefill_len):
         raise IndexError("selected index outside the prefill run")
     l_comm = rounded_layer_count(l_comm_fraction, cache.config.num_layers)
     positions = np.concatenate([np.asarray(idx, dtype=np.int64),
-                                np.arange(prefill_len, cache.length)])
-    np_dtype = _DTYPES[dtype_flag]
+                                np.arange(cache.prefill_len, cache.length)])
     return Payload(sender_id=sender_id, frame_id=frame_id, source_indices=idx,
-                   keys=np.take(cache.k[:l_comm], positions, axis=2).astype(np_dtype, copy=False),
-                   values=np.take(cache.v[:l_comm], positions, axis=2).astype(np_dtype, copy=False))
+                   keys=np.take(cache.k[:l_comm], positions, axis=2).astype(np.float32),
+                   values=np.take(cache.v[:l_comm], positions, axis=2).astype(np.float32))
 
 
 def payload_size_bytes(l_comm: int, num_heads: int, head_dim: int, salient: int, latent: int,

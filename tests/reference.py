@@ -10,7 +10,7 @@ implementations against each other.  Four groups differ:
   package's own float32 forward passes, run one agent at a time on the
   package kernels: the bit-exact oracle for the lock-step batch.
 * ``ref_snapshot`` and ``ref_naive_full_fusion`` copy or fully fuse whole
-  caches for tests.
+  caches for tests, and ``sent_as`` narrows a payload to float16.
 * ``ref_trace_entropy`` and ``ref_emit`` are a one-step-at-a-time entropy
   loop and the package's per-value CSV writer: the bit- and byte-exact
   oracles for ``trace_entropy`` and ``emit``.  ``ref_analyze`` is ``laco
@@ -18,6 +18,7 @@ implementations against each other.  Four groups differ:
   block-at-a-time command.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from laco import kernels
 from laco.fusion import FusedContext, collaborative_decode
 from laco.model import FOREIGN_LATENT, FOREIGN_PREFILL, KVCache, LayerWeights, Model
 from laco.telemetry import DEFAULT_EPSILON, TraceRecord
-from laco.wire import Payload
+from laco.wire import DTYPE_F32, Payload
 
 
 def sinusoidal_table(n: int, d: int) -> np.ndarray:
@@ -387,6 +388,14 @@ def ref_chsa_payload(k, v, length, prefill_len, indices, l_comm, np_dtype):
         assembled = np.concatenate([prefill_run[:, :, sel, :], latent_run], axis=2)
         out.append(np.ascontiguousarray(assembled[:l_comm].astype(np_dtype)))
     return tuple(out)
+
+
+def sent_as(p, dtype_flag):
+    """``p`` sent with ``dtype_flag``: as it is for float32, else its float32 values
+    rounded to float16 (exact widening back; ``distill`` makes float32 only)."""
+    if dtype_flag == DTYPE_F32:
+        return p
+    return replace(p, keys=p.keys.astype(np.float16), values=p.values.astype(np.float16))
 
 
 def ref_segment_hits_box(p0, p1, lo_r, lo_c):

@@ -96,7 +96,7 @@ def test_c02_saliency_bruteforce_oracle():
             raw = rng.random((steps, L, H, T)) + 1e-4
             rows = raw / raw.sum(axis=3, keepdims=True)
             trace = AttentionTrace(rows.astype(np.float32), np.full(steps, T))
-            got = saliency_scores(trace, T).scores
+            got = saliency_scores(trace, T, 0.3).scores
             want = ref_saliency(trace.array[:steps], trace.lengths[:steps], T)
             np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -181,9 +181,9 @@ def test_c06_compression_accounting(shipped):
         sal = saliency_scores(out2.traces[0], T, 0.3)
         indices = select_topk(sal)
         assert len(indices) == 30
-        pruned = distill(res2.caches[0], T, indices, 0.10, sender_id=0, frame_id=0)
+        pruned = distill(res2.caches[0], indices, 0.10, sender_id=0, frame_id=0)
         assert pruned.l_comm == 2
-        full = distill(res2.caches[0], T, list(range(T)), 1.0, sender_id=0, frame_id=0)
+        full = distill(res2.caches[0], list(range(T)), 1.0, sender_id=0, frame_id=0)
         pruned_body = len(serialize(pruned)) - (37 + 4 * 30)
         full_body = len(serialize(full)) - (37 + 4 * 100)
         # pruned/full == 0.1 * (30 + 10) / (100 + 10), checked in exact integers

@@ -28,7 +28,7 @@ from laco.model import (
     project_to_logits,
 )
 from laco.wire import DTYPE_F16, DTYPE_F32, distill
-from reference import init_model, ref_deliberate, ref_forward_decode, ref_prefill
+from reference import init_model, ref_deliberate, ref_forward_decode, ref_prefill, sent_as
 
 CASES = [(seed, A) for seed in range(12) for A in (1, 2, 3)]
 
@@ -175,8 +175,8 @@ def inbox(caches, receiver, T, l_comms, dtype_flag, rng, kept):
         sender = senders[i % len(senders)]
         idx = sorted(rng.choice(T, size=kept, replace=False).tolist())
         L = caches[0].config.num_layers
-        out.append(distill(caches[sender], T, idx, l_comm / L, sender_id=i,
-                           frame_id=0, dtype_flag=dtype_flag))
+        out.append(sent_as(distill(caches[sender], idx, l_comm / L, sender_id=i, frame_id=0),
+                           dtype_flag))
     return out
 
 
@@ -320,8 +320,8 @@ def test_steps_of_one_batch_equal_fresh_decodes(seed, A):
     model = init_model(ModelConfig(L, H, H * dh, 16, T + 3), seed)
     tokens, sent = rng.integers(0, 16, size=(2, A, T))
     senders, kept = prefill(model, sent).caches, rng.integers(1, T + 1, size=A)
-    inboxes = [[distill(senders[s], T, sorted(rng.choice(T, size=kept[s], replace=False)),
-                        (1 + s % L) / L, sender_id=s, frame_id=0, dtype_flag=(DTYPE_F32, DTYPE_F16)[s % 2])
+    inboxes = [[sent_as(distill(senders[s], sorted(rng.choice(T, size=kept[s], replace=False).tolist()),
+                                (1 + s % L) / L, sender_id=s, frame_id=0), (DTYPE_F32, DTYPE_F16)[s % 2])
                 for s in range(A)] for _ in range(A)]
     batched, fresh = prefill(model, tokens).caches, prefill(model, tokens).caches
     batch = DecodeBatch(model, batched, inboxes)
@@ -371,9 +371,10 @@ class TestBatchRejected:
 
     def test_payload_lists_of_two_signatures(self):
         cache = self.pre.caches[0]
-        one = distill(cache, cache.length, [0], 1.0, sender_id=0, frame_id=0)
-        two = distill(cache, cache.length, [0, 1], 1.0, sender_id=0, frame_id=0)
-        shallow = distill(cache, cache.length, [0], 0.01, sender_id=0, frame_id=0)
+        assert cache.prefill_len == cache.length  # no latent run: one, two and shallow differ
+        one = distill(cache, [0], 1.0, sender_id=0, frame_id=0)
+        two = distill(cache, [0, 1], 1.0, sender_id=0, frame_id=0)
+        shallow = distill(cache, [0], 0.01, sender_id=0, frame_id=0)
         for inboxes in ([[one], [two]], [[one], [shallow]], [[one], []], [[one, one], [one]]):
             with pytest.raises(ConfigError, match="signature"):
                 forward_decode(self.model, self.x, self.pre.caches[:2], inboxes)

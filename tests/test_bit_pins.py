@@ -24,7 +24,7 @@ from laco.fusion import attach_payload, collaborative_decode
 from laco.ild import compute_alignment, deliberate
 from laco.model import ModelConfig, forward_decode, prefill
 from laco.wire import DTYPE_F16, DTYPE_F32, distill
-from reference import init_model
+from reference import init_model, sent_as
 
 HEADS, HEAD_DIM, SCALE = 6, 8, 0.35
 PREFILL_LEN = 57
@@ -111,9 +111,9 @@ def decision_digest(A, l_comm):
     model, pre, _ = _deliberated(A, DECODE_STEPS, room=1)
     _, senders, _ = _deliberated(2, DECODE_STEPS, room=1, seed=100)
     rng = np.random.default_rng(200 + A)
-    inboxes = [[distill(senders.caches[s], PREFILL_LEN,
-                        sorted(rng.choice(PREFILL_LEN, size=19, replace=False).tolist()),
-                        l_comm / LAYERS, sender_id=s, frame_id=0, dtype_flag=flag)
+    inboxes = [[sent_as(distill(senders.caches[s],
+                                sorted(rng.choice(PREFILL_LEN, size=19, replace=False).tolist()),
+                                l_comm / LAYERS, sender_id=s, frame_id=0), flag)
                 for s, flag in enumerate((DTYPE_F32, DTYPE_F16))] for _ in range(A)]
     x = rng.uniform(-1, 1, size=(A, model.config.model_dim)).astype(np.float32)
     res = collaborative_decode(model, x, attach_payload(pre.caches, inboxes))

@@ -30,7 +30,7 @@ class TestSaliency:
     def test_uniform_rows_uniform_scores(self):
         n = 10
         trace = AttentionTrace(np.full((1, 2, 2, n), 1.0 / n, dtype=np.float32), np.array([n]))
-        sal = saliency_scores(trace, prefill_len=n)
+        sal = saliency_scores(trace, n, 0.3)
         np.testing.assert_allclose(sal.scores, 1.0 / n, atol=1e-7)
 
     def test_one_hot_head_dominates(self):
@@ -39,34 +39,34 @@ class TestSaliency:
         array[:, 0, 0, :] = 0.0
         array[:, 0, 0, 3] = 1.0
         trace = AttentionTrace(array, np.array([n, n]))
-        sal = saliency_scores(trace, prefill_len=n)
+        sal = saliency_scores(trace, n, 0.3)
         np.testing.assert_allclose(sal.scores[3], 1.0, atol=1e-7)
         assert np.argmax(sal.scores) == 3
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(0)
         trace = random_trace(rng, steps=3, L=2, H=2, prefill_len=6)
-        sal = saliency_scores(trace, prefill_len=6)
+        sal = saliency_scores(trace, 6, 0.3)
         ref = ref_saliency(trace.array[:3], trace.lengths[:3], 6)
         np.testing.assert_allclose(sal.scores, ref, atol=1e-9)
 
     def test_scores_bounded(self):
         rng = np.random.default_rng(1)
         trace = random_trace(rng, steps=4, L=3, H=2, prefill_len=9)
-        sal = saliency_scores(trace, prefill_len=9)
+        sal = saliency_scores(trace, 9, 0.3)
         assert np.all(sal.scores >= 0.0) and np.all(sal.scores <= 1.0)
 
     def test_latent_positions_not_scored(self):
         rng = np.random.default_rng(2)
         trace = random_trace(rng, steps=3, L=2, H=2, prefill_len=5, extra=4)
-        sal = saliency_scores(trace, prefill_len=5)
+        sal = saliency_scores(trace, 5, 0.3)
         assert sal.scores.shape == (5,)
 
     def test_empty_trace_rejected(self):
         trace = AttentionTrace(np.zeros((0, 2, 2, 4), dtype=np.float32),
                                np.zeros(0, dtype=np.int64))
         with pytest.raises(EmptyTraceError):
-            saliency_scores(trace, prefill_len=4)
+            saliency_scores(trace, 4, 0.3)
 
     def test_k_is_ceiling(self):
         rng = np.random.default_rng(3)
@@ -129,8 +129,8 @@ class TestBuildCache:
         deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, m)
         return res.caches[0]
 
-    def _distill(self, cache, indices, prefill_len=6):
-        return distill(cache, prefill_len, indices, 1.0, sender_id=0, frame_id=0)
+    def _distill(self, cache, indices):
+        return distill(cache, indices, 1.0, sender_id=0, frame_id=0)
 
     def test_identity_selection_keeps_everything(self):
         p = self._distill(self._cache(), list(range(6)))
@@ -159,11 +159,6 @@ class TestBuildCache:
         for indices in ([0, 7], [0, 6], [-1, 2]):
             with pytest.raises(IndexError):
                 self._distill(cache, indices)
-
-    def test_prefill_len_past_cache_rejected(self):
-        cache = self._cache()
-        with pytest.raises(IndexError):
-            self._distill(cache, [0], prefill_len=10)
 
     def test_unsorted_indices_rejected(self):
         # the Payload that distill makes checks the order

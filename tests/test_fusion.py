@@ -26,7 +26,7 @@ from laco.model import (
     project_to_logits,
 )
 from laco.wire import DTYPE_F16, DTYPE_F32, distill
-from reference import init_model, ref_naive_full_fusion, ref_snapshot
+from reference import init_model, ref_naive_full_fusion, ref_snapshot, sent_as
 
 
 def cfg(**kw):
@@ -35,14 +35,11 @@ def cfg(**kw):
     return ModelConfig(**base)
 
 
-def build_payload(model, tokens, m=3, rho_indices=None, fraction=1.0, sender=1,
-                  dtype_flag=DTYPE_F32):
+def build_payload(model, tokens, m=3, rho_indices=None, fraction=1.0, sender=1):
     res = prefill(model, [tokens])
     deliberate(model, compute_alignment(model), res.hidden, res.caches, m)
-    T = len(tokens)
-    idx = rho_indices if rho_indices is not None else list(range(T))
-    return distill(res.caches[0], T, idx, fraction, sender_id=sender, frame_id=0,
-                   dtype_flag=dtype_flag), res.caches[0]
+    idx = rho_indices if rho_indices is not None else list(range(len(tokens)))
+    return distill(res.caches[0], idx, fraction, sender_id=sender, frame_id=0), res.caches[0]
 
 
 class TestAttach:
@@ -67,19 +64,21 @@ class TestAttach:
         np.testing.assert_array_equal(out.hidden, h)
 
     def test_sender_order(self):
+        """An inbox keeps the order it is given (the episode delivers by ascending sender id)."""
         mdl = init_model(cfg(), 2)
         res = prefill(mdl, [[1, 2, 3]])
         p3, _ = build_payload(init_model(cfg(), 2), [4, 5], sender=3)
         p1, _ = build_payload(init_model(cfg(), 2), [6, 7], sender=1)
-        ctx = attach_payload(res.caches, [[p3, p1]])
-        assert [s.num_positions for s in ctx.segments] == [5, 5]
+        for box in ([p3, p1], [p1, p3]):
+            ctx = attach_payload(res.caches, [box])
+            assert [s.num_positions for s in ctx.segments] == [5, 5]
+            # received payloads are read as they are, with no copy
+            assert all(seg is p for seg, p in zip(ctx.segments, box, strict=True))
         assert p1.keys.tobytes() != p3.keys.tobytes()
-        # received payloads are read as they are, with no copy
-        assert all(seg is p for seg, p in zip(ctx.segments, [p1, p3], strict=True))
 
     def test_shape_mismatch_rejected(self):
         """A payload of another head_dim, head count or depth: the decode is the one
-        check (attach_payload only sorts and wraps), with or without attach_payload."""
+        check (attach_payload only wraps), with or without attach_payload."""
         mdl = init_model(cfg(), 3)
         res = prefill(mdl, [[1, 2]])
         x = np.zeros((1, 8), dtype=np.float32)
@@ -179,8 +178,8 @@ class TestWidening:
     def test_f16_payloads_decode_as_their_float32_widening(self, seed):
         # the decode joins float16 bodies to its float64 context exactly, so a
         # float16 payload and its float32 cast give the same bits
-        p16 = [build_payload(init_model(cfg(), seed), tokens, m=3, fraction=fraction,
-                             sender=sender, dtype_flag=DTYPE_F16)[0]
+        p16 = [sent_as(build_payload(init_model(cfg(), seed), tokens, m=3, fraction=fraction,
+                                     sender=sender)[0], DTYPE_F16)
                for sender, tokens, fraction in ((2, [2, 4, 6, 1], 0.5), (1, [3, 5], 1.0))]
         assert all(p.keys.dtype == np.float16 for p in p16)
         p32 = [replace(p, keys=p.keys.astype(np.float32), values=p.values.astype(np.float32))
@@ -222,8 +221,7 @@ class TestDepthIsolation:
         cache_b = ref_snapshot(cache_a)
         cache_b.k[1:] += 17.0
         cache_b.v[1:] -= 3.0
-        T = 3
-        pb = distill(cache_b, T, list(range(T)), 0.25, sender_id=1, frame_id=0)
+        pb = distill(cache_b, list(range(3)), 0.25, sender_id=1, frame_id=0)
         assert pa.keys.tobytes() == pb.keys.tobytes()
         assert pa.values.tobytes() == pb.values.tobytes()
 

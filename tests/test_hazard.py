@@ -81,7 +81,7 @@ def occluded_1_decision(l_comm, full=False, agents=2):
     pre = prefill(model, obs)
     deliberate(model, compute_alignment(model), pre.hidden, pre.caches, spec.m)
     T, L = spec.observation_len, model.config.num_layers
-    sent = [distill(cache, T, range(0, T, 3), l_comm / L, sender_id=aid, frame_id=0)
+    sent = [distill(cache, range(0, T, 3), l_comm / L, sender_id=aid, frame_id=0)
             for aid, cache in zip(live, pre.caches)]
     inboxes = [[p for p in sent if p.sender_id != aid] for aid in live]
     markers = model.w_in[[sim.agents[aid].spec.marker_token for aid in live]]

@@ -267,7 +267,7 @@ class TestRepeat:
         A, T, k = 2, 12, 6
         tokens = np.random.default_rng(3).integers(0, 32, size=(A, T))
         senders = prefill(model, tokens[::-1])
-        inboxes = [[distill(senders.caches[1 - a], T, range(a, T, 2), l_comm / 4, sender_id=1 - a,
+        inboxes = [[distill(senders.caches[1 - a], range(a, T, 2), l_comm / 4, sender_id=1 - a,
                             frame_id=0)] for a in range(A)]
         x = decode_input(model, A)
         outs = []

@@ -11,6 +11,7 @@ from laco.ild import compute_alignment, deliberate
 from laco.model import (
     TOKEN_KEEP,
     AttentionTrace,
+    DecodeBatch,
     Model,
     ModelConfig,
     forward_decode,
@@ -220,7 +221,7 @@ class TestDecode:
         x = np.linspace(-1, 1, 16).astype(np.float32).reshape(2, 8)
         h1, r1 = forward_decode(m, x, prefill(m, tokens).caches)
         buffer = np.full((2, 4, 9), -1.0, dtype=np.float32)
-        h2, r2 = forward_decode(m, x, prefill(m, tokens).caches, rows=buffer)
+        h2, r2 = DecodeBatch(m, prefill(m, tokens).caches)(x, buffer)
         np.testing.assert_array_equal(h1, h2)
         for l, (a, b) in enumerate(zip(r1, r2)):
             assert b.base is buffer and b.shape == (4, 6)
@@ -319,7 +320,7 @@ class TestPassthrough:
         out = [pre.hidden, pre.caches[0].store]
         delib = deliberate(model, w_a, pre.hidden, pre.caches, m)
         out += [delib.final_hidden, *(t.array for t in delib.traces)]
-        inboxes = [[distill(senders.caches[s], T, range(a, a + 36, 3), l_comm / L, sender_id=s,
+        inboxes = [[distill(senders.caches[s], range(a, a + 36, 3), l_comm / L, sender_id=s,
                             frame_id=0) for s in range(A) if s != a] for a in range(A)]
         x = rng.uniform(-1, 1, size=(A, d)).astype(np.float32)
         res = collaborative_decode(model, x, attach_payload(pre.caches, inboxes))
@@ -427,8 +428,7 @@ class TestWidenedStore:
         deliberate(model, compute_alignment(model), pre.hidden, pre.caches, spec.m)
         forward_decode(model, model.w_in[np.full(len(live), TOKEN_KEEP)], pre.caches)
         sender, receiver = pre.caches[0], pre.caches[-1]
-        payload = distill(sender, spec.observation_len, range(spec.observation_len), 0.5,
-                          sender_id=live[0], frame_id=0)
+        payload = distill(sender, range(spec.observation_len), 0.5, sender_id=live[0], frame_id=0)
         marker = model.w_in[[sim.agents[live[-1]].spec.marker_token]]
         collaborative_decode(model, marker, attach_payload([receiver], [[payload]]))
         assert receiver.store.dtype == np.float64

@@ -1,6 +1,8 @@
 import logging
+import sys
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,18 @@ from laco.model import (
 )
 from laco.telemetry import TelemetryWriter, TraceRecord
 from reference import ref_visible
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import layouts  # noqa: E402
+import workloads  # noqa: E402
+
+
+def deep_latent_specs():
+    """The benchmark's generated 3-agent, m = 40 layouts at its default seed."""
+    return [sc.parse_scenario(text)
+            for _, text in layouts.generate(layouts.DEFAULT_SEED, workloads.DEEP_LATENT_SHAPES)]
+
 
 MINI = """
 name = mini
@@ -307,7 +321,7 @@ class TestLineOfSight:
     @pytest.mark.parametrize("name", sc.builtin_scenario_names())
     def test_every_cell_pair_matches_scalar_oracle(self, name):
         spec = sc.load_scenario(sc.builtin_scenario_path(name))
-        world = sc.World(spec.grid, spec.cell_size_m)
+        world = sc.World(spec.grid)
         for r in range(spec.rows):
             for c in range(spec.cols):
                 assert_row_matches_oracle(world, spec.grid, (r, c))
@@ -316,11 +330,11 @@ class TestLineOfSight:
     @settings(max_examples=60, deadline=2000)
     def test_random_grids_match_scalar_oracle(self, case):
         grid, frm = case
-        assert_row_matches_oracle(sc.World(grid, 10.0), grid, frm)
+        assert_row_matches_oracle(sc.World(grid), grid, frm)
 
     def test_revisited_viewpoint_is_memoized(self, monkeypatch):
         spec = mini_spec()
-        world = sc.World(spec.grid, spec.cell_size_m)
+        world = sc.World(spec.grid)
         assert world.visibility((3, 0)) is world.visibility((3, 0))
         # A second episode of the same layout reuses the first one's World
         # and traces no viewpoint again.
@@ -444,10 +458,11 @@ def episode_outputs(spec, paradigm, path):
 
 @pytest.mark.parametrize("model_dim", [16, 18, 22])
 def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, model_dim):
-    """Every shipped layout under every paradigm gives the same metrics rows,
-    telemetry and payload bytes as a run through its zero-weight layers and MLPs
-    and its attention over all-zero contexts.  With the skips on, every kernel
-    call is one the zero-context rule let run, and some were skipped."""
+    """Every shipped layout under every paradigm (and at d = 16 the deep_latent
+    benchmark's generated layouts too) gives the same metrics rows, telemetry and
+    payload bytes as a run through its zero-weight layers and MLPs and its
+    attention over all-zero contexts.  With the skips on, every kernel call is
+    one the zero-context rule let run, and some were skipped."""
     calls, verdicts = [], []
 
     def counted(*args, kernel):
@@ -466,15 +481,16 @@ def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, model_dim):
     for name in ("attend_single", "attend_causal"):
         monkeypatch.setattr(kernels, name, partial(counted, kernel=getattr(kernels, name)))
     monkeypatch.setattr(model_module, "_zero_context", judged)
+    specs = [replace(sc.load_scenario(sc.builtin_scenario_path(name)), model_dim=model_dim)
+             for name in sc.builtin_scenario_names()] + (deep_latent_specs() if model_dim == 16 else [])
     runs = {}
     for skip in (True, False):
         if not skip:
             monkeypatch.setattr(sc, "hazard_model", full_model)
             monkeypatch.setattr(model_module, "_zero_context", lambda *args: False)
         calls.append(0)
-        runs[skip] = [episode_outputs(replace(sc.load_scenario(sc.builtin_scenario_path(name)),
-                                              model_dim=model_dim), paradigm, tmp_path / "t.bin")
-                      for name in sc.builtin_scenario_names() for paradigm in sc.PARADIGMS]
+        runs[skip] = [episode_outputs(spec, paradigm, tmp_path / "t.bin")
+                      for spec in specs for paradigm in sc.PARADIGMS]
     for got, want in zip(runs[True], runs[False], strict=True):
         assert got == want
     assert calls[0] == verdicts.count(False) and True in verdicts
@@ -514,6 +530,28 @@ def test_episodes_stepped_in_turn_share_one_model(monkeypatch, tmp_path):
     # run_episode then only closes each stepped episode: no tick is left to run.
     monkeypatch.setattr(sc, "Simulation", lambda spec, paradigm: sims[paradigm])
     assert [episode_outputs(spec, p, tmp_path / "t.bin") for p in paradigms] == want
+
+
+@pytest.mark.parametrize("paradigm", ["LACO", "Visual"])
+def test_inboxes_reach_attach_payload_by_ascending_sender_id(monkeypatch, paradigm):
+    """``run_tick`` delivers each inbox in ascending sender id, and ``attach_payload``
+    keeps that order: the order the decision decode's batch signature was read in."""
+    spec = replace(deep_latent_specs()[0], m=4)
+    assert len(spec.agents) == 3
+    inboxes = []
+
+    def spy(caches, boxes, attach=sc.attach_payload):
+        ctx = attach(caches, boxes)
+        assert all(kept == list(box) for kept, box in zip(ctx.inboxes, boxes, strict=True))
+        inboxes.extend([p.sender_id for p in box] for box in boxes)
+        return ctx
+
+    monkeypatch.setattr(sc, "attach_payload", spy)
+    sim = sc.Simulation(spec, paradigm)
+    for _ in range(3):
+        sc.run_tick(sim)
+    assert all(ids == sorted(set(ids)) for ids in inboxes)
+    assert list(map(len, inboxes)) == [2] * 9  # each tick, every agent heard both others
 
 
 class TestInfractionScore:

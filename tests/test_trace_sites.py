@@ -43,3 +43,23 @@ def test_every_laco_layer_is_traced_and_its_statistic_computes():
     causal = [value[0] for _, layer, _, _, value in tracer.spans if layer == "kernels.attend_causal"]
     assert causal and set(causal) == {spec.observation_len}
     assert metrics["fusion.attach_payload.foreign_positions_mean"][0] > 0
+
+
+# Lookup sites that name nothing today: the tracer skips them, so their layers read
+# zero calls.  Both go when the benchmark drops them; this list must shrink with them.
+DEAD_SITES = ["laco.cli:trace_record_to_trace", "laco.scenario:build_chsa_cache"]
+
+
+def test_every_lookup_site_resolves():
+    """Every site in ``tracing.LAYERS`` but the dead ones names a function where its
+    caller looks it up, so a renamed import in ``src`` fails here rather than as a
+    layer with zero calls in a benchmark run."""
+    unresolved = []
+    for sites, _ in tracing.LAYERS.values():
+        for site in sites:
+            try:
+                owner, name = tracing._resolve(site)
+                assert callable(vars(owner)[name]), site
+            except (ImportError, AttributeError, KeyError):
+                unresolved.append(site)
+    assert sorted(unresolved) == DEAD_SITES

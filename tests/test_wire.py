@@ -24,7 +24,7 @@ from laco.wire import (
     rounded_layer_count,
     serialize,
 )
-from reference import init_model, ref_chsa_payload
+from reference import init_model, ref_chsa_payload, sent_as
 
 
 def random_payload(rng, l_comm, H, t_salient, t_latent, dh, dtype_flag=DTYPE_F32):
@@ -40,23 +40,23 @@ def random_payload(rng, l_comm, H, t_salient, t_latent, dh, dtype_flag=DTYPE_F32
 
 
 def chsa_from_model(seed=0, L=4, T=8, m=3):
-    """(cache after m deliberation steps, prefill length, selected indices)."""
+    """(cache of a T-token prefill after m deliberation steps, selected indices)."""
     mdl = init_model(ModelConfig(L, 2, 8, 16, 64), seed)
     res = prefill(mdl, [list(range(T))])
     deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, m)
-    return res.caches[0], T, [1, 4, 6]
+    return res.caches[0], [1, 4, 6]
 
 
-def assert_matches_reference(p, cache, prefill_len, indices):
-    """``p`` is byte-equal to the slice -> assemble -> truncate oracle."""
-    np_dtype = np.float32 if p.dtype_flag == DTYPE_F32 else np.float16
-    keys, values = ref_chsa_payload(cache.k, cache.v, cache.length, prefill_len, indices,
-                                    p.l_comm, np_dtype)
+def assert_matches_reference(p, cache, indices):
+    """``p`` is byte-equal to the slice -> assemble -> truncate oracle (narrowed
+    from float32 as a float16 payload is)."""
+    keys, values = (a.astype(p.keys.dtype) for a in ref_chsa_payload(
+        cache.k, cache.v, cache.length, cache.prefill_len, indices, p.l_comm, np.float32))
     assert p.keys.dtype == keys.dtype and p.keys.shape == keys.shape
     assert p.keys.tobytes() == keys.tobytes()
     assert p.values.tobytes() == values.tobytes()
     assert p.salient_count == len(indices)
-    assert p.latent_count == cache.length - prefill_len
+    assert p.latent_count == cache.length - cache.prefill_len
     assert p.source_indices == tuple(indices)
 
 
@@ -74,9 +74,9 @@ class TestDistill:
         assert p.l_comm == 4
 
     def test_retained_layers_byte_equal(self):
-        cache, T, indices = chsa_from_model(seed=3)
-        p = distill(cache, T, indices, 0.5, sender_id=1, frame_id=0)
-        positions = indices + list(range(T, cache.length))
+        cache, indices = chsa_from_model(seed=3)
+        p = distill(cache, indices, 0.5, sender_id=1, frame_id=0)
+        positions = indices + list(range(cache.prefill_len, cache.length))
         assert p.l_comm == 2
         assert p.keys.tobytes() == cache.k[:2, :, positions].astype(np.float32).tobytes()
         assert p.values.tobytes() == cache.v[:2, :, positions].astype(np.float32).tobytes()
@@ -94,19 +94,19 @@ class TestDistill:
             keep = int(rng.integers(0, T + 1))
             indices = sorted(rng.choice(T, size=keep, replace=False).tolist())
             fraction = float(rng.uniform(0.05, 1.0))
-            p = distill(cache, T, indices, fraction, sender_id=2, frame_id=3,
-                        dtype_flag=dtype_flag)
+            p = sent_as(distill(cache, indices, fraction, sender_id=2, frame_id=3), dtype_flag)
             assert p.l_comm == rounded_layer_count(fraction, L)
-            assert_matches_reference(p, cache, T, indices)
+            assert_matches_reference(p, cache, indices)
 
     @pytest.mark.parametrize("name", sc.builtin_scenario_names())
     def test_matches_reference_on_a_laco_tick(self, monkeypatch, name):
         checked = []
 
-        def spy(cache, prefill_len, indices, *args, **kwargs):
-            p = distill(cache, prefill_len, indices, *args, **kwargs)
+        def spy(cache, indices, *args, **kwargs):
+            p = distill(cache, indices, *args, **kwargs)
             # checked at once: the decision decode appends to the same cache
-            assert_matches_reference(p, cache, prefill_len, indices)
+            assert cache.prefill_len == spec.observation_len
+            assert_matches_reference(p, cache, indices)
             checked.append(p)
             return p
 
@@ -262,6 +262,44 @@ class TestPayload:
         with pytest.raises(PayloadFormatError, match="source_indices must be a tuple"):
             Payload(sender_id=0, frame_id=0, source_indices=indices, keys=keys, values=values)
 
+    # header field -> (its width in bits, the keys shape that sets it to n; None for a keyword)
+    HEADER = {"sender_id": (32, None), "frame_id": (64, None),
+              "l_comm": (16, lambda n: (n, 1, 0, 1)), "num_heads": (16, lambda n: (1, n, 0, 1)),
+              "head_dim": (16, lambda n: (1, 1, 0, n)), "num_positions": (32, lambda n: (0, 1, n, 1))}
+
+    @pytest.mark.parametrize("field", HEADER)
+    def test_header_fields_fit_their_widths(self, field):
+        """Each header field is an int within its width, or no Payload is made, so
+        ``serialize`` has no failure of its own (an unchecked one raised ``struct.error``)."""
+        bits, shape = self.HEADER[field]
+
+        def make(n):
+            keys = np.zeros(shape(n) if shape else (1, 2, 3, 4), np.float32)  # empty if shaped by n
+            header = {"sender_id": 0, "frame_id": 0} | ({} if shape else {field: n})
+            return Payload(source_indices=(), keys=keys, values=keys, **header)
+
+        assert getattr(deserialize(serialize(make(2**bits - 1))), field) == 2**bits - 1
+        too_wide = rf"^{field} {2**bits} is not an int in \[0, 2\*\*{bits}\)"
+        with pytest.raises(PayloadFormatError, match=too_wide):
+            make(2**bits)
+
+    @pytest.mark.parametrize("field, value", [("sender_id", -1), ("sender_id", 1.5),
+                                              ("sender_id", np.int64(1)), ("frame_id", -1)])
+    def test_rejects_a_negative_or_non_int_id(self, field, value):
+        keys = np.zeros((1, 2, 3, 4), np.float32)
+        header = {"sender_id": 0, "frame_id": 0, field: value}
+        with pytest.raises(PayloadFormatError, match=f"^{field} .* is not an int"):
+            Payload(source_indices=(), keys=keys, values=keys, **header)
+
+    @pytest.mark.parametrize("indices", [(0, 2**32), (0, 1.5), (np.int64(0),), (True,)],
+                             ids=["index_2**32", "index_1.5", "index_int64", "index_bool"])
+    def test_rejects_an_index_that_is_not_a_u32_int(self, indices):
+        keys = np.zeros((1, 1, 2, 1), np.float32)
+        with pytest.raises(PayloadFormatError, match="ints that strictly increase"):
+            Payload(sender_id=0, frame_id=0, source_indices=indices, keys=keys, values=keys)
+        last = Payload(sender_id=0, frame_id=0, source_indices=(0, 2**32 - 1), keys=keys, values=keys)
+        assert deserialize(serialize(last)).source_indices == (0, 2**32 - 1)
+
     def test_fields_cannot_be_reassigned(self):
         p = random_payload(np.random.default_rng(3), 2, 2, 2, 1, 4)
         for f in fields(p):
@@ -272,12 +310,12 @@ class TestPayload:
     def test_counts_cannot_disagree_with_the_arrays(self, name):
         # A distilled payload billing one latent position more than it held
         # once reported 1,325 bytes for a 1,069-byte stream.
-        cache, T, _ = chsa_from_model(m=2)
-        p = distill(cache, T, [1, 4], 1.0, sender_id=0, frame_id=0)
+        cache, _ = chsa_from_model(m=2)
+        p = distill(cache, [1, 4], 1.0, sender_id=0, frame_id=0)
         assert len(serialize(p)) == p.size_bytes() == 1069
         with pytest.raises(ValueError, match="init=False"):
             replace(p, **{name: getattr(p, name) + 1})
-        narrowed = replace(p, keys=p.keys.astype(np.float16), values=p.values.astype(np.float16))
+        narrowed = sent_as(p, DTYPE_F16)
         assert narrowed.dtype_flag == DTYPE_F16
         assert len(serialize(narrowed)) == narrowed.size_bytes() < p.size_bytes()
 
