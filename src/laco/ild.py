@@ -58,9 +58,11 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) ->
     received context joins only the final decision decode.  Each step's rows go
     straight into its (L, A·H, n0 + m) slot of one buffer, checked once; agent a
     views heads [a·H, (a+1)·H).  Steps that repeat over an all-zero context run at
-    once (``DecodeBatch.repeat``).  A run that would overflow the caches raises
-    :class:`ContextOverflowError` before its first step.  With m = 0 the caches
-    and hidden states are returned untouched and each trace has zero steps.
+    once (``DecodeBatch.repeat``); a step that repeats the last step's input reruns
+    only attention, so the model's weights are not written while it runs.  A run
+    that would overflow the caches raises :class:`ContextOverflowError` before its
+    first step.  With m = 0 the caches and hidden states are returned untouched
+    and each trace has zero steps.
     """
     if m < 0:
         raise ConfigError("step count m must be >= 0")
@@ -73,7 +75,7 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) ->
     h, batch = np.asarray(h0, dtype=np.float32), DecodeBatch(model, caches)
     for t in range(m):
         x = rowwise_matmul(h, w_a)
-        if (h := batch.repeat(x, array[t:])) is not None:  # steps t .. m-1 repeat step t-1
+        if (h := batch.repeat(x, m - t, array[t:])) is not None:  # steps t .. m-1 repeat step t-1
             break
         h, _ = batch(x, array[t])
     whole = AttentionTrace(array, lengths)  # one row check for every agent's heads

@@ -250,8 +250,10 @@ class KVCache:
     ones committed.  Pruning copies selected positions out (:func:`laco.wire.distill`).
     ``nonzero`` (L, rows), shared by the store's caches, is False at [l, r] only if
     row r's K/V at layer l are all exactly zero: :func:`prefill` sets it, each decode step
-    ORs in its new position (a ``DecodeBatch.repeat`` writes only ±0.0, so sets none); a
-    cache made otherwise has all True ("may be non-zero").
+    ORs in its new position (a step that repeats the last one copies K/V already ORed in, so
+    sets none); a cache made otherwise has all True ("may be non-zero").  While a
+    :class:`DecodeBatch` runs on a cache, the model's weights are not written: its steps reuse
+    the last step's products.
     """
 
     def __init__(self, config: ModelConfig, store: np.ndarray, row: int, nonzero=None):
@@ -336,6 +338,11 @@ def _zero_context(flagged: bool) -> bool:
     return not flagged
 
 
+def _same_input(x: bytes, recorded: bytes) -> bool:
+    """Whether layer-0 input bytes ``x`` are the ``recorded`` ones (so +0.0 is not -0.0)."""
+    return x == recorded
+
+
 def prefill(model: Model, tokens) -> PrefillResult:
     """Causal forward pass over a batch of token sequences, populating fresh caches.
 
@@ -402,7 +409,8 @@ class DecodeBatch:
     or float16, widened exactly) to its agent's rows.  The scan is the one check that a payload
     fits the model (heads, ``head_dim``, ``l_comm <= L``; else ``ShapeMismatchError``).  A step
     raises ``ConfigError`` once another decode moved a cache, so the kept ``nonzero`` flags stay
-    exact (only a decode raises one).
+    exact (only a decode raises one).  The model's weights, too, are left as they are while the
+    batch runs: ``record`` keeps the last step's products for the next step to reuse.
     """
 
     def __init__(self, model: Model, caches, payloads=()):
@@ -435,7 +443,9 @@ class DecodeBatch:
                         for l, f in enumerate(self.ego.any(axis=1))]
         self.joined = [sum(p.num_positions for p in payloads[0] if l < p.l_comm) if l < depth else None
                        for l in range(L)]
-        self.record = None  # (layer-0 input, hidden state) of a last step that read only zeros
+        # The last step: (layer-0 input bytes, and per layer the QKV product (None where
+        # passthrough), the attention output's bytes (None where the context was all zero) and x).
+        self.record = None
 
     def _input(self, input_vec, k):  # the checked (A, 1, d) float32 input of k steps from n
         n, (A, _, _, d) = self.length, self.dims
@@ -457,13 +467,29 @@ class DecodeBatch:
         rows of ``float32(1/n_l)``, skipping attention and ``w_o`` (±0.0 for a finite query);
         a ``model.passthrough`` layer skips its QKV product (query 0, K/V the store's zeros),
         a ``model.zero_mlp`` MLP is skipped.  Exact for a finite x (README "Zero contexts").
+
+        A step whose layer-0 input has the ``record``ed bits copies the recorded K/V from
+        n - 1 (ORed in when recorded: no flag rises) and reruns only attention, on the recorded
+        queries.  A layer whose attention output has the recorded bytes gives the recorded
+        output; the first that differs goes on from its recorded input as above, and so do the
+        layers after it (README "Repeated steps").
         """
         model, n, (A, H, dh, d) = self.model, self.length, self.dims
-        x = x0 = self._input(input_vec, 1) + model.pos[n]  # (A, 1, d); x0 is never written
+        x = self._input(input_vec, 1) + model.pos[n]  # (A, 1, d)
+        x0 = x.tobytes()
         ctx = self.ctx[..., : n + 1, :]  # (2, L, A·H, n + 1, d_h)
-        rows_per_layer, repeatable = [], True
+        reuse = self.record is not None and _same_input(x0, self.record[0])
+        if reuse:  # until a layer's attention output differs
+            _, seen_qkv, seen_out, seen_x = self.record
+            self.ctx[..., n, :] = self.ctx[..., n - 1, :]  # the recorded step's K/V, exactly
+        L = len(model.layers)
+        qkvs, outs, xs, rows_per_layer = [None] * L, [None] * L, [None] * L, []
         for l, lw in enumerate(model.layers):
-            if not model.passthrough[l]:
+            if reuse:
+                qkv = seen_qkv[l]
+            elif model.passthrough[l]:
+                qkv = None
+            else:
                 qkv = (x @ lw.w_qkv).reshape(A, 3, H, dh)
                 self.new[l, n] = kv = qkv[:, 1:]
                 if kv.any():  # one reduction while, as usual, the new K/V are all zero
@@ -471,51 +497,60 @@ class DecodeBatch:
                     self.flagged[l] = True
             w = n + 1 + (self.joined[l] or 0)
             r = np.empty((A * H, w), np.float32) if rows is None else rows[l, :, :w]
+            out = None
             if _zero_context(self.flagged[l]):
                 r[...] = 1.0 / w  # rounded once to float32, as the kernel's division
             else:
-                repeatable = False
                 keys, values = ctx[0, l], ctx[1, l]
                 if self.joined[l] is not None:  # each agent's H rows go on with its own payloads'
                     keys, values = np.concatenate([ctx[:, l], np.concatenate([np.concatenate(
                         [np.stack((p.keys[l], p.values[l])) for p in box if l < p.l_comm], axis=2)
                         for box in self.payloads], axis=1)], axis=2)
-                q = (np.zeros((A * H, dh)) if model.passthrough[l]  # its query is x @ 0
+                q = (np.zeros((A * H, dh)) if qkv is None  # a passthrough layer's query is x @ 0
                      else qkv[:, 0].astype(np.float64).reshape(A * H, dh))  # widened once, exactly
                 out, r = kernels.attend_single(keys, values, q, model.inv_sqrt_head_dim, r)
-                x = x + out.reshape(A, 1, d) @ lw.w_o
             rows_per_layer.append(r)
-            if not model.zero_mlp[l]:
-                x = x + _mlp(x, lw)
+            out_bytes = None if out is None else out.tobytes()
+            if reuse and out_bytes == seen_out[l]:
+                x = seen_x[l]
+            else:
+                reuse = False
+                if out is not None:
+                    x = x + out.reshape(A, 1, d) @ lw.w_o
+                if not model.zero_mlp[l]:
+                    x = x + _mlp(x, lw)
+            qkvs[l], outs[l], xs[l] = qkv, out_bytes, x
 
-        self.record = (x0, x[:, 0].copy()) if repeatable else None
+        self.record = (x0, qkvs, outs, xs)
         for c in (self, *self.caches):
             c.length = n + 1
-        return x[:, 0], rows_per_layer
+        return x[:, 0].copy(), rows_per_layer
 
-    def repeat(self, input_vec, rows):
-        """Run k = ``len(rows)`` steps at once as repeats of the ``record``ed step, or return None.
+    def repeat(self, input_vec, k, rows=None):
+        """Run k steps at once as repeats of the ``record``ed step, or return None.
 
         A step that read only exact zeros at every layer depends on its layer-0 input bits alone
-        (n sets only its row width and write position).  If ``input_vec + pos[j]`` has the
-        recorded bits for every j in [n, n + k), step n + t writes the K/V at n - 1 (±0.0: no
-        flag rises) and rows of ``float32(1/w)`` into ``rows[t]``, a step's buffer, and gives
-        the recorded hidden state, whose copy is returned.  Raises as a step of k positions.
+        (n sets only its row width and write position).  If the record is such a step and
+        ``input_vec + pos[j]`` has its bits for every j in [n, n + k), step n + t writes the K/V
+        at n - 1 (±0.0: no flag rises), writes rows of ``float32(1/w)`` into ``rows[t]`` given a
+        (k, L, A·H, >= w) buffer, and gives the recorded hidden state, whose copy is returned.
+        Raises as a step of k positions.
         """
-        if self.record is None:
+        if self.record is None or any(self.record[2]):  # a layer attended
             return None
-        x0, hidden = self.record
-        n, k = self.length, len(rows)
-        x = self._input(input_vec, k) + self.model.pos[n : n + k]  # (A, k, d)
-        if not (x.view(np.uint32) == x0.view(np.uint32)).all():  # tells -0.0 from +0.0
+        x0, _, _, xs = self.record
+        n = self.length
+        x = self._input(input_vec, k)[:, 0] + self.model.pos[n : n + k, None]  # (k, A, d)
+        if not _same_input(x.tobytes(), x0 * k):
             return None
-        self.new[:, n : n + k] = self.new[:, n - 1 : n]  # the recorded step's K/V, exactly
-        for l, joined in enumerate(self.joined):
-            w = np.arange(n + 1, n + k + 1)[:, None, None] + (joined or 0)  # (k, 1, 1)
-            np.copyto(rows[:, l], 1.0 / w, where=np.arange(rows.shape[-1]) < w)
+        self.ctx[..., n : n + k, :] = self.ctx[..., n - 1 : n, :]  # the recorded step's K/V, exactly
+        if rows is not None:
+            for l, joined in enumerate(self.joined):
+                w = np.arange(n + 1, n + k + 1)[:, None, None] + (joined or 0)  # (k, 1, 1)
+                np.copyto(rows[:, l], 1.0 / w, where=np.arange(rows.shape[-1]) < w)
         for c in (self, *self.caches):
             c.length = n + k
-        return hidden.copy()
+        return xs[-1][:, 0].copy()
 
 
 def forward_decode(model: Model, input_vec, caches, payloads=()):

@@ -523,7 +523,11 @@ def _send_tokens(sim: Simulation, live, pre):
     ids = np.zeros((sim.spec.m, len(live)), dtype=np.int64)
     for step in range(sim.spec.m):
         ids[step] = np.argmax(project_to_logits(model, h), axis=1)
-        h, _ = batch(model.w_in[ids[step]])
+        x = model.w_in[ids[step]]
+        if batch.repeat(x, sim.spec.m - step) is not None:  # each step left h as it was
+            ids[step:] = ids[step]
+            break
+        h, _ = batch(x)
     for aid in live:
         sim.agents[aid].decoded_tokens += sim.spec.m
     return [LanguageMessage(sender_id=aid, frame_id=sim.ticks, token_ids=tuple(ids[:, i].tolist()))

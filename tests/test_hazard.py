@@ -190,6 +190,7 @@ class TestPassthrough:
                 with monkeypatch.context() as patch:
                     if full:
                         patch.setattr(model_module, "_zero_context", lambda *args: False)
+                        patch.setattr(model_module, "_same_input", lambda *args: False)
                     hidden, rows = forward_decode(*poisoned(full, layer))
                     H = len(rows[0]) // len(hidden)
                     assert np.isnan(hidden[0]).all()

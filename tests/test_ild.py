@@ -206,9 +206,9 @@ def spy_repeats(monkeypatch):
     """Record each DecodeBatch.repeat call's step count k, or None where it did not run."""
     ran, repeat = [], DecodeBatch.repeat
 
-    def spied(batch, input_vec, rows):
-        out = repeat(batch, input_vec, rows)
-        ran.append(None if out is None else len(rows))
+    def spied(batch, input_vec, k, rows=None):
+        out = repeat(batch, input_vec, k, rows)
+        ran.append(None if out is None else k)
         return out
 
     monkeypatch.setattr(DecodeBatch, "repeat", spied)
@@ -251,13 +251,16 @@ class TestRepeat:
         assert got == self.deliberation(model, 2, 20, 1)
 
     def test_random_weights_never_record(self):
-        """With non-zero keys, no step reads an all-zero context."""
+        """With non-zero keys, every layer of every recorded step attended, so
+        the record is never one that repeats at once."""
         mdl = init_model(cfg(), 8)
         res = prefill(mdl, [[1, 2]])
         batch = DecodeBatch(mdl, res.caches)
+        x = decode_input(mdl, 1)
         for _ in range(3):
-            batch(decode_input(mdl, 1))
-            assert batch.record is None
+            batch(x)
+            assert None not in batch.record[2]  # each layer's attention output
+            assert batch.repeat(x, 1) is None
 
     @pytest.mark.parametrize("l_comm", [1, 4])
     def test_matches_stepping_with_joined_payloads(self, l_comm):
@@ -277,7 +280,7 @@ class TestRepeat:
             rows = np.zeros((k + 1, 4, A * 2, T + k + 1 + T), np.float32)
             hidden, _ = batch(x, rows[0])
             if fast:
-                hidden = batch.repeat(x, rows[1:])
+                hidden = batch.repeat(x, k, rows[1:])
             else:
                 for t in range(1, k + 1):
                     hidden, _ = batch(x, rows[t])
@@ -296,7 +299,7 @@ class TestRepeat:
             batch = DecodeBatch(model, pre.caches)
             batch(x)
             if fast:
-                assert batch.repeat(x, np.zeros((5, 4, 4, 9), np.float32)) is not None
+                assert batch.repeat(x, 5, np.zeros((5, 4, 4, 9), np.float32)) is not None
             else:
                 for _ in range(5):
                     batch(x)
@@ -316,8 +319,8 @@ class TestRepeat:
         rows = np.zeros((3, 4, 2, 8), np.float32)
         flipped = x.copy()
         flipped[0, 1] = -0.0
-        assert batch.repeat(flipped, rows) is None and batch.length == 4
-        assert batch.repeat(x, rows) is not None and batch.length == 7
+        assert batch.repeat(flipped, 3, rows) is None and batch.length == 4
+        assert batch.repeat(x, 3, rows) is not None and batch.length == 7
 
     def test_each_position_of_the_run_is_checked(self):
         """A positional row that differs at any position of the run stops it,
@@ -328,11 +331,11 @@ class TestRepeat:
         x = decode_input(model, 1)
         want, _ = batch(x)
         model.pos[7, 5] = 1e-3
-        assert batch.repeat(x, np.zeros((4, 4, 2, 8), np.float32)) is None
-        hidden = batch.repeat(x, np.zeros((3, 4, 2, 8), np.float32))
+        assert batch.repeat(x, 4, np.zeros((4, 4, 2, 8), np.float32)) is None
+        hidden = batch.repeat(x, 3, np.zeros((3, 4, 2, 8), np.float32))
         assert hidden.tobytes() == want.tobytes() and batch.length == 7
         hidden[...] = 7.0
-        assert batch.repeat(x, np.zeros((0, 4, 2, 8), np.float32)).tobytes() == want.tobytes()
+        assert batch.repeat(x, 0, np.zeros((0, 4, 2, 8), np.float32)).tobytes() == want.tobytes()
 
     def test_a_decode_outside_the_batch_raises(self):
         model = zero_kv_model()
@@ -340,10 +343,10 @@ class TestRepeat:
         batch = DecodeBatch(model, pre.caches)
         x = decode_input(model, 2)
         batch(x)
-        assert batch.record is not None
+        assert not any(batch.record[2])  # no layer attended
         forward_decode(model, x[:1], pre.caches[:1])
         with pytest.raises(ConfigError, match="decoded outside"):
-            batch.repeat(x, np.zeros((2, 4, 4, 8), np.float32))
+            batch.repeat(x, 2, np.zeros((2, 4, 4, 8), np.float32))
 
     def test_steps_past_capacity_raise(self):
         model = zero_kv_model(max_context=8)
@@ -353,10 +356,10 @@ class TestRepeat:
         batch(x)
         store = pre.caches[0].store.copy()
         with pytest.raises(ContextOverflowError):
-            batch.repeat(x, np.zeros((5, 4, 2, 9), np.float32))
+            batch.repeat(x, 5, np.zeros((5, 4, 2, 9), np.float32))
         assert batch.length == pre.caches[0].length == 4
         np.testing.assert_array_equal(pre.caches[0].store, store)
-        assert batch.repeat(x, np.zeros((4, 4, 2, 8), np.float32)) is not None
+        assert batch.repeat(x, 4, np.zeros((4, 4, 2, 8), np.float32)) is not None
         assert pre.caches[0].length == 8
 
     def test_runs_on_occluded_1_under_laco(self, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -298,8 +299,10 @@ def with_passthrough(config, seed, zeroed=(), zeroed_mlp=(), zeroed_kv=()):
 
 
 def full_path(monkeypatch):
-    """Run attention over every context, all-zero ones included."""
+    """Run attention over every context, all-zero ones included, and run
+    every product of a step that repeats the last step's input."""
     monkeypatch.setattr(model_module, "_zero_context", lambda *args: False)
+    monkeypatch.setattr(model_module, "_same_input", lambda *args: False)
 
 
 class TestPassthrough:
@@ -411,6 +414,79 @@ class TestPassthrough:
                 w[0, 0] = 1.0
         for lw in (skip.layers[0], skip.layers[2]):
             assert all(w.flags.writeable for w in (lw.w_qkv, lw.w_o, lw.w_mlp1, lw.w_mlp2))
+
+
+def reuse_model(zero_values=()):
+    """``init_model`` weights with a zero positional table, so one input gives
+    one layer-0 input at every position, and ``w_v`` zeroed at the layers
+    ``zero_values``: their keys are not zero, but every attention output is
+    exactly 0 however the context grows, so it repeats."""
+    model = init_model(small_config(num_layers=4, model_dim=16, max_context=64), 21)
+    model.pos[...] = 0.0
+    for l in zero_values:
+        model.layers[l].w_v[...] = 0.0
+    return model
+
+
+class TestStepReuse:
+    """A step whose layer-0 input repeats the last step's reruns only attention,
+    and each of its outputs keeps the bytes of a step run in full."""
+
+    def steps(self, model, joined, k=6):
+        """The bytes of k steps of one input after a prefill (hidden states,
+        rows, store, lengths and ``nonzero`` flags), and per step (whether it
+        kept the last step's layer-0 QKV product, how many layers kept their
+        output)."""
+        A, T, L, H = 2, 12, 4, 2
+        rng = np.random.default_rng(4)
+        tokens = rng.integers(0, 16, size=(A, T))
+        inboxes = []
+        if joined:
+            senders = prefill(model, tokens[::-1])
+            inboxes = [[distill(senders.caches[1 - a], range(a, T, 2), 0.5, sender_id=1 - a,
+                                frame_id=0)] for a in range(A)]
+        pre = prefill(model, tokens)
+        batch = DecodeBatch(model, pre.caches, inboxes)
+        x = rng.uniform(-1, 1, size=(A, 16)).astype(np.float32)
+        rows = np.zeros((k, L, A * H, T + k + T), np.float32)
+        out, kept = [], []
+        for t in range(k):
+            before = batch.record
+            hidden, _ = batch(x, rows[t])
+            out.append(hidden.tobytes())
+            hidden[...] = np.nan  # a copy: the record keeps its own
+            if before is not None:
+                _, qkvs, _, xs = batch.record
+                kept.append((qkvs[0] is before[1][0], sum(1 for _ in itertools.takewhile(
+                    lambda pair: pair[0] is pair[1], zip(xs, before[3])))))
+        out += [rows.tobytes(), pre.caches[0].store.tobytes(), pre.caches[0].nonzero.tobytes(),
+                [c.length for c in pre.caches], batch.length]
+        return out, kept
+
+    @pytest.mark.parametrize("joined", [False, True])
+    @pytest.mark.parametrize("zero_values, want", [
+        ((0, 1, 2, 3), 4),  # every output repeats: the recorded hidden state
+        ((), 0),  # layer 0's output differs: every product after attention reruns
+        ((0, 1, 2), 3),  # only the last layer's differs: the step resumes there
+    ])
+    def test_matches_stepping_in_full(self, zero_values, want, joined, monkeypatch):
+        model = reuse_model(zero_values)
+        got, kept = self.steps(model, joined)
+        assert kept == [(True, want)] * 5
+        monkeypatch.setattr(model_module, "_same_input", lambda *args: False)
+        full, kept = self.steps(model, joined)
+        assert kept == [(False, 0)] * 5
+        assert got == full
+
+    def test_a_decode_outside_the_batch_raises(self):
+        model = reuse_model()
+        pre = prefill(model, [[1, 2, 3], [4, 5, 6]])
+        batch = DecodeBatch(model, pre.caches)
+        x = np.ones((2, 16), np.float32)
+        batch(x)
+        forward_decode(model, x[:1], pre.caches[:1])
+        with pytest.raises(ConfigError, match="decoded outside"):
+            batch(x)
 
 
 class TestWidenedStore:

@@ -460,9 +460,10 @@ def episode_outputs(spec, paradigm, path):
 def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, model_dim):
     """Every shipped layout under every paradigm (and at d = 16 the deep_latent
     benchmark's generated layouts too) gives the same metrics rows, telemetry and
-    payload bytes as a run through its zero-weight layers and MLPs and its
-    attention over all-zero contexts.  With the skips on, every kernel call is
-    one the zero-context rule let run, and some were skipped."""
+    payload bytes as a run through its zero-weight layers and MLPs, its
+    attention over all-zero contexts and every product of a step that repeats
+    the last step's input.  With the skips on, every kernel call is one the
+    zero-context rule let run, and some were skipped."""
     calls, verdicts = [], []
 
     def counted(*args, kernel):
@@ -488,6 +489,7 @@ def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, model_dim):
         if not skip:
             monkeypatch.setattr(sc, "hazard_model", full_model)
             monkeypatch.setattr(model_module, "_zero_context", lambda *args: False)
+            monkeypatch.setattr(model_module, "_same_input", lambda *args: False)
         calls.append(0)
         runs[skip] = [episode_outputs(spec, paradigm, tmp_path / "t.bin")
                       for spec in specs for paradigm in sc.PARADIGMS]
@@ -495,6 +497,76 @@ def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, model_dim):
         assert got == want
     assert calls[0] == verdicts.count(False) and True in verdicts
     assert calls[0] < calls[1]  # against a full run, the skips did skip layers
+
+
+def test_step_reuse_changes_no_output(monkeypatch, tmp_path):
+    """Every shipped layout under every paradigm and the deep_latent benchmark's
+    generated layouts give the same metrics rows, telemetry and payload bytes
+    when a step that repeats the last step's input runs every product."""
+    verdicts = []
+
+    def judged(*args, predicate=model_module._same_input):
+        verdicts.append(predicate(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(model_module, "_same_input", judged)
+    specs = [sc.load_scenario(sc.builtin_scenario_path(name))
+             for name in sc.builtin_scenario_names()] + deep_latent_specs()
+    runs = []
+    for reuse in (True, False):
+        if not reuse:
+            monkeypatch.setattr(model_module, "_same_input", lambda *args: False)
+        runs.append([episode_outputs(spec, paradigm, tmp_path / "t.bin")
+                     for spec in specs for paradigm in sc.PARADIGMS])
+    assert runs[0] == runs[1]
+    assert True in verdicts
+
+
+def test_deliberation_steps_reuse_the_last_step(monkeypatch):
+    """On a deep_latent layout under LACO, some deliberation steps repeat the
+    last step's input and keep its products: its QKV products and its hidden state."""
+    reused, step = [], sc.DecodeBatch.__call__
+
+    def spied(batch, *args):
+        before = batch.record
+        out = step(batch, *args)
+        if before is not None:
+            _, qkvs, _, xs = batch.record
+            reused.append(qkvs[0] is before[1][0] and xs[-1] is before[3][-1])
+        return out
+
+    monkeypatch.setattr(sc.DecodeBatch, "__call__", spied)
+    sc.run_episode(deep_latent_specs()[0], "LACO")
+    assert sum(reused) > 0
+
+
+def test_language_tokens_repeat_at_once(monkeypatch):
+    """On occluded_1 the Language decode runs some of its steps at once, and
+    relays the ids and gives the metrics rows of a decode that steps them all."""
+    ran = []
+    repeat = sc.DecodeBatch.repeat
+
+    def spied(batch, input_vec, k, rows=None):
+        out = repeat(batch, input_vec, k, rows)
+        ran.append(0 if out is None else k)
+        return out
+
+    def relayed(sim, live, pre, send=sc._send_tokens):
+        messages = send(sim, live, pre)
+        sent.append([msg.token_ids for msg in messages])
+        return messages
+
+    monkeypatch.setitem(sc._PARADIGM_TABLE, "Language", (relayed, sc._decide_on_tokens))
+    spec = sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
+    runs = []
+    for fast in (True, False):
+        monkeypatch.setattr(sc.DecodeBatch, "repeat", spied if fast else lambda *args: None)
+        sent = []
+        rows = sc.metrics_rows(sc.run_episode(spec, "Language"))
+        runs.append((sent, rows))
+    assert sum(ran) > 0
+    assert runs[0] == runs[1]
+    assert all(len(ids) == spec.m for tick in runs[0][0] for ids in tick)
 
 
 def test_episodes_of_one_layout_share_one_read_only_model():
