@@ -99,7 +99,8 @@ class Model:
 
     ``passthrough[l]`` flags a layer whose four weights are all exactly zero,
     ``zero_mlp[l]`` one whose ``w_mlp1`` and ``w_mlp2`` are; prefill and decode
-    skip those products.  Flagged arrays are read-only, so a write cannot leave a flag stale.
+    skip those products.  Every array is read-only, so a write can leave no flag stale and
+    no :class:`DecodeBatch` record out of date.
     """
 
     def __init__(self, config: ModelConfig, w_in, w_out, pos, layers):
@@ -113,9 +114,8 @@ class Model:
         self.zero_mlp = tuple(not (lw.w_mlp1.any() or lw.w_mlp2.any()) for lw in layers)
         self.passthrough = tuple(z and not (lw.w_qkv.any() or lw.w_o.any())
                                  for z, lw in zip(self.zero_mlp, layers))
-        for lw, z, flat in zip(layers, self.zero_mlp, self.passthrough):
-            for w in (lw.w_mlp1, lw.w_mlp2) * z + (lw.w_qkv, lw.w_o) * flat:
-                w.flags.writeable = False
+        for w in (w_in, w_out, pos, *(w for lw in layers for w in vars(lw).values())):
+            w.flags.writeable = False
 
 
 # Residual-stream channels used by the handcrafted hazard model.
@@ -251,9 +251,7 @@ class KVCache:
     ``nonzero`` (L, rows), shared by the store's caches, is False at [l, r] only if
     row r's K/V at layer l are all exactly zero: :func:`prefill` sets it, each decode step
     ORs in its new position (a step that repeats the last one copies K/V already ORed in, so
-    sets none); a cache made otherwise has all True ("may be non-zero").  While a
-    :class:`DecodeBatch` runs on a cache, the model's weights are not written: its steps reuse
-    the last step's products.
+    sets none); a cache made otherwise has all True ("may be non-zero").
     """
 
     def __init__(self, config: ModelConfig, store: np.ndarray, row: int, nonzero=None):
@@ -409,8 +407,7 @@ class DecodeBatch:
     or float16, widened exactly) to its agent's rows.  The scan is the one check that a payload
     fits the model (heads, ``head_dim``, ``l_comm <= L``; else ``ShapeMismatchError``).  A step
     raises ``ConfigError`` once another decode moved a cache, so the kept ``nonzero`` flags stay
-    exact (only a decode raises one).  The model's weights, too, are left as they are while the
-    batch runs: ``record`` keeps the last step's products for the next step to reuse.
+    exact (only a decode raises one).  ``record`` keeps what :meth:`repeat` reads of the last step.
     """
 
     def __init__(self, model: Model, caches, payloads=()):
@@ -443,8 +440,8 @@ class DecodeBatch:
                         for l, f in enumerate(self.ego.any(axis=1))]
         self.joined = [sum(p.num_positions for p in payloads[0] if l < p.l_comm) if l < depth else None
                        for l in range(L)]
-        # The last step: (layer-0 input bytes, and per layer the QKV product (None where
-        # passthrough), the attention output's bytes (None where the context was all zero) and x).
+        # The last step: (layer-0 input bytes, per layer (query, None where passthrough, and
+        # attention output bytes), (None, None) where the layer read an all-zero context).
         self.record = None
 
     def _input(self, input_vec, k):  # the checked (A, 1, d) float32 input of k steps from n
@@ -460,97 +457,88 @@ class DecodeBatch:
             raise ConfigError("decode input must be finite")
         return x.reshape(A, 1, d)  # every product below is one vector-matrix product per agent
 
+    def _attend(self, l, n, q, rows):
+        """Layer l's (attention output (A·H, d_h) or None, rows (A·H, n + 1 + P_l)) for the step
+        at n and the (A, H, d_h) float32 query ``q`` (None where passthrough: x @ 0).  A layer
+        with no batch row or joined slice flagged writes rows of ``float32(1/w)`` and gives None."""
+        A, H, dh, _ = self.dims
+        w = n + 1 + (self.joined[l] or 0)
+        r = np.empty((A * H, w), np.float32) if rows is None else rows[l, :, :w]
+        if _zero_context(self.flagged[l]):
+            r[...] = 1.0 / w  # rounded once to float32, as the kernel's division
+            return None, r
+        keys, values = ctx = self.ctx[:, l, :, : n + 1]
+        if self.joined[l] is not None:  # each agent's H rows go on with its own payloads'
+            keys, values = np.concatenate([ctx, np.concatenate([np.concatenate(
+                [np.stack((p.keys[l], p.values[l])) for p in box if l < p.l_comm], axis=2)
+                for box in self.payloads], axis=1)], axis=2)
+        q = np.zeros((A * H, dh)) if q is None else q.astype(np.float64).reshape(A * H, dh)  # exact
+        return kernels.attend_single(keys, values, q, self.model.inv_sqrt_head_dim, r)
+
     def __call__(self, input_vec, rows=None):
         """Append one position per agent for an (A, d) input; returns (hidden (A, d) float32,
         rows: per layer (A·H, n_l), views of ``rows[l]`` given an (L, A·H, >= n_l) buffer).
-        A layer with no batch row or joined slice flagged (the new position ORed in) writes
-        rows of ``float32(1/n_l)``, skipping attention and ``w_o`` (±0.0 for a finite query);
-        a ``model.passthrough`` layer skips its QKV product (query 0, K/V the store's zeros),
-        a ``model.zero_mlp`` MLP is skipped.  Exact for a finite x (README "Zero contexts").
-
-        A step whose layer-0 input has the ``record``ed bits copies the recorded K/V from
-        n - 1 (ORed in when recorded: no flag rises) and reruns only attention, on the recorded
-        queries.  A layer whose attention output has the recorded bytes gives the recorded
-        output; the first that differs goes on from its recorded input as above, and so do the
-        layers after it (README "Repeated steps").
+        A layer with no batch row or joined slice flagged (the new position ORed in) skips
+        attention and ``w_o`` (±0.0 for a finite query); a ``model.passthrough`` layer skips its
+        QKV product (query 0, K/V the store's zeros), a ``model.zero_mlp`` MLP is skipped.
+        Exact for a finite x (README "Zero contexts").
         """
         model, n, (A, H, dh, d) = self.model, self.length, self.dims
         x = self._input(input_vec, 1) + model.pos[n]  # (A, 1, d)
-        x0 = x.tobytes()
-        ctx = self.ctx[..., : n + 1, :]  # (2, L, A·H, n + 1, d_h)
-        reuse = self.record is not None and _same_input(x0, self.record[0])
-        if reuse:  # until a layer's attention output differs
-            _, seen_qkv, seen_out, seen_x = self.record
-            self.ctx[..., n, :] = self.ctx[..., n - 1, :]  # the recorded step's K/V, exactly
-        L = len(model.layers)
-        qkvs, outs, xs, rows_per_layer = [None] * L, [None] * L, [None] * L, []
+        x0, layers, rows_per_layer = x.tobytes(), [], []
         for l, lw in enumerate(model.layers):
-            if reuse:
-                qkv = seen_qkv[l]
-            elif model.passthrough[l]:
-                qkv = None
-            else:
+            q = None
+            if not model.passthrough[l]:
                 qkv = (x @ lw.w_qkv).reshape(A, 3, H, dh)
                 self.new[l, n] = kv = qkv[:, 1:]
                 if kv.any():  # one reduction while, as usual, the new K/V are all zero
                     self.ego[l] |= kv.reshape(A, -1).any(axis=1)
                     self.flagged[l] = True
-            w = n + 1 + (self.joined[l] or 0)
-            r = np.empty((A * H, w), np.float32) if rows is None else rows[l, :, :w]
-            out = None
-            if _zero_context(self.flagged[l]):
-                r[...] = 1.0 / w  # rounded once to float32, as the kernel's division
-            else:
-                keys, values = ctx[0, l], ctx[1, l]
-                if self.joined[l] is not None:  # each agent's H rows go on with its own payloads'
-                    keys, values = np.concatenate([ctx[:, l], np.concatenate([np.concatenate(
-                        [np.stack((p.keys[l], p.values[l])) for p in box if l < p.l_comm], axis=2)
-                        for box in self.payloads], axis=1)], axis=2)
-                q = (np.zeros((A * H, dh)) if qkv is None  # a passthrough layer's query is x @ 0
-                     else qkv[:, 0].astype(np.float64).reshape(A * H, dh))  # widened once, exactly
-                out, r = kernels.attend_single(keys, values, q, model.inv_sqrt_head_dim, r)
+                q = qkv[:, 0]
+            out, r = self._attend(l, n, q, rows)
             rows_per_layer.append(r)
-            out_bytes = None if out is None else out.tobytes()
-            if reuse and out_bytes == seen_out[l]:
-                x = seen_x[l]
-            else:
-                reuse = False
-                if out is not None:
-                    x = x + out.reshape(A, 1, d) @ lw.w_o
-                if not model.zero_mlp[l]:
-                    x = x + _mlp(x, lw)
-            qkvs[l], outs[l], xs[l] = qkv, out_bytes, x
-
-        self.record = (x0, qkvs, outs, xs)
+            layers.append((None, None) if out is None else (q, out.tobytes()))
+            if out is not None:
+                x = x + out.reshape(A, 1, d) @ lw.w_o
+            if not model.zero_mlp[l]:
+                x = x + _mlp(x, lw)
+        self.record = (x0, layers)
         for c in (self, *self.caches):
             c.length = n + 1
-        return x[:, 0].copy(), rows_per_layer
+        return x[:, 0], rows_per_layer
 
     def repeat(self, input_vec, k, rows=None):
-        """Run k steps at once as repeats of the ``record``ed step, or return None.
+        """Run up to k steps as repeats of the ``record``ed step; returns how many ran, 0 .. k.
 
-        A step that read only exact zeros at every layer depends on its layer-0 input bits alone
-        (n sets only its row width and write position).  If the record is such a step and
-        ``input_vec + pos[j]`` has its bits for every j in [n, n + k), step n + t writes the K/V
-        at n - 1 (±0.0: no flag rises), writes rows of ``float32(1/w)`` into ``rows[t]`` given a
-        (k, L, A·H, >= w) buffer, and gives the recorded hidden state, whose copy is returned.
-        Raises as a step of k positions.
+        Only attention depends on n; every other product of a step is a function of its layer-0
+        input bits.  So if ``input_vec + pos[j]`` has the recorded bytes for every j in
+        [n, n + k), the K/V of n - 1 are copied into [n, n + k) (ORed in when recorded: no flag
+        rises), the zero-context layers' rows are filled for all k steps, and step n + t reruns
+        attention at the recorded attending layers with their queries, into ``rows[t]`` given a
+        (k, L, A·H, >= w) buffer.  The first step whose attention output differs does not count:
+        the caller runs it in full.  A step that ran gives the recorded hidden state, the
+        caller's own.  Raises as a step of k positions (README "Repeated steps").
         """
-        if self.record is None or any(self.record[2]):  # a layer attended
-            return None
-        x0, _, _, xs = self.record
-        n = self.length
+        if self.record is None:
+            return 0
+        n, (x0, layers) = self.length, self.record
         x = self._input(input_vec, k)[:, 0] + self.model.pos[n : n + k, None]  # (k, A, d)
         if not _same_input(x.tobytes(), x0 * k):
-            return None
+            return 0
         self.ctx[..., n : n + k, :] = self.ctx[..., n - 1 : n, :]  # the recorded step's K/V, exactly
         if rows is not None:
-            for l, joined in enumerate(self.joined):
-                w = np.arange(n + 1, n + k + 1)[:, None, None] + (joined or 0)  # (k, 1, 1)
-                np.copyto(rows[:, l], 1.0 / w, where=np.arange(rows.shape[-1]) < w)
+            for l, (_, out) in enumerate(layers):
+                if out is None:
+                    w = np.arange(n + 1, n + k + 1)[:, None, None] + (self.joined[l] or 0)  # (k, 1, 1)
+                    np.copyto(rows[:, l], 1.0 / w, where=np.arange(rows.shape[-1]) < w)
+        attending = [(l, q, out) for l, (q, out) in enumerate(layers) if out is not None]
+        ran = 0
+        while ran < k and all(self._attend(l, n + ran, q, None if rows is None else rows[ran])[0]
+                              .tobytes() == out for l, q, out in attending):
+            ran += 1
         for c in (self, *self.caches):
-            c.length = n + k
-        return xs[-1][:, 0].copy()
+            c.length = n + ran
+        return ran
 
 
 def forward_decode(model: Model, input_vec, caches, payloads=()):

@@ -390,11 +390,8 @@ def layout_world(grid: tuple) -> World:
 
 @functools.lru_cache(maxsize=64)
 def hazard_model(config: ModelConfig):
-    """The hazard Model of a config, shared by its episodes (bounded memo), weights read-only."""
-    model = make_hazard_model(config)
-    for w in (model.w_in, model.w_out, model.pos, *(w for lw in model.layers for w in vars(lw).values())):
-        w.flags.writeable = False
-    return model
+    """The hazard Model of a config, shared by its episodes (bounded memo)."""
+    return make_hazard_model(config)
 
 
 @dataclass
@@ -521,13 +518,16 @@ def _send_tokens(sim: Simulation, live, pre):
     """Language: greedily decode m tokens per agent in lock-step and relay their ids."""
     model, h, batch = sim.model, pre.hidden, DecodeBatch(sim.model, pre.caches)
     ids = np.zeros((sim.spec.m, len(live)), dtype=np.int64)
-    for step in range(sim.spec.m):
+    step = 0
+    while step < sim.spec.m:
         ids[step] = np.argmax(project_to_logits(model, h), axis=1)
         x = model.w_in[ids[step]]
-        if batch.repeat(x, sim.spec.m - step) is not None:  # each step left h as it was
-            ids[step:] = ids[step]
-            break
-        h, _ = batch(x)
+        ran = batch.repeat(x, sim.spec.m - step)
+        ids[step : step + ran + 1] = ids[step]  # each step that ran left h, so its argmax, as it was
+        step += ran
+        if step < sim.spec.m:
+            h, _ = batch(x)
+            step += 1
     for aid in live:
         sim.agents[aid].decoded_tokens += sim.spec.m
     return [LanguageMessage(sender_id=aid, frame_id=sim.ticks, token_ids=tuple(ids[:, i].tolist()))

@@ -5,7 +5,9 @@ no shared code with the package's hot paths, so tests can compare the two
 implementations against each other.  Four groups differ:
 
 * ``init_model`` builds the seeded random-weight ``Model`` that most tests
-  run on; the package itself builds only the hazard model.
+  run on, from the writable arrays of ``init_weights``, which a test edits
+  before it makes a ``Model`` (whose arrays are read-only); the package
+  itself builds only the hazard model.
 * ``ref_prefill``, ``ref_forward_decode`` and ``ref_deliberate`` are the
   package's own float32 forward passes, run one agent at a time on the
   package kernels: the bit-exact oracle for the lock-step batch.
@@ -40,7 +42,13 @@ def sinusoidal_table(n: int, d: int) -> np.ndarray:
 
 
 def init_model(config, seed: int) -> Model:
-    """Seeded random model: all weight matrices uniform(-1/sqrt(d), 1/sqrt(d)).
+    """The seeded random model of :func:`init_weights`."""
+    return Model(config, *init_weights(config, seed))
+
+
+def init_weights(config, seed: int):
+    """Seeded random weights ``(w_in, w_out, pos, layers)``, writable: every weight
+    matrix uniform(-1/sqrt(d), 1/sqrt(d)), a sinusoidal positional table.
 
     Draws come from a PCG64 stream in a fixed order: w_in, w_out, then per
     layer w_q, w_k, w_v, w_o, w_mlp1, w_mlp2.  Identical (config, seed) gives
@@ -66,8 +74,7 @@ def init_model(config, seed: int) -> Model:
                 w_mlp2=draw((d_ff, d)),
             )
         )
-    pos = sinusoidal_table(config.max_context, d)
-    return Model(config, w_in, w_out, pos, layers)
+    return w_in, w_out, sinusoidal_table(config.max_context, d), layers
 
 
 def ref_forward_block(model, xs):

@@ -22,13 +22,14 @@ from laco.model import (
     TOKEN_BRAKE,
     TOKEN_KEEP,
     DecodeBatch,
+    Model,
     ModelConfig,
     forward_decode,
     prefill,
     project_to_logits,
 )
 from laco.wire import DTYPE_F16, DTYPE_F32, distill
-from reference import init_model, ref_deliberate, ref_forward_decode, ref_prefill, sent_as
+from reference import init_model, init_weights, ref_deliberate, ref_forward_decode, ref_prefill, sent_as
 
 CASES = [(seed, A) for seed in range(12) for A in (1, 2, 3)]
 
@@ -274,10 +275,11 @@ def test_language_receivers_re_prefill_in_one_pass_per_prefix_length(monkeypatch
     tokens and 1 relays 2m: one re-prefill for {0, 2}, one for {1}."""
     spec = sc.parse_scenario(LANGUAGE_CHAIN)
     sim = sc.Simulation(spec)
-    sim.model = model = init_model(spec.model_config(), 0)
+    w_in, w_out, pos, layers = init_weights(spec.model_config(), 0)
     # Non-action logits are 0 and KEEP = -BRAKE, so the argmax is an action slot.
-    model.w_out[:, len(ACTION_TOKENS):] = 0.0
-    model.w_out[:, TOKEN_KEEP] = -model.w_out[:, TOKEN_BRAKE]
+    w_out[:, len(ACTION_TOKENS):] = 0.0
+    w_out[:, TOKEN_KEEP] = -w_out[:, TOKEN_BRAKE]
+    sim.model = model = Model(spec.model_config(), w_in, w_out, pos, layers)
     live, m, T = sim.live_agents(), spec.m, spec.observation_len
     obs = {aid: sc.observe(sim.world, sim.agents, spec.hazards, aid, 0) for aid in live}
     relayed = {}

@@ -120,7 +120,7 @@ class TestPassthrough:
         for w in (last.w_mlp1, last.w_mlp2):
             with pytest.raises(ValueError, match="read-only"):
                 w[0, 0] = 1.0
-        assert last.w_qkv.flags.writeable and last.w_o.flags.writeable
+        assert not (last.w_qkv.flags.writeable or last.w_o.flags.writeable)
 
     def test_flagged_layers_call_no_kernel(self, monkeypatch):
         """On occluded_1's model a layer calls a kernel only when some K/V entry

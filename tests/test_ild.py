@@ -18,7 +18,7 @@ from laco.model import (
 )
 from laco.scenario import builtin_scenario_path, load_scenario, run_episode
 from laco.wire import distill
-from reference import init_model, ref_deliberate_hidden
+from reference import init_model, init_weights, ref_deliberate_hidden
 
 
 def cfg(**kw):
@@ -177,17 +177,17 @@ def zero_kv_model(d=16, num_layers=4, pos="zero", passthrough=(), seed=0, max_co
     :func:`fixed_alignment` every step's input is the same vector."""
     config = ModelConfig(num_layers=num_layers, num_heads=2, model_dim=d, vocab_size=32,
                          max_context=max_context)
-    weights = init_model(config, seed)
-    weights.w_in[:, 0] = 1.0
-    for l, lw in enumerate(weights.layers):
+    w_in, w_out, sinusoidal, layers = init_weights(config, seed)
+    w_in[:, 0] = 1.0
+    for l, lw in enumerate(layers):
         lw.w_qkv[:, d:] = 0.0
         lw.w_o[:, 0] = lw.w_mlp2[:, 0] = 0.0
         if l in passthrough:
             for w in (lw.w_qkv, lw.w_o, lw.w_mlp1, lw.w_mlp2):
                 w[...] = 0.0
-    table = {"zero": np.zeros_like(weights.pos), "sinusoidal": weights.pos,
-             "negative zero": np.full_like(weights.pos, -0.0)}[pos]
-    model = Model(config, weights.w_in, weights.w_out, table, weights.layers)
+    table = {"zero": np.zeros_like(sinusoidal), "sinusoidal": sinusoidal,
+             "negative zero": np.full_like(sinusoidal, -0.0)}[pos]
+    model = Model(config, w_in, w_out, table, layers)
     assert not any(model.zero_mlp[l] for l in range(num_layers) if l not in passthrough)
     return model
 
@@ -203,21 +203,20 @@ def fixed_alignment(model, seed=0):
 
 
 def spy_repeats(monkeypatch):
-    """Record each DecodeBatch.repeat call's step count k, or None where it did not run."""
+    """Record the step count each DecodeBatch.repeat call ran."""
     ran, repeat = [], DecodeBatch.repeat
 
     def spied(batch, input_vec, k, rows=None):
-        out = repeat(batch, input_vec, k, rows)
-        ran.append(None if out is None else k)
-        return out
+        ran.append(repeat(batch, input_vec, k, rows))
+        return ran[-1]
 
     monkeypatch.setattr(DecodeBatch, "repeat", spied)
     return ran
 
 
 class TestRepeat:
-    """A deliberation whose steps repeat over an all-zero context is run in
-    closed form by ``DecodeBatch.repeat``, bit for bit as stepping it."""
+    """A deliberation whose steps repeat over an all-zero context runs them in
+    one ``DecodeBatch.repeat`` call, bit for bit as stepping them."""
 
     def deliberation(self, model, A, m, seed):
         """The bytes of a deliberation's hidden states, traces, store and lengths."""
@@ -233,12 +232,12 @@ class TestRepeat:
     @pytest.mark.parametrize("d", [8, 16, 18])
     def test_matches_stepping(self, d, A, passthrough, monkeypatch):
         """Hidden states, traces, store and lengths equal those of a deliberation
-        stepped to the end, and steps 1 .. m-1 ran at once."""
+        stepped to the end, and steps 1 .. m-1 ran in one call."""
         model = zero_kv_model(d, passthrough=passthrough, seed=d)
         ran = spy_repeats(monkeypatch)
         got = self.deliberation(model, A, 20, d)
-        assert [k for k in ran if k is not None] == [19]
-        monkeypatch.setattr(DecodeBatch, "repeat", lambda *args: None)
+        assert ran == [0, 19]
+        monkeypatch.setattr(DecodeBatch, "repeat", lambda *args: 0)
         assert got == self.deliberation(model, A, 20, d)
 
     def test_never_runs_with_sinusoidal_positions(self, monkeypatch):
@@ -246,21 +245,21 @@ class TestRepeat:
         model = zero_kv_model(pos="sinusoidal")
         ran = spy_repeats(monkeypatch)
         got = self.deliberation(model, 2, 20, 1)
-        assert len(ran) == 20 and ran == [None] * 20
-        monkeypatch.setattr(DecodeBatch, "repeat", lambda *args: None)
+        assert ran == [0] * 20
+        monkeypatch.setattr(DecodeBatch, "repeat", lambda *args: 0)
         assert got == self.deliberation(model, 2, 20, 1)
 
     def test_random_weights_never_record(self):
-        """With non-zero keys, every layer of every recorded step attended, so
-        the record is never one that repeats at once."""
+        """With non-zero keys every layer of each recorded step attended; with a
+        sinusoidal table no step repeats the record's input."""
         mdl = init_model(cfg(), 8)
         res = prefill(mdl, [[1, 2]])
         batch = DecodeBatch(mdl, res.caches)
         x = decode_input(mdl, 1)
         for _ in range(3):
             batch(x)
-            assert None not in batch.record[2]  # each layer's attention output
-            assert batch.repeat(x, 1) is None
+            assert all(q is not None and out is not None for q, out in batch.record[1])
+            assert batch.repeat(x, 1) == 0
 
     @pytest.mark.parametrize("l_comm", [1, 4])
     def test_matches_stepping_with_joined_payloads(self, l_comm):
@@ -280,7 +279,7 @@ class TestRepeat:
             rows = np.zeros((k + 1, 4, A * 2, T + k + 1 + T), np.float32)
             hidden, _ = batch(x, rows[0])
             if fast:
-                hidden = batch.repeat(x, k, rows[1:])
+                assert batch.repeat(x, k, rows[1:]) == k
             else:
                 for t in range(1, k + 1):
                     hidden, _ = batch(x, rows[t])
@@ -299,7 +298,7 @@ class TestRepeat:
             batch = DecodeBatch(model, pre.caches)
             batch(x)
             if fast:
-                assert batch.repeat(x, 5, np.zeros((5, 4, 4, 9), np.float32)) is not None
+                assert batch.repeat(x, 5, np.zeros((5, 4, 4, 9), np.float32)) == 5
             else:
                 for _ in range(5):
                     batch(x)
@@ -319,23 +318,23 @@ class TestRepeat:
         rows = np.zeros((3, 4, 2, 8), np.float32)
         flipped = x.copy()
         flipped[0, 1] = -0.0
-        assert batch.repeat(flipped, 3, rows) is None and batch.length == 4
-        assert batch.repeat(x, 3, rows) is not None and batch.length == 7
+        assert batch.repeat(flipped, 3, rows) == 0 and batch.length == 4
+        assert batch.repeat(x, 3, rows) == 3 and batch.length == 7
 
     def test_each_position_of_the_run_is_checked(self):
-        """A positional row that differs at any position of the run stops it,
-        and the hidden state it returns is a copy."""
+        """A positional row that differs at any position of the run stops it
+        before its first step."""
         model = zero_kv_model()
+        pos = model.pos.copy()
+        pos[7, 5] = 1e-3
+        model = Model(model.config, model.w_in, model.w_out, pos, model.layers)
         pre = prefill(model, [[1, 2, 3]])
         batch = DecodeBatch(model, pre.caches)
         x = decode_input(model, 1)
-        want, _ = batch(x)
-        model.pos[7, 5] = 1e-3
-        assert batch.repeat(x, 4, np.zeros((4, 4, 2, 8), np.float32)) is None
-        hidden = batch.repeat(x, 3, np.zeros((3, 4, 2, 8), np.float32))
-        assert hidden.tobytes() == want.tobytes() and batch.length == 7
-        hidden[...] = 7.0
-        assert batch.repeat(x, 0, np.zeros((0, 4, 2, 8), np.float32)).tobytes() == want.tobytes()
+        batch(x)
+        assert batch.repeat(x, 4, np.zeros((4, 4, 2, 8), np.float32)) == 0 and batch.length == 4
+        assert batch.repeat(x, 3, np.zeros((3, 4, 2, 8), np.float32)) == 3 and batch.length == 7
+        assert batch.repeat(x, 0, np.zeros((0, 4, 2, 8), np.float32)) == 0 and batch.length == 7
 
     def test_a_decode_outside_the_batch_raises(self):
         model = zero_kv_model()
@@ -343,7 +342,7 @@ class TestRepeat:
         batch = DecodeBatch(model, pre.caches)
         x = decode_input(model, 2)
         batch(x)
-        assert not any(batch.record[2])  # no layer attended
+        assert batch.record[1] == [(None, None)] * 4  # no layer attended
         forward_decode(model, x[:1], pre.caches[:1])
         with pytest.raises(ConfigError, match="decoded outside"):
             batch.repeat(x, 2, np.zeros((2, 4, 4, 8), np.float32))
@@ -359,13 +358,13 @@ class TestRepeat:
             batch.repeat(x, 5, np.zeros((5, 4, 2, 9), np.float32))
         assert batch.length == pre.caches[0].length == 4
         np.testing.assert_array_equal(pre.caches[0].store, store)
-        assert batch.repeat(x, 4, np.zeros((4, 4, 2, 8), np.float32)) is not None
+        assert batch.repeat(x, 4, np.zeros((4, 4, 2, 8), np.float32)) == 4
         assert pre.caches[0].length == 8
 
     def test_runs_on_occluded_1_under_laco(self, monkeypatch):
         ran = spy_repeats(monkeypatch)
         run_episode(load_scenario(builtin_scenario_path("occluded_1")), "LACO")
-        assert any(k is not None for k in ran)
+        assert any(ran)
 
 
 def decode_input(model, A, seed=0):

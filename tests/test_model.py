@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import fields
 
 import numpy as np
@@ -29,6 +28,7 @@ from laco.scenario import (
 from laco.wire import distill
 from reference import (
     init_model,
+    init_weights,
     ref_decode_hiddens,
     ref_matmul_row,
     ref_prefill,
@@ -264,18 +264,15 @@ class TestDecode:
         np.testing.assert_allclose(h[0], ref, rtol=1e-5, atol=1e-6)
 
 
-    def test_in_place_weight_write_reaches_next_decode(self):
+    def test_an_in_place_weight_write_raises(self):
+        """Every array of a Model is read-only, the q/k/v views of ``w_qkv`` too."""
         m = init_model(small_config(), 14)
-        (cache,) = prefill(m, [[1, 2, 3]]).caches
         lw = m.layers[0]
         assert np.shares_memory(lw.w_k, lw.w_qkv) and np.shares_memory(lw.w_v, lw.w_qkv)
-        lw.w_k[...] *= -2.0
-        lw.w_v[:, 0] = 0.5
-        x = np.linspace(-1, 1, 8).astype(np.float32)
-        forward_decode(m, x[None], [cache])
-        y = x + m.pos[3]
-        np.testing.assert_array_equal(cache.k[0, :, 3], (y @ lw.w_k).reshape(2, 4))
-        np.testing.assert_array_equal(cache.v[0, :, 3], (y @ lw.w_v).reshape(2, 4))
+        for w in (m.w_in, m.w_out, m.pos, *(w for lw in m.layers for w in (
+                lw.w_qkv, lw.w_q, lw.w_k, lw.w_v, lw.w_o, lw.w_mlp1, lw.w_mlp2))):
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0] = 0.5
 
 
 def with_passthrough(config, seed, zeroed=(), zeroed_mlp=(), zeroed_kv=()):
@@ -283,17 +280,16 @@ def with_passthrough(config, seed, zeroed=(), zeroed_mlp=(), zeroed_kv=()):
     of ``zeroed_mlp`` and the ``w_k`` and ``w_v`` of ``zeroed_kv``, as two
     models on the same arrays: one skips those blocks, one runs them in full
     (with ``full_path`` on, which also runs attention over all-zero contexts)."""
-    weights = init_model(config, seed)
+    weights = init_weights(config, seed)
+    layers = weights[-1]
     for l in zeroed:
-        lw = weights.layers[l]
-        for w in (lw.w_qkv, lw.w_o):
+        for w in (layers[l].w_qkv, layers[l].w_o):
             w[...] = 0.0
     for l in zeroed_kv:
-        weights.layers[l].w_qkv[:, config.model_dim :] = 0.0
+        layers[l].w_qkv[:, config.model_dim :] = 0.0
     for l in {*zeroed, *zeroed_mlp}:
-        weights.layers[l].w_mlp1[...] = weights.layers[l].w_mlp2[...] = 0.0
-    skip, full = (Model(config, weights.w_in, weights.w_out, weights.pos, weights.layers)
-                  for _ in range(2))
+        layers[l].w_mlp1[...] = layers[l].w_mlp2[...] = 0.0
+    skip, full = (Model(config, *weights) for _ in range(2))
     full.passthrough = full.zero_mlp = (False,) * config.num_layers
     return skip, full
 
@@ -406,40 +402,52 @@ class TestPassthrough:
         assert outs[0] == outs[1]
 
     def test_flagged_weights_are_read_only(self):
-        """A write into a skipped layer raises; it could not reach a decode."""
+        """A write into a skipped layer raises; it could not reach a decode.
+        The unflagged layers' weights are read-only too."""
         skip, _ = with_passthrough(small_config(num_layers=3), 0, zeroed=(1,))
         zero = skip.layers[1]
         for w in (zero.w_qkv, zero.w_k, zero.w_o, zero.w_mlp1, zero.w_mlp2):
             with pytest.raises(ValueError, match="read-only"):
                 w[0, 0] = 1.0
         for lw in (skip.layers[0], skip.layers[2]):
-            assert all(w.flags.writeable for w in (lw.w_qkv, lw.w_o, lw.w_mlp1, lw.w_mlp2))
+            assert not any(w.flags.writeable for w in (lw.w_qkv, lw.w_o, lw.w_mlp1, lw.w_mlp2))
 
 
-def reuse_model(zero_values=()):
-    """``init_model`` weights with a zero positional table, so one input gives
+def reuse_model(zero_values=(), spotlight=None):
+    """``init_weights`` with a zero positional table, so one input gives
     one layer-0 input at every position, and ``w_v`` zeroed at the layers
     ``zero_values``: their keys are not zero, but every attention output is
-    exactly 0 however the context grows, so it repeats."""
-    model = init_model(small_config(num_layers=4, model_dim=16, max_context=64), 21)
-    model.pos[...] = 0.0
+    exactly 0 however the context grows, so it repeats.  With a ``spotlight``
+    logit, layer 0's heads attend from channel 0 to the one token with
+    channel 1 set (token 1), whose value is 1: the output is that token's
+    weight, whose float32 bytes change every few steps as the context grows."""
+    config = small_config(num_layers=4, model_dim=16, max_context=64)
+    w_in, w_out, pos, layers = init_weights(config, 21)
     for l in zero_values:
-        model.layers[l].w_v[...] = 0.0
-    return model
+        layers[l].w_v[...] = 0.0
+    if spotlight is not None:
+        w_in[:, :2] = 0.0
+        w_in[:, 0] = w_in[1, 1] = 1.0
+        first = layers[0]
+        first.w_qkv[...] = 0.0
+        for lo in (0, 8):
+            first.w_q[0, lo] = first.w_v[1, lo] = 1.0
+            first.w_k[1, lo] = spotlight * np.sqrt(8)
+    return Model(config, w_in, w_out, np.zeros_like(pos), layers)
 
 
 class TestStepReuse:
-    """A step whose layer-0 input repeats the last step's reruns only attention,
-    and each of its outputs keeps the bytes of a step run in full."""
+    """``repeat`` reruns attention at each layer that attends; the steps it runs and
+    the full step after the one it stops at keep the bytes of stepping in full."""
 
     def steps(self, model, joined, k=6):
-        """The bytes of k steps of one input after a prefill (hidden states,
-        rows, store, lengths and ``nonzero`` flags), and per step (whether it
-        kept the last step's layer-0 QKV product, how many layers kept their
-        output)."""
+        """The bytes of k steps of one input after a prefill, run as ``deliberate`` runs
+        them (hidden states, rows, store, lengths and ``nonzero`` flags), and each
+        ``repeat`` call's (steps run, steps asked)."""
         A, T, L, H = 2, 12, 4, 2
         rng = np.random.default_rng(4)
         tokens = rng.integers(0, 16, size=(A, T))
+        tokens[:, 3] = 1
         inboxes = []
         if joined:
             senders = prefill(model, tokens[::-1])
@@ -448,35 +456,46 @@ class TestStepReuse:
         pre = prefill(model, tokens)
         batch = DecodeBatch(model, pre.caches, inboxes)
         x = rng.uniform(-1, 1, size=(A, 16)).astype(np.float32)
+        x[:, :2] = (1.0, 0.0)  # the spotlight's query, and no key of its own
         rows = np.zeros((k, L, A * H, T + k + T), np.float32)
-        out, kept = [], []
-        for t in range(k):
-            before = batch.record
-            hidden, _ = batch(x, rows[t])
-            out.append(hidden.tobytes())
-            hidden[...] = np.nan  # a copy: the record keeps its own
-            if before is not None:
-                _, qkvs, _, xs = batch.record
-                kept.append((qkvs[0] is before[1][0], sum(1 for _ in itertools.takewhile(
-                    lambda pair: pair[0] is pair[1], zip(xs, before[3])))))
+        out, calls, t, hidden = [], [], 0, pre.hidden
+        while t < k:
+            calls.append((batch.repeat(x, k - t, rows[t:]), k - t))
+            out += [hidden.tobytes()] * calls[-1][0]  # a step that ran gives the last hidden state
+            t += calls[-1][0]
+            if t < k:
+                hidden, _ = batch(x, rows[t])
+                out.append(hidden.tobytes())
+                t += 1
         out += [rows.tobytes(), pre.caches[0].store.tobytes(), pre.caches[0].nonzero.tobytes(),
                 [c.length for c in pre.caches], batch.length]
-        return out, kept
+        return out, calls
 
     @pytest.mark.parametrize("joined", [False, True])
-    @pytest.mark.parametrize("zero_values, want", [
-        ((0, 1, 2, 3), 4),  # every output repeats: the recorded hidden state
-        ((), 0),  # layer 0's output differs: every product after attention reruns
-        ((0, 1, 2), 3),  # only the last layer's differs: the step resumes there
+    @pytest.mark.parametrize("zero_values, kept", [
+        ((0, 1, 2, 3), 4),  # every output repeats: steps 1 .. 5 run in one call
+        ((), 0),  # layer 0's output changes as the context grows: each call stops at once
+        ((0, 1, 2), 3),  # only the last layer's changes: each call stops there
     ])
-    def test_matches_stepping_in_full(self, zero_values, want, joined, monkeypatch):
+    def test_matches_stepping_in_full(self, zero_values, kept, joined, monkeypatch):
+        """``kept`` leading layers give the recorded attention output."""
         model = reuse_model(zero_values)
-        got, kept = self.steps(model, joined)
-        assert kept == [(True, want)] * 5
+        got, calls = self.steps(model, joined)
+        assert calls == ([(0, 6), (5, 5)] if kept == 4 else [(0, k) for k in range(6, 0, -1)])
         monkeypatch.setattr(model_module, "_same_input", lambda *args: False)
-        full, kept = self.steps(model, joined)
-        assert kept == [(False, 0)] * 5
+        full, calls = self.steps(model, joined)
+        assert [ran for ran, _ in calls] == [0] * 6
         assert got == full
+
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_a_run_stops_where_an_output_changes(self, joined, monkeypatch):
+        """Layer 0's spotlight output changes every few steps: a run stops there,
+        and the full step that follows it gives the bytes of stepping in full."""
+        model = reuse_model((1, 2, 3), spotlight=18.0)
+        got, calls = self.steps(model, joined, k=16)
+        assert any(0 < ran < k for ran, k in calls)
+        monkeypatch.setattr(model_module, "_same_input", lambda *args: False)
+        assert got == self.steps(model, joined, k=16)[0]
 
     def test_a_decode_outside_the_batch_raises(self):
         model = reuse_model()
@@ -485,6 +504,8 @@ class TestStepReuse:
         x = np.ones((2, 16), np.float32)
         batch(x)
         forward_decode(model, x[:1], pre.caches[:1])
+        with pytest.raises(ConfigError, match="decoded outside"):
+            batch.repeat(x, 1)
         with pytest.raises(ConfigError, match="decoded outside"):
             batch(x)
 

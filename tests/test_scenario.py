@@ -522,22 +522,20 @@ def test_step_reuse_changes_no_output(monkeypatch, tmp_path):
     assert True in verdicts
 
 
-def test_deliberation_steps_reuse_the_last_step(monkeypatch):
-    """On a deep_latent layout under LACO, some deliberation steps repeat the
-    last step's input and keep its products: its QKV products and its hidden state."""
-    reused, step = [], sc.DecodeBatch.__call__
+def test_attending_deliberations_repeat_in_one_call(monkeypatch):
+    """On a deep_latent layout under LACO, some deliberation whose layer 0 attends
+    runs steps 1 .. m-1 inside one ``repeat`` call."""
+    spec, runs, repeat = deep_latent_specs()[0], [], sc.DecodeBatch.repeat
 
-    def spied(batch, *args):
-        before = batch.record
-        out = step(batch, *args)
-        if before is not None:
-            _, qkvs, _, xs = batch.record
-            reused.append(qkvs[0] is before[1][0] and xs[-1] is before[3][-1])
-        return out
+    def spied(batch, input_vec, k, rows=None):
+        ran = repeat(batch, input_vec, k, rows)
+        if batch.record is not None:  # (layer 0 attended, steps run)
+            runs.append((batch.record[1][0][1] is not None, ran))
+        return ran
 
-    monkeypatch.setattr(sc.DecodeBatch, "__call__", spied)
-    sc.run_episode(deep_latent_specs()[0], "LACO")
-    assert sum(reused) > 0
+    monkeypatch.setattr(sc.DecodeBatch, "repeat", spied)
+    sc.run_episode(spec, "LACO")
+    assert (True, spec.m - 1) in runs
 
 
 def test_language_tokens_repeat_at_once(monkeypatch):
@@ -547,9 +545,8 @@ def test_language_tokens_repeat_at_once(monkeypatch):
     repeat = sc.DecodeBatch.repeat
 
     def spied(batch, input_vec, k, rows=None):
-        out = repeat(batch, input_vec, k, rows)
-        ran.append(0 if out is None else k)
-        return out
+        ran.append(repeat(batch, input_vec, k, rows))
+        return ran[-1]
 
     def relayed(sim, live, pre, send=sc._send_tokens):
         messages = send(sim, live, pre)
@@ -560,7 +557,7 @@ def test_language_tokens_repeat_at_once(monkeypatch):
     spec = sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
     runs = []
     for fast in (True, False):
-        monkeypatch.setattr(sc.DecodeBatch, "repeat", spied if fast else lambda *args: None)
+        monkeypatch.setattr(sc.DecodeBatch, "repeat", spied if fast else lambda *args: 0)
         sent = []
         rows = sc.metrics_rows(sc.run_episode(spec, "Language"))
         runs.append((sent, rows))
