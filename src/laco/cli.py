@@ -1,6 +1,7 @@
 """Command-line interface: run, sweep, analyze, dump-payload."""
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -83,7 +84,10 @@ def _cmd_dump_payload(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it as it was.  It names the
+    command; :func:`main` picks its ``_cmd_*`` function at each call."""
     parser = argparse.ArgumentParser(prog="laco", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -93,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="metrics CSV output path")
     run_p.add_argument("--telemetry", default=None, help="optional telemetry.bin output")
     run_p.add_argument("--payload-dir", default=None, help="dump per-tick payloads here")
-    run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run a parameter grid and write CSV")
     sweep_p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
@@ -102,23 +105,22 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scenario file (repeatable)")
     sweep_p.add_argument("--paradigm", default=None)
     sweep_p.add_argument("--out", required=True)
-    sweep_p.set_defaults(func=_cmd_sweep)
 
     an_p = sub.add_parser("analyze", help="diagnostics CSVs from a telemetry stream")
     an_p.add_argument("--in", dest="infile", required=True, help="telemetry.bin path")
     an_p.add_argument("--out", required=True, help="output directory")
-    an_p.set_defaults(func=_cmd_analyze)
 
     dump_p = sub.add_parser("dump-payload", help="print a parsed payload header")
     dump_p.add_argument("payload", nargs="+", help="payload .bin file(s)")
-    dump_p.set_defaults(func=_cmd_dump_payload)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"run": _cmd_run, "sweep": _cmd_sweep, "analyze": _cmd_analyze,
+                "dump-payload": _cmd_dump_payload}  # read per call: a replaced one takes effect
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (LacoError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

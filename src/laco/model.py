@@ -521,9 +521,10 @@ class DecodeBatch:
         """
         if self.record is None:
             return 0
-        n, (x0, layers) = self.length, self.record
-        x = self._input(input_vec, k)[:, 0] + self.model.pos[n : n + k, None]  # (k, A, d)
-        if not _same_input(x.tobytes(), x0 * k):
+        n, (x0, layers), pos = self.length, self.record, self.model.pos
+        x = self._input(input_vec, k)[:, 0]  # (A, d)
+        if not (_same_input((x + pos[n]).tobytes(), x0)  # step n first: most calls stop there
+                and _same_input((x + pos[n : n + k, None]).tobytes(), x0 * k)):  # (k, A, d)
             return 0
         self.ctx[..., n : n + k, :] = self.ctx[..., n - 1 : n, :]  # the recorded step's K/V, exactly
         if rows is not None:

@@ -51,25 +51,35 @@ class SparsityCurve:
     fraction_for_80: np.ndarray  # (...) float64
 
 
+def _plogp(a) -> np.ndarray:
+    """``a * log(a + eps)`` in float64, float32 ``a`` widened once, fused into the ``+ eps``."""
+    h = np.add(a, DEFAULT_EPSILON, dtype=np.float64)
+    np.log(h, out=h)
+    h *= a
+    return h
+
+
 def trace_entropy(trace: AttentionTrace) -> np.ndarray:
     """Per-layer entropy averaged over the trace's steps, an (..., L) float64 array.
 
     Step t widens its ``[..., t, :, :, :n]`` weights once, fused into the
     ``+ eps``, and sums each contiguous (H·n) row of ``a * log(a + eps)``:
-    the same pairwise sums, hence the same bits, as that block alone.  The
-    steps' values are added in step order, as a per-step loop adds them.
+    the same pairwise sums, hence the same bits, as that block alone.  A row
+    whose weights all equal ``c = float32(1/n)`` gets the sum of H·n copies of
+    one ``c * log(c + eps)``, formed once per step: the same terms, the same
+    contiguous reduction.  The steps' values are added in step order, as a
+    per-step loop adds them.
     """
     if trace.num_steps == 0:
         raise ConfigError("entropy of an empty trace is undefined")
-    a = trace.array
+    a, H = trace.array, trace.array.shape[-2]
     sums = np.empty((trace.num_steps, *a.shape[:-4], a.shape[-3]))
     for t, n in enumerate(trace.lengths.tolist()):
-        step = a[..., t, :, :, :n]
-        h = np.add(step, DEFAULT_EPSILON, dtype=np.float64)
-        np.log(h, out=h)
-        h *= step
-        h.reshape(*sums.shape[1:], -1).sum(axis=-1, out=sums[t])
-    sums /= -a.shape[-2]
+        step, c = a[..., t, :, :, :n], np.float32(1 / n)
+        uniform = (step == c).all(axis=(-2, -1))
+        sums[t][uniform] = np.full(H * n, _plogp(np.array([c]))[0]).sum()
+        sums[t][~uniform] = _plogp(step[~uniform]).reshape(-1, H * n).sum(axis=-1)
+    sums /= -H
     return np.add.accumulate(sums)[-1] / trace.num_steps
 
 
@@ -114,22 +124,23 @@ def write_csv(path: Path, header, rows):
 
 
 def _write_table(path: Path, header: str, blocks):
-    """The header line, then each block's records in ``index`` order."""
+    """The header line, then each block's records in ``index`` order.  A block's
+    one template of K lines formats a record's K values with one ``%``; each
+    line then gets the record's tick and agent before it and its tail after."""
     chunks = []
     for index, ticks, agents, values, *f80 in blocks:
         for column, kinds in zip((index, ticks, agents, values, *f80), ("iu", "iu", "iu", "f", "f")):
             if column.dtype.kind not in kinds:
                 raise TypeError(f"{column.dtype} column in {path.name}")
         K = values.shape[1]
-        ranks = [f"{k},{k / K:.9g}" if f80 else str(k) for k in range(1, K + 1)]
+        template = "\n".join(f"{k},{k / K:.9g},%.9g" if f80 else f"{k},%.9g" for k in range(1, K + 1))
         tails = [",%.9g" % x for x in f80[0].tolist()] if f80 else [""] * len(ticks)
-        strs = list(map("%.9g".__mod__, values.ravel().tolist()))
-        for r, (i, tick, agent, tail) in enumerate(
-                zip(index.tolist(), ticks.tolist(), agents.tolist(), tails)):
-            fmt = f"{tick},{agent},%s,%s{tail}".__mod__
-            chunks.append((i, "\n".join(map(fmt, zip(ranks, strs[r * K : (r + 1) * K])))))
+        for i, tick, agent, tail, row in zip(index.tolist(), ticks.tolist(), agents.tolist(), tails,
+                                             map(tuple, values.tolist()) if K else ()):
+            head = f"{tick},{agent},"
+            chunks.append((i, head + (template % row).replace("\n", f"{tail}\n{head}") + tail))
     chunks.sort(key=lambda chunk: chunk[0])
-    path.write_text("\n".join([header, *(text for _, text in chunks if text)]) + "\n", "ascii")
+    path.write_text("\n".join([header, *(text for _, text in chunks)]) + "\n", "ascii")
 
 
 def emit(out_dir, entropy, sparsity, confusion):

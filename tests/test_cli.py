@@ -1,5 +1,6 @@
 import pytest
 
+from laco import cli
 from laco import scenario as sc
 from laco.cli import main
 from laco.wire import deserialize
@@ -158,3 +159,33 @@ def test_bad_input_is_one_error_line(tmp_path, occluded_path, capsys, case):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_a_second_run_parses_its_own_paradigm(tmp_path, occluded_path):
+    """The process's one parser keeps nothing of a call: an overridden paradigm
+    (here) or an appended ``--scenario`` list (below) does not reach the next call."""
+    runs = []
+    for extra in (["--paradigm", "Visual"], []):
+        out = tmp_path / f"run{len(runs)}.csv"
+        assert main(["run", "--scenario", occluded_path, "--out", str(out), *extra]) == 0
+        runs.append(out.read_text().splitlines()[1])
+    assert ",Visual," in runs[0] and ",LACO," in runs[1]
+
+
+def test_a_second_sweep_parses_its_own_scenarios(tmp_path, occluded_path):
+    sweeps = []
+    for scenarios in ([occluded_path] * 2, [occluded_path]):
+        out = tmp_path / f"sweep{len(sweeps)}.csv"
+        assert main(["sweep", "--param", "m", "--values", "0", "--paradigm", "NonCollab",
+                     "--out", str(out), *(a for p in scenarios for a in ("--scenario", p))]) == 0
+        sweeps.append(out.read_text().splitlines()[1:])
+    assert len(sweeps[0]) == 2 * len(sweeps[1]) > 0 and sweeps[0][: len(sweeps[1])] == sweeps[1]
+
+
+def test_a_command_function_is_looked_up_at_each_call(monkeypatch, tmp_path):
+    """The cached parser holds no command function: a ``_cmd_*`` replaced after
+    a first call (as a tracer wraps it) is the one the next call runs."""
+    assert main(["dump-payload", str(tmp_path / "missing.bin")]) == 1
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_dump_payload", lambda args: calls.append(args.payload) or 0)
+    assert main(["dump-payload", "a.bin"]) == 0 and calls == [["a.bin"]]

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laco import scenario as sc
+from laco import telemetry
 from laco.cli import main
 from laco.errors import ConfigError, PayloadFormatError
 from laco.model import (
@@ -42,12 +44,20 @@ def dist_rows(rng, H, n):
     return (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
 
 
-def distributions(rng, shape, n):
-    """float32 rows of width ``n`` that pass the trace check, with exact zeros."""
+def distributions(rng, shape, n, uniform=0.0):
+    """float32 rows of width ``n`` that pass the trace check, with exact zeros.
+    About a share ``uniform`` of the rows, and of the blocks of last-axis rows
+    (a trace's layer of H heads), are exactly ``float32(1/n)``."""
     raw = rng.random((*shape, n))
     raw[raw < 0.2] = 0.0
     raw[..., 0] += 1e-3
-    return (raw / raw.sum(axis=-1, keepdims=True)).astype(np.float32)
+    rows = (raw / raw.sum(axis=-1, keepdims=True)).astype(np.float32)
+    if uniform:
+        rows[(rng.random(shape) < uniform) | (rng.random((*shape[:-1], 1)) < uniform)] = np.float32(1 / n)
+    return rows
+
+
+UNIFORM_SHARES = st.sampled_from([0.0, 0.5, 1.0])  # no uniform rows, some, all
 
 
 def one_step(*rows_per_layer):
@@ -103,7 +113,9 @@ class TestEntropy:
 @st.composite
 def ragged_traces(draw):
     """Valid traces of 1-5 steps whose widest step has H*n past numpy's
-    128-element pairwise-sum block; steps have ragged lengths and exact zeros."""
+    128-element pairwise-sum block; steps have ragged lengths and exact zeros,
+    and none, some or all of a step's (layer, head) rows and whole layers are
+    exactly ``float32(1/n)``."""
     steps, L, H = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     width = draw(st.integers(128 // H + 1, 160))
     lengths = draw(st.lists(st.integers(1, width), min_size=steps, max_size=steps))
@@ -111,10 +123,7 @@ def ragged_traces(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     array = np.zeros((steps, L, H, width), dtype=np.float32)
     for t, n in enumerate(lengths):
-        raw = rng.random((L, H, n))
-        raw[raw < 0.2] = 0.0
-        raw[..., 0] += 1e-3
-        array[t, :, :, :n] = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
+        array[t, :, :, :n] = distributions(rng, (L, H), n, draw(UNIFORM_SHARES))
     return AttentionTrace(array, np.array(lengths))
 
 
@@ -124,17 +133,44 @@ class TestTraceEntropyOracle:
     def test_bit_equal_to_per_step_loop(self, trace):
         np.testing.assert_array_equal(trace_entropy(trace), ref_trace_entropy(trace))
 
+    def test_occluded_1_rows_take_the_uniform_path(self, monkeypatch, tmp_path):
+        """On occluded_1 under LACO most rows of a step are uniform; only the
+        others, and one term per step, reach the add/log/multiply, and each
+        record's entropy has the bits of the per-step oracle."""
+        result = sc.run_episode(sc.load_scenario(sc.builtin_scenario_path("occluded_1")), "LACO")
+        write_stream(tmp_path / "t.bin", result.telemetry)
+        sizes = []
+
+        def spied(a, plogp=telemetry._plogp):
+            sizes.append(a.size)
+            return plogp(a)
+
+        monkeypatch.setattr(telemetry, "_plogp", spied)
+        for group in read_telemetry(tmp_path / "t.bin"):
+            if group.tags is not None:
+                continue
+            a, (R, steps, L, H, _) = group.trace.array, group.trace.array.shape
+            uniform = [int((a[:, t, :, :, :n] == np.float32(1 / n)).all(axis=(-2, -1)).sum())
+                       for t, n in enumerate(group.trace.lengths.tolist())]
+            sizes.clear()
+            entropy = trace_entropy(group.trace)
+            assert sum(uniform) > R * steps * L // 2
+            assert sum(sizes) == sum((R * L - u) * H * n + 1
+                                     for u, n in zip(uniform, group.trace.lengths.tolist()))
+            for r in range(R):
+                np.testing.assert_array_equal(entropy[r], ref_trace_entropy(group.trace.part(r)))
+
 
 class TestBlockStatistics:
     """Each trace or decision of a block gets the bits it gets alone."""
 
-    @given(st.integers(1, 4), ragged_traces(), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 4), ragged_traces(), st.integers(0, 2**32 - 1), UNIFORM_SHARES)
     @settings(max_examples=60, deadline=None)
-    def test_traces_of_a_block(self, R, first, seed):
+    def test_traces_of_a_block(self, R, first, seed, uniform):
         rng = np.random.default_rng(seed)
         array = np.zeros((R, *first.array.shape), dtype=np.float32)
         for t, n in enumerate(first.lengths):
-            array[:, t, :, :, :n] = distributions(rng, (R, *first.array.shape[1:3]), n)
+            array[:, t, :, :, :n] = distributions(rng, (R, *first.array.shape[1:3]), n, uniform)
         array[0] = first.array
         block = AttentionTrace(array, first.lengths)
         entropy, curve = trace_entropy(block), sparsity_curve(block)
@@ -530,20 +566,21 @@ def streams(draw):
     """Trace records of 2-3 shapes and decision records of 2-3 layer widths,
     1-3 records each, in a random order.  A shape may come with a second
     ``lengths`` and a width list with second tags: records of one shape that
-    belong to two groups."""
+    belong to two groups.  None, some or all of a trace shape's rows are
+    exactly ``float32(1/n)``."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     small, pair = st.integers(1, 3), st.integers(1, 2)
     some_widths = st.lists(st.integers(1, 70), min_size=2, max_size=3, unique=True)
     kinds = []
     for width in draw(some_widths):
-        steps, L, H = draw(small), draw(small), draw(small)
+        steps, L, H, uniform = draw(small), draw(small), draw(small), draw(UNIFORM_SHARES)
         for _ in range(draw(pair)):
             lengths = np.array(draw(st.lists(st.integers(1, width), min_size=steps, max_size=steps)))
 
-            def trace(steps=steps, L=L, H=H, width=width, lengths=lengths):
+            def trace(steps=steps, L=L, H=H, width=width, lengths=lengths, uniform=uniform):
                 array = np.zeros((steps, L, H, width), dtype=np.float32)
                 for t, n in enumerate(lengths):
-                    array[t, :, :, :n] = distributions(rng, (L, H), n)
+                    array[t, :, :, :n] = distributions(rng, (L, H), n, uniform)
                 return AttentionTrace(array, lengths)
 
             kinds.append(trace)
