@@ -101,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run a parameter grid and write CSV")
     sweep_p.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    sweep_p.add_argument("--scenario", required=True, action="append",
-                         help="scenario file (repeatable)")
+    sweep_p.add_argument("--scenario", required=True, nargs="+", action="extend",
+                         help="scenario file(s); repeatable")
     sweep_p.add_argument("--paradigm", default=None)
     sweep_p.add_argument("--out", required=True)
 

@@ -489,7 +489,6 @@ class Simulation:
         self.actions = []          # (tick, agent_id, action_name)
         self.telemetry = []        # TraceRecord / DecisionRecord
         self.payload_bytes = []    # (tick, sender_id, bytes) serialized payloads
-        self._tick_prefills = []  # (agents, PrefillResult) of every prefill run this tick
 
     def live_agents(self):
         return [aid for aid in sorted(self.agents) if not self.agents[aid].done]
@@ -498,11 +497,10 @@ class Simulation:
         return all(a.done for a in self.agents.values())
 
 
-def _prefill(sim: Simulation, tokens, agents):
-    """Prefill ``tokens`` for ``agents``, noted for the tick's forward-pass count."""
-    pre = prefill(sim.model, tokens)
-    sim._tick_prefills.append((agents, pre))
-    return pre
+def _count_passes(sim: Simulation, agents, caches):
+    """Credit each agent one pass for its cache's prefill and one per position a decode appended."""
+    for aid, cache in zip(agents, caches):
+        sim.agents[aid].forward_passes += 1 + cache.length - cache.prefill_len
 
 
 # Paradigms.  A sender turns the live agents' prefill batch into the message
@@ -571,15 +569,16 @@ def _send_laco(sim: Simulation, live, pre):
 
 def _decide_on_tokens(sim: Simulation, live, observations, caches, inboxes):
     """Language: re-prefill [relayed tokens || observation], then decide on that:
-    one prefill and decode per relayed-prefix length.  An agent with an empty
-    inbox decides on its own cache."""
+    one prefill and decode per relayed-prefix length, whose passes it counts.
+    An agent with an empty inbox decides on its own cache."""
     decisions = _decide(sim, [a for a in live if not inboxes[a]], observations, caches, inboxes)
     relayed = {a: [tok for msg in inboxes[a] for tok in msg.token_ids] for a in live if inboxes[a]}
     for n in dict.fromkeys(map(len, relayed.values())):
         group = [aid for aid, prefix in relayed.items() if len(prefix) == n]
-        pre = _prefill(sim, [relayed[aid] + observations[aid].tolist() for aid in group], group)
+        pre = prefill(sim.model, [relayed[aid] + observations[aid].tolist() for aid in group])
         decisions.update(_decide(sim, group, observations, dict(zip(group, pre.caches)),
                                  dict.fromkeys(group, ())))
+        _count_passes(sim, group, pre.caches)
     return decisions
 
 
@@ -609,98 +608,106 @@ _PARADIGM_TABLE = {
 PARADIGMS = tuple(_PARADIGM_TABLE)
 
 
-def run_tick(sim: Simulation):
-    """Advance the simulation one tick; returns {agent_id: action_token}."""
-    spec = sim.spec
-    live = sim.live_agents()
-    t = sim.ticks
+def _observe_and_send(sim: Simulation, live):
+    """Observe, prefill the live agents in one batch and run the paradigm's
+    sender: (observations, prefill result, one message or None per agent)."""
+    observations = {aid: observe(sim.world, sim.agents, sim.spec.hazards, aid, sim.ticks)
+                    for aid in live}
+    pre = prefill(sim.model, np.stack([observations[aid] for aid in live]))
+    return observations, pre, sim.send(sim, live, pre)
 
-    observations = {aid: observe(sim.world, sim.agents, spec.hazards, aid, t) for aid in live}
-    pre = _prefill(sim, np.stack([observations[aid] for aid in live]), live)
-    caches = dict(zip(live, pre.caches))
-    messages = dict(zip(live, sim.send(sim, live, pre)))
 
-    # Deliver messages at the tick boundary, ascending sender id, between places in meters.
-    s = spec.cell_size_m
+def _deliver(sim: Simulation, live, messages):
+    """Each live agent's inbox: messages delivered at the tick boundary,
+    ascending sender id, between places in meters.  A delivery charges its
+    bytes and latency to its sender and the episode; each Visual or LACO
+    payload is recorded once, delivered or not."""
+    s = sim.spec.cell_size_m
     meters = {aid: (cell[0] * s, cell[1] * s) for aid in live for cell in [sim.agents[aid].cell]}
     inboxes = {aid: [] for aid in live}
-    for sender in live:
-        msg = messages[sender]
+    for sender, msg in zip(live, messages):
         if msg is None:
             continue
-        for receiver in live:
-            if receiver == sender:
-                continue
-            res = channel_send(spec.channel, msg, meters[sender], meters[receiver])
-            if not res.delivered:
-                continue
-            inboxes[receiver].append(msg)
-            size = msg.size_bytes()
-            sim.comm_bytes_total += size
-            sim.comm_latency_total_s += res.latency_s
-            sim.agents[sender].comm_bytes_sent += size
-            sim.agents[sender].comm_latency_s += res.latency_s
+        for receiver in (aid for aid in live if aid != sender):
+            res = channel_send(sim.spec.channel, msg, meters[sender], meters[receiver])
+            if res.delivered:
+                inboxes[receiver].append(msg)
+                size = msg.size_bytes()
+                sim.comm_bytes_total += size
+                sim.comm_latency_total_s += res.latency_s
+                sim.agents[sender].comm_bytes_sent += size
+                sim.agents[sender].comm_latency_s += res.latency_s
         if not isinstance(msg, LanguageMessage):
-            sim.payload_bytes.append((t, sender, serialize(msg)))
+            sim.payload_bytes.append((sim.ticks, sender, serialize(msg)))
+    return inboxes
 
-    decisions = sim.receive(sim, live, observations, caches, inboxes)
+
+def _decide_actions(sim: Simulation, live, observations, pre, inboxes):
+    """{agent: action token} of the paradigm's receiver, each recorded with its
+    decision; counts the passes of the tick's prefill (a Language re-prefill
+    counts its own)."""
+    decisions = sim.receive(sim, live, observations, dict(zip(live, pre.caches)), inboxes)
     actions = {}
     for aid in live:
         logits, rows, tags = decisions[aid]
         action = int(np.argmax(logits))
         if action not in ACTION_TOKENS:
-            raise InvalidActionError(
-                f"agent {aid} decoded token {action}, not an action slot"
-            )
+            raise InvalidActionError(f"agent {aid} decoded token {action}, not an action slot")
         actions[aid] = action
-        sim.actions.append((t, aid, ACTION_NAMES[action]))
-        sim.telemetry.append(DecisionRecord(tick=t, agent=aid, rows=rows, tags=tags))
-    # One forward pass per prefill, and one per position a decode appended.
-    for agents, pre in sim._tick_prefills:
-        for aid, cache in zip(agents, pre.caches):
-            sim.agents[aid].forward_passes += 1 + cache.length - cache.prefill_len
-    sim._tick_prefills.clear()
+        sim.actions.append((sim.ticks, aid, ACTION_NAMES[action]))
+        sim.telemetry.append(DecisionRecord(tick=sim.ticks, agent=aid, rows=rows, tags=tags))
+    _count_passes(sim, live, pre.caches)
+    return actions
 
-    # Apply actions.
+
+def _move(sim: Simulation, live, actions):
+    """Advance each agent that keeps or accelerates short of its goal; {agent: moved}."""
     moved = {}
     for aid in live:
         agent = sim.agents[aid]
-        if actions[aid] in _MOVE_ACTIONS and agent.route_idx < len(agent.spec.route) - 1:
+        moved[aid] = actions[aid] in _MOVE_ACTIONS and agent.route_idx < len(agent.spec.route) - 1
+        if moved[aid]:
             agent.route_idx += 1
-            moved[aid] = True
-        else:
-            moved[aid] = False
         if actions[aid] == ACTION_BRAKE:
             agent.brake_ticks += 1
+    return moved
 
-    # Collisions with pedestrians (counted once per agent/hazard pair).
-    for aid in live:
+
+def _settle(sim: Simulation, live, moved):
+    """Count collisions, then finish each agent at its goal or blocked too long.
+    Infractions count in this order: pedestrian, vehicle, timeout."""
+    t = sim.ticks
+    for aid in live:  # pedestrians, counted once per agent/hazard pair
         agent = sim.agents[aid]
-        for hz_idx, hz in enumerate(spec.hazards):
+        for hz_idx, hz in enumerate(sim.spec.hazards):
             if hz.blocks_path(t) and agent.cell == hz.path_cell and hz_idx not in agent._hit_hazards:
                 agent._hit_hazards.add(hz_idx)
                 agent.infractions["collision_pedestrian"] += 1
-    # Vehicle collisions: two live agents on one cell.
-    for i, aid in enumerate(live):
+    for i, aid in enumerate(live):  # vehicles: two live agents on one cell
         for other in live[i + 1 :]:
             if sim.agents[aid].cell == sim.agents[other].cell:
                 sim.agents[aid].infractions["collision_vehicle"] += 1
                 sim.agents[other].infractions["collision_vehicle"] += 1
-
-    # Goal / blocked bookkeeping.
     for aid in live:
         agent = sim.agents[aid]
         if agent.route_idx == len(agent.spec.route) - 1:
             agent.done = True
-            continue
-        if moved[aid]:
+        elif moved[aid]:
             agent.zero_speed_streak = 0
         else:
             agent.zero_speed_streak += 1
-            if agent.zero_speed_streak >= spec.blocked_after:
+            if agent.zero_speed_streak >= sim.spec.blocked_after:
                 agent.infractions["timeout"] += 1
                 agent.done = True
 
+
+def run_tick(sim: Simulation):
+    """Advance the simulation one tick; returns {agent_id: action_token}."""
+    live = sim.live_agents()
+    observations, pre, messages = _observe_and_send(sim, live)
+    inboxes = _deliver(sim, live, messages)
+    actions = _decide_actions(sim, live, observations, pre, inboxes)
+    _settle(sim, live, _move(sim, live, actions))
     sim.ticks += 1
     return actions
 

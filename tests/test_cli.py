@@ -182,6 +182,21 @@ def test_a_second_sweep_parses_its_own_scenarios(tmp_path, occluded_path):
     assert len(sweeps[0]) == 2 * len(sweeps[1]) > 0 and sweeps[0][: len(sweeps[1])] == sweeps[1]
 
 
+def test_sweep_takes_several_scenarios_after_one_flag(tmp_path, occluded_path):
+    """``--scenario a b`` (what a shell glob gives) and ``--scenario a --scenario b``
+    write the same bytes."""
+    other = str(sc.builtin_scenario_path("occluded_2"))
+    outs = []
+    for flags in (["--scenario", occluded_path, other],
+                  ["--scenario", occluded_path, "--scenario", other]):
+        out = tmp_path / f"sweep{len(outs)}.csv"
+        assert main(["sweep", "--param", "m", "--values", "2", *flags, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert {line.split(",")[2] for line in outs[0].decode().splitlines()[1:]} == {
+        "occluded_1", "occluded_2"}
+
+
 def test_a_command_function_is_looked_up_at_each_call(monkeypatch, tmp_path):
     """The cached parser holds no command function: a ``_cmd_*`` replaced after
     a first call (as a tracer wraps it) is the one the next call runs."""

@@ -21,7 +21,9 @@ from laco.model import (
     TOKEN_VEHICLE,
 )
 from laco.telemetry import TelemetryWriter, TraceRecord
+from laco.wire import serialize
 from reference import ref_visible
+from test_batch import LANGUAGE_CHAIN
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -392,11 +394,26 @@ class TestEpisodes:
             sc.run_episode(mini_spec(m=0), "NaiveLatent")
         assert caplog.records == []
 
-    def test_laco_forward_passes_m_plus_2(self):
-        r = sc.run_episode(mini_spec(), "LACO")
-        for aid, a in r.agents.items():
-            active = sum(1 for t, i, _ in r.actions if i == aid)
-            assert a.forward_passes == active * (4 + 2)
+    # paradigm -> a live agent's passes in one occluded_1 tick (m = 10): (alone, beside its peer).
+    PASSES = {"NonCollab": (2, 2), "Visual": (2, 2), "NaiveLatent": (12, 12), "LACO": (12, 12),
+              "Language": (12, 13)}
+
+    @pytest.mark.parametrize("paradigm", PASSES)
+    def test_forward_passes_per_tick(self, paradigm):
+        """One prefill, m latent or Language steps if the paradigm runs them, and one
+        decision decode.  A Language agent that heard its peer re-prefills the relayed
+        tokens and decides on that cache: one pass more; alone, its inbox is empty."""
+        spec = sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
+        assert spec.m == 10
+        sim, seen = sc.Simulation(spec, paradigm), set()
+        while not sim.all_done():
+            live = sim.live_agents()
+            before = {aid: sim.agents[aid].forward_passes for aid in live}
+            sc.run_tick(sim)
+            seen.add(len(live))
+            passes = {aid: sim.agents[aid].forward_passes - before[aid] for aid in live}
+            assert passes == dict.fromkeys(live, self.PASSES[paradigm][len(live) > 1])
+        assert seen == {1, 2}
 
     def test_laco_bytes_below_visual(self):
         laco = sc.run_episode(mini_spec(), "LACO")
@@ -621,6 +638,34 @@ def test_inboxes_reach_attach_payload_by_ascending_sender_id(monkeypatch, paradi
         sc.run_tick(sim)
     assert all(ids == sorted(set(ids)) for ids in inboxes)
     assert list(map(len, inboxes)) == [2] * 9  # each tick, every agent heard both others
+
+
+@pytest.mark.parametrize("paradigm", ["Visual", "LACO", "Language"])
+def test_deliver_charges_delivered_pairs_and_records_each_payload_once(monkeypatch, paradigm):
+    """One tick on LANGUAGE_CHAIN, whose agents 0 and 2 are out of each other's range:
+    a pair that is not delivered charges no bytes or latency, to its sender or the
+    episode; each Visual or LACO payload is recorded once, delivered or not; a
+    LanguageMessage never is."""
+    sends = []  # (message, channel result), in the order the tick sent them
+
+    def spy(cfg, msg, frm, to, send=sc.channel_send):
+        sends.append((msg, send(cfg, msg, frm, to)))
+        return sends[-1][1]
+
+    monkeypatch.setattr(sc, "channel_send", spy)
+    sim = sc.Simulation(sc.parse_scenario(LANGUAGE_CHAIN), paradigm)
+    sc.run_tick(sim)
+    assert [(msg.sender_id, res.delivered) for msg, res in sends] == [
+        (0, True), (0, False), (1, True), (1, True), (2, False), (2, True)]
+    for aid, agent in sim.agents.items():
+        delivered = [(msg, res) for msg, res in sends if msg.sender_id == aid and res.delivered]
+        assert agent.comm_bytes_sent == sum(msg.size_bytes() for msg, _ in delivered)
+        assert agent.comm_latency_s == sum(res.latency_s for _, res in delivered)
+    assert sim.comm_bytes_total == sum(a.comm_bytes_sent for a in sim.agents.values())
+    assert sim.comm_latency_total_s == sum(res.latency_s for _, res in sends if res.delivered)
+    messages = list({msg.sender_id: msg for msg, _ in sends}.values())
+    assert sim.payload_bytes == ([] if paradigm == "Language" else
+                                 [(0, msg.sender_id, serialize(msg)) for msg in messages])
 
 
 class TestInfractionScore:
