@@ -47,6 +47,11 @@ ACTION_TOKENS = (TOKEN_BRAKE, TOKEN_KEEP, TOKEN_ACCEL, TOKEN_LEFT, TOKEN_RIGHT)
 ACTION_NAMES = ("BRAKE", "KEEP", "ACCEL", "LEFT", "RIGHT")
 MIN_HAZARD_VOCAB = 14
 
+# The one switch for every exactness shortcut below (README "Numeric conventions"). False runs
+# every product, bit for bit the same: no passthrough, zero-MLP or zero-context skip, no
+# DecodeBatch.repeat, and prefill's last layer attends for all T positions.
+SHORTCUTS = True
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -331,26 +336,15 @@ def rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ w)[..., 0, :]
 
 
-def _zero_context(flagged: bool) -> bool:
-    """Whether attention reads only exact zeros: no ``flagged`` store row or payload slice."""
-    return not flagged
-
-
-def _same_input(x: bytes, recorded: bytes) -> bool:
-    """Whether layer-0 input bytes ``x`` are the ``recorded`` ones (so +0.0 is not -0.0)."""
-    return x == recorded
-
-
 def prefill(model: Model, tokens) -> PrefillResult:
     """Causal forward pass over a batch of token sequences, populating fresh caches.
 
     ``tokens`` is an (A, T) batch, run as one pass over positions 0 .. T-1 with the
     rows folded into the head axis of one store.  Returns the (A, d) last hidden
-    states and A cache views of length T.  The last layer attends for position T-1
-    only, but keeps ``w_o`` and an unflagged MLP at (A, T, .): a one-row product may
-    sum in another order.
-    A ``model.passthrough`` layer is skipped: its K/V would be ``x @ 0 = +0.0``,
-    the store's own zeros, and its residual updates ``+0.0``, which leave x as it is;
+    states and A cache views of length T.  With ``SHORTCUTS`` on, the last layer attends
+    for position T-1 only, but keeps ``w_o`` and an unflagged MLP at (A, T, .): a one-row
+    product may sum in another order.  A ``model.passthrough`` layer is skipped: its K/V
+    would be ``x @ 0 = +0.0``, the store's own zeros, and its residual updates ``+0.0``;
     so is a ``model.zero_mlp`` MLP, whose update ``relu(x @ 0) @ 0`` is ±0.0.
     One ``.any()`` per layer over the K/V of [0, T) sets ``nonzero``; a layer
     with no row flagged skips attention and ``w_o``, whose update is ±0.0 for a finite query.
@@ -379,20 +373,20 @@ def prefill(model: Model, tokens) -> PrefillResult:
 
     x = model.w_in[tokens] + model.pos[:T]
     for l, lw in enumerate(model.layers):
-        if model.passthrough[l]:
+        if SHORTCUTS and model.passthrough[l]:
             continue
         kv_by_agent[0, l, :, :, :T] = split(x @ lw.w_k)
         kv_by_agent[1, l, :, :, :T] = split(x @ lw.w_v)
         nonzero[l] = kv_by_agent[:, l, :, :, :T].any(axis=(0, 2, 3, 4))
-        if not _zero_context(nonzero[l].any()):
+        if nonzero[l].any() or not SHORTCUTS:
             q, k, v = split(x @ lw.w_q).reshape(A * H, T, dh), store[0, l, :, :T], store[1, l, :, :T]
-            if l < L - 1:
+            if l < L - 1 or not SHORTCUTS:
                 out, _ = kernels.attend_causal(q, k, v, model.inv_sqrt_head_dim)
             else:  # only position T-1 leaves the last layer: its other rows stay zero
                 out = np.zeros_like(q)
                 out[:, -1], _ = kernels.attend_single(k, v, q[:, -1], model.inv_sqrt_head_dim)
             x = x + out.reshape(A, H, T, dh).transpose(0, 2, 1, 3).reshape(A, T, d) @ lw.w_o
-        if not model.zero_mlp[l]:
+        if not (SHORTCUTS and model.zero_mlp[l]):
             x = x + _mlp(x, lw)
     return PrefillResult(hidden=x[:, -1].copy(), caches=caches)
 
@@ -464,7 +458,7 @@ class DecodeBatch:
         A, H, dh, _ = self.dims
         w = n + 1 + (self.joined[l] or 0)
         r = np.empty((A * H, w), np.float32) if rows is None else rows[l, :, :w]
-        if _zero_context(self.flagged[l]):
+        if SHORTCUTS and not self.flagged[l]:
             r[...] = 1.0 / w  # rounded once to float32, as the kernel's division
             return None, r
         keys, values = ctx = self.ctx[:, l, :, : n + 1]
@@ -481,14 +475,14 @@ class DecodeBatch:
         A layer with no batch row or joined slice flagged (the new position ORed in) skips
         attention and ``w_o`` (±0.0 for a finite query); a ``model.passthrough`` layer skips its
         QKV product (query 0, K/V the store's zeros), a ``model.zero_mlp`` MLP is skipped.
-        Exact for a finite x (README "Zero contexts").
+        Each skip needs ``SHORTCUTS``; exact for a finite x (README "Zero contexts").
         """
         model, n, (A, H, dh, d) = self.model, self.length, self.dims
         x = self._input(input_vec, 1) + model.pos[n]  # (A, 1, d)
         x0, layers, rows_per_layer = x.tobytes(), [], []
         for l, lw in enumerate(model.layers):
             q = None
-            if not model.passthrough[l]:
+            if not (SHORTCUTS and model.passthrough[l]):
                 qkv = (x @ lw.w_qkv).reshape(A, 3, H, dh)
                 self.new[l, n] = kv = qkv[:, 1:]
                 if kv.any():  # one reduction while, as usual, the new K/V are all zero
@@ -500,7 +494,7 @@ class DecodeBatch:
             layers.append((None, None) if out is None else (q, out.tobytes()))
             if out is not None:
                 x = x + out.reshape(A, 1, d) @ lw.w_o
-            if not model.zero_mlp[l]:
+            if not (SHORTCUTS and model.zero_mlp[l]):
                 x = x + _mlp(x, lw)
         self.record = (x0, layers)
         for c in (self, *self.caches):
@@ -508,7 +502,8 @@ class DecodeBatch:
         return x[:, 0], rows_per_layer
 
     def repeat(self, input_vec, k, rows=None):
-        """Run up to k steps as repeats of the ``record``ed step; returns how many ran, 0 .. k.
+        """Run up to k steps as repeats of the ``record``ed step; returns how many ran, 0 .. k
+        (0 with ``SHORTCUTS`` off).
 
         Only attention depends on n; every other product of a step is a function of its layer-0
         input bits.  So if ``input_vec + pos[j]`` has the recorded bytes for every j in
@@ -519,13 +514,12 @@ class DecodeBatch:
         the caller runs it in full.  A step that ran gives the recorded hidden state, the
         caller's own.  Raises as a step of k positions (README "Repeated steps").
         """
-        if self.record is None:
+        if self.record is None or not SHORTCUTS:
             return 0
         n, (x0, layers), pos = self.length, self.record, self.model.pos
-        x = self._input(input_vec, k)[:, 0]  # (A, d)
-        if not (_same_input((x + pos[n]).tobytes(), x0)  # step n first: most calls stop there
-                and _same_input((x + pos[n : n + k, None]).tobytes(), x0 * k)):  # (k, A, d)
-            return 0
+        x = self._input(input_vec, k)[:, 0]  # (A, d); compared as bytes, so +0.0 is not -0.0
+        if (x + pos[n]).tobytes() != x0 or (x + pos[n : n + k, None]).tobytes() != x0 * k:
+            return 0  # step n first: most calls stop there; then the (k, A, d) run
         self.ctx[..., n : n + k, :] = self.ctx[..., n - 1 : n, :]  # the recorded step's K/V, exactly
         if rows is not None:
             for l, (_, out) in enumerate(layers):

@@ -257,6 +257,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
 
 def _validate_spec(spec: ScenarioSpec):
+    if not (spec.name.isascii() and spec.name.isprintable()) or "," in spec.name:  # a CSV field
+        raise ScenarioError(f"name must be printable ASCII without ',', got {spec.name!a}")
     for who, lane in [(f"agent {a.agent_id}", a.lane) for a in spec.agents] + [
             ("hazard", hz.lane) for hz in spec.hazards]:
         if lane not in ("A", "B"):

@@ -161,6 +161,25 @@ def test_bad_input_is_one_error_line(tmp_path, occluded_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("name", ["occluded,1", "caf\u00e9"])
+def test_a_name_the_csvs_cannot_hold_is_one_error_line(tmp_path, occluded_path, capsys,
+                                                       monkeypatch, name, command):
+    """A name with a ',' would add a CSV field, and a non-ASCII one cannot be
+    written: either is rejected before any episode runs."""
+    path = tmp_path / "named.laco"
+    text = sc.builtin_scenario_path("occluded_1").read_text()
+    path.write_text(text.replace("name = occluded_1", f"name = {name}"), encoding="utf-8")
+    monkeypatch.setattr(sc, "Simulation", lambda *args: pytest.fail("an episode ran"))
+    out = str(tmp_path / "out.csv")
+    argv = {"run": ["run", "--scenario", str(path), "--out", out],
+            "sweep": ["sweep", "--param", "m", "--values", "1", "--scenario", str(path), "--out", out]}
+    assert main(argv[command]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: name must be printable ASCII"), err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_a_second_run_parses_its_own_paradigm(tmp_path, occluded_path):
     """The process's one parser keeps nothing of a call: an overridden paradigm
     (here) or an appended ``--scenario`` list (below) does not reach the next call."""

@@ -62,21 +62,17 @@ class TestConstruction:
         assert a.layers[0].w_k.tobytes() == b.layers[0].w_k.tobytes()
 
 
-def occluded_1_decision(l_comm, full=False, agents=2):
-    """forward_decode's arguments for a decision: occluded_1's model (with
-    every skip forced off if ``full``), its live agents' marker inputs, their
-    caches after one prefill and deliberation, and one inbox per agent holding
-    the others' payloads at ``l_comm`` layers.  ``agents=3`` adds a lane-B
-    agent on row 1; the model stays the same."""
+def occluded_1_decision(l_comm, agents=2):
+    """forward_decode's arguments for a decision: occluded_1's model, its live
+    agents' marker inputs, their caches after one prefill and deliberation, and
+    one inbox per agent holding the others' payloads at ``l_comm`` layers.
+    ``agents=3`` adds a lane-B agent on row 1; the model stays the same."""
     spec = load_scenario(builtin_scenario_path("occluded_1"))
     if agents == 3:
         row_1 = AgentSpec(agent_id=2, lane="B", route=tuple((1, c) for c in range(spec.cols)))
         spec = replace(spec, agents=spec.agents + (row_1,))
     sim = Simulation(spec, "LACO")
     model, live = sim.model, sim.live_agents()
-    if full:
-        model = make_hazard_model(spec.model_config())
-        model.passthrough = model.zero_mlp = (False,) * model.config.num_layers
     obs = np.stack([observe(sim.world, sim.agents, spec.hazards, aid, 0) for aid in live])
     pre = prefill(model, obs)
     deliberate(model, compute_alignment(model), pre.hidden, pre.caches, spec.m)
@@ -178,8 +174,8 @@ class TestPassthrough:
         skipping and the full path give the same NaN-aware hidden bits,
         bit-identical batch-mates, and the same ConfigError from collaborative_decode."""
 
-        def poisoned(full, layer):
-            args = occluded_1_decision(l_comm, full)
+        def poisoned(layer):
+            args = occluded_1_decision(l_comm)
             args[3][0][0].keys[layer, 0, 0, 0] = np.nan  # agent 0's one payload
             return args
 
@@ -188,16 +184,14 @@ class TestPassthrough:
             hiddens, errors = [], []
             for full in (False, True):
                 with monkeypatch.context() as patch:
-                    if full:
-                        patch.setattr(model_module, "_zero_context", lambda *args: False)
-                        patch.setattr(model_module, "_same_input", lambda *args: False)
-                    hidden, rows = forward_decode(*poisoned(full, layer))
+                    patch.setattr(model_module, "SHORTCUTS", not full)
+                    hidden, rows = forward_decode(*poisoned(layer))
                     H = len(rows[0]) // len(hidden)
                     assert np.isnan(hidden[0]).all()
                     assert hidden[1:].tobytes() == clean[0][1:].tobytes()
                     assert [r[H:].tobytes() for r in rows] == [r[H:].tobytes() for r in clean[1]]
                     hiddens.append(hidden)
-                    model, markers, caches, inboxes = poisoned(full, layer)
+                    model, markers, caches, inboxes = poisoned(layer)
                     with pytest.raises(ConfigError) as err:
                         collaborative_decode(model, markers, attach_payload(caches, inboxes))
                     errors.append(str(err.value))

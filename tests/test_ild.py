@@ -202,18 +202,6 @@ def fixed_alignment(model, seed=0):
     return w_a
 
 
-def spy_repeats(monkeypatch):
-    """Record the step count each DecodeBatch.repeat call ran."""
-    ran, repeat = [], DecodeBatch.repeat
-
-    def spied(batch, input_vec, k, rows=None):
-        ran.append(repeat(batch, input_vec, k, rows))
-        return ran[-1]
-
-    monkeypatch.setattr(DecodeBatch, "repeat", spied)
-    return ran
-
-
 class TestRepeat:
     """A deliberation whose steps repeat over an all-zero context runs them in
     one ``DecodeBatch.repeat`` call, bit for bit as stepping them."""
@@ -230,23 +218,21 @@ class TestRepeat:
     @pytest.mark.parametrize("passthrough", [(), (1, 2)])
     @pytest.mark.parametrize("A", [1, 3])
     @pytest.mark.parametrize("d", [8, 16, 18])
-    def test_matches_stepping(self, d, A, passthrough, monkeypatch):
-        """Hidden states, traces, store and lengths equal those of a deliberation
-        stepped to the end, and steps 1 .. m-1 ran in one call."""
+    def test_matches_stepping(self, d, A, passthrough, monkeypatch, full_steps):
+        """Hidden states, traces, store and lengths equal those of the full path,
+        which steps to the end, and only step 0 ran in full: steps 1 .. m-1 ran in one call."""
         model = zero_kv_model(d, passthrough=passthrough, seed=d)
-        ran = spy_repeats(monkeypatch)
         got = self.deliberation(model, A, 20, d)
-        assert ran == [0, 19]
-        monkeypatch.setattr(DecodeBatch, "repeat", lambda *args: 0)
+        assert full_steps == [1]
+        monkeypatch.setattr(model_module, "SHORTCUTS", False)
         assert got == self.deliberation(model, A, 20, d)
 
-    def test_never_runs_with_sinusoidal_positions(self, monkeypatch):
+    def test_never_runs_with_sinusoidal_positions(self, monkeypatch, full_steps):
         """Every step reads an all-zero context, but no two steps have one layer-0 input."""
         model = zero_kv_model(pos="sinusoidal")
-        ran = spy_repeats(monkeypatch)
         got = self.deliberation(model, 2, 20, 1)
-        assert ran == [0] * 20
-        monkeypatch.setattr(DecodeBatch, "repeat", lambda *args: 0)
+        assert full_steps == [20]
+        monkeypatch.setattr(model_module, "SHORTCUTS", False)
         assert got == self.deliberation(model, 2, 20, 1)
 
     def test_random_weights_never_record(self):
@@ -361,10 +347,14 @@ class TestRepeat:
         assert batch.repeat(x, 4, np.zeros((4, 4, 2, 8), np.float32)) == 4
         assert pre.caches[0].length == 8
 
-    def test_runs_on_occluded_1_under_laco(self, monkeypatch):
-        ran = spy_repeats(monkeypatch)
-        run_episode(load_scenario(builtin_scenario_path("occluded_1")), "LACO")
-        assert any(ran)
+    def test_runs_on_occluded_1_under_laco(self, monkeypatch, full_steps):
+        """Fewer full steps run than with ``SHORTCUTS`` off."""
+        spec = load_scenario(builtin_scenario_path("occluded_1"))
+        run_episode(spec, "LACO")
+        on = full_steps[0]
+        monkeypatch.setattr(model_module, "SHORTCUTS", False)
+        run_episode(spec, "LACO")
+        assert on < full_steps[0] - on
 
 
 def decode_input(model, A, seed=0):

@@ -36,6 +36,7 @@ from reference import (
     ref_snapshot,
     sinusoidal_table,
 )
+from test_hazard import count_kernel_calls
 
 
 def small_config(**kw):
@@ -168,6 +169,32 @@ class TestPrefill:
         want = np.concatenate([np.stack([ref.k, ref.v]) for _, ref in refs], axis=2)
         np.testing.assert_array_equal(pre.caches[0].store, want)
 
+    @pytest.mark.parametrize("A", [1, 3])
+    @pytest.mark.parametrize("T", [1, 7, 40])
+    @pytest.mark.parametrize("L, d", [(2, 8), (3, 16), (4, 32)])
+    def test_the_full_path_attends_the_last_layer_at_every_position(self, L, d, T, A, monkeypatch):
+        """With ``SHORTCUTS`` off, the last layer runs ``attend_causal`` over all T
+        positions as every other layer does, and hidden states and store keep their bytes."""
+        model = init_model(ModelConfig(L, 2, d, 16, 48), d + T)
+        tokens = np.random.default_rng(T).integers(0, 16, size=(A, T))
+        calls = []
+        for name in ("attend_causal", "attend_single"):
+            def spy(*args, name=name, kernel=getattr(kernels, name)):
+                calls.append((name, args[0].shape[1] if name == "attend_causal" else 1))
+                return kernel(*args)
+
+            monkeypatch.setattr(kernels, name, spy)
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            pre = prefill(model, tokens)
+            runs.append(([pre.hidden.tobytes(), pre.caches[0].store.tobytes()], list(calls)))
+            full_path(monkeypatch)
+        (got, on), (want, off) = runs
+        assert got == want
+        assert on == [("attend_causal", T)] * (L - 1) + [("attend_single", 1)]
+        assert off == [("attend_causal", T)] * L
+
     def test_matches_reference_forward(self):
         m = init_model(small_config(), 11)
         tokens = [2, 7, 1, 9, 4]
@@ -275,11 +302,9 @@ class TestDecode:
                 w[0, 0] = 0.5
 
 
-def with_passthrough(config, seed, zeroed=(), zeroed_mlp=(), zeroed_kv=()):
+def zeroed_model(config, seed, zeroed=(), zeroed_mlp=(), zeroed_kv=()):
     """``init_model(config, seed)`` weights with the layers ``zeroed`` set to zero, the MLPs
-    of ``zeroed_mlp`` and the ``w_k`` and ``w_v`` of ``zeroed_kv``, as two
-    models on the same arrays: one skips those blocks, one runs them in full
-    (with ``full_path`` on, which also runs attention over all-zero contexts)."""
+    of ``zeroed_mlp`` and the ``w_k`` and ``w_v`` of ``zeroed_kv``."""
     weights = init_weights(config, seed)
     layers = weights[-1]
     for l in zeroed:
@@ -289,16 +314,12 @@ def with_passthrough(config, seed, zeroed=(), zeroed_mlp=(), zeroed_kv=()):
         layers[l].w_qkv[:, config.model_dim :] = 0.0
     for l in {*zeroed, *zeroed_mlp}:
         layers[l].w_mlp1[...] = layers[l].w_mlp2[...] = 0.0
-    skip, full = (Model(config, *weights) for _ in range(2))
-    full.passthrough = full.zero_mlp = (False,) * config.num_layers
-    return skip, full
+    return Model(config, *weights)
 
 
 def full_path(monkeypatch):
-    """Run attention over every context, all-zero ones included, and run
-    every product of a step that repeats the last step's input."""
-    monkeypatch.setattr(model_module, "_zero_context", lambda *args: False)
-    monkeypatch.setattr(model_module, "_same_input", lambda *args: False)
+    """Turn every exactness shortcut off, for the rest of the test."""
+    monkeypatch.setattr(model_module, "SHORTCUTS", False)
 
 
 class TestPassthrough:
@@ -337,11 +358,11 @@ class TestPassthrough:
         At l_comm 2 and 4, flagged layers join the finite payloads and are skipped."""
         config = ModelConfig(num_layers=4, num_heads=2, model_dim=d, vocab_size=64,
                              max_context=64)
-        skip, full = with_passthrough(config, seed, zeroed=(1, 2))
-        assert skip.passthrough == skip.zero_mlp == (False, True, True, False)
-        got = self.run(skip, l_comm, seed)
+        model = zeroed_model(config, seed, zeroed=(1, 2))
+        assert model.passthrough == model.zero_mlp == (False, True, True, False)
+        got = self.run(model, l_comm, seed)
         full_path(monkeypatch)
-        assert got == self.run(full, l_comm, seed)
+        assert got == self.run(model, l_comm, seed)
 
     @pytest.mark.parametrize("seed", range(2))
     @pytest.mark.parametrize("l_comm", [1, 4])
@@ -350,42 +371,36 @@ class TestPassthrough:
         """With only the last layer's MLP zeroed, its skip changes no byte."""
         config = ModelConfig(num_layers=4, num_heads=2, model_dim=d, vocab_size=64,
                              max_context=64)
-        skip, full = with_passthrough(config, seed, zeroed_mlp=(3,))
-        assert skip.passthrough == (False,) * 4 and skip.zero_mlp == (False, False, False, True)
-        got = self.run(skip, l_comm, seed)
+        model = zeroed_model(config, seed, zeroed_mlp=(3,))
+        assert model.passthrough == (False,) * 4 and model.zero_mlp == (False, False, False, True)
+        got = self.run(model, l_comm, seed)
         full_path(monkeypatch)
-        assert got == self.run(full, l_comm, seed)
+        assert got == self.run(model, l_comm, seed)
 
     @pytest.mark.parametrize("l_comm", [1, 2, 4])
     def test_zero_context_skip_matches_the_full_path(self, l_comm, monkeypatch):
         """Layer 1's ``w_k`` and ``w_v`` are zero while its ``w_q``, ``w_o`` and
-        MLP are not: every call skips its attention, and the outputs keep their
-        bytes."""
+        MLP are not: calls skip its attention, so fewer kernel calls run than on
+        the full path, and the outputs keep their bytes."""
         config = ModelConfig(num_layers=4, num_heads=2, model_dim=16, vocab_size=64,
                              max_context=64)
-        skip, full = with_passthrough(config, l_comm, zeroed_kv=(1,))
-        assert skip.passthrough == skip.zero_mlp == (False,) * 4
-        lw = skip.layers[1]
+        model = zeroed_model(config, l_comm, zeroed_kv=(1,))
+        assert model.passthrough == model.zero_mlp == (False,) * 4
+        lw = model.layers[1]
         assert lw.w_q.any() and lw.w_o.any() and lw.w_mlp1.any() and lw.w_mlp2.any()
-
-        verdicts = []
-
-        def judged(*args, predicate=model_module._zero_context):
-            verdicts.append(predicate(*args))
-            return verdicts[-1]
-
-        monkeypatch.setattr(model_module, "_zero_context", judged)
-        got = self.run(skip, l_comm, l_comm)
-        assert True in verdicts
+        calls = count_kernel_calls(monkeypatch)
+        got = self.run(model, l_comm, l_comm)
+        on = sum(calls.values())
         full_path(monkeypatch)
-        assert got == self.run(full, l_comm, l_comm)
+        assert got == self.run(model, l_comm, l_comm)
+        assert on < sum(calls.values()) - on
 
     def test_a_hand_filled_cache_runs_in_full(self, monkeypatch):
         """A cache that prefill did not make reports every row "may be
         non-zero", so K/V written into it by hand are attended over, as on the
         full path, even at a layer whose ``w_k`` and ``w_v`` are zero."""
-        skip, _ = with_passthrough(small_config(), 5, zeroed_kv=(0,))
-        pre = prefill(skip, [[1, 2, 3, 4]])
+        model = zeroed_model(small_config(), 5, zeroed_kv=(0,))
+        pre = prefill(model, [[1, 2, 3, 4]])
         assert not pre.caches[0].nonzero[0].any()
         rng = np.random.default_rng(5)
         kv = rng.normal(size=(2, 2, 4, 4)).astype(np.float32)
@@ -397,19 +412,19 @@ class TestPassthrough:
             assert cache.nonzero.all()
             if full:
                 full_path(monkeypatch)
-            hidden, rows = forward_decode(skip, x, [cache])
+            hidden, rows = forward_decode(model, x, [cache])
             outs.append([hidden.tobytes(), *(r.tobytes() for r in rows)])
         assert outs[0] == outs[1]
 
     def test_flagged_weights_are_read_only(self):
         """A write into a skipped layer raises; it could not reach a decode.
         The unflagged layers' weights are read-only too."""
-        skip, _ = with_passthrough(small_config(num_layers=3), 0, zeroed=(1,))
-        zero = skip.layers[1]
+        model = zeroed_model(small_config(num_layers=3), 0, zeroed=(1,))
+        zero = model.layers[1]
         for w in (zero.w_qkv, zero.w_k, zero.w_o, zero.w_mlp1, zero.w_mlp2):
             with pytest.raises(ValueError, match="read-only"):
                 w[0, 0] = 1.0
-        for lw in (skip.layers[0], skip.layers[2]):
+        for lw in (model.layers[0], model.layers[2]):
             assert not any(w.flags.writeable for w in (lw.w_qkv, lw.w_o, lw.w_mlp1, lw.w_mlp2))
 
 
@@ -482,7 +497,7 @@ class TestStepReuse:
         model = reuse_model(zero_values)
         got, calls = self.steps(model, joined)
         assert calls == ([(0, 6), (5, 5)] if kept == 4 else [(0, k) for k in range(6, 0, -1)])
-        monkeypatch.setattr(model_module, "_same_input", lambda *args: False)
+        full_path(monkeypatch)
         full, calls = self.steps(model, joined)
         assert [ran for ran, _ in calls] == [0] * 6
         assert got == full
@@ -494,7 +509,7 @@ class TestStepReuse:
         model = reuse_model((1, 2, 3), spotlight=18.0)
         got, calls = self.steps(model, joined, k=16)
         assert any(0 < ran < k for ran, k in calls)
-        monkeypatch.setattr(model_module, "_same_input", lambda *args: False)
+        full_path(monkeypatch)
         assert got == self.steps(model, joined, k=16)[0]
 
     def test_a_decode_outside_the_batch_raises(self):

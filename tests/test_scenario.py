@@ -1,4 +1,5 @@
 import logging
+import random
 import sys
 from dataclasses import replace
 from functools import partial
@@ -188,6 +189,8 @@ class TestParser:
         ("model_layers", 1, "^model_layers: num_layers must be >= 2"),
         ("model_heads", 1, "^model_heads: num_heads must be >= 2"),
         ("vocab_size", 3, "^vocab_size: vocab_size must be >= 14"),
+        ("name", "occluded,1", "^name must be printable ASCII"),
+        ("name", "line\nbreak", "^name must be printable ASCII"),
     ])
     def test_replace_checks_the_new_spec(self, key, value, match):
         with pytest.raises(ScenarioError, match=match):
@@ -474,96 +477,104 @@ def episode_outputs(spec, paradigm, path):
 
 
 @pytest.mark.parametrize("model_dim", [16, 18, 22])
-def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, model_dim):
+def test_passthrough_skip_changes_no_output(monkeypatch, tmp_path, full_steps, model_dim):
     """Every shipped layout under every paradigm (and at d = 16 the deep_latent
     benchmark's generated layouts too) gives the same metrics rows, telemetry and
-    payload bytes as a run through its zero-weight layers and MLPs, its
-    attention over all-zero contexts and every product of a step that repeats
-    the last step's input.  With the skips on, every kernel call is one the
-    zero-context rule let run, and some were skipped."""
-    calls, verdicts = [], []
+    payload bytes with ``SHORTCUTS`` off: a run through its zero-weight layers and
+    MLPs, its attention over all-zero contexts and every product of a step that
+    repeats the last step's input.  With them on, fewer kernel calls run (the
+    skips skipped layers) and fewer full decode steps (``repeat`` ran steps)."""
+    calls = []
 
     def counted(*args, kernel):
         calls[-1] += 1
         return kernel(*args)
 
-    def judged(*args, predicate=model_module._zero_context):
-        verdicts.append(predicate(*args))
-        return verdicts[-1]
-
-    def full_model(config, make=sc.make_hazard_model):
-        model = make(config)
-        model.passthrough = model.zero_mlp = (False,) * config.num_layers
-        return model
-
     for name in ("attend_single", "attend_causal"):
         monkeypatch.setattr(kernels, name, partial(counted, kernel=getattr(kernels, name)))
-    monkeypatch.setattr(model_module, "_zero_context", judged)
     specs = [replace(sc.load_scenario(sc.builtin_scenario_path(name)), model_dim=model_dim)
              for name in sc.builtin_scenario_names()] + (deep_latent_specs() if model_dim == 16 else [])
-    runs = {}
-    for skip in (True, False):
-        if not skip:
-            monkeypatch.setattr(sc, "hazard_model", full_model)
-            monkeypatch.setattr(model_module, "_zero_context", lambda *args: False)
-            monkeypatch.setattr(model_module, "_same_input", lambda *args: False)
+    runs, steps = {}, []
+    for on in (True, False):
+        monkeypatch.setattr(model_module, "SHORTCUTS", on)
         calls.append(0)
-        runs[skip] = [episode_outputs(spec, paradigm, tmp_path / "t.bin")
-                      for spec in specs for paradigm in sc.PARADIGMS]
+        full_steps[0] = 0
+        runs[on] = [episode_outputs(spec, paradigm, tmp_path / "t.bin")
+                    for spec in specs for paradigm in sc.PARADIGMS]
+        steps.append(full_steps[0])
     for got, want in zip(runs[True], runs[False], strict=True):
         assert got == want
-    assert calls[0] == verdicts.count(False) and True in verdicts
-    assert calls[0] < calls[1]  # against a full run, the skips did skip layers
+    assert calls[0] < calls[1] and steps[0] < steps[1]
 
 
-def test_step_reuse_changes_no_output(monkeypatch, tmp_path):
-    """Every shipped layout under every paradigm and the deep_latent benchmark's
-    generated layouts give the same metrics rows, telemetry and payload bytes
-    when a step that repeats the last step's input runs every product."""
-    verdicts = []
+@st.composite
+def fuzzed_episodes(draw):
+    """A shipped layout or one of ``layouts.layout_text``'s (a seed, 4-6 rows,
+    10-16 columns, 2 or 3 agents), with drawn ``m`` (0, 1 and 40 among them),
+    ``rho``, ``l_comm_fraction``, ``tick_budget`` and channel range (a short one
+    splits a 3-agent decode into batches that join payloads of senders outside
+    them), and up to two extra hazards on route cells of either lane, hidden on a
+    road cell or not."""
+    m = draw(st.sampled_from([0, 1, 40, 2, 4, 10]))
+    if draw(st.booleans()):
+        agents = draw(st.integers(2, 3))
+        rows = draw(st.integers(5 if agents == 3 else 4, 6))
+        rng = random.Random(draw(st.integers(0, 999)))
+        spec = sc.parse_scenario(layouts.layout_text(rng, "generated", rows, draw(st.integers(10, 16)),
+                                                     agents, m))
+    else:
+        name = draw(st.sampled_from(sc.builtin_scenario_names()))
+        spec = sc.load_scenario(sc.builtin_scenario_path(name))
+    road = [(r, c) for r, row in enumerate(spec.grid) for c, ch in enumerate(row) if ch == "."]
+    hazards = list(spec.hazards)
+    for _ in range(draw(st.integers(0, 2))):
+        agent = draw(st.sampled_from(spec.agents))
+        appear = draw(st.integers(0, 8))
+        enter = appear + draw(st.integers(0, 8))
+        hazards.append(sc.HazardSpec(lane=agent.lane, path_cell=draw(st.sampled_from(agent.route)),
+                                     hide_cell=draw(st.none() | st.sampled_from(road)),
+                                     appear=appear, enter=enter, clear=enter + draw(st.integers(1, 8))))
+    fraction = st.floats(0.01, 1.0)
+    channel = replace(spec.channel, range_m=draw(st.sampled_from([200.0, 15.0, 25.0, 40.0])))
+    return replace(spec, m=m, rho=draw(fraction), l_comm_fraction=draw(fraction), channel=channel,
+                   tick_budget=draw(st.integers(1, 60)), hazards=tuple(hazards))
 
-    def judged(*args, predicate=model_module._same_input):
-        verdicts.append(predicate(*args))
-        return verdicts[-1]
 
-    monkeypatch.setattr(model_module, "_same_input", judged)
-    specs = [sc.load_scenario(sc.builtin_scenario_path(name))
-             for name in sc.builtin_scenario_names()] + deep_latent_specs()
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(spec=fuzzed_episodes())
+def test_shortcuts_change_no_output_on_fuzzed_episodes(spec, tmp_path_factory):
+    """Under every paradigm, a fuzzed episode gives the same metrics rows,
+    telemetry and payload bytes with ``SHORTCUTS`` on as with them off."""
+    path = tmp_path_factory.mktemp("fuzz") / "t.bin"
     runs = []
-    for reuse in (True, False):
-        if not reuse:
-            monkeypatch.setattr(model_module, "_same_input", lambda *args: False)
-        runs.append([episode_outputs(spec, paradigm, tmp_path / "t.bin")
-                     for spec in specs for paradigm in sc.PARADIGMS])
+    for on in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "SHORTCUTS", on)
+            runs.append([episode_outputs(spec, paradigm, path) for paradigm in sc.PARADIGMS])
     assert runs[0] == runs[1]
-    assert True in verdicts
 
 
 def test_attending_deliberations_repeat_in_one_call(monkeypatch):
     """On a deep_latent layout under LACO, some deliberation whose layer 0 attends
-    runs steps 1 .. m-1 inside one ``repeat`` call."""
-    spec, runs, repeat = deep_latent_specs()[0], [], sc.DecodeBatch.repeat
+    runs one full step: steps 1 .. m-1 run inside one ``repeat`` call."""
+    spec, steps, full_step = deep_latent_specs()[0], [], sc.DecodeBatch.__call__
 
-    def spied(batch, input_vec, k, rows=None):
-        ran = repeat(batch, input_vec, k, rows)
-        if batch.record is not None:  # (layer 0 attended, steps run)
-            runs.append((batch.record[1][0][1] is not None, ran))
-        return ran
+    def recorded(batch, *args):  # (batch, position, whether layer 0 attended)
+        out = full_step(batch, *args)
+        steps.append((batch, batch.length - 1, batch.record[1][0][1] is not None))
+        return out
 
-    monkeypatch.setattr(sc.DecodeBatch, "repeat", spied)
+    monkeypatch.setattr(sc.DecodeBatch, "__call__", recorded)
     sc.run_episode(spec, "LACO")
-    assert (True, spec.m - 1) in runs
+    T = spec.observation_len
+    assert any(n == T and attended and batch.length == T + spec.m
+               and sum(b is batch for b, _, _ in steps) == 1 for batch, n, attended in steps)
 
 
-def test_language_tokens_repeat_at_once(monkeypatch):
-    """On occluded_1 the Language decode runs some of its steps at once, and
-    relays the ids and gives the metrics rows of a decode that steps them all."""
-    ran = []
-    repeat = sc.DecodeBatch.repeat
-
-    def spied(batch, input_vec, k, rows=None):
-        ran.append(repeat(batch, input_vec, k, rows))
-        return ran[-1]
+def test_language_tokens_repeat_at_once(monkeypatch, full_steps):
+    """On occluded_1 the Language decode runs some of its steps at once (fewer
+    full steps than with ``SHORTCUTS`` off), and relays the ids and gives the
+    metrics rows of the full path, which steps them all."""
 
     def relayed(sim, live, pre, send=sc._send_tokens):
         messages = send(sim, live, pre)
@@ -573,13 +584,13 @@ def test_language_tokens_repeat_at_once(monkeypatch):
     monkeypatch.setitem(sc._PARADIGM_TABLE, "Language", (relayed, sc._decide_on_tokens))
     spec = sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
     runs = []
-    for fast in (True, False):
-        monkeypatch.setattr(sc.DecodeBatch, "repeat", spied if fast else lambda *args: 0)
-        sent = []
+    for on in (True, False):
+        monkeypatch.setattr(model_module, "SHORTCUTS", on)
+        sent, full_steps[0] = [], 0
         rows = sc.metrics_rows(sc.run_episode(spec, "Language"))
-        runs.append((sent, rows))
-    assert sum(ran) > 0
-    assert runs[0] == runs[1]
+        runs.append((sent, rows, full_steps[0]))
+    assert runs[0][2] < runs[1][2]
+    assert runs[0][:2] == runs[1][:2]
     assert all(len(ids) == spec.m for tick in runs[0][0] for ids in tick)
 
 
