@@ -57,11 +57,11 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) ->
     agents, and the result holds one trace per agent.  Deliberation is ego-local:
     received context joins only the final decision decode.  Each step's rows go
     straight into its (L, A·H, n0 + m) slot of one buffer, checked once; agent a
-    views heads [a·H, (a+1)·H).  Steps that repeat the last one's input rerun only
-    attention, in one ``DecodeBatch.repeat`` call, until an attention output
-    changes.  A run that would overflow the caches raises
-    :class:`ContextOverflowError` before its first step.  With m = 0 the caches
-    and hidden states are returned untouched and each trace has zero steps.
+    views heads [a·H, (a+1)·H).  Steps that repeat the last one's input rerun only attention,
+    in one ``DecodeBatch.repeat`` call, until an attention output changes.  A run that would
+    overflow the caches raises :class:`ContextOverflowError` before its first step.  With m = 0
+    the caches are untouched, ``final_hidden`` is ``h0``'s value and each trace has zero steps.
+    The buffer and ``final_hidden`` are read-only once checked: ticks may share one result.
     """
     if m < 0:
         raise ConfigError("step count m must be >= 0")
@@ -71,7 +71,7 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) ->
         raise ContextOverflowError(f"{m} latent steps from {n0} positions overflow {first.capacity}")
     array = np.zeros((m, L, A * H, n0 + m), dtype=np.float32)
     lengths = np.arange(n0 + 1, n0 + m + 1, dtype=np.int64)
-    h, batch, t = np.asarray(h0, dtype=np.float32), DecodeBatch(model, caches), 0
+    h, batch, t = np.array(h0, dtype=np.float32), DecodeBatch(model, caches), 0
     while t < m:
         x = rowwise_matmul(h, w_a)
         t += batch.repeat(x, m - t, array[t:])  # the steps that repeat step t - 1
@@ -79,5 +79,6 @@ def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) ->
             h, _ = batch(x, array[t])
             t += 1
     whole = AttentionTrace(array, lengths)  # one row check for every agent's heads
+    array.flags.writeable = h.flags.writeable = False
     traces = [whole.part(np.s_[:, :, a * H : (a + 1) * H]) for a in range(A)]
     return DeliberationResult(final_hidden=h, traces=traces, steps=m)

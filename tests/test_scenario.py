@@ -14,16 +14,18 @@ from laco import kernels
 from laco import model as model_module
 from laco import scenario as sc
 from laco.errors import ScenarioError
+from laco.ild import compute_alignment, deliberate
 from laco.model import (
     TOKEN_EGO_A,
     TOKEN_EGO_B,
     TOKEN_HAZARD_A,
     TOKEN_OCCLUDED,
     TOKEN_VEHICLE,
+    Model,
 )
 from laco.telemetry import TelemetryWriter, TraceRecord
 from laco.wire import serialize
-from reference import ref_visible
+from reference import init_weights, ref_visible
 from test_batch import LANGUAGE_CHAIN
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -91,6 +93,13 @@ TWO_ON_LANE_B = "\n".join(
     + ["hazard = lane=B path={path} appear=0 enter=2 clear=4"])
 
 
+def mini_with(line):
+    """MINI and ``line``, which replaces MINI's own line for a scalar key (given once)."""
+    key = line.partition("=")[0].strip()
+    return "".join(kept for kept in MINI.splitlines(keepends=True)
+                   if key not in sc._DEFAULTS or kept.partition("=")[0].strip() != key) + line + "\n"
+
+
 def mini_spec(**overrides):
     spec = sc.parse_scenario(MINI)
     if overrides:
@@ -156,7 +165,15 @@ class TestParser:
     def test_rejects_malformed(self, mutation):
         line, match = mutation
         with pytest.raises(ScenarioError, match=match):
-            sc.parse_scenario(MINI + line + "\n")
+            sc.parse_scenario(mini_with(line))
+
+    @pytest.mark.parametrize("key, value", [("m", "3"), ("name", "other"), ("channel_range_m", "50")])
+    def test_rejects_a_scalar_key_given_twice(self, key, value):
+        """A repeated scalar fails like a repeated route, agent or hazard field: the last
+        value would otherwise win silently."""
+        text = mini_with(f"{key} = {value}") + f"{key} = {value}\n"
+        with pytest.raises(ScenarioError, match=f"^scenario key '{key}' is given twice$"):
+            sc.parse_scenario(text)
 
     @pytest.mark.parametrize(
         "line, match",
@@ -540,18 +557,174 @@ def fuzzed_episodes(draw):
                    tick_budget=draw(st.integers(1, 60)), hazards=tuple(hazards))
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(spec=fuzzed_episodes())
-def test_shortcuts_change_no_output_on_fuzzed_episodes(spec, tmp_path_factory):
+def count_calls(patch, name, counts):
+    """Patch ``laco.scenario.<name>`` to count its calls into ``counts[name]``."""
+    def counted(*args, fn=getattr(sc, name)):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args)
+
+    patch.setattr(sc, name, counted)
+
+
+def test_shortcuts_change_no_output_on_fuzzed_episodes(tmp_path_factory):
     """Under every paradigm, a fuzzed episode gives the same metrics rows,
-    telemetry and payload bytes with ``SHORTCUTS`` on as with them off."""
+    telemetry and payload bytes with ``SHORTCUTS`` on as with them off, so with
+    the deliberation memo on as off; some example replays a deliberation."""
     path = tmp_path_factory.mktemp("fuzz") / "t.bin"
-    runs = []
-    for on in (True, False):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(model_module, "SHORTCUTS", on)
-            runs.append([episode_outputs(spec, paradigm, path) for paradigm in sc.PARADIGMS])
-    assert runs[0] == runs[1]
+    replayed = []  # per example: the deliberations the memo replayed
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(spec=fuzzed_episodes())
+    def check(spec):
+        runs = []
+        for on in (True, False):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model_module, "SHORTCUTS", on)
+                counts = {}
+                for name in ("_deliberate", "deliberate"):
+                    count_calls(patch, name, counts)
+                runs.append([episode_outputs(spec, paradigm, path) for paradigm in sc.PARADIGMS])
+                if on:
+                    replayed.append(counts.get("_deliberate", 0) - counts.get("deliberate", 0))
+        assert runs[0] == runs[1]
+
+    check()
+    assert any(replayed)
+
+
+def occluded_1():
+    return sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
+
+
+def replayed_and_fresh(monkeypatch, sim, primed):
+    """Two prefills of the live agents' observations at ``sim``'s tick: the first
+    deliberates through ``_deliberate`` as the memo replays it (``deliberate`` does not
+    run; ``primed`` first records the deliberation on a third prefill), the second
+    through a fresh ``deliberate``.  Returns the first, after checking that the replay
+    left the store bytes over [0, n0 + m), ``nonzero`` flags, ``length``, ``prefill_len``,
+    hidden states and traces of the fresh one, byte for byte."""
+    spec, live = sim.spec, sim.live_agents()
+    tokens = np.stack([sc.observe(sim.world, sim.agents, spec.hazards, aid, sim.ticks) for aid in live])
+    if primed:
+        sc._deliberate(sim, live, sc.prefill(sim.model, tokens))
+    replayed, fresh = sc.prefill(sim.model, tokens), sc.prefill(sim.model, tokens)
+    want = deliberate(sim.model, compute_alignment(sim.model), fresh.hidden, fresh.caches, spec.m)
+    with monkeypatch.context() as patch:
+        patch.setattr(sc, "deliberate", pytest.fail)
+        got = sc._deliberate(sim, live, replayed)
+    n = spec.observation_len + spec.m
+    store, fresh_store = replayed.caches[0].store, fresh.caches[0].store
+    assert store[..., :n, :].tobytes() == fresh_store[..., :n, :].tobytes()
+    assert replayed.caches[0].nonzero.tobytes() == fresh.caches[0].nonzero.tobytes()
+    assert [(c.length, c.prefill_len) for c in replayed.caches] == [
+        (c.length, c.prefill_len) for c in fresh.caches] == [(n, spec.observation_len)] * len(live)
+    assert got.final_hidden.tobytes() == want.final_hidden.tobytes()
+    assert [(t.array.tobytes(), t.lengths.tobytes()) for t in got.traces] == [
+        (t.array.tobytes(), t.lengths.tobytes()) for t in want.traces]
+    return replayed
+
+
+@pytest.mark.parametrize("paradigm", ["LACO", "NaiveLatent"])
+@pytest.mark.parametrize("tick, flagged", [(3, True), (9, False)], ids=["lane_b_sees", "all_zero"])
+def test_a_replayed_deliberation_leaves_what_a_fresh_one_leaves(monkeypatch, paradigm, tick, flagged):
+    """On occluded_1, at a tick whose lane-B agent sees the hazard (layer 0 flagged)
+    and at one whose every layer is unflagged, a deliberation an earlier tick
+    recorded replays to the bytes of a fresh one."""
+    sim = sc.Simulation(occluded_1(), paradigm)
+    for _ in range(tick):
+        sc.run_tick(sim)
+    replayed = replayed_and_fresh(monkeypatch, sim, primed=False)
+    assert replayed.caches[0].nonzero.any() == flagged
+
+
+def test_a_replayed_deliberation_writes_its_latent_kv_and_flags(monkeypatch):
+    """The hazard model's latent K/V are all zero, so its replays write zeros and raise
+    no flag.  Random weights, with a zero embedding and a positional table zero over the
+    prefill, give a prefill with every layer unflagged and latent K/V that are not zero:
+    a replay writes those K/V and raises those flags as deliberation does."""
+    sim = sc.Simulation(occluded_1(), "LACO")
+    n0, config = sim.spec.observation_len, sim.model.config
+    w_in, w_out, pos, layers = init_weights(config, 7)
+    pos[:n0] = 0.0
+    sim.model = Model(config, np.zeros_like(w_in), w_out, pos, layers)
+    replayed = replayed_and_fresh(monkeypatch, sim, primed=True)
+    assert not sc.prefill(sim.model, np.zeros((2, n0), np.int64)).caches[0].nonzero.any()
+    assert replayed.caches[0].store[..., n0:, :].any() and replayed.caches[0].nonzero.all()
+
+
+def tick_0_prefill(sim, nudge=0.0):
+    """A prefill of occluded_1's tick-0 observations, its hidden states plus ``nudge``."""
+    pre = sc.prefill(sim.model, np.stack([sc.observe(sim.world, sim.agents, sim.spec.hazards, aid, 0)
+                                          for aid in sim.live_agents()]))
+    pre.hidden[...] += nudge
+    return pre
+
+
+@pytest.mark.parametrize("change", ["hidden", "flagged_kv", "flag"])
+def test_a_deliberation_on_other_inputs_runs(monkeypatch, change):
+    """Every input the key holds counts: after tick 0's deliberation is recorded, one
+    whose hidden states, K/V at a flagged layer (layer 0: the lane-B agent sees the
+    hazard) or ``nonzero`` flags differ runs ``deliberate``."""
+    sim, counts = sc.Simulation(occluded_1(), "LACO"), {}
+    sc._deliberate(sim, sim.live_agents(), tick_0_prefill(sim))
+    pre = tick_0_prefill(sim, nudge=1.0 if change == "hidden" else 0.0)
+    if change == "flagged_kv":
+        pre.caches[0].store[0, 0, 0, 0, 0] = 1.0
+    elif change == "flag":
+        pre.caches[0].nonzero[0, 0] = True  # agent 0 at layer 0: "may be non-zero"
+    count_calls(monkeypatch, "deliberate", counts)
+    sc._deliberate(sim, sim.live_agents(), pre)
+    assert counts == {"deliberate": 1} and len(sim.memo) == 2
+
+
+def test_the_memo_keeps_the_last_entries(monkeypatch):
+    """A Simulation keeps its last ``_MEMO_ENTRIES`` distinct deliberations: the
+    oldest reruns, the newest replays."""
+    sim, counts = sc.Simulation(occluded_1(), "LACO"), {}
+    count_calls(monkeypatch, "deliberate", counts)
+    nudges = range(sc._MEMO_ENTRIES + 2)
+    for nudge in nudges:
+        sc._deliberate(sim, sim.live_agents(), tick_0_prefill(sim, nudge))
+    assert len(sim.memo) == sc._MEMO_ENTRIES and counts["deliberate"] == len(nudges)
+    sc._deliberate(sim, sim.live_agents(), tick_0_prefill(sim, nudges[-1]))
+    assert counts["deliberate"] == len(nudges)
+    sc._deliberate(sim, sim.live_agents(), tick_0_prefill(sim, nudges[0]))
+    assert counts["deliberate"] == len(nudges) + 1
+
+
+def test_replayed_ticks_share_one_read_only_record():
+    """On occluded_1 under LACO, tick 1 replays tick 0's deliberation: both ticks'
+    TraceRecords hold one trace array, which refuses an in-place write, as do the
+    result's hidden states and the memo's recorded K/V and flags."""
+    sim = sc.run_episode(occluded_1(), "LACO")
+    first, second = [rec.trace.array for rec in sim.telemetry
+                     if isinstance(rec, TraceRecord) and rec.agent == 0][:2]
+    assert second is first
+    with pytest.raises(ValueError, match="read-only"):
+        second[0, 0, 0, 0] = 0.5
+    for delib, latent, flags in sim.memo.values():
+        for array in (delib.final_hidden, latent, flags, *(t.array for t in delib.traces)):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+
+
+def test_each_episode_has_its_own_memo(monkeypatch):
+    """The memo lives and dies with one Simulation: two runs of occluded_1, and a sweep
+    over a repeated value, deliberate as often per episode (5 of 19 ticks under LACO, 4
+    of 19 under NaiveLatent); with ``SHORTCUTS`` off every tick deliberates."""
+    spec, counts = occluded_1(), {}
+    count_calls(monkeypatch, "deliberate", counts)
+    for paradigm, calls in (("LACO", 5), ("NaiveLatent", 4)):
+        for _ in range(2):
+            counts["deliberate"] = 0
+            assert sc.run_episode(spec, paradigm).ticks == 19
+            assert counts["deliberate"] == calls
+    counts["deliberate"] = 0
+    rows = sc.sweep("m", ["10", "10"], [spec], "LACO")
+    assert counts["deliberate"] == 2 * 5 and rows[: len(rows) // 2] == rows[len(rows) // 2 :]
+    monkeypatch.setattr(model_module, "SHORTCUTS", False)
+    counts["deliberate"] = 0
+    assert sc.run_episode(spec, "LACO").memo == {} and counts["deliberate"] == 19
 
 
 def test_attending_deliberations_repeat_in_one_call(monkeypatch):
