@@ -501,7 +501,7 @@ class DecodeBatch:
             c.length = n + 1
         return x[:, 0], rows_per_layer
 
-    def repeat(self, input_vec, k, rows=None):
+    def repeat(self, input_vec, k, rows):
         """Run up to k steps as repeats of the ``record``ed step; returns how many ran, 0 .. k
         (0 with ``SHORTCUTS`` off).
 
@@ -509,7 +509,7 @@ class DecodeBatch:
         input bits.  So if ``input_vec + pos[j]`` has the recorded bytes for every j in
         [n, n + k), the K/V of n - 1 are copied into [n, n + k) (ORed in when recorded: no flag
         rises), the zero-context layers' rows are filled for all k steps, and step n + t reruns
-        attention at the recorded attending layers with their queries, into ``rows[t]`` given a
+        attention at the recorded attending layers with their queries, into ``rows[t]`` of a
         (k, L, A·H, >= w) buffer.  The first step whose attention output differs does not count:
         the caller runs it in full.  A step that ran gives the recorded hidden state, the
         caller's own.  Raises as a step of k positions (README "Repeated steps").
@@ -521,15 +521,14 @@ class DecodeBatch:
         if (x + pos[n]).tobytes() != x0 or (x + pos[n : n + k, None]).tobytes() != x0 * k:
             return 0  # step n first: most calls stop there; then the (k, A, d) run
         self.ctx[..., n : n + k, :] = self.ctx[..., n - 1 : n, :]  # the recorded step's K/V, exactly
-        if rows is not None:
-            for l, (_, out) in enumerate(layers):
-                if out is None:
-                    w = np.arange(n + 1, n + k + 1)[:, None, None] + (self.joined[l] or 0)  # (k, 1, 1)
-                    np.copyto(rows[:, l], 1.0 / w, where=np.arange(rows.shape[-1]) < w)
+        for l, (_, out) in enumerate(layers):
+            if out is None:
+                w = np.arange(n + 1, n + k + 1)[:, None, None] + (self.joined[l] or 0)  # (k, 1, 1)
+                np.copyto(rows[:, l], 1.0 / w, where=np.arange(rows.shape[-1]) < w)
         attending = [(l, q, out) for l, (q, out) in enumerate(layers) if out is not None]
         ran = 0
-        while ran < k and all(self._attend(l, n + ran, q, None if rows is None else rows[ran])[0]
-                              .tobytes() == out for l, q, out in attending):
+        while ran < k and all(self._attend(l, n + ran, q, rows[ran])[0].tobytes() == out
+                              for l, q, out in attending):
             ran += 1
         for c in (self, *self.caches):
             c.length = n + ran

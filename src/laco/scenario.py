@@ -61,7 +61,7 @@ PENALTIES = {
 
 ACTION_BRAKE, ACTION_KEEP, ACTION_ACCEL, ACTION_LEFT, ACTION_RIGHT = ACTION_TOKENS
 _MOVE_ACTIONS = (ACTION_KEEP, ACTION_ACCEL)
-_MEMO_ENTRIES = 8  # deliberations one Simulation keeps; no benchmark episode has over 5 distinct
+_MEMO_ENTRIES = 8  # sends one Simulation keeps (_replayed); no benchmark episode has over 5 distinct
 
 
 @dataclass(frozen=True)
@@ -495,7 +495,7 @@ class Simulation:
         self.actions = []          # (tick, agent_id, action_name)
         self.telemetry = []        # TraceRecord / DecisionRecord
         self.payload_bytes = []    # (tick, sender_id, bytes) serialized payloads
-        self.memo = {}             # deliberations by their inputs (_deliberate)
+        self.memo = {}             # deliberations or Language decodes by their inputs (_replayed)
 
     def live_agents(self):
         return [aid for aid in sorted(self.agents) if not self.agents[aid].done]
@@ -520,21 +520,18 @@ def _send_nothing(sim: Simulation, live, pre):
 
 
 def _send_tokens(sim: Simulation, live, pre):
-    """Language: greedily decode m tokens per agent in lock-step and relay their ids."""
-    model, h, batch = sim.model, pre.hidden, DecodeBatch(sim.model, pre.caches)
-    ids = np.zeros((sim.spec.m, len(live)), dtype=np.int64)
-    step = 0
-    while step < sim.spec.m:
-        ids[step] = np.argmax(project_to_logits(model, h), axis=1)
-        x = model.w_in[ids[step]]
-        ran = batch.repeat(x, sim.spec.m - step)
-        ids[step : step + ran + 1] = ids[step]  # each step that ran left h, so its argmax, as it was
-        step += ran
-        if step < sim.spec.m:
-            h, _ = batch(x)
-            step += 1
+    """Language: greedily decode m tokens per agent in lock-step (:func:`_replayed`); relay their ids."""
+    model, m = sim.model, sim.spec.m
+
+    def decode(batch):
+        h, ids = pre.hidden, np.zeros((m, len(live)), dtype=np.int64)
+        for step in range(m):
+            ids[step] = np.argmax(project_to_logits(model, h), axis=1)
+            h, _ = batch(model.w_in[ids[step]])
+        return ids
+    ids = _replayed(sim, live, pre, decode)
     for aid in live:
-        sim.agents[aid].decoded_tokens += sim.spec.m
+        sim.agents[aid].decoded_tokens += m
     return [LanguageMessage(sender_id=aid, frame_id=sim.ticks, token_ids=tuple(ids[:, i].tolist()))
             for i, aid in enumerate(live)]
 
@@ -545,27 +542,32 @@ def _send_visual(sim: Simulation, live, pre):
             for aid, cache in zip(live, pre.caches)]
 
 
-def _deliberate(sim: Simulation, live, pre):
-    """Run m latent steps on every prefill cache in lock-step and record the traces; with
-    ``SHORTCUTS`` on, a deliberation on the inputs of one of the episode's last
-    ``_MEMO_ENTRIES`` replays it (README "Repeated deliberations")."""
-    first, m, H, memo = pre.caches[0], sim.spec.m, sim.model.config.num_heads, sim.memo
-    n0, rows = first.length, slice(first.row, first.row + len(live))
-    flags, kv = first.nonzero[:, rows], first.store[:, :, rows.start * H : rows.stop * H]
+def _replayed(sim: Simulation, live, pre, extend):
+    """``extend(batch)`` on a ``DecodeBatch`` of the prefill caches, which it extends by m positions,
+    or its replay from the episode's memo with ``SHORTCUTS`` on (README "Repeated sends")."""
+    m, memo, batch = sim.spec.m, sim.memo, DecodeBatch(sim.model, pre.caches)
+    n0, flags, kv = batch.length, batch.ego, batch.ctx
     key = (len(live), n0, pre.hidden.tobytes(), flags.tobytes(),  # unflagged K/V are zeros
            kv[:, flags.any(axis=1), :, :n0].tobytes())
     if model_module.SHORTCUTS and key in memo:
-        delib, kv[:, :, :, n0 : n0 + m], flags[...] = memo[key]
+        result, kv[..., n0 : n0 + m, :], flags[...] = memo[key]
         for cache in pre.caches:
             cache.length = n0 + m
-    else:
-        delib = deliberate(sim.model, compute_alignment(sim.model), pre.hidden, pre.caches, m)
-        if model_module.SHORTCUTS:
-            if len(memo) == _MEMO_ENTRIES:
-                del memo[next(iter(memo))]  # the oldest
-            latent, after = kv[:, :, :, n0 : n0 + m].copy(), flags.copy()
-            latent.flags.writeable = after.flags.writeable = False
-            memo[key] = delib, latent, after
+        return result
+    result = extend(batch)
+    if model_module.SHORTCUTS:
+        if len(memo) == _MEMO_ENTRIES:
+            del memo[next(iter(memo))]  # the oldest
+        latent, after = kv[..., n0 : n0 + m, :].copy(), flags.copy()
+        latent.flags.writeable = after.flags.writeable = False
+        memo[key] = result, latent, after
+    return result
+
+
+def _deliberate(sim: Simulation, live, pre):
+    """Run m latent steps on every prefill cache in lock-step (:func:`_replayed`); record the traces."""
+    delib = _replayed(sim, live, pre, lambda _: deliberate(
+        sim.model, compute_alignment(sim.model), pre.hidden, pre.caches, sim.spec.m))
     if delib.steps > 0:
         for aid, trace in zip(live, delib.traces):
             sim.telemetry.append(TraceRecord(tick=sim.ticks, agent=aid, trace=trace))
@@ -788,9 +790,8 @@ def sweep(param: str, values, specs, paradigm: str | None = None):
         raise ScenarioError(f"sweep parameter must be one of {SWEEP_PARAMS}")
     if not values:
         raise ScenarioError("sweep needs at least one value")
-    cast = int if param == "m" else float
     try:
-        values = [cast(v) for v in values]
+        values = [type(_DEFAULTS[param])(v) for v in values]
     except ValueError as exc:
         raise ScenarioError(f"bad {param} value: {exc}") from exc
     # Each replace checks its spec, so a bad value fails before any episode runs.

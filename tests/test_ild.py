@@ -245,7 +245,7 @@ class TestRepeat:
         for _ in range(3):
             batch(x)
             assert all(q is not None and out is not None for q, out in batch.record[1])
-            assert batch.repeat(x, 1) == 0
+            assert batch.repeat(x, 1, np.zeros((1, 2, 2, 8), np.float32)) == 0
 
     @pytest.mark.parametrize("l_comm", [1, 4])
     def test_matches_stepping_with_joined_payloads(self, l_comm):

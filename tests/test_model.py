@@ -520,7 +520,7 @@ class TestStepReuse:
         batch(x)
         forward_decode(model, x[:1], pre.caches[:1])
         with pytest.raises(ConfigError, match="decoded outside"):
-            batch.repeat(x, 1)
+            batch.repeat(x, 1, np.zeros((1, 4, 4, 8), np.float32))
         with pytest.raises(ConfigError, match="decoded outside"):
             batch(x)
 

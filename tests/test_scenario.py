@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from laco import kernels
@@ -566,13 +566,26 @@ def count_calls(patch, name, counts):
     patch.setattr(sc, name, counted)
 
 
+def count_replays(patch, replays):
+    """Patch ``laco.scenario._replayed`` to append each send's (paradigm, whether the memo
+    replayed it) to ``replays``."""
+    def counted(sim, live, pre, extend, fn=sc._replayed):
+        ran = []
+        result = fn(sim, live, pre, lambda batch: ran.append(True) or extend(batch))
+        replays.append((sim.spec.paradigm, not ran))
+        return result
+
+    patch.setattr(sc, "_replayed", counted)
+
+
 def test_shortcuts_change_no_output_on_fuzzed_episodes(tmp_path_factory):
     """Under every paradigm, a fuzzed episode gives the same metrics rows,
     telemetry and payload bytes with ``SHORTCUTS`` on as with them off, so with
-    the deliberation memo on as off; some example replays a deliberation."""
+    the memo on as off; some example replays a deliberation and some a Language decode."""
     path = tmp_path_factory.mktemp("fuzz") / "t.bin"
-    replayed = []  # per example: the deliberations the memo replayed
+    replays = []  # (paradigm, replayed) of every send
 
+    @seed(0)  # fixes the 40 examples: derandomize alone draws them from this function's source
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(spec=fuzzed_episodes())
     def check(spec):
@@ -580,16 +593,12 @@ def test_shortcuts_change_no_output_on_fuzzed_episodes(tmp_path_factory):
         for on in (True, False):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(model_module, "SHORTCUTS", on)
-                counts = {}
-                for name in ("_deliberate", "deliberate"):
-                    count_calls(patch, name, counts)
+                count_replays(patch, replays)
                 runs.append([episode_outputs(spec, paradigm, path) for paradigm in sc.PARADIGMS])
-                if on:
-                    replayed.append(counts.get("_deliberate", 0) - counts.get("deliberate", 0))
         assert runs[0] == runs[1]
 
     check()
-    assert any(replayed)
+    assert {paradigm for paradigm, replayed in replays if replayed} == {"LACO", "NaiveLatent", "Language"}
 
 
 def occluded_1():
@@ -597,39 +606,51 @@ def occluded_1():
 
 
 def replayed_and_fresh(monkeypatch, sim, primed):
-    """Two prefills of the live agents' observations at ``sim``'s tick: the first
-    deliberates through ``_deliberate`` as the memo replays it (``deliberate`` does not
-    run; ``primed`` first records the deliberation on a third prefill), the second
-    through a fresh ``deliberate``.  Returns the first, after checking that the replay
-    left the store bytes over [0, n0 + m), ``nonzero`` flags, ``length``, ``prefill_len``,
-    hidden states and traces of the fresh one, byte for byte."""
+    """Two prefills of the live agents' observations at ``sim``'s tick: the first sends
+    through ``sim``'s sender as the memo replays it (the computation, ``deliberate`` or the
+    Language decode's ``project_to_logits``, fails if it runs; ``primed`` first records the
+    send on a third prefill), the second through a fresh ``deliberate`` or a Language
+    decode on an empty memo.  Returns the first, after checking that the replay left the
+    store bytes over [0, n0 + m), ``nonzero`` flags, ``length``, ``prefill_len`` and result
+    of the fresh one (hidden states and traces, or relayed ids), byte for byte."""
     spec, live = sim.spec, sim.live_agents()
     tokens = np.stack([sc.observe(sim.world, sim.agents, spec.hazards, aid, sim.ticks) for aid in live])
-    if primed:
-        sc._deliberate(sim, live, sc.prefill(sim.model, tokens))
     replayed, fresh = sc.prefill(sim.model, tokens), sc.prefill(sim.model, tokens)
-    want = deliberate(sim.model, compute_alignment(sim.model), fresh.hidden, fresh.caches, spec.m)
+    if spec.paradigm == "Language":
+        send, computed = sc._send_tokens, "project_to_logits"
+        want = sent(send(sc.Simulation(spec), live, fresh))
+        assert all(len(ids) == spec.m for ids in want)
+    else:
+        send, computed = sc._deliberate, "deliberate"
+        want = sent(deliberate(sim.model, compute_alignment(sim.model), fresh.hidden, fresh.caches, spec.m))
+    if primed:
+        send(sim, live, sc.prefill(sim.model, tokens))
     with monkeypatch.context() as patch:
-        patch.setattr(sc, "deliberate", pytest.fail)
-        got = sc._deliberate(sim, live, replayed)
+        patch.setattr(sc, computed, pytest.fail)
+        got = sent(send(sim, live, replayed))
     n = spec.observation_len + spec.m
     store, fresh_store = replayed.caches[0].store, fresh.caches[0].store
     assert store[..., :n, :].tobytes() == fresh_store[..., :n, :].tobytes()
     assert replayed.caches[0].nonzero.tobytes() == fresh.caches[0].nonzero.tobytes()
     assert [(c.length, c.prefill_len) for c in replayed.caches] == [
         (c.length, c.prefill_len) for c in fresh.caches] == [(n, spec.observation_len)] * len(live)
-    assert got.final_hidden.tobytes() == want.final_hidden.tobytes()
-    assert [(t.array.tobytes(), t.lengths.tobytes()) for t in got.traces] == [
-        (t.array.tobytes(), t.lengths.tobytes()) for t in want.traces]
+    assert got == want
     return replayed
 
 
-@pytest.mark.parametrize("paradigm", ["LACO", "NaiveLatent"])
+def sent(result):
+    """A sender's result as bytes: each message's relayed ids, or hidden states and traces."""
+    if isinstance(result, list):
+        return [msg.token_ids for msg in result]
+    return [result.final_hidden.tobytes()] + [(t.array.tobytes(), t.lengths.tobytes()) for t in result.traces]
+
+
+@pytest.mark.parametrize("paradigm", ["LACO", "NaiveLatent", "Language"])
 @pytest.mark.parametrize("tick, flagged", [(3, True), (9, False)], ids=["lane_b_sees", "all_zero"])
 def test_a_replayed_deliberation_leaves_what_a_fresh_one_leaves(monkeypatch, paradigm, tick, flagged):
     """On occluded_1, at a tick whose lane-B agent sees the hazard (layer 0 flagged)
-    and at one whose every layer is unflagged, a deliberation an earlier tick
-    recorded replays to the bytes of a fresh one."""
+    and at one whose every layer is unflagged, a deliberation or Language decode an
+    earlier tick recorded replays to the bytes of a fresh one."""
     sim = sc.Simulation(occluded_1(), paradigm)
     for _ in range(tick):
         sc.run_tick(sim)
@@ -708,23 +729,35 @@ def test_replayed_ticks_share_one_read_only_record():
                 array.flat[0] = 0
 
 
-def test_each_episode_has_its_own_memo(monkeypatch):
+def test_each_episode_has_its_own_memo(monkeypatch, full_steps):
     """The memo lives and dies with one Simulation: two runs of occluded_1, and a sweep
-    over a repeated value, deliberate as often per episode (5 of 19 ticks under LACO, 4
-    of 19 under NaiveLatent); with ``SHORTCUTS`` off every tick deliberates."""
+    over a repeated value, compute as often per episode: ``deliberate`` runs on 5 of 19
+    ticks under LACO and 4 of 19 under NaiveLatent, the Language decode (m
+    ``project_to_logits`` calls) on 5 of 13.  With ``SHORTCUTS`` off every tick computes,
+    and Language gives the same metrics rows in more full decode steps."""
     spec, counts = occluded_1(), {}
-    count_calls(monkeypatch, "deliberate", counts)
-    for paradigm, calls in (("LACO", 5), ("NaiveLatent", 4)):
+    for name in ("deliberate", "project_to_logits"):
+        count_calls(monkeypatch, name, counts)
+    episodes = {"LACO": (19, {"deliberate": 5}), "NaiveLatent": (19, {"deliberate": 4}),
+                "Language": (13, {"project_to_logits": 5 * spec.m})}
+    for paradigm, (ticks, computed) in episodes.items():
         for _ in range(2):
-            counts["deliberate"] = 0
-            assert sc.run_episode(spec, paradigm).ticks == 19
-            assert counts["deliberate"] == calls
-    counts["deliberate"] = 0
+            counts.clear()
+            full_steps[0] = 0
+            sim = sc.run_episode(spec, paradigm)
+            assert sim.ticks == ticks and counts == computed
+    language = sc.metrics_rows(sim), full_steps[0]  # the last episode run: Language's
+    counts.clear()
     rows = sc.sweep("m", ["10", "10"], [spec], "LACO")
-    assert counts["deliberate"] == 2 * 5 and rows[: len(rows) // 2] == rows[len(rows) // 2 :]
+    assert counts == {"deliberate": 2 * 5} and rows[: len(rows) // 2] == rows[len(rows) // 2 :]
     monkeypatch.setattr(model_module, "SHORTCUTS", False)
-    counts["deliberate"] = 0
-    assert sc.run_episode(spec, "LACO").memo == {} and counts["deliberate"] == 19
+    counts.clear()
+    full_steps[0] = 0
+    sim = sc.run_episode(spec, "Language")
+    assert sim.memo == {} and counts == {"project_to_logits": 13 * spec.m}
+    assert sc.metrics_rows(sim) == language[0] and full_steps[0] > language[1]
+    counts.clear()
+    assert sc.run_episode(spec, "LACO").memo == {} and counts == {"deliberate": 19}
 
 
 def test_attending_deliberations_repeat_in_one_call(monkeypatch):
@@ -742,29 +775,6 @@ def test_attending_deliberations_repeat_in_one_call(monkeypatch):
     T = spec.observation_len
     assert any(n == T and attended and batch.length == T + spec.m
                and sum(b is batch for b, _, _ in steps) == 1 for batch, n, attended in steps)
-
-
-def test_language_tokens_repeat_at_once(monkeypatch, full_steps):
-    """On occluded_1 the Language decode runs some of its steps at once (fewer
-    full steps than with ``SHORTCUTS`` off), and relays the ids and gives the
-    metrics rows of the full path, which steps them all."""
-
-    def relayed(sim, live, pre, send=sc._send_tokens):
-        messages = send(sim, live, pre)
-        sent.append([msg.token_ids for msg in messages])
-        return messages
-
-    monkeypatch.setitem(sc._PARADIGM_TABLE, "Language", (relayed, sc._decide_on_tokens))
-    spec = sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
-    runs = []
-    for on in (True, False):
-        monkeypatch.setattr(model_module, "SHORTCUTS", on)
-        sent, full_steps[0] = [], 0
-        rows = sc.metrics_rows(sc.run_episode(spec, "Language"))
-        runs.append((sent, rows, full_steps[0]))
-    assert runs[0][2] < runs[1][2]
-    assert runs[0][:2] == runs[1][:2]
-    assert all(len(ids) == spec.m for tick in runs[0][0] for ids in tick)
 
 
 def test_episodes_of_one_layout_share_one_read_only_model():
