@@ -777,6 +777,29 @@ def test_attending_deliberations_repeat_in_one_call(monkeypatch):
                and sum(b is batch for b, _, _ in steps) == 1 for batch, n, attended in steps)
 
 
+def test_language_tokens_repeat_at_once(monkeypatch, full_steps):
+    """On occluded_1 the Language decode runs fewer full steps than with ``SHORTCUTS``
+    off (a tick whose prefill repeats an earlier one replays that tick's ids), and
+    relays the ids and gives the metrics rows of the full path, which steps them all."""
+
+    def relayed(sim, live, pre, send=sc._send_tokens):
+        messages = send(sim, live, pre)
+        sent.append([msg.token_ids for msg in messages])
+        return messages
+
+    monkeypatch.setitem(sc._PARADIGM_TABLE, "Language", (relayed, sc._decide_on_tokens))
+    spec = sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
+    runs = []
+    for on in (True, False):
+        monkeypatch.setattr(model_module, "SHORTCUTS", on)
+        sent, full_steps[0] = [], 0
+        rows = sc.metrics_rows(sc.run_episode(spec, "Language"))
+        runs.append((sent, rows, full_steps[0]))
+    assert runs[0][2] < runs[1][2]
+    assert runs[0][:2] == runs[1][:2]
+    assert all(len(ids) == spec.m for tick in runs[0][0] for ids in tick)
+
+
 def test_episodes_of_one_layout_share_one_read_only_model():
     """Simulations of one model config share one hazard Model, whose weights refuse a write."""
     spec = sc.load_scenario(sc.builtin_scenario_path("occluded_1"))
