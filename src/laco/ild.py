@@ -49,29 +49,30 @@ class DeliberationResult:
     steps: int
 
 
-def deliberate(model: Model, w_a: np.ndarray, h0: np.ndarray, caches, m: int) -> DeliberationResult:
-    """Run m latent steps, appending ego-latent positions to every cache.
+def deliberate(w_a: np.ndarray, batch: DecodeBatch, m: int) -> DeliberationResult:
+    """Run m latent steps of a prefill's lock-step batch, appending ego-latent positions to every cache.
 
-    ``caches`` is a lock-step batch of A caches with an (A, d) ``h0`` (see
-    :class:`laco.model.DecodeBatch`, made once); every step is one pass for all A
-    agents, and the result holds one trace per agent.  Deliberation is ego-local:
-    received context joins only the final decision decode.  Each step's rows go
-    straight into its (L, A·H, n0 + m) slot of one buffer, checked once; agent a
-    views heads [a·H, (a+1)·H).  Steps that repeat the last one's input rerun only attention,
-    in one ``DecodeBatch.repeat`` call, until an attention output changes.  A run that would
-    overflow the caches raises :class:`ContextOverflowError` before its first step.  With m = 0
-    the caches are untouched, ``final_hidden`` is ``h0``'s value and each trace has zero steps.
-    The buffer and ``final_hidden`` are read-only once checked: ticks may share one result.
+    ``batch`` is the :class:`laco.model.DecodeBatch` that :func:`laco.model.prefill` returned, and
+    its (A, d) ``hidden`` feeds the first step; every step is one pass for all A agents, and the
+    result holds one trace per agent.  Deliberation is ego-local: received context joins only the
+    final decision decode.  Each step's rows go straight into its (L, A·H, n0 + m) slot of one
+    buffer, checked once; agent a views heads [a·H, (a+1)·H).  Steps that repeat the last one's
+    input rerun only attention, in one ``DecodeBatch.repeat`` call, until an attention output
+    changes.  A run that would overflow the caches raises :class:`ContextOverflowError` before its
+    first step, and a batch with no ``hidden`` :class:`ConfigError`.  With m = 0 the batch is
+    untouched, ``final_hidden`` is ``hidden``'s value and each trace has zero steps.  The buffer
+    and ``final_hidden`` are read-only once checked: ticks may share one result.
     """
     if m < 0:
         raise ConfigError("step count m must be >= 0")
-    first, A = caches[0], len(caches)
-    L, H, n0 = model.config.num_layers, model.config.num_heads, first.length
-    if n0 + m > first.capacity:
-        raise ContextOverflowError(f"{m} latent steps from {n0} positions overflow {first.capacity}")
-    array = np.zeros((m, L, A * H, n0 + m), dtype=np.float32)
+    if batch.hidden is None:
+        raise ConfigError("deliberation needs a prefill's hidden states; this batch holds none")
+    (A, H, _, _), n0, capacity = batch.dims, batch.length, batch.caches[0].capacity
+    if n0 + m > capacity:
+        raise ContextOverflowError(f"{m} latent steps from {n0} positions overflow {capacity}")
+    array = np.zeros((m, batch.model.config.num_layers, A * H, n0 + m), dtype=np.float32)
     lengths = np.arange(n0 + 1, n0 + m + 1, dtype=np.int64)
-    h, batch, t = np.array(h0, dtype=np.float32), DecodeBatch(model, caches), 0
+    h, t = batch.hidden.copy(), 0
     while t < m:
         x = rowwise_matmul(h, w_a)
         t += batch.repeat(x, m - t, array[t:])  # the steps that repeat step t - 1

@@ -318,12 +318,6 @@ class AttentionTrace:
         return part
 
 
-@dataclass
-class PrefillResult:
-    hidden: np.ndarray  # (A, d)
-    caches: list  # A cache views of one store, in batch order
-
-
 def _mlp(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
     hidden = x @ lw.w_mlp1
     np.maximum(hidden, 0.0, out=hidden)
@@ -336,12 +330,13 @@ def rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ w)[..., 0, :]
 
 
-def prefill(model: Model, tokens) -> PrefillResult:
+def prefill(model: Model, tokens) -> "DecodeBatch":
     """Causal forward pass over a batch of token sequences, populating fresh caches.
 
     ``tokens`` is an (A, T) batch, run as one pass over positions 0 .. T-1 with the
-    rows folded into the head axis of one store.  Returns the (A, d) last hidden
-    states and A cache views of length T.  With ``SHORTCUTS`` on, the last layer attends
+    rows folded into the head axis of one store.  Returns the lock-step batch of its A
+    cache views of length T, whose ``hidden`` is the (A, d) last hidden states; a
+    deliberation or decode steps that batch.  With ``SHORTCUTS`` on, the last layer attends
     for position T-1 only, but keeps ``w_o`` and an unflagged MLP at (A, T, .): a one-row
     product may sum in another order.  A ``model.passthrough`` layer is skipped: its K/V
     would be ``x @ 0 = +0.0``, the store's own zeros, and its residual updates ``+0.0``;
@@ -388,7 +383,7 @@ def prefill(model: Model, tokens) -> PrefillResult:
             x = x + out.reshape(A, H, T, dh).transpose(0, 2, 1, 3).reshape(A, T, d) @ lw.w_o
         if not (SHORTCUTS and model.zero_mlp[l]):
             x = x + _mlp(x, lw)
-    return PrefillResult(hidden=x[:, -1].copy(), caches=caches)
+    return DecodeBatch(model, caches, hidden=x[:, -1].copy())
 
 
 class DecodeBatch:
@@ -402,9 +397,11 @@ class DecodeBatch:
     fits the model (heads, ``head_dim``, ``l_comm <= L``; else ``ShapeMismatchError``).  A step
     raises ``ConfigError`` once another decode moved a cache, so the kept ``nonzero`` flags stay
     exact (only a decode raises one).  ``record`` keeps what :meth:`repeat` reads of the last step.
+    ``hidden``: the (A, d) last hidden states of the :func:`prefill` that made the batch (None
+    otherwise), which steps leave as they are.
     """
 
-    def __init__(self, model: Model, caches, payloads=()):
+    def __init__(self, model: Model, caches, payloads=(), hidden=None):
         cfg, first, A, n = model.config, caches[0], len(caches), caches[0].length
         if any(c.store is not first.store or c.row != row or c.length != n
                for row, c in enumerate(caches, first.row)):
@@ -424,7 +421,7 @@ class DecodeBatch:
                 if heads != H or head_dim != dh or l_comm > L:
                     raise ShapeMismatchError(f"a payload of {l_comm} layers of {heads} heads of {head_dim} "
                                              f"does not fit a model of {L} layers of {H} heads of {dh}")
-        self.model, self.caches, self.payloads, self.length = model, caches, payloads, n
+        self.model, self.caches, self.payloads, self.length, self.hidden = model, caches, payloads, n, hidden
         self.dims = A, H, dh, cfg.model_dim
         self.ctx = first.store[:, :, first.row * H : (first.row + A) * H]  # (2, L, A·H, capacity, d_h)
         self.new = self.ctx.reshape(2, L, A, H, -1, dh).transpose(1, 4, 2, 0, 3, 5)  # [l, n]: K/V

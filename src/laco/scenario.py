@@ -38,7 +38,6 @@ from .model import (
     TOKEN_OBSTACLE,
     TOKEN_OCCLUDED,
     TOKEN_VEHICLE,
-    DecodeBatch,
     ModelConfig,
     check_hazard_config,
     make_hazard_model,
@@ -523,11 +522,11 @@ def _send_tokens(sim: Simulation, live, pre):
     """Language: greedily decode m tokens per agent in lock-step (:func:`_replayed`); relay their ids."""
     model, m = sim.model, sim.spec.m
 
-    def decode(batch):
+    def decode():
         h, ids = pre.hidden, np.zeros((m, len(live)), dtype=np.int64)
         for step in range(m):
             ids[step] = np.argmax(project_to_logits(model, h), axis=1)
-            h, _ = batch(model.w_in[ids[step]])
+            h, _ = pre(model.w_in[ids[step]])
         return ids
     ids = _replayed(sim, live, pre, decode)
     for aid in live:
@@ -543,31 +542,29 @@ def _send_visual(sim: Simulation, live, pre):
 
 
 def _replayed(sim: Simulation, live, pre, extend):
-    """``extend(batch)`` on a ``DecodeBatch`` of the prefill caches, which it extends by m positions,
-    or its replay from the episode's memo with ``SHORTCUTS`` on (README "Repeated sends")."""
-    m, memo, batch = sim.spec.m, sim.memo, DecodeBatch(sim.model, pre.caches)
-    n0, flags, kv = batch.length, batch.ego, batch.ctx
+    """``extend()``, which steps the prefill's batch ``pre`` m positions, or its replay from the
+    episode's memo with ``SHORTCUTS`` on (README "Repeated sends")."""
+    m, memo, n0, flags, kv = sim.spec.m, sim.memo, pre.length, pre.ego, pre.ctx
     key = (len(live), n0, pre.hidden.tobytes(), flags.tobytes(),  # unflagged K/V are zeros
            kv[:, flags.any(axis=1), :, :n0].tobytes())
     if model_module.SHORTCUTS and key in memo:
-        result, kv[..., n0 : n0 + m, :], flags[...] = memo[key]
-        for cache in pre.caches:
-            cache.length = n0 + m
+        result, kv[..., n0 : n0 + m, :], flags[...], pre.flagged[:] = memo[key]
+        for c in (pre, *pre.caches):
+            c.length = n0 + m
         return result
-    result = extend(batch)
+    result = extend()
     if model_module.SHORTCUTS:
         if len(memo) == _MEMO_ENTRIES:
             del memo[next(iter(memo))]  # the oldest
         latent, after = kv[..., n0 : n0 + m, :].copy(), flags.copy()
         latent.flags.writeable = after.flags.writeable = False
-        memo[key] = result, latent, after
+        memo[key] = result, latent, after, tuple(pre.flagged)
     return result
 
 
 def _deliberate(sim: Simulation, live, pre):
-    """Run m latent steps on every prefill cache in lock-step (:func:`_replayed`); record the traces."""
-    delib = _replayed(sim, live, pre, lambda _: deliberate(
-        sim.model, compute_alignment(sim.model), pre.hidden, pre.caches, sim.spec.m))
+    """Run m latent steps of the prefill's batch (:func:`_replayed`); record the traces."""
+    delib = _replayed(sim, live, pre, lambda: deliberate(compute_alignment(sim.model), pre, sim.spec.m))
     if delib.steps > 0:
         for aid, trace in zip(live, delib.traces):
             sim.telemetry.append(TraceRecord(tick=sim.ticks, agent=aid, trace=trace))
@@ -637,7 +634,7 @@ PARADIGMS = tuple(_PARADIGM_TABLE)
 
 def _observe_and_send(sim: Simulation, live):
     """Observe, prefill the live agents in one batch and run the paradigm's
-    sender: (observations, prefill result, one message or None per agent)."""
+    sender: (observations, prefill batch, one message or None per agent)."""
     observations = {aid: observe(sim.world, sim.agents, sim.spec.hazards, aid, sim.ticks)
                     for aid in live}
     pre = prefill(sim.model, np.stack([observations[aid] for aid in live]))

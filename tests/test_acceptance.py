@@ -177,7 +177,7 @@ def test_c06_compression_accounting(shipped):
         model2 = make_hazard_model(cfg)
         tokens = [TOKEN_CLEAR] * (T - 1) + [TOKEN_EGO_A]
         res2 = prefill(model2, [tokens])
-        out2 = deliberate(model2, compute_alignment(model2), res2.hidden, res2.caches, m)
+        out2 = deliberate(compute_alignment(model2), res2, m)
         sal = saliency_scores(out2.traces[0], T, 0.3)
         indices = select_topk(sal)
         assert len(indices) == 30

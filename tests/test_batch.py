@@ -59,7 +59,7 @@ def test_prefill_and_deliberation_match_per_agent_path(seed, A):
     model, tokens, m = random_case(seed, A)
     pre = prefill(model, tokens)
     align = compute_alignment(model)
-    delib = deliberate(model, align, pre.hidden, pre.caches, m)
+    delib = deliberate(align, pre, m)
     assert pre.hidden.shape == (A, model.config.model_dim)
     assert len(delib.traces) == A and delib.steps == m
     for a in range(A):
@@ -83,7 +83,7 @@ def test_lock_step_deliberation_checks_its_rows_once(monkeypatch, A):
     check = AttentionTrace.__post_init__
     monkeypatch.setattr(AttentionTrace, "__post_init__",
                         lambda trace: (checks.append(trace.array.shape), check(trace)))
-    delib = deliberate(model, compute_alignment(model), pre.hidden, pre.caches, 2)
+    delib = deliberate(compute_alignment(model), pre, 2)
     L, H = model.config.num_layers, model.config.num_heads
     assert checks == [(2, L, A * H, tokens.shape[1] + 2)]
     assert all(t.array.base is delib.traces[0].array.base for t in delib.traces)
@@ -98,7 +98,7 @@ def test_single_sequence_is_the_one_agent_batch(seed):
         prefill(model, tokens[0])
     assert str(err.value) == "prefill needs an (A, T) batch of non-empty token sequences"
     pre = prefill(model, tokens)
-    delib = deliberate(model, compute_alignment(model), pre.hidden, pre.caches, m)
+    delib = deliberate(compute_alignment(model), pre, m)
     h0, ref_cache = ref_prefill(model, tokens[0])
     h, array, _ = ref_deliberate(model, compute_alignment(model), h0, ref_cache, m)
     np.testing.assert_array_equal(delib.final_hidden, h[None])
@@ -135,7 +135,7 @@ def test_decision_decode_on_a_batch_view_matches_per_agent_path():
     model, tokens, m = random_case(3, 3)
     align = compute_alignment(model)
     pre = prefill(model, tokens)
-    deliberate(model, align, pre.hidden, pre.caches, m)
+    deliberate(align, pre, m)
     refs = []
     for a in range(3):
         h0, ref_cache = ref_prefill(model, tokens[a])
@@ -158,7 +158,7 @@ def deliberated_batch(seed, A):
     model, tokens, m = random_case(seed, A)
     align = compute_alignment(model)
     pre = prefill(model, tokens)
-    deliberate(model, align, pre.hidden, pre.caches, m)
+    deliberate(align, pre, m)
     refs = []
     for row in tokens:
         h0, ref_cache = ref_prefill(model, row)

@@ -94,7 +94,7 @@ def _deliberated(A, m, room=0, seed=0):
     model = init_model(cfg, 7 + A)
     tokens = np.random.default_rng(A + seed).integers(0, cfg.vocab_size, size=(A, PREFILL_LEN))
     pre = prefill(model, tokens)
-    return model, pre, deliberate(model, compute_alignment(model), pre.hidden, pre.caches, m)
+    return model, pre, deliberate(compute_alignment(model), pre, m)
 
 
 def deliberate_digest(A, m):

@@ -126,7 +126,7 @@ class TestBuildCache:
     def _cache(self, seed=0, T=6, m=3):
         mdl = init_model(ModelConfig(2, 2, 8, 16, 32), seed)
         res = prefill(mdl, [list(range(T))])
-        deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, m)
+        deliberate(compute_alignment(mdl), res, m)
         return res.caches[0]
 
     def _distill(self, cache, indices):

@@ -37,7 +37,7 @@ def cfg(**kw):
 
 def build_payload(model, tokens, m=3, rho_indices=None, fraction=1.0, sender=1):
     res = prefill(model, [tokens])
-    deliberate(model, compute_alignment(model), res.hidden, res.caches, m)
+    deliberate(compute_alignment(model), res, m)
     idx = rho_indices if rho_indices is not None else list(range(len(tokens)))
     return distill(res.caches[0], idx, fraction, sender_id=sender, frame_id=0), res.caches[0]
 

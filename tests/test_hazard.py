@@ -75,7 +75,7 @@ def occluded_1_decision(l_comm, agents=2):
     model, live = sim.model, sim.live_agents()
     obs = np.stack([observe(sim.world, sim.agents, spec.hazards, aid, 0) for aid in live])
     pre = prefill(model, obs)
-    deliberate(model, compute_alignment(model), pre.hidden, pre.caches, spec.m)
+    deliberate(compute_alignment(model), pre, spec.m)
     T, L = spec.observation_len, model.config.num_layers
     sent = [distill(cache, range(0, T, 3), l_comm / L, sender_id=aid, frame_id=0)
             for aid, cache in zip(live, pre.caches)]
@@ -142,7 +142,7 @@ class TestPassthrough:
         assert flags.any(axis=1).tolist() == [True] + [False] * (L - 1)
         assert calls == {"attend_causal": int(flags[0].any()), "attend_single": int(flags[-1].any())}
         calls.update(attend_causal=0, attend_single=0)
-        deliberate(model, compute_alignment(model), pre.hidden, pre.caches, 1)
+        deliberate(compute_alignment(model), pre, 1)
         np.testing.assert_array_equal(flags, scanned(pre.caches[0]))
         assert calls == {"attend_causal": 0, "attend_single": int(flags.any(axis=1).sum())}
         assert calls["attend_single"] == 1  # layer 0: the step added no non-zero K/V elsewhere

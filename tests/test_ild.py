@@ -73,7 +73,7 @@ class TestDeliberate:
         res = prefill(m, [[1, 2, 3]])
         h0 = res.hidden.copy()
         before = res.caches[0].length
-        out = deliberate(m, compute_alignment(m), h0, res.caches, 0)
+        out = deliberate(compute_alignment(m), res, 0)
         assert res.caches[0].length == before
         np.testing.assert_array_equal(out.final_hidden, h0)
         assert out.traces[0].num_steps == 0
@@ -82,14 +82,14 @@ class TestDeliberate:
     def test_cache_growth_law(self, m_steps):
         mdl = init_model(cfg(), 6)
         res = prefill(mdl, [[1, 2, 3, 4]])
-        deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, m_steps)
+        deliberate(compute_alignment(mdl), res, m_steps)
         # Positions 4 .. 4 + m_steps - 1 are ego latent.
         assert (res.caches[0].prefill_len, res.caches[0].length) == (4, 4 + m_steps)
 
     def test_default_ten_steps_on_stable_model(self):
         mdl = make_hazard_model(cfg())
         res = prefill(mdl, [[TOKEN_CLEAR, TOKEN_HAZARD_A, TOKEN_EGO_A]])
-        out = deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 10)
+        out = deliberate(compute_alignment(mdl), res, 10)
         assert res.caches[0].length == 3 + 10
         assert out.traces[0].num_steps == 10
 
@@ -103,10 +103,10 @@ class TestDeliberate:
 
         monkeypatch.setattr(model_module, "project_to_logits", refuse)
         monkeypatch.setattr(ild, "project_to_logits", refuse, raising=False)
-        assert deliberate(mdl, w_a, res.hidden, res.caches, 4).steps == 4
+        assert deliberate(w_a, res, 4).steps == 4
 
     def test_forward_pass_count(self, monkeypatch):
-        """One decode batch over the caches, stepped once per latent step."""
+        """The prefill's own batch, stepped once per latent step."""
         mdl = init_model(cfg(), 8)
         res = prefill(mdl, [[1, 2]])
         steps, step = [], model_module.DecodeBatch.__call__
@@ -116,28 +116,37 @@ class TestDeliberate:
             return step(batch, *args, **kwargs)
 
         monkeypatch.setattr(model_module.DecodeBatch, "__call__", counted)
-        deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 6)
-        assert len(steps) == 6 and all(b is steps[0] for b in steps)
+        deliberate(compute_alignment(mdl), res, 6)
+        assert len(steps) == 6 and all(b is res for b in steps)
         assert steps[0].caches is res.caches
         assert res.caches[0].length - res.caches[0].prefill_len == 6  # one position per pass
 
     def test_trace_context_lengths(self):
         mdl = init_model(cfg(), 9)
         res = prefill(mdl, [[1, 2, 3]])
-        out = deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 4)
+        out = deliberate(compute_alignment(mdl), res, 4)
         np.testing.assert_array_equal(out.traces[0].lengths[:4], [4, 5, 6, 7])
 
     def test_negative_m_rejected(self):
         mdl = init_model(cfg(), 0)
         res = prefill(mdl, [[1]])
         with pytest.raises(ConfigError):
-            deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, -1)
+            deliberate(compute_alignment(mdl), res, -1)
+
+    def test_a_batch_with_no_prefill_state_rejected(self):
+        """A batch made over existing caches holds no hidden states to deliberate from."""
+        mdl = init_model(cfg(), 0)
+        res = prefill(mdl, [[1, 2]])
+        with pytest.raises(ConfigError, match="hidden states") as info:
+            deliberate(compute_alignment(mdl), DecodeBatch(mdl, res.caches), 3)
+        assert "\n" not in str(info.value)
+        assert res.caches[0].length == 2
 
     def test_overflow_mid_run(self):
         mdl = init_model(cfg(max_context=5), 0)
         res = prefill(mdl, [[1, 2, 3]])
         with pytest.raises(ContextOverflowError):
-            deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 4)
+            deliberate(compute_alignment(mdl), res, 4)
 
     def test_overflow_raises_before_the_first_step(self):
         """A run that cannot fit leaves caches and store untouched."""
@@ -145,10 +154,10 @@ class TestDeliberate:
         res = prefill(mdl, np.random.default_rng(11).integers(0, 16, size=(2, 50)))
         store = res.caches[0].store.copy()
         with pytest.raises(ContextOverflowError):
-            deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 20)
+            deliberate(compute_alignment(mdl), res, 20)
         assert [(c.prefill_len, c.length) for c in res.caches] == [(50, 50), (50, 50)]
         np.testing.assert_array_equal(res.caches[0].store, store)
-        out = deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, 10)
+        out = deliberate(compute_alignment(mdl), res, 10)
         assert out.steps == 10 and [c.length for c in res.caches] == [60, 60]
 
     def test_matches_unrolled_reference_hazard(self):
@@ -156,7 +165,7 @@ class TestDeliberate:
         tokens = [TOKEN_CLEAR, TOKEN_HAZARD_A, TOKEN_CLEAR, TOKEN_EGO_A]
         res = prefill(mdl, [tokens])
         proj = compute_alignment(mdl)
-        out = deliberate(mdl, proj, res.hidden, res.caches, 3)
+        out = deliberate(proj, res, 3)
         ref = ref_deliberate_hidden(mdl, tokens, proj, 3)
         np.testing.assert_allclose(out.final_hidden[0], ref, atol=1e-6)
 
@@ -165,7 +174,7 @@ class TestDeliberate:
         tokens = [3, 9, 14]
         res = prefill(mdl, [tokens])
         proj = compute_alignment(mdl)
-        out = deliberate(mdl, proj, res.hidden, res.caches, 3)
+        out = deliberate(proj, res, 3)
         ref = ref_deliberate_hidden(mdl, tokens, proj, 3)
         np.testing.assert_allclose(out.final_hidden[0], ref, rtol=1e-5, atol=1e-6)
 
@@ -210,7 +219,7 @@ class TestRepeat:
         """The bytes of a deliberation's hidden states, traces, store and lengths."""
         tokens = np.random.default_rng(seed).integers(0, model.config.vocab_size, size=(A, 12))
         pre = prefill(model, tokens)
-        out = deliberate(model, fixed_alignment(model, seed), pre.hidden, pre.caches, m)
+        out = deliberate(fixed_alignment(model, seed), pre, m)
         arrays = [out.final_hidden, *(t.array for t in out.traces), pre.caches[0].store]
         return ([np.ascontiguousarray(a).tobytes() for a in arrays],
                 [(c.prefill_len, c.length) for c in pre.caches], out.traces[0].lengths.tolist())

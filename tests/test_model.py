@@ -335,10 +335,10 @@ class TestPassthrough:
         tokens = rng.integers(0, model.config.vocab_size, size=(A, T))
         w_a = compute_alignment(model)
         senders = prefill(model, tokens[::-1])
-        deliberate(model, w_a, senders.hidden, senders.caches, 5)
+        deliberate(w_a, senders, 5)
         pre = prefill(model, tokens)
         out = [pre.hidden, pre.caches[0].store]
-        delib = deliberate(model, w_a, pre.hidden, pre.caches, m)
+        delib = deliberate(w_a, pre, m)
         out += [delib.final_hidden, *(t.array for t in delib.traces)]
         inboxes = [[distill(senders.caches[s], range(a, a + 36, 3), l_comm / L, sender_id=s,
                             frame_id=0) for s in range(A) if s != a] for a in range(A)]
@@ -537,7 +537,7 @@ class TestWidenedStore:
         live = sim.live_agents()
         obs = np.stack([observe(sim.world, sim.agents, spec.hazards, aid, 0) for aid in live])
         pre = prefill(model, obs)
-        deliberate(model, compute_alignment(model), pre.hidden, pre.caches, spec.m)
+        deliberate(compute_alignment(model), pre, spec.m)
         forward_decode(model, model.w_in[np.full(len(live), TOKEN_KEEP)], pre.caches)
         sender, receiver = pre.caches[0], pre.caches[-1]
         payload = distill(sender, range(spec.observation_len), 0.5, sender_id=live[0], frame_id=0)

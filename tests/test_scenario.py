@@ -571,7 +571,7 @@ def count_replays(patch, replays):
     replayed it) to ``replays``."""
     def counted(sim, live, pre, extend, fn=sc._replayed):
         ran = []
-        result = fn(sim, live, pre, lambda batch: ran.append(True) or extend(batch))
+        result = fn(sim, live, pre, lambda: ran.append(True) or extend())
         replays.append((sim.spec.paradigm, not ran))
         return result
 
@@ -611,8 +611,10 @@ def replayed_and_fresh(monkeypatch, sim, primed):
     Language decode's ``project_to_logits``, fails if it runs; ``primed`` first records the
     send on a third prefill), the second through a fresh ``deliberate`` or a Language
     decode on an empty memo.  Returns the first, after checking that the replay left the
-    store bytes over [0, n0 + m), ``nonzero`` flags, ``length``, ``prefill_len`` and result
-    of the fresh one (hidden states and traces, or relayed ids), byte for byte."""
+    store bytes over [0, n0 + m), ``nonzero`` flags, the batch's ``length``, ``ego`` and
+    ``flagged``, every cache's ``length`` and ``prefill_len`` and the result of the fresh one
+    (hidden states and traces, or relayed ids), byte for byte, and that one more step of
+    each batch, on the agents' markers, gives the same hidden states, rows and store."""
     spec, live = sim.spec, sim.live_agents()
     tokens = np.stack([sc.observe(sim.world, sim.agents, spec.hazards, aid, sim.ticks) for aid in live])
     replayed, fresh = sc.prefill(sim.model, tokens), sc.prefill(sim.model, tokens)
@@ -622,7 +624,7 @@ def replayed_and_fresh(monkeypatch, sim, primed):
         assert all(len(ids) == spec.m for ids in want)
     else:
         send, computed = sc._deliberate, "deliberate"
-        want = sent(deliberate(sim.model, compute_alignment(sim.model), fresh.hidden, fresh.caches, spec.m))
+        want = sent(deliberate(compute_alignment(sim.model), fresh, spec.m))
     if primed:
         send(sim, live, sc.prefill(sim.model, tokens))
     with monkeypatch.context() as patch:
@@ -634,7 +636,15 @@ def replayed_and_fresh(monkeypatch, sim, primed):
     assert replayed.caches[0].nonzero.tobytes() == fresh.caches[0].nonzero.tobytes()
     assert [(c.length, c.prefill_len) for c in replayed.caches] == [
         (c.length, c.prefill_len) for c in fresh.caches] == [(n, spec.observation_len)] * len(live)
+    assert (replayed.length, replayed.ego.tobytes(), replayed.flagged) == (
+        fresh.length, fresh.ego.tobytes(), fresh.flagged)
+    assert replayed.length == n and type(replayed.flagged) is list
     assert got == want
+    x = sim.model.w_in[[sim.agents[aid].spec.marker_token for aid in live]]  # as the decision decode
+    (h, rows), (fresh_h, fresh_rows) = replayed(x), fresh(x)
+    assert h.tobytes() == fresh_h.tobytes()
+    assert [r.tobytes() for r in rows] == [r.tobytes() for r in fresh_rows]
+    assert store[..., : n + 1, :].tobytes() == fresh_store[..., : n + 1, :].tobytes()
     return replayed
 
 
@@ -723,10 +733,38 @@ def test_replayed_ticks_share_one_read_only_record():
     assert second is first
     with pytest.raises(ValueError, match="read-only"):
         second[0, 0, 0, 0] = 0.5
-    for delib, latent, flags in sim.memo.values():
+    for delib, latent, flags, _ in sim.memo.values():
         for array in (delib.final_hidden, latent, flags, *(t.array for t in delib.traces)):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0
+
+
+@pytest.mark.parametrize("paradigm", ["LACO", "Language"])
+def test_a_send_steps_its_prefill_batch(monkeypatch, paradigm):
+    """On occluded_1 every ``DecodeBatch`` of an episode is a prefill's (its hidden states
+    set; Language re-prefills included) or a decision decode's, and none is made while a
+    send extends or replays: the send steps the batch its prefill returned."""
+    made, sends, counts, init = [], [], {}, model_module.DecodeBatch.__init__
+
+    def counted_init(batch, *args, **kwargs):
+        init(batch, *args, **kwargs)
+        made.append(batch.hidden is not None)
+
+    def replayed(*args, fn=sc._replayed):
+        sends.append(len(made))
+        result = fn(*args)
+        assert len(made) == sends[-1], "a send made a DecodeBatch"
+        return result
+
+    monkeypatch.setattr(model_module.DecodeBatch, "__init__", counted_init)
+    monkeypatch.setattr(sc, "_replayed", replayed)
+    for name in ("prefill", "collaborative_decode"):
+        count_calls(monkeypatch, name, counts)
+    sim = sc.run_episode(occluded_1(), paradigm)
+    assert len(sends) == sim.ticks
+    assert sum(made) == counts["prefill"]
+    assert len(made) == counts["prefill"] + counts["collaborative_decode"]
+    assert (counts["prefill"] == sim.ticks) if paradigm == "LACO" else (counts["prefill"] > sim.ticks)
 
 
 def test_each_episode_has_its_own_memo(monkeypatch, full_steps):
@@ -763,14 +801,14 @@ def test_each_episode_has_its_own_memo(monkeypatch, full_steps):
 def test_attending_deliberations_repeat_in_one_call(monkeypatch):
     """On a deep_latent layout under LACO, some deliberation whose layer 0 attends
     runs one full step: steps 1 .. m-1 run inside one ``repeat`` call."""
-    spec, steps, full_step = deep_latent_specs()[0], [], sc.DecodeBatch.__call__
+    spec, steps, full_step = deep_latent_specs()[0], [], model_module.DecodeBatch.__call__
 
     def recorded(batch, *args):  # (batch, position, whether layer 0 attended)
         out = full_step(batch, *args)
         steps.append((batch, batch.length - 1, batch.record[1][0][1] is not None))
         return out
 
-    monkeypatch.setattr(sc.DecodeBatch, "__call__", recorded)
+    monkeypatch.setattr(model_module.DecodeBatch, "__call__", recorded)
     sc.run_episode(spec, "LACO")
     T = spec.observation_len
     assert any(n == T and attended and batch.length == T + spec.m
@@ -883,6 +921,39 @@ def test_deliver_charges_delivered_pairs_and_records_each_payload_once(monkeypat
     messages = list({msg.sender_id: msg for msg, _ in sends}.values())
     assert sim.payload_bytes == ([] if paradigm == "Language" else
                                  [(0, msg.sender_id, serialize(msg)) for msg in messages])
+
+
+CROSSING = """
+name = crossing
+grid = ....
+grid = ....
+grid = ....
+agent = 0 A 1,0
+agent = 1 B 0,1
+route = 0 1,0 1,1 1,2 1,3
+route = 1 0,1 0,2 1,2 2,2
+"""
+
+
+@pytest.mark.parametrize("paradigm", sc.PARADIGMS)
+def test_agents_that_share_a_cell_collide_as_vehicles(paradigm):
+    """On an all-road grid whose two routes cross at (1, 2), both agents stand there
+    after tick 1 and each counts one vehicle collision, and nothing else: infraction
+    score 0.6 and full route completion, in the agent state and the metrics rows."""
+    spec = sc.parse_scenario(CROSSING)
+    sim = sc.Simulation(spec, paradigm)
+    for _ in range(2):
+        sc.run_tick(sim)
+    assert sim.agents[0].cell == sim.agents[1].cell == (1, 2)
+    sim = sc.run_episode(spec, paradigm)
+    for agent in sim.agents.values():
+        assert agent.infractions == {"collision_vehicle": 1}
+        assert (agent.infraction_score, agent.route_completion) == (0.6, 100.0)
+    for row in sc.metrics_rows(sim):
+        row = dict(zip(sc.METRIC_COLUMNS, row))
+        assert (row["collision_vehicle"], row["infraction_score"], row["route_completion"]) == (1, 0.6, 100.0)
+        assert row["collision_pedestrian"] == row["collision_static"] == row["timeout"] == 0
+        assert row["driving_score"] == pytest.approx(60.0)
 
 
 class TestInfractionScore:

@@ -43,7 +43,7 @@ def chsa_from_model(seed=0, L=4, T=8, m=3):
     """(cache of a T-token prefill after m deliberation steps, selected indices)."""
     mdl = init_model(ModelConfig(L, 2, 8, 16, 64), seed)
     res = prefill(mdl, [list(range(T))])
-    deliberate(mdl, compute_alignment(mdl), res.hidden, res.caches, m)
+    deliberate(compute_alignment(mdl), res, m)
     return res.caches[0], [1, 4, 6]
 
 
